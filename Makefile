@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-snapshot bench-diff chaos fuzz docs-check resume-smoke
+.PHONY: build test check fmt vet race bench bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke
 
 build:
 	$(GO) build ./...
@@ -71,3 +71,23 @@ bench-snapshot:
 
 bench-diff:
 	$(GO) run ./cmd/benchtrend -compare-latest
+
+# bench-ab measures a base ref against the working tree with the repo
+# benchmark (benchmark/README.md): BASE is checked out into a temporary
+# worktree and both trees run five untraced passes of every workload (or of
+# WORKLOAD alone), alternately — base then tree, tree then base — so slow
+# drift of the machine lands on both sides. Each round's pair of result
+# documents is compared; the target fails if any metric reads `worse`.
+# Documents stay in .bench_out/ (git-ignored). Usage:
+#   make bench-ab BASE=<ref> [WORKLOAD=<name>]
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [WORKLOAD=<name>]"; exit 2; }
+	@set -e; tree=$$(pwd); out=$$tree/.bench_out; mkdir -p "$$out"; \
+	base=$$(mktemp -d); trap 'git worktree remove --force "$$base" 2>/dev/null || rmdir "$$base"' EXIT; \
+	git worktree add --detach "$$base" "$(BASE)" >/dev/null; \
+	run() { (cd "$$1" && $(GO) run ./benchmark $(if $(WORKLOAD),-workload $(WORKLOAD)) -runs 5 -trace 0 -json "$$out/$$2"); }; \
+	run "$$base" ab-base-1.json; run "$$tree" ab-tree-1.json; \
+	run "$$tree" ab-tree-2.json; run "$$base" ab-base-2.json; \
+	rc=0; for i in 1 2; do \
+		$(GO) run ./benchmark -compare "$$out/ab-base-$$i.json" "$$out/ab-tree-$$i.json" || rc=1; \
+	done; exit $$rc

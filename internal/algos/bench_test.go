@@ -66,6 +66,7 @@ func BenchmarkWCCRound(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := benchConfig(workers)
 			var edges int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := algos.WCC(cfg, g)
@@ -89,6 +90,7 @@ func BenchmarkPageRankIteration(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := benchConfig(workers)
 			var edges int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := algos.PageRank(cfg, g, iterations, 0)
@@ -111,6 +113,7 @@ func BenchmarkKCorePeel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := benchConfig(workers)
 			var edges int64
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := algos.KCore(cfg, g, 4)

@@ -58,9 +58,9 @@ type bcNode struct {
 
 	done bool
 
-	// Reusable fan-out scratch (capacity kept across rounds).
-	staged  [][]stagedPair
+	// Reusable handler fan-out scratch (capacity kept across rounds).
 	buckets [][]localPair
+	counts  []int64
 }
 
 // BCResult is the merged output.
@@ -166,82 +166,44 @@ func (b *bcNode) Active() int64 {
 	return 1
 }
 
+// Generate runs one level of either sweep, fanning the ascending scan over
+// the node's workers (see fanoutSend).
 func (b *bcNode) Generate(round int, send Send) error {
-	if k := b.ctx.Workers; k > 1 {
-		return b.generateParallel(k, send)
-	}
-	if !b.backward {
-		// Forward: expand the depth-b.depth frontier.
-		var failed error
-		b.frontier.ForEach(func(local int64) {
-			if failed != nil {
-				return
-			}
-			bits := graph.Vertex(math.Float64bits(b.sigma[local]))
-			for _, v := range b.ctx.Sub.Neighbors(local) {
-				if err := send(b.ctx.Part.Owner(v), comm.Pair{v, bits}); err != nil {
-					failed = err
-					return
-				}
-			}
-		})
-		b.frontier.Reset()
-		b.count = 0
-		return failed
-	}
-	// Backward: vertices at the current depth broadcast their dependency
-	// coefficient to every neighbour; depth-(d-1) receivers filter.
-	for local := int64(0); local < b.ctx.Sub.NumVertices(); local++ {
-		if b.dist[local] != b.depth || b.sigma[local] == 0 {
-			continue
-		}
-		coeff := (1 + b.delta(local)) / b.sigma[local]
-		bits := graph.Vertex(math.Float64bits(coeff))
-		for _, u := range b.ctx.Sub.Neighbors(local) {
-			if err := send(b.ctx.Part.Owner(u), comm.Pair{u, bits}); err != nil {
+	// broadcast sends payload to every neighbour of local.
+	broadcast := func(local int64, payload float64, emit Send) error {
+		bits := graph.Vertex(math.Float64bits(payload))
+		for _, v := range b.ctx.Sub.Neighbors(local) {
+			if err := emit(b.ctx.Part.Owner(v), comm.Pair{v, bits}); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-// generateParallel fans both sweeps out over k workers with private
-// staging replayed in shard order — the serial ascending scan order in
-// either direction.
-func (b *bcNode) generateParallel(k int, send Send) error {
-	b.staged = takeShards(b.staged, k)
-	staged := b.staged
 	if !b.backward {
-		scanShards(b.frontier, k, func(shard int, local int64) {
-			bits := graph.Vertex(math.Float64bits(b.sigma[local]))
-			for _, v := range b.ctx.Sub.Neighbors(local) {
-				staged[shard] = append(staged[shard], stagedPair{
-					dst:  b.ctx.Part.Owner(v),
-					pair: comm.Pair{v, bits},
-				})
-			}
+		// Forward: expand the depth-b.depth frontier.
+		words := b.frontier.Words()
+		err := fanoutSend(int64(len(words)), b.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+			return scanBits(words, lo, hi, func(local int64) error {
+				return broadcast(local, b.sigma[local], emit)
+			})
 		})
 		b.frontier.Reset()
 		b.count = 0
-		return replayStaged(staged, send)
+		return err
 	}
-	forEachShard(b.ctx.Sub.NumVertices(), k, func(shard int, lo, hi int64) {
+	// Backward: vertices at the current depth broadcast their dependency
+	// coefficient to every neighbour; depth-(d-1) receivers filter.
+	return fanoutSend(b.ctx.Sub.NumVertices(), b.ctx.Workers, send, func(lo, hi int64, emit Send) error {
 		for local := lo; local < hi; local++ {
 			if b.dist[local] != b.depth || b.sigma[local] == 0 {
 				continue
 			}
-			coeff := (1 + b.delta(local)) / b.sigma[local]
-			bits := graph.Vertex(math.Float64bits(coeff))
-			for _, u := range b.ctx.Sub.Neighbors(local) {
-				staged[shard] = append(staged[shard], stagedPair{
-					dst:  b.ctx.Part.Owner(u),
-					pair: comm.Pair{u, bits},
-				})
+			if err := broadcast(local, (1+b.delta(local))/b.sigma[local], emit); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
-	return replayStaged(staged, send)
 }
 
 func (b *bcNode) Handle(round int, pairs []comm.Pair) error {
@@ -317,7 +279,8 @@ func (b *bcNode) handleParallel(k int, pairs []comm.Pair) {
 		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
 	}
 	if !b.backward {
-		counts := make([]int64, k)
+		b.counts = zeroTally(b.counts, k)
+		counts := b.counts
 		applyBuckets(buckets, func(shard int, bucket []localPair) {
 			for _, lp := range bucket {
 				b.foldForward(lp.local, lp.val, &counts[shard])

@@ -60,7 +60,11 @@ type NodeCtx struct {
 // Global converts a local vertex index to its global ID.
 func (c *NodeCtx) Global(local int64) graph.Vertex { return c.Part.Global(c.ID, local) }
 
-// Send is the message emitter handed to Generate.
+// Send is the message emitter handed to Generate. Messages are staged and
+// reach the transport in comm.StageCapPairs-pair streams, so a transport
+// error surfaces at the next flush — from a later Send call or from the
+// driver after Generate returns — not at the offending pair. A non-nil
+// error means the run is tearing down: return it promptly.
 type Send func(dst int, p comm.Pair) error
 
 // RoundAlgo is one node's algorithm instance.
@@ -580,6 +584,10 @@ type nodeRun struct {
 
 func (n *nodeRun) loop() error {
 	info := n.st.info
+	// stage holds the round's outgoing messages between flushes. On an
+	// abort whatever is still staged is dropped with it, never flushed.
+	stage := stagePool.Get().(*comm.Stage)
+	defer putStage(stage)
 	for round := n.startRound; ; round++ {
 		if round >= n.maxRounds {
 			n.net.Abort()
@@ -624,12 +632,20 @@ func (n *nodeRun) loop() error {
 		var sentPairs, recvPairs, batches int64
 		send := func(dst int, p comm.Pair) error {
 			sentPairs++
-			return n.ep.Send(comm.ChanForward, dst, p)
+			stage.Add(dst, p)
+			if stage.Full() {
+				return stage.Flush(n.ep, comm.ChanForward)
+			}
+			return nil
 		}
 		if d := n.net.ChaosDelay(chaos.KindDelayGenerator, n.ctx.ID, round); d > 0 {
 			time.Sleep(d)
 		}
-		if err := n.algo.Generate(round, send); err != nil {
+		err := n.algo.Generate(round, send)
+		if err == nil {
+			err = stage.Flush(n.ep, comm.ChanForward)
+		}
+		if err != nil {
 			n.net.Abort()
 			return err
 		}
@@ -650,7 +666,9 @@ func (n *nodeRun) loop() error {
 			case comm.EvData:
 				recvPairs += int64(len(ev.Batch.Pairs))
 				batches++
-				if err := n.algo.Handle(round, ev.Batch.Pairs); err != nil {
+				err := n.algo.Handle(round, ev.Batch.Pairs)
+				comm.PutPairs(ev.Batch.Pairs) // no kernel retains the slice
+				if err != nil {
 					n.net.Abort()
 					return err
 				}

@@ -24,9 +24,9 @@ type kcoreNode struct {
 	touched []int64 // locals with dec > 0 this round (unique, unsorted)
 	removal []int64 // local indices scheduled for removal this round
 
-	// Reusable fan-out scratch (capacity kept across rounds).
-	staged  [][]stagedPair
-	buckets [][]localPair
+	// Reusable handler fan-out scratch (capacity kept across rounds).
+	buckets      [][]localPair
+	touchedShard [][]int64
 }
 
 // KCoreResult is the merged output.
@@ -102,42 +102,24 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 
 func (kn *kcoreNode) Active() int64 { return int64(len(kn.removal)) }
 
+// Generate removes the scheduled vertices and sends one decrement per
+// incident edge, fanning the removal list over the node's workers in
+// contiguous index shards (entries are unique, so the alive writes are
+// disjoint; see fanoutSend).
 func (kn *kcoreNode) Generate(round int, send Send) error {
-	if k := kn.ctx.Workers; k > 1 {
-		return kn.generateParallel(k, send)
-	}
-	for _, local := range kn.removal {
-		kn.alive[local] = false
-		for _, u := range kn.ctx.Sub.Neighbors(local) {
-			if err := send(kn.ctx.Part.Owner(u), comm.Pair{u, 1}); err != nil {
-				return err
-			}
-		}
-	}
-	kn.removal = kn.removal[:0]
-	return nil
-}
-
-// generateParallel fans the removal fan-out over contiguous index shards
-// of the removal list (entries are unique, so the alive writes are
-// disjoint); shard-order replay reproduces the serial list order.
-func (kn *kcoreNode) generateParallel(k int, send Send) error {
-	kn.staged = takeShards(kn.staged, k)
-	staged := kn.staged
-	forEachShard(int64(len(kn.removal)), k, func(shard int, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			local := kn.removal[i]
+	err := fanoutSend(int64(len(kn.removal)), kn.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+		for _, local := range kn.removal[lo:hi] {
 			kn.alive[local] = false
 			for _, u := range kn.ctx.Sub.Neighbors(local) {
-				staged[shard] = append(staged[shard], stagedPair{
-					dst:  kn.ctx.Part.Owner(u),
-					pair: comm.Pair{u, 1},
-				})
+				if err := emit(kn.ctx.Part.Owner(u), comm.Pair{u, 1}); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	})
 	kn.removal = kn.removal[:0]
-	return replayStaged(staged, send)
+	return err
 }
 
 func (kn *kcoreNode) Handle(round int, pairs []comm.Pair) error {
@@ -174,7 +156,8 @@ func (kn *kcoreNode) handleParallel(k int, pairs []comm.Pair) {
 		l := kn.ctx.Part.Local(p[0])
 		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
 	}
-	touched := make([][]int64, k)
+	kn.touchedShard = takeShards(kn.touchedShard, k)
+	touched := kn.touchedShard
 	applyBuckets(buckets, func(shard int, bucket []localPair) {
 		for _, lp := range bucket {
 			if kn.dec[lp.local] == 0 {

@@ -38,8 +38,7 @@ type prNode struct {
 	dangling []int64
 	n        int64 // global vertex count
 
-	// Reusable fan-out scratch (capacity kept across rounds).
-	staged  [][]stagedPair
+	// Reusable handler fan-out scratch (capacity kept across rounds).
 	buckets [][]localPair
 }
 
@@ -128,47 +127,24 @@ func (p *prNode) contribution(local int64, deg int64) graph.Vertex {
 	return graph.Vertex(p.rank[local] / float64(deg) * fixedPointScale)
 }
 
+// Generate pushes every vertex's contribution along its edges, fanning the
+// ascending-local scan over the node's workers (see fanoutSend).
 func (p *prNode) Generate(round int, send Send) error {
-	if k := p.ctx.Workers; k > 1 {
-		return p.generateParallel(k, send)
-	}
-	for local := int64(0); local < p.ctx.Sub.NumVertices(); local++ {
-		deg := p.ctx.Sub.Degree(local)
-		if deg == 0 {
-			continue // dangling mass handled in EndRound
-		}
-		contrib := p.contribution(local, deg)
-		for _, u := range p.ctx.Sub.Neighbors(local) {
-			if err := send(p.ctx.Part.Owner(u), comm.Pair{u, contrib}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// generateParallel fans the contribution push over k contiguous vertex
-// shards, staging privately and replaying in shard order — the serial
-// ascending-local emission sequence.
-func (p *prNode) generateParallel(k int, send Send) error {
-	p.staged = takeShards(p.staged, k)
-	staged := p.staged
-	forEachShard(p.ctx.Sub.NumVertices(), k, func(shard int, lo, hi int64) {
+	return fanoutSend(p.ctx.Sub.NumVertices(), p.ctx.Workers, send, func(lo, hi int64, emit Send) error {
 		for local := lo; local < hi; local++ {
 			deg := p.ctx.Sub.Degree(local)
 			if deg == 0 {
-				continue
+				continue // dangling mass handled in EndRound
 			}
 			contrib := p.contribution(local, deg)
 			for _, u := range p.ctx.Sub.Neighbors(local) {
-				staged[shard] = append(staged[shard], stagedPair{
-					dst:  p.ctx.Part.Owner(u),
-					pair: comm.Pair{u, contrib},
-				})
+				if err := emit(p.ctx.Part.Owner(u), comm.Pair{u, contrib}); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	})
-	return replayStaged(staged, send)
 }
 
 func (p *prNode) Handle(round int, pairs []comm.Pair) error {

@@ -23,9 +23,6 @@ type ssspNode struct {
 	dist    []int64
 	active  *graph.Bitmap
 	pending int64
-
-	// Reusable staging scratch (capacity kept across rounds).
-	staged [][]stagedPair
 }
 
 // SSSPResult is the merged output.
@@ -92,53 +89,25 @@ func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ck
 
 func (s *ssspNode) Active() int64 { return s.pending }
 
+// Generate relaxes the out-edges of the frontier, fanning the bitmap scan
+// over the node's workers in word-aligned shards (see fanoutSend).
 func (s *ssspNode) Generate(round int, send Send) error {
-	if k := s.ctx.Workers; k > 1 {
-		return s.generateParallel(k, send)
-	}
-	var failed error
-	s.active.ForEach(func(local int64) {
-		if failed != nil {
-			return
-		}
-		d := s.dist[local]
-		lo, hi := s.ctx.Sub.RowPtr[local], s.ctx.Sub.RowPtr[local+1]
-		for i := lo; i < hi; i++ {
-			u := s.ctx.Sub.Col[i]
-			nd := d + s.weights[i]
-			if err := send(s.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(nd)}); err != nil {
-				failed = err
-				return
+	words := s.active.Words()
+	err := fanoutSend(int64(len(words)), s.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+		return scanBits(words, lo, hi, func(local int64) error {
+			d := s.dist[local]
+			for i := s.ctx.Sub.RowPtr[local]; i < s.ctx.Sub.RowPtr[local+1]; i++ {
+				u := s.ctx.Sub.Col[i]
+				if err := emit(s.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(d + s.weights[i])}); err != nil {
+					return err
+				}
 			}
-		}
+			return nil
+		})
 	})
 	s.active.Reset()
 	s.pending = 0
-	return failed
-}
-
-// generateParallel is the worker-pool relax loop: k workers scan
-// word-aligned shards of the frontier bitmap concurrently, staging
-// (destination, message) privately; the node goroutine then replays the
-// stages in shard order, which equals the serial scan order — so every
-// modelled number is bit-identical across widths (see docs/ALGORITHMS.md).
-func (s *ssspNode) generateParallel(k int, send Send) error {
-	s.staged = takeShards(s.staged, k)
-	staged := s.staged
-	scanShards(s.active, k, func(shard int, local int64) {
-		d := s.dist[local]
-		lo, hi := s.ctx.Sub.RowPtr[local], s.ctx.Sub.RowPtr[local+1]
-		for i := lo; i < hi; i++ {
-			u := s.ctx.Sub.Col[i]
-			staged[shard] = append(staged[shard], stagedPair{
-				dst:  s.ctx.Part.Owner(u),
-				pair: comm.Pair{u, graph.Vertex(d + s.weights[i])},
-			})
-		}
-	})
-	s.active.Reset()
-	s.pending = 0
-	return replayStaged(staged, send)
+	return err
 }
 
 func (s *ssspNode) Handle(round int, pairs []comm.Pair) error {

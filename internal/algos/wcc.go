@@ -20,9 +20,9 @@ type wccNode struct {
 	active  *graph.Bitmap
 	pending int64
 
-	// Reusable fan-out scratch (capacity kept across rounds).
-	staged  [][]stagedPair
-	buckets [][]localPair
+	// Reusable handler fan-out scratch (capacity kept across rounds).
+	buckets   [][]localPair
+	activated []int64
 }
 
 // WCCResult is the merged output.
@@ -93,47 +93,24 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 
 func (w *wccNode) Active() int64 { return w.pending }
 
+// Generate broadcasts every active vertex's label, fanning the active-bitmap
+// scan over the node's workers in word-aligned shards (see fanoutSend).
 func (w *wccNode) Generate(round int, send Send) error {
-	if k := w.ctx.Workers; k > 1 {
-		return w.generateParallel(k, send)
-	}
-	var failed error
-	w.active.ForEach(func(local int64) {
-		if failed != nil {
-			return
-		}
-		l := w.label[local]
-		for _, u := range w.ctx.Sub.Neighbors(local) {
-			if err := send(w.ctx.Part.Owner(u), comm.Pair{u, l}); err != nil {
-				failed = err
-				return
+	words := w.active.Words()
+	err := fanoutSend(int64(len(words)), w.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+		return scanBits(words, lo, hi, func(local int64) error {
+			l := w.label[local]
+			for _, u := range w.ctx.Sub.Neighbors(local) {
+				if err := emit(w.ctx.Part.Owner(u), comm.Pair{u, l}); err != nil {
+					return err
+				}
 			}
-		}
+			return nil
+		})
 	})
 	w.active.Reset()
 	w.pending = 0
-	return failed
-}
-
-// generateParallel fans the active-bitmap scan over k workers: each worker
-// stages (dst, pair) privately for its word-aligned shard and the node
-// goroutine replays the stages in shard order — the serial ascending scan
-// order, so every batch boundary and modelled byte is bit-identical.
-func (w *wccNode) generateParallel(k int, send Send) error {
-	w.staged = takeShards(w.staged, k)
-	staged := w.staged
-	scanShards(w.active, k, func(shard int, local int64) {
-		l := w.label[local]
-		for _, u := range w.ctx.Sub.Neighbors(local) {
-			staged[shard] = append(staged[shard], stagedPair{
-				dst:  w.ctx.Part.Owner(u),
-				pair: comm.Pair{u, l},
-			})
-		}
-	})
-	w.active.Reset()
-	w.pending = 0
-	return replayStaged(staged, send)
+	return err
 }
 
 func (w *wccNode) Handle(round int, pairs []comm.Pair) error {
@@ -176,7 +153,8 @@ func (w *wccNode) handleParallel(k int, pairs []comm.Pair) {
 		l := w.ctx.Part.Local(p[0])
 		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
 	}
-	activated := make([]int64, k)
+	w.activated = zeroTally(w.activated, k)
+	activated := w.activated
 	applyBuckets(buckets, func(shard int, bucket []localPair) {
 		for _, lp := range bucket {
 			if lp.val < w.label[lp.local] {

@@ -3,6 +3,7 @@ package algos
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"swbfs/internal/comm"
 	"swbfs/internal/graph"
@@ -11,62 +12,112 @@ import (
 // Worker fan-out for the kernel hot loops, under the same parity contract
 // as the BFS engine's pools (internal/core/workers.go): any parallelism is
 // host-side only and must leave every modelled number bit-identical to the
-// serial path. The recipe here is the simplest one that guarantees it —
-// workers own contiguous shards of the scan domain and stage their output
-// privately; the caller replays the stages in shard order on its own
+// serial path. The recipe is the BFS engine's — workers own contiguous
+// shards of the scan domain and stage their output privately in bounded
+// chunks; the caller forwards the chunks in shard order on its own
 // goroutine, so the per-destination message sequence (and therefore every
 // batch boundary, fault coordinate and modelled byte) equals the serial
 // scan's, and the transports' single-writer stream invariant holds.
 
-// stagedPair is one queued message of a parallel generator shard.
-type stagedPair struct {
-	dst  int
-	pair comm.Pair
+// stagePool recycles staging chunks — the fan-out's and each node's own —
+// across rounds, nodes and runs. Chunks are born at full capacity: ownership
+// is round-robin, so runs are short and both slices fill together.
+var stagePool = sync.Pool{New: func() any {
+	return &comm.Stage{
+		Runs:  make([]comm.DstRun, 0, comm.StageCapPairs),
+		Pairs: make([]comm.Pair, 0, comm.StageCapPairs),
+	}
+}}
+
+func putStage(st *comm.Stage) {
+	st.Reset()
+	stagePool.Put(st)
 }
 
-// scanShards splits the bitmap's words into k contiguous shards and scans
-// them concurrently, one goroutine per shard, calling visit(shard, local)
-// in ascending local order within each shard. Shards are word-aligned, so
-// concatenating the shards in order reproduces the serial ForEach order.
-// visit runs concurrently across shards and must only touch shard-private
-// state.
-func scanShards(bm *graph.Bitmap, k int, visit func(shard int, local int64)) {
-	words := bm.Words()
-	if k > len(words) {
-		k = len(words)
+// fanoutSend runs scan over [0, n) and passes everything it emits to send
+// in ascending scan order. scan(lo, hi, emit) emits the messages of the
+// sub-range [lo, hi) in order, touches only state private to that range,
+// and returns the first error emit gave it (nothing else). With k <= 1 it
+// runs inline against send. Otherwise k workers scan contiguous shards
+// concurrently, each staging into comm.StageCapPairs-pair chunks that it
+// hands to the caller's goroutine over a bounded channel; the caller
+// replays the chunks shard by shard, which reproduces the serial emission
+// sequence while live staging stays O(k x chunk), not a whole round.
+func fanoutSend(n int64, k int, send Send, scan func(lo, hi int64, emit Send) error) error {
+	if int64(k) > n {
+		k = int(n)
 	}
-	if k < 1 {
-		k = 1
+	if k <= 1 {
+		return scan(0, n, send)
 	}
-	per := (len(words) + k - 1) / k
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		lo, hi := s*per, (s+1)*per
-		if hi > len(words) {
-			hi = len(words)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			for wi := lo; wi < hi; wi++ {
-				w := words[wi]
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					w &^= 1 << uint(b)
-					visit(s, int64(wi)*64+int64(b))
+	var stop atomic.Bool
+	outs := make([]chan *comm.Stage, k)
+	for s := range outs {
+		// Depth 2: a worker fills its next chunk while one waits and one
+		// is being replayed, and then blocks — the memory bound.
+		outs[s] = make(chan *comm.Stage, 2)
+		go func(out chan<- *comm.Stage, lo, hi int64) {
+			st := stagePool.Get().(*comm.Stage)
+			// scan's error is the errAborted below echoed back: nothing to report.
+			_ = scan(lo, hi, func(dst int, p comm.Pair) error {
+				st.Add(dst, p)
+				if st.Full() {
+					if stop.Load() {
+						return errAborted // a replay failed: stop scanning
+					}
+					out <- st
+					st = stagePool.Get().(*comm.Stage)
+				}
+				return nil
+			})
+			out <- st
+			close(out)
+		}(outs[s], n*int64(s)/int64(k), n*int64(s+1)/int64(k))
+	}
+	var firstErr error
+	for _, out := range outs {
+		for st := range out {
+			if firstErr == nil {
+				if firstErr = replay(st, send); firstErr != nil {
+					stop.Store(true)
 				}
 			}
-		}(s, lo, hi)
+			putStage(st)
+		}
 	}
-	wg.Wait()
+	return firstErr
+}
+
+// replay passes a chunk's pairs to send in staging order.
+func replay(st *comm.Stage, send Send) error {
+	off := 0
+	for _, run := range st.Runs {
+		for _, p := range st.Pairs[off : off+run.N] {
+			if err := send(run.Dst, p); err != nil {
+				return err
+			}
+		}
+		off += run.N
+	}
+	return nil
+}
+
+// scanBits calls visit for every set bit of words[lo:hi] in ascending
+// order (bit b of word w is index w*64+b) until visit returns an error.
+func scanBits(words []uint64, lo, hi int64, visit func(i int64) error) error {
+	for wi := lo; wi < hi; wi++ {
+		for w := words[wi]; w != 0; w &= w - 1 {
+			if err := visit(wi<<6 + int64(bits.TrailingZeros64(w))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // takeShards reslices a per-node scratch area to k empty shards, keeping
-// every shard's backing capacity across rounds so steady-state staging and
-// bucketing allocate nothing. Worker goroutines append to their own shard
+// every shard's backing capacity across rounds so steady-state bucketing
+// allocates nothing. Worker goroutines append to their own shard
 // element in place, so the grown slice headers land back in the scratch
 // automatically.
 func takeShards[T any](shards [][]T, k int) [][]T {
@@ -80,19 +131,10 @@ func takeShards[T any](shards [][]T, k int) [][]T {
 	return shards
 }
 
-// replayStaged replays per-shard staged pairs in shard order through send
-// on the caller's goroutine. Shards staged over contiguous ascending scan
-// ranges therefore reproduce exactly the serial emission sequence.
-func replayStaged(staged [][]stagedPair, send Send) error {
-	for _, shard := range staged {
-		for _, sp := range shard {
-			if err := send(sp.dst, sp.pair); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// zeroTally reslices a per-node tally to k zeroed counters, keeping its
+// backing array across batches (the append-of-make form allocates nothing
+// once the capacity is there).
+func zeroTally(t []int64, k int) []int64 { return append(t[:0], make([]int64, k)...) }
 
 // handleFanoutMin is the batch size (in pairs) below which the parallel
 // Handle paths fall back to the serial fold: both paths produce bit-

@@ -2,12 +2,16 @@ package algos
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
+	"swbfs/internal/testutil"
 )
 
 // widths swept by the parity tests: serial, even splits (including the
@@ -291,26 +295,68 @@ func TestChunkedSumWidthIndependent(t *testing.T) {
 	}
 }
 
-// TestScanShardsMatchesForEach: the sharded bitmap scan visits exactly the
-// serial ForEach sequence once the shards are concatenated in order.
+// TestScanShardsMatchesForEach: the fanned-out bitmap scan hands send
+// exactly the serial ForEach sequence at every width — including widths
+// beyond the word count and streams spanning several hand-off chunks.
 func TestScanShardsMatchesForEach(t *testing.T) {
-	bm := graph.NewBitmap(1000)
-	for i := int64(0); i < 1000; i += 7 {
+	const n = 40000 // > 2 chunks per shard at the narrow widths
+	bm := graph.NewBitmap(n)
+	for i := int64(0); i < n; i += 3 {
 		bm.Set(i)
 	}
 	var want []int64
 	bm.ForEach(func(local int64) { want = append(want, local) })
-	for _, k := range []int{1, 2, 3, 16, 100} {
-		got := make([][]int64, k)
-		scanShards(bm, k, func(shard int, local int64) {
-			got[shard] = append(got[shard], local)
+	words := bm.Words()
+	for _, k := range []int{1, 2, 3, 16, 1000} {
+		var got []int64
+		err := fanoutSend(int64(len(words)), k, func(dst int, p comm.Pair) error {
+			if dst != int(p[0]%5) {
+				t.Fatalf("k=%d: pair %v arrived with destination %d", k, p, dst)
+			}
+			got = append(got, int64(p[0]))
+			return nil
+		}, func(lo, hi int64, emit Send) error {
+			return scanBits(words, lo, hi, func(local int64) error {
+				return emit(int(local%5), comm.Pair{graph.Vertex(local), 0})
+			})
 		})
-		var flat []int64
-		for _, s := range got {
-			flat = append(flat, s...)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		if !reflect.DeepEqual(flat, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: sharded scan order diverges from ForEach", k)
+		}
+	}
+}
+
+// TestFanoutSendStopsOnError: a send failure comes back as the fan-out's
+// error, nothing is sent after it, and no worker is left blocked on its
+// hand-off channel however much output was still to come.
+func TestFanoutSendStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, k := range []int{1, 2, 5} {
+		leak := testutil.CheckGoroutines(t)
+		sent := 0
+		err := fanoutSend(1<<20, k, func(int, comm.Pair) error {
+			if sent == 10000 {
+				return boom
+			}
+			sent++
+			return nil
+		}, func(lo, hi int64, emit Send) error {
+			for i := lo; i < hi; i++ {
+				if err := emit(int(i%7), comm.Pair{graph.Vertex(i), 0}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		leak()
+		if err != boom {
+			t.Fatalf("k=%d: fan-out returned %v, want the send error", k, err)
+		}
+		if sent != 10000 {
+			t.Fatalf("k=%d: %d pairs sent, want exactly the 10000 before the failure", k, sent)
 		}
 	}
 }
@@ -442,5 +488,47 @@ func TestAlgosTraceRecorded(t *testing.T) {
 	}
 	if len(sums) != 1 || len(sums[0].Levels) != len(rt.Levels) || len(sums[0].Modules) == 0 {
 		t.Fatalf("tracediff summary of the export is incomplete: %+v", sums)
+	}
+}
+
+// TestKernelSendAllocsDoNotScaleWithEdges: the send path stages, recycles
+// delivered batches and regroups relay quanta without per-pair heap work, so
+// a whole run — set-up, rounds and teardown — allocates well under one object
+// per twenty generated pairs, at two scales a factor of four apart. (The
+// per-pair Send path this replaced sat above one allocation per pair.)
+func TestKernelSendAllocsDoNotScaleWithEdges(t *testing.T) {
+	kernels := map[string]kernelRun{"pagerank4": pagerankInfo(4), "wcc": wccInfo}
+	for _, scale := range []int{10, 12} {
+		g := kron(t, scale, 11)
+		for name, run := range kernels {
+			for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+				for _, workers := range []int{1, 3} {
+					cfg := machine(4, transport)
+					cfg.SuperNodeSize = 2 // relay: 2 groups of 2
+					cfg.Workers = workers
+					if _, err := run(cfg, g); err != nil { // warm the pools
+						t.Fatal(err)
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					info, err := run(cfg, g)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var pairs int64
+					for _, s := range info.Levels {
+						pairs += s.FrontierEdges
+					}
+					perPair := float64(after.Mallocs-before.Mallocs) / float64(pairs)
+					t.Logf("scale %d %s %s workers=%d: %d mallocs / %d pairs = %.4f",
+						scale, name, transport, workers, after.Mallocs-before.Mallocs, pairs, perPair)
+					if perPair >= 0.05 {
+						t.Errorf("scale %d %s %s workers=%d: %.4f mallocs per generated pair, want < 0.05",
+							scale, name, transport, workers, perPair)
+					}
+				}
+			}
+		}
 	}
 }

@@ -14,8 +14,10 @@ import (
 
 	"swbfs/internal/algos"
 	"swbfs/internal/chaos"
+	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/flight"
+	"swbfs/internal/obs"
 	"swbfs/internal/testutil"
 )
 
@@ -132,5 +134,63 @@ func TestChaosRootlessKillDump(t *testing.T) {
 	out := rendered.String()
 	if !strings.Contains(out, "kill@") || !strings.Contains(out, "[injected]") {
 		t.Fatalf("rendered post-mortem does not show the injected kill:\n%s", out)
+	}
+}
+
+// TestChaosSendFailAbortDoesNotFlush pins the staged send path's failure
+// contract. Round 0 of WCC first absorbs a transient send failure, then a
+// kill strikes the very next batch of the same stream — mid-flush, with
+// most of the round still staged. The driver must abort without pushing
+// the rest of the stage through the dead node: the error is a clean
+// AbortError caused by the kill, the flight dump reconciles 1:1 with the
+// injection log, and the dump shows exactly one doomed delivery attempt.
+func TestChaosSendFailAbortDoesNotFlush(t *testing.T) {
+	g := harnessGraph(t)
+	specs := map[core.Transport]string{
+		core.TransportDirect: "sendfail@1:l0:data/forward:0,kill@1:l0:data/forward:1",
+		core.TransportRelay:  "sendfail@1:l0:relay-data/forward:0,kill@1:l0:relay-data/forward:1",
+	}
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		t.Run(transport.String(), func(t *testing.T) {
+			plan, err := chaos.ParsePlan(specs[transport])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := harnessConfig(transport)
+			cfg.Chaos = &plan
+
+			leak := testutil.CheckGoroutines(t)
+			res, err := algos.WCC(cfg, g)
+			leak()
+			if res != nil || err == nil {
+				t.Fatalf("killed run returned (%v, %v)", res, err)
+			}
+			var ae *core.AbortError
+			if !errors.As(err, &ae) {
+				t.Fatalf("error is not an AbortError: %v", err)
+			}
+			var killed *comm.ErrNodeKilled
+			if !errors.As(err, &killed) || killed.Node != 1 {
+				t.Fatalf("abort cause is not node 1's kill: %v", err)
+			}
+			if !reflect.DeepEqual(ae.Injections, plan.Faults) {
+				t.Fatalf("injection log %v, want both planned faults %v", ae.Injections, plan.Faults)
+			}
+			if ae.FlightDump == nil || !ae.FlightDump.Aborted {
+				t.Fatal("AbortError carries no stamped flight dump")
+			}
+			if err := flight.Reconcile(ae.FlightDump, ae.Injections); err != nil {
+				t.Fatal(err)
+			}
+			doomed := 0
+			for _, ev := range ae.FlightDump.Events {
+				if ev.Kind == obs.FlightSend && ev.Node == 1 && strings.HasPrefix(ev.Fault, "kill@") {
+					doomed++
+				}
+			}
+			if doomed != 1 {
+				t.Fatalf("dump shows %d killed delivery attempts by node 1, want exactly the one that aborted the run", doomed)
+			}
+		})
 	}
 }

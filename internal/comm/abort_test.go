@@ -107,7 +107,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		eps[i] = NewDirectEndpoint(net, i)
 		eps[i].StartLevel(0, ChanForward)
 	}
-	if err := eps[0].Send(ChanForward, 1, Pair{1, 2}); err != nil {
+	if err := sendTo(eps[0], ChanForward, 1, Pair{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	net.Close()

@@ -108,7 +108,7 @@ func TestCodecConcurrentSafety(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if err := eps[i].Send(ChanForward, (i+j)%4, Pair{graph.Vertex(j), graph.Vertex(j)}); err != nil {
+				if err := sendTo(eps[i], ChanForward, (i+j)%4, Pair{graph.Vertex(j), graph.Vertex(j)}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -172,7 +172,7 @@ func exchange(t *testing.T, net *Network, eps []Endpoint, per int, seed int64) (
 				local[dst] = append(local[dst], pair)
 			}
 			for dst, pairs := range local {
-				if err := ep.Send(ChanForward, dst, pairs...); err != nil {
+				if err := sendTo(ep, ChanForward, dst, pairs...); err != nil {
 					fail(err)
 					return
 				}
@@ -209,6 +209,12 @@ func exchange(t *testing.T, net *Network, eps []Endpoint, per int, seed int64) (
 	}
 	wg.Wait()
 	return sent, got, firstErr
+}
+
+// sendTo queues pairs for one destination: the single-run SendMany the
+// tests use where the engines stage whole streams.
+func sendTo(ep Endpoint, ch Channel, dst int, pairs ...Pair) error {
+	return ep.SendMany(ch, []DstRun{{Dst: dst, N: len(pairs)}}, pairs)
 }
 
 func mustNetwork(t *testing.T, cfg Config) *Network {

@@ -5,24 +5,23 @@ import (
 	"sync"
 )
 
-// Endpoint is one simulated node's MPI rank. Send-side methods (Send,
-// SendMany, CloseChannel) and the recv side (Recv) may be driven by
-// different module goroutines, mirroring the paper's dedicated send and
-// receive MPEs (M0 and M1 in Figure 4).
+// Endpoint is one simulated node's MPI rank. Send-side methods (SendMany,
+// CloseChannel) and the recv side (Recv) may be driven by different module
+// goroutines, mirroring the paper's dedicated send and receive MPEs (M0
+// and M1 in Figure 4).
 type Endpoint interface {
 	// Node returns the rank.
 	Node() int
 	// StartLevel opens a BFS level with the given active channels.
 	StartLevel(level int, channels ...Channel)
-	// Send queues pairs for dst on a channel; the transport batches and
-	// flushes in quanta. An error means the simulated machine failed
-	// (e.g. MPI connection memory exhaustion).
-	Send(ch Channel, dst int, pairs ...Pair) error
 	// SendMany queues a staged stream: runs[i] says the next runs[i].N
-	// entries of pairs go to runs[i].Dst. It is the bulk path the worker
-	// pools use — one lock acquisition per staged stream instead of one
-	// per edge — and produces exactly the batches the equivalent per-pair
-	// Send calls would, because the flush discipline is chunk-invariant.
+	// entries of pairs go to runs[i].Dst. The transport batches and
+	// flushes in quanta, and the flush discipline is chunk-invariant: the
+	// batches depend on the per-destination pair sequence alone, not on
+	// how callers cut it into streams — so senders stage (see Stage) and
+	// pay one lock acquisition per stream, never one per edge. An error
+	// means the simulated machine failed (e.g. MPI connection memory
+	// exhaustion).
 	SendMany(ch Channel, runs []DstRun, pairs []Pair) error
 	// CloseChannel flushes pending sends on the channel and emits the
 	// end-of-channel markers.
@@ -39,6 +38,52 @@ type Endpoint interface {
 type DstRun struct {
 	Dst int
 	N   int
+}
+
+// StageCapPairs is the hand-off granularity of staged sends: one transport
+// quantum at the default batch size, so a chunk is big enough to amortize
+// the endpoint lock but small enough to bound staging memory at
+// workers x queue depth x 128 KB per node.
+const StageCapPairs = 4096
+
+// Stage is a sender-private staging buffer: outgoing pairs in emission
+// order plus the run-length encoding of their destinations, ready for
+// SendMany. The zero value is empty; capacity survives Reset.
+type Stage struct {
+	Runs  []DstRun
+	Pairs []Pair
+}
+
+// Add appends one pair for dst, extending the last run when it has the
+// same destination.
+func (s *Stage) Add(dst int, p Pair) {
+	if n := len(s.Runs); n > 0 && s.Runs[n-1].Dst == dst {
+		s.Runs[n-1].N++
+	} else {
+		s.Runs = append(s.Runs, DstRun{Dst: dst, N: 1})
+	}
+	s.Pairs = append(s.Pairs, p)
+}
+
+// Full reports whether the stage has reached the hand-off size.
+func (s *Stage) Full() bool { return len(s.Pairs) >= StageCapPairs }
+
+// Reset empties the stage, keeping its capacity.
+func (s *Stage) Reset() {
+	s.Runs = s.Runs[:0]
+	s.Pairs = s.Pairs[:0]
+}
+
+// Flush sends the staged stream on ch and empties the stage; the endpoint
+// copies the pairs into its own buffers, so the stage is reusable on
+// return.
+func (s *Stage) Flush(ep Endpoint, ch Channel) error {
+	if len(s.Pairs) == 0 {
+		return nil
+	}
+	err := ep.SendMany(ch, s.Runs, s.Pairs)
+	s.Reset()
+	return err
 }
 
 func init() {
@@ -93,7 +138,7 @@ func (f *pairFIFO) take(n int) []Pair {
 // exactly Network.QuantumPairs pairs. Draining by fixed quantum — rather
 // than "flush whatever is buffered once it crosses the threshold" — makes
 // batch boundaries a pure function of the per-destination pair sequence,
-// independent of how senders chunked their Send/SendMany calls. That
+// independent of how senders chunked their SendMany calls. That
 // invariance is what lets the intra-node worker pools promise modelled
 // traffic bit-identical to the serial path.
 type sendState struct {
@@ -154,14 +199,6 @@ func (e *DirectEndpoint) StartLevel(level int, channels ...Channel) {
 	for _, ch := range channels {
 		e.open[ch] = true
 	}
-}
-
-// Send implements Endpoint.
-func (e *DirectEndpoint) Send(ch Channel, dst int, pairs ...Pair) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	return e.SendMany(ch, []DstRun{{Dst: dst, N: len(pairs)}}, pairs)
 }
 
 // SendMany implements Endpoint: buffer the staged runs, then ship every

@@ -204,7 +204,7 @@ func (n *Network) BatchBytes() int64 { return n.batchBytes }
 // payload first reaches the flush threshold. Endpoints drain send buffers
 // in multiples of exactly this many pairs, which makes batch boundaries a
 // function of per-destination pair counts alone — independent of how the
-// pairs were chunked across Send/SendMany calls.
+// pairs were chunked across SendMany calls.
 func (n *Network) QuantumPairs() int {
 	return int((n.batchBytes + PairBytes - 1) / PairBytes)
 }

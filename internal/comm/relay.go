@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -78,6 +77,19 @@ type groupStage struct {
 	runOff  int // pairs of runs[runHead] already consumed
 	fifo    pairFIFO
 	total   int
+
+	// Drain scratch, one slot per group member indexed by dst - base:
+	// round-robin vertex ownership makes nearly every run length 1, so the
+	// drain touches these once per pair. Both are all-zero between drains.
+	base   int
+	counts []int
+	bufs   [][]Pair
+}
+
+// newGroupStage sizes the drain scratch for the m-node group whose first
+// member is node base.
+func newGroupStage(base, m int) groupStage {
+	return groupStage{base: base, counts: make([]int, m), bufs: make([][]Pair, m)}
 }
 
 func (g *groupStage) reset() {
@@ -99,16 +111,19 @@ func (g *groupStage) push(dst int, ps []Pair) {
 }
 
 // drain consumes the oldest n buffered pairs and groups them into inner
-// batches sorted by destination, preserving each destination's arrival
-// order. Pair slices come from the pool; the eventual consumer (the relay)
-// recycles them.
+// batches in ascending destination order, preserving each destination's
+// arrival order. Pair slices come from the pool; the eventual consumer (the
+// relay) recycles them.
 func (g *groupStage) drain(n int, src, level int, ch Channel) []Batch {
-	counts := make(map[int]int)
+	dsts := 0
 	rh, ro, left := g.runHead, g.runOff, n
 	for left > 0 {
 		r := g.runs[rh]
 		take := min(r.N-ro, left)
-		counts[r.Dst] += take
+		if g.counts[r.Dst-g.base] == 0 {
+			dsts++
+		}
+		g.counts[r.Dst-g.base] += take
 		left -= take
 		ro += take
 		if ro == r.N {
@@ -116,23 +131,23 @@ func (g *groupStage) drain(n int, src, level int, ch Channel) []Batch {
 			ro = 0
 		}
 	}
-	bufs := make(map[int][]Pair, len(counts))
-	for dst, c := range counts {
-		bufs[dst] = GetPairs(c)[:0]
+	for col, c := range g.counts {
+		if c > 0 {
+			g.bufs[col] = GetPairs(c)[:0]
+		}
 	}
-	left = n
-	for left > 0 {
+	for oldest := g.fifo.peek(n); len(oldest) > 0; {
 		r := &g.runs[g.runHead]
-		take := min(r.N-g.runOff, left)
-		bufs[r.Dst] = append(bufs[r.Dst], g.fifo.peek(take)...)
-		g.fifo.advance(take)
-		left -= take
+		take := min(r.N-g.runOff, len(oldest))
+		g.bufs[r.Dst-g.base] = append(g.bufs[r.Dst-g.base], oldest[:take]...)
+		oldest = oldest[take:]
 		g.runOff += take
 		if g.runOff == r.N {
 			g.runHead++
 			g.runOff = 0
 		}
 	}
+	g.fifo.advance(n)
 	g.total -= n
 	if g.runHead == len(g.runs) {
 		g.runs = g.runs[:0]
@@ -142,16 +157,14 @@ func (g *groupStage) drain(n int, src, level int, ch Channel) []Batch {
 		g.runs = g.runs[:m]
 		g.runHead = 0
 	}
-	dsts := make([]int, 0, len(bufs))
-	for dst := range bufs {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	inner := make([]Batch, 0, len(dsts))
-	for _, dst := range dsts {
-		inner = append(inner, Batch{
-			Kind: KindData, Channel: ch, Src: src, Dst: dst, Level: level, Pairs: bufs[dst],
-		})
+	inner := make([]Batch, 0, dsts)
+	for col, c := range g.counts {
+		if c > 0 {
+			inner = append(inner, Batch{
+				Kind: KindData, Channel: ch, Src: src, Dst: g.base + col, Level: level, Pairs: g.bufs[col],
+			})
+			g.counts[col], g.bufs[col] = 0, nil
+		}
 	}
 	return inner
 }
@@ -164,12 +177,15 @@ type relaySend struct {
 	groups [numChannels][]groupStage
 }
 
-func (s *relaySend) start(n int) {
+func (s *relaySend) start(shape GroupShape) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for ch := range s.groups {
 		if s.groups[ch] == nil {
-			s.groups[ch] = make([]groupStage, n)
+			s.groups[ch] = make([]groupStage, shape.N)
+			for i := range s.groups[ch] {
+				s.groups[ch][i] = newGroupStage(i*shape.M, shape.M)
+			}
 		}
 		for i := range s.groups[ch] {
 			s.groups[ch][i].reset()
@@ -270,7 +286,7 @@ func (e *RelayEndpoint) Shape() GroupShape { return e.shape }
 // StartLevel implements Endpoint.
 func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	e.level = level
-	e.send.start(e.shape.N)
+	e.send.start(e.shape)
 	for ch := range e.ends {
 		e.ends[ch] = 0
 		e.relayEnds[ch] = 0
@@ -289,18 +305,9 @@ func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	e.relayedBytes = 0
 }
 
-// Send implements Endpoint: pairs are buffered per destination *group* and
-// shipped to the group's relay in batch quanta.
-func (e *RelayEndpoint) Send(ch Channel, dst int, pairs ...Pair) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	return e.SendMany(ch, []DstRun{{Dst: dst, N: len(pairs)}}, pairs)
-}
-
 // SendMany implements Endpoint: buffer the staged runs per destination
-// group and ship an envelope for every completed quantum. Envelopes are
-// assembled under the lock but delivered outside it.
+// *group* and ship an envelope to the group's relay for every completed
+// quantum. Envelopes are assembled under the lock but delivered outside it.
 func (e *RelayEndpoint) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
 	q := e.net.QuantumPairs()
 	type envelope struct {

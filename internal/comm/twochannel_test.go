@@ -45,7 +45,7 @@ func TestTwoChannelProtocol(t *testing.T) {
 				go func(i int) { // generator: backward queries
 					defer wg.Done()
 					for dst := 0; dst < p; dst++ {
-						err := eps[i].Send(ChanBackward, dst,
+						err := sendTo(eps[i], ChanBackward, dst,
 							Pair{graph.Vertex(dst), graph.Vertex(i)})
 						if err != nil {
 							t.Error(err)
@@ -70,7 +70,7 @@ func TestTwoChannelProtocol(t *testing.T) {
 							if ev.Channel == ChanBackward {
 								for _, pr := range ev.Batch.Pairs {
 									asker := int(pr[1])
-									err := eps[i].Send(ChanForward, asker,
+									err := sendTo(eps[i], ChanForward, asker,
 										Pair{graph.Vertex(i), pr[1]})
 									if err != nil {
 										t.Error(err)

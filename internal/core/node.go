@@ -241,8 +241,8 @@ func (ns *nodeState) forwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage,
 						continue // hub already discovered: no message needed
 					}
 				}
-				ws.add(r.part.Owner(v), comm.Pair{u, v})
-				if ws.full() {
+				ws.Add(r.part.Owner(v), comm.Pair{u, v})
+				if ws.Full() {
 					var err error
 					if ws, err = emit(ws); err != nil {
 						return ws, err
@@ -309,8 +309,8 @@ func (ns *nodeState) backwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage
 						continue // hub known absent from the frontier: skip the query
 					}
 				}
-				ws.add(r.part.Owner(u), comm.Pair{u, v})
-				if ws.full() {
+				ws.Add(r.part.Owner(u), comm.Pair{u, v})
+				if ws.Full() {
 					var err error
 					if ws, err = emit(ws); err != nil {
 						return ws, err
@@ -440,13 +440,10 @@ func (ns *nodeState) handleBackward(pairs []comm.Pair) error {
 		for _, p := range pairs {
 			u, v := p[0], p[1]
 			if ns.curr.Get(r.part.Local(u)) {
-				ws.add(r.part.Owner(v), comm.Pair{u, v})
+				ws.Add(r.part.Owner(v), comm.Pair{u, v})
 			}
 		}
-		if len(ws.pairs) == 0 {
-			return nil
-		}
-		return ns.ep.SendMany(comm.ChanForward, ws.runs, ws.pairs)
+		return ws.Flush(ns.ep, comm.ChanForward)
 	}
 	stages := make([]*workerStage, len(shards))
 	var wg sync.WaitGroup
@@ -458,7 +455,7 @@ func (ns *nodeState) handleBackward(pairs []comm.Pair) error {
 			for _, p := range ps {
 				u, v := p[0], p[1]
 				if ns.curr.Get(r.part.Local(u)) {
-					ws.add(r.part.Owner(v), comm.Pair{u, v})
+					ws.Add(r.part.Owner(v), comm.Pair{u, v})
 				}
 			}
 		}(stages[w], shard)
@@ -466,8 +463,8 @@ func (ns *nodeState) handleBackward(pairs []comm.Pair) error {
 	wg.Wait()
 	var firstErr error
 	for _, ws := range stages {
-		if firstErr == nil && len(ws.pairs) > 0 {
-			firstErr = ns.ep.SendMany(comm.ChanForward, ws.runs, ws.pairs)
+		if firstErr == nil {
+			firstErr = ws.Flush(ns.ep, comm.ChanForward)
 		}
 		putStage(ws)
 	}

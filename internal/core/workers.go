@@ -22,40 +22,21 @@ import (
 // contention-free by the same sharding (a worker only sets bits inside its
 // own words); parent claims go through the CAS the handler already uses.
 
-// stageCapPairs is the handoff granularity between a scanning worker and
-// the merging sender: one transport quantum at the default batch size, so
-// a chunk is big enough to amortize the endpoint lock but small enough to
-// bound staging memory at workers x queue depth x 64 KB per node.
-const stageCapPairs = 4096
-
 // handlerFanoutPairs is the minimum batch size worth fanning across
 // workers in the handler; smaller batches stay on the serial path.
 const handlerFanoutPairs = 2048
 
-// workerStage is one worker's private staging buffer: outgoing pairs in
-// scan order plus the run-length encoding of their destinations, and the
-// generator input bytes accounted while filling it (scanned edges count
-// even when the hub shortcut elides their message).
+// workerStage is one worker's private staging buffer (handed between a
+// scanning worker and the merging sender in comm.StageCapPairs chunks)
+// plus the generator input bytes accounted while filling it: scanned edges
+// count even when the hub shortcut elides their message.
 type workerStage struct {
-	runs  []comm.DstRun
-	pairs []comm.Pair
+	comm.Stage
 	bytes int64
 }
 
-func (ws *workerStage) add(dst int, p comm.Pair) {
-	if n := len(ws.runs); n > 0 && ws.runs[n-1].Dst == dst {
-		ws.runs[n-1].N++
-	} else {
-		ws.runs = append(ws.runs, comm.DstRun{Dst: dst, N: 1})
-	}
-	ws.pairs = append(ws.pairs, p)
-}
-
-func (ws *workerStage) full() bool { return len(ws.pairs) >= stageCapPairs }
-
 func (ws *workerStage) reset() {
-	ws.runs = ws.runs[:0]
-	ws.pairs = ws.pairs[:0]
+	ws.Stage.Reset()
 	ws.bytes = 0
 }
 
@@ -112,7 +93,7 @@ func (ns *nodeState) stagedFanout(ch comm.Channel, nWords int, scan scanFn) erro
 				out <- ws
 				return getStage(), nil
 			})
-			if len(ws.pairs) > 0 || ws.bytes > 0 {
+			if len(ws.Pairs) > 0 || ws.bytes > 0 {
 				out <- ws
 			} else {
 				putStage(ws)
@@ -140,13 +121,8 @@ func (ns *nodeState) stagedFanout(ch comm.Channel, nWords int, scan scanFn) erro
 // pairs into its own buffers, so the stage is reusable on return.
 func (ns *nodeState) flushStage(ch comm.Channel, ws *workerStage) error {
 	ns.genBytes += ws.bytes
-	if len(ws.pairs) == 0 {
-		ws.reset()
-		return nil
-	}
-	err := ns.ep.SendMany(ch, ws.runs, ws.pairs)
-	ws.reset()
-	return err
+	ws.bytes = 0
+	return ws.Flush(ns.ep, ch)
 }
 
 // handlerShards splits a handler batch into per-worker contiguous pair
