@@ -25,7 +25,7 @@ fmt:
 # BFS engine, the kernel fan-outs, the chaos x width parity sweep, and the
 # kill-everywhere checkpoint/resume sweep.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/algos/...
+	$(GO) test -race ./internal/obs/... ./internal/comm/... ./internal/core/... ./internal/algos/...
 	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint' ./internal/core/ ./internal/algos/ ./internal/chaos/
 
 bench:
@@ -47,6 +47,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
+	$(GO) test -run='^$$' -fuzz='^FuzzOrderPairs$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapWordScan -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
 

@@ -1,16 +1,14 @@
 package algos
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"reflect"
 	"testing"
 
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/perf"
+	"swbfs/internal/testutil"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/round_stats.golden.json from the current engine")
@@ -79,30 +77,5 @@ func TestRoundStatsMatchGolden(t *testing.T) {
 		}
 	}
 
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(roundStatsGolden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(roundStatsGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]goldenRun
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("golden holds %d runs, test produced %d", len(want), len(got))
-	}
-	for key, w := range want {
-		if !reflect.DeepEqual(got[key], w) {
-			t.Errorf("%s: modelled statistics moved\n got %+v\nwant %+v", key, got[key], w)
-		}
-	}
+	testutil.Golden(t, roundStatsGolden, *updateGolden, got)
 }

@@ -46,53 +46,18 @@ type VarintDeltaCodec struct{}
 // Name implements Codec.
 func (VarintDeltaCodec) Name() string { return "varint-delta" }
 
-// EncodedSize implements Codec. It shares the pooled sorted scratch with
-// EncodePairs, so sizing a batch neither allocates nor re-sorts on the
-// steady-state hot path.
+// EncodedSize implements Codec. It shares the pooled ordered scratch with
+// EncodePairs, so sizing a batch neither allocates nor re-orders on the
+// steady-state hot path. The untagged stream over (dst, src)-ordered pairs
+// — uvarint destination deltas (first absolute) plus uvarint sources — is
+// the tagged varint-delta layout keyed on column 1, less its tag byte.
 func (VarintDeltaCodec) EncodedSize(pairs []Pair) int64 {
 	if len(pairs) == 0 {
 		return 0
 	}
 	s := getScratch(pairs, 1)
 	defer s.release()
-	return legacyVarintSize(s.sorter.ps)
-}
-
-// legacyVarintSize sizes the untagged stream over (dst, src)-sorted pairs:
-// uvarint destination deltas (first absolute) plus uvarint sources. Both
-// sums are order-independent within a destination, so sorting the full
-// pairs — rather than just the destination column — changes nothing.
-func legacyVarintSize(sorted []Pair) int64 {
-	var size int64
-	prev := int64(0)
-	for i := range sorted {
-		d := int64(sorted[i][1])
-		delta := uint64(d - prev)
-		if i == 0 {
-			delta = uint64(d)
-		}
-		size += uvarintLen(delta) + uvarintLen(uint64(sorted[i][0]))
-		prev = d
-	}
-	return size
-}
-
-// appendLegacyVarint emits the untagged stream over sorted pairs: per
-// pair, uvarint(dstDelta) uvarint(src).
-func appendLegacyVarint(dst []byte, sorted []Pair) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for i := range sorted {
-		d := int64(sorted[i][1])
-		delta := uint64(d - prev)
-		if i == 0 {
-			delta = uint64(d)
-		}
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], delta)]...)
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(sorted[i][0]))]...)
-		prev = d
-	}
-	return dst
+	return sizeOrdered(s.ps, 1).size[FormatVarintDelta] - 1
 }
 
 // EncodePairs serializes a payload in the codec's wire format: pairs are
@@ -100,13 +65,9 @@ func appendLegacyVarint(dst []byte, sorted []Pair) []byte {
 // pair emitted as uvarint(dstDelta) uvarint(src). The byte length always
 // equals EncodedSize. Ordering is normalized, not preserved: DecodePairs
 // returns the same multiset sorted by (dst, src).
-func (VarintDeltaCodec) EncodePairs(pairs []Pair) []byte {
-	if len(pairs) == 0 {
-		return nil
-	}
-	s := getScratch(pairs, 1)
-	defer s.release()
-	return appendLegacyVarint(make([]byte, 0, len(pairs)*4), s.sorter.ps)
+func (c VarintDeltaCodec) EncodePairs(pairs []Pair) []byte {
+	enc, _ := c.EncodePayload(nil, ChanForward, pairs)
+	return enc
 }
 
 // DecodePairs inverts EncodePairs: pairs come back sorted by (dst, src).
@@ -124,9 +85,15 @@ func (c VarintDeltaCodec) PayloadSize(_ Channel, pairs []Pair) int64 {
 // EncodePayload implements PayloadCodec, appending the untagged legacy
 // stream to dst.
 func (VarintDeltaCodec) EncodePayload(dst []byte, _ Channel, pairs []Pair) ([]byte, WireFormat) {
+	if len(pairs) == 0 {
+		return dst, FormatVarintDelta
+	}
 	s := getScratch(pairs, 1)
 	defer s.release()
-	return appendLegacyVarint(dst, s.sorter.ps), FormatVarintDelta
+	at := len(dst)
+	dst = grow(dst, sizeOrdered(s.ps, 1).size[FormatVarintDelta]-1)
+	putVarintPairs(dst[at:], s.ps, 1)
+	return dst, FormatVarintDelta
 }
 
 // DecodePayload implements PayloadCodec.

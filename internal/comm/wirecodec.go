@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"swbfs/internal/graph"
@@ -102,39 +102,112 @@ func CodecByName(name string) (Codec, error) {
 	return nil, fmt.Errorf("comm: unknown codec %q (want raw, varint-delta, bitmap or adaptive)", name)
 }
 
-// codecScratch is the reusable encode workspace: one sorted copy of the
-// batch shared between sizing and encoding, so the hot path neither
-// allocates nor sorts twice.
+// codecScratch is the reusable encode workspace: the (key, other)-ordered
+// copy of the batch that sizing and emit share, the second buffer the
+// scatter passes alternate with, and the digit histogram — so the hot path
+// neither allocates nor orders twice.
 type codecScratch struct {
-	sorter pairSorter
+	ps, tmp []Pair
+	count   [1 << radixBits]uint32
 }
 
-// pairSorter sorts pairs by (key column, other column). It is a concrete
-// sort.Interface so sort.Sort sees a pointer — no closure, no allocation.
-type pairSorter struct {
-	ps  []Pair
-	key int
-}
-
-func (s *pairSorter) Len() int      { return len(s.ps) }
-func (s *pairSorter) Swap(i, j int) { s.ps[i], s.ps[j] = s.ps[j], s.ps[i] }
-func (s *pairSorter) Less(i, j int) bool {
-	a, b := &s.ps[i], &s.ps[j]
-	if a[s.key] != b[s.key] {
-		return a[s.key] < b[s.key]
-	}
-	return a[1-s.key] < b[1-s.key]
-}
+const (
+	// radixBits is the widest scatter digit: a 2048-bucket, 8 KB histogram.
+	radixBits = 11
+	// insertionMax is the batch size below which clearing and summing a
+	// histogram per pass costs more than an insertion sort.
+	insertionMax = 96
+)
 
 var scratchPool = sync.Pool{New: func() any { return new(codecScratch) }}
 
-// getScratch returns a scratch holding a (key, other)-sorted copy of pairs.
+// getScratch returns a scratch whose ps holds a (key, other)-ordered copy
+// of pairs; pairs itself is only read.
 func getScratch(pairs []Pair, key int) *codecScratch {
 	s := scratchPool.Get().(*codecScratch)
-	s.sorter.key = key
-	s.sorter.ps = append(s.sorter.ps[:0], pairs...)
-	sort.Sort(&s.sorter)
+	s.order(pairs, key)
 	return s
+}
+
+// order is the bucket shuffle of the paper's CPE clusters on one core: an
+// LSD counting scatter, stable per pass, so ordering the other column and
+// then the key column yields (key, other) order. One scan finds both
+// columns' ranges and two shortcuts: a batch already in order is copied
+// and done, and a batch whose other column is non-decreasing — the
+// top-down generator emits (u ascending, v ascending) — needs the key
+// scatter alone. (key, other) is a total order on pair values, so every
+// correct ordering produces the same sequence and hence the same bytes.
+func (s *codecScratch) order(pairs []Pair, key int) {
+	other := 1 - key
+	ordered, otherOrdered := true, true
+	var loK, hiK, loO, hiO graph.Vertex
+	if len(pairs) > 0 {
+		loK, hiK, loO, hiO = pairs[0][key], pairs[0][key], pairs[0][other], pairs[0][other]
+	}
+	for i := 1; i < len(pairs); i++ {
+		pk, po, k, o := pairs[i-1][key], pairs[i-1][other], pairs[i][key], pairs[i][other]
+		if k < pk || k == pk && o < po {
+			ordered = false
+		}
+		if o < po {
+			otherOrdered = false
+		}
+		loK, hiK, loO, hiO = min(loK, k), max(hiK, k), min(loO, o), max(hiO, o)
+	}
+	if ordered || len(pairs) < insertionMax {
+		s.ps = append(s.ps[:0], pairs...)
+		for i := 1; !ordered && i < len(s.ps); i++ {
+			p, j := s.ps[i], i
+			for ; j > 0 && (p[key] < s.ps[j-1][key] || p[key] == s.ps[j-1][key] && p[other] < s.ps[j-1][other]); j-- {
+				s.ps[j] = s.ps[j-1]
+			}
+			s.ps[j] = p
+		}
+		return
+	}
+	// An unordered batch has a column that varies, so at least one scatter
+	// below runs a pass and the result lands in s.ps.
+	if !otherOrdered {
+		pairs = s.scatter(pairs, other, loO, hiO)
+	}
+	s.scatter(pairs, key, loK, hiK)
+}
+
+// scatter stably orders src by one column into s.ps and returns it. Digits
+// are taken over col-lo, so the pass count follows the batch's own span,
+// split into equal digits of at most radixBits. Each pass reads src (the
+// caller's batch or s.ps) and writes s.tmp, then the two buffers swap.
+func (s *codecScratch) scatter(src []Pair, col int, lo, hi graph.Vertex) []Pair {
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	if width == 0 {
+		return src
+	}
+	passes := (width + radixBits - 1) / radixBits
+	digit := (width + passes - 1) / passes
+	count := s.count[:1<<digit]
+	mask := uint64(len(count) - 1)
+	for shift := 0; shift < width; shift += digit {
+		clear(count)
+		for i := range src {
+			count[(uint64(src[i][col])-uint64(lo))>>shift&mask]++
+		}
+		var sum uint32
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		if cap(s.tmp) < len(src) {
+			s.tmp = make([]Pair, len(src))
+		}
+		dst := s.tmp[:len(src)]
+		for i := range src {
+			d := (uint64(src[i][col]) - uint64(lo)) >> shift & mask
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		s.ps, s.tmp = dst, s.ps
+		src = dst
+	}
+	return src
 }
 
 func (s *codecScratch) release() { scratchPool.Put(s) }
@@ -174,13 +247,12 @@ func putEncBuf(b []byte) {
 }
 
 // uvarintLen returns the uvarint encoding length of x without encoding.
-func uvarintLen(x uint64) int64 {
-	n := int64(1)
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
+func uvarintLen(x uint64) int64 { return int64(bits.Len64(x|1)+6) / 7 }
+
+// grow extends dst by n bytes in one reallocation at most; the emitters
+// then write the extension by index.
+func grow(dst []byte, n int64) []byte {
+	return slices.Grow(dst, int(n))[:len(dst)+int(n)]
 }
 
 // zigzag maps a signed value to the unsigned varint space (small magnitude
@@ -196,184 +268,118 @@ func mkPair(key int, k, o int64) Pair {
 	return Pair{graph.Vertex(o), graph.Vertex(k)}
 }
 
-// ---- tagged raw: tag | (8B key-col-agnostic LE pair)* -------------------
-
 func taggedRawSize(n int) int64 { return 1 + int64(n)*PairBytes }
 
-func appendTaggedRaw(dst []byte, sorted []Pair, key int) []byte {
-	dst = append(dst, byte(FormatRaw)|tagKey(key))
-	var w [8]byte
-	for _, p := range sorted {
-		binary.LittleEndian.PutUint64(w[:], uint64(p[0]))
-		dst = append(dst, w[:]...)
-		binary.LittleEndian.PutUint64(w[:], uint64(p[1]))
-		dst = append(dst, w[:]...)
+// wireSizes is the exact encoded size of one ordered batch in each format,
+// and the bitmap section sizes its emitter places its cursors by.
+type wireSizes struct {
+	size    [numWireFormats]int64
+	words   uint64 // bitmap words over the key span
+	firsts  int64  // bytes of the first-companion section
+	nExtras int64  // duplicate-key entries
+}
+
+// sizeOrdered sizes sorted in all three formats in one pass.
+func sizeOrdered(sorted []Pair, key int) wireSizes {
+	base := int64(sorted[0][key])
+	z := wireSizes{words: (uint64(sorted[len(sorted)-1][key])-uint64(base))/64 + 1}
+	varint, extras := int64(1), int64(0)
+	prev, prevExtra := int64(0), base
+	for i := range sorted {
+		k := int64(sorted[i][key])
+		ol := uvarintLen(uint64(sorted[i][1-key]))
+		varint += uvarintLen(uint64(k-prev)) + ol
+		if i == 0 || k != prev {
+			z.firsts += ol
+		} else {
+			z.nExtras++
+			extras += uvarintLen(uint64(k-prevExtra)) + ol
+			prevExtra = k
+		}
+		prev = k
+	}
+	z.size[FormatRaw] = taggedRawSize(len(sorted))
+	z.size[FormatVarintDelta] = varint
+	z.size[FormatBitmap] = 1 + uvarintLen(zigzag(base)) + uvarintLen(z.words) + int64(z.words)*8 +
+		z.firsts + uvarintLen(uint64(z.nExtras)) + extras
+	return z
+}
+
+// appendTagged emits sorted in the given format, sized by z.
+func appendTagged(dst []byte, format WireFormat, sorted []Pair, key int, z wireSizes) []byte {
+	at := len(dst)
+	tag := byte(format)
+	if key == 0 {
+		tag |= tagKeyBit
+	}
+	dst = grow(dst, z.size[format])
+	dst[at] = tag
+	switch format {
+	case FormatRaw: // tag | (8B LE column 0, 8B LE column 1)*
+		for i, p := range sorted {
+			binary.LittleEndian.PutUint64(dst[at+1+i*PairBytes:], uint64(p[0]))
+			binary.LittleEndian.PutUint64(dst[at+9+i*PairBytes:], uint64(p[1]))
+		}
+	case FormatVarintDelta: // tag | (uvarint keyDelta, uvarint other)*
+		putVarintPairs(dst[at+1:], sorted, key)
+	default:
+		putBitmap(dst[at+1:], sorted, key, z)
 	}
 	return dst
 }
 
-// ---- tagged varint-delta: tag | (uvarint keyDelta, uvarint other)* ------
-
-func taggedVarintSize(sorted []Pair, key int) int64 {
-	size := int64(1)
-	prev := int64(0)
+// putVarintPairs writes the delta/varint pair stream — first key absolute,
+// then key deltas, each followed by its companion — into b, which the
+// caller sized exactly.
+func putVarintPairs(b []byte, sorted []Pair, key int) {
+	at, prev := 0, int64(0)
 	for i := range sorted {
 		k := int64(sorted[i][key])
-		d := uint64(k - prev)
-		if i == 0 {
-			d = uint64(k)
-		}
-		size += uvarintLen(d) + uvarintLen(uint64(sorted[i][1-key]))
+		at += binary.PutUvarint(b[at:], uint64(k-prev))
+		at += binary.PutUvarint(b[at:], uint64(sorted[i][1-key]))
 		prev = k
 	}
-	return size
 }
 
-func appendTaggedVarint(dst []byte, sorted []Pair, key int) []byte {
-	dst = append(dst, byte(FormatVarintDelta)|tagKey(key))
-	var buf [binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for i := range sorted {
-		k := int64(sorted[i][key])
-		d := uint64(k - prev)
-		if i == 0 {
-			d = uint64(k)
-		}
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], d)]...)
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(sorted[i][1-key]))]...)
-		prev = k
-	}
-	return dst
-}
-
-// ---- tagged bitmap ------------------------------------------------------
+// putBitmap writes the body of the bitmap format into b:
 //
-// tag | zigzag-varint(base = min key) | uvarint(nwords)
-//     | nwords x 8B LE bitmap of the distinct keys over [base, base+64*nwords)
-//     | per set key, ascending: uvarint(first other)  — min other of the key
-//     | uvarint(nExtras)
-//     | per remaining (key, other), ascending: uvarint(key - prevKey) uvarint(other)
+//	zigzag-varint(base = min key) | uvarint(nwords)
+//	| nwords x 8B LE bitmap of the distinct keys over [base, base+64*nwords)
+//	| per set key, ascending: uvarint(first other)  — min other of the key
+//	| uvarint(nExtras)
+//	| per remaining (key, other), ascending: uvarint(key - prevKey) uvarint(other)
 //
 // The bitmap carries the batch's key column — the receiver-owned vertex
 // range, word-aligned like the hub frontier bitmaps — and duplicates of a
 // key (several sources discovering one destination, several probes of one
-// parent) spill into the extras stream.
-
-func tagKey(key int) byte {
-	if key == 0 {
-		return tagKeyBit
-	}
-	return 0
-}
-
-func bitmapWords(sorted []Pair, key int) uint64 {
+// parent) spill into the extras stream. z gives every section's offset, so
+// one pass over sorted fills all three.
+func putBitmap(b []byte, sorted []Pair, key int, z wireSizes) {
 	base := int64(sorted[0][key])
-	span := uint64(int64(sorted[len(sorted)-1][key])) - uint64(base)
-	return span/64 + 1
-}
-
-func taggedBitmapSize(sorted []Pair, key int) int64 {
-	base := int64(sorted[0][key])
-	words := bitmapWords(sorted, key)
-	size := int64(1) + uvarintLen(zigzag(base)) + uvarintLen(words) + int64(words)*8
-	var nExtras, extrasSize int64
-	prevKey, prevExtra := base-1, base // prevKey tracks the last distinct key
-	first := true
+	at := binary.PutUvarint(b, zigzag(base))
+	at += binary.PutUvarint(b[at:], z.words)
+	bitmap := b[at : at+int(z.words)*8]
+	clear(bitmap)
+	first := at + len(bitmap)
+	extra := first + int(z.firsts)
+	extra += binary.PutUvarint(b[extra:], uint64(z.nExtras))
+	prev, prevExtra := base, base
 	for i := range sorted {
-		k := int64(sorted[i][key])
-		o := uint64(sorted[i][1-key])
-		if first || k != prevKey {
-			size += uvarintLen(o)
-			prevKey = k
-			first = false
+		k, o := int64(sorted[i][key]), uint64(sorted[i][1-key])
+		if i == 0 || k != prev {
+			idx := uint64(k) - uint64(base)
+			bitmap[idx/8] |= 1 << (idx % 8) // little-endian words: bit idx is bit idx%8 of byte idx/8
+			first += binary.PutUvarint(b[first:], o)
 		} else {
-			nExtras++
-			extrasSize += uvarintLen(uint64(k-prevExtra)) + uvarintLen(o)
+			extra += binary.PutUvarint(b[extra:], uint64(k-prevExtra))
+			extra += binary.PutUvarint(b[extra:], o)
 			prevExtra = k
 		}
+		prev = k
 	}
-	return size + uvarintLen(uint64(nExtras)) + extrasSize
 }
 
-func appendTaggedBitmap(dst []byte, sorted []Pair, key int) []byte {
-	base := int64(sorted[0][key])
-	words := bitmapWords(sorted, key)
-	dst = append(dst, byte(FormatBitmap)|tagKey(key))
-	var buf [binary.MaxVarintLen64]byte
-	dst = append(dst, buf[:binary.PutUvarint(buf[:], zigzag(base))]...)
-	dst = append(dst, buf[:binary.PutUvarint(buf[:], words)]...)
-
-	// Pass 1: the key bitmap, streamed word by word.
-	var wb [8]byte
-	var w uint64
-	wi := uint64(0)
-	prevKey := base - 1
-	first := true
-	for i := range sorted {
-		k := int64(sorted[i][key])
-		if !first && k == prevKey {
-			continue
-		}
-		first = false
-		prevKey = k
-		idx := uint64(k) - uint64(base)
-		for wi < idx/64 {
-			binary.LittleEndian.PutUint64(wb[:], w)
-			dst = append(dst, wb[:]...)
-			w = 0
-			wi++
-		}
-		w |= 1 << (idx % 64)
-	}
-	for wi < words {
-		binary.LittleEndian.PutUint64(wb[:], w)
-		dst = append(dst, wb[:]...)
-		w = 0
-		wi++
-	}
-
-	// Pass 2: the first companion of each set key, ascending.
-	prevKey, first = base-1, true
-	for i := range sorted {
-		k := int64(sorted[i][key])
-		if !first && k == prevKey {
-			continue
-		}
-		first = false
-		prevKey = k
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(sorted[i][1-key]))]...)
-	}
-
-	// Pass 3: extras — duplicate-key entries, delta-keyed from base.
-	var nExtras int64
-	prevKey, first = base-1, true
-	for i := range sorted {
-		k := int64(sorted[i][key])
-		if first || k != prevKey {
-			first = false
-			prevKey = k
-			continue
-		}
-		nExtras++
-	}
-	dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(nExtras))]...)
-	prevKey, first = base-1, true
-	prevExtra := base
-	for i := range sorted {
-		k := int64(sorted[i][key])
-		if first || k != prevKey {
-			first = false
-			prevKey = k
-			continue
-		}
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(k-prevExtra))]...)
-		dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(sorted[i][1-key]))]...)
-		prevExtra = k
-	}
-	return dst
-}
-
-// decodeTagged inverts appendTaggedRaw/Varint/Bitmap, appending to dst.
+// decodeTagged inverts appendTagged, appending to dst.
 // The whole stream must be consumed exactly; pairs come back sorted by
 // (key column, other column).
 func decodeTagged(dst []Pair, data []byte) ([]Pair, error) {
@@ -490,12 +496,10 @@ func decodeTaggedBitmap(dst []Pair, body []byte, key int) ([]Pair, error) {
 	}
 	if nExtras > 0 {
 		// Extras interleave with the firsts by key; restore (key, other)
-		// order. Off the hot path — extras mean duplicate keys, which BFS
-		// batches rarely contain in volume.
-		var ps pairSorter
-		ps.ps = dst[start:]
-		ps.key = key
-		sort.Sort(&ps)
+		// order.
+		s := getScratch(dst[start:], key)
+		copy(dst[start:], s.ps)
+		s.release()
 	}
 	return dst, nil
 }
@@ -523,11 +527,8 @@ func (BitmapCodec) PayloadSize(ch Channel, pairs []Pair) int64 {
 	key := keyColumn(ch)
 	s := getScratch(pairs, key)
 	defer s.release()
-	bm := taggedBitmapSize(s.sorter.ps, key)
-	if raw := taggedRawSize(len(pairs)); raw < bm {
-		return raw
-	}
-	return bm
+	z := sizeOrdered(s.ps, key)
+	return min(z.size[FormatRaw], z.size[FormatBitmap])
 }
 
 // EncodePayload implements PayloadCodec.
@@ -538,11 +539,11 @@ func (BitmapCodec) EncodePayload(dst []byte, ch Channel, pairs []Pair) ([]byte, 
 	key := keyColumn(ch)
 	s := getScratch(pairs, key)
 	defer s.release()
-	sorted := s.sorter.ps
-	if raw := taggedRawSize(len(sorted)); raw < taggedBitmapSize(sorted, key) {
-		return appendTaggedRaw(dst, sorted, key), FormatRaw
+	z, format := sizeOrdered(s.ps, key), FormatBitmap
+	if z.size[FormatRaw] < z.size[FormatBitmap] {
+		format = FormatRaw
 	}
-	return appendTaggedBitmap(dst, sorted, key), FormatBitmap
+	return appendTagged(dst, format, s.ps, key, z), format
 }
 
 // DecodePayload implements PayloadCodec.
@@ -575,8 +576,8 @@ func (AdaptiveCodec) PayloadSize(ch Channel, pairs []Pair) int64 {
 	key := keyColumn(ch)
 	s := getScratch(pairs, key)
 	defer s.release()
-	size, _ := adaptiveChoice(s.sorter.ps, key)
-	return size
+	format, z := adaptiveChoice(s.ps, key)
+	return z.size[format]
 }
 
 // EncodePayload implements PayloadCodec.
@@ -587,16 +588,8 @@ func (AdaptiveCodec) EncodePayload(dst []byte, ch Channel, pairs []Pair) ([]byte
 	key := keyColumn(ch)
 	s := getScratch(pairs, key)
 	defer s.release()
-	sorted := s.sorter.ps
-	_, format := adaptiveChoice(sorted, key)
-	switch format {
-	case FormatRaw:
-		return appendTaggedRaw(dst, sorted, key), FormatRaw
-	case FormatVarintDelta:
-		return appendTaggedVarint(dst, sorted, key), FormatVarintDelta
-	default:
-		return appendTaggedBitmap(dst, sorted, key), FormatBitmap
-	}
+	format, z := adaptiveChoice(s.ps, key)
+	return appendTagged(dst, format, s.ps, key, z), format
 }
 
 // DecodePayload implements PayloadCodec.
@@ -604,17 +597,16 @@ func (AdaptiveCodec) DecodePayload(dst []Pair, data []byte) ([]Pair, error) {
 	return decodeTagged(dst, data)
 }
 
-// adaptiveChoice returns the cheapest format and its exact size.
-func adaptiveChoice(sorted []Pair, key int) (int64, WireFormat) {
-	raw := taggedRawSize(len(sorted))
-	vd := taggedVarintSize(sorted, key)
-	bm := taggedBitmapSize(sorted, key)
-	switch {
-	case raw <= vd && raw <= bm:
-		return raw, FormatRaw
-	case vd <= bm:
-		return vd, FormatVarintDelta
-	default:
-		return bm, FormatBitmap
+// adaptiveChoice sizes sorted in every format in one pass and returns the
+// cheapest one — on a tie the earlier, cheaper-to-decode format — with the
+// sizes its emitter needs.
+func adaptiveChoice(sorted []Pair, key int) (WireFormat, wireSizes) {
+	z := sizeOrdered(sorted, key)
+	best := FormatRaw
+	for f := FormatVarintDelta; f < numWireFormats; f++ {
+		if z.size[f] < z.size[best] {
+			best = f
+		}
 	}
+	return best, z
 }

@@ -1,8 +1,9 @@
 package comm
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,13 +35,11 @@ func hugeSparsePairs(n int) []Pair {
 }
 
 // sortByColumn orders pairs by (key, other) — the canonical order every
-// tagged format decodes to.
+// tagged format decodes to — with the standard library's comparison sort:
+// the oracle the encoder's bucket scatter is held to.
 func sortByColumn(ps []Pair, key int) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][key] != ps[j][key] {
-			return ps[i][key] < ps[j][key]
-		}
-		return ps[i][1-key] < ps[j][1-key]
+	slices.SortFunc(ps, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a[key], b[key]), cmp.Compare(a[1-key], b[1-key]))
 	})
 }
 
@@ -348,44 +347,59 @@ func TestCodecTrafficLossless(t *testing.T) {
 }
 
 // TestAdaptiveEncodeAllocs: the steady-state encode path is
-// allocation-free — scratch, sorter and output buffers all come from
-// pools or the caller.
+// allocation-free — the ordered copy, the scatter's second buffer and its
+// histogram live in the pooled scratch, and output buffers come from pools
+// or the caller. The dense batch is already in order; the shuffled one
+// takes two scatter passes on each column.
 func TestAdaptiveEncodeAllocs(t *testing.T) {
-	var codec AdaptiveCodec
-	pairs := densePairs(512)
-	buf, _ := codec.EncodePayload(nil, ChanBackward, pairs) // warm the buffer to full size
-	if n := testing.AllocsPerRun(100, func() {
-		buf, _ = codec.EncodePayload(buf[:0], ChanBackward, pairs)
-	}); n != 0 {
-		t.Fatalf("EncodePayload allocates %.1f times per call in steady state, want 0", n)
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
 	}
-	// The network path draws its buffers from the encode pool — also free.
-	if n := testing.AllocsPerRun(100, func() {
-		enc, _ := codec.EncodePayload(getEncBuf(), ChanBackward, pairs)
-		putEncBuf(enc)
-	}); n != 0 {
-		t.Fatalf("pooled EncodePayload allocates %.1f times per call, want 0", n)
+	var codec AdaptiveCodec
+	for name, pairs := range map[string][]Pair{
+		"dense512":     densePairs(512),
+		"shuffled4096": shuffledPairs(rand.New(rand.NewSource(3)), 4096),
+	} {
+		buf, _ := codec.EncodePayload(nil, ChanBackward, pairs) // warm the buffer to full size
+		if n := testing.AllocsPerRun(100, func() {
+			buf, _ = codec.EncodePayload(buf[:0], ChanBackward, pairs)
+		}); n != 0 {
+			t.Fatalf("%s: EncodePayload allocates %.1f times per call in steady state, want 0", name, n)
+		}
+		// The network path draws its buffers from the encode pool — also free.
+		if n := testing.AllocsPerRun(100, func() {
+			enc, _ := codec.EncodePayload(getEncBuf(), ChanBackward, pairs)
+			putEncBuf(enc)
+		}); n != 0 {
+			t.Fatalf("%s: pooled EncodePayload allocates %.1f times per call, want 0", name, n)
+		}
 	}
 }
 
 // BenchmarkEncodeAdaptive measures the adaptive encode hot path and
-// reports the achieved wire density.
+// reports its cost and the achieved wire density per pair. generator1024
+// is the relay inner batch of the top-down generator (one key scatter);
+// shuffled4096 has neither column in order (both columns scattered).
 func BenchmarkEncodeAdaptive(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
+		ch    Channel
 		pairs []Pair
 	}{
-		{"dense4096", densePairs(4096)},
-		{"sparse4096", hugeSparsePairs(4096)},
+		{"dense4096", ChanBackward, densePairs(4096)},
+		{"sparse4096", ChanBackward, hugeSparsePairs(4096)},
+		{"generator1024", ChanForward, generatorPairs(rand.New(rand.NewSource(1)), 1024)},
+		{"shuffled4096", ChanForward, shuffledPairs(rand.New(rand.NewSource(2)), 4096)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var codec AdaptiveCodec
-			buf, _ := codec.EncodePayload(nil, ChanBackward, bc.pairs)
+			buf, _ := codec.EncodePayload(nil, bc.ch, bc.pairs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf, _ = codec.EncodePayload(buf[:0], ChanBackward, bc.pairs)
+				buf, _ = codec.EncodePayload(buf[:0], bc.ch, bc.pairs)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bc.pairs)), "ns/pair")
 			b.ReportMetric(float64(len(buf))/float64(len(bc.pairs)), "bytes/pair")
 		})
 	}

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DegreeCensus summarizes the degree distribution of a graph. Kronecker
 // graphs are power-law: most vertices have tiny degree while a few hubs are
@@ -92,20 +95,22 @@ func SelectHubs(g *CSR, k int) []Vertex {
 }
 
 // HubSet is a membership index over a hub list, mapping each hub vertex to a
-// dense slot usable as a bitmap position.
+// dense slot usable as a bitmap position. The index is a per-vertex table
+// (4 B per vertex up to the largest hub), so the per-edge hub test of the
+// generators is one bounds check and one load.
 type HubSet struct {
-	slots map[Vertex]int
+	slots []int32 // slot+1 of each vertex, 0 = not a hub
 	list  []Vertex
 }
 
-// NewHubSet indexes the given hub vertices.
+// NewHubSet indexes the given hub vertices, which must be non-negative.
 func NewHubSet(hubs []Vertex) *HubSet {
-	h := &HubSet{
-		slots: make(map[Vertex]int, len(hubs)),
-		list:  append([]Vertex(nil), hubs...),
+	h := &HubSet{list: append([]Vertex(nil), hubs...)}
+	if len(hubs) > 0 {
+		h.slots = make([]int32, slices.Max(hubs)+1)
 	}
 	for i, v := range hubs {
-		h.slots[v] = i
+		h.slots[v] = int32(i + 1)
 	}
 	return h
 }
@@ -113,10 +118,13 @@ func NewHubSet(hubs []Vertex) *HubSet {
 // Len returns the number of hubs.
 func (h *HubSet) Len() int { return len(h.list) }
 
-// Slot returns the dense slot of v and whether v is a hub.
+// Slot returns the dense slot of v and whether v is a hub; any vertex
+// outside the table, negative ones included, is not.
 func (h *HubSet) Slot(v Vertex) (int, bool) {
-	s, ok := h.slots[v]
-	return s, ok
+	if uint64(v) >= uint64(len(h.slots)) || h.slots[v] == 0 {
+		return 0, false
+	}
+	return int(h.slots[v]) - 1, true
 }
 
 // At returns the hub vertex in the given slot.

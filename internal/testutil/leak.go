@@ -1,6 +1,6 @@
 // Package testutil holds shared test helpers: goroutine-leak detection
 // for teardown-sensitive tests (runner aborts, network Close, obs server
-// shutdown).
+// shutdown) and the committed-golden comparison.
 package testutil
 
 import (
