@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke
+.PHONY: build test check fmt vet race bench bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# loc prints non-test Go lines (wc -l, comments and blanks included) per
+# internal/ package and for cmd/ as a whole — the number ROADMAP's
+# "least code" aim and every deletion claim in CHANGES.md are quoted in.
+loc:
+	@for d in internal/*/ cmd/; do \
+		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
+	done
 
 # docs-check fails when docs and code drift: broken intra-repo markdown
 # links, or a cmd/ flag no markdown file mentions.

@@ -77,31 +77,33 @@ func main() {
 	if flag.NArg() == 1 {
 		cmd = flag.Arg(0)
 	}
-	experiments.SetWorkers(*workers)
-	codecAll, err := comm.CodecByName(*codec)
-	if err != nil {
+	// host carries the command line's host-side knobs onto every functional
+	// run of every subcommand (and onto a -resume).
+	host := experiments.Host{
+		Workers:         *workers,
+		ChaosSeed:       *chaosSeed,
+		LevelTimeout:    *levelTimeout,
+		StragglerFactor: *stragglerFactor,
+		CheckpointEvery: *checkpointEvery,
+		CheckpointPath:  *checkpointPath,
+	}
+	var err error
+	if host.Codec, err = comm.CodecByName(*codec); err != nil {
 		fatalf("%v", err)
 	}
-	codecBackward, err := comm.CodecByName(*codecBwd)
-	if err != nil {
+	if host.CodecBackward, err = comm.CodecByName(*codecBwd); err != nil {
 		fatalf("%v", err)
 	}
-	experiments.SetCodec(codecAll, codecBackward)
-	experiments.SetLevelTimeout(*levelTimeout)
-	experiments.SetStragglerFactor(*stragglerFactor)
 	if *flightDump == "" && *traceOut != "" {
 		*flightDump = *traceOut + ".flight.json"
 	}
-	experiments.SetFlightDump(*flightDump)
-	experiments.SetCheckpoint(*checkpointEvery, *checkpointPath)
+	host.FlightDump = *flightDump
 	if *chaosPlan != "" {
 		plan, err := chaos.ParsePlan(*chaosPlan)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		experiments.SetChaos(&plan, 0)
-	} else if *chaosSeed != 0 {
-		experiments.SetChaos(nil, *chaosSeed)
+		host.ChaosPlan = &plan
 	}
 
 	var observer *obs.Observer
@@ -110,7 +112,7 @@ func main() {
 		// One shared recorder across the sweep so /debug/flight serves the
 		// whole black box, not just the last measurement's.
 		observer.Flight = obs.NewFlightRecorder(0)
-		experiments.SetObserver(observer)
+		host.Obs = observer
 	}
 	if *chromeOut != "" {
 		observer.Spans = obs.NewSpanRecorder()
@@ -118,7 +120,6 @@ func main() {
 	var server *obs.Server
 	if *serveAddr != "" {
 		observer.Progress = obs.NewProgressBroker()
-		var err error
 		server, err = obs.Serve(*serveAddr, observer)
 		if err != nil {
 			fatalf("%v", err)
@@ -140,8 +141,8 @@ func main() {
 		}()
 	}
 
-	fig11opts := experiments.Fig11Options{Seed: *seed, Roots: *roots}
-	fig12opts := experiments.Fig12Options{Seed: *seed, Roots: *roots}
+	fig11opts := experiments.Fig11Options{Seed: *seed, Roots: *roots, Host: host}
+	fig12opts := experiments.Fig12Options{Seed: *seed, Roots: *roots, Host: host}
 	headlineLog := 13
 	switch {
 	case *quick:
@@ -193,12 +194,12 @@ func main() {
 		case "fig12":
 			emit(experiments.Fig12(fig12opts))
 		case "strong":
-			emit(experiments.StrongScaling(experiments.StrongOptions{Seed: *seed, Roots: *roots, Quick: *quick}))
+			emit(experiments.StrongScaling(experiments.StrongOptions{Seed: *seed, Roots: *roots, Quick: *quick, Host: host}))
 		case "table2":
-			_, proj := experiments.Headline(headlineLog, *roots, *seed)
+			_, proj := experiments.Headline(host, headlineLog, *roots, *seed)
 			emit(experiments.Table2(proj))
 		case "ablations":
-			ablOpts := experiments.AblationOptions{Seed: *seed, Roots: *roots}
+			ablOpts := experiments.AblationOptions{Seed: *seed, Roots: *roots, Host: host}
 			if *quick {
 				ablOpts.Scale = 13
 			}
@@ -208,7 +209,7 @@ func main() {
 			}
 			emit(t)
 		case "policy":
-			polOpts := experiments.PolicySweepOptions{Seed: *seed, Roots: *roots}
+			polOpts := experiments.PolicySweepOptions{Seed: *seed, Roots: *roots, Host: host}
 			if *quick {
 				polOpts.Scale = 12
 			}
@@ -218,7 +219,7 @@ func main() {
 			}
 			emit(t)
 		case "headline":
-			m, proj := experiments.Headline(headlineLog, *roots, *seed)
+			m, proj := experiments.Headline(host, headlineLog, *roots, *seed)
 			if m.Crashed() {
 				fatalf("headline measurement failed: %v", m.Err)
 			}
@@ -236,23 +237,7 @@ func main() {
 
 	switch {
 	case *resumeFrom != "":
-		host := core.Config{
-			Workers:         *workers,
-			LevelTimeout:    *levelTimeout,
-			StragglerFactor: *stragglerFactor,
-			FlightDump:      *flightDump,
-			Obs:             observer,
-			CheckpointEvery: *checkpointEvery,
-			CheckpointPath:  *checkpointPath,
-		}
-		if *chaosPlan != "" {
-			plan, err := chaos.ParsePlan(*chaosPlan)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			host.Chaos = &plan
-		}
-		resumeBFS(*resumeFrom, *seed, *chaosSeed, host)
+		resumeBFS(*resumeFrom, *seed, host)
 	case cmd == "all":
 		for _, name := range []string{
 			"table1", "fig3", "fig5", "regbus", "relaybw", "msgcount",
@@ -312,10 +297,11 @@ func main() {
 // resume"). The Kronecker graph is rebuilt from -seed and the
 // checkpoint's vertex count — the checkpoint's machine fingerprint
 // rejects a mismatched graph — and the machine configuration comes from
-// the checkpoint itself; only host-side knobs (workers, watchdog,
-// observability, chaos, further checkpointing) come from the command
-// line. The finished run is bitwise identical to an uninterrupted one.
-func resumeBFS(path string, seed, chaosSeed int64, host core.Config) {
+// the checkpoint itself, codecs included; only host-side knobs (workers,
+// watchdog, observability, chaos, further checkpointing) come from the
+// command line. The finished run is bitwise identical to an uninterrupted
+// one.
+func resumeBFS(path string, seed int64, host experiments.Host) {
 	c, err := ckpt.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -336,19 +322,8 @@ func resumeBFS(path string, seed, chaosSeed int64, host core.Config) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg.Workers = host.Workers
-	cfg.LevelTimeout = host.LevelTimeout
-	cfg.StragglerFactor = host.StragglerFactor
-	cfg.FlightDump = host.FlightDump
-	cfg.Obs = host.Obs
-	cfg.CheckpointEvery = host.CheckpointEvery
-	cfg.CheckpointPath = host.CheckpointPath
-	if host.Chaos != nil {
-		cfg.Chaos = host.Chaos
-	} else if chaosSeed != 0 {
-		plan := chaos.NewRandomPlan(chaosSeed, cfg.Nodes)
-		cfg.Chaos = &plan
-	}
+	host.Codec, host.CodecBackward = nil, nil
+	cfg = host.Apply(cfg)
 
 	runner, err := core.NewRunner(cfg, g)
 	if err != nil {

@@ -3,30 +3,13 @@ package algos
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"sync"
-
-	"swbfs/internal/chaos"
-	"swbfs/internal/ckpt"
-	"swbfs/internal/comm"
-	"swbfs/internal/core"
-	"swbfs/internal/graph"
-	"swbfs/internal/obs"
-	"swbfs/internal/perf"
 )
 
-// Round-boundary checkpointing for the shared SPMD driver, mirroring the
-// BFS runner's design (internal/core/checkpoint.go): each node serializes
-// its kernel state through the Checkpointer hook at the bottom of its
-// round loop — after the post-round statistics collectives, before joining
-// the next round's activity allreduce — and stages it into a host-side
-// latch. The round window makes the capture race-free without extra
-// modelled traffic: once a node's post-round allreduces complete, every
-// byte of the round is recorded, and no next-round traffic, flight event
-// or injection can occur until all nodes (each after its own capture) join
-// the next activity allreduce. Node 0 additionally captures the
-// machine-wide state inside the same window. Partially staged boundaries
-// are never published, so an abort always finds the newest complete one.
+// The driver side of round-boundary checkpointing: what one node
+// serializes at the bottom of its round loop — its kernel's state through
+// the Checkpointer hook plus the driver's span log — and how a resumed node
+// loads it back. The latch that assembles the boundary lives on the machine
+// (core.Machine.StageCheckpoint).
 
 // Checkpointer is the per-node state serialization hook every kernel
 // implements to participate in checkpoint/restart. CheckpointState returns
@@ -52,73 +35,6 @@ type roundWorkJSON struct {
 	Round   int   `json:"round"`
 	Gen     int64 `json:"gen"`
 	Handler int64 `json:"handler"`
-}
-
-// driverMachineConfig builds the checkpoint identity record for a kernel
-// run. Alpha/Beta are normalized exactly as the BFS runner does so the
-// fingerprint of a config reconstructed via core.ConfigFromCheckpoint
-// matches the original. The driver always lays vertices out round-robin
-// (cfg.Partition is a BFS-engine knob), so the identity records that.
-func driverMachineConfig(cfg core.Config, g *graph.CSR) ckpt.MachineConfig {
-	codec := "raw"
-	if cfg.Codec != nil {
-		codec = cfg.Codec.Name()
-	}
-	codecBackward := ""
-	if cfg.CodecBackward != nil {
-		codecBackward = cfg.CodecBackward.Name()
-	}
-	alpha, beta := cfg.Alpha, cfg.Beta
-	if alpha == 0 {
-		alpha = core.DefaultAlpha
-	}
-	if beta == 0 {
-		beta = core.DefaultBeta
-	}
-	return ckpt.MachineConfig{
-		Nodes:              cfg.Nodes,
-		SuperNodeSize:      cfg.SuperNodeSize,
-		Transport:          cfg.Transport.String(),
-		Engine:             cfg.Engine.String(),
-		GroupM:             cfg.GroupM,
-		DirectionOptimized: cfg.DirectionOptimized,
-		AlphaBits:          math.Float64bits(alpha),
-		BetaBits:           math.Float64bits(beta),
-		HubPrefetch:        cfg.HubPrefetch,
-		HubsTopDown:        cfg.HubsTopDown,
-		HubsBottomUp:       cfg.HubsBottomUp,
-		SmallMessageMPE:    cfg.SmallMessageMPE,
-		BatchBytes:         cfg.BatchBytes,
-		MPIMemoryBudget:    cfg.MPIMemoryBudget,
-		Codec:              codec,
-		CodecBackward:      codecBackward,
-		Partition:          core.PartitionRoundRobin.String(),
-		GraphN:             g.N,
-		GraphEdges:         g.NumEdges(),
-	}
-}
-
-// driverCkpt is the driver's checkpoint latch plus everything node 0's
-// machine capture needs. It lives for one Run.
-type driverCkpt struct {
-	every  int
-	path   string
-	kernel string
-	root   int64
-	nodes  int
-	config ckpt.MachineConfig
-
-	net    *comm.Network
-	inj    *chaos.Injector
-	flight *obs.FlightRecorder
-	st     *runState
-
-	mu      sync.Mutex
-	pending *ckpt.Checkpoint
-	staged  int
-	latest  *ckpt.Checkpoint
-	// written counts checkpoint files written this run (tests poke it).
-	written int
 }
 
 // captureNode serializes one node's driver + kernel state. Called at the
@@ -159,134 +75,6 @@ func (n *nodeRun) restoreNode(raw json.RawMessage) error {
 	}
 	for _, s := range data.Spans {
 		n.spanLog = append(n.spanLog, roundWork{round: s.Round, gen: s.Gen, handler: s.Handler})
-	}
-	return nil
-}
-
-// captureMachine snapshots the machine-wide state at a boundary. Node 0
-// calls it from inside its boundary window (see the file comment), so
-// every counter read here is stable and deterministic.
-func (d *driverCkpt) captureMachine() ckpt.MachineState {
-	d.st.mu.Lock()
-	levels := append([]perf.LevelStats(nil), d.st.info.Levels...)
-	lastSnap := d.st.lastSnap
-	d.st.mu.Unlock()
-	return ckpt.MachineState{
-		Levels:     levels,
-		LastSnap:   lastSnap,
-		Net:        d.net.CaptureState(),
-		Injections: d.inj.Log(),
-		Flight:     d.flight.CaptureState(),
-	}
-}
-
-// stage stages one node's boundary capture; round is the round that just
-// completed (the checkpoint's Level is round+1 — the resumed run's start
-// round). The last node to stage freezes the checkpoint and, at the
-// configured cadence, writes it to the checkpoint path.
-func (d *driverCkpt) stage(n *nodeRun, round int) error {
-	data, err := n.captureNode()
-	if err != nil {
-		return err
-	}
-	var machine *ckpt.MachineState
-	if n.ctx.ID == 0 {
-		ms := d.captureMachine()
-		machine = &ms
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pending == nil || d.pending.Level != round+1 {
-		d.pending = &ckpt.Checkpoint{
-			Schema:      ckpt.SchemaVersion,
-			Kernel:      d.kernel,
-			Root:        d.root,
-			Config:      d.config,
-			Fingerprint: d.config.Fingerprint(),
-			Level:       round + 1,
-			Nodes:       make([]ckpt.NodeState, d.nodes),
-		}
-		d.staged = 0
-	}
-	c := d.pending
-	c.Nodes[n.ctx.ID] = ckpt.NodeState{ID: n.ctx.ID, Data: data}
-	if machine != nil {
-		c.Machine = *machine
-	}
-	d.staged++
-	if d.staged < d.nodes {
-		return nil
-	}
-	// Boundary complete: publish, and write the file at the cadence.
-	d.pending = nil
-	d.latest = c
-	if d.path != "" && c.Level%d.every == 0 {
-		if err := ckpt.WriteFile(d.path, c); err != nil {
-			return fmt.Errorf("algos: writing checkpoint at round %d: %w", c.Level, err)
-		}
-		d.written++
-	}
-	return nil
-}
-
-// Latest returns the newest fully staged checkpoint (nil before the first
-// boundary).
-func (d *driverCkpt) Latest() *ckpt.Checkpoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.latest
-}
-
-// CheckpointJSON implements obs.CheckpointSource for /debug/checkpoint.
-func (d *driverCkpt) CheckpointJSON() ([]byte, bool) {
-	c := d.Latest()
-	if c == nil {
-		return nil, false
-	}
-	data, err := ckpt.Encode(c)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// writeAbort writes the abort-time checkpoint (best-effort, like the
-// flight dump): to CheckpointPath when set, else next to the flight dump
-// as <FlightDump>.ckpt.json. Returns the path written, or "".
-func (d *driverCkpt) writeAbort(flightDump string, c *ckpt.Checkpoint) string {
-	if c == nil || d.every <= 0 {
-		return ""
-	}
-	path := d.path
-	if path == "" && flightDump != "" {
-		path = flightDump + ".ckpt.json"
-	}
-	if path == "" {
-		return ""
-	}
-	if err := ckpt.WriteFile(path, c); err != nil {
-		return ""
-	}
-	return path
-}
-
-// validateResume checks a checkpoint against the run it is being loaded
-// into before any machine state is touched.
-func validateResume(c *ckpt.Checkpoint, kernel string, root graph.Vertex, mcfg ckpt.MachineConfig, nodes int) error {
-	if c == nil {
-		return fmt.Errorf("algos: nil checkpoint")
-	}
-	if c.Kernel != kernel {
-		return fmt.Errorf("algos: checkpoint is for kernel %q, this run resumes %q", c.Kernel, kernel)
-	}
-	if c.Root != int64(root) {
-		return fmt.Errorf("algos: checkpoint root %d, this run uses %d", c.Root, root)
-	}
-	if got := mcfg.Fingerprint(); got != c.Fingerprint {
-		return fmt.Errorf("algos: checkpoint fingerprint mismatch:\n  file: %s\n  run:  %s", c.Fingerprint, got)
-	}
-	if len(c.Nodes) != nodes {
-		return fmt.Errorf("algos: checkpoint has %d node states, machine has %d", len(c.Nodes), nodes)
 	}
 	return nil
 }

@@ -13,35 +13,29 @@
 // vertices, the transport batches and delivers them, handlers fold them
 // into local state, and a sum-allreduce decides termination.
 //
-// The driver mirrors the BFS runner's operational contract (see
-// docs/ALGORITHMS.md): live per-round events on the ProgressBroker, a
-// reconciling RunTrace plus generator/handler module spans per run,
-// chaos-injected faults with bounded retries, a per-round watchdog, and
-// clean *core.AbortError teardown with the completed rounds attached.
+// The driver's round loop is a level body on core.Machine — the same
+// run lifecycle the BFS engine executes on (see docs/ALGORITHMS.md): live
+// per-round events on the ProgressBroker, a reconciling RunTrace plus
+// generator/handler module spans per run, chaos-injected faults with
+// bounded retries, a per-round watchdog, and clean *core.AbortError
+// teardown with the completed rounds attached.
 package algos
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
-	"swbfs/internal/fabric"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
-	"swbfs/internal/sw"
 )
 
 // DefaultMaxRounds guards against non-converging algorithm bugs.
 const DefaultMaxRounds = 100000
-
-var errAborted = errors.New("algos: run aborted by peer failure")
 
 // NodeCtx is one node's view of the machine, handed to algorithm
 // constructors.
@@ -129,28 +123,14 @@ func (r *RunInfo) MTEPS(edges int64) float64 {
 	return float64(edges) / r.Time / 1e6
 }
 
-// runState is the cross-node shared state of one driver run.
-type runState struct {
-	mu   sync.Mutex
-	info *RunInfo
-	// lastSnap is node 0's counter snapshot after the final recorded
-	// round; the delta to the end-of-run totals is the termination
-	// traffic (the final emptiness allreduce) the trace reports
-	// separately so its books balance.
-	lastSnap fabric.Snapshot
-	// roundTick feeds the watchdog: node 0 advances it once per
-	// completed round.
-	roundTick atomic.Int64
-}
-
 // Run executes one algorithm on the simulated machine described by cfg
 // over graph g. makeAlgo constructs each node's instance.
 //
-// The run is driven through the same instrumented, chaos-aware path as
-// the BFS engine: cfg.Chaos faults inject into every send, cfg.LevelTimeout
-// arms a per-round watchdog, cfg.Obs receives live round events, a
-// reconciling RunTrace and module spans, and a torn-down run returns a
-// *core.AbortError carrying the original cause and the completed rounds.
+// The run executes on a core.Machine, the lifecycle the BFS engine uses:
+// cfg.Chaos faults inject into every send, cfg.LevelTimeout arms a
+// per-round watchdog, cfg.Obs receives live round events, a reconciling
+// RunTrace and module spans, and a torn-down run returns a *core.AbortError
+// carrying the original cause and the completed rounds.
 func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *NodeCtx) (RoundAlgo, error)) (*RunInfo, error) {
 	if err := core.ValidateConfig(cfg); err != nil {
 		return nil, err
@@ -163,305 +143,80 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	if kernel == "" {
 		kernel = "algo"
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = sw.DefaultWorkers(cfg.Nodes)
-	}
-	workers = sw.ClampWorkers(workers)
 
-	if pb := cfg.Obs.ProgressOf(); pb != nil {
-		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(opts.Root), Kernel: kernel})
-	}
-	if sr := cfg.Obs.SpansOf(); sr != nil {
-		sr.BeginRun(int64(opts.Root))
-	}
-
-	resume := opts.Resume
-	mcfg := driverMachineConfig(cfg, g)
-	if resume != nil {
-		if err := validateResume(resume, kernel, opts.Root, mcfg, cfg.Nodes); err != nil {
-			return nil, err
-		}
-	}
-
-	// Flight recording is always on, exactly as in the BFS runner: shared
-	// via the observer when attached there, private otherwise. A resume
-	// reloads the checkpoint's rings instead of opening a new run, so the
-	// post-resume dump covers the pre-checkpoint events under the original
-	// run index.
-	flight := cfg.Obs.FlightOf()
-	if flight == nil {
-		flight = obs.NewFlightRecorder(0)
-	}
-	if resume == nil {
-		flight.BeginRun(int64(opts.Root), kernel, cfg.Nodes, cfg.Transport.String())
-	} else {
-		flight.RestoreState(resume.Machine.Flight)
-	}
-
-	// The injector is rebuilt per run so every Run against the same plan
-	// replays the same faults — the determinism contract of docs/CHAOS.md,
-	// identical to the BFS runner's per-root rebuild. A resume seeds the
-	// log with the checkpoint's already-fired faults (and consumes them
-	// from the schedule) so the final Injections match an uninterrupted
-	// run; with no plan but a non-empty seeded log, an empty-schedule
-	// injector still reports them.
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		inj = chaos.NewInjector(*cfg.Chaos, cfg.Obs.MetricsOf())
-		inj.SetFlight(flight)
-	} else if resume != nil && len(resume.Machine.Injections) > 0 {
-		inj = chaos.NewInjector(chaos.Plan{}, cfg.Obs.MetricsOf())
-		inj.SetFlight(flight)
-	}
-	if inj != nil && resume != nil {
-		inj.SeedLog(resume.Machine.Injections)
-	}
-
-	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	net, err := comm.NewNetwork(comm.Config{
-		Nodes:           cfg.Nodes,
-		SuperNodeSize:   cfg.SuperNodeSize,
-		BatchBytes:      cfg.BatchBytes,
-		MPIMemoryBudget: cfg.MPIMemoryBudget,
-		Codec:           cfg.Codec,
-		CodecBackward:   cfg.CodecBackward,
-		Chaos:           inj,
-		Flight:          flight,
+	// The driver always lays vertices out round-robin (cfg.Partition is a
+	// BFS-engine knob), so the checkpoint identity records that.
+	m, err := core.OpenMachine(core.MachineSpec{
+		Cfg: cfg, Graph: g, Kernel: kernel, Root: opts.Root, Unit: "round",
+		Partition: core.PartitionRoundRobin.String(), Resume: opts.Resume,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
+	defer m.Close()
+	cfg = m.Cfg()
 
-	shape := comm.GroupShape{}
-	if cfg.Transport == core.TransportRelay {
-		if cfg.GroupM > 0 {
-			shape, err = comm.NewGroupShape(cfg.Nodes, cfg.GroupM)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			super := cfg.SuperNodeSize
-			if super <= 0 {
-				super = 256
-			}
-			shape = comm.DefaultGroupShape(cfg.Nodes, super)
-		}
-	}
-
-	st := &runState{info: &RunInfo{}}
-	startRound := 0
-	if resume != nil {
-		startRound = resume.Level
-		st.info.Levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
-		st.lastSnap = resume.Machine.LastSnap
-		st.roundTick.Store(int64(startRound))
-		if err := net.RestoreState(resume.Machine.Net); err != nil {
-			return nil, err
-		}
-	}
-
-	// The checkpoint latch: every boundary is captured in memory (backing
-	// /debug/checkpoint and the abort auto-checkpoint); every
-	// CheckpointEvery-th one is written to CheckpointPath. On a resume with
-	// checkpointing off, the latch still carries the source checkpoint so a
-	// second abort reports the newest usable boundary.
-	var ck *driverCkpt
-	if cfg.CheckpointEvery > 0 || resume != nil {
-		ck = &driverCkpt{
-			every:  cfg.CheckpointEvery,
-			path:   cfg.CheckpointPath,
-			kernel: kernel,
-			root:   int64(opts.Root),
-			nodes:  cfg.Nodes,
-			config: mcfg,
-			net:    net,
-			inj:    inj,
-			flight: flight,
-			st:     st,
-			latest: resume,
-		}
-		if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
-			cfg.Obs.Checkpoint = ck
-		}
-	}
-
+	part := graph.NewRoundRobin(g.N, cfg.Nodes)
 	nodes := make([]*nodeRun, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		ctx := &NodeCtx{
 			ID:      i,
 			Part:    part,
 			Sub:     graph.ExtractLocal(g, part, i),
-			Net:     net,
-			Workers: workers,
+			Net:     m.Net,
+			Workers: cfg.Workers,
 		}
 		algo, err := makeAlgo(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
-		var ep comm.Endpoint
-		if cfg.Transport == core.TransportRelay {
-			rep, err := comm.NewRelayEndpoint(net, i, shape)
-			if err != nil {
-				return nil, err
-			}
-			rep.SetFlowSink(cfg.Obs.SpansOf())
-			ep = rep
-		} else {
-			ep = comm.NewDirectEndpoint(net, i)
-		}
 		nodes[i] = &nodeRun{
-			ctx: ctx, algo: algo, ep: ep, net: net, st: st,
+			ctx: ctx, algo: algo, ep: m.Endpoint(i), net: m.Net, m: m,
 			maxRounds:  maxRounds,
-			startRound: startRound,
 			kernel:     kernel,
 			root:       int64(opts.Root),
 			progress:   cfg.Obs.ProgressOf(),
 			keepSpans:  cfg.Obs.SpansOf() != nil,
-			flight:     flight,
-			ck:         ck,
+			checkpoint: cfg.CheckpointEvery > 0,
 		}
 		if cfg.CheckpointEvery > 0 {
 			if _, ok := algo.(Checkpointer); !ok {
 				return nil, fmt.Errorf("algos: kernel %q does not implement Checkpointer; cannot checkpoint", kernel)
 			}
 		}
-		if resume != nil {
-			if err := nodes[i].restoreNode(resume.Nodes[i].Data); err != nil {
+		if opts.Resume != nil {
+			if err := nodes[i].restoreNode(opts.Resume.Nodes[i].Data); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Per-round watchdog: if node 0's tick stops advancing for a whole
-	// timeout window, poison the network so every blocked module unwinds —
-	// the same recovery knob the BFS runner arms (core.ErrLevelTimeout).
-	var watchdogErr chan error
-	var watchdogStop chan struct{}
-	if cfg.LevelTimeout > 0 {
-		watchdogErr = make(chan error, 1)
-		watchdogStop = make(chan struct{})
-		if resume == nil {
-			// A resumed run's restored rings already hold the arm event.
-			flight.Control(obs.FlightWatchdogArm, -1, -1, "round timeout "+cfg.LevelTimeout.String())
-		}
-		go func() {
-			t := time.NewTicker(cfg.LevelTimeout)
-			defer t.Stop()
-			last := st.roundTick.Load()
-			for {
-				select {
-				case <-watchdogStop:
-					return
-				case <-t.C:
-					cur := st.roundTick.Load()
-					if cur != last {
-						last = cur
-						continue
-					}
-					flight.Control(obs.FlightWatchdogFire, -1, int(cur),
-						"no round completed within "+cfg.LevelTimeout.String())
-					watchdogErr <- fmt.Errorf("%w: no round completed within %s",
-						core.ErrLevelTimeout, cfg.LevelTimeout)
-					net.Abort()
-					return
-				}
-			}
-		}()
+	if err := m.Drive(func(node int) error { return nodes[node].loop() }); err != nil {
+		return nil, err
 	}
 
-	errs := make([]error, cfg.Nodes)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = nodes[i].loop()
-		}(i)
-	}
-	wg.Wait()
-	if watchdogStop != nil {
-		close(watchdogStop)
+	info := &RunInfo{
+		Levels:          m.Levels(),
+		Rounds:          len(m.Levels()),
+		Time:            m.Model.TotalTime(m.Levels()),
+		NetworkBytes:    m.Net.Counters.NetworkBytes(),
+		NetworkMessages: m.Net.Counters.NetworkMessages(),
+		MaxConnections:  m.Net.MaxConnectionCount(),
+		Injections:      m.Injections(),
 	}
 
-	info := st.info
-	// Consequence errors (errAborted from a peer's teardown, comm
-	// inbox-closed errors wrapping comm.ErrAborted) are filtered so the
-	// original failure surfaces as the abort cause.
-	var cause error
-	aborted := net.Aborted()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		aborted = true
-		if cause == nil && !errors.Is(err, errAborted) && !errors.Is(err, comm.ErrAborted) {
-			cause = err
-		}
-	}
-	if aborted {
-		if cause == nil && watchdogErr != nil {
-			select {
-			case cause = <-watchdogErr:
-			default:
-			}
-		}
-		if cause == nil {
-			cause = errors.New("algos: run aborted without a reported cause")
-		}
-		ae := &core.AbortError{
-			Root:            opts.Root,
-			Cause:           cause,
-			CompletedLevels: append([]perf.LevelStats(nil), info.Levels...),
-			Injections:      inj.Log(),
-		}
-		// Post-mortem, mirroring the BFS runner: stamp the abort, drain the
-		// black box, write the dump when a path was configured, and attach
-		// the newest complete checkpoint next to it.
-		flight.Control(obs.FlightAbort, -1, len(info.Levels), cause.Error())
-		d := flight.Dump()
-		d.Aborted = true
-		d.Cause = cause.Error()
-		ae.FlightDump = d
-		if cfg.FlightDump != "" {
-			if werr := obs.WriteFlightDumpFile(cfg.FlightDump, d); werr == nil {
-				ae.FlightPath = cfg.FlightDump
-			}
-		}
-		if ck != nil {
-			ae.Checkpoint = ck.Latest()
-			ae.CheckpointPath = ck.writeAbort(cfg.FlightDump, ae.Checkpoint)
-		}
-		return nil, ae
-	}
-
-	model := perf.NewModel(net.Topo, cfg.Engine)
-	info.Time = model.TotalTime(info.Levels)
-	info.Rounds = len(info.Levels)
-	info.NetworkBytes = net.Counters.NetworkBytes()
-	info.NetworkMessages = net.Counters.NetworkMessages()
-	info.MaxConnections = net.MaxConnectionCount()
-	if inj != nil {
-		info.Injections = inj.Log()
-	}
-
-	if m := cfg.Obs.MetricsOf(); m != nil {
-		m.Counter("algos.runs").Inc()
-		m.Counter("algos.rounds").Add(int64(info.Rounds))
-		m.Counter("algos." + kernel + ".runs").Inc()
-		m.Gauge("algos.workers").Set(int64(workers))
-		net.MetricsInto(m)
+	if mr := cfg.Obs.MetricsOf(); mr != nil {
+		mr.Counter("algos.runs").Inc()
+		mr.Counter("algos.rounds").Add(int64(info.Rounds))
+		mr.Counter("algos." + kernel + ".runs").Inc()
+		mr.Gauge("algos.workers").Set(int64(cfg.Workers))
+		m.Net.MetricsInto(mr)
 	}
 	if t := cfg.Obs.TraceOf(); t != nil {
-		final := net.Counters.Snapshot()
-		term := final.Sub(st.lastSnap)
-		rt := buildTrace(opts, info, model, final, term)
-		rt.CodecTraffic = net.CodecTraffic()
-		t.Record(rt)
+		t.Record(m.Trace())
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
-		sr.EndRun(info.Time, buildSpans(cfg.Engine, model, info, nodes, workers), nil)
+		sr.EndRun(info.Time, buildSpans(cfg.Engine, m.Model, info, nodes, cfg.Workers), nil)
 	}
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
 		var edges int64
@@ -476,50 +231,8 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	return info, nil
 }
 
-// buildTrace converts the run's per-round statistics into a RunTrace whose
-// books balance (RunTrace.Reconcile): round wall times sum to the run's
-// total and round byte counts plus termination traffic sum to the fabric's
-// grand total.
-func buildTrace(opts RunOptions, info *RunInfo, model perf.Model, final, term fabric.Snapshot) obs.RunTrace {
-	rt := obs.RunTrace{
-		Root:         int64(opts.Root),
-		TotalSeconds: info.Time,
-
-		TerminationCollectiveBytes: term.CollectiveBytes,
-		TerminationWireBytes:       term.NetworkBytes(),
-		TotalNetworkBytes:          final.NetworkBytes(),
-	}
-	rt.Levels = make([]obs.LevelSpan, 0, len(info.Levels))
-	for _, s := range info.Levels {
-		rt.Levels = append(rt.Levels, obs.LevelSpan{
-			Level:            s.Level,
-			Direction:        s.Direction,
-			FrontierVertices: s.FrontierVertices,
-			EdgesRelaxed:     s.FrontierEdges,
-			WallSeconds:      model.LevelTime(s),
-			Rounds:           s.Rounds,
-
-			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
-			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
-			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
-
-			CollectiveBytes:     s.Net.CollectiveBytes,
-			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
-			CollectiveOps:       s.Net.CollectiveOps,
-
-			NetworkBytes:    s.Net.NetworkBytes(),
-			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
-
-			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
-			MaxNodeSentBytes:      s.MaxNodeSentBytes,
-		})
-	}
-	return rt
-}
-
 // buildSpans lays the run's per-node generator/handler work out on the
-// modelled timeline, exactly as the BFS runner does for its module
-// goroutines: each round's spans start at the round's start and last
+// modelled timeline: each round's spans start at the round's start and last
 // bytes/bandwidth at the configured engine's module bandwidth.
 func buildSpans(engine perf.Engine, model perf.Model, info *RunInfo, nodes []*nodeRun, workers int) []obs.ModuleSpan {
 	bw := engine.Bandwidth()
@@ -563,13 +276,12 @@ type roundWork struct {
 
 // nodeRun drives one node's SPMD loop.
 type nodeRun struct {
-	ctx        *NodeCtx
-	algo       RoundAlgo
-	ep         comm.Endpoint
-	net        *comm.Network
-	st         *runState
-	maxRounds  int
-	startRound int
+	ctx       *NodeCtx
+	algo      RoundAlgo
+	ep        comm.Endpoint
+	net       *comm.Network
+	m         *core.Machine
+	maxRounds int
 
 	kernel   string
 	root     int64
@@ -578,36 +290,29 @@ type nodeRun struct {
 	keepSpans bool
 	spanLog   []roundWork
 
-	flight *obs.FlightRecorder
-	ck     *driverCkpt
+	checkpoint bool // Config.CheckpointEvery > 0
 }
 
 func (n *nodeRun) loop() error {
-	info := n.st.info
 	// stage holds the round's outgoing messages between flushes. On an
 	// abort whatever is still staged is dropped with it, never flushed.
 	stage := stagePool.Get().(*comm.Stage)
 	defer putStage(stage)
-	for round := n.startRound; ; round++ {
+	for round := n.m.StartLevel; ; round++ {
 		if round >= n.maxRounds {
 			n.net.Abort()
 			return fmt.Errorf("algos: node %d exceeded %d rounds without converging", n.ctx.ID, n.maxRounds)
 		}
 
 		// Node 0 opens the round's accounting window before the activity
-		// allreduce, so every byte of the round — termination check, data,
-		// post-round statistics — lands in exactly one round's delta. (The
-		// window is safe: no peer traffic can be recorded before node 0
-		// joins the allreduce below.)
-		var before fabric.Snapshot
+		// allreduce, so the termination check lands in the round's delta.
 		if n.ctx.ID == 0 {
-			before = n.net.Counters.Snapshot()
-			n.flight.Control(obs.FlightRoundOpen, -1, round, "")
+			n.m.OpenLevel(round)
 		}
 
 		active := n.net.AllreduceSum(n.algo.Active())
 		if n.net.Aborted() {
-			return errAborted
+			return core.ErrAborted
 		}
 		if active == 0 {
 			return nil
@@ -626,7 +331,7 @@ func (n *nodeRun) loop() error {
 		n.ep.StartLevel(round, comm.ChanForward)
 		n.net.Barrier()
 		if n.net.Aborted() {
-			return errAborted
+			return core.ErrAborted
 		}
 
 		var sentPairs, recvPairs, batches int64
@@ -690,7 +395,7 @@ func (n *nodeRun) loop() error {
 		maxBatches := n.net.AllreduceMax(batches + 1)
 		sumPairs := n.net.AllreduceSum(sentPairs)
 		if n.net.Aborted() {
-			return errAborted
+			return core.ErrAborted
 		}
 		if n.keepSpans {
 			n.spanLog = append(n.spanLog, roundWork{
@@ -700,13 +405,11 @@ func (n *nodeRun) loop() error {
 			})
 		}
 		if n.ctx.ID == 0 {
-			after := n.net.Counters.Snapshot()
 			rounds := 1
 			if n.ep.Mode() == "relay" {
 				rounds = 2
 			}
-			n.st.mu.Lock()
-			info.Levels = append(info.Levels, perf.LevelStats{
+			n.m.CloseLevel(perf.LevelStats{
 				Level:                 round,
 				Direction:             "round",
 				FrontierVertices:      active,
@@ -715,22 +418,15 @@ func (n *nodeRun) loop() error {
 				MaxNodeSentBytes:      maxSent,
 				MaxNodeMessages:       maxMsgs,
 				ModuleInvocations:     maxBatches,
-				Net:                   after.Sub(before),
 				Rounds:                rounds,
-			})
-			n.st.lastSnap = after
-			n.st.mu.Unlock()
-			n.st.roundTick.Add(1) // feed the watchdog: this round completed
-			n.flight.Control(obs.FlightRoundClose, -1, round,
-				fmt.Sprintf("active=%d pairs=%d", active, sumPairs))
+			}, fmt.Sprintf("active=%d pairs=%d", active, sumPairs))
 		}
 
 		// Round boundary: stage this node's checkpoint capture before
-		// joining the next round's activity allreduce (see checkpoint.go
-		// for why this window is race-free). A failed periodic file write
-		// is fatal — silently continuing would lose the restart guarantee.
-		if n.ck != nil && n.ck.every > 0 {
-			if err := n.ck.stage(n, round); err != nil {
+		// joining the next round's activity allreduce (see
+		// core.Machine.StageCheckpoint for why this window is race-free).
+		if n.checkpoint {
+			if err := n.m.StageCheckpoint(n.ctx.ID, round, n.captureNode); err != nil {
 				n.net.Abort()
 				return err
 			}

@@ -58,12 +58,12 @@ func fanoutSend(n int64, k int, send Send, scan func(lo, hi int64, emit Send) er
 		outs[s] = make(chan *comm.Stage, 2)
 		go func(out chan<- *comm.Stage, lo, hi int64) {
 			st := stagePool.Get().(*comm.Stage)
-			// scan's error is the errAborted below echoed back: nothing to report.
+			// scan's error is the error below echoed back: nothing to report.
 			_ = scan(lo, hi, func(dst int, p comm.Pair) error {
 				st.Add(dst, p)
 				if st.Full() {
 					if stop.Load() {
-						return errAborted // a replay failed: stop scanning
+						return comm.ErrAborted // a replay failed: stop scanning
 					}
 					out <- st
 					st = stagePool.Get().(*comm.Stage)

@@ -4,26 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
-	"swbfs/internal/graph"
 	"swbfs/internal/perf"
 )
 
-// Level-boundary checkpointing. Each node deep-copies its own state at the
-// bottom of its BFS loop — after the post-level statistics collectives,
-// before joining the next level's — and stages it into a host-side latch.
-// The level window makes this race-free without any extra modelled
-// traffic: once a node's post-level allreduces complete, every byte of the
-// level is recorded, and no next-level traffic can be recorded until all
-// nodes (each after its own capture) join the next level's first
-// collective. Node 0 additionally captures the machine-wide state (level
-// statistics, network counters, policy, hub bitmap, injection log, flight
-// rings) inside the same window. The last node to stage freezes the
-// assembled checkpoint; partially staged boundaries are never published,
-// so an abort always finds the newest complete one.
+// The BFS side of level-boundary checkpointing: what one node serializes
+// at the bottom of its loop and how a resumed node loads it back. The latch
+// that assembles the boundary, and why the window is race-free, live on the
+// machine (Machine.StageCheckpoint).
 
 // bfsNodeData is one node's serialized BFS state at a level boundary: the
 // parent map, the frontier entering the next level (curr — next and
@@ -56,17 +46,6 @@ type moduleWorkJSON struct {
 	Level int      `json:"level"`
 	Dir   int      `json:"dir"`
 	Bytes [4]int64 `json:"bytes"`
-}
-
-// checkpointLatch assembles one boundary's checkpoint from per-node
-// stagings. It lives on the Runner and is reset per run.
-type checkpointLatch struct {
-	mu      sync.Mutex
-	pending *ckpt.Checkpoint
-	staged  int
-	latest  *ckpt.Checkpoint
-	// written counts checkpoint files written this run (tests poke it).
-	written int
 }
 
 // captureNode serializes this node's state. Called at the level boundary,
@@ -121,40 +100,6 @@ func (ns *nodeState) restoreNode(raw json.RawMessage) error {
 		ns.spanLog = append(ns.spanLog, moduleWork{level: s.Level, dir: Direction(s.Dir), bytes: s.Bytes})
 	}
 	return nil
-}
-
-// machineConfig builds the checkpoint's identity record from the runner's
-// configuration and graph.
-func (r *Runner) machineConfig() ckpt.MachineConfig {
-	codec := "raw"
-	if r.cfg.Codec != nil {
-		codec = r.cfg.Codec.Name()
-	}
-	codecBackward := ""
-	if r.cfg.CodecBackward != nil {
-		codecBackward = r.cfg.CodecBackward.Name()
-	}
-	return ckpt.MachineConfig{
-		Nodes:              r.cfg.Nodes,
-		SuperNodeSize:      r.cfg.SuperNodeSize,
-		Transport:          r.cfg.Transport.String(),
-		Engine:             r.cfg.Engine.String(),
-		GroupM:             r.cfg.GroupM,
-		DirectionOptimized: r.cfg.DirectionOptimized,
-		AlphaBits:          math.Float64bits(r.cfg.Alpha),
-		BetaBits:           math.Float64bits(r.cfg.Beta),
-		HubPrefetch:        r.cfg.HubPrefetch,
-		HubsTopDown:        r.cfg.HubsTopDown,
-		HubsBottomUp:       r.cfg.HubsBottomUp,
-		SmallMessageMPE:    r.cfg.SmallMessageMPE,
-		BatchBytes:         r.cfg.BatchBytes,
-		MPIMemoryBudget:    r.cfg.MPIMemoryBudget,
-		Codec:              codec,
-		CodecBackward:      codecBackward,
-		Partition:          r.cfg.Partition.String(),
-		GraphN:             r.g.N,
-		GraphEdges:         r.g.NumEdges(),
-	}
 }
 
 // ConfigFromCheckpoint reconstructs a machine Config from a checkpoint's
@@ -213,148 +158,4 @@ func ConfigFromCheckpoint(mc ckpt.MachineConfig) (Config, error) {
 		return Config{}, fmt.Errorf("core: checkpoint names unknown partition %q", mc.Partition)
 	}
 	return c, nil
-}
-
-// captureMachine snapshots the machine-wide state at a boundary. Node 0
-// calls it from inside its boundary window: the post-level collectives
-// have completed on every node and nobody can generate traffic, flight
-// events or injections until all nodes pass their own boundary capture —
-// so every counter read here is stable and deterministic.
-func (r *Runner) captureMachine() ckpt.MachineState {
-	r.mu.Lock()
-	levels := append([]perf.LevelStats(nil), r.levels...)
-	lastSnap := r.lastSnap
-	r.mu.Unlock()
-	ms := ckpt.MachineState{
-		Levels:     levels,
-		LastSnap:   lastSnap,
-		Net:        r.net.CaptureState(),
-		Policy:     int(r.policy.State()),
-		Injections: r.inj.Log(),
-		Flight:     r.flight.CaptureState(),
-	}
-	if r.hubVisited != nil {
-		ms.HubVisited = append([]uint64(nil), r.hubVisited.Words()...)
-	}
-	return ms
-}
-
-// stageCheckpoint stages one node's boundary capture; level is the level
-// that just completed (the checkpoint's Level is level+1 — the resumed
-// run's start level). The last node to stage freezes the checkpoint and,
-// at the configured cadence, writes it to Config.CheckpointPath.
-func (r *Runner) stageCheckpoint(ns *nodeState, level int) error {
-	data, err := ns.captureNode()
-	if err != nil {
-		return err
-	}
-	var machine *ckpt.MachineState
-	if ns.id == 0 {
-		ms := r.captureMachine()
-		machine = &ms
-	}
-	r.ckpt.mu.Lock()
-	defer r.ckpt.mu.Unlock()
-	if r.ckpt.pending == nil || r.ckpt.pending.Level != level+1 {
-		cfg := r.machineConfig()
-		r.ckpt.pending = &ckpt.Checkpoint{
-			Schema:      ckpt.SchemaVersion,
-			Kernel:      "bfs",
-			Root:        int64(r.curRoot),
-			Config:      cfg,
-			Fingerprint: cfg.Fingerprint(),
-			Level:       level + 1,
-			Nodes:       make([]ckpt.NodeState, r.cfg.Nodes),
-		}
-		r.ckpt.staged = 0
-	}
-	c := r.ckpt.pending
-	c.Nodes[ns.id] = ckpt.NodeState{ID: ns.id, Data: data}
-	if machine != nil {
-		c.Machine = *machine
-	}
-	r.ckpt.staged++
-	if r.ckpt.staged < r.cfg.Nodes {
-		return nil
-	}
-	// Boundary complete: publish, and write the file at the cadence.
-	r.ckpt.pending = nil
-	r.ckpt.latest = c
-	if r.cfg.CheckpointPath != "" && c.Level%r.cfg.CheckpointEvery == 0 {
-		if err := ckpt.WriteFile(r.cfg.CheckpointPath, c); err != nil {
-			return fmt.Errorf("core: writing checkpoint at level %d: %w", c.Level, err)
-		}
-		r.ckpt.written++
-	}
-	return nil
-}
-
-// writeAbortCheckpoint writes the abort-time checkpoint next to the flight
-// dump (best-effort, like the dump itself): to Config.CheckpointPath when
-// set, else to <FlightDump>.ckpt.json when a flight dump path exists.
-// Returns the path written, or "".
-func (r *Runner) writeAbortCheckpoint(c *ckpt.Checkpoint) string {
-	if c == nil || r.cfg.CheckpointEvery <= 0 {
-		return ""
-	}
-	path := r.cfg.CheckpointPath
-	if path == "" && r.cfg.FlightDump != "" {
-		path = r.cfg.FlightDump + ".ckpt.json"
-	}
-	if path == "" {
-		return ""
-	}
-	if err := ckpt.WriteFile(path, c); err != nil {
-		return ""
-	}
-	return path
-}
-
-// LastCheckpoint returns the newest fully staged checkpoint of the current
-// or most recent run (nil before the first boundary or with checkpointing
-// disabled).
-func (r *Runner) LastCheckpoint() *ckpt.Checkpoint {
-	r.ckpt.mu.Lock()
-	defer r.ckpt.mu.Unlock()
-	return r.ckpt.latest
-}
-
-// CheckpointJSON implements obs.CheckpointSource: the canonical encoding
-// of the latest checkpoint, for /debug/checkpoint.
-func (r *Runner) CheckpointJSON() ([]byte, bool) {
-	c := r.LastCheckpoint()
-	if c == nil {
-		return nil, false
-	}
-	data, err := ckpt.Encode(c)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Resume continues a checkpointed BFS run: the ensemble is reconstructed
-// from the checkpoint and the loop re-enters at the recorded boundary. The
-// runner must have been built over the same graph and an equivalent
-// machine configuration (fingerprint-checked); Workers, observers,
-// timeouts and the chaos plan may differ — they are host-side. The
-// completed run's Result is bitwise identical to an uninterrupted run's.
-func (r *Runner) Resume(c *ckpt.Checkpoint) (*Result, error) {
-	if c == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
-	}
-	if c.Kernel != "bfs" {
-		return nil, fmt.Errorf("core: checkpoint is for kernel %q, this runner resumes bfs", c.Kernel)
-	}
-	if got := r.machineConfig().Fingerprint(); got != c.Fingerprint {
-		return nil, fmt.Errorf("core: checkpoint fingerprint mismatch:\n  file:   %s\n  runner: %s", c.Fingerprint, got)
-	}
-	if len(c.Nodes) != r.cfg.Nodes {
-		return nil, fmt.Errorf("core: checkpoint has %d node states, machine has %d", len(c.Nodes), r.cfg.Nodes)
-	}
-	root := graph.Vertex(c.Root)
-	if root < 0 || int64(root) >= r.g.N {
-		return nil, fmt.Errorf("core: checkpoint root %d out of range [0, %d)", root, r.g.N)
-	}
-	return r.run(root, c)
 }

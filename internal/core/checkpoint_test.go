@@ -61,7 +61,7 @@ func TestCheckpointParityAndResume(t *testing.T) {
 			if !reflect.DeepEqual(base, res) {
 				t.Fatalf("checkpointing on changed the result:\n  off: %+v\n  on:  %+v", base, res)
 			}
-			if r.ckpt.written == 0 {
+			if r.m.written == 0 {
 				t.Fatal("no checkpoint file written")
 			}
 

@@ -1,0 +1,614 @@
+package core
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"swbfs/internal/chaos"
+	"swbfs/internal/ckpt"
+	"swbfs/internal/comm"
+	"swbfs/internal/fabric"
+	"swbfs/internal/graph"
+	"swbfs/internal/obs"
+	"swbfs/internal/perf"
+)
+
+// KernelBFS names the engine's native kernel in checkpoints and flight
+// records. Its live events carry no kernel label (obs.LiveEvent.Kernel).
+const KernelBFS = "bfs"
+
+// ErrAborted is what a node's level body returns when it saw the job torn
+// down by a peer's failure; Drive reports the peer's original error instead.
+var ErrAborted = errors.New("core: run aborted by peer failure")
+
+// ErrLevelTimeout reports that the per-level watchdog (Config.LevelTimeout)
+// saw no level complete within the deadline and tore the run down.
+var ErrLevelTimeout = errors.New("core: level watchdog timeout")
+
+// AbortError is the partial-result report of a torn-down run: the original
+// cause plus the per-level statistics of every level that fully completed
+// before the abort. Unwrap exposes the cause, so errors.Is(err,
+// ErrLevelTimeout) and errors.As(err, *comm.ErrNodeKilled) both see
+// through it.
+type AbortError struct {
+	Root            graph.Vertex
+	Cause           error
+	CompletedLevels []perf.LevelStats
+
+	// FlightDump is the flight recorder's post-mortem: every black-box
+	// event leading up to the abort, in canonical order. FlightPath is
+	// where the dump was written when Config.FlightDump asked for a file
+	// ("" otherwise). Render with cmd/flightview.
+	FlightDump *obs.FlightDump
+	FlightPath string
+
+	// Injections is the sorted log of faults injected before the abort —
+	// the counterpart of RunInfo.Injections for runs that never produce a
+	// result, so flight.Reconcile works on post-mortems too.
+	Injections []chaos.Fault
+
+	// Checkpoint is the newest complete level-boundary checkpoint taken
+	// before the abort (nil with Config.CheckpointEvery == 0 or when the
+	// run died before its first boundary); CheckpointPath is where it was
+	// written ("" when no write happened). Resume from it to finish the
+	// run with a bitwise-identical result — see docs/CHAOS.md.
+	Checkpoint     *ckpt.Checkpoint
+	CheckpointPath string
+}
+
+func (e *AbortError) Error() string {
+	return fmt.Sprintf("core: run from root %d aborted after %d completed levels: %v",
+		e.Root, len(e.CompletedLevels), e.Cause)
+}
+
+func (e *AbortError) Unwrap() error { return e.Cause }
+
+// MachineSpec identifies one run to OpenMachine.
+type MachineSpec struct {
+	Cfg   Config
+	Graph *graph.CSR
+	// Kernel and Root are the run's identity in live events, the flight
+	// record, checkpoints and AbortError (rootless kernels pass
+	// graph.NoVertex).
+	Kernel string
+	Root   graph.Vertex
+	// Unit is what the kernel calls one pass of its loop ("level" or
+	// "round"): the noun of watchdog and checkpoint messages.
+	Unit string
+	// Partition names the vertex layout for the checkpoint identity.
+	Partition string
+	// Flight is the black-box recorder; nil selects the observer's, else a
+	// private one. A caller that runs many roots hands the same recorder in
+	// so the run index advances.
+	Flight *obs.FlightRecorder
+	// Resume, when non-nil, reopens the machine at a checkpointed boundary.
+	Resume *ckpt.Checkpoint
+	// CaptureKernel adds kernel-owned machine-wide state to node 0's
+	// boundary capture (BFS: direction policy, hub-visited bitmap).
+	CaptureKernel func(*ckpt.MachineState)
+}
+
+// Machine is the run-scoped simulated machine a level body executes on: the
+// network with its fault injector and flight recorder, one endpoint per
+// node, node 0's level ledger, the watchdog, the level-boundary checkpoint
+// latch and the abort path. Both engines — the BFS runner's runBFS and the
+// round driver's loop in internal/algos — are bodies on it: OpenMachine,
+// build the per-node state, Drive, read the results, Close.
+type Machine struct {
+	Net    *comm.Network
+	Model  perf.Model
+	Flight *obs.FlightRecorder
+	// StartLevel is the first level the body runs: 0, or the checkpoint's
+	// boundary on a resume.
+	StartLevel int
+
+	spec   MachineSpec // Cfg with defaults applied
+	config ckpt.MachineConfig
+	inj    *chaos.Injector
+	eps    []comm.Endpoint
+
+	// Node 0's ledger. lastSnap is its counter snapshot after the final
+	// recorded level: the delta to the end-of-run totals is the termination
+	// traffic (the emptiness collectives) the trace reports separately so
+	// its books balance. window is the open level's starting snapshot and
+	// tick feeds the watchdog, advancing once per completed level.
+	mu       sync.Mutex
+	levels   []perf.LevelStats
+	lastSnap fabric.Snapshot
+	window   fabric.Snapshot
+	tick     atomic.Int64
+
+	// The checkpoint latch: nodes stage their boundary captures and the
+	// last one freezes the assembled checkpoint. Partially staged
+	// boundaries are never published, so an abort always finds the newest
+	// complete one.
+	ckMu    sync.Mutex
+	pending *ckpt.Checkpoint
+	staged  int
+	latest  *ckpt.Checkpoint
+	// written counts checkpoint files written this run (tests poke it).
+	written int
+}
+
+// flightFor resolves the always-on black box: shared via the observer when
+// attached there (so /debug/flight sees it), private otherwise. It costs
+// one mutexed ring append per event and is the only record of what happened
+// when a run aborts.
+func flightFor(o *obs.Observer) *obs.FlightRecorder {
+	if fr := o.FlightOf(); fr != nil {
+		return fr
+	}
+	return obs.NewFlightRecorder(0)
+}
+
+// machineConfig builds the checkpoint identity record of a configuration
+// over a graph. Defaults are applied first, so the fingerprint of a config
+// reconstructed via ConfigFromCheckpoint matches the original.
+func machineConfig(cfg Config, partition string, g *graph.CSR) ckpt.MachineConfig {
+	cfg = cfg.withDefaults()
+	codec := "raw"
+	if cfg.Codec != nil {
+		codec = cfg.Codec.Name()
+	}
+	codecBackward := ""
+	if cfg.CodecBackward != nil {
+		codecBackward = cfg.CodecBackward.Name()
+	}
+	return ckpt.MachineConfig{
+		Nodes:              cfg.Nodes,
+		SuperNodeSize:      cfg.SuperNodeSize,
+		Transport:          cfg.Transport.String(),
+		Engine:             cfg.Engine.String(),
+		GroupM:             cfg.GroupM,
+		DirectionOptimized: cfg.DirectionOptimized,
+		AlphaBits:          math.Float64bits(cfg.Alpha),
+		BetaBits:           math.Float64bits(cfg.Beta),
+		HubPrefetch:        cfg.HubPrefetch,
+		HubsTopDown:        cfg.HubsTopDown,
+		HubsBottomUp:       cfg.HubsBottomUp,
+		SmallMessageMPE:    cfg.SmallMessageMPE,
+		BatchBytes:         cfg.BatchBytes,
+		MPIMemoryBudget:    cfg.MPIMemoryBudget,
+		Codec:              codec,
+		CodecBackward:      codecBackward,
+		Partition:          partition,
+		GraphN:             g.N,
+		GraphEdges:         g.NumEdges(),
+	}
+}
+
+// validateResume checks a checkpoint against the run it is being loaded
+// into — identity first, then internal consistency — before any machine
+// state is touched or anything is emitted.
+func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfig) error {
+	if c.Kernel != spec.Kernel {
+		return fmt.Errorf("core: checkpoint is for kernel %q, this run resumes %q", c.Kernel, spec.Kernel)
+	}
+	if c.Root != int64(spec.Root) {
+		return fmt.Errorf("core: checkpoint root %d, this run uses %d", c.Root, spec.Root)
+	}
+	if got := mcfg.Fingerprint(); got != c.Fingerprint {
+		return fmt.Errorf("core: checkpoint fingerprint mismatch:\n  file: %s\n  run:  %s", c.Fingerprint, got)
+	}
+	if len(c.Nodes) != mcfg.Nodes {
+		return fmt.Errorf("core: checkpoint has %d node states, machine has %d", len(c.Nodes), mcfg.Nodes)
+	}
+	if c.Level < 0 || c.Level != len(c.Machine.Levels) {
+		return fmt.Errorf("core: checkpoint resumes at %s %d but records %d completed",
+			spec.Unit, c.Level, len(c.Machine.Levels))
+	}
+	for i, ns := range c.Nodes {
+		if ns.ID != i {
+			return fmt.Errorf("core: checkpoint node state %d carries id %d", i, ns.ID)
+		}
+	}
+	return nil
+}
+
+// OpenMachine opens one run: it validates spec.Resume, announces the run
+// (live event, span recorder, flight record), rebuilds the fault injector,
+// and brings up the network, the timing model and every node's endpoint.
+// The caller must Close the returned machine.
+func OpenMachine(spec MachineSpec) (*Machine, error) {
+	spec.Cfg = spec.Cfg.withDefaults()
+	cfg, resume := spec.Cfg, spec.Resume
+	m := &Machine{
+		spec:   spec,
+		config: machineConfig(cfg, spec.Partition, spec.Graph),
+		Flight: spec.Flight,
+		// A resumed run that dies before its next boundary still has a
+		// checkpoint to offer: the one it resumed from.
+		latest: resume,
+	}
+	if resume != nil {
+		if err := validateResume(resume, spec, m.config); err != nil {
+			return nil, err
+		}
+	}
+	shape, err := shapeFor(cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	label := spec.Kernel
+	if label == KernelBFS {
+		label = ""
+	}
+	if pb := cfg.Obs.ProgressOf(); pb != nil {
+		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(spec.Root), Kernel: label})
+	}
+	if sr := cfg.Obs.SpansOf(); sr != nil {
+		sr.BeginRun(int64(spec.Root))
+	}
+	if m.Flight == nil {
+		m.Flight = flightFor(cfg.Obs)
+	}
+	if resume == nil {
+		m.Flight.BeginRun(int64(spec.Root), spec.Kernel, cfg.Nodes, cfg.Transport.String())
+	} else {
+		// Restore the black box instead of opening a new run: the run index
+		// and every pre-checkpoint event continue where the original left
+		// off, so a post-resume dump reconciles 1:1 with the injection log.
+		m.Flight.RestoreState(resume.Machine.Flight)
+	}
+
+	// The injector is rebuilt per run so every run against the same plan
+	// replays the same faults — the determinism contract of docs/CHAOS.md.
+	// A resume with no plan for the remainder still keeps an empty-schedule
+	// injector when faults fired before the checkpoint, and seeds the log
+	// either way, so the final injection log matches an uninterrupted
+	// run's. A fired kill must be stripped from the plan by the caller
+	// (chaos.Plan.Without): its coordinate lies in the re-run level and
+	// would strike again.
+	if cfg.Chaos != nil || (resume != nil && len(resume.Machine.Injections) > 0) {
+		var plan chaos.Plan
+		if cfg.Chaos != nil {
+			plan = *cfg.Chaos
+		}
+		m.inj = chaos.NewInjector(plan, cfg.Obs.MetricsOf())
+		m.inj.SetFlight(m.Flight)
+		if resume != nil {
+			m.inj.SeedLog(resume.Machine.Injections)
+		}
+	}
+
+	m.Net, err = comm.NewNetwork(comm.Config{
+		Nodes:           cfg.Nodes,
+		SuperNodeSize:   cfg.SuperNodeSize,
+		BatchBytes:      cfg.BatchBytes,
+		MPIMemoryBudget: cfg.MPIMemoryBudget,
+		Codec:           cfg.Codec,
+		CodecBackward:   cfg.CodecBackward,
+		Chaos:           m.inj,
+		Flight:          m.Flight,
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.Model = perf.NewModel(m.Net.Topo, cfg.Engine)
+	if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
+		cfg.Obs.Checkpoint = m // serve /debug/checkpoint
+	}
+	if resume != nil {
+		if err := m.Net.RestoreState(resume.Machine.Net); err != nil {
+			m.Close()
+			return nil, err
+		}
+		m.StartLevel = resume.Level
+		m.levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
+		m.lastSnap = resume.Machine.LastSnap
+		m.tick.Store(int64(resume.Level))
+	}
+
+	m.eps = make([]comm.Endpoint, cfg.Nodes)
+	for node := range m.eps {
+		if cfg.Transport != TransportRelay {
+			m.eps[node] = comm.NewDirectEndpoint(m.Net, node)
+			continue
+		}
+		ep, err := comm.NewRelayEndpoint(m.Net, node, shape)
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		ep.SetFlowSink(cfg.Obs.SpansOf())
+		m.eps[node] = ep
+	}
+	return m, nil
+}
+
+// Close releases the run's network. The ledger, the injection log and the
+// checkpoint latch stay readable.
+func (m *Machine) Close() { m.Net.Close() }
+
+// Cfg returns the run's configuration with defaults applied.
+func (m *Machine) Cfg() Config { return m.spec.Cfg }
+
+// Endpoint returns the node's transport endpoint.
+func (m *Machine) Endpoint(node int) comm.Endpoint { return m.eps[node] }
+
+// Levels returns the completed levels' statistics in order. The slice is
+// shared with the ledger: read it after Drive returns.
+func (m *Machine) Levels() []perf.LevelStats { return m.levels }
+
+// Injections returns the faults injected so far, deterministically sorted;
+// nil when the run has no injector.
+func (m *Machine) Injections() []chaos.Fault {
+	if m == nil {
+		return nil
+	}
+	return m.inj.Log()
+}
+
+// OpenLevel opens a level's accounting window. Node 0 calls it before the
+// level's first collective, so every byte of the level — frontier
+// statistics, data, post-level statistics — lands in exactly one level's
+// delta. (The window is safe: no peer traffic can be recorded before node 0
+// joins that collective.)
+func (m *Machine) OpenLevel(level int) {
+	m.window = m.Net.Counters.Snapshot()
+	m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
+}
+
+// CloseLevel records a completed level. Node 0 calls it after the
+// post-level collectives with the already-reduced statistics; the machine
+// fills in the window's traffic, feeds the watchdog and stamps the flight
+// record with detail.
+func (m *Machine) CloseLevel(s perf.LevelStats, detail string) {
+	after := m.Net.Counters.Snapshot()
+	s.Net = after.Sub(m.window)
+	m.mu.Lock()
+	m.levels = append(m.levels, s)
+	m.lastSnap = after
+	m.mu.Unlock()
+	m.tick.Add(1)
+	m.Flight.Control(obs.FlightRoundClose, -1, s.Level, detail)
+}
+
+// Drive runs body once per node, SPMD-style, under the level watchdog, and
+// joins. A torn-down run returns an *AbortError carrying the original
+// cause, the completed levels, the post-mortem flight dump, the injection
+// log and the newest complete checkpoint.
+func (m *Machine) Drive(body func(node int) error) error {
+	cfg, unit := m.spec.Cfg, m.spec.Unit
+
+	// Watchdog: if node 0's tick stops advancing for a whole timeout
+	// window, poison the network so every blocked module unwinds.
+	watchdogErr := make(chan error, 1)
+	watchdogStop := make(chan struct{})
+	if cfg.LevelTimeout > 0 {
+		if m.spec.Resume == nil {
+			// A resumed run's restored rings already hold the arm event.
+			m.Flight.Control(obs.FlightWatchdogArm, -1, -1, unit+" timeout "+cfg.LevelTimeout.String())
+		}
+		go func() {
+			t := time.NewTicker(cfg.LevelTimeout)
+			defer t.Stop()
+			last := m.tick.Load()
+			for {
+				select {
+				case <-watchdogStop:
+					return
+				case <-t.C:
+					cur := m.tick.Load()
+					if cur != last {
+						last = cur
+						continue
+					}
+					msg := fmt.Sprintf("no %s completed within %s", unit, cfg.LevelTimeout)
+					m.Flight.Control(obs.FlightWatchdogFire, -1, int(cur), msg)
+					watchdogErr <- fmt.Errorf("%w: %s", ErrLevelTimeout, msg)
+					m.Net.Abort()
+					return
+				}
+			}
+		}()
+	}
+
+	errs := make([]error, cfg.Nodes)
+	var wg sync.WaitGroup
+	for node := range errs {
+		wg.Add(1)
+		go func(node int) {
+			defer wg.Done()
+			errs[node] = body(node)
+		}(node)
+	}
+	wg.Wait()
+	close(watchdogStop)
+
+	// Consequence errors (ErrAborted from a peer's teardown, comm
+	// inbox-closed errors wrapping comm.ErrAborted) are filtered so the
+	// original failure surfaces as the abort cause.
+	var cause error
+	aborted := m.Net.Aborted()
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		aborted = true
+		if cause == nil && !errors.Is(err, ErrAborted) && !errors.Is(err, comm.ErrAborted) {
+			cause = err
+		}
+	}
+	if !aborted {
+		return nil
+	}
+	if cause == nil {
+		select {
+		case cause = <-watchdogErr:
+		default:
+			cause = errors.New("core: run aborted without a reported cause")
+		}
+	}
+
+	// Post-mortem: stamp the abort, drain the black box, write the dump when
+	// a path was configured (best-effort — a failed write still leaves the
+	// in-memory dump on the error), and put the newest complete checkpoint
+	// next to it.
+	m.Flight.Control(obs.FlightAbort, -1, len(m.levels), cause.Error())
+	ae := &AbortError{
+		Root:            m.spec.Root,
+		Cause:           cause,
+		CompletedLevels: append([]perf.LevelStats(nil), m.levels...),
+		Injections:      m.inj.Log(),
+		FlightDump:      m.Flight.Dump(),
+		Checkpoint:      m.LastCheckpoint(),
+	}
+	ae.FlightDump.Aborted = true
+	ae.FlightDump.Cause = cause.Error()
+	if cfg.FlightDump != "" && obs.WriteFlightDumpFile(cfg.FlightDump, ae.FlightDump) == nil {
+		ae.FlightPath = cfg.FlightDump
+	}
+	// The abort checkpoint goes to CheckpointPath when set, else next to the
+	// flight dump as <FlightDump>.ckpt.json.
+	path := cfg.CheckpointPath
+	if path == "" && cfg.FlightDump != "" {
+		path = cfg.FlightDump + ".ckpt.json"
+	}
+	if ae.Checkpoint != nil && cfg.CheckpointEvery > 0 && path != "" && ckpt.WriteFile(path, ae.Checkpoint) == nil {
+		ae.CheckpointPath = path
+	}
+	return ae
+}
+
+// StageCheckpoint stages one node's boundary capture; level is the level
+// that just completed (the checkpoint's Level is level+1 — the resumed
+// run's start level). Each node calls it at the bottom of its loop, after
+// the post-level statistics collectives and before joining the next
+// level's. That window makes the capture race-free without any extra
+// modelled traffic: once a node's post-level allreduces complete, every
+// byte of the level is recorded, and no next-level traffic, flight event or
+// injection can occur until all nodes (each after its own capture) join the
+// next level's first collective — so node 0's machine-wide reads here are
+// stable and deterministic. The last node to stage freezes the checkpoint
+// and, at the configured cadence, writes it to Config.CheckpointPath; a
+// failed periodic write is fatal — silently continuing would lose the
+// restart guarantee.
+func (m *Machine) StageCheckpoint(node, level int, capture func() (json.RawMessage, error)) error {
+	data, err := capture()
+	if err != nil {
+		return err
+	}
+	var machine *ckpt.MachineState
+	if node == 0 {
+		m.mu.Lock()
+		machine = &ckpt.MachineState{
+			Levels:     append([]perf.LevelStats(nil), m.levels...),
+			LastSnap:   m.lastSnap,
+			Net:        m.Net.CaptureState(),
+			Injections: m.inj.Log(),
+			Flight:     m.Flight.CaptureState(),
+		}
+		m.mu.Unlock()
+		if m.spec.CaptureKernel != nil {
+			m.spec.CaptureKernel(machine)
+		}
+	}
+	m.ckMu.Lock()
+	defer m.ckMu.Unlock()
+	if m.pending == nil || m.pending.Level != level+1 {
+		m.pending = &ckpt.Checkpoint{
+			Schema:      ckpt.SchemaVersion,
+			Kernel:      m.spec.Kernel,
+			Root:        int64(m.spec.Root),
+			Config:      m.config,
+			Fingerprint: m.config.Fingerprint(),
+			Level:       level + 1,
+			Nodes:       make([]ckpt.NodeState, m.spec.Cfg.Nodes),
+		}
+		m.staged = 0
+	}
+	c := m.pending
+	c.Nodes[node] = ckpt.NodeState{ID: node, Data: data}
+	if machine != nil {
+		c.Machine = *machine
+	}
+	m.staged++
+	if m.staged < m.spec.Cfg.Nodes {
+		return nil
+	}
+	// Boundary complete: publish, and write the file at the cadence.
+	m.pending = nil
+	m.latest = c
+	if m.spec.Cfg.CheckpointPath != "" && c.Level%m.spec.Cfg.CheckpointEvery == 0 {
+		if err := ckpt.WriteFile(m.spec.Cfg.CheckpointPath, c); err != nil {
+			return fmt.Errorf("core: writing checkpoint at %s %d: %w", m.spec.Unit, c.Level, err)
+		}
+		m.written++
+	}
+	return nil
+}
+
+// LastCheckpoint returns the newest fully staged checkpoint (nil before the
+// first boundary of a fresh run).
+func (m *Machine) LastCheckpoint() *ckpt.Checkpoint {
+	if m == nil {
+		return nil
+	}
+	m.ckMu.Lock()
+	defer m.ckMu.Unlock()
+	return m.latest
+}
+
+// CheckpointJSON implements obs.CheckpointSource: the canonical encoding of
+// the latest checkpoint, for /debug/checkpoint.
+func (m *Machine) CheckpointJSON() ([]byte, bool) {
+	c := m.LastCheckpoint()
+	if c == nil {
+		return nil, false
+	}
+	data, err := ckpt.Encode(c)
+	return data, err == nil
+}
+
+// Trace converts the ledger into a RunTrace whose books balance
+// (RunTrace.Reconcile): level wall times sum to the run's modelled time and
+// level byte counts plus the termination traffic sum to the fabric's grand
+// total. The engine fills in its own header fields. Call after Drive, before
+// Close.
+func (m *Machine) Trace() obs.RunTrace {
+	final := m.Net.Counters.Snapshot()
+	term := final.Sub(m.lastSnap)
+	rt := obs.RunTrace{
+		Root:         int64(m.spec.Root),
+		TotalSeconds: m.Model.TotalTime(m.levels),
+
+		TerminationCollectiveBytes: term.CollectiveBytes,
+		TerminationWireBytes:       term.NetworkBytes(),
+		TotalNetworkBytes:          final.NetworkBytes(),
+
+		CodecTraffic: m.Net.CodecTraffic(),
+	}
+	rt.Levels = make([]obs.LevelSpan, 0, len(m.levels))
+	for _, s := range m.levels {
+		rt.Levels = append(rt.Levels, obs.LevelSpan{
+			Level:            s.Level,
+			Direction:        s.Direction,
+			FrontierVertices: s.FrontierVertices,
+			EdgesRelaxed:     s.FrontierEdges,
+			WallSeconds:      m.Model.LevelTime(s),
+			Rounds:           s.Rounds,
+
+			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
+			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
+			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
+
+			CollectiveBytes:     s.Net.CollectiveBytes,
+			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
+			CollectiveOps:       s.Net.CollectiveOps,
+
+			NetworkBytes:    s.Net.NetworkBytes(),
+			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
+
+			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
+			MaxNodeSentBytes:      s.MaxNodeSentBytes,
+		})
+	}
+	return rt
+}

@@ -1,0 +1,226 @@
+package core_test
+
+import (
+	"encoding/json"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"swbfs/internal/chaos"
+	"swbfs/internal/ckpt"
+	"swbfs/internal/comm"
+	"swbfs/internal/core"
+	"swbfs/internal/graph"
+	"swbfs/internal/perf"
+	"swbfs/internal/testutil"
+)
+
+// The machine seam in isolation: a toy level body with no graph kernel —
+// every node passes a token to its right-hand neighbour once per level —
+// run through nothing but core.Machine's exported surface. What these
+// tests see (abort report, watchdog, checkpoint and resume) is therefore
+// delivered by the lifecycle alone.
+
+const ringLevels = 5
+
+type ringState struct {
+	Token int64 `json:"token"`
+}
+
+// ringBody is the toy body. stall, when non-nil, runs at the top of every
+// level (a slow node).
+func ringBody(m *core.Machine, state []ringState, stall func(node, level int)) func(int) error {
+	return func(node int) error {
+		n, ep := m.Cfg().Nodes, m.Endpoint(node)
+		for level := m.StartLevel; ; level++ {
+			if node == 0 {
+				m.OpenLevel(level)
+			}
+			var active int64
+			if level < ringLevels {
+				active = 1
+			}
+			if active = m.Net.AllreduceSum(active); m.Net.Aborted() {
+				return core.ErrAborted
+			}
+			if active == 0 {
+				return nil
+			}
+			if stall != nil {
+				stall(node, level)
+			}
+			ep.StartLevel(level, comm.ChanForward)
+			if m.Net.Barrier(); m.Net.Aborted() {
+				return core.ErrAborted
+			}
+			err := ep.SendMany(comm.ChanForward, []comm.DstRun{{Dst: (node + 1) % n, N: 1}},
+				[]comm.Pair{{graph.Vertex(state[node].Token), graph.Vertex(level)}})
+			if err == nil {
+				err = ep.CloseChannel(comm.ChanForward)
+			}
+			for err == nil {
+				ev := ep.Recv()
+				if ev.Type == comm.EvChannelClosed {
+					break
+				}
+				if ev.Type == comm.EvData {
+					state[node].Token = int64(ev.Batch.Pairs[0][0])
+				}
+				err = ev.Err
+			}
+			if err != nil {
+				m.Net.Abort()
+				return err
+			}
+			maxSent := m.Net.AllreduceMax(comm.PairBytes)
+			if m.Net.Aborted() {
+				return core.ErrAborted
+			}
+			if node == 0 {
+				m.CloseLevel(perf.LevelStats{
+					Level: level, Direction: "ring", FrontierVertices: active,
+					MaxNodeSentBytes: maxSent, Rounds: 1,
+				}, "ring")
+			}
+			if m.Cfg().CheckpointEvery > 0 {
+				capture := func() (json.RawMessage, error) { return json.Marshal(state[node]) }
+				if err := m.StageCheckpoint(node, level, capture); err != nil {
+					m.Net.Abort()
+					return err
+				}
+			}
+		}
+	}
+}
+
+// runRing opens a machine, loads or seeds the tokens, drives the body and
+// returns the ledger and the final tokens.
+func runRing(t *testing.T, cfg core.Config, from *ckpt.Checkpoint, stall func(node, level int)) ([]perf.LevelStats, []ringState, error) {
+	t.Helper()
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.OpenMachine(core.MachineSpec{
+		Cfg: cfg, Graph: g, Kernel: "ring", Root: graph.NoVertex, Unit: "level",
+		Partition: "none", Resume: from,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer m.Close()
+	state := make([]ringState, cfg.Nodes)
+	for node := range state {
+		state[node].Token = int64(node)
+		if from != nil {
+			if err := json.Unmarshal(from.Nodes[node].Data, &state[node]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Drive(ringBody(m, state, stall)); err != nil {
+		return nil, nil, err
+	}
+	return m.Levels(), state, nil
+}
+
+func ringConfig(transport core.Transport) core.Config {
+	return core.Config{Nodes: 4, SuperNodeSize: 2, Transport: transport, Engine: perf.EngineMPE}
+}
+
+func TestMachineKillYieldsAbortReport(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	plan, err := chaos.ParsePlan("kill@2:l2:data/forward:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ringConfig(core.TransportDirect)
+	cfg.Chaos = &plan
+	cfg.CheckpointEvery = 1
+	_, _, err = runRing(t, cfg, nil, nil)
+	var ae *core.AbortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("killed run returned %v, want *core.AbortError", err)
+	}
+	var killed *comm.ErrNodeKilled
+	if !errors.As(err, &killed) {
+		t.Errorf("abort cause %v does not unwrap to ErrNodeKilled", ae.Cause)
+	}
+	if len(ae.CompletedLevels) != 2 {
+		t.Errorf("%d completed levels reported, want 2", len(ae.CompletedLevels))
+	}
+	if ae.FlightDump == nil || !ae.FlightDump.Aborted || len(ae.FlightDump.Events) == 0 {
+		t.Errorf("no post-mortem flight dump on the abort: %+v", ae.FlightDump)
+	}
+	if len(ae.Injections) != 1 || ae.Injections[0].Kind != chaos.KindKill {
+		t.Errorf("injection log %v, want the one kill", ae.Injections)
+	}
+	if ae.Checkpoint == nil || ae.Checkpoint.Level != 2 || ae.Checkpoint.Kernel != "ring" {
+		t.Errorf("abort checkpoint %+v, want the level-2 boundary of kernel ring", ae.Checkpoint)
+	}
+}
+
+func TestMachineWatchdogFiresOnStall(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	cfg := ringConfig(core.TransportRelay)
+	cfg.LevelTimeout = 40 * time.Millisecond
+	_, _, err := runRing(t, cfg, nil, func(node, level int) {
+		if node == 1 && level == 1 {
+			time.Sleep(400 * time.Millisecond)
+		}
+	})
+	if !errors.Is(err, core.ErrLevelTimeout) {
+		t.Fatalf("stalled run returned %v, want ErrLevelTimeout", err)
+	}
+	var ae *core.AbortError
+	if !errors.As(err, &ae) || len(ae.CompletedLevels) != 1 {
+		t.Fatalf("watchdog abort report %+v, want one completed level", ae)
+	}
+}
+
+func TestMachineCheckpointResume(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		baseLevels, baseState, err := runRing(t, ringConfig(transport), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(baseLevels) != ringLevels {
+			t.Fatalf("%s: %d levels recorded, want %d", transport, len(baseLevels), ringLevels)
+		}
+		for node, s := range baseState {
+			// Each level moves every token one node to the right.
+			if want := int64((node + 4*ringLevels - ringLevels) % 4); s.Token != want {
+				t.Errorf("%s: node %d ends with token %d, want %d", transport, node, s.Token, want)
+			}
+		}
+		// Die at level 3 with every boundary latched, then finish from the
+		// abort checkpoint on a machine without the fault.
+		plan, err := chaos.ParsePlan("kill@0:l3:end/forward:0")
+		if transport == core.TransportRelay {
+			plan, err = chaos.ParsePlan("kill@0:l3:relay-end/forward:0")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ringConfig(transport)
+		cfg.Chaos = &plan
+		cfg.CheckpointEvery = 1
+		_, _, err = runRing(t, cfg, nil, nil)
+		var ae *core.AbortError
+		if !errors.As(err, &ae) || ae.Checkpoint == nil || ae.Checkpoint.Level != 3 {
+			t.Fatalf("%s: want an abort with the level-3 checkpoint, got %v", transport, err)
+		}
+		levels, state, err := runRing(t, ringConfig(transport), ae.Checkpoint, nil)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", transport, err)
+		}
+		if !reflect.DeepEqual(levels, baseLevels) {
+			t.Errorf("%s: resumed ledger differs from the uninterrupted run:\n  base:    %+v\n  resumed: %+v", transport, baseLevels, levels)
+		}
+		if !reflect.DeepEqual(state, baseState) {
+			t.Errorf("%s: resumed tokens %v, uninterrupted %v", transport, state, baseState)
+		}
+	}
+}

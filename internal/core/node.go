@@ -164,7 +164,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	ns.ep.StartLevel(level, channels...)
 	ns.r.net.Barrier()
 	if ns.r.net.Aborted() {
-		return errAborted
+		return ErrAborted
 	}
 
 	// Each module's host duration feeds straggler detection. The chaos

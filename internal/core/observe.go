@@ -2,7 +2,6 @@ package core
 
 import (
 	"swbfs/internal/comm"
-	"swbfs/internal/fabric"
 	"swbfs/internal/obs"
 )
 
@@ -17,11 +16,13 @@ func (r *Runner) observe(res *Result) {
 		return
 	}
 
-	final := r.net.Counters.Snapshot()
-	term := final.Sub(r.lastSnap)
-
 	if t := o.TraceOf(); t != nil {
-		t.Record(r.buildTrace(res, final, term))
+		rt := r.m.Trace()
+		rt.Visited = res.Visited
+		rt.TraversedEdges = res.TraversedEdges
+		rt.BottomUpLevels = res.BottomUpLevels
+		rt.GTEPS = res.GTEPS
+		t.Record(rt)
 	}
 	if m := o.MetricsOf(); m != nil {
 		r.foldMetrics(m, res)
@@ -74,7 +75,7 @@ func (r *Runner) buildSpans(res *Result) []obs.ModuleSpan {
 				})
 			}
 		}
-		levelStart += r.model.LevelTime(s)
+		levelStart += r.m.Model.LevelTime(s)
 	}
 	return spans
 }
@@ -90,7 +91,7 @@ func (r *Runner) stragglerFlags(res *Result) []obs.StragglerFlag {
 	t := 0.0
 	for i, s := range res.Levels {
 		starts[i] = t
-		t += r.model.LevelTime(s)
+		t += r.m.Model.LevelTime(s)
 	}
 	out := make([]obs.StragglerFlag, len(r.stragglers))
 	for i, sf := range r.stragglers {
@@ -100,50 +101,6 @@ func (r *Runner) stragglerFlags(res *Result) []obs.StragglerFlag {
 		out[i] = sf
 	}
 	return out
-}
-
-// buildTrace converts the run's per-level statistics into a RunTrace.
-func (r *Runner) buildTrace(res *Result, final, term fabric.Snapshot) obs.RunTrace {
-	rt := obs.RunTrace{
-		Root:           int64(res.Root),
-		Visited:        res.Visited,
-		TraversedEdges: res.TraversedEdges,
-		BottomUpLevels: res.BottomUpLevels,
-		TotalSeconds:   res.Time,
-		GTEPS:          res.GTEPS,
-
-		TerminationCollectiveBytes: term.CollectiveBytes,
-		TerminationWireBytes:       term.NetworkBytes(),
-		TotalNetworkBytes:          final.NetworkBytes(),
-
-		CodecTraffic: r.net.CodecTraffic(),
-	}
-	rt.Levels = make([]obs.LevelSpan, 0, len(res.Levels))
-	for _, s := range res.Levels {
-		rt.Levels = append(rt.Levels, obs.LevelSpan{
-			Level:            s.Level,
-			Direction:        s.Direction,
-			FrontierVertices: s.FrontierVertices,
-			EdgesRelaxed:     s.FrontierEdges,
-			WallSeconds:      r.model.LevelTime(s),
-			Rounds:           s.Rounds,
-
-			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
-			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
-			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
-
-			CollectiveBytes:     s.Net.CollectiveBytes,
-			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
-			CollectiveOps:       s.Net.CollectiveOps,
-
-			NetworkBytes:    s.Net.NetworkBytes(),
-			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
-
-			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
-			MaxNodeSentBytes:      s.MaxNodeSentBytes,
-		})
-	}
-	return rt
 }
 
 // foldMetrics adds the run's totals to the metrics registry. The registry
@@ -164,7 +121,7 @@ func (r *Runner) foldMetrics(m *obs.Registry, res *Result) {
 	for i, s := range res.Levels {
 		frontier.Observe(s.FrontierVertices)
 		relaxed.Observe(s.FrontierEdges)
-		wall.Observe(int64(r.model.LevelTime(s) * 1e6))
+		wall.Observe(int64(r.m.Model.LevelTime(s) * 1e6))
 		netBytes.Observe(s.Net.NetworkBytes())
 		if i > 0 && s.Direction != res.Levels[i-1].Direction {
 			switches++

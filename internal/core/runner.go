@@ -1,66 +1,15 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
-	"swbfs/internal/fabric"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
 )
-
-// errAborted signals a node saw the job torn down by a peer's failure; the
-// peer's original error is reported instead.
-var errAborted = errors.New("core: run aborted by peer failure")
-
-// ErrLevelTimeout reports that the per-level watchdog (Config.LevelTimeout)
-// saw no level complete within the deadline and tore the run down.
-var ErrLevelTimeout = errors.New("core: level watchdog timeout")
-
-// AbortError is the partial-result report of a torn-down run: the original
-// cause plus the per-level statistics of every level that fully completed
-// before the abort. Unwrap exposes the cause, so errors.Is(err,
-// ErrLevelTimeout) and errors.As(err, *comm.ErrNodeKilled) both see
-// through it.
-type AbortError struct {
-	Root            graph.Vertex
-	Cause           error
-	CompletedLevels []perf.LevelStats
-
-	// FlightDump is the flight recorder's post-mortem: every black-box
-	// event leading up to the abort, in canonical order. FlightPath is
-	// where the dump was written when Config.FlightDump asked for a file
-	// ("" otherwise). Render with cmd/flightview.
-	FlightDump *obs.FlightDump
-	FlightPath string
-
-	// Injections is the sorted log of faults injected before the abort —
-	// the counterpart of RunInfo.Injections for runs that never produce a
-	// result, so flight.Reconcile works on post-mortems too.
-	Injections []chaos.Fault
-
-	// Checkpoint is the newest complete level-boundary checkpoint taken
-	// before the abort (nil with Config.CheckpointEvery == 0 or when the
-	// run died before its first boundary); CheckpointPath is where it was
-	// written ("" when no write happened). Resume from it to finish the
-	// run with a bitwise-identical result — see docs/CHAOS.md.
-	Checkpoint     *ckpt.Checkpoint
-	CheckpointPath string
-}
-
-func (e *AbortError) Error() string {
-	return fmt.Sprintf("core: run from root %d aborted after %d completed levels: %v",
-		e.Root, len(e.CompletedLevels), e.Cause)
-}
-
-func (e *AbortError) Unwrap() error { return e.Cause }
 
 // Result is one BFS run's output: the validated-able parent map plus the
 // measurements the evaluation consumes.
@@ -95,7 +44,6 @@ type Runner struct {
 	g     *graph.CSR
 	part  graph.Partition
 	shape comm.GroupShape
-	model perf.Model
 
 	subs []*graph.LocalSubgraph
 
@@ -108,27 +56,19 @@ type Runner struct {
 	hubInCurr    *graph.Bitmap
 	hubVisited   *graph.Bitmap
 
-	// Per-run state.
+	// Per-run state: the machine the current (or most recent) run executes
+	// on, its network (cached for the per-edge paths), and node 0's policy
+	// replica, the authoritative copy for reporting.
+	m       *Machine
 	net     *comm.Network
 	nodes   []*nodeState
 	policy  *Policy
 	curRoot graph.Vertex
 
-	// Chaos state: the per-run fault injector (nil without a plan) and
-	// the level tick the watchdog watches — node 0 advances it once per
-	// completed level.
-	inj       *chaos.Injector
-	levelTick atomic.Int64
-
-	// flight is the always-on black-box recorder: Config.Obs.Flight when
-	// attached there, a private recorder otherwise. Drained into a
-	// post-mortem dump when a run aborts (see AbortError.FlightDump).
+	// flight is the always-on black-box recorder, kept across roots so the
+	// run index advances. Drained into a post-mortem dump when a run aborts
+	// (see AbortError.FlightDump).
 	flight *obs.FlightRecorder
-
-	// ckpt is the level-boundary checkpoint latch (Config.CheckpointEvery
-	// > 0): nodes stage their boundary captures here and the last one
-	// freezes the assembled checkpoint. See checkpoint.go.
-	ckpt checkpointLatch
 
 	// Straggler state: per-node host-side module durations for the
 	// current level (each node writes only its own slot, ordered against
@@ -139,14 +79,6 @@ type Runner struct {
 	hostGenNanos     []int64
 	hostHandlerNanos []int64
 	stragglers       []obs.StragglerFlag
-
-	mu     sync.Mutex
-	levels []perf.LevelStats
-	// lastSnap is node 0's counter snapshot after the final recorded
-	// level; the delta to the end-of-run totals is the termination
-	// traffic (the frontier-emptiness collectives) the trace reports
-	// separately so its books balance.
-	lastSnap fabric.Snapshot
 }
 
 // NewRunner partitions g over the configured machine and validates the
@@ -178,18 +110,12 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 		part = graph.NewRoundRobin(g.N, cfg.Nodes)
 	}
 	r := &Runner{
-		cfg:   cfg,
-		g:     g,
-		part:  part,
-		shape: shape,
-		subs:  make([]*graph.LocalSubgraph, cfg.Nodes),
-	}
-	// Flight recording is always on: the black box costs one mutexed ring
-	// append per event and is the only record of what happened when a run
-	// aborts. An observer-attached recorder is shared (so /debug/flight
-	// sees it); otherwise the runner keeps a private one.
-	if r.flight = cfg.Obs.FlightOf(); r.flight == nil {
-		r.flight = obs.NewFlightRecorder(0)
+		cfg:    cfg,
+		g:      g,
+		part:   part,
+		shape:  shape,
+		subs:   make([]*graph.LocalSubgraph, cfg.Nodes),
+		flight: flightFor(cfg.Obs),
 	}
 	for node := 0; node < cfg.Nodes; node++ {
 		r.subs[node] = graph.ExtractLocal(g, part, node)
@@ -242,102 +168,44 @@ func (r *Runner) Shape() comm.GroupShape { return r.shape }
 // simulated machine failure (SPM overflow was caught at construction; MPI
 // memory exhaustion surfaces here).
 func (r *Runner) Run(root graph.Vertex) (*Result, error) {
-	if root < 0 || int64(root) >= r.g.N {
-		return nil, fmt.Errorf("core: root %d out of range [0, %d)", root, r.g.N)
-	}
 	return r.run(root, nil)
 }
 
-// run executes one rooted BFS, from scratch (resume == nil) or from a
-// validated checkpoint (the Resume path).
+// Resume continues a checkpointed BFS run: the ensemble is reconstructed
+// from the checkpoint and the loop re-enters at the recorded boundary. The
+// runner must have been built over the same graph and an equivalent
+// machine configuration (fingerprint-checked); Workers, observers,
+// timeouts and the chaos plan may differ — they are host-side. The
+// completed run's Result is bitwise identical to an uninterrupted run's.
+func (r *Runner) Resume(c *ckpt.Checkpoint) (*Result, error) {
+	if c == nil {
+		return nil, fmt.Errorf("core: nil checkpoint")
+	}
+	return r.run(graph.Vertex(c.Root), c)
+}
+
+// run executes one rooted BFS on a fresh machine, from scratch (resume ==
+// nil) or from a checkpoint.
 func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error) {
-	r.curRoot = root
-	if pb := r.cfg.Obs.ProgressOf(); pb != nil {
-		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(root)})
+	if root < 0 || int64(root) >= r.g.N {
+		return nil, fmt.Errorf("core: root %d out of range [0, %d)", root, r.g.N)
 	}
-	if sr := r.cfg.Obs.SpansOf(); sr != nil {
-		sr.BeginRun(int64(root))
-	}
-
-	if resume == nil {
-		r.flight.BeginRun(int64(root), "bfs", r.cfg.Nodes, r.cfg.Transport.String())
-	} else {
-		// Restore the black box instead of opening a new run: the run index
-		// and every pre-checkpoint event continue where the original left
-		// off, so a post-resume dump reconciles 1:1 with the injection log.
-		r.flight.RestoreState(resume.Machine.Flight)
-	}
-
-	// The injector is rebuilt per run so every Run against the same plan
-	// replays the same faults — the determinism contract of docs/CHAOS.md.
-	r.inj = nil
-	if r.cfg.Chaos != nil {
-		r.inj = chaos.NewInjector(*r.cfg.Chaos, r.cfg.Obs.MetricsOf())
-		r.inj.SetFlight(r.flight)
-	} else if resume != nil && len(resume.Machine.Injections) > 0 {
-		// No plan for the remainder, but faults fired before the
-		// checkpoint: keep an (empty-schedule) injector so LastInjections
-		// still reports them.
-		r.inj = chaos.NewInjector(chaos.Plan{}, r.cfg.Obs.MetricsOf())
-		r.inj.SetFlight(r.flight)
-	}
-	if resume != nil {
-		// Pre-checkpoint faults already fired; seed the log so the resumed
-		// run's LastInjections matches an uninterrupted run's. A fired kill
-		// must be stripped from the plan by the caller (chaos.Plan.Without)
-		// — its coordinate lies in the re-run level and would strike again.
-		r.inj.SeedLog(resume.Machine.Injections)
-	}
-
-	net, err := comm.NewNetwork(comm.Config{
-		Nodes:           r.cfg.Nodes,
-		SuperNodeSize:   r.cfg.SuperNodeSize,
-		BatchBytes:      r.cfg.BatchBytes,
-		MPIMemoryBudget: r.cfg.MPIMemoryBudget,
-		Codec:           r.cfg.Codec,
-		CodecBackward:   r.cfg.CodecBackward,
-		Chaos:           r.inj,
-		Flight:          r.flight,
+	m, err := OpenMachine(MachineSpec{
+		Cfg: r.cfg, Graph: r.g, Kernel: KernelBFS, Root: root, Unit: "level",
+		Partition: r.cfg.Partition.String(), Flight: r.flight, Resume: resume,
+		CaptureKernel: r.captureKernel,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.net = net
 	defer func() {
-		net.Close()
+		m.Close()
 		r.net = nil
 	}()
-	r.model = perf.NewModel(net.Topo, r.cfg.Engine)
-	r.policy = NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized)
-	r.levels = nil
-	r.lastSnap = fabric.Snapshot{}
-	r.levelTick.Store(0)
+	r.m, r.net, r.curRoot = m, m.Net, root
 	r.hostGenNanos = make([]int64, r.cfg.Nodes)
 	r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
 	r.stragglers = nil
-
-	r.ckpt.mu.Lock()
-	r.ckpt.pending, r.ckpt.staged, r.ckpt.written = nil, 0, 0
-	// A resumed run that dies before its next boundary still has a
-	// checkpoint to offer: the one it resumed from.
-	r.ckpt.latest = resume
-	r.ckpt.mu.Unlock()
-	if r.cfg.CheckpointEvery > 0 && r.cfg.Obs != nil {
-		r.cfg.Obs.Checkpoint = r // serve /debug/checkpoint
-	}
-
-	startLevel := 0
-	if resume != nil {
-		startLevel = resume.Level
-		if err := net.RestoreState(resume.Machine.Net); err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
-		r.lastSnap = resume.Machine.LastSnap
-		r.mu.Unlock()
-		r.levelTick.Store(int64(startLevel))
-	}
 
 	if r.hubs != nil {
 		r.hubInCurr = graph.NewBitmap(int64(r.hubsBottomUp))
@@ -351,33 +219,21 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	for node := 0; node < r.cfg.Nodes; node++ {
 		sub := r.subs[node]
 		ns := &nodeState{
-			id:         node,
-			r:          r,
-			sub:        sub,
-			parent:     make([]int64, sub.NumVertices()),
-			curr:       graph.NewBitmap(sub.NumVertices()),
-			next:       graph.NewBitmap(sub.NumVertices()),
-			genNext:    graph.NewBitmap(sub.NumVertices()),
-			visited:    graph.NewBitmap(sub.NumVertices()),
-			localEdges: sub.NumEdges(),
-			workers:    r.cfg.Workers,
+			id:            node,
+			r:             r,
+			sub:           sub,
+			parent:        make([]int64, sub.NumVertices()),
+			curr:          graph.NewBitmap(sub.NumVertices()),
+			next:          graph.NewBitmap(sub.NumVertices()),
+			genNext:       graph.NewBitmap(sub.NumVertices()),
+			visited:       graph.NewBitmap(sub.NumVertices()),
+			ep:            m.Endpoint(node),
+			localEdges:    sub.NumEdges(),
+			workers:       r.cfg.Workers,
+			policyReplica: NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized),
 		}
 		for i := range ns.parent {
 			ns.parent[i] = int64(graph.NoVertex)
-		}
-		ns.policyReplica = NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized)
-		if node == 0 {
-			r.policy = ns.policyReplica // authoritative copy for reporting
-		}
-		if r.cfg.Transport == TransportRelay {
-			ep, err := comm.NewRelayEndpoint(net, node, r.shape)
-			if err != nil {
-				return nil, err
-			}
-			ep.SetFlowSink(r.cfg.Obs.SpansOf())
-			ns.ep = ep
-		} else {
-			ns.ep = comm.NewDirectEndpoint(net, node)
 		}
 		if resume != nil {
 			if err := ns.restoreNode(resume.Nodes[node].Data); err != nil {
@@ -387,6 +243,7 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		}
 		r.nodes[node] = ns
 	}
+	r.policy = r.nodes[0].policyReplica
 
 	if resume == nil {
 		// Seed the root (a resumed run's frontier came from the checkpoint).
@@ -396,121 +253,34 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		r.nodes[owner].curr.Set(rootLocal)
 	}
 
-	// Per-level watchdog: if node 0's tick stops advancing for a whole
-	// timeout window, poison the network so every blocked module unwinds.
-	var watchdogErr chan error
-	var watchdogStop chan struct{}
-	if r.cfg.LevelTimeout > 0 {
-		watchdogErr = make(chan error, 1)
-		watchdogStop = make(chan struct{})
-		if resume == nil {
-			// The restored rings already hold the original arm event.
-			r.flight.Control(obs.FlightWatchdogArm, -1, -1, "level timeout "+r.cfg.LevelTimeout.String())
-		}
-		go func() {
-			t := time.NewTicker(r.cfg.LevelTimeout)
-			defer t.Stop()
-			last := r.levelTick.Load()
-			for {
-				select {
-				case <-watchdogStop:
-					return
-				case <-t.C:
-					cur := r.levelTick.Load()
-					if cur != last {
-						last = cur
-						continue
-					}
-					r.flight.Control(obs.FlightWatchdogFire, -1, int(cur),
-						"no level completed within "+r.cfg.LevelTimeout.String())
-					watchdogErr <- fmt.Errorf("%w: no level completed within %s",
-						ErrLevelTimeout, r.cfg.LevelTimeout)
-					net.Abort()
-					return
-				}
-			}
-		}()
+	if err := m.Drive(func(node int) error { return r.nodes[node].runBFS(m.StartLevel) }); err != nil {
+		return nil, err
 	}
-
-	// Drive every node SPMD-style.
-	errs := make([]error, r.cfg.Nodes)
-	var wg sync.WaitGroup
-	for node := 0; node < r.cfg.Nodes; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			errs[node] = r.nodes[node].runBFS(startLevel)
-		}(node)
-	}
-	wg.Wait()
-	if watchdogStop != nil {
-		close(watchdogStop)
-	}
-
-	// Consequence errors (errAborted from a peer's teardown, comm
-	// inbox-closed errors wrapping comm.ErrAborted) are filtered so the
-	// original failure surfaces as the abort cause.
-	var cause error
-	aborted := false
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		aborted = true
-		if cause == nil && !errors.Is(err, errAborted) && !errors.Is(err, comm.ErrAborted) {
-			cause = err
-		}
-	}
-	if aborted {
-		if cause == nil && watchdogErr != nil {
-			select {
-			case cause = <-watchdogErr:
-			default:
-			}
-		}
-		if cause == nil {
-			cause = errors.New("core: run aborted without a reported cause")
-		}
-		ae := &AbortError{
-			Root:            root,
-			Cause:           cause,
-			CompletedLevels: append([]perf.LevelStats(nil), r.levels...),
-			Injections:      r.inj.Log(),
-		}
-		ae.FlightDump, ae.FlightPath = r.postMortem(len(r.levels), cause)
-		ae.Checkpoint = r.LastCheckpoint()
-		ae.CheckpointPath = r.writeAbortCheckpoint(ae.Checkpoint)
-		return nil, ae
-	}
-
 	return r.assemble(root), nil
 }
 
-// postMortem closes the flight record of an aborted run: it stamps the
-// abort event, drains the recorder into a dump, and writes the dump to
-// Config.FlightDump when set (best-effort — a failed write still leaves
-// the in-memory dump on the AbortError).
-func (r *Runner) postMortem(completedLevels int, cause error) (*obs.FlightDump, string) {
-	r.flight.Control(obs.FlightAbort, -1, completedLevels, cause.Error())
-	d := r.flight.Dump()
-	d.Aborted = true
-	d.Cause = cause.Error()
-	path := ""
-	if r.cfg.FlightDump != "" {
-		if err := obs.WriteFlightDumpFile(r.cfg.FlightDump, d); err == nil {
-			path = r.cfg.FlightDump
-		}
+// captureKernel adds the BFS-owned machine-wide state to node 0's boundary
+// capture: the direction policy and the replicated hub-visited bitmap.
+func (r *Runner) captureKernel(ms *ckpt.MachineState) {
+	ms.Policy = int(r.policy.State())
+	if r.hubVisited != nil {
+		ms.HubVisited = append([]uint64(nil), r.hubVisited.Words()...)
 	}
-	return d, path
 }
 
 // LastInjections returns the faults actually injected during the most
 // recent Run, deterministically sorted; nil when chaos is disabled. Same
 // plan, same configuration, same root → same log, whether or not the run
 // completed.
-func (r *Runner) LastInjections() []chaos.Fault {
-	return r.inj.Log()
-}
+func (r *Runner) LastInjections() []chaos.Fault { return r.m.Injections() }
+
+// LastCheckpoint returns the newest fully staged checkpoint of the current
+// or most recent run (nil before the first boundary or with checkpointing
+// disabled).
+func (r *Runner) LastCheckpoint() *ckpt.Checkpoint { return r.m.LastCheckpoint() }
+
+// CheckpointJSON implements obs.CheckpointSource over LastCheckpoint.
+func (r *Runner) CheckpointJSON() ([]byte, bool) { return r.m.CheckpointJSON() }
 
 // runBFS is the per-node main loop of Algorithm 1, entered at level 0 for
 // a fresh run or at the checkpoint boundary for a resumed one.
@@ -523,10 +293,8 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		// allreduces, hub allgather, barrier and data — lands in exactly
 		// one level's delta. (The window is safe: no peer traffic can be
 		// recorded before node 0 joins the first allreduce below.)
-		var before fabric.Snapshot
 		if ns.id == 0 {
-			before = r.net.Counters.Snapshot()
-			r.flight.Control(obs.FlightRoundOpen, -1, level, "")
+			r.m.OpenLevel(level)
 		}
 
 		// Fold the arriving frontier into the visited snapshot before any
@@ -546,7 +314,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		mf := r.net.AllreduceSum(mfLocal)
 		mu := r.net.AllreduceSum(ns.localEdges - ns.visitedDeg)
 		if r.net.Aborted() {
-			return errAborted
+			return ErrAborted
 		}
 		if nf == 0 {
 			return nil
@@ -592,7 +360,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			maxModules[i] = r.net.AllreduceMax(b)
 		}
 		if r.net.Aborted() {
-			return errAborted
+			return ErrAborted
 		}
 
 		ns.accumulateRun()
@@ -601,13 +369,6 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		}
 
 		if ns.id == 0 {
-			r.levelTick.Add(1) // feed the watchdog: this level completed
-			r.flight.Control(obs.FlightRoundClose, -1, level,
-				fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
-			if r.cfg.StragglerFactor > 0 {
-				r.detectStragglers(level)
-			}
-			after := r.net.Counters.Snapshot()
 			rounds := 1
 			if r.cfg.Transport == TransportRelay {
 				rounds = 2
@@ -615,8 +376,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			if dir == BottomUp {
 				rounds *= 2
 			}
-			r.mu.Lock()
-			r.levels = append(r.levels, perf.LevelStats{
+			r.m.CloseLevel(perf.LevelStats{
 				Level:                 level,
 				Direction:             dir.String(),
 				FrontierVertices:      nf,
@@ -626,11 +386,11 @@ func (ns *nodeState) runBFS(startLevel int) error {
 				MaxNodeSentBytes:      maxSent,
 				MaxNodeMessages:       maxMsgs,
 				ModuleInvocations:     maxInvocations,
-				Net:                   after.Sub(before),
 				Rounds:                rounds,
-			})
-			r.lastSnap = after
-			r.mu.Unlock()
+			}, fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
+			if r.cfg.StragglerFactor > 0 {
+				r.detectStragglers(level)
+			}
 		}
 
 		// Advance the frontier: next (handler discoveries) merged with
@@ -639,12 +399,10 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		ns.curr, ns.next = ns.next, ns.curr
 		ns.next.Reset()
 
-		// Level boundary: stage this node's checkpoint capture. Safe and
-		// free of extra collectives — no level-(level+1) traffic can be
-		// recorded until every node (each after its own capture here) joins
-		// the next level's first allreduce (see checkpoint.go).
+		// Level boundary: stage this node's checkpoint capture (see
+		// Machine.StageCheckpoint for why this window is race-free).
 		if r.cfg.CheckpointEvery > 0 {
-			if err := r.stageCheckpoint(ns, level); err != nil {
+			if err := r.m.StageCheckpoint(ns.id, level, ns.captureNode); err != nil {
 				r.net.Abort()
 				return err
 			}
@@ -724,7 +482,7 @@ func (ns *nodeState) exchangeHubs() error {
 		return err
 	}
 	if r.net.Aborted() {
-		return errAborted
+		return ErrAborted
 	}
 	if ns.id == 0 {
 		r.hubInCurr.Reset()
@@ -735,7 +493,7 @@ func (ns *nodeState) exchangeHubs() error {
 	}
 	r.net.Barrier()
 	if r.net.Aborted() {
-		return errAborted
+		return ErrAborted
 	}
 	return nil
 }
@@ -764,7 +522,7 @@ func (r *Runner) assemble(root graph.Vertex) *Result {
 	res := &Result{
 		Root:   root,
 		Parent: make([]graph.Vertex, r.g.N),
-		Levels: r.levels,
+		Levels: r.m.Levels(),
 	}
 	for v := graph.Vertex(0); int64(v) < r.g.N; v++ {
 		p := r.nodes[r.part.Owner(v)].parentOf(r.part.Local(v))
@@ -774,8 +532,8 @@ func (r *Runner) assemble(root graph.Vertex) *Result {
 		}
 	}
 	res.TraversedEdges = ComponentEdges(r.g, res.Parent)
-	res.Time = r.model.TotalTime(res.Levels)
-	res.GTEPS = r.model.GTEPS(res.TraversedEdges, res.Levels)
+	res.Time = r.m.Model.TotalTime(res.Levels)
+	res.GTEPS = r.m.Model.GTEPS(res.TraversedEdges, res.Levels)
 	for _, s := range res.Levels {
 		if s.Direction == BottomUp.String() {
 			res.BottomUpLevels++

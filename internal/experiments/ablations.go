@@ -17,6 +17,8 @@ type AblationOptions struct {
 	// Roots per configuration (default 2) and Seed.
 	Roots int
 	Seed  int64
+	// Host carries the driver's host-side knobs onto every run.
+	Host Host
 }
 
 func (o AblationOptions) withDefaults() AblationOptions {
@@ -53,7 +55,7 @@ func Ablations(opts AblationOptions) (*Table, error) {
 	base := func() core.Config {
 		cfg := core.DefaultConfig(opts.Nodes)
 		cfg.SuperNodeSize = scaledSuperNodeSize
-		return cfg
+		return opts.Host.Apply(cfg)
 	}
 
 	type variant struct {

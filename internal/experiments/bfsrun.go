@@ -14,93 +14,60 @@ import (
 	"swbfs/internal/perf"
 )
 
-// sharedObserver, when set, is attached to every functional measurement
-// so sweep drivers (cmd/swbfs-bench) can expose -metrics / -trace-out.
-var sharedObserver *obs.Observer
-
-// SetObserver attaches an observability sink to all subsequent
-// measurements. Pass nil to detach. Not safe to call concurrently with
-// running measurements.
-func SetObserver(o *obs.Observer) { sharedObserver = o }
-
-// sharedWorkers is the per-node worker-pool width of all functional
-// measurements (0 = core's default). Every modelled number is
-// bit-identical across widths, so sweeps stay comparable either way.
-var sharedWorkers int
-
-// SetWorkers fixes the worker-pool width of all subsequent
-// measurements. Not safe to call concurrently with running measurements.
-func SetWorkers(k int) { sharedWorkers = k }
-
-// sharedChaosPlan / sharedChaosSeed arm fault injection for functional
-// measurements; sharedLevelTimeout and sharedStragglerFactor configure
-// the matching recovery/detection knobs (see docs/CHAOS.md).
-var (
-	sharedChaosPlan       *chaos.Plan
-	sharedChaosSeed       int64
-	sharedLevelTimeout    time.Duration
-	sharedStragglerFactor float64
-)
-
-// SetChaos arms fault injection for all subsequent measurements: a
-// non-nil plan is used verbatim; otherwise a non-zero seed derives a
-// fresh random plan per measurement (node counts vary across a sweep,
-// and plan node IDs must stay in range). Pass (nil, 0) to disarm. Not
-// safe to call concurrently with running measurements.
-func SetChaos(plan *chaos.Plan, seed int64) {
-	sharedChaosPlan, sharedChaosSeed = plan, seed
+// Host is the host-side half of a functional measurement's configuration:
+// the knobs a sweep driver (cmd/swbfs-bench) takes from its command line
+// and every experiment stamps onto each core.Config it runs. None of them
+// moves a modelled number except the codecs, and those only through the
+// bytes they save on the wire. The zero value runs with core's defaults.
+type Host struct {
+	// Workers is the per-node worker-pool width (0 = core's default).
+	Workers int
+	// Obs receives metrics, traces, spans and live events of every run.
+	Obs *obs.Observer
+	// ChaosPlan is injected verbatim; otherwise a non-zero ChaosSeed
+	// derives a fresh random plan per configuration (node counts vary
+	// across a sweep, and plan node IDs must stay in range).
+	ChaosPlan *chaos.Plan
+	ChaosSeed int64
+	// LevelTimeout arms the per-level watchdog and StragglerFactor the
+	// straggler detector (0 = off; see docs/CHAOS.md).
+	LevelTimeout    time.Duration
+	StragglerFactor float64
+	// FlightDump is where an aborted run writes its post-mortem ("" =
+	// in-memory only).
+	FlightDump string
+	// CheckpointEvery and CheckpointPath arm level-boundary checkpointing
+	// (see docs/CHAOS.md "Checkpoint & resume").
+	CheckpointEvery int
+	CheckpointPath  string
+	// Codec and CodecBackward select the wire codecs (nil = leave the
+	// configuration's own; CodecBackward overrides the backward channel).
+	Codec, CodecBackward comm.Codec
 }
 
-// SetLevelTimeout arms the per-level watchdog of all subsequent
-// measurements (0 disables it). Not safe to call concurrently with
-// running measurements.
-func SetLevelTimeout(d time.Duration) { sharedLevelTimeout = d }
-
-// SetStragglerFactor sets the straggler-detection threshold of all
-// subsequent measurements (0 disables detection). Not safe to call
-// concurrently with running measurements.
-func SetStragglerFactor(f float64) { sharedStragglerFactor = f }
-
-// sharedFlightDump is where an aborted measurement writes its
-// flight-recorder post-mortem ("" = in-memory only).
-var sharedFlightDump string
-
-// SetFlightDump sets the post-mortem dump path of all subsequent
-// measurements (the -flight-dump flag; "" disables the file write). Not
-// safe to call concurrently with running measurements.
-func SetFlightDump(path string) { sharedFlightDump = path }
-
-// sharedCheckpointEvery / sharedCheckpointPath arm level-boundary
-// checkpointing for functional measurements (see docs/CHAOS.md
-// "Checkpoint & resume").
-var (
-	sharedCheckpointEvery int
-	sharedCheckpointPath  string
-)
-
-// SetCheckpoint arms level-boundary checkpointing for all subsequent
-// measurements: every N completed levels the machine state is staged (and
-// written to path when non-empty; an abort also writes the newest
-// boundary next to the flight dump). every = 0 disables checkpointing.
-// Checkpointing changes no modelled number — the run's result is
-// bit-identical either way. Not safe to call concurrently with running
-// measurements.
-func SetCheckpoint(every int, path string) {
-	sharedCheckpointEvery, sharedCheckpointPath = every, path
-}
-
-// sharedCodec / sharedCodecBackward select the wire codecs of all
-// functional measurements (nil = raw identity encoding; backward overrides
-// the run-wide codec on the backward channel only).
-var (
-	sharedCodec         comm.Codec
-	sharedCodecBackward comm.Codec
-)
-
-// SetCodec selects the wire codecs for subsequent measurements. Not safe
-// to call concurrently with running measurements.
-func SetCodec(codec, backward comm.Codec) {
-	sharedCodec, sharedCodecBackward = codec, backward
+// Apply stamps the host knobs onto cfg. Set cfg.Nodes first: a seeded chaos
+// plan is drawn for that node count.
+func (h Host) Apply(cfg core.Config) core.Config {
+	cfg.Workers = h.Workers
+	cfg.Obs = h.Obs
+	cfg.LevelTimeout = h.LevelTimeout
+	cfg.StragglerFactor = h.StragglerFactor
+	cfg.FlightDump = h.FlightDump
+	cfg.CheckpointEvery = h.CheckpointEvery
+	cfg.CheckpointPath = h.CheckpointPath
+	if h.Codec != nil {
+		cfg.Codec = h.Codec
+	}
+	if h.CodecBackward != nil {
+		cfg.CodecBackward = h.CodecBackward
+	}
+	if h.ChaosPlan != nil {
+		cfg.Chaos = h.ChaosPlan
+	} else if h.ChaosSeed != 0 {
+		plan := chaos.NewRandomPlan(h.ChaosSeed, cfg.Nodes)
+		cfg.Chaos = &plan
+	}
+	return cfg
 }
 
 // scaledSuperNodeSize is the super-node size of scaled-down functional
@@ -130,7 +97,7 @@ func (m *Measurement) Crashed() bool { return m.Err != nil }
 // MeasureBFS runs the configuration functionally: a Kronecker graph with
 // 2^perNodeLog vertices per node, `roots` BFS runs, harmonic-mean GTEPS.
 // nodes must be a power of two so weak-scaling graph sizes stay exact.
-func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
+func MeasureBFS(host Host, nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
 	m := &Measurement{
 		Nodes:           nodes,
 		PerNodeVertices: int64(1) << uint(perNodeLog),
@@ -146,7 +113,7 @@ func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Eng
 	}
 	scale := perNodeLog + bits.TrailingZeros(uint(nodes))
 
-	cfg := core.Config{
+	cfg := host.Apply(core.Config{
 		Nodes:              nodes,
 		SuperNodeSize:      scaledSuperNodeSize,
 		Transport:          transport,
@@ -154,22 +121,7 @@ func MeasureBFS(nodes, perNodeLog int, transport core.Transport, engine perf.Eng
 		DirectionOptimized: true,
 		HubPrefetch:        true,
 		SmallMessageMPE:    true,
-		Workers:            sharedWorkers,
-		Obs:                sharedObserver,
-		LevelTimeout:       sharedLevelTimeout,
-		StragglerFactor:    sharedStragglerFactor,
-		FlightDump:         sharedFlightDump,
-		CheckpointEvery:    sharedCheckpointEvery,
-		CheckpointPath:     sharedCheckpointPath,
-		Codec:              sharedCodec,
-		CodecBackward:      sharedCodecBackward,
-	}
-	if sharedChaosPlan != nil {
-		cfg.Chaos = sharedChaosPlan
-	} else if sharedChaosSeed != 0 {
-		plan := chaos.NewRandomPlan(sharedChaosSeed, nodes)
-		cfg.Chaos = &plan
-	}
+	})
 
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: scale, Seed: seed})
 	if err != nil {

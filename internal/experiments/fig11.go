@@ -24,6 +24,8 @@ type Fig11Options struct {
 	Roots int
 	// Seed for graph generation.
 	Seed int64
+	// Host carries the driver's host-side knobs onto every run.
+	Host Host
 }
 
 func (o Fig11Options) withDefaults() Fig11Options {
@@ -78,7 +80,7 @@ func Fig11(opts Fig11Options) *Table {
 	for _, nodes := range opts.FunctionalNodes {
 		row := []string{fmt.Sprint(nodes)}
 		for _, cfg := range fig11Configs {
-			m := MeasureBFS(nodes, opts.PerNodeLog, cfg.transport, cfg.engine, opts.Roots, opts.Seed)
+			m := MeasureBFS(opts.Host, nodes, opts.PerNodeLog, cfg.transport, cfg.engine, opts.Roots, opts.Seed)
 			if m.Crashed() {
 				row = append(row, crashCell(m.Err))
 				continue

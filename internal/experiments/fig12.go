@@ -33,6 +33,8 @@ type Fig12Options struct {
 	// Roots per data point (default 2) and Seed.
 	Roots int
 	Seed  int64
+	// Host carries the driver's host-side knobs onto every run.
+	Host Host
 }
 
 func (o Fig12Options) withDefaults() Fig12Options {
@@ -79,7 +81,7 @@ func Fig12(opts Fig12Options) *Table {
 	for _, nodes := range opts.FunctionalNodes {
 		row := []string{fmt.Sprint(nodes)}
 		for _, l := range opts.PerNodeLogs {
-			m := MeasureBFS(nodes, l, core.TransportRelay, perf.EngineCPE, opts.Roots, opts.Seed)
+			m := MeasureBFS(opts.Host, nodes, l, core.TransportRelay, perf.EngineCPE, opts.Roots, opts.Seed)
 			if m.Crashed() {
 				row = append(row, crashCell(m.Err))
 				continue

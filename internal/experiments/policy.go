@@ -16,6 +16,8 @@ type PolicySweepOptions struct {
 	// Alphas and Betas are the threshold grids (defaults bracket the
 	// Beamer values the paper's TRAVERSAL_POLICY uses).
 	Alphas, Betas []float64
+	// Host carries the driver's host-side knobs onto every run.
+	Host Host
 }
 
 func (o PolicySweepOptions) withDefaults() PolicySweepOptions {
@@ -84,7 +86,7 @@ func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 
 	for _, alpha := range opts.Alphas {
 		for _, beta := range opts.Betas {
-			cfg := core.DefaultConfig(opts.Nodes)
+			cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
 			cfg.SuperNodeSize = scaledSuperNodeSize
 			cfg.Alpha, cfg.Beta = alpha, beta
 			gteps, bu, lv, err := measure(cfg)
@@ -96,7 +98,7 @@ func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 		}
 	}
 	// Top-down baseline.
-	cfg := core.DefaultConfig(opts.Nodes)
+	cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
 	cfg.SuperNodeSize = scaledSuperNodeSize
 	cfg.DirectionOptimized = false
 	gteps, bu, lv, err := measure(cfg)

@@ -20,6 +20,8 @@ type StrongOptions struct {
 	Roots int
 	Seed  int64
 	Quick bool
+	// Host carries the driver's host-side knobs onto every run.
+	Host Host
 }
 
 func (o StrongOptions) withDefaults() StrongOptions {
@@ -77,7 +79,7 @@ func StrongScaling(opts StrongOptions) *Table {
 			t.AddRow(fmt.Sprint(nodes), "skip (not a power of two)", "-", "-")
 			continue
 		}
-		cfg := core.Config{
+		cfg := opts.Host.Apply(core.Config{
 			Nodes:              nodes,
 			SuperNodeSize:      scaledSuperNodeSize,
 			Transport:          core.TransportRelay,
@@ -85,8 +87,7 @@ func StrongScaling(opts StrongOptions) *Table {
 			DirectionOptimized: true,
 			HubPrefetch:        true,
 			SmallMessageMPE:    true,
-			Workers:            sharedWorkers,
-		}
+		})
 		runner, err := core.NewRunner(cfg, g)
 		if err != nil {
 			t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")

@@ -45,7 +45,7 @@ const headlinePerNodeVertices = float64(int64(1)<<40) / HeadlineNodes
 // Headline projects the reproduction's full-machine number from a
 // functional Relay-CPE measurement, scaling both the node count and the
 // per-node problem size to the paper's scale-40 operating point.
-func Headline(perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
+func Headline(host Host, perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
 	if perNodeLog == 0 {
 		perNodeLog = 13
 	}
@@ -55,7 +55,7 @@ func Headline(perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
 	if seed == 0 {
 		seed = 20160624
 	}
-	m := MeasureBFS(64, perNodeLog, core.TransportRelay, perf.EngineCPE, roots, seed)
+	m := MeasureBFS(host, 64, perNodeLog, core.TransportRelay, perf.EngineCPE, roots, seed)
 	if m.Crashed() {
 		return m, &Projection{Nodes: HeadlineNodes, Err: m.Err}
 	}
