@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke loc
+.PHONY: build test check fmt vet race bench bench-layers bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke loc
 
 build:
 	$(GO) build ./...
@@ -22,14 +22,25 @@ fmt:
 
 # The second pass forces multi-core scheduling so the Workers>1 parity
 # tests race the sharded generators and handler fan-out for real — for the
-# BFS engine, the kernel fan-outs, the chaos x width parity sweep, and the
-# kill-everywhere checkpoint/resume sweep.
+# BFS engine, the kernel fan-outs, the chaos x width parity sweep, the
+# kill-everywhere checkpoint/resume sweep, and the per-message path (swap-drain
+# inbox, recycled machines, flight stream counters, protocol errors).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/comm/... ./internal/core/... ./internal/algos/...
-	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint' ./internal/core/ ./internal/algos/ ./internal/chaos/
+	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint|Inbox|Reuse|Flight|Protocol' \
+		./internal/core/ ./internal/algos/ ./internal/chaos/ ./internal/comm/ ./internal/obs/
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-layers runs the per-message ledger lines — one delivered End marker,
+# the inbox hand-off, one flight-recorded delivery — next to the send-side
+# and codec lines they sit between. Before/after figures of a change to
+# these layers go into its CHANGES.md line.
+bench-layers:
+	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkRelaySendManyInterleaved|BenchmarkEncodeAdaptive)$$' \
+		-benchmem -count=5 ./internal/comm/
+	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per
 # internal/ package and for cmd/ as a whole — the number ROADMAP's

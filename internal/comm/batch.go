@@ -33,15 +33,18 @@ const (
 	numChannels
 )
 
+// channelNames and kindNames are the stable wire names: String returns
+// them, the flight recorder stores them, the chaos grammar parses them.
+var (
+	channelNames = [numChannels]string{"forward", "backward"}
+	kindNames    = [numKinds]string{"data", "end", "relay-data", "relay-end"}
+)
+
 func (c Channel) String() string {
-	switch c {
-	case ChanForward:
-		return "forward"
-	case ChanBackward:
-		return "backward"
-	default:
-		return fmt.Sprintf("channel(%d)", int(c))
+	if c < numChannels {
+		return channelNames[c]
 	}
+	return fmt.Sprintf("channel(%d)", int(c))
 }
 
 // Kind tags the wire format of a Batch.
@@ -64,18 +67,10 @@ const (
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindData:
-		return "data"
-	case KindEnd:
-		return "end"
-	case KindRelayData:
-		return "relay-data"
-	case KindRelayEnd:
-		return "relay-end"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k < numKinds {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Pair is one BFS message: (u, v) with semantics depending on the channel —
@@ -133,15 +128,23 @@ func (b *Batch) ByteSize() int64 {
 
 // pairPool recycles the payload slices of delivered batches. The BFS hot
 // loops ship millions of pairs per level; without recycling, every batch
-// is a fresh allocation that dies as soon as the handler scans it.
-var pairPool = sync.Pool{New: func() any { return []Pair(nil) }}
+// is a fresh allocation that dies as soon as the handler scans it. It holds
+// *[]Pair (a bare slice header is boxed on every Put); the emptied holders
+// go round through holderPool.
+var pairPool, holderPool sync.Pool
 
 // GetPairs returns a pooled slice of exactly n pairs (contents
 // unspecified; callers overwrite). Ownership convention: the slice placed
 // in Batch.Pairs belongs to the receiver, which may return it with
 // PutPairs once the batch has been consumed.
 func GetPairs(n int) []Pair {
-	p := pairPool.Get().([]Pair)
+	h, _ := pairPool.Get().(*[]Pair)
+	if h == nil {
+		return make([]Pair, n)
+	}
+	p := *h
+	*h = nil
+	holderPool.Put(h)
 	if cap(p) < n {
 		return make([]Pair, n)
 	}
@@ -154,7 +157,12 @@ func PutPairs(p []Pair) {
 	if cap(p) == 0 {
 		return
 	}
-	pairPool.Put(p[:0])
+	h, _ := holderPool.Get().(*[]Pair)
+	if h == nil {
+		h = new([]Pair)
+	}
+	*h = p[:0]
+	pairPool.Put(h)
 }
 
 // EventType classifies what Recv returned.
@@ -170,6 +178,24 @@ const (
 	// exhaustion while relaying); the run must abort.
 	EvError
 )
+
+// ProtocolError reports a batch that breaks the transport protocol — another
+// level's, an End on a channel the level never opened, an envelope outside
+// the relay's row, an unknown kind or channel, a flight stream running
+// backwards — caught by rank Node. The run aborts with it as the cause.
+type ProtocolError struct {
+	Node, Src, Level int
+	Kind             Kind
+	Reason           string
+}
+
+func (e *ProtocolError) Error() string {
+	return fmt.Sprintf("comm: node %d: level-%d %s batch from node %d: %s", e.Node, e.Level, e.Kind, e.Src, e.Reason)
+}
+
+func protocolError(node int, b *Batch, reason string) *ProtocolError {
+	return &ProtocolError{Node: node, Src: b.Src, Level: b.Level, Kind: b.Kind, Reason: reason}
+}
 
 // Event is one Recv result.
 type Event struct {

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"swbfs/internal/fabric"
 )
@@ -50,7 +51,9 @@ type collectiveGroup struct {
 
 	payloadBytes int64
 
-	aborted bool
+	// aborted is set under mu (so no waiter misses the broadcast) and read
+	// without it by Network.Aborted, which every delivery calls.
+	aborted atomic.Bool
 }
 
 // abort wakes every waiter; subsequent and in-flight collectives return
@@ -58,14 +61,8 @@ type collectiveGroup struct {
 func (g *collectiveGroup) abort() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.aborted = true
+	g.aborted.Store(true)
 	g.cond.Broadcast()
-}
-
-func (g *collectiveGroup) isAborted() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.aborted
 }
 
 func newCollectiveGroup(net *Network) *collectiveGroup {
@@ -125,7 +122,7 @@ func (n *Network) AllreduceSum(value int64) int64 {
 	g := n.coll
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.aborted {
+	if g.aborted.Load() {
 		return 0
 	}
 	gen := g.gen
@@ -141,10 +138,10 @@ func (n *Network) AllreduceSum(value int64) int64 {
 		g.cond.Broadcast()
 		return g.lastSum
 	}
-	for gen == g.gen && !g.aborted {
+	for gen == g.gen && !g.aborted.Load() {
 		g.cond.Wait()
 	}
-	if g.aborted {
+	if g.aborted.Load() {
 		return 0
 	}
 	return g.lastSum
@@ -157,7 +154,7 @@ func (n *Network) AllreduceMax(value int64) int64 {
 	g := n.coll
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.aborted {
+	if g.aborted.Load() {
 		return 0
 	}
 	gen := g.gen
@@ -174,10 +171,10 @@ func (n *Network) AllreduceMax(value int64) int64 {
 		g.cond.Broadcast()
 		return g.lastMax
 	}
-	for gen == g.gen && !g.aborted {
+	for gen == g.gen && !g.aborted.Load() {
 		g.cond.Wait()
 	}
-	if g.aborted {
+	if g.aborted.Load() {
 		return 0
 	}
 	return g.lastMax
@@ -195,7 +192,7 @@ func (n *Network) AllgatherOr(words []uint64, emptyOptimized bool) ([]uint64, er
 	g := n.coll
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.aborted {
+	if g.aborted.Load() {
 		return nil, nil
 	}
 	gen := g.gen
@@ -232,10 +229,10 @@ func (n *Network) AllgatherOr(words []uint64, emptyOptimized bool) ([]uint64, er
 		g.cond.Broadcast()
 		return g.lastOr, nil
 	}
-	for gen == g.gen && !g.aborted {
+	for gen == g.gen && !g.aborted.Load() {
 		g.cond.Wait()
 	}
-	if g.aborted {
+	if g.aborted.Load() {
 		return nil, nil
 	}
 	return g.lastOr, nil

@@ -1,0 +1,83 @@
+package comm
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"swbfs/internal/obs"
+)
+
+// BenchmarkDeliverEnd is the per-message floor of the transport: one level
+// of a 64-node Direct machine that carries nothing but its 64x64 End
+// markers, flight recorder attached as in every real run — deliver, inbox,
+// Recv, nothing else. One goroutine plays every node (all markers are
+// queued before the first Recv), so the figure is the uncontended cost.
+func BenchmarkDeliverEnd(b *testing.B) {
+	const nodes = 64
+	net, err := NewNetwork(Config{Nodes: nodes, SuperNodeSize: 8, Flight: obs.NewFlightRecorder(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer net.Close()
+	eps := make([]*DirectEndpoint, nodes)
+	for node := range eps {
+		eps[node] = NewDirectEndpoint(net, node)
+	}
+	level := func(l int) {
+		for _, ep := range eps {
+			ep.StartLevel(l, ChanForward)
+		}
+		for _, ep := range eps {
+			if err := ep.CloseChannel(ChanForward); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, ep := range eps {
+			if ev := ep.Recv(); ev.Type != EvChannelClosed {
+				b.Fatalf("node %d: %+v", ep.Node(), ev)
+			}
+		}
+	}
+	for l := 0; l < 2*obs.DefaultFlightCapacity/(2*nodes); l++ {
+		level(l) // warm up: connections made, rings wrapped, queues grown
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		level(1000 + i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	msgs := float64(b.N) * nodes * nodes
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/msg")
+}
+
+// BenchmarkInboxPushPop is the inbox hand-off alone, in the shape of the
+// repo benchmark's comm.inbox probe: two producers, one consumer, empty
+// batches. ns/op is per batch.
+func BenchmarkInboxPushPop(b *testing.B) {
+	in := NewInbox()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		n := b.N / 2
+		if p == 0 {
+			n = b.N - n
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				in.Push(Batch{Kind: KindData})
+			}
+		}()
+	}
+	for i := 0; i < b.N; i++ {
+		in.Pop()
+	}
+	wg.Wait()
+}

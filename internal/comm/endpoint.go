@@ -31,6 +31,9 @@ type Endpoint interface {
 	Recv() Event
 	// Mode names the transport for reports ("direct" or "relay").
 	Mode() string
+	// Reset clears what a cleanly finished run left behind, for the next
+	// run of a Reset network; send and relay buffers keep their capacity.
+	Reset()
 }
 
 // DstRun is one run of a staged send stream: N consecutive pairs bound
@@ -95,7 +98,8 @@ func init() {
 
 // pairFIFO is a per-destination send buffer: pairs append at the tail and
 // drain from the head in batch quanta. The backing array survives across
-// levels, so steady-state levels allocate nothing on the send side.
+// levels and, on a machine the next run recycles, across runs, so
+// steady-state traversal allocates nothing on the send side.
 type pairFIFO struct {
 	buf  []Pair
 	head int
@@ -124,6 +128,20 @@ func (f *pairFIFO) advance(n int) {
 	}
 }
 
+// fifoRetainPairs bounds the buffer a FIFO keeps from one run to the next
+// (16 KB). Below it lies the small-message regime, where regrowing
+// thousands of little buffers per run is the cost that shows; a buffer that
+// grew past it carries bulk traffic, which amortizes its own allocation and,
+// kept, would only be live heap — and as much again in GC headroom.
+const fifoRetainPairs = 1024
+
+// trim releases a buffer too large to keep across runs.
+func (f *pairFIFO) trim() {
+	if cap(f.buf) > fifoRetainPairs {
+		f.buf = nil
+	}
+}
+
 // take removes the oldest n pairs into a pooled slice that the receiver
 // of the resulting batch will own (and may recycle with PutPairs).
 func (f *pairFIFO) take(n int) []Pair {
@@ -144,6 +162,8 @@ func (f *pairFIFO) take(n int) []Pair {
 type sendState struct {
 	mu    sync.Mutex
 	fifos [numChannels][]pairFIFO
+	// residual is CloseChannel's scratch; each channel has one closer.
+	residual [numChannels][]Batch
 }
 
 func (s *sendState) start(nodes int) {
@@ -173,11 +193,7 @@ type DirectEndpoint struct {
 	ends  [numChannels]int
 	open  [numChannels]bool
 
-	// seenDups tracks chaos-injected duplicate deliveries (by DupID) so
-	// the second copy is discarded before any processing. Only the Recv
-	// goroutine touches it; it is lazily allocated because a fault-free
-	// run never sees a duplicate.
-	seenDups map[int64]bool
+	recv receiver
 }
 
 // NewDirectEndpoint creates the rank for `node`.
@@ -187,6 +203,65 @@ func NewDirectEndpoint(net *Network, node int) *DirectEndpoint {
 
 func (e *DirectEndpoint) Node() int    { return e.node }
 func (e *DirectEndpoint) Mode() string { return "direct" }
+
+// Reset implements Endpoint. The send FIFOs are emptied by StartLevel.
+func (e *DirectEndpoint) Reset() {
+	e.level, e.ends, e.open = 0, [numChannels]int{}, [numChannels]bool{}
+	e.recv = receiver{}
+	for ch := range e.send.fifos {
+		for i := range e.send.fifos[ch] {
+			e.send.fifos[ch][i].trim()
+		}
+	}
+}
+
+// receiver is the receive-side prologue both transports share: pop the
+// node's inbox, discard chaos duplicates, decode, record, check the level.
+type receiver struct {
+	// seenDups tracks chaos-injected duplicate deliveries (by DupID) so
+	// the second copy is discarded before any processing or accounting.
+	// Lazily allocated: a fault-free run never sees a duplicate.
+	seenDups map[int64]bool
+}
+
+// next returns the node's next live batch of the level; an error is what
+// Recv must report instead.
+func (r *receiver) next(net *Network, node, level int) (Batch, error) {
+	for {
+		b, ok := net.inboxes[node].Pop()
+		if !ok {
+			return b, fmt.Errorf("comm: node %d inbox closed mid-level: %w", node, ErrAborted)
+		}
+		if b.DupID != 0 {
+			if r.seenDups[b.DupID] {
+				// Chaos duplicate: the first copy was already delivered.
+				if err := net.flightDupDrop(node, &b); err != nil {
+					return b, protocolError(node, &b, err.Error())
+				}
+				continue
+			}
+			if r.seenDups == nil {
+				r.seenDups = make(map[int64]bool)
+			}
+			r.seenDups[b.DupID] = true
+		}
+		if err := net.decodeForWire(&b); err != nil {
+			return b, err
+		}
+		// Recorded before the checks, so the dump of a run a hostile batch
+		// aborted shows that batch arriving.
+		if err := net.flightRecv(node, &b); err != nil {
+			return b, protocolError(node, &b, err.Error())
+		}
+		if b.Level != level {
+			return b, protocolError(node, &b, fmt.Sprintf("arrived during level %d", level))
+		}
+		if b.Channel >= numChannels {
+			return b, protocolError(node, &b, "unknown "+b.Channel.String())
+		}
+		return b, nil
+	}
+}
 
 // StartLevel implements Endpoint.
 func (e *DirectEndpoint) StartLevel(level int, channels ...Channel) {
@@ -232,24 +307,24 @@ func (e *DirectEndpoint) SendMany(ch Channel, runs []DstRun, pairs []Pair) error
 // destination order, then send one end marker to every node (including
 // self, a free loopback).
 func (e *DirectEndpoint) CloseChannel(ch Channel) error {
-	for dst := 0; dst < e.net.Nodes(); dst++ {
-		e.send.mu.Lock()
+	e.send.mu.Lock()
+	residual := e.send.residual[ch][:0]
+	for dst := range e.send.fifos[ch] {
 		f := &e.send.fifos[ch][dst]
-		var residual []Pair
 		if n := f.n(); n > 0 {
-			residual = f.take(n)
+			residual = append(residual, Batch{
+				Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: f.take(n),
+			})
 		}
-		e.send.mu.Unlock()
-		if residual == nil {
-			continue
-		}
-		err := e.net.deliver(Batch{
-			Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: residual,
-		})
-		if err != nil {
+	}
+	e.send.residual[ch] = residual
+	e.send.mu.Unlock()
+	for i := range residual {
+		if err := e.net.deliver(residual[i]); err != nil {
 			return err
 		}
 	}
+	clear(residual) // the payloads are their receivers' now
 	for dst := 0; dst < e.net.Nodes(); dst++ {
 		err := e.net.deliver(Batch{
 			Kind: KindEnd, Channel: ch, Src: e.node, Dst: dst, Level: e.level,
@@ -264,28 +339,16 @@ func (e *DirectEndpoint) CloseChannel(ch Channel) error {
 // Recv implements Endpoint.
 func (e *DirectEndpoint) Recv() Event {
 	for {
-		b, ok := e.net.inboxes[e.node].Pop()
-		if !ok {
-			return Event{Type: EvError, Err: fmt.Errorf("comm: node %d inbox closed mid-level: %w", e.node, ErrAborted)}
-		}
-		if b.DupID != 0 && e.dropDup(b.DupID) {
-			e.net.flightDupDrop(e.node, &b)
-			continue // chaos duplicate: the first copy was already delivered
-		}
-		if err := e.net.decodeForWire(&b); err != nil {
+		b, err := e.recv.next(e.net, e.node, e.level)
+		if err != nil {
 			return Event{Type: EvError, Err: err}
-		}
-		e.net.flightRecv(e.node, &b)
-		if b.Level != e.level {
-			panic(fmt.Sprintf("comm: node %d got level-%d %s batch during level %d",
-				e.node, b.Level, b.Kind, e.level))
 		}
 		switch b.Kind {
 		case KindData:
 			return Event{Type: EvData, Channel: b.Channel, Batch: b}
 		case KindEnd:
 			if !e.open[b.Channel] {
-				panic(fmt.Sprintf("comm: node %d got end for closed channel %s", e.node, b.Channel))
+				return Event{Type: EvError, Err: protocolError(e.node, &b, "end marker on a closed channel")}
 			}
 			e.ends[b.Channel]++
 			if e.ends[b.Channel] == e.net.Nodes() {
@@ -293,19 +356,7 @@ func (e *DirectEndpoint) Recv() Event {
 				return Event{Type: EvChannelClosed, Channel: b.Channel}
 			}
 		default:
-			panic(fmt.Sprintf("comm: direct endpoint got %s batch", b.Kind))
+			return Event{Type: EvError, Err: protocolError(e.node, &b, "not a direct-transport kind")}
 		}
 	}
-}
-
-// dropDup reports whether a DupID was seen before, recording it otherwise.
-func (e *DirectEndpoint) dropDup(id int64) bool {
-	if e.seenDups == nil {
-		e.seenDups = make(map[int64]bool)
-	}
-	if e.seenDups[id] {
-		return true
-	}
-	e.seenDups[id] = true
-	return false
 }

@@ -7,12 +7,19 @@ import "sync"
 // the functional simulation immune to channel-capacity deadlocks — the
 // real machine's deadlock hazards live on the register mesh (modelled in
 // internal/sw), not in MPI.
+//
+// Producers append to queue under the mutex. The single consumer pops from
+// out, which only it touches, and takes the mutex only to swap the two once
+// out runs dry: one acquisition per burst of arrivals, not one per batch.
 type Inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Batch
-	head   int
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []Batch
+	waiting bool // the consumer is parked in Pop
+	closed  bool
+
+	out  []Batch // consumer-private: popped from head
+	head int
 }
 
 // NewInbox returns an empty open inbox.
@@ -27,38 +34,36 @@ func NewInbox() *Inbox {
 // when in-flight traffic goes nowhere.
 func (in *Inbox) Push(b Batch) {
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.closed {
-		return
+	if !in.closed {
+		in.queue = append(in.queue, b)
+		if in.waiting {
+			in.cond.Signal()
+		}
 	}
-	in.queue = append(in.queue, b)
-	in.cond.Signal()
+	in.mu.Unlock()
 }
 
 // Pop dequeues the next batch, blocking until one is available or the inbox
 // is closed. The second result is false when the inbox is closed and
 // drained.
 func (in *Inbox) Pop() (Batch, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for in.head == len(in.queue) && !in.closed {
-		in.cond.Wait()
-	}
-	if in.head == len(in.queue) {
-		return Batch{}, false
-	}
-	b := in.queue[in.head]
-	in.queue[in.head] = Batch{} // release references
-	in.head++
-	// Compact once the dead prefix dominates, keeping amortized O(1) pops.
-	if in.head > 64 && in.head*2 >= len(in.queue) {
-		n := copy(in.queue, in.queue[in.head:])
-		for i := n; i < len(in.queue); i++ {
-			in.queue[i] = Batch{}
+	if in.head == len(in.out) {
+		in.mu.Lock()
+		for len(in.queue) == 0 && !in.closed {
+			in.waiting = true
+			in.cond.Wait()
 		}
-		in.queue = in.queue[:n]
-		in.head = 0
+		in.waiting = false
+		// The drained slice becomes the producers' next queue.
+		in.out, in.queue, in.head = in.queue, in.out[:0], 0
+		in.mu.Unlock()
+		if len(in.out) == 0 {
+			return Batch{}, false
+		}
 	}
+	b := in.out[in.head]
+	in.out[in.head] = Batch{} // release references
+	in.head++
 	return b, true
 }
 
@@ -71,9 +76,22 @@ func (in *Inbox) Close() {
 	in.cond.Broadcast()
 }
 
-// Len reports the queued batch count (for tests and diagnostics).
+// reopen empties the quiescent inbox for the next run. What a run left
+// queued (the second copy of a duplicated final End) is dropped, never
+// recycled: it shares its payload with the copy already consumed.
+func (in *Inbox) reopen() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	clear(in.queue)
+	clear(in.out[in.head:])
+	in.queue, in.out, in.head = in.queue[:0], in.out[:0], 0
+	in.closed = false
+}
+
+// Len reports the queued batch count (for tests and diagnostics). Like
+// Pop, it belongs to the consumer.
 func (in *Inbox) Len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.queue) - in.head
+	return len(in.queue) + len(in.out) - in.head
 }

@@ -3,7 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,8 +122,13 @@ type Network struct {
 
 	inboxes []*Inbox
 
-	connMu sync.Mutex
-	conns  []map[int]struct{}
+	// connected is the src x dst MPI connection matrix (index
+	// src*Nodes+dst): deliver answers "already connected" with one atomic
+	// load. connMu serializes the setters and guards connCount, the
+	// per-source number of connections.
+	connMu    sync.Mutex
+	connected []atomic.Bool
+	connCount []int
 
 	// Per-node sent network message/byte counters (atomic; indexed by
 	// source node), feeding the per-node critical-path statistics.
@@ -178,7 +183,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		batchBytes:    cfg.BatchBytes,
 		budget:        cfg.MPIMemoryBudget,
 		inboxes:       make([]*Inbox, cfg.Nodes),
-		conns:         make([]map[int]struct{}, cfg.Nodes),
+		connected:     make([]atomic.Bool, cfg.Nodes*cfg.Nodes),
+		connCount:     make([]int, cfg.Nodes),
 		nodeMsgs:      make([]atomicInt64, cfg.Nodes),
 		nodeBytes:     make([]atomicInt64, cfg.Nodes),
 		codec:         cfg.Codec,
@@ -188,10 +194,37 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	for i := range n.inboxes {
 		n.inboxes[i] = NewInbox()
-		n.conns[i] = make(map[int]struct{})
 	}
 	n.coll = newCollectiveGroup(n)
+	n.flight.SetStreamNames(kindNames[:], channelNames[:])
 	return n, nil
+}
+
+// Reset returns a cleanly closed network to the state NewNetwork left it
+// in, under the next run's fault injector: every counter a run accumulates
+// and the connection matrix (MaxConnections is per run) are zeroed, the
+// collectives rewound, the inboxes emptied and reopened with their capacity.
+// Never reset a network that aborted: its inboxes may hold live batches.
+func (n *Network) Reset(inj *chaos.Injector) {
+	n.Counters.Restore(fabric.Snapshot{})
+	for _, counters := range [][]atomicInt64{n.nodeMsgs, n.nodeBytes, n.kindMsgs[:], n.codecMsgs[:], n.codecBytes[:]} {
+		for i := range counters {
+			counters[i].Store(0)
+		}
+	}
+	n.retries.Store(0)
+	n.dupSeq.Store(0)
+	n.chaos = inj
+	n.connMu.Lock()
+	for i := range n.connected {
+		n.connected[i].Store(false)
+	}
+	clear(n.connCount)
+	n.connMu.Unlock()
+	for _, in := range n.inboxes {
+		in.reopen()
+	}
+	n.coll = newCollectiveGroup(n) // generation, accumulators and the abort flag start over
 }
 
 // Nodes returns the node count.
@@ -256,8 +289,10 @@ func (n *Network) deliver(b Batch) error {
 	}
 	// The send event is recorded before the kill verdict so a dump shows
 	// the killed node's final, doomed delivery attempt.
-	n.flight.Send(b.Src, b.Dst, b.Level, payloadPairs(&b), retries,
-		b.Kind.String(), b.Channel.String(), fault)
+	if err := n.flight.Send(b.Src, b.Dst, b.Level, payloadPairs(&b), retries,
+		uint8(b.Kind), uint8(b.Channel), fault); err != nil {
+		return protocolError(b.Src, &b, err.Error())
+	}
 	if killed {
 		for attempt := 1; attempt < MaxSendAttempts; attempt++ {
 			n.retries.Add(1)
@@ -367,13 +402,13 @@ func (n *Network) decodeForWire(b *Batch) error {
 
 // flightRecv records a consumed delivery in the flight recorder; endpoints
 // call it once per batch that survives duplicate discarding.
-func (n *Network) flightRecv(node int, b *Batch) {
-	n.flight.Recv(node, b.Src, b.Level, payloadPairs(b), b.Kind.String(), b.Channel.String())
+func (n *Network) flightRecv(node int, b *Batch) error {
+	return n.flight.Recv(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel))
 }
 
 // flightDupDrop records a discarded chaos-duplicate delivery.
-func (n *Network) flightDupDrop(node int, b *Batch) {
-	n.flight.DupDrop(node, b.Src, b.Level, payloadPairs(b), b.Kind.String(), b.Channel.String())
+func (n *Network) flightDupDrop(node int, b *Batch) error {
+	return n.flight.DupDrop(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel))
 }
 
 // ChaosDelay returns the scheduled chaos delay of a module site for
@@ -399,14 +434,17 @@ func (n *Network) NodeSent(node int) (msgs, bytes int64) {
 
 // connect tracks the src->dst MPI connection and enforces the memory budget.
 func (n *Network) connect(src, dst int) error {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if _, ok := n.conns[src][dst]; ok {
+	c := &n.connected[src*n.Nodes()+dst]
+	if c.Load() {
 		return nil
 	}
-	n.conns[src][dst] = struct{}{}
-	count := len(n.conns[src])
-	if int64(count)*MPIConnectionBytes > n.budget {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if c.Swap(true) {
+		return nil
+	}
+	n.connCount[src]++
+	if count := n.connCount[src]; int64(count)*MPIConnectionBytes > n.budget {
 		return &ErrConnMemory{Node: src, Connections: count, Budget: n.budget}
 	}
 	return nil
@@ -416,7 +454,7 @@ func (n *Network) connect(src, dst int) error {
 func (n *Network) ConnectionCount(node int) int {
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
-	return len(n.conns[node])
+	return n.connCount[node]
 }
 
 // MaxConnectionCount returns the machine-wide maximum per-node connection
@@ -424,13 +462,7 @@ func (n *Network) ConnectionCount(node int) int {
 func (n *Network) MaxConnectionCount() int {
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
-	max := 0
-	for _, c := range n.conns {
-		if len(c) > max {
-			max = len(c)
-		}
-	}
-	return max
+	return slices.Max(n.connCount)
 }
 
 // ConnectionMemoryBytes returns the modelled MPI memory of the
@@ -536,13 +568,14 @@ func (n *Network) CaptureState() NetState {
 		}
 	}
 	n.connMu.Lock()
-	st.Conns = make([][]int, len(n.conns))
-	for src, peers := range n.conns {
-		dsts := make([]int, 0, len(peers))
-		for dst := range peers {
-			dsts = append(dsts, dst)
+	st.Conns = make([][]int, len(n.connCount))
+	for src, count := range n.connCount {
+		dsts := make([]int, 0, count)
+		for dst := range n.connCount {
+			if n.connected[src*len(n.connCount)+dst].Load() {
+				dsts = append(dsts, dst)
+			}
 		}
-		sort.Ints(dsts)
 		st.Conns[src] = dsts
 	}
 	n.connMu.Unlock()
@@ -555,7 +588,7 @@ func (n *Network) CaptureState() NetState {
 // per-run and every pre-checkpoint duplicate was fully consumed.
 func (n *Network) RestoreState(st NetState) error {
 	if len(st.NodeMsgs) != len(n.nodeMsgs) || len(st.NodeBytes) != len(n.nodeBytes) ||
-		len(st.Conns) != len(n.conns) {
+		len(st.Conns) != len(n.connCount) {
 		return fmt.Errorf("comm: checkpoint network state is for %d nodes, network has %d",
 			len(st.NodeMsgs), len(n.nodeMsgs))
 	}
@@ -573,15 +606,14 @@ func (n *Network) RestoreState(st NetState) error {
 	for f := WireFormat(0); f < numWireFormats && int(f) < len(st.CodecBytes); f++ {
 		n.codecBytes[f].Store(st.CodecBytes[f])
 	}
-	n.connMu.Lock()
 	for src, dsts := range st.Conns {
-		m := make(map[int]struct{}, len(dsts))
 		for _, dst := range dsts {
-			m[dst] = struct{}{}
+			if dst < 0 || dst >= len(n.connCount) {
+				return fmt.Errorf("comm: checkpoint connects node %d to node %d of %d", src, dst, len(n.connCount))
+			}
+			_ = n.connect(src, dst) // the budget was enforced when the run made the connection
 		}
-		n.conns[src] = m
 	}
-	n.connMu.Unlock()
 	n.retries.Store(st.Retries)
 	return nil
 }
@@ -602,4 +634,4 @@ func (n *Network) Abort() {
 }
 
 // Aborted reports whether Abort was called.
-func (n *Network) Aborted() bool { return n.coll.isAborted() }
+func (n *Network) Aborted() bool { return n.coll.aborted.Load() }

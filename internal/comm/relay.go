@@ -244,10 +244,28 @@ type RelayEndpoint struct {
 	// (level, channel, stage, src, dst) and is safe for concurrent use.
 	flows *obs.SpanRecorder
 
-	// seenDups tracks chaos-injected duplicate deliveries (by DupID) so
-	// the second copy is discarded before any relay accounting. Only the
-	// Recv goroutine touches it.
-	seenDups map[int64]bool
+	recv receiver
+}
+
+// Reset implements Endpoint. The stage-one groups and the relay FIFOs are
+// emptied by StartLevel; the flow sink belongs to the machine.
+func (e *RelayEndpoint) Reset() {
+	e.level, e.open = 0, [numChannels]bool{}
+	e.ends, e.relayEnds = [numChannels]int{}, [numChannels]int{}
+	e.relayedBytes, e.totalRelayedBytes = 0, 0
+	e.recv = receiver{}
+	for ch := range e.relayFIFO {
+		for i := range e.relayFIFO[ch] {
+			e.relayFIFO[ch][i].trim()
+		}
+		for i := range e.send.groups[ch] {
+			g := &e.send.groups[ch][i]
+			g.fifo.trim()
+			if cap(g.runs) > fifoRetainPairs {
+				g.runs = nil
+			}
+		}
+	}
 }
 
 // SetFlowSink attaches (or detaches, with nil) the flow-link recorder.
@@ -388,21 +406,9 @@ func (e *RelayEndpoint) CloseChannel(ch Channel) error {
 // final flush happens when every source in the column has signalled done.
 func (e *RelayEndpoint) Recv() Event {
 	for {
-		b, ok := e.net.inboxes[e.node].Pop()
-		if !ok {
-			return Event{Type: EvError, Err: fmt.Errorf("comm: node %d inbox closed mid-level: %w", e.node, ErrAborted)}
-		}
-		if b.DupID != 0 && e.dropDup(b.DupID) {
-			e.net.flightDupDrop(e.node, &b)
-			continue // chaos duplicate: the first copy was already delivered
-		}
-		if err := e.net.decodeForWire(&b); err != nil {
+		b, err := e.recv.next(e.net, e.node, e.level)
+		if err != nil {
 			return Event{Type: EvError, Err: err}
-		}
-		e.net.flightRecv(e.node, &b)
-		if b.Level != e.level {
-			panic(fmt.Sprintf("comm: node %d got level-%d %s batch during level %d",
-				e.node, b.Level, b.Kind, e.level))
 		}
 		switch b.Kind {
 		case KindData:
@@ -410,7 +416,7 @@ func (e *RelayEndpoint) Recv() Event {
 
 		case KindEnd:
 			if !e.open[b.Channel] {
-				panic(fmt.Sprintf("comm: node %d got end for closed channel %s", e.node, b.Channel))
+				return Event{Type: EvError, Err: protocolError(e.node, &b, "end marker on a closed channel")}
 			}
 			e.ends[b.Channel]++
 			if e.ends[b.Channel] == e.shape.M {
@@ -425,8 +431,9 @@ func (e *RelayEndpoint) Recv() Event {
 			ch := b.Channel
 			q := e.net.QuantumPairs()
 			for _, in := range b.Inner {
-				if e.shape.Row(in.Dst) != e.shape.Row(e.node) {
-					panic(fmt.Sprintf("comm: relay %d got envelope for node %d outside its row", e.node, in.Dst))
+				if in.Dst < 0 || e.shape.Row(in.Dst) != e.shape.Row(e.node) {
+					return Event{Type: EvError, Err: protocolError(e.node, &b,
+						fmt.Sprintf("envelope for node %d, outside the relay's row", in.Dst))}
 				}
 				f := &e.relayFIFO[ch][in.Dst]
 				f.push(in.Pairs)
@@ -468,21 +475,9 @@ func (e *RelayEndpoint) Recv() Event {
 			}
 
 		default:
-			panic(fmt.Sprintf("comm: relay endpoint got unknown kind %d", b.Kind))
+			return Event{Type: EvError, Err: protocolError(e.node, &b, "unknown wire kind")}
 		}
 	}
-}
-
-// dropDup reports whether a DupID was seen before, recording it otherwise.
-func (e *RelayEndpoint) dropDup(id int64) bool {
-	if e.seenDups == nil {
-		e.seenDups = make(map[int64]bool)
-	}
-	if e.seenDups[id] {
-		return true
-	}
-	e.seenDups[id] = true
-	return false
 }
 
 // relayFlush ships one stage-two batch. Stage-two payloads are NoCodec:

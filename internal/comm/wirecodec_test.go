@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"swbfs/internal/testutil"
+
 	"cmp"
 	"math/rand"
 	"slices"
@@ -352,7 +354,7 @@ func TestCodecTrafficLossless(t *testing.T) {
 // or the caller. The dense batch is already in order; the shuffled one
 // takes two scatter passes on each column.
 func TestAdaptiveEncodeAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	var codec AdaptiveCodec

@@ -91,6 +91,13 @@ type MachineSpec struct {
 	// CaptureKernel adds kernel-owned machine-wide state to node 0's
 	// boundary capture (BFS: direction policy, hub-visited bitmap).
 	CaptureKernel func(*ckpt.MachineState)
+	// Recycle, when non-nil, is the machine of the caller's previous run.
+	// If that run finished cleanly on the same configuration and flight
+	// recorder, this run takes over its network and endpoints, reset, with
+	// their FIFOs and inbox queues already grown. A machine that aborted,
+	// timed out or was resumed into is never taken over: its inboxes may
+	// hold batches of the dead run.
+	Recycle *Machine
 }
 
 // Machine is the run-scoped simulated machine a level body executes on: the
@@ -133,12 +140,16 @@ type Machine struct {
 	latest  *ckpt.Checkpoint
 	// written counts checkpoint files written this run (tests poke it).
 	written int
+
+	// clean: Drive finished without an abort and not from a checkpoint —
+	// the condition for being recycled.
+	clean bool
 }
 
 // flightFor resolves the always-on black box: shared via the observer when
-// attached there (so /debug/flight sees it), private otherwise. It costs
-// one mutexed ring append per event and is the only record of what happened
-// when a run aborts.
+// attached there (so /debug/flight sees it), private otherwise. An event
+// costs an atomic load, one ring mutex and an indexed counter (budget in
+// docs/OBSERVABILITY.md); it is the only record of why a run aborted.
 func flightFor(o *obs.Observer) *obs.FlightRecorder {
 	if fr := o.FlightOf(); fr != nil {
 		return fr
@@ -217,6 +228,8 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 func OpenMachine(spec MachineSpec) (*Machine, error) {
 	spec.Cfg = spec.Cfg.withDefaults()
 	cfg, resume := spec.Cfg, spec.Resume
+	prev := spec.Recycle
+	spec.Recycle = nil // a machine must not keep its predecessors alive
 	m := &Machine{
 		spec:   spec,
 		config: machineConfig(cfg, spec.Partition, spec.Graph),
@@ -277,18 +290,26 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		}
 	}
 
-	m.Net, err = comm.NewNetwork(comm.Config{
-		Nodes:           cfg.Nodes,
-		SuperNodeSize:   cfg.SuperNodeSize,
-		BatchBytes:      cfg.BatchBytes,
-		MPIMemoryBudget: cfg.MPIMemoryBudget,
-		Codec:           cfg.Codec,
-		CodecBackward:   cfg.CodecBackward,
-		Chaos:           m.inj,
-		Flight:          m.Flight,
-	})
-	if err != nil {
-		return nil, err
+	recycled := prev != nil && prev.clean && resume == nil && prev.config == m.config && prev.Flight == m.Flight
+	if recycled {
+		m.Net, m.eps = prev.Net, prev.eps
+		prev.clean = false // taken over once
+		m.Net.Reset(m.inj)
+	} else {
+		m.Net, err = comm.NewNetwork(comm.Config{
+			Nodes:           cfg.Nodes,
+			SuperNodeSize:   cfg.SuperNodeSize,
+			BatchBytes:      cfg.BatchBytes,
+			MPIMemoryBudget: cfg.MPIMemoryBudget,
+			Codec:           cfg.Codec,
+			CodecBackward:   cfg.CodecBackward,
+			Chaos:           m.inj,
+			Flight:          m.Flight,
+		})
+		if err != nil {
+			return nil, err
+		}
+		m.eps = make([]comm.Endpoint, cfg.Nodes)
 	}
 	m.Model = perf.NewModel(m.Net.Topo, cfg.Engine)
 	if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
@@ -305,19 +326,21 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		m.tick.Store(int64(resume.Level))
 	}
 
-	m.eps = make([]comm.Endpoint, cfg.Nodes)
 	for node := range m.eps {
-		if cfg.Transport != TransportRelay {
+		switch {
+		case recycled:
+			m.eps[node].Reset()
+		case cfg.Transport != TransportRelay:
 			m.eps[node] = comm.NewDirectEndpoint(m.Net, node)
-			continue
+		default:
+			if m.eps[node], err = comm.NewRelayEndpoint(m.Net, node, shape); err != nil {
+				m.Close()
+				return nil, err
+			}
 		}
-		ep, err := comm.NewRelayEndpoint(m.Net, node, shape)
-		if err != nil {
-			m.Close()
-			return nil, err
+		if ep, ok := m.eps[node].(*comm.RelayEndpoint); ok {
+			ep.SetFlowSink(cfg.Obs.SpansOf())
 		}
-		ep.SetFlowSink(cfg.Obs.SpansOf())
-		m.eps[node] = ep
 	}
 	return m, nil
 }
@@ -437,6 +460,7 @@ func (m *Machine) Drive(body func(node int) error) error {
 		}
 	}
 	if !aborted {
+		m.clean = m.spec.Resume == nil
 		return nil
 	}
 	if cause == nil {

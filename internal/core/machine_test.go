@@ -224,3 +224,49 @@ func TestMachineCheckpointResume(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineProtocolErrorAborts: a peer that breaks the transport protocol
+// mid-run — here node 1 closes a channel the level never opened, so its End
+// markers reach peers that are not expecting them — tears the run down with
+// a clean AbortError whose cause is the receiver's *comm.ProtocolError, and
+// the post-mortem dump shows the offending batch arriving. (The same four
+// violations used to panic the receiving node's goroutine.)
+func TestMachineProtocolErrorAborts(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		m, err := core.OpenMachine(core.MachineSpec{
+			Cfg: ringConfig(transport), Graph: g, Kernel: "ring", Root: graph.NoVertex, Unit: "level", Partition: "none",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := make([]ringState, m.Cfg().Nodes)
+		err = m.Drive(ringBody(m, state, func(node, level int) {
+			if node == 1 && level == 2 {
+				_ = m.Endpoint(1).CloseChannel(comm.ChanBackward) // the hostile act; its outcome is the peers' to report
+			}
+		}))
+		m.Close()
+		var ae *core.AbortError
+		var pe *comm.ProtocolError
+		if !errors.As(err, &ae) || !errors.As(err, &pe) {
+			t.Fatalf("%s: hostile run returned %v, want an *AbortError caused by a *comm.ProtocolError", transport, err)
+		}
+		if pe.Src != 1 || pe.Reason == "" {
+			t.Errorf("%s: ProtocolError %+v does not name node 1's batch", transport, pe)
+		}
+		arrived := false
+		for _, ev := range ae.FlightDump.Events {
+			if ev.Kind == "recv" && ev.Node == pe.Node && ev.Peer == 1 && ev.Channel == "backward" {
+				arrived = true
+			}
+		}
+		if !arrived {
+			t.Errorf("%s: the post-mortem dump does not show node %d receiving the hostile batch", transport, pe.Node)
+		}
+	}
+}

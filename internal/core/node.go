@@ -39,8 +39,15 @@ type nodeState struct {
 	// generator scans its complement so the probe set never depends on
 	// mid-level claim timing.
 	curr, next, genNext, visited *graph.Bitmap
+	// hubWords is localHubWords' scratch (empty without hub prefetch).
+	hubWords *graph.Bitmap
 
 	ep comm.Endpoint
+	// handlerErr carries the handler goroutine's verdict to runLevel.
+	handlerErr chan error
+	// serialEmit is stagedFanout's Workers=1 emit per channel, bound once:
+	// a closure built per level is an allocation per level.
+	serialEmit [2]emitFn
 
 	// workers is the module worker-pool width (Config.Workers resolved):
 	// 1 runs every hot loop serially on the module goroutine.
@@ -82,6 +89,54 @@ type nodeState struct {
 	// the raw material of the Chrome-trace module timeline. Each node
 	// appends only to its own log.
 	spanLog []moduleWork
+}
+
+// newNodeState allocates a node's run-surviving buffers; resetRun makes
+// them a run's.
+func newNodeState(r *Runner, node int) *nodeState {
+	sub := r.subs[node]
+	ns := &nodeState{
+		id:            node,
+		r:             r,
+		sub:           sub,
+		parent:        make([]int64, sub.NumVertices()),
+		curr:          graph.NewBitmap(sub.NumVertices()),
+		next:          graph.NewBitmap(sub.NumVertices()),
+		genNext:       graph.NewBitmap(sub.NumVertices()),
+		visited:       graph.NewBitmap(sub.NumVertices()),
+		hubWords:      graph.NewBitmap(int64(r.hubsBottomUp)),
+		policyReplica: new(Policy),
+		handlerErr:    make(chan error, 1),
+	}
+	for ch := range ns.serialEmit {
+		ns.serialEmit[ch] = func(ws *workerStage) (*workerStage, error) {
+			return ws, ns.flushStage(comm.Channel(ch), ws)
+		}
+	}
+	return ns
+}
+
+// resetRun opens a run on this node: the struct is rebuilt from what
+// survives a run (identity, subgraph, the parent array and the bitmaps,
+// emptied, the handler channel), so every other field starts at zero.
+func (ns *nodeState) resetRun(ep comm.Endpoint) {
+	r := ns.r
+	*ns = nodeState{
+		id: ns.id, r: r, sub: ns.sub,
+		parent: ns.parent, curr: ns.curr, next: ns.next, genNext: ns.genNext, visited: ns.visited,
+		hubWords: ns.hubWords, handlerErr: ns.handlerErr, serialEmit: ns.serialEmit,
+		ep:            ep,
+		workers:       r.cfg.Workers,
+		policyReplica: ns.policyReplica,
+		localEdges:    ns.sub.NumEdges(),
+	}
+	*ns.policyReplica = *NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized)
+	for i := range ns.parent {
+		ns.parent[i] = int64(graph.NoVertex)
+	}
+	for _, bm := range []*graph.Bitmap{ns.curr, ns.next, ns.genNext, ns.visited, ns.hubWords} {
+		bm.Reset()
+	}
 }
 
 // moduleWork is one level's per-module input volume on one node:
@@ -150,6 +205,12 @@ func (ns *nodeState) moduleBytes() [4]int64 {
 	return [4]int64{ns.genBytes, ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes}
 }
 
+// levelChannels lists the channels a level of each direction opens.
+var levelChannels = [...][]comm.Channel{
+	TopDown:  {comm.ChanForward},
+	BottomUp: {comm.ChanForward, comm.ChanBackward},
+}
+
 // runLevel executes one BFS level on this node: generator and handler
 // modules run concurrently, the level completes when the transport reports
 // all channels closed.
@@ -157,11 +218,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	ns.resetLevelCounters()
 	ns.genNext.Reset()
 
-	channels := []comm.Channel{comm.ChanForward}
-	if dir == BottomUp {
-		channels = append(channels, comm.ChanBackward)
-	}
-	ns.ep.StartLevel(level, channels...)
+	ns.ep.StartLevel(level, levelChannels[dir]...)
 	ns.r.net.Barrier()
 	if ns.r.net.Aborted() {
 		return ErrAborted
@@ -172,7 +229,6 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	// cluster were slow to dispatch — host time only, invisible to the
 	// modelled machine. The handler's slot write is ordered before the
 	// runner's post-level read by the handlerErr receive below.
-	handlerErr := make(chan error, 1)
 	go func() {
 		start := time.Now()
 		if d := ns.r.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {
@@ -180,7 +236,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 		}
 		err := ns.handle(dir)
 		ns.r.hostHandlerNanos[ns.id] = int64(time.Since(start))
-		handlerErr <- err
+		ns.handlerErr <- err
 	}()
 
 	genStart := time.Now()
@@ -194,7 +250,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 		genErr = ns.backwardGenerator()
 	}
 	ns.r.hostGenNanos[ns.id] = int64(time.Since(genStart))
-	hErr := <-handlerErr
+	hErr := <-ns.handlerErr
 	if genErr != nil {
 		return genErr
 	}
@@ -209,7 +265,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 // keeps the message stream identical to a serial scan).
 func (ns *nodeState) forwardGenerator() error {
 	r := ns.r
-	if err := ns.stagedFanout(comm.ChanForward, len(ns.curr.Words()), ns.forwardScan); err != nil {
+	if err := ns.stagedFanout(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan); err != nil {
 		r.net.Abort()
 		return err
 	}
@@ -264,7 +320,7 @@ func (ns *nodeState) forwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage,
 // timing.
 func (ns *nodeState) backwardGenerator() error {
 	r := ns.r
-	if err := ns.stagedFanout(comm.ChanBackward, len(ns.visited.Words()), ns.backwardScan); err != nil {
+	if err := ns.stagedFanout(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan); err != nil {
 		r.net.Abort()
 		return err
 	}

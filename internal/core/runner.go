@@ -58,7 +58,9 @@ type Runner struct {
 
 	// Per-run state: the machine the current (or most recent) run executes
 	// on, its network (cached for the per-edge paths), and node 0's policy
-	// replica, the authoritative copy for reporting.
+	// replica, the authoritative copy for reporting. The machine is offered
+	// to the next run for recycling and the node states are reset in place
+	// (docs/ARCHITECTURE.md, "What a Runner keeps across roots").
 	m       *Machine
 	net     *comm.Network
 	nodes   []*nodeState
@@ -184,8 +186,9 @@ func (r *Runner) Resume(c *ckpt.Checkpoint) (*Result, error) {
 	return r.run(graph.Vertex(c.Root), c)
 }
 
-// run executes one rooted BFS on a fresh machine, from scratch (resume ==
-// nil) or from a checkpoint.
+// run executes one rooted BFS, from scratch (resume == nil) or from a
+// checkpoint, on a machine that recycles the previous run's when that one
+// finished cleanly (MachineSpec.Recycle).
 func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error) {
 	if root < 0 || int64(root) >= r.g.N {
 		return nil, fmt.Errorf("core: root %d out of range [0, %d)", root, r.g.N)
@@ -193,7 +196,7 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	m, err := OpenMachine(MachineSpec{
 		Cfg: r.cfg, Graph: r.g, Kernel: KernelBFS, Root: root, Unit: "level",
 		Partition: r.cfg.Partition.String(), Flight: r.flight, Resume: resume,
-		CaptureKernel: r.captureKernel,
+		CaptureKernel: r.captureKernel, Recycle: r.m,
 	})
 	if err != nil {
 		return nil, err
@@ -203,45 +206,38 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		r.net = nil
 	}()
 	r.m, r.net, r.curRoot = m, m.Net, root
-	r.hostGenNanos = make([]int64, r.cfg.Nodes)
-	r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
 	r.stragglers = nil
 
+	if r.nodes == nil {
+		// First run: everything below is allocated once and reset per run.
+		r.hostGenNanos = make([]int64, r.cfg.Nodes)
+		r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
+		if r.hubs != nil {
+			r.hubInCurr = graph.NewBitmap(int64(r.hubsBottomUp))
+			r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
+		}
+		r.nodes = make([]*nodeState, r.cfg.Nodes)
+		for node := range r.nodes {
+			r.nodes[node] = newNodeState(r, node)
+		}
+	}
+	clear(r.hostGenNanos)
+	clear(r.hostHandlerNanos)
 	if r.hubs != nil {
-		r.hubInCurr = graph.NewBitmap(int64(r.hubsBottomUp))
-		r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
+		r.hubInCurr.Reset()
+		r.hubVisited.Reset()
 		if resume != nil {
 			r.hubVisited.LoadWords(resume.Machine.HubVisited)
 		}
 	}
-
-	r.nodes = make([]*nodeState, r.cfg.Nodes)
-	for node := 0; node < r.cfg.Nodes; node++ {
-		sub := r.subs[node]
-		ns := &nodeState{
-			id:            node,
-			r:             r,
-			sub:           sub,
-			parent:        make([]int64, sub.NumVertices()),
-			curr:          graph.NewBitmap(sub.NumVertices()),
-			next:          graph.NewBitmap(sub.NumVertices()),
-			genNext:       graph.NewBitmap(sub.NumVertices()),
-			visited:       graph.NewBitmap(sub.NumVertices()),
-			ep:            m.Endpoint(node),
-			localEdges:    sub.NumEdges(),
-			workers:       r.cfg.Workers,
-			policyReplica: NewPolicy(r.cfg.Alpha, r.cfg.Beta, r.cfg.DirectionOptimized),
-		}
-		for i := range ns.parent {
-			ns.parent[i] = int64(graph.NoVertex)
-		}
+	for node, ns := range r.nodes {
+		ns.resetRun(m.Endpoint(node))
 		if resume != nil {
 			if err := ns.restoreNode(resume.Nodes[node].Data); err != nil {
 				return nil, err
 			}
 			ns.policyReplica.SetState(Direction(resume.Machine.Policy))
 		}
-		r.nodes[node] = ns
 	}
 	r.policy = r.nodes[0].policyReplica
 
@@ -382,7 +378,7 @@ func (ns *nodeState) runBFS(startLevel int) error {
 				FrontierVertices:      nf,
 				FrontierEdges:         mf,
 				MaxNodeProcessedBytes: maxProcessed,
-				ModuleBytes:           maxModules[:],
+				ModuleBytes:           append([]int64(nil), maxModules[:]...), // a copy: the array stays on every other node's stack
 				MaxNodeSentBytes:      maxSent,
 				MaxNodeMessages:       maxMsgs,
 				ModuleInvocations:     maxInvocations,
@@ -502,7 +498,8 @@ func (ns *nodeState) exchangeHubs() error {
 // or nil when it has none (triggering the one-byte empty-flag gather).
 func (ns *nodeState) localHubWords() []uint64 {
 	r := ns.r
-	bm := graph.NewBitmap(int64(r.hubsBottomUp))
+	bm := ns.hubWords
+	bm.Reset()
 	any := false
 	for local := ns.curr.NextSet(0); local >= 0; local = ns.curr.NextSet(local + 1) {
 		v := r.part.Global(ns.id, local)

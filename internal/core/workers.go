@@ -57,8 +57,9 @@ type emitFn func(*workerStage) (*workerStage, error)
 // scanFn scans the word range [lo, hi) of a module's bitmap, staging
 // outgoing pairs into ws and emitting whenever the stage fills. stop is
 // non-nil only on the parallel path; scans poll it per word and bail early
-// when a peer failed.
-type scanFn func(lo, hi int, stop *atomic.Bool, ws *workerStage, emit emitFn) (*workerStage, error)
+// when a peer failed. It is a method expression ((*nodeState).forwardScan),
+// not a bound method value: binding allocates a closure per level.
+type scanFn func(ns *nodeState, lo, hi int, stop *atomic.Bool, ws *workerStage, emit emitFn) (*workerStage, error)
 
 // stagedFanout runs scan over nWords words split across the node's
 // workers and forwards every staged chunk through the endpoint on channel
@@ -73,9 +74,7 @@ func (ns *nodeState) stagedFanout(ch comm.Channel, nWords int, scan scanFn) erro
 		k = nWords
 	}
 	if k <= 1 {
-		ws, err := scan(0, nWords, nil, getStage(), func(ws *workerStage) (*workerStage, error) {
-			return ws, ns.flushStage(ch, ws)
-		})
+		ws, err := scan(ns, 0, nWords, nil, getStage(), ns.serialEmit[ch])
 		if err == nil {
 			err = ns.flushStage(ch, ws)
 		}
@@ -89,7 +88,7 @@ func (ns *nodeState) stagedFanout(ch comm.Channel, nWords int, scan scanFn) erro
 		outs[w] = make(chan *workerStage, 2)
 		lo, hi := nWords*w/k, nWords*(w+1)/k
 		go func(out chan<- *workerStage, lo, hi int) {
-			ws, _ := scan(lo, hi, &stop, getStage(), func(ws *workerStage) (*workerStage, error) {
+			ws, _ := scan(ns, lo, hi, &stop, getStage(), func(ws *workerStage) (*workerStage, error) {
 				out <- ws
 				return getStage(), nil
 			})

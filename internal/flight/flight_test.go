@@ -11,12 +11,13 @@ import (
 
 func sampleDump() *obs.FlightDump {
 	fr := obs.NewFlightRecorder(0)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
 	fr.BeginRun(17, "bfs", 2, "direct")
-	fr.Send(1, 0, 0, 3, 0, "data", "forward", "")
-	fr.Send(0, 1, 0, 5, 1, "data", "forward", "")
-	fr.Recv(0, 1, 0, 3, "data", "forward")
+	fr.Send(1, 0, 0, 3, 0, 0, 0, "")
+	fr.Send(0, 1, 0, 5, 1, 0, 0, "")
+	fr.Recv(0, 1, 0, 3, 0, 0)
 	fr.Inject(0, 0, "sendfail@0:l0:data/forward:0")
-	fr.DupDrop(1, 0, 0, 5, "data", "forward")
+	fr.DupDrop(1, 0, 0, 5, 0, 0)
 	return fr.Dump()
 }
 

@@ -2,11 +2,14 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Flight recording: an always-on, fixed-capacity black box of the
@@ -140,13 +143,23 @@ type FlightDump struct {
 	Cause   string `json:"cause,omitempty"`
 }
 
-// flightStream keys one delivery stream's op counter. Wire and channel are
-// the stable string names, so the coordinates survive serialization.
-type flightStream struct {
-	level         int
-	wire, channel string
-	peer          int // -1 for send streams (peer is not part of the key)
+// flightOp is one delivery stream's op counter, stamped with the level it
+// is counting. A stream is (wire, channel) on the send side and (wire,
+// channel, source) on the receive side, each with one writer goroutine.
+//
+// Invariant: a stream records no event of level L after one of level L+1 —
+// a node's module goroutines join before the next level's first collective
+// (runBFS, nodeRun.loop). The one late event the transport produces, the
+// second copy of a duplicated End dropped by the next level's first Recv,
+// is the first on its stream since its own level, so it finds its counter.
+// A stream that does run backwards gets ErrFlightLevelOrder, not a
+// restarted counter.
+type flightOp struct {
+	level, next int32
 }
+
+// ErrFlightLevelOrder reports a delivery event behind its stream's level.
+var ErrFlightLevelOrder = errors.New("obs: flight event out of level order")
 
 // flightRing is one node's event ring plus its per-run op counters. Each
 // ring has its own mutex, so nodes never contend with each other on the
@@ -156,27 +169,50 @@ type flightRing struct {
 	buf   []FlightEvent
 	next  int   // write cursor once the ring is full
 	total int64 // events ever recorded (total - len(buf) were dropped)
-	ops   map[flightStream]int
+	// ops is the dense stream table: slot ((peer+1)*wires + wire)*channels
+	// + channel, peer -1 for the send streams. Cleared when a run opens.
+	ops []flightOp
 }
 
-func (rg *flightRing) push(capacity int, ev FlightEvent) {
+// slot claims the ring's next event, overwriting the oldest once full, for
+// the caller (who holds rg.mu) to fill in place.
+func (rg *flightRing) slot(capacity int) *FlightEvent {
 	rg.total++
 	if len(rg.buf) < capacity {
-		rg.buf = append(rg.buf, ev)
-		return
+		rg.buf = append(rg.buf, FlightEvent{})
+		return &rg.buf[len(rg.buf)-1]
 	}
-	rg.buf[rg.next] = ev
-	rg.next = (rg.next + 1) % capacity
+	ev := &rg.buf[rg.next]
+	if rg.next++; rg.next == capacity {
+		rg.next = 0
+	}
+	return ev
 }
 
-// nextOp returns and advances the stream's op counter. Caller holds rg.mu.
-func (rg *flightRing) nextOp(s flightStream) int {
-	if rg.ops == nil {
-		rg.ops = make(map[flightStream]int)
+// nextOp returns and advances the op counter of the stream in slot (of
+// slots in all); false when level lies behind its stamp. Caller holds rg.mu.
+func (rg *flightRing) nextOp(slot, slots, level int) (int, bool) {
+	if slot >= len(rg.ops) {
+		rg.ops = append(rg.ops, make([]flightOp, slots-len(rg.ops))...)
 	}
-	op := rg.ops[s]
-	rg.ops[s] = op + 1
-	return op
+	c := &rg.ops[slot]
+	if int32(level) < c.level {
+		return 0, false
+	}
+	if int32(level) > c.level {
+		*c = flightOp{level: int32(level)}
+	}
+	c.next++
+	return int(c.next - 1), true
+}
+
+// flightTable is what the record path needs of the recorder, published as
+// one immutable value so an event costs an atomic load, not a lock.
+type flightTable struct {
+	rings []*flightRing // rings[0] = machine, rings[node+1] = node
+	run   int
+	// wires and channels name the integer codes of delivery events.
+	wires, channels []string
 }
 
 // FlightRecorder is the machine's black box: one ring per node plus a
@@ -184,11 +220,10 @@ func (rg *flightRing) nextOp(s flightStream) int {
 // safe for concurrent use and tolerate a nil receiver at zero cost.
 type FlightRecorder struct {
 	capacity int
+	table    atomic.Pointer[flightTable]
 
-	mu    sync.RWMutex
-	rings []*flightRing // rings[0] = machine, rings[node+1] = node
-	runs  []FlightRunMeta
-	run   int
+	mu   sync.Mutex // serializes table swaps and guards runs
+	runs []FlightRunMeta
 }
 
 // NewFlightRecorder builds a recorder with the given per-node ring
@@ -197,7 +232,24 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{capacity: capacity, rings: []*flightRing{{}}}
+	fr := &FlightRecorder{capacity: capacity}
+	fr.table.Store(&flightTable{rings: []*flightRing{{}}})
+	return fr
+}
+
+// SetStreamNames registers the names delivery events are stored under:
+// Send, Recv and DupDrop take wire kind and channel as indices into them, so
+// the record path neither hashes nor compares a string. The tables size the
+// op-counter layout: register them before the first delivery event.
+func (fr *FlightRecorder) SetStreamNames(wires, channels []string) {
+	if fr == nil {
+		return
+	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	t := *fr.table.Load()
+	t.wires, t.channels = wires, channels
+	fr.table.Store(&t)
 }
 
 // BeginRun opens a new run: ring contents are retained (the black box
@@ -208,124 +260,133 @@ func (fr *FlightRecorder) BeginRun(root int64, kernel string, nodes int, transpo
 		return
 	}
 	fr.mu.Lock()
-	fr.growLocked(nodes) // node indices 0..nodes-1 → rings 1..nodes
-	fr.run = len(fr.runs)
+	t := fr.grown(nodes + 1) // node indices 0..nodes-1 → rings 1..nodes
+	t.run = len(fr.runs)
 	fr.runs = append(fr.runs, FlightRunMeta{
-		Run: fr.run, Root: root, Kernel: kernel, Nodes: nodes, Transport: transport,
+		Run: t.run, Root: root, Kernel: kernel, Nodes: nodes, Transport: transport,
 	})
-	rings := fr.rings
+	fr.table.Store(t)
 	fr.mu.Unlock()
-	for _, rg := range rings {
+	for _, rg := range t.rings {
 		rg.mu.Lock()
-		rg.ops = nil
+		clear(rg.ops)
 		rg.mu.Unlock()
 	}
 	fr.Control(FlightRunStart, -1, -1, fmt.Sprintf("root=%d kernel=%s transport=%s nodes=%d",
 		root, kernel, transport, nodes))
 }
 
-// growLocked ensures rings exist for node indices < nodes. Caller holds
-// fr.mu for writing.
-func (fr *FlightRecorder) growLocked(nodes int) {
-	for len(fr.rings) < nodes+1 {
-		fr.rings = append(fr.rings, &flightRing{})
+// grown returns a copy of the current table with at least n rings. Caller
+// holds fr.mu and publishes the copy.
+func (fr *FlightRecorder) grown(n int) *flightTable {
+	t := *fr.table.Load()
+	t.rings = slices.Clone(t.rings)
+	for len(t.rings) < n {
+		t.rings = append(t.rings, &flightRing{})
 	}
+	return &t
 }
 
-// ring returns the ring for a node index (-1 = machine) and the current
-// run, growing the ring table if a node was never announced via BeginRun.
-func (fr *FlightRecorder) ring(node int) (*flightRing, int) {
-	idx := node + 1
-	if idx < 0 {
-		idx = 0
+// ring returns the ring for a node index (-1 = machine) and the table it
+// came from, growing the table if a node was never announced via BeginRun.
+func (fr *FlightRecorder) ring(node int) (*flightRing, *flightTable) {
+	idx := max(node+1, 0)
+	t := fr.table.Load()
+	if idx >= len(t.rings) {
+		fr.mu.Lock()
+		t = fr.grown(idx + 1)
+		fr.table.Store(t)
+		fr.mu.Unlock()
 	}
-	fr.mu.RLock()
-	run := fr.run
-	if idx < len(fr.rings) {
-		rg := fr.rings[idx]
-		fr.mu.RUnlock()
-		return rg, run
-	}
-	fr.mu.RUnlock()
-	fr.mu.Lock()
-	fr.growLocked(idx)
-	rg, run := fr.rings[idx], fr.run
-	fr.mu.Unlock()
-	return rg, run
+	return t.rings[idx], t
 }
 
 // Send records one logical batch delivery by node. The op ordinal comes
 // from the node's (level, wire, channel) send-stream counter — the same
 // coordinate the chaos grammar addresses, so `fault` (when set) names
-// exactly this event.
-func (fr *FlightRecorder) Send(node, peer, level, pairs, retries int, wire, channel, fault string) {
-	if fr == nil {
-		return
-	}
-	rg, run := fr.ring(node)
-	rg.mu.Lock()
-	op := rg.nextOp(flightStream{level: level, wire: wire, channel: channel, peer: -1})
-	rg.push(fr.capacity, FlightEvent{
-		Run: run, Node: node, Kind: FlightSend, Level: level,
-		Wire: wire, Channel: channel, Peer: peer, Op: op,
-		Pairs: pairs, Retries: retries, Fault: fault,
-	})
-	rg.mu.Unlock()
+// exactly this event. The error is ErrFlightLevelOrder (see flightOp).
+func (fr *FlightRecorder) Send(node, peer, level, pairs, retries int, wire, channel uint8, fault string) error {
+	return fr.delivery(FlightSend, node, peer, -1, level, pairs, retries, wire, channel, fault)
 }
 
 // Recv records one batch received by node from peer. The op ordinal comes
 // from the node's (level, wire, channel, peer) receive-stream counter:
 // per-source delivery order is FIFO, so the numbering is deterministic
 // even though arrivals from different sources interleave freely.
-func (fr *FlightRecorder) Recv(node, peer, level, pairs int, wire, channel string) {
-	fr.recvKind(FlightRecv, node, peer, level, pairs, wire, channel)
+func (fr *FlightRecorder) Recv(node, peer, level, pairs int, wire, channel uint8) error {
+	return fr.delivery(FlightRecv, node, peer, peer, level, pairs, 0, wire, channel, "")
 }
 
-// DupDrop records node discarding a chaos-duplicated delivery from peer.
-func (fr *FlightRecorder) DupDrop(node, peer, level, pairs int, wire, channel string) {
-	fr.recvKind(FlightDupDrop, node, peer, level, pairs, wire, channel)
+// DupDrop records node discarding a chaos-duplicated delivery from peer,
+// numbered on the same receive stream as Recv.
+func (fr *FlightRecorder) DupDrop(node, peer, level, pairs int, wire, channel uint8) error {
+	return fr.delivery(FlightDupDrop, node, peer, peer, level, pairs, 0, wire, channel, "")
 }
 
-func (fr *FlightRecorder) recvKind(kind string, node, peer, level, pairs int, wire, channel string) {
-	if fr == nil {
-		return
+// codeName resolves a registered code; an unregistered one (a hostile
+// batch's) is spelled the way the transport's own String methods do.
+func codeName(names []string, code uint8, what string) string {
+	if int(code) < len(names) {
+		return names[code]
 	}
-	rg, run := fr.ring(node)
+	return fmt.Sprintf("%s(%d)", what, code)
+}
+
+// delivery appends one delivery event to the node's ring, numbered by the
+// next op of its stream (streamPeer -1: a send stream). An event whose codes
+// or peer lie outside the tables is still recorded, as op 0 of no stream.
+func (fr *FlightRecorder) delivery(kind string, node, peer, streamPeer, level, pairs, retries int, wire, channel uint8, fault string) error {
+	if fr == nil {
+		return nil
+	}
+	rg, t := fr.ring(node)
+	wireName, channelName := codeName(t.wires, wire, "kind"), codeName(t.channels, channel, "channel")
+	slot := -1
+	if int(wire) < len(t.wires) && int(channel) < len(t.channels) && streamPeer >= -1 && streamPeer+1 < len(t.rings) {
+		slot = ((streamPeer+1)*len(t.wires)+int(wire))*len(t.channels) + int(channel)
+	}
 	rg.mu.Lock()
-	op := rg.nextOp(flightStream{level: level, wire: wire, channel: channel, peer: peer})
-	rg.push(fr.capacity, FlightEvent{
-		Run: run, Node: node, Kind: kind, Level: level,
-		Wire: wire, Channel: channel, Peer: peer, Op: op, Pairs: pairs,
-	})
+	op := 0
+	if slot >= 0 {
+		var ok bool
+		if op, ok = rg.nextOp(slot, len(t.rings)*len(t.wires)*len(t.channels), level); !ok {
+			stamp := rg.ops[slot].level
+			rg.mu.Unlock()
+			return fmt.Errorf("%w: node %d recorded a level-%d %s on %s/%s from %d after level %d",
+				ErrFlightLevelOrder, node, level, kind, wireName, channelName, peer, stamp)
+		}
+	}
+	// Field by field: a composite literal would be built on the stack and
+	// copied in under a bulk write barrier.
+	ev := rg.slot(fr.capacity)
+	ev.Seq, ev.Run, ev.Node, ev.Kind, ev.Level = 0, t.run, node, kind, level
+	ev.Wire, ev.Channel, ev.Peer, ev.Op = wireName, channelName, peer, op
+	ev.Pairs, ev.Retries, ev.Fault, ev.Detail = pairs, retries, fault, ""
 	rg.mu.Unlock()
+	return nil
 }
 
 // Inject records one chaos fault firing. The event lands in the machine
 // ring — low-volume, so injections survive even when a node's delivery
 // ring has wrapped — but carries the struck node for the timeline.
 func (fr *FlightRecorder) Inject(node, level int, fault string) {
-	if fr == nil {
-		return
-	}
-	rg, run := fr.ring(-1)
-	rg.mu.Lock()
-	rg.push(fr.capacity, FlightEvent{
-		Run: run, Node: node, Kind: FlightInject, Level: level, Peer: -1, Fault: fault,
-	})
-	rg.mu.Unlock()
+	fr.machine(FlightEvent{Node: node, Kind: FlightInject, Level: level, Peer: -1, Fault: fault})
 }
 
 // Control records a lifecycle event (round windows, watchdog activity,
 // straggler flags, aborts) in the machine ring.
 func (fr *FlightRecorder) Control(kind string, node, level int, detail string) {
+	fr.machine(FlightEvent{Node: node, Kind: kind, Level: level, Peer: -1, Detail: detail})
+}
+
+func (fr *FlightRecorder) machine(ev FlightEvent) {
 	if fr == nil {
 		return
 	}
-	rg, run := fr.ring(-1)
+	rg, t := fr.ring(-1)
+	ev.Run = t.run
 	rg.mu.Lock()
-	rg.push(fr.capacity, FlightEvent{
-		Run: run, Node: node, Kind: kind, Level: level, Peer: -1, Detail: detail,
-	})
+	*rg.slot(fr.capacity) = ev
 	rg.mu.Unlock()
 }
 
@@ -334,11 +395,8 @@ func (fr *FlightRecorder) TotalDropped() int64 {
 	if fr == nil {
 		return 0
 	}
-	fr.mu.RLock()
-	rings := append([]*flightRing(nil), fr.rings...)
-	fr.mu.RUnlock()
 	var dropped int64
-	for _, rg := range rings {
+	for _, rg := range fr.table.Load().rings {
 		rg.mu.Lock()
 		dropped += rg.total - int64(len(rg.buf))
 		rg.mu.Unlock()
@@ -357,10 +415,10 @@ func (fr *FlightRecorder) Dump() *FlightDump {
 	if fr == nil {
 		return d
 	}
-	fr.mu.RLock()
-	rings := append([]*flightRing(nil), fr.rings...)
+	fr.mu.Lock()
+	rings := fr.table.Load().rings
 	d.Runs = append([]FlightRunMeta(nil), fr.runs...)
-	fr.mu.RUnlock()
+	fr.mu.Unlock()
 
 	for _, rg := range rings {
 		rg.mu.Lock()
@@ -442,14 +500,14 @@ func (fr *FlightRecorder) CaptureState() *FlightState {
 	if fr == nil {
 		return nil
 	}
-	fr.mu.RLock()
-	rings := append([]*flightRing(nil), fr.rings...)
+	fr.mu.Lock()
+	t := fr.table.Load()
 	st := &FlightState{
 		Runs: append([]FlightRunMeta(nil), fr.runs...),
-		Run:  fr.run,
+		Run:  t.run,
 	}
-	fr.mu.RUnlock()
-	for _, rg := range rings {
+	fr.mu.Unlock()
+	for _, rg := range t.rings {
 		rg.mu.Lock()
 		rs := FlightRingState{
 			Events: append([]FlightEvent(nil), rg.buf...),
@@ -475,29 +533,22 @@ func (fr *FlightRecorder) RestoreState(st *FlightState) {
 	}
 	fr.mu.Lock()
 	fr.runs = append([]FlightRunMeta(nil), st.Runs...)
-	fr.run = st.Run
-	fr.rings = fr.rings[:0]
-	for len(fr.rings) < len(st.Rings) || len(fr.rings) < 1 {
-		fr.rings = append(fr.rings, &flightRing{})
+	old := fr.table.Load()
+	t := &flightTable{run: st.Run, wires: old.wires, channels: old.channels}
+	for i := 0; i < max(len(st.Rings), 1); i++ {
+		rg := &flightRing{}
+		if i < len(st.Rings) {
+			events := st.Rings[i].Events
+			if len(events) > fr.capacity {
+				events = events[len(events)-fr.capacity:]
+			}
+			rg.buf = append(rg.buf, events...)
+			rg.total = st.Rings[i].Total
+		}
+		t.rings = append(t.rings, rg)
 	}
-	capacity := fr.capacity
-	rings := fr.rings
+	fr.table.Store(t)
 	fr.mu.Unlock()
-	for i, rg := range rings {
-		if i >= len(st.Rings) {
-			break
-		}
-		events := st.Rings[i].Events
-		if len(events) > capacity {
-			events = events[len(events)-capacity:]
-		}
-		rg.mu.Lock()
-		rg.buf = append(rg.buf[:0], events...)
-		rg.next = 0
-		rg.total = st.Rings[i].Total
-		rg.ops = nil
-		rg.mu.Unlock()
-	}
 }
 
 // WriteFlightDump serializes a dump as indented JSON — the byte-stable

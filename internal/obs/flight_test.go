@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -11,12 +12,13 @@ import (
 // seedFlight records a small deterministic event mix across two nodes.
 func seedFlight() *FlightRecorder {
 	fr := NewFlightRecorder(0)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
 	fr.BeginRun(17, "bfs", 2, "direct")
-	fr.Send(1, 0, 0, 3, 0, "data", "forward", "")
-	fr.Send(0, 1, 0, 5, 1, "data", "forward", "sendfail@0:l0:data/forward:0")
-	fr.Recv(0, 1, 0, 3, "data", "forward")
-	fr.Recv(1, 0, 0, 5, "data", "forward")
-	fr.DupDrop(1, 0, 0, 5, "data", "forward")
+	fr.Send(1, 0, 0, 3, 0, 0, 0, "")
+	fr.Send(0, 1, 0, 5, 1, 0, 0, "sendfail@0:l0:data/forward:0")
+	fr.Recv(0, 1, 0, 3, 0, 0)
+	fr.Recv(1, 0, 0, 5, 0, 0)
+	fr.DupDrop(1, 0, 0, 5, 0, 0)
 	fr.Inject(0, 0, "sendfail@0:l0:data/forward:0")
 	fr.Control(FlightRoundClose, -1, 0, "dir=topdown frontier=1 edges=3")
 	return fr
@@ -28,6 +30,7 @@ func seedFlight() *FlightRecorder {
 func TestFlightWrapAround(t *testing.T) {
 	const capacity = 8
 	fr := NewFlightRecorder(capacity)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
 	fr.BeginRun(1, "bfs", 2, "direct")
 
 	var wg sync.WaitGroup
@@ -37,8 +40,8 @@ func TestFlightWrapAround(t *testing.T) {
 			defer wg.Done()
 			node := w % 2
 			for i := 0; i < 200; i++ {
-				fr.Send(node, 1-node, 0, 1, 0, "data", "forward", "")
-				fr.Recv(node, 1-node, 0, 1, "data", "forward")
+				fr.Send(node, 1-node, 0, 1, 0, 0, 0, "")
+				fr.Recv(node, 1-node, 0, 1, 0, 0)
 			}
 		}(w)
 	}
@@ -95,7 +98,7 @@ func TestFlightDumpCanonical(t *testing.T) {
 		prevLevel = ev.Level
 	}
 	// Recording after a dump keeps going: the black box is not drained.
-	fr.Send(0, 1, 1, 1, 0, "data", "forward", "")
+	fr.Send(0, 1, 1, 1, 0, 0, 0, "")
 	if got := len(fr.Dump().Events); got != len(d.Events)+1 {
 		t.Fatalf("post-dump recording lost events: %d, want %d", got, len(d.Events)+1)
 	}
@@ -131,9 +134,9 @@ func TestFlightJSONRoundTrip(t *testing.T) {
 func TestFlightNilRecorder(t *testing.T) {
 	var fr *FlightRecorder
 	fr.BeginRun(1, "bfs", 2, "direct")
-	fr.Send(0, 1, 0, 1, 0, "data", "forward", "")
-	fr.Recv(1, 0, 0, 1, "data", "forward")
-	fr.DupDrop(1, 0, 0, 1, "data", "forward")
+	fr.Send(0, 1, 0, 1, 0, 0, 0, "")
+	fr.Recv(1, 0, 0, 1, 0, 0)
+	fr.DupDrop(1, 0, 0, 1, 0, 0)
 	fr.Inject(0, 0, "kill@0:l0:data/forward:0")
 	fr.Control(FlightAbort, -1, 0, "cause")
 	if fr.TotalDropped() != 0 {
@@ -167,5 +170,72 @@ func TestFlightServeEndpoint(t *testing.T) {
 	NewMux(New()).ServeHTTP(bare, httptest.NewRequest("GET", "/debug/flight", nil))
 	if bare.Code != 404 {
 		t.Fatalf("detached /debug/flight = %d, want 404", bare.Code)
+	}
+}
+
+// TestFlightLevelOrder drives the recorder against the invariant its dense
+// op table rests on: a stream never records a level behind its last one.
+// Other streams are free to lag (the late duplicate drop), a new run starts
+// every stream over, and a violation is an error, not a restarted counter.
+func TestFlightLevelOrder(t *testing.T) {
+	fr := NewFlightRecorder(0)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
+	fr.BeginRun(1, "bfs", 2, "direct")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fr.Recv(0, 1, 2, 1, 1, 0))
+	must(fr.Recv(0, 1, 3, 1, 1, 0))
+	must(fr.Send(0, 1, 3, 1, 0, 0, 0, ""))
+	must(fr.DupDrop(0, 1, 2, 1, 0, 0)) // another stream of node 0, one level behind
+	before := len(fr.Dump().Events)
+	if err := fr.Recv(0, 1, 2, 1, 1, 0); !errors.Is(err, ErrFlightLevelOrder) {
+		t.Fatalf("level 2 after level 3 on one stream: %v, want ErrFlightLevelOrder", err)
+	}
+	if err := fr.Send(0, 1, 1, 1, 0, 0, 0, ""); !errors.Is(err, ErrFlightLevelOrder) {
+		t.Fatalf("send of level 1 after level 3: %v, want ErrFlightLevelOrder", err)
+	}
+	if got := len(fr.Dump().Events); got != before {
+		t.Fatalf("out-of-order events were recorded: %d events, had %d", got, before)
+	}
+	must(fr.Recv(0, 1, 3, 1, 1, 0))
+	for _, ev := range fr.Dump().Events {
+		if ev.Kind == FlightRecv && ev.Level == 3 && ev.Op > 1 {
+			t.Fatalf("the refused event consumed an op: %+v", ev)
+		}
+	}
+	fr.BeginRun(2, "bfs", 2, "direct")
+	must(fr.Recv(0, 1, 0, 1, 1, 0))
+	d := fr.Dump()
+	if last := d.Events[len(d.Events)-1]; last.Run != 1 || last.Level != 0 || last.Op != 0 {
+		t.Fatalf("first event of the second run = %+v, want run 1 level 0 op 0", last)
+	}
+}
+
+// TestFlightUnregisteredCodes: an event whose wire, channel or peer lies
+// outside the registered tables (a hostile batch) is still recorded, spelled
+// like the transport's String methods, as op 0 of no stream.
+func TestFlightUnregisteredCodes(t *testing.T) {
+	fr := NewFlightRecorder(0)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
+	fr.BeginRun(1, "bfs", 2, "direct")
+	for i := 0; i < 2; i++ {
+		if err := fr.Recv(0, 1, 0, 0, 7, 9); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.Recv(0, 1<<40, 0, 0, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range fr.Dump().Events {
+		if ev.Kind != FlightRecv {
+			continue
+		}
+		if ev.Op != 0 || (ev.Peer == 1 && (ev.Wire != "kind(7)" || ev.Channel != "channel(9)")) {
+			t.Fatalf("unregistered event stored as %+v", ev)
+		}
 	}
 }
