@@ -24,9 +24,10 @@ fmt:
 # tests race the sharded generators and handler fan-out for real — for the
 # BFS engine, the kernel fan-outs, the chaos x width parity sweep, the
 # kill-everywhere checkpoint/resume sweep, and the per-message path (swap-drain
-# inbox, recycled machines, flight stream counters, protocol errors).
+# inbox, recycled machines, flight stream counters, protocol errors). The
+# validator is in the first pass for its chunk counter and pooled scratch.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/comm/... ./internal/core/... ./internal/algos/...
+	$(GO) test -race ./internal/obs/... ./internal/comm/... ./internal/core/... ./internal/algos/... ./internal/graph500/
 	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint|Inbox|Reuse|Flight|Protocol' \
 		./internal/core/ ./internal/algos/ ./internal/chaos/ ./internal/comm/ ./internal/obs/
 
@@ -35,12 +36,14 @@ bench:
 
 # bench-layers runs the per-message ledger lines — one delivered End marker,
 # the inbox hand-off, one flight-recorded delivery — next to the send-side
-# and codec lines they sit between. Before/after figures of a change to
+# and codec lines they sit between, and the validator's ns/edge on the
+# bfs-hybrid workload's scale-18 graph. Before/after figures of a change to
 # these layers go into its CHANGES.md line.
 bench-layers:
 	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkRelaySendManyInterleaved|BenchmarkEncodeAdaptive)$$' \
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
+	$(GO) test -run='^$$' -bench='^BenchmarkValidation$$/scale18' -benchmem -count=5 .
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per
 # internal/ package and for cmd/ as a whole — the number ROADMAP's
@@ -69,6 +72,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzOrderPairs$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapWordScan -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
+	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME) ./internal/graph500/
 
 # resume-smoke drives the full CLI walkthrough of docs/CHAOS.md: kill a
 # graph500 run mid-level, resume it from the abort checkpoint, and fail

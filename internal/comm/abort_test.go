@@ -113,3 +113,62 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	net.Close()
 	leak()
 }
+
+// TestAllgatherLengthMismatchAborts: a rank that contributes a bitmap of the
+// wrong length to the OR-allgather gets a *ProtocolError through
+// AllgatherOr's error return (it used to panic the rank's goroutine), the
+// network is aborted, and peers already waiting in the collective — or
+// blocked in Recv — wake instead of hanging on the missing contribution.
+func TestAllgatherLengthMismatchAborts(t *testing.T) {
+	leak := testutil.CheckGoroutines(t)
+	net := mustNetwork(t, Config{Nodes: 4, SuperNodeSize: 2})
+	ep := NewDirectEndpoint(net, 3)
+	ep.StartLevel(0, ChanForward)
+
+	arrived := make(chan struct{}, 2)
+	waiters := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			arrived <- struct{}{}
+			words, err := net.AllgatherOr([]uint64{1, 2}, true)
+			if err == nil && words != nil {
+				err = errors.New("waiter got a result from a poisoned collective")
+			}
+			waiters <- err
+		}()
+	}
+	<-arrived
+	<-arrived
+	recv := make(chan Event, 1)
+	go func() { recv <- ep.Recv() }()
+
+	// The hostile contribution may land before, between or after the two
+	// honest ones; whichever call meets the other length reports it.
+	_, err := net.AllgatherOr([]uint64{1, 2, 3}, true)
+	var failures []error
+	if err != nil {
+		failures = append(failures, err)
+	}
+	for i := 0; i < 2; i++ {
+		if werr := <-waiters; werr != nil {
+			failures = append(failures, werr)
+		}
+	}
+	var pe *ProtocolError
+	if len(failures) != 1 || !errors.As(failures[0], &pe) {
+		t.Fatalf("mismatched allgather reported %v, want exactly one *ProtocolError", failures)
+	}
+	if pe.Reason == "" || pe.Error() != "comm: "+pe.Reason {
+		t.Fatalf("ProtocolError %+v renders as %q", *pe, pe.Error())
+	}
+	if !net.Aborted() {
+		t.Fatal("network not aborted after a mismatched allgather")
+	}
+	if ev := <-recv; ev.Type != EvError || !errors.Is(ev.Err, ErrAborted) {
+		t.Fatalf("blocked Recv woke with %+v, want an ErrAborted EvError", ev)
+	}
+	if words, err := net.AllgatherOr([]uint64{1, 2}, true); words != nil || err != nil {
+		t.Fatalf("allgather after the abort = (%v, %v), want the aborted zero result", words, err)
+	}
+	leak()
+}

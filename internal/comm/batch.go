@@ -182,7 +182,9 @@ const (
 // ProtocolError reports a batch that breaks the transport protocol — another
 // level's, an End on a channel the level never opened, an envelope outside
 // the relay's row, an unknown kind or channel, a flight stream running
-// backwards — caught by rank Node. The run aborts with it as the cause.
+// backwards — caught by rank Node, or a collective contribution of the wrong
+// length (no batch and no rank to name: Node and Src are -1). The run aborts
+// with it as the cause.
 type ProtocolError struct {
 	Node, Src, Level int
 	Kind             Kind
@@ -190,6 +192,9 @@ type ProtocolError struct {
 }
 
 func (e *ProtocolError) Error() string {
+	if e.Src < 0 {
+		return "comm: " + e.Reason
+	}
 	return fmt.Sprintf("comm: node %d: level-%d %s batch from node %d: %s", e.Node, e.Level, e.Kind, e.Src, e.Reason)
 }
 

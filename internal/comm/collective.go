@@ -61,6 +61,11 @@ type collectiveGroup struct {
 func (g *collectiveGroup) abort() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.abortLocked()
+}
+
+// abortLocked is abort for a collective that already holds mu.
+func (g *collectiveGroup) abortLocked() {
 	g.aborted.Store(true)
 	g.cond.Broadcast()
 }
@@ -185,9 +190,10 @@ func (n *Network) Barrier() { n.AllreduceSum(0) }
 
 // AllgatherOr ORs every node's bitmap words together and returns the
 // result to all nodes. Contributions must have equal length across nodes
-// (or be nil). When emptyOptimized is true and the contribution is nil,
-// only a one-byte flag is charged to the network — the paper's
-// global-communication reduction for empty hub frontiers.
+// (or be nil); one that differs aborts the network and returns a
+// *ProtocolError to its caller. When emptyOptimized is true and the
+// contribution is nil, only a one-byte flag is charged to the network — the
+// paper's global-communication reduction for empty hub frontiers.
 func (n *Network) AllgatherOr(words []uint64, emptyOptimized bool) ([]uint64, error) {
 	g := n.coll
 	g.mu.Lock()
@@ -202,10 +208,13 @@ func (n *Network) AllgatherOr(words []uint64, emptyOptimized bool) ([]uint64, er
 			g.orAcc = make([]uint64, len(words))
 		}
 		if len(g.orAcc) != len(words) {
-			err := fmt.Errorf("comm: allgather length mismatch: %d vs %d", len(words), len(g.orAcc))
-			// Poison the generation so peers do not hang with a
-			// half-completed collective.
-			panic(err)
+			// Poison the machine, not the process (Network.Abort with mu
+			// held): peers waiting in this half-completed collective wake
+			// aborted and blocked Recvs see the closed inboxes.
+			n.Close()
+			g.abortLocked()
+			return nil, &ProtocolError{Node: -1, Src: -1, Reason: fmt.Sprintf(
+				"allgather length mismatch: %d words against %d", len(words), len(g.orAcc))}
 		}
 		for i, w := range words {
 			g.orAcc[i] |= w

@@ -2,7 +2,9 @@ package graph500
 
 import (
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"swbfs/internal/core"
@@ -128,20 +130,88 @@ func TestValidateParallelRejectsCorruptions(t *testing.T) {
 		mutate(p)
 		return p
 	}
-	cases := map[string][]graph.Vertex{
-		"root not self":   corrupt(func(p []graph.Vertex) { p[0] = 1 }),
-		"bogus tree edge": corrupt(func(p []graph.Vertex) { p[5] = 1 }),
-		"cycle":           corrupt(func(p []graph.Vertex) { p[1] = 2; p[2] = 1 }),
-		"unvisited hole":  corrupt(func(p []graph.Vertex) { p[3] = graph.NoVertex }),
-		"out of range":    corrupt(func(p []graph.Vertex) { p[4] = 99 }),
+	type corrupted struct {
+		g      *graph.CSR
+		root   graph.Vertex
+		parent []graph.Vertex
 	}
-	for name, parent := range cases {
+	cases := map[string]corrupted{
+		"root not self":   {g, 0, corrupt(func(p []graph.Vertex) { p[0] = 1 })},
+		"bogus tree edge": {g, 0, corrupt(func(p []graph.Vertex) { p[5] = 1 })},
+		"cycle":           {g, 0, corrupt(func(p []graph.Vertex) { p[1] = 2; p[2] = 1 })},
+		"unvisited hole":  {g, 0, corrupt(func(p []graph.Vertex) { p[3] = graph.NoVertex })},
+		"out of range":    {g, 0, corrupt(func(p []graph.Vertex) { p[4] = 99 })},
+	}
+
+	// Failures in every chunk of a multi-chunk graph: each deep vertex is
+	// re-parented to the root, which is neither its neighbour (rule 3) nor
+	// within a level of its neighbours (rule 5). Whichever worker finishes
+	// first, the lowest chunk's failure is the one reported.
+	kron, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 12, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kron.NumEdges() <= 2*validateChunkEdges {
+		t.Fatalf("scale-12 graph has %d stored edges, want three chunks or more", kron.NumEdges())
+	}
+	_, hub := kron.MaxDegree()
+	scattered, level := core.ReferenceBFS(kron, hub)
+	for v := range scattered {
+		if level[v] >= 3 {
+			scattered[v] = hub
+		}
+	}
+	cases["failures in several chunks"] = corrupted{kron, hub, scattered}
+
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ValidateParallel(g, 0, parent, 4); err == nil {
-				t.Fatal("corruption accepted")
+			var want string
+			for round := 0; round < 3; round++ {
+				for _, workers := range []int{1, 2, 3, 7} {
+					_, err := ValidateParallel(c.g, c.root, c.parent, workers)
+					if err == nil {
+						t.Fatalf("workers=%d: corruption accepted", workers)
+					}
+					if want == "" {
+						want = err.Error()
+					} else if err.Error() != want {
+						t.Fatalf("workers=%d reports %q, workers=1 reported %q", workers, err, want)
+					}
+				}
 			}
 		})
 	}
+}
+
+// TestValidateParallelConcurrentCalls: validations of differently sized
+// graphs running at once each hold their own pooled scratch — run under
+// -race, and checked against Validate's levels.
+func TestValidateParallelConcurrentCalls(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, scale := range []int{6, 9, 12, 7, 11} {
+		g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: scale, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, root := g.MaxDegree()
+		parent, _ := core.ReferenceBFS(g, root)
+		want, err := Validate(g, root, parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := ValidateParallel(g, root, parent, 2)
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("scale %d call %d: err %v, levels equal %v", scale, i, err, slices.Equal(got, want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestValidateParallelLongPath exercises the iterative chain resolution on
