@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-layers bench-snapshot bench-diff bench-ab chaos fuzz docs-check resume-smoke loc
+.PHONY: build test check fmt vet race bench bench-layers bench-ab chaos fuzz docs-check resume-smoke loc
 
 build:
 	$(GO) build ./...
@@ -85,16 +85,6 @@ resume-smoke:
 	test -s "$$dir/smoke.ckpt.json" || { echo "resume-smoke: no checkpoint written"; exit 1; } && \
 	$(GO) run ./cmd/graph500 -scale 10 -nodes 8 -seed 42 -resume "$$dir/smoke.ckpt.json" \
 		| grep -q 'validation: *ok' && echo "resume-smoke: ok"
-
-# bench-snapshot runs the standard sweep and writes the next BENCH_<n>.json
-# in the repo root; bench-diff compares the newest two snapshots and fails
-# on a GTEPS regression beyond the default threshold. Workflow: snapshot on
-# a known-good commit, change code, snapshot again, diff.
-bench-snapshot:
-	$(GO) run ./cmd/benchtrend
-
-bench-diff:
-	$(GO) run ./cmd/benchtrend -compare-latest
 
 # bench-ab measures a base ref against the working tree with the repo
 # benchmark (benchmark/README.md): BASE is checked out into a temporary

@@ -44,7 +44,6 @@ func main() {
 		format     = flag.String("format", "text", "input format: text | binary")
 		vertices   = flag.Int64("vertices", 0, "vertex count for -input (0 = max vertex ID + 1)")
 		verbose    = flag.Bool("verbose", false, "print per-root and per-level detail")
-		compress   = flag.Bool("compress", false, "enable varint-delta message compression (Section 7 extension)")
 		codec      = flag.String("codec", "", "wire codec for every channel: raw | varint-delta | bitmap | adaptive (empty = raw; see docs/ARCHITECTURE.md)")
 		codecBwd   = flag.String("codec-backward", "", "wire codec override for the backward (bottom-up) channel only: raw | varint-delta | bitmap | adaptive (empty = no override)")
 		trace      = flag.String("trace", "", "write per-root/per-level statistics as JSON lines to this file")
@@ -96,9 +95,6 @@ func main() {
 		fatalf("unknown engine %q (want mpe or cpe)", *engine)
 	}
 
-	if *compress {
-		machine.Codec = comm.VarintDeltaCodec{}
-	}
 	if *codec != "" {
 		c, err := comm.CodecByName(*codec)
 		if err != nil {

@@ -11,8 +11,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -66,40 +64,33 @@ func main() {
 		}()
 		w = f
 	}
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-
-	// report prints write progress every ~5% of the edge list on big runs.
-	step := len(edges) / 20
-	report := func(i int) {
-		if !verbose || step == 0 || (i+1)%step != 0 {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "graphgen: wrote %d/%d edges (%d%%)\n",
-			i+1, len(edges), (i+1)*100/len(edges))
-	}
-
+	var write func(io.Writer, []graph.Edge) error
 	switch *format {
 	case "text":
-		for i, e := range edges {
-			fmt.Fprintf(bw, "%d\t%d\n", e.From, e.To)
-			report(i)
-		}
+		write = graph.WriteEdgesText
 	case "binary":
-		var buf [16]byte
-		for i, e := range edges {
-			binary.LittleEndian.PutUint64(buf[0:8], uint64(e.From))
-			binary.LittleEndian.PutUint64(buf[8:16], uint64(e.To))
-			if _, err := bw.Write(buf[:]); err != nil {
-				fatalf("write: %v", err)
-			}
-			report(i)
-		}
+		write = graph.WriteEdgesBinary
 	default:
 		fatalf("unknown format %q", *format)
 	}
-	if err := bw.Flush(); err != nil {
-		fatalf("flush: %v", err)
+
+	// Big runs write the edge list in 5 % chunks, one progress line each.
+	cw := &countingWriter{w: w}
+	step := len(edges) / 20
+	progress := verbose && step > 0
+	chunk := len(edges)
+	if progress {
+		chunk = step
+	}
+	for lo := 0; lo < len(edges); lo += chunk {
+		hi := min(lo+chunk, len(edges))
+		if err := write(cw, edges[lo:hi]); err != nil {
+			fatalf("write: %v", err)
+		}
+		if progress && hi%step == 0 {
+			fmt.Fprintf(os.Stderr, "graphgen: wrote %d/%d edges (%d%%)\n",
+				hi, len(edges), hi*100/len(edges))
+		}
 	}
 	fmt.Fprintf(os.Stderr, "graphgen: %d vertices, %d edges, %d bytes written in %s\n",
 		cfg.NumVertices(), len(edges), cw.n, time.Since(start).Round(time.Millisecond))

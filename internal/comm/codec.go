@@ -47,7 +47,7 @@ type VarintDeltaCodec struct{}
 func (VarintDeltaCodec) Name() string { return "varint-delta" }
 
 // EncodedSize implements Codec. It shares the pooled ordered scratch with
-// EncodePairs, so sizing a batch neither allocates nor re-orders on the
+// EncodePayload, so sizing a batch neither allocates nor re-orders on the
 // steady-state hot path. The untagged stream over (dst, src)-ordered pairs
 // — uvarint destination deltas (first absolute) plus uvarint sources — is
 // the tagged varint-delta layout keyed on column 1, less its tag byte.
@@ -58,22 +58,6 @@ func (VarintDeltaCodec) EncodedSize(pairs []Pair) int64 {
 	s := getScratch(pairs, 1)
 	defer s.release()
 	return sizeOrdered(s.ps, 1).size[FormatVarintDelta] - 1
-}
-
-// EncodePairs serializes a payload in the codec's wire format: pairs are
-// sorted by (destination, source), destinations delta-encoded, and each
-// pair emitted as uvarint(dstDelta) uvarint(src). The byte length always
-// equals EncodedSize. Ordering is normalized, not preserved: DecodePairs
-// returns the same multiset sorted by (dst, src).
-func (c VarintDeltaCodec) EncodePairs(pairs []Pair) []byte {
-	enc, _ := c.EncodePayload(nil, ChanForward, pairs)
-	return enc
-}
-
-// DecodePairs inverts EncodePairs: pairs come back sorted by (dst, src).
-// An error reports a truncated or malformed stream.
-func (c VarintDeltaCodec) DecodePairs(data []byte) ([]Pair, error) {
-	return c.DecodePayload(nil, data)
 }
 
 // PayloadSize implements PayloadCodec (the legacy format is

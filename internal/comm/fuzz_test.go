@@ -118,11 +118,11 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		codec := VarintDeltaCodec{}
 		pairs := pairsFromBytes(raw)
 
-		enc := codec.EncodePairs(pairs)
+		enc, _ := codec.EncodePayload(nil, ChanForward, pairs)
 		if int64(len(enc)) != codec.EncodedSize(pairs) {
 			t.Fatalf("encoded %d bytes, EncodedSize says %d", len(enc), codec.EncodedSize(pairs))
 		}
-		dec, err := codec.DecodePairs(enc)
+		dec, err := codec.DecodePayload(nil, enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -139,9 +139,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 
 		// Arbitrary bytes: rejecting is fine, panicking is not — and any
 		// accepted stream must re-encode to a stable normal form.
-		if dec2, err := codec.DecodePairs(raw); err == nil {
-			enc2 := codec.EncodePairs(dec2)
-			dec3, err := codec.DecodePairs(enc2)
+		if dec2, err := codec.DecodePayload(nil, raw); err == nil {
+			enc2, _ := codec.EncodePayload(nil, ChanForward, dec2)
+			dec3, err := codec.DecodePayload(nil, enc2)
 			if err != nil {
 				t.Fatalf("re-decode of normalized stream failed: %v", err)
 			}

@@ -471,9 +471,6 @@ func (n *Network) ConnectionMemoryBytes() int64 {
 	return int64(n.MaxConnectionCount()) * MPIConnectionBytes
 }
 
-// KindMessages returns how many batches of the given kind were delivered.
-func (n *Network) KindMessages(k Kind) int64 { return n.kindMsgs[k].Load() }
-
 // MetricsInto folds the network's traffic counters into an obs metrics
 // registry: per-link-class bytes and messages (point-to-point and
 // collective) under "comm.*", batch counts per wire kind, and the

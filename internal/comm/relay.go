@@ -298,9 +298,6 @@ func NewRelayEndpoint(net *Network, node int, shape GroupShape) (*RelayEndpoint,
 func (e *RelayEndpoint) Node() int    { return e.node }
 func (e *RelayEndpoint) Mode() string { return "relay" }
 
-// Shape exposes the group arrangement.
-func (e *RelayEndpoint) Shape() GroupShape { return e.shape }
-
 // StartLevel implements Endpoint.
 func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	e.level = level

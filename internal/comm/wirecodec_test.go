@@ -253,8 +253,8 @@ func TestWireTrafficReconciles(t *testing.T) {
 		compareExchange(t, sent, got)
 
 		codecMsgs, codecBytes := codecTotals(net)
-		dataMsgs := net.KindMessages(KindData)
-		endMsgs := net.KindMessages(KindEnd)
+		kindMsgs := net.CaptureState().KindMsgs
+		dataMsgs, endMsgs := kindMsgs[KindData], kindMsgs[KindEnd]
 		if codecMsgs != dataMsgs {
 			t.Fatalf("codec encoded %d messages, %d data batches delivered", codecMsgs, dataMsgs)
 		}
@@ -289,8 +289,8 @@ func TestWireTrafficReconciles(t *testing.T) {
 
 		codecMsgs, codecBytes := codecTotals(net)
 		var topMsgs int64
-		for k := Kind(0); k < numKinds; k++ {
-			topMsgs += net.KindMessages(k)
+		for _, msgs := range net.CaptureState().KindMsgs {
+			topMsgs += msgs
 		}
 		var stageTwoPairBytes int64
 		for _, re := range reps {

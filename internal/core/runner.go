@@ -163,9 +163,6 @@ func (r *Runner) Config() Config { return r.cfg }
 // machine did.
 func (r *Runner) Flight() *obs.FlightRecorder { return r.flight }
 
-// Shape returns the relay group arrangement (zero value for direct).
-func (r *Runner) Shape() comm.GroupShape { return r.shape }
-
 // Run executes one rooted BFS and returns its result. The error reports a
 // simulated machine failure (SPM overflow was caught at construction; MPI
 // memory exhaustion surfaces here).

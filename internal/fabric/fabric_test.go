@@ -40,12 +40,6 @@ func TestTopologyDefaults(t *testing.T) {
 	if topo.NumSuperNodes() != 160 {
 		t.Fatalf("NumSuperNodes = %d, want 160", topo.NumSuperNodes())
 	}
-	// Published bisection is ~70 TB/s; raw-link model should be the same
-	// order of magnitude.
-	bisect := topo.BisectionBandwidth()
-	if bisect < 30e12 || bisect > 120e12 {
-		t.Fatalf("bisection %.1f TB/s not in the published ballpark", bisect/1e12)
-	}
 }
 
 func TestTopologyRejectsBadNodes(t *testing.T) {
@@ -66,11 +60,9 @@ func TestCentralBandwidthOversubscribed(t *testing.T) {
 }
 
 func TestLatencyOrdering(t *testing.T) {
-	if Loopback.Latency() != 0 {
-		t.Error("loopback has latency")
-	}
-	if IntraSuper.Latency() >= InterSuper.Latency() {
-		t.Error("central network must be slower than a super node")
+	if IntraSuperLatency <= 0 || IntraSuperLatency >= InterSuperLatency {
+		t.Errorf("latencies %g / %g: the central network must be slower than a super node",
+			IntraSuperLatency, InterSuperLatency)
 	}
 }
 

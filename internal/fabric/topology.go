@@ -72,18 +72,6 @@ func (c LinkClass) String() string {
 	}
 }
 
-// Latency returns the per-message latency of the class.
-func (c LinkClass) Latency() float64 {
-	switch c {
-	case IntraSuper:
-		return IntraSuperLatency
-	case InterSuper:
-		return InterSuperLatency
-	default:
-		return 0
-	}
-}
-
 // Topology is a scaled instance of the machine's fat tree: Nodes nodes in
 // super nodes of SuperSize. Scaled-down functional runs use small SuperSize
 // values so that both link classes are exercised at laptop scale.
@@ -130,11 +118,4 @@ func (t Topology) Classify(src, dst int) LinkClass {
 // bandwidth (the 1:4 oversubscription).
 func (t Topology) CentralBandwidth() float64 {
 	return float64(t.Nodes) * EffectiveNodeBandwidth / OversubscriptionRatio
-}
-
-// BisectionBandwidth reports the full-machine bisection bandwidth under the
-// model; at the real machine's size this lands at the published ~70 TB/s
-// order of magnitude using raw link rates.
-func (t Topology) BisectionBandwidth() float64 {
-	return float64(t.Nodes) * LinkBandwidth / OversubscriptionRatio
 }

@@ -122,28 +122,3 @@ func FuzzBitmapWordScan(f *testing.F) {
 		check(a, ref)
 	})
 }
-
-// FuzzReadCSR: arbitrary bytes must never panic the deserializer, and
-// anything it accepts must validate.
-func FuzzReadCSR(f *testing.F) {
-	g, err := BuildCSR(4, []Edge{{From: 0, To: 1}, {From: 1, To: 2}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add(make([]byte, 64))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		got, err := ReadCSR(bytes.NewReader(raw))
-		if err != nil {
-			return
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("accepted CSR invalid: %v", err)
-		}
-	})
-}

@@ -9,15 +9,11 @@ import (
 	"strings"
 )
 
-// Edge-list and CSR (de)serialization. Two edge-list formats are
-// supported, matching cmd/graphgen's output:
+// Edge-list (de)serialization, in the two formats cmd/graphgen writes:
 //
 //   - text: one "u<TAB>v" (or space-separated) pair per line, '#' comments;
 //   - binary: the Graph500 reference layout, two little-endian int64 per
 //     edge.
-//
-// The CSR format is a compact little-endian binary: magic, vertex count,
-// edge count, RowPtr, Col.
 
 // WriteEdgesText writes edges as "u\tv" lines.
 func WriteEdgesText(w io.Writer, edges []Edge) error {
@@ -96,101 +92,4 @@ func ReadEdgesBinary(r io.Reader) ([]Edge, error) {
 			To:   Vertex(binary.LittleEndian.Uint64(buf[8:16])),
 		})
 	}
-}
-
-// csrMagic guards the CSR binary format.
-const csrMagic = 0x5357_4353_5230_3031 // "SWCSR001"
-
-// clampCap bounds an attacker-controlled pre-allocation hint.
-func clampCap(n int64) int64 {
-	const maxHint = 1 << 20
-	if n < 0 {
-		return 0
-	}
-	if n > maxHint {
-		return maxHint
-	}
-	return n
-}
-
-// WriteCSR serializes g.
-func WriteCSR(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var buf [8]byte
-	put := func(v int64) error {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	if err := put(csrMagic); err != nil {
-		return err
-	}
-	if err := put(g.N); err != nil {
-		return err
-	}
-	if err := put(int64(len(g.Col))); err != nil {
-		return err
-	}
-	for _, p := range g.RowPtr {
-		if err := put(p); err != nil {
-			return err
-		}
-	}
-	for _, c := range g.Col {
-		if err := put(int64(c)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSR deserializes and validates a CSR.
-func ReadCSR(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var buf [8]byte
-	get := func() (int64, error) {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return int64(binary.LittleEndian.Uint64(buf[:])), nil
-	}
-	magic, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading CSR header: %w", err)
-	}
-	if magic != csrMagic {
-		return nil, fmt.Errorf("graph: bad CSR magic %#x", magic)
-	}
-	n, err := get()
-	if err != nil {
-		return nil, err
-	}
-	m, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: negative sizes in CSR header (n=%d, m=%d)", n, m)
-	}
-	// Grow buffers as data actually arrives so a forged header cannot
-	// trigger a huge allocation before the stream runs dry.
-	g := &CSR{N: n, RowPtr: make([]int64, 0, clampCap(n+1)), Col: make([]Vertex, 0, clampCap(m))}
-	for i := int64(0); i < n+1; i++ {
-		v, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("graph: truncated RowPtr: %w", err)
-		}
-		g.RowPtr = append(g.RowPtr, v)
-	}
-	for i := int64(0); i < m; i++ {
-		v, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("graph: truncated Col: %w", err)
-		}
-		g.Col = append(g.Col, Vertex(v))
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: loaded CSR invalid: %w", err)
-	}
-	return g, nil
 }

@@ -86,59 +86,3 @@ func TestReadEdgesBinaryTruncated(t *testing.T) {
 		t.Fatal("truncated input accepted")
 	}
 }
-
-func TestCSRRoundTrip(t *testing.T) {
-	g, err := BuildKronecker(KroneckerConfig{Scale: 10, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != g.N || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", got.N, got.NumEdges(), g.N, g.NumEdges())
-	}
-	for v := Vertex(0); int64(v) < g.N; v++ {
-		a, b := g.Neighbors(v), got.Neighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree mismatch", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d neighbour %d mismatch", v, i)
-			}
-		}
-	}
-}
-
-func TestReadCSRRejects(t *testing.T) {
-	// Bad magic.
-	if _, err := ReadCSR(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("zero magic accepted")
-	}
-	// Truncated after a valid header.
-	g, err := BuildCSR(3, []Edge{{From: 0, To: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	if _, err := ReadCSR(bytes.NewReader(full[:len(full)-4])); err == nil {
-		t.Fatal("truncated CSR accepted")
-	}
-	// Corrupted structure (break RowPtr monotonicity) must fail the
-	// post-load validation.
-	corrupt := append([]byte(nil), full...)
-	corrupt[24] = 0xff // inside RowPtr[0]
-	if _, err := ReadCSR(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt CSR accepted")
-	}
-}

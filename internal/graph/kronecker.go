@@ -9,13 +9,11 @@ import (
 // Graph500 Kronecker generator parameters (the "suggested graph parameter"
 // set used throughout the paper's evaluation).
 const (
-	// KroneckerA..KroneckerD are the R-MAT quadrant probabilities from the
-	// Graph500 specification.
+	// KroneckerA..KroneckerC are the R-MAT quadrant probabilities from the
+	// Graph500 specification; the fourth is the remainder, D = 0.05.
 	KroneckerA = 0.57
 	KroneckerB = 0.19
 	KroneckerC = 0.19
-	// KroneckerD = 1 - A - B - C.
-	KroneckerD = 0.05
 
 	// DefaultEdgeFactor is the Graph500 ratio of generated (undirected)
 	// edges to vertices; the paper fixes it to 16.

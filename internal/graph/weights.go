@@ -21,9 +21,6 @@ type WeightedCSR struct {
 	Weights *Weights
 }
 
-// Weight returns the weight of the directed edge at CSR storage index i.
-func (w *WeightedCSR) Weight(i int64) int64 { return w.Weights.W[i] }
-
 // EdgeWeight returns the weight of edge (u, v), or an error if absent.
 // Binary search over the sorted adjacency keeps it O(log degree).
 func (w *WeightedCSR) EdgeWeight(u, v Vertex) (int64, error) {

@@ -99,10 +99,3 @@ func (b *ProgressBroker) Subscribe(buf int) (<-chan LiveEvent, func()) {
 	}
 	return ch, cancel
 }
-
-// Subscribers reports the current subscriber count (used by tests).
-func (b *ProgressBroker) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
