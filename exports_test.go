@@ -13,8 +13,7 @@ import (
 
 // keptExports lists the exported identifiers under internal/ that no
 // non-test code references yet, and why each stays. Keys are "pkg.Name"
-// for package-level names and "pkg.Type.Method" for methods. Everything
-// in internal/sw and internal/shuffle is kept wholesale (see keptPackages).
+// for package-level names and "pkg.Type.Method" for methods.
 var keptExports = map[string]string{
 	// Serial oracles: the independent answers the kernels are checked
 	// against, part of the API a driver author builds on.
@@ -45,15 +44,22 @@ var keptExports = map[string]string{
 	"obs.ReadTraceJSON":               "checks trace export",
 	// Waiting for a caller: the uniform family of a graph-families sweep.
 	"graph.GenerateUniform": "uniform graph family, caller pending",
+	// The CPE-cluster simulator's introspection: what its tests check the
+	// cycle-level runs and the paper's constants with.
+	"shuffle.Layout.Role":        "checks the Figure 6 role map",
+	"sw.BroadcastLatencyCycles":  "checks the broadcast term of FlagNotifyLatencySeconds",
+	"sw.InterruptLatencySeconds": "checks flag polling against the paper's interrupt cost",
+	"sw.MPETime":                 "derives the 1 KB small-message threshold",
+	"sw.ProgramFunc":             "builds the simulator tests' CPE programs",
+	"sw.SPM.Regions":             "checks SPM accounting",
+	"sw.SPM.Remaining":           "checks SPM accounting",
+	"sw.SPM.Used":                "checks SPM accounting",
+	"sw.SaturatingCPECount":      "checks the DMA curve against Figure 5",
 }
 
-// keptPackages are skipped whole: testutil exists to serve tests, and the
-// CPE-cluster simulator packages await a decision on routing module input
-// through them.
+// keptPackages are skipped whole: testutil exists to serve tests.
 var keptPackages = map[string]string{
 	"testutil": "test support package",
-	"sw":       "CPE-cluster simulator, decision pending",
-	"shuffle":  "CPE-cluster simulator, decision pending",
 }
 
 // interfaceMethods are method names that fmt and errors call through

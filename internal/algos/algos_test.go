@@ -346,7 +346,7 @@ func TestRunGuards(t *testing.T) {
 
 type neverConverges struct{}
 
-func (*neverConverges) Active() int64                 { return 1 }
-func (*neverConverges) Generate(int, Send) error      { return nil }
-func (*neverConverges) Handle(int, []comm.Pair) error { return nil }
-func (*neverConverges) EndRound(int) error            { return nil }
+func (*neverConverges) Active() int64                  { return 1 }
+func (*neverConverges) Generate(int, *comm.Lane) error { return nil }
+func (*neverConverges) Handle(int, []comm.Pair) error  { return nil }
+func (*neverConverges) EndRound(int) error             { return nil }

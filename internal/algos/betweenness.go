@@ -121,7 +121,7 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 		Info:       info,
 	}
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	forEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
 		for v := lo; v < hi; v++ {
 			vv := graph.Vertex(v)
 			res.Centrality[v] = nodes[part.Owner(vv)].bc[part.Local(vv)]
@@ -137,7 +137,7 @@ func (b *bcNode) delta(local int64) float64 {
 
 // startSource resets per-source state for sources[srcIdx].
 func (b *bcNode) startSource() {
-	forEachShard(int64(len(b.dist)), b.ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(int64(len(b.dist)), b.ctx.Workers, func(_ int, lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			b.dist[i] = -1
 			b.sigma[i] = 0
@@ -167,24 +167,13 @@ func (b *bcNode) Active() int64 {
 }
 
 // Generate runs one level of either sweep, fanning the ascending scan over
-// the node's workers (see fanoutSend).
-func (b *bcNode) Generate(round int, send Send) error {
-	// broadcast sends payload to every neighbour of local.
-	broadcast := func(local int64, payload float64, emit Send) error {
-		bits := graph.Vertex(math.Float64bits(payload))
-		for _, v := range b.ctx.Sub.Neighbors(local) {
-			if err := emit(b.ctx.Part.Owner(v), comm.Pair{v, bits}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// the node's workers (see comm.Fanout).
+func (b *bcNode) Generate(round int, out *comm.Lane) error {
 	if !b.backward {
 		// Forward: expand the depth-b.depth frontier.
-		words := b.frontier.Words()
-		err := fanoutSend(int64(len(words)), b.ctx.Workers, send, func(lo, hi int64, emit Send) error {
-			return scanBits(words, lo, hi, func(local int64) error {
-				return broadcast(local, b.sigma[local], emit)
+		err := comm.Fanout(out, int64(len(b.frontier.Words())), b.ctx.Workers, b, func(b *bcNode, out *comm.Lane, lo, hi int64) error {
+			return scanBits(b.frontier.Words(), lo, hi, func(local int64) error {
+				return b.broadcast(out, local, b.sigma[local])
 			})
 		})
 		b.frontier.Reset()
@@ -193,17 +182,28 @@ func (b *bcNode) Generate(round int, send Send) error {
 	}
 	// Backward: vertices at the current depth broadcast their dependency
 	// coefficient to every neighbour; depth-(d-1) receivers filter.
-	return fanoutSend(b.ctx.Sub.NumVertices(), b.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+	return comm.Fanout(out, b.ctx.Sub.NumVertices(), b.ctx.Workers, b, func(b *bcNode, out *comm.Lane, lo, hi int64) error {
 		for local := lo; local < hi; local++ {
 			if b.dist[local] != b.depth || b.sigma[local] == 0 {
 				continue
 			}
-			if err := broadcast(local, (1+b.delta(local))/b.sigma[local], emit); err != nil {
+			if err := b.broadcast(out, local, (1+b.delta(local))/b.sigma[local]); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// broadcast sends payload to every neighbour of local.
+func (b *bcNode) broadcast(out *comm.Lane, local int64, payload float64) error {
+	bits := graph.Vertex(math.Float64bits(payload))
+	for _, v := range b.ctx.Sub.Neighbors(local) {
+		if err := out.Send(b.ctx.Part.Owner(v), comm.Pair{v, bits}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (b *bcNode) Handle(round int, pairs []comm.Pair) error {
@@ -327,7 +327,7 @@ func (b *bcNode) EndRound(round int) error {
 // depends only on synchronized state.
 func (b *bcNode) finishSource() error {
 	s := b.sources[b.srcIdx]
-	forEachShard(b.ctx.Sub.NumVertices(), b.ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(b.ctx.Sub.NumVertices(), b.ctx.Workers, func(_ int, lo, hi int64) {
 		for local := lo; local < hi; local++ {
 			if b.dist[local] >= 0 && b.ctx.Global(local) != s {
 				b.bc[local] += b.delta(local)

@@ -7,8 +7,8 @@ import (
 
 // The driver side of round-boundary checkpointing: what one node
 // serializes at the bottom of its round loop — its kernel's state through
-// the Checkpointer hook plus the driver's span log — and how a resumed node
-// loads it back. The latch that assembles the boundary lives on the machine
+// the Checkpointer hook — and how a resumed node loads it back. The latch
+// that assembles the boundary lives on the machine
 // (core.Machine.StageCheckpoint).
 
 // Checkpointer is the per-node state serialization hook every kernel
@@ -23,18 +23,9 @@ type Checkpointer interface {
 	RestoreState(data []byte) error
 }
 
-// driverNodeData wraps one node's kernel payload with the driver's own
-// per-node state (the module-work span log).
+// driverNodeData wraps one node's kernel payload.
 type driverNodeData struct {
-	Algo  json.RawMessage `json:"algo"`
-	Spans []roundWorkJSON `json:"spans,omitempty"`
-}
-
-// roundWorkJSON serializes one roundWork span-log entry.
-type roundWorkJSON struct {
-	Round   int   `json:"round"`
-	Gen     int64 `json:"gen"`
-	Handler int64 `json:"handler"`
+	Algo json.RawMessage `json:"algo"`
 }
 
 // captureNode serializes one node's driver + kernel state. Called at the
@@ -52,11 +43,7 @@ func (n *nodeRun) captureNode() (json.RawMessage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("algos: node %d checkpoint state: %w", n.ctx.ID, err)
 	}
-	data := driverNodeData{Algo: raw}
-	for _, rw := range n.spanLog {
-		data.Spans = append(data.Spans, roundWorkJSON{Round: rw.round, Gen: rw.gen, Handler: rw.handler})
-	}
-	return json.Marshal(&data)
+	return json.Marshal(&driverNodeData{Algo: raw})
 }
 
 // restoreNode loads a serialized node state into a freshly constructed
@@ -72,9 +59,6 @@ func (n *nodeRun) restoreNode(raw json.RawMessage) error {
 	}
 	if err := ckr.RestoreState(data.Algo); err != nil {
 		return fmt.Errorf("algos: node %d: %w", n.ctx.ID, err)
-	}
-	for _, s := range data.Spans {
-		n.spanLog = append(n.spanLog, roundWork{round: s.Round, gen: s.Gen, handler: s.Handler})
 	}
 	return nil
 }

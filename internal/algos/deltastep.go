@@ -141,7 +141,7 @@ func (d *deltaNode) Active() int64 {
 	return 1
 }
 
-func (d *deltaNode) Generate(round int, send Send) error {
+func (d *deltaNode) Generate(round int, out *comm.Lane) error {
 	relax := func(local int64, light bool) error {
 		dv := d.dist[local]
 		lo, hi := d.ctx.Sub.RowPtr[local], d.ctx.Sub.RowPtr[local+1]
@@ -152,7 +152,7 @@ func (d *deltaNode) Generate(round int, send Send) error {
 			}
 			d.relaxed++
 			u := d.ctx.Sub.Col[i]
-			if err := send(d.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(dv + w)}); err != nil {
+			if err := out.Send(d.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(dv + w)}); err != nil {
 				return err
 			}
 		}
@@ -300,7 +300,7 @@ func (d *deltaNode) RestoreState(data []byte) error {
 func (d *deltaNode) nextBucket() int64 {
 	n := d.ctx.Sub.NumVertices()
 	mins := make([]int64, d.ctx.Workers)
-	forEachShard(n, d.ctx.Workers, func(shard int, lo, hi int64) {
+	comm.ForEachShard(n, d.ctx.Workers, func(shard int, lo, hi int64) {
 		min := int64(-1)
 		for local := lo; local < hi; local++ {
 			b := d.bucketOf(d.dist[local])
@@ -326,7 +326,7 @@ func (d *deltaNode) nextBucket() int64 {
 func (d *deltaNode) fillBucket() {
 	n := d.ctx.Sub.NumVertices()
 	members := make([][]int64, d.ctx.Workers)
-	forEachShard(n, d.ctx.Workers, func(shard int, lo, hi int64) {
+	comm.ForEachShard(n, d.ctx.Workers, func(shard int, lo, hi int64) {
 		for local := lo; local < hi; local++ {
 			if d.bucketOf(d.dist[local]) == d.curBucket {
 				members[shard] = append(members[shard], local)

@@ -54,21 +54,17 @@ type NodeCtx struct {
 // Global converts a local vertex index to its global ID.
 func (c *NodeCtx) Global(local int64) graph.Vertex { return c.Part.Global(c.ID, local) }
 
-// Send is the message emitter handed to Generate. Messages are staged and
-// reach the transport in comm.StageCapPairs-pair streams, so a transport
-// error surfaces at the next flush — from a later Send call or from the
-// driver after Generate returns — not at the offending pair. A non-nil
-// error means the run is tearing down: return it promptly.
-type Send func(dst int, p comm.Pair) error
-
 // RoundAlgo is one node's algorithm instance.
 type RoundAlgo interface {
 	// Active returns this node's pending work; the round runs only while
 	// the machine-wide sum is positive.
 	Active() int64
-	// Generate emits this node's messages for the round and retires the
-	// work it announced via Active.
-	Generate(round int, send Send) error
+	// Generate emits this node's messages for the round on out — pair by
+	// pair with out.Send, or fanned over the node's workers with
+	// comm.Fanout — and retires the work it announced via Active. The
+	// driver flushes out after it returns; an error from out means the run
+	// is tearing down: return it promptly.
+	Generate(round int, out *comm.Lane) error
 	// Handle folds one delivered batch into local state.
 	Handle(round int, pairs []comm.Pair) error
 	// EndRound runs after all of the round's traffic has been handled
@@ -176,7 +172,6 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 			kernel:     kernel,
 			root:       int64(opts.Root),
 			progress:   cfg.Obs.ProgressOf(),
-			keepSpans:  cfg.Obs.SpansOf() != nil,
 			checkpoint: cfg.CheckpointEvery > 0,
 		}
 		if cfg.CheckpointEvery > 0 {
@@ -215,9 +210,7 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	if t := cfg.Obs.TraceOf(); t != nil {
 		t.Record(m.Trace())
 	}
-	if sr := cfg.Obs.SpansOf(); sr != nil {
-		sr.EndRun(info.Time, buildSpans(cfg.Engine, m.Model, info, nodes, cfg.Workers), nil)
-	}
+	m.EndSpans(nil)
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
 		var edges int64
 		for _, s := range info.Levels {
@@ -229,49 +222,6 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		})
 	}
 	return info, nil
-}
-
-// buildSpans lays the run's per-node generator/handler work out on the
-// modelled timeline: each round's spans start at the round's start and last
-// bytes/bandwidth at the configured engine's module bandwidth.
-func buildSpans(engine perf.Engine, model perf.Model, info *RunInfo, nodes []*nodeRun, workers int) []obs.ModuleSpan {
-	bw := engine.Bandwidth()
-	attributed := 0
-	if workers > 1 {
-		attributed = workers // attribute pool width only when fanned out
-	}
-	var spans []obs.ModuleSpan
-	levelStart := 0.0
-	for li, s := range info.Levels {
-		for _, n := range nodes {
-			if li >= len(n.spanLog) {
-				continue
-			}
-			rw := n.spanLog[li]
-			if rw.gen > 0 {
-				spans = append(spans, obs.ModuleSpan{
-					Node: n.ctx.ID, Module: obs.ModuleForwardGenerator, Level: rw.round,
-					Start: levelStart, Dur: float64(rw.gen) / bw, Bytes: rw.gen,
-					Workers: attributed,
-				})
-			}
-			if rw.handler > 0 {
-				spans = append(spans, obs.ModuleSpan{
-					Node: n.ctx.ID, Module: obs.ModuleForwardHandler, Level: rw.round,
-					Start: levelStart, Dur: float64(rw.handler) / bw, Bytes: rw.handler,
-					Workers: attributed,
-				})
-			}
-		}
-		levelStart += model.LevelTime(s)
-	}
-	return spans
-}
-
-// roundWork is one node's module byte counts for one completed round.
-type roundWork struct {
-	round        int
-	gen, handler int64
 }
 
 // nodeRun drives one node's SPMD loop.
@@ -287,17 +237,15 @@ type nodeRun struct {
 	root     int64
 	progress *obs.ProgressBroker
 
-	keepSpans bool
-	spanLog   []roundWork
+	// lane stages the round's outgoing messages between flushes. On an
+	// abort whatever is still staged is dropped with it, never flushed.
+	lane comm.Lane
 
 	checkpoint bool // Config.CheckpointEvery > 0
 }
 
 func (n *nodeRun) loop() error {
-	// stage holds the round's outgoing messages between flushes. On an
-	// abort whatever is still staged is dropped with it, never flushed.
-	stage := stagePool.Get().(*comm.Stage)
-	defer putStage(stage)
+	defer n.lane.Release()
 	for round := n.m.StartLevel; ; round++ {
 		if round >= n.maxRounds {
 			n.net.Abort()
@@ -329,31 +277,25 @@ func (n *nodeRun) loop() error {
 		sentMsgs0, sentBytes0 := n.net.NodeSent(n.ctx.ID)
 
 		n.ep.StartLevel(round, comm.ChanForward)
+		n.lane.Open(n.ep, comm.ChanForward)
 		n.net.Barrier()
 		if n.net.Aborted() {
 			return core.ErrAborted
 		}
 
-		var sentPairs, recvPairs, batches int64
-		send := func(dst int, p comm.Pair) error {
-			sentPairs++
-			stage.Add(dst, p)
-			if stage.Full() {
-				return stage.Flush(n.ep, comm.ChanForward)
-			}
-			return nil
-		}
+		var recvPairs, batches int64
 		if d := n.net.ChaosDelay(chaos.KindDelayGenerator, n.ctx.ID, round); d > 0 {
 			time.Sleep(d)
 		}
-		err := n.algo.Generate(round, send)
+		err := n.algo.Generate(round, &n.lane)
 		if err == nil {
-			err = stage.Flush(n.ep, comm.ChanForward)
+			err = n.lane.Flush()
 		}
 		if err != nil {
 			n.net.Abort()
 			return err
 		}
+		sentPairs := n.lane.Sent
 		if err := n.ep.CloseChannel(comm.ChanForward); err != nil {
 			n.net.Abort()
 			return err
@@ -386,7 +328,10 @@ func (n *nodeRun) loop() error {
 			return err
 		}
 
-		// Round statistics (same critical-path folding as the BFS engine).
+		// Round statistics (same critical-path folding as the BFS engine),
+		// after this node's ledger entry: a round's generator and handler
+		// are the forward pair.
+		n.m.RecordWork(n.ctx.ID, round, core.TopDown, [4]int64{sentPairs * comm.PairBytes, recvPairs * comm.PairBytes})
 		processed := (sentPairs + recvPairs) * comm.PairBytes
 		sentMsgs1, sentBytes1 := n.net.NodeSent(n.ctx.ID)
 		maxProcessed := n.net.AllreduceMax(processed)
@@ -396,13 +341,6 @@ func (n *nodeRun) loop() error {
 		sumPairs := n.net.AllreduceSum(sentPairs)
 		if n.net.Aborted() {
 			return core.ErrAborted
-		}
-		if n.keepSpans {
-			n.spanLog = append(n.spanLog, roundWork{
-				round:   round,
-				gen:     sentPairs * comm.PairBytes,
-				handler: recvPairs * comm.PairBytes,
-			})
 		}
 		if n.ctx.ID == 0 {
 			rounds := 1

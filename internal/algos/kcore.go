@@ -84,7 +84,7 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
 	workers := nodes[0].ctx.Workers
 	sizes := make([]int64, workers)
-	forEachShard(g.N, workers, func(shard int, lo, hi int64) {
+	comm.ForEachShard(g.N, workers, func(shard int, lo, hi int64) {
 		for v := lo; v < hi; v++ {
 			vv := graph.Vertex(v)
 			in := nodes[part.Owner(vv)].alive[part.Local(vv)]
@@ -105,13 +105,13 @@ func (kn *kcoreNode) Active() int64 { return int64(len(kn.removal)) }
 // Generate removes the scheduled vertices and sends one decrement per
 // incident edge, fanning the removal list over the node's workers in
 // contiguous index shards (entries are unique, so the alive writes are
-// disjoint; see fanoutSend).
-func (kn *kcoreNode) Generate(round int, send Send) error {
-	err := fanoutSend(int64(len(kn.removal)), kn.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+// disjoint; see comm.Fanout).
+func (kn *kcoreNode) Generate(round int, out *comm.Lane) error {
+	err := comm.Fanout(out, int64(len(kn.removal)), kn.ctx.Workers, kn, func(kn *kcoreNode, out *comm.Lane, lo, hi int64) error {
 		for _, local := range kn.removal[lo:hi] {
 			kn.alive[local] = false
 			for _, u := range kn.ctx.Sub.Neighbors(local) {
-				if err := emit(kn.ctx.Part.Owner(u), comm.Pair{u, 1}); err != nil {
+				if err := out.Send(kn.ctx.Part.Owner(u), comm.Pair{u, 1}); err != nil {
 					return err
 				}
 			}

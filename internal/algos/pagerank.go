@@ -104,7 +104,7 @@ func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64,
 
 	res := &PageRankResult{Rank: make([]float64, g.N), Info: info, Iterations: iterations}
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	forEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
 		for v := lo; v < hi; v++ {
 			vv := graph.Vertex(v)
 			res.Rank[v] = nodes[part.Owner(vv)].rank[part.Local(vv)]
@@ -128,9 +128,9 @@ func (p *prNode) contribution(local int64, deg int64) graph.Vertex {
 }
 
 // Generate pushes every vertex's contribution along its edges, fanning the
-// ascending-local scan over the node's workers (see fanoutSend).
-func (p *prNode) Generate(round int, send Send) error {
-	return fanoutSend(p.ctx.Sub.NumVertices(), p.ctx.Workers, send, func(lo, hi int64, emit Send) error {
+// ascending-local scan over the node's workers (see comm.Fanout).
+func (p *prNode) Generate(round int, out *comm.Lane) error {
+	return comm.Fanout(out, p.ctx.Sub.NumVertices(), p.ctx.Workers, p, func(p *prNode, out *comm.Lane, lo, hi int64) error {
 		for local := lo; local < hi; local++ {
 			deg := p.ctx.Sub.Degree(local)
 			if deg == 0 {
@@ -138,7 +138,7 @@ func (p *prNode) Generate(round int, send Send) error {
 			}
 			contrib := p.contribution(local, deg)
 			for _, u := range p.ctx.Sub.Neighbors(local) {
-				if err := emit(p.ctx.Part.Owner(u), comm.Pair{u, contrib}); err != nil {
+				if err := out.Send(p.ctx.Part.Owner(u), comm.Pair{u, contrib}); err != nil {
 					return err
 				}
 			}
@@ -196,7 +196,7 @@ func (p *prNode) EndRound(round int) error {
 
 	base := (1 - p.damping) / float64(p.n)
 	share := p.damping * dangling / float64(p.n)
-	forEachShard(int64(len(p.rank)), p.ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(int64(len(p.rank)), p.ctx.Workers, func(_ int, lo, hi int64) {
 		for local := lo; local < hi; local++ {
 			p.rank[local] = base + p.damping*(float64(p.acc[local])/fixedPointScale) + share
 			p.acc[local] = 0

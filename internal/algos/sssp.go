@@ -90,15 +90,14 @@ func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ck
 func (s *ssspNode) Active() int64 { return s.pending }
 
 // Generate relaxes the out-edges of the frontier, fanning the bitmap scan
-// over the node's workers in word-aligned shards (see fanoutSend).
-func (s *ssspNode) Generate(round int, send Send) error {
-	words := s.active.Words()
-	err := fanoutSend(int64(len(words)), s.ctx.Workers, send, func(lo, hi int64, emit Send) error {
-		return scanBits(words, lo, hi, func(local int64) error {
+// over the node's workers in word-aligned shards (see comm.Fanout).
+func (s *ssspNode) Generate(round int, out *comm.Lane) error {
+	err := comm.Fanout(out, int64(len(s.active.Words())), s.ctx.Workers, s, func(s *ssspNode, out *comm.Lane, lo, hi int64) error {
+		return scanBits(s.active.Words(), lo, hi, func(local int64) error {
 			d := s.dist[local]
 			for i := s.ctx.Sub.RowPtr[local]; i < s.ctx.Sub.RowPtr[local+1]; i++ {
 				u := s.ctx.Sub.Col[i]
-				if err := emit(s.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(d + s.weights[i])}); err != nil {
+				if err := out.Send(s.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(d + s.weights[i])}); err != nil {
 					return err
 				}
 			}

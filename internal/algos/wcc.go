@@ -75,7 +75,7 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
 	// The gather is embarrassingly parallel (disjoint writes); the distinct
 	// count stays serial because it folds through one map.
-	forEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
+	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
 		for v := lo; v < hi; v++ {
 			vv := graph.Vertex(v)
 			res.Label[v] = nodes[part.Owner(vv)].label[part.Local(vv)]
@@ -94,14 +94,13 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 func (w *wccNode) Active() int64 { return w.pending }
 
 // Generate broadcasts every active vertex's label, fanning the active-bitmap
-// scan over the node's workers in word-aligned shards (see fanoutSend).
-func (w *wccNode) Generate(round int, send Send) error {
-	words := w.active.Words()
-	err := fanoutSend(int64(len(words)), w.ctx.Workers, send, func(lo, hi int64, emit Send) error {
-		return scanBits(words, lo, hi, func(local int64) error {
+// scan over the node's workers in word-aligned shards (see comm.Fanout).
+func (w *wccNode) Generate(round int, out *comm.Lane) error {
+	err := comm.Fanout(out, int64(len(w.active.Words())), w.ctx.Workers, w, func(w *wccNode, out *comm.Lane, lo, hi int64) error {
+		return scanBits(w.active.Words(), lo, hi, func(local int64) error {
 			l := w.label[local]
 			for _, u := range w.ctx.Sub.Neighbors(local) {
-				if err := emit(w.ctx.Part.Owner(u), comm.Pair{u, l}); err != nil {
+				if err := out.Send(w.ctx.Part.Owner(u), comm.Pair{u, l}); err != nil {
 					return err
 				}
 			}

@@ -3,104 +3,18 @@ package algos
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"swbfs/internal/comm"
 	"swbfs/internal/graph"
 )
 
-// Worker fan-out for the kernel hot loops, under the same parity contract
-// as the BFS engine's pools (internal/core/workers.go): any parallelism is
-// host-side only and must leave every modelled number bit-identical to the
-// serial path. The recipe is the BFS engine's — workers own contiguous
-// shards of the scan domain and stage their output privately in bounded
-// chunks; the caller forwards the chunks in shard order on its own
-// goroutine, so the per-destination message sequence (and therefore every
-// batch boundary, fault coordinate and modelled byte) equals the serial
-// scan's, and the transports' single-writer stream invariant holds.
-
-// stagePool recycles staging chunks — the fan-out's and each node's own —
-// across rounds, nodes and runs. Chunks are born at full capacity: ownership
-// is round-robin, so runs are short and both slices fill together.
-var stagePool = sync.Pool{New: func() any {
-	return &comm.Stage{
-		Runs:  make([]comm.DstRun, 0, comm.StageCapPairs),
-		Pairs: make([]comm.Pair, 0, comm.StageCapPairs),
-	}
-}}
-
-func putStage(st *comm.Stage) {
-	st.Reset()
-	stagePool.Put(st)
-}
-
-// fanoutSend runs scan over [0, n) and passes everything it emits to send
-// in ascending scan order. scan(lo, hi, emit) emits the messages of the
-// sub-range [lo, hi) in order, touches only state private to that range,
-// and returns the first error emit gave it (nothing else). With k <= 1 it
-// runs inline against send. Otherwise k workers scan contiguous shards
-// concurrently, each staging into comm.StageCapPairs-pair chunks that it
-// hands to the caller's goroutine over a bounded channel; the caller
-// replays the chunks shard by shard, which reproduces the serial emission
-// sequence while live staging stays O(k x chunk), not a whole round.
-func fanoutSend(n int64, k int, send Send, scan func(lo, hi int64, emit Send) error) error {
-	if int64(k) > n {
-		k = int(n)
-	}
-	if k <= 1 {
-		return scan(0, n, send)
-	}
-	var stop atomic.Bool
-	outs := make([]chan *comm.Stage, k)
-	for s := range outs {
-		// Depth 2: a worker fills its next chunk while one waits and one
-		// is being replayed, and then blocks — the memory bound.
-		outs[s] = make(chan *comm.Stage, 2)
-		go func(out chan<- *comm.Stage, lo, hi int64) {
-			st := stagePool.Get().(*comm.Stage)
-			// scan's error is the error below echoed back: nothing to report.
-			_ = scan(lo, hi, func(dst int, p comm.Pair) error {
-				st.Add(dst, p)
-				if st.Full() {
-					if stop.Load() {
-						return comm.ErrAborted // a replay failed: stop scanning
-					}
-					out <- st
-					st = stagePool.Get().(*comm.Stage)
-				}
-				return nil
-			})
-			out <- st
-			close(out)
-		}(outs[s], n*int64(s)/int64(k), n*int64(s+1)/int64(k))
-	}
-	var firstErr error
-	for _, out := range outs {
-		for st := range out {
-			if firstErr == nil {
-				if firstErr = replay(st, send); firstErr != nil {
-					stop.Store(true)
-				}
-			}
-			putStage(st)
-		}
-	}
-	return firstErr
-}
-
-// replay passes a chunk's pairs to send in staging order.
-func replay(st *comm.Stage, send Send) error {
-	off := 0
-	for _, run := range st.Runs {
-		for _, p := range st.Pairs[off : off+run.N] {
-			if err := send(run.Dst, p); err != nil {
-				return err
-			}
-		}
-		off += run.N
-	}
-	return nil
-}
+// Worker fan-out for the kernel hot loops, under the BFS engine's parity
+// contract: any parallelism is host-side only and must leave every
+// modelled number bit-identical to the serial path. Sends fan out through
+// comm.Fanout, which forwards the lanes' chunks in shard order, so the
+// per-destination message sequence (and therefore every batch boundary,
+// fault coordinate and modelled byte) equals the serial scan's; other
+// loops shard with comm.ForEachShard.
 
 // scanBits calls visit for every set bit of words[lo:hi] in ascending
 // order (bit b of word w is index w*64+b) until visit returns an error.
@@ -207,7 +121,7 @@ func chunkedSum(n int64, k int, f func(i int64) float64) float64 {
 		return 0
 	}
 	partial := make([]float64, chunks)
-	forEachShard(chunks, k, func(_ int, clo, chi int64) {
+	comm.ForEachShard(chunks, k, func(_ int, clo, chi int64) {
 		for c := clo; c < chi; c++ {
 			lo, hi := c*sumChunkWidth, (c+1)*sumChunkWidth
 			if hi > n {
@@ -225,38 +139,4 @@ func chunkedSum(n int64, k int, f func(i int64) float64) float64 {
 		total += p
 	}
 	return total
-}
-
-// forEachShard splits [0, n) into k contiguous ranges and runs
-// body(shard, lo, hi) concurrently, one goroutine per shard. body must
-// only touch shard-private state; the caller folds the per-shard results
-// in shard order when order matters.
-func forEachShard(n int64, k int, body func(shard int, lo, hi int64)) {
-	if k < 1 {
-		k = 1
-	}
-	if int64(k) > n {
-		k = int(n)
-	}
-	if k <= 1 {
-		body(0, 0, n)
-		return
-	}
-	per := (n + int64(k) - 1) / int64(k)
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		lo, hi := int64(s)*per, int64(s+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, lo, hi int64) {
-			defer wg.Done()
-			body(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
 }

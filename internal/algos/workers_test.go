@@ -2,16 +2,13 @@ package algos
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
-	"swbfs/internal/testutil"
 )
 
 // widths swept by the parity tests: serial, even splits (including the
@@ -292,72 +289,6 @@ func TestChunkedSumWidthIndependent(t *testing.T) {
 	}
 	if chunkedSum(0, 4, f) != 0 {
 		t.Fatal("empty sum not zero")
-	}
-}
-
-// TestScanShardsMatchesForEach: the fanned-out bitmap scan hands send
-// exactly the serial ForEach sequence at every width — including widths
-// beyond the word count and streams spanning several hand-off chunks.
-func TestScanShardsMatchesForEach(t *testing.T) {
-	const n = 40000 // > 2 chunks per shard at the narrow widths
-	bm := graph.NewBitmap(n)
-	for i := int64(0); i < n; i += 3 {
-		bm.Set(i)
-	}
-	var want []int64
-	bm.ForEach(func(local int64) { want = append(want, local) })
-	words := bm.Words()
-	for _, k := range []int{1, 2, 3, 16, 1000} {
-		var got []int64
-		err := fanoutSend(int64(len(words)), k, func(dst int, p comm.Pair) error {
-			if dst != int(p[0]%5) {
-				t.Fatalf("k=%d: pair %v arrived with destination %d", k, p, dst)
-			}
-			got = append(got, int64(p[0]))
-			return nil
-		}, func(lo, hi int64, emit Send) error {
-			return scanBits(words, lo, hi, func(local int64) error {
-				return emit(int(local%5), comm.Pair{graph.Vertex(local), 0})
-			})
-		})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: sharded scan order diverges from ForEach", k)
-		}
-	}
-}
-
-// TestFanoutSendStopsOnError: a send failure comes back as the fan-out's
-// error, nothing is sent after it, and no worker is left blocked on its
-// hand-off channel however much output was still to come.
-func TestFanoutSendStopsOnError(t *testing.T) {
-	boom := errors.New("boom")
-	for _, k := range []int{1, 2, 5} {
-		leak := testutil.CheckGoroutines(t)
-		sent := 0
-		err := fanoutSend(1<<20, k, func(int, comm.Pair) error {
-			if sent == 10000 {
-				return boom
-			}
-			sent++
-			return nil
-		}, func(lo, hi int64, emit Send) error {
-			for i := lo; i < hi; i++ {
-				if err := emit(int(i%7), comm.Pair{graph.Vertex(i), 0}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		leak()
-		if err != boom {
-			t.Fatalf("k=%d: fan-out returned %v, want the send error", k, err)
-		}
-		if sent != 10000 {
-			t.Fatalf("k=%d: %d pairs sent, want exactly the 10000 before the failure", k, sent)
-		}
 	}
 }
 

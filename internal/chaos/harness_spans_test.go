@@ -1,0 +1,74 @@
+package chaos_test
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"swbfs/internal/chaos"
+	"swbfs/internal/core"
+	"swbfs/internal/obs"
+)
+
+// TestResumeKeepsModuleSpans: a BFS and a WCC run killed mid-run with span
+// recording on, then resumed from the abort's checkpoint, record module
+// spans DeepEqual to an uninterrupted run's, on both transports. The
+// machine's module-work ledger rides in the checkpoint, so the levels
+// before the boundary keep their spans.
+func TestResumeKeepsModuleSpans(t *testing.T) {
+	g := resumeGraph(t)
+	withSpans := func(cfg core.Config) core.Config {
+		cfg.Obs = obs.New()
+		cfg.Obs.Spans = obs.NewSpanRecorder()
+		return cfg
+	}
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		for _, k := range resumeKernels(t, g) {
+			if k.name != "bfs" && k.name != "wcc" {
+				continue
+			}
+			t.Run(k.name+"/"+transport.String(), func(t *testing.T) {
+				bcfg := withSpans(harnessConfig(transport))
+				bcfg.Obs.Flight = obs.NewFlightRecorder(1 << 16)
+				if _, err := k.run(bcfg, nil); err != nil {
+					t.Fatalf("baseline: %v", err)
+				}
+				want := bcfg.Obs.Spans.Runs()[0].Spans
+				kills := killSpecsFromDump(t, bcfg.Obs.Flight.Dump())
+				level := len(kills) / 2
+				f, ok := kills[level]
+				if !ok || level == 0 {
+					t.Fatalf("no delivery to kill at mid-run level %d of %d", level, len(kills))
+				}
+
+				kcfg := withSpans(harnessConfig(transport))
+				kcfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{f}}
+				kcfg.CheckpointEvery = 1
+				_, err := k.run(kcfg, nil)
+				var ae *core.AbortError
+				if !errors.As(err, &ae) || ae.Checkpoint == nil {
+					t.Fatalf("kill %s: want an abort with a checkpoint, got %v", f, err)
+				}
+				c := ae.Checkpoint
+				if c.Level != level || len(c.Machine.Work) != level {
+					t.Fatalf("kill %s: checkpoint at level %d carries %d work rows, want %d of each",
+						f, c.Level, len(c.Machine.Work), level)
+				}
+
+				rcfg, err := core.ConfigFromCheckpoint(c.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rcfg = withSpans(rcfg)
+				rcfg.Workers = kcfg.Workers // spans attribute the resumed run's width
+				if _, err := k.run(rcfg, c); err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				got := rcfg.Obs.Spans.Runs()[0].Spans
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("resumed run's %d module spans differ from the uninterrupted run's %d", len(got), len(want))
+				}
+			})
+		}
+	}
+}

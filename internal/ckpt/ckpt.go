@@ -115,6 +115,19 @@ type MachineState struct {
 	// Flight is the flight recorder's ring state, so a post-resume dump
 	// still covers the pre-checkpoint events.
 	Flight *obs.FlightState `json:"flight,omitempty"`
+	// Work is the module-work ledger, one row per completed level indexed
+	// by node — kept only while a span recorder is attached, so a resumed
+	// run's module spans cover the levels before the boundary too.
+	Work [][]ModuleWork `json:"work,omitempty"`
+}
+
+// ModuleWork is one node's module input of one completed level: generator,
+// forward handler, backward handler and relay bytes, and the level's
+// direction (core.Direction), which names the generator.
+type ModuleWork struct {
+	Level int      `json:"level"`
+	Dir   int      `json:"dir"`
+	Bytes [4]int64 `json:"bytes"`
 }
 
 // NodeState is one simulated node's serialized state. Data is the engine's

@@ -43,52 +43,6 @@ type DstRun struct {
 	N   int
 }
 
-// StageCapPairs is the hand-off granularity of staged sends: one transport
-// quantum at the default batch size, so a chunk is big enough to amortize
-// the endpoint lock but small enough to bound staging memory at
-// workers x queue depth x 128 KB per node.
-const StageCapPairs = 4096
-
-// Stage is a sender-private staging buffer: outgoing pairs in emission
-// order plus the run-length encoding of their destinations, ready for
-// SendMany. The zero value is empty; capacity survives Reset.
-type Stage struct {
-	Runs  []DstRun
-	Pairs []Pair
-}
-
-// Add appends one pair for dst, extending the last run when it has the
-// same destination.
-func (s *Stage) Add(dst int, p Pair) {
-	if n := len(s.Runs); n > 0 && s.Runs[n-1].Dst == dst {
-		s.Runs[n-1].N++
-	} else {
-		s.Runs = append(s.Runs, DstRun{Dst: dst, N: 1})
-	}
-	s.Pairs = append(s.Pairs, p)
-}
-
-// Full reports whether the stage has reached the hand-off size.
-func (s *Stage) Full() bool { return len(s.Pairs) >= StageCapPairs }
-
-// Reset empties the stage, keeping its capacity.
-func (s *Stage) Reset() {
-	s.Runs = s.Runs[:0]
-	s.Pairs = s.Pairs[:0]
-}
-
-// Flush sends the staged stream on ch and empties the stage; the endpoint
-// copies the pairs into its own buffers, so the stage is reusable on
-// return.
-func (s *Stage) Flush(ep Endpoint, ch Channel) error {
-	if len(s.Pairs) == 0 {
-		return nil
-	}
-	err := ep.SendMany(ch, s.Runs, s.Pairs)
-	s.Reset()
-	return err
-}
-
 func init() {
 	// numChannels is the array bound below; keep them in sync.
 	if numChannels != 2 {

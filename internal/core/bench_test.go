@@ -69,7 +69,7 @@ func BenchmarkBFSLevel(b *testing.B) {
 
 // BenchmarkForwardGenerator isolates the top-down hot loop: direction
 // optimization off, so every level is a frontier expansion through
-// forwardGenerator and the forward handler.
+// forwardScan and the forward handler.
 func BenchmarkForwardGenerator(b *testing.B) {
 	g := benchGraph(b, 14)
 	for _, workers := range []int{1, 4} {

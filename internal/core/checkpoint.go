@@ -35,17 +35,6 @@ type bfsNodeData struct {
 	// RelayedTotal is the relay endpoint's cross-level byte accumulator
 	// (relay transport only).
 	RelayedTotal int64 `json:"relayed_total,omitempty"`
-
-	// Spans is the per-level module-work log (recorded only when span
-	// recording is enabled).
-	Spans []moduleWorkJSON `json:"spans,omitempty"`
-}
-
-// moduleWorkJSON serializes one moduleWork entry.
-type moduleWorkJSON struct {
-	Level int      `json:"level"`
-	Dir   int      `json:"dir"`
-	Bytes [4]int64 `json:"bytes"`
 }
 
 // captureNode serializes this node's state. Called at the level boundary,
@@ -65,9 +54,6 @@ func (ns *nodeState) captureNode() (json.RawMessage, error) {
 	}
 	if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
 		data.RelayedTotal = rep.TotalRelayedBytes()
-	}
-	for _, mw := range ns.spanLog {
-		data.Spans = append(data.Spans, moduleWorkJSON{Level: mw.level, Dir: int(mw.dir), Bytes: mw.bytes})
 	}
 	return json.Marshal(&data)
 }
@@ -95,9 +81,6 @@ func (ns *nodeState) restoreNode(raw json.RawMessage) error {
 	ns.runSmallBatches = data.RunSmallBatches
 	if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
 		rep.RestoreRelayedBytes(data.RelayedTotal)
-	}
-	for _, s := range data.Spans {
-		ns.spanLog = append(ns.spanLog, moduleWork{level: s.Level, dir: Direction(s.Dir), bytes: s.Bytes})
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,6 +131,13 @@ type Machine struct {
 	window   fabric.Snapshot
 	tick     atomic.Int64
 
+	// The module-work ledger, kept only for a span recorder (both nil
+	// otherwise). Each node writes its level's slot before its post-level
+	// statistics collectives, so node 0's CloseLevel, after them, reads
+	// every slot race-free and appends the row to work.
+	slots []ckpt.ModuleWork
+	work  [][]ckpt.ModuleWork
+
 	// The checkpoint latch: nodes stage their boundary captures and the
 	// last one freezes the assembled checkpoint. Partially staged
 	// boundaries are never published, so an abort always finds the newest
@@ -218,6 +226,16 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 			return fmt.Errorf("core: checkpoint node state %d carries id %d", i, ns.ID)
 		}
 	}
+	for _, row := range c.Machine.Work {
+		if len(row) != mcfg.Nodes {
+			return fmt.Errorf("core: checkpoint work row has %d nodes, machine has %d", len(row), mcfg.Nodes)
+		}
+		for _, w := range row {
+			if w.Level < 0 || w.Level >= c.Level {
+				return fmt.Errorf("core: checkpoint records work of %s %d, not a completed one", spec.Unit, w.Level)
+			}
+		}
+	}
 	return nil
 }
 
@@ -257,6 +275,10 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
 		sr.BeginRun(int64(spec.Root))
+		m.slots = make([]ckpt.ModuleWork, cfg.Nodes)
+		if resume != nil {
+			m.work = append(m.work, resume.Machine.Work...)
+		}
 	}
 	if m.Flight == nil {
 		m.Flight = flightFor(cfg.Obs)
@@ -388,9 +410,23 @@ func (m *Machine) CloseLevel(s perf.LevelStats, detail string) {
 	m.mu.Lock()
 	m.levels = append(m.levels, s)
 	m.lastSnap = after
+	if m.slots != nil {
+		m.work = append(m.work, slices.Clone(m.slots))
+	}
 	m.mu.Unlock()
 	m.tick.Add(1)
 	m.Flight.Control(obs.FlightRoundClose, -1, s.Level, detail)
+}
+
+// RecordWork writes node's module work of the level it just ran into the
+// ledger: generator, forward handler, backward handler and relay input
+// bytes, under the level's direction. Every node calls it before its
+// post-level statistics collectives. It does nothing without a span
+// recorder.
+func (m *Machine) RecordWork(node, level int, dir Direction, bytes [4]int64) {
+	if m.slots != nil {
+		m.slots[node] = ckpt.ModuleWork{Level: level, Dir: int(dir), Bytes: bytes}
+	}
 }
 
 // Drive runs body once per node, SPMD-style, under the level watchdog, and
@@ -528,6 +564,7 @@ func (m *Machine) StageCheckpoint(node, level int, capture func() (json.RawMessa
 			Net:        m.Net.CaptureState(),
 			Injections: m.inj.Log(),
 			Flight:     m.Flight.CaptureState(),
+			Work:       slices.Clone(m.work),
 		}
 		m.mu.Unlock()
 		if m.spec.CaptureKernel != nil {
@@ -589,6 +626,56 @@ func (m *Machine) CheckpointJSON() ([]byte, bool) {
 	}
 	data, err := ckpt.Encode(c)
 	return data, err == nil
+}
+
+// EndSpans seals the run on the span recorder, if one is attached: the
+// ledgered module work of every node laid out on the modelled timeline,
+// plus the engine's straggler flags, each stamped in place with its
+// level's start. A
+// module span starts at its level's start and lasts bytes/bandwidth at the
+// configured engine's module bandwidth. Modules run concurrently (one CPE
+// cluster each, Figure 10), so spans of one level overlap by design; none
+// outlasts its level, whose time bounds the slowest node's makespan from
+// above. Call after Drive.
+func (m *Machine) EndSpans(stragglers []obs.StragglerFlag) {
+	cfg := m.spec.Cfg
+	sr := cfg.Obs.SpansOf()
+	if sr == nil {
+		return
+	}
+	starts := make([]float64, len(m.levels)+1)
+	for i, s := range m.levels {
+		starts[i+1] = starts[i] + m.Model.LevelTime(s)
+	}
+	bw := cfg.Engine.Bandwidth()
+	workers := 0
+	if cfg.Workers > 1 {
+		workers = cfg.Workers // attribute the lane count only when fanned out
+	}
+	var spans []obs.ModuleSpan
+	for _, row := range m.work {
+		for node, w := range row {
+			names := [4]string{obs.ModuleForwardGenerator, obs.ModuleForwardHandler, obs.ModuleBackwardHandler, obs.ModuleRelay}
+			if Direction(w.Dir) == BottomUp {
+				names[0] = obs.ModuleBackwardGenerator
+			}
+			for mi, b := range w.Bytes {
+				if b > 0 {
+					spans = append(spans, obs.ModuleSpan{
+						Node: node, Module: names[mi], Level: w.Level,
+						Start: starts[w.Level], Dur: float64(b) / bw, Bytes: b,
+						Workers: workers,
+					})
+				}
+			}
+		}
+	}
+	for i, sf := range stragglers {
+		if sf.Level < len(m.levels) {
+			stragglers[i].Start = starts[sf.Level]
+		}
+	}
+	sr.EndRun(starts[len(m.levels)], spans, stragglers)
 }
 
 // Trace converts the ledger into a RunTrace whose books balance

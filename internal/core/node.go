@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,14 +42,17 @@ type nodeState struct {
 	hubWords *graph.Bitmap
 
 	ep comm.Endpoint
+	// lanes are the node's send paths, one per channel, each driven by one
+	// module goroutine at a time — the generator's, or in bottom-up levels
+	// the handler's forward replies — and holding a pooled stage only while
+	// that module sends.
+	lanes [2]comm.Lane
 	// handlerErr carries the handler goroutine's verdict to runLevel.
 	handlerErr chan error
-	// serialEmit is stagedFanout's Workers=1 emit per channel, bound once:
-	// a closure built per level is an allocation per level.
-	serialEmit [2]emitFn
 
 	// workers is the module worker-pool width (Config.Workers resolved):
-	// 1 runs every hot loop serially on the module goroutine.
+	// the CPE lanes a hot loop fans over, 1 running it on the module
+	// goroutine.
 	workers int
 
 	// policyReplica is this node's private copy of the direction policy
@@ -65,14 +67,14 @@ type nodeState struct {
 
 	// Per-level statistics; generator-owned and handler-owned fields are
 	// separate so the two module goroutines never share a counter.
-	genBytes       int64 // generator module input (scanned edges)
-	genInvocations int64 // generator CPE-cluster dispatches
-	handlerBytes   int64 // handler module input (received pairs)
-	hFwdBytes      int64 // Forward Handler share of handlerBytes
-	hBwdBytes      int64 // Backward Handler share of handlerBytes
-	relayBytes     int64 // Forward/Backward Relay module input (relay transport)
-	hInvocations   int64 // handler CPE-cluster dispatches (batches >= 1 KB)
-	smallBatches   int64 // sub-1 KB batches fast-pathed on the MPE
+	genBytes       atomic.Int64 // generator module input (scanned edges), tallied by its lanes
+	genInvocations int64        // generator CPE-cluster dispatches
+	handlerBytes   int64        // handler module input (received pairs)
+	hFwdBytes      int64        // Forward Handler share of handlerBytes
+	hBwdBytes      int64        // Backward Handler share of handlerBytes
+	relayBytes     int64        // Forward/Backward Relay module input (relay transport)
+	hInvocations   int64        // handler CPE-cluster dispatches (batches >= 1 KB)
+	smallBatches   int64        // sub-1 KB batches fast-pathed on the MPE
 
 	// Whole-run accumulations of the per-level counters above, folded
 	// into the observability registry after the run (each node writes
@@ -83,12 +85,6 @@ type nodeState struct {
 	runRelayBytes   int64
 	runInvocations  int64
 	runSmallBatches int64
-
-	// spanLog retains every level's per-module work when span recording
-	// is enabled (cfg.Obs.Spans non-nil), one entry per level in order —
-	// the raw material of the Chrome-trace module timeline. Each node
-	// appends only to its own log.
-	spanLog []moduleWork
 }
 
 // newNodeState allocates a node's run-surviving buffers; resetRun makes
@@ -108,11 +104,6 @@ func newNodeState(r *Runner, node int) *nodeState {
 		policyReplica: new(Policy),
 		handlerErr:    make(chan error, 1),
 	}
-	for ch := range ns.serialEmit {
-		ns.serialEmit[ch] = func(ws *workerStage) (*workerStage, error) {
-			return ws, ns.flushStage(comm.Channel(ch), ws)
-		}
-	}
 	return ns
 }
 
@@ -124,7 +115,7 @@ func (ns *nodeState) resetRun(ep comm.Endpoint) {
 	*ns = nodeState{
 		id: ns.id, r: r, sub: ns.sub,
 		parent: ns.parent, curr: ns.curr, next: ns.next, genNext: ns.genNext, visited: ns.visited,
-		hubWords: ns.hubWords, handlerErr: ns.handlerErr, serialEmit: ns.serialEmit,
+		hubWords: ns.hubWords, handlerErr: ns.handlerErr,
 		ep:            ep,
 		workers:       r.cfg.Workers,
 		policyReplica: ns.policyReplica,
@@ -139,19 +130,10 @@ func (ns *nodeState) resetRun(ep comm.Endpoint) {
 	}
 }
 
-// moduleWork is one level's per-module input volume on one node:
-// generator, forward handler, backward handler, relay — the same order as
-// moduleBytes.
-type moduleWork struct {
-	level int
-	dir   Direction
-	bytes [4]int64
-}
-
 // accumulateRun folds the level's counters into the whole-run totals;
 // called once per level after the module goroutines have joined.
 func (ns *nodeState) accumulateRun() {
-	ns.runGenBytes += ns.genBytes
+	ns.runGenBytes += ns.genBytes.Load()
 	ns.runFwdBytes += ns.hFwdBytes
 	ns.runBwdBytes += ns.hBwdBytes
 	ns.runRelayBytes += ns.relayBytes
@@ -188,7 +170,7 @@ func (ns *nodeState) claim(local int64, u graph.Vertex) bool {
 }
 
 func (ns *nodeState) resetLevelCounters() {
-	ns.genBytes = 0
+	ns.genBytes.Store(0)
 	ns.genInvocations = 0
 	ns.handlerBytes = 0
 	ns.hFwdBytes = 0
@@ -202,7 +184,7 @@ func (ns *nodeState) resetLevelCounters() {
 // pipelined-module-mapping scheduler: generator, forward handler, backward
 // handler, relay. Call after the module goroutines have joined.
 func (ns *nodeState) moduleBytes() [4]int64 {
-	return [4]int64{ns.genBytes, ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes}
+	return [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes}
 }
 
 // levelChannels lists the channels a level of each direction opens.
@@ -245,9 +227,9 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	}
 	var genErr error
 	if dir == TopDown {
-		genErr = ns.forwardGenerator()
+		genErr = ns.generate(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan)
 	} else {
-		genErr = ns.backwardGenerator()
+		genErr = ns.generate(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan)
 	}
 	ns.r.hostGenNanos[ns.id] = int64(time.Since(genStart))
 	hErr := <-ns.handlerErr
@@ -257,103 +239,87 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	return hErr
 }
 
-// forwardGenerator is FORWARD_GENERATOR (Algorithm 2): scan the frontier's
-// adjacency and ship one (u, v) message per edge to v's owner. The hub
-// shortcut skips edges whose endpoint is a hub already known visited — the
-// prefetched bitmap makes that a local test. The scan word-steps the
-// frontier bitmap and fans out across the node's worker pool (stagedFanout
-// keeps the message stream identical to a serial scan).
-func (ns *nodeState) forwardGenerator() error {
-	r := ns.r
-	if err := ns.stagedFanout(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan); err != nil {
-		r.net.Abort()
-		return err
+// generate runs the level's generator module on channel ch: scan covers a
+// bitmap of the given word count, fanned over the node's lanes — the CPE
+// lanes of the module's cluster — by comm.Fanout, which keeps the message
+// stream a serial scan's. Lanes shard by whole words, so a lane's bitmap
+// writes stay in its own words; parent claims go through the handler's CAS.
+func (ns *nodeState) generate(ch comm.Channel, words int, scan func(*nodeState, *comm.Lane, int64, int64) error) error {
+	l := &ns.lanes[ch]
+	l.Open(ns.ep, ch)
+	err := comm.Fanout(l, int64(words), ns.workers, ns, scan)
+	if err == nil {
+		err = l.Flush()
 	}
-	if ns.genBytes > 0 {
-		ns.genInvocations++ // one CPE-cluster dispatch however many lanes ran
+	l.Release()
+	if err == nil {
+		if ns.genBytes.Load() > 0 {
+			ns.genInvocations++ // one CPE-cluster dispatch however many lanes ran
+		}
+		err = ns.ep.CloseChannel(ch)
 	}
-	if err := ns.ep.CloseChannel(comm.ChanForward); err != nil {
-		r.net.Abort()
-		return err
+	if err != nil {
+		ns.r.net.Abort()
 	}
-	return nil
+	return err
 }
 
-// forwardScan expands the frontier vertices of curr's words [lo, hi).
-func (ns *nodeState) forwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage, emit emitFn) (*workerStage, error) {
+// forwardScan is FORWARD_GENERATOR (Algorithm 2) over curr's words
+// [lo, hi): ship one (u, v) message per frontier edge to v's owner. The hub
+// shortcut skips edges whose endpoint is a hub already known visited — the
+// prefetched bitmap makes that a local test. Scanned edges count as
+// generator input even when the shortcut elides their message.
+func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
 	words := ns.curr.Words()
+	var scanned int64
 	for wi := lo; wi < hi; wi++ {
-		if stop != nil && stop.Load() {
-			return ws, nil
-		}
 		for w := words[wi]; w != 0; w &= w - 1 {
-			local := int64(wi)<<6 + int64(bits.TrailingZeros64(w))
+			local := wi<<6 + int64(bits.TrailingZeros64(w))
 			u := r.part.Global(ns.id, local)
 			for _, v := range ns.sub.Neighbors(local) {
-				ws.bytes += comm.PairBytes
+				scanned += comm.PairBytes
 				if r.hubs != nil {
 					if slot, ok := r.hubs.Slot(v); ok && slot < r.hubsTopDown && r.hubVisited.Get(int64(slot)) {
 						continue // hub already discovered: no message needed
 					}
 				}
-				ws.Add(r.part.Owner(v), comm.Pair{u, v})
-				if ws.Full() {
-					var err error
-					if ws, err = emit(ws); err != nil {
-						return ws, err
+				l.Add(r.part.Owner(v), comm.Pair{u, v})
+				if l.Full() {
+					if err := l.Ship(); err != nil {
+						return err
 					}
 				}
 			}
 		}
 	}
-	return ws, nil
-}
-
-// backwardGenerator is BACKWARD_GENERATOR: every locally unvisited vertex
-// probes its neighbours. Hub neighbours are resolved locally against the
-// prefetched hub frontier (claiming a parent and ending the scan on a hit,
-// skipping the query on a miss); other neighbours trigger a backward query
-// to their owner. "Unvisited" means not discovered before the level
-// started (the visited snapshot): a deterministic scan set, where peeking
-// at live parent claims would make the probe traffic depend on message
-// timing.
-func (ns *nodeState) backwardGenerator() error {
-	r := ns.r
-	if err := ns.stagedFanout(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan); err != nil {
-		r.net.Abort()
-		return err
-	}
-	if ns.genBytes > 0 {
-		ns.genInvocations++
-	}
-	if err := ns.ep.CloseChannel(comm.ChanBackward); err != nil {
-		r.net.Abort()
-		return err
-	}
+	ns.genBytes.Add(scanned)
 	return nil
 }
 
-// backwardScan probes the unvisited vertices of visited's words [lo, hi).
-// genNext writes stay inside the worker's own words, so the sharded scan
-// needs no synchronization beyond the parent CAS.
-func (ns *nodeState) backwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage, emit emitFn) (*workerStage, error) {
+// backwardScan is BACKWARD_GENERATOR over visited's words [lo, hi): every
+// locally unvisited vertex probes its neighbours. Hub neighbours are
+// resolved locally against the prefetched hub frontier (claiming a parent
+// and ending the scan on a hit, skipping the query on a miss); other
+// neighbours trigger a backward query to their owner. "Unvisited" means not
+// discovered before the level started (the visited snapshot): a
+// deterministic scan set, where peeking at live parent claims would make
+// the probe traffic depend on message timing.
+func (ns *nodeState) backwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
 	n := ns.sub.NumVertices()
 	words := ns.visited.Words()
+	var scanned int64
 	for wi := lo; wi < hi; wi++ {
-		if stop != nil && stop.Load() {
-			return ws, nil
-		}
 		w := ^words[wi]
-		if rem := n - int64(wi)<<6; rem < 64 {
+		if rem := n - wi<<6; rem < 64 {
 			w &= 1<<uint(rem) - 1 // mask the bits beyond the vertex count
 		}
 		for ; w != 0; w &= w - 1 {
-			local := int64(wi)<<6 + int64(bits.TrailingZeros64(w))
+			local := wi<<6 + int64(bits.TrailingZeros64(w))
 			v := r.part.Global(ns.id, local)
 			for _, u := range ns.sub.Neighbors(local) {
-				ws.bytes += comm.PairBytes
+				scanned += comm.PairBytes
 				if r.hubs != nil {
 					if slot, ok := r.hubs.Slot(u); ok && slot < r.hubsBottomUp {
 						if r.hubInCurr.Get(int64(slot)) {
@@ -365,17 +331,17 @@ func (ns *nodeState) backwardScan(lo, hi int, stop *atomic.Bool, ws *workerStage
 						continue // hub known absent from the frontier: skip the query
 					}
 				}
-				ws.Add(r.part.Owner(u), comm.Pair{u, v})
-				if ws.Full() {
-					var err error
-					if ws, err = emit(ws); err != nil {
-						return ws, err
+				l.Add(r.part.Owner(u), comm.Pair{u, v})
+				if l.Full() {
+					if err := l.Ship(); err != nil {
+						return err
 					}
 				}
 			}
 		}
 	}
-	return ws, nil
+	ns.genBytes.Add(scanned)
+	return nil
 }
 
 // handle runs the handler modules: FORWARD_HANDLER updates the parent map
@@ -442,87 +408,84 @@ func (ns *nodeState) handle(dir Direction) error {
 	}
 }
 
+// handlerFanoutPairs is the smallest handler batch worth fanning over the
+// node's lanes; smaller batches stay on the handler goroutine.
+const handlerFanoutPairs = 2048
+
+// handlerWidth is the lane count a handler batch of n pairs fans over.
+func (ns *nodeState) handlerWidth(n int) int {
+	if n < handlerFanoutPairs {
+		return 1
+	}
+	return ns.workers
+}
+
 // handleForward applies one batch of discovery messages: claim the parent,
 // mark the vertex for the next frontier. Large batches fan across the
-// worker pool — claims are already CAS, and next-frontier bits switch to
-// the atomic setter because two workers' pairs can land in one word.
+// node's lanes — claims are already CAS, and next-frontier bits switch to
+// the atomic setter because two lanes' pairs can land in one word.
 func (ns *nodeState) handleForward(pairs []comm.Pair) {
-	r := ns.r
-	shards := ns.handlerShards(pairs)
-	if shards == nil {
-		for _, p := range pairs {
-			u, v := p[0], p[1]
-			local := r.part.Local(v)
-			if ns.visited.Get(local) {
-				continue // discovered in an earlier level: parent is final
-			}
-			if ns.claim(local, u) {
+	if k := ns.handlerWidth(len(pairs)); k > 1 {
+		comm.ForEachShard(int64(len(pairs)), k, func(_ int, lo, hi int64) { ns.claimAll(pairs[lo:hi], true) })
+		return
+	}
+	ns.claimAll(pairs, false)
+}
+
+// claimAll is handleForward's loop; shared selects the atomic bit setter.
+func (ns *nodeState) claimAll(pairs []comm.Pair, shared bool) {
+	part := ns.r.part
+	for _, p := range pairs {
+		u, v := p[0], p[1]
+		local := part.Local(v)
+		if ns.visited.Get(local) {
+			continue // discovered in an earlier level: parent is final
+		}
+		if ns.claim(local, u) {
+			if shared {
+				ns.next.SetAtomic(local)
+			} else {
 				ns.next.Set(local)
 			}
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for _, shard := range shards {
-		wg.Add(1)
-		go func(ps []comm.Pair) {
-			defer wg.Done()
-			for _, p := range ps {
-				u, v := p[0], p[1]
-				local := r.part.Local(v)
-				if ns.visited.Get(local) {
-					continue
-				}
-				if ns.claim(local, u) {
-					ns.next.SetAtomic(local)
-				}
-			}
-		}(shard)
-	}
-	wg.Wait()
 }
 
-// handleBackward answers one batch of bottom-up probes: each (u, v) pair
-// whose u is in this node's current frontier earns a forward reply to v's
-// owner. Large batches fan across the worker pool with per-worker staging;
-// merging the stages in shard order reproduces the serial reply stream, so
-// the transport's quantum batching sees identical input either way.
+// handleBackward answers one batch of bottom-up probes on the forward
+// lane: each (u, v) pair whose u is in this node's current frontier earns a
+// forward reply to v's owner. Large batches fan across the node's lanes;
+// comm.Fanout keeps the reply stream the serial one, so the transport's
+// quantum batching sees identical input either way.
 func (ns *nodeState) handleBackward(pairs []comm.Pair) error {
-	r := ns.r
-	shards := ns.handlerShards(pairs)
-	if shards == nil {
-		ws := getStage()
-		defer putStage(ws)
-		for _, p := range pairs {
-			u, v := p[0], p[1]
-			if ns.curr.Get(r.part.Local(u)) {
-				ws.Add(r.part.Owner(v), comm.Pair{u, v})
-			}
-		}
-		return ws.Flush(ns.ep, comm.ChanForward)
+	l := &ns.lanes[comm.ChanForward]
+	l.Open(ns.ep, comm.ChanForward)
+	err := comm.Fanout(l, int64(len(pairs)), ns.handlerWidth(len(pairs)), probes{ns, pairs}, probes.answer)
+	if err == nil {
+		err = l.Flush()
 	}
-	stages := make([]*workerStage, len(shards))
-	var wg sync.WaitGroup
-	for w, shard := range shards {
-		stages[w] = getStage()
-		wg.Add(1)
-		go func(ws *workerStage, ps []comm.Pair) {
-			defer wg.Done()
-			for _, p := range ps {
-				u, v := p[0], p[1]
-				if ns.curr.Get(r.part.Local(u)) {
-					ws.Add(r.part.Owner(v), comm.Pair{u, v})
+	l.Release()
+	return err
+}
+
+// probes is one backward batch handed through comm.Fanout.
+type probes struct {
+	ns    *nodeState
+	pairs []comm.Pair
+}
+
+// answer stages the replies to pairs [lo, hi) of the batch.
+func (b probes) answer(l *comm.Lane, lo, hi int64) error {
+	part := b.ns.r.part
+	for _, p := range b.pairs[lo:hi] {
+		u, v := p[0], p[1]
+		if b.ns.curr.Get(part.Local(u)) {
+			l.Add(part.Owner(v), comm.Pair{u, v})
+			if l.Full() {
+				if err := l.Ship(); err != nil {
+					return err
 				}
 			}
-		}(stages[w], shard)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, ws := range stages {
-		if firstErr == nil {
-			firstErr = ws.Flush(ns.ep, comm.ChanForward)
 		}
-		putStage(ws)
 	}
-	return firstErr
+	return nil
 }

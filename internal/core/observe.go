@@ -27,80 +27,13 @@ func (r *Runner) observe(res *Result) {
 	if m := o.MetricsOf(); m != nil {
 		r.foldMetrics(m, res)
 	}
-	if sr := o.SpansOf(); sr != nil {
-		sr.EndRun(res.Time, r.buildSpans(res), r.stragglerFlags(res))
-	}
+	r.m.EndSpans(r.stragglers)
 	if pb := o.ProgressOf(); pb != nil {
 		pb.Publish(obs.LiveEvent{
 			Kind: obs.EventRunDone, Root: int64(res.Root),
 			Visited: res.Visited, GTEPS: res.GTEPS,
 		})
 	}
-}
-
-// buildSpans lays the run's per-node module work out on the modelled
-// timeline: each level's module spans start at the level's start and last
-// bytes/bandwidth at the configured engine's module bandwidth. Modules run
-// concurrently (one CPE cluster each, Figure 10), so spans on different
-// tracks of the same level overlap by design; a single module's span never
-// outlasts its level because the level time bounds the slowest node's
-// makespan from above.
-func (r *Runner) buildSpans(res *Result) []obs.ModuleSpan {
-	bw := r.cfg.Engine.Bandwidth()
-	var spans []obs.ModuleSpan
-	levelStart := 0.0
-	for li, s := range res.Levels {
-		for _, ns := range r.nodes {
-			if li >= len(ns.spanLog) {
-				continue
-			}
-			mw := ns.spanLog[li]
-			gen := obs.ModuleForwardGenerator
-			if mw.dir == BottomUp {
-				gen = obs.ModuleBackwardGenerator
-			}
-			names := [4]string{gen, obs.ModuleForwardHandler, obs.ModuleBackwardHandler, obs.ModuleRelay}
-			workers := 0
-			if ns.workers > 1 {
-				workers = ns.workers // attribute pool width only when fanned out
-			}
-			for mi, b := range mw.bytes {
-				if b == 0 {
-					continue
-				}
-				spans = append(spans, obs.ModuleSpan{
-					Node: ns.id, Module: names[mi], Level: mw.level,
-					Start: levelStart, Dur: float64(b) / bw, Bytes: b,
-					Workers: workers,
-				})
-			}
-		}
-		levelStart += r.m.Model.LevelTime(s)
-	}
-	return spans
-}
-
-// stragglerFlags stamps each detected straggler with its level's start on
-// the modelled timeline, so the Chrome trace can pin the instant event to
-// the flagged level.
-func (r *Runner) stragglerFlags(res *Result) []obs.StragglerFlag {
-	if len(r.stragglers) == 0 {
-		return nil
-	}
-	starts := make([]float64, len(res.Levels))
-	t := 0.0
-	for i, s := range res.Levels {
-		starts[i] = t
-		t += r.m.Model.LevelTime(s)
-	}
-	out := make([]obs.StragglerFlag, len(r.stragglers))
-	for i, sf := range r.stragglers {
-		if sf.Level < len(starts) {
-			sf.Start = starts[sf.Level]
-		}
-		out[i] = sf
-	}
-	return out
 }
 
 // foldMetrics adds the run's totals to the metrics registry. The registry

@@ -341,13 +341,14 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			return err
 		}
 
-		// Critical-path statistics.
+		// Critical-path statistics, after this node's ledger entry.
+		modules := ns.moduleBytes()
+		r.m.RecordWork(ns.id, level, dir, modules)
 		sentMsgs1, sentBytes1 := r.net.NodeSent(ns.id)
-		maxProcessed := r.net.AllreduceMax(ns.genBytes + ns.handlerBytes + ns.relayBytes)
+		maxProcessed := r.net.AllreduceMax(ns.genBytes.Load() + ns.handlerBytes + ns.relayBytes)
 		maxSent := r.net.AllreduceMax(sentBytes1 - sentBytes0)
 		maxMsgs := r.net.AllreduceMax(sentMsgs1 - sentMsgs0)
 		maxInvocations := r.net.AllreduceMax(ns.invocations())
-		modules := ns.moduleBytes()
 		var maxModules [4]int64
 		for i, b := range modules {
 			maxModules[i] = r.net.AllreduceMax(b)
@@ -357,9 +358,6 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		}
 
 		ns.accumulateRun()
-		if r.cfg.Obs.SpansOf() != nil {
-			ns.spanLog = append(ns.spanLog, moduleWork{level: level, dir: dir, bytes: ns.moduleBytes()})
-		}
 
 		if ns.id == 0 {
 			rounds := 1

@@ -7,15 +7,11 @@
 // can never deadlock, and each consumer owns a disjoint set of output
 // destinations, so no atomic operations are needed on main memory.
 //
-// The package provides two executions of the same algorithm: mesh programs
-// for the cycle-stepped sw.Cluster simulator (used to verify deadlock
-// freedom and measure modelled register-shuffle bandwidth), and a fast
-// functional engine with identical observable behaviour (used inside
-// large BFS runs, with equivalence property-tested against the mesh).
-//
-// Engine.Instrument attaches an obs.Registry; every shuffle pass then
-// reports its record, register-transfer and DMA byte statistics under the
-// shuffle.* metric names (see docs/OBSERVABILITY.md).
+// The package runs the algorithm as mesh programs on the cycle-stepped
+// sw.Cluster simulator (RunMesh: deadlock freedom and modelled
+// register-shuffle bandwidth) and prices it in closed form (ModelSeconds,
+// ModelBandwidth), which is how large BFS runs see it: the CPE engine's
+// module bandwidth.
 package shuffle
 
 import (

@@ -167,105 +167,6 @@ func TestMeshNeverDeadlocks(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesMesh is the equivalence property the BFS engine relies
-// on: the fast functional engine delivers exactly the same records to the
-// same consumers as the cycle-level mesh.
-func TestEngineMatchesMesh(t *testing.T) {
-	f := func(seed int64, nRecords uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const numDest = 48
-		records := randomRecords(rng, int(nRecords)%600, numDest)
-		l := DefaultLayout()
-
-		mesh, err := RunMesh(l, records, numDest)
-		if err != nil {
-			return false
-		}
-		eng, err := NewEngine(l, numDest)
-		if err != nil {
-			return false
-		}
-		if _, err := eng.Shuffle(records); err != nil {
-			return false
-		}
-		byDest := eng.Drain()
-
-		// Group both sides per consumer as multisets.
-		type key struct {
-			consumer int
-			rec      Record
-		}
-		diff := make(map[key]int)
-		for idx, out := range mesh.ByConsumer {
-			for _, r := range out {
-				diff[key{idx, r}]++
-			}
-		}
-		for dest, out := range byDest {
-			for _, r := range out {
-				if r.Dest != dest {
-					return false
-				}
-				diff[key{l.ConsumerIndex(dest), r}]--
-			}
-		}
-		for _, n := range diff {
-			if n != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEngineRejects(t *testing.T) {
-	l := DefaultLayout()
-	if _, err := NewEngine(l, 0); err == nil {
-		t.Fatal("zero destinations accepted")
-	}
-	max := sw.MaxDirectDestinations(l.NumConsumers(), sw.DMASaturationChunk)
-	if _, err := NewEngine(l, max+1); err == nil {
-		t.Fatal("over-SPM destination count accepted")
-	}
-	eng, err := NewEngine(l, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Shuffle([]Record{{Dest: 7}}); err == nil {
-		t.Fatal("out-of-range record accepted")
-	}
-}
-
-func TestEngineStats(t *testing.T) {
-	l := DefaultLayout()
-	eng, err := NewEngine(l, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	records := randomRecords(rng, 1000, 16)
-	stats, err := eng.Shuffle(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 1000 {
-		t.Fatalf("Records = %d", stats.Records)
-	}
-	if stats.DMAReadBytes != 1000*RecordBytes || stats.DMAWriteBytes != 1000*RecordBytes {
-		t.Fatalf("DMA accounting wrong: %d/%d", stats.DMAReadBytes, stats.DMAWriteBytes)
-	}
-	// Hops: between 1 and 3 per record.
-	if stats.RegisterTransfers < 1000 || stats.RegisterTransfers > 3000 {
-		t.Fatalf("RegisterTransfers = %d outside [1000, 3000]", stats.RegisterTransfers)
-	}
-	if stats.ModeledSeconds <= 0 {
-		t.Fatal("no modelled time")
-	}
-}
-
 func TestModelBandwidthNearPaper(t *testing.T) {
 	// Section 4.3: 10 GB/s measured out of 14.5 GB/s theoretical. The
 	// closed-form model must land in that neighbourhood and below the

@@ -30,20 +30,12 @@ const (
 
 	// SPMBytes is the scratch-pad memory per CPE (64 KB).
 	SPMBytes = 64 << 10
-	// CPEL1IBytes is the CPE instruction cache (16 KB).
-	CPEL1IBytes = 16 << 10
 	// MPEL1DBytes and MPEL2Bytes are the MPE cache sizes.
 	MPEL1DBytes = 32 << 10
 	MPEL2Bytes  = 256 << 10
 
-	// MemPerCGBytes is the DDR3 DRAM attached to each core group (8 GB);
-	// MemPerNodeBytes is the per-node total (32 GB).
-	MemPerCGBytes   = int64(8) << 30
-	MemPerNodeBytes = int64(32) << 30
-
-	// RegisterMsgBytes is the register-bus message width: 256 bits per
-	// cycle between two CPEs in the same row or column.
-	RegisterMsgBytes = 32
+	// MemPerCGBytes is the DDR3 DRAM attached to each core group (8 GB).
+	MemPerCGBytes = int64(8) << 30
 
 	// InterruptLatencySeconds is the MPE system-interrupt latency (~10 us,
 	// ten times a commodity CPU's) — the reason notification uses memory

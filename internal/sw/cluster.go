@@ -103,15 +103,6 @@ type ClusterStats struct {
 	ComputeCycles     int64 // summed over CPEs
 }
 
-// RegisterBusBandwidth returns the achieved register-to-register bandwidth
-// in bytes/second over the run.
-func (s ClusterStats) RegisterBusBandwidth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.RegisterTransfers*RegisterMsgBytes) / CyclesToSeconds(s.Cycles)
-}
-
 // Seconds returns the modelled wall-clock duration of the run.
 func (s ClusterStats) Seconds() float64 { return CyclesToSeconds(s.Cycles) }
 

@@ -16,36 +16,8 @@ func FlagNotifyLatencySeconds() float64 {
 	return memory + broadcast
 }
 
-// NotifySpeedupOverInterrupt returns how much faster flag polling is than a
-// system interrupt; the paper's rationale for never using interrupts.
-func NotifySpeedupOverInterrupt() float64 {
-	return InterruptLatencySeconds / FlagNotifyLatencySeconds()
-}
-
 // SmallMessageThresholdBytes is the module-input size below which work is
 // done directly on the MPE instead of dispatching a CPE cluster (Section 5:
 // 1 KB, "calculated based on the notification overhead and the memory
 // access ability difference between the MPEs and the CPE clusters").
 const SmallMessageThresholdBytes = 1 << 10
-
-// ProcessOnMPE reports whether a module input of the given size should be
-// handled by the MPE directly (the "quick processing for small messages"
-// implementation detail).
-func ProcessOnMPE(inputBytes int64) bool {
-	return inputBytes < SmallMessageThresholdBytes
-}
-
-// ModuleDispatchTime models the time for a module invocation of inputBytes
-// on either engine: the MPE path is pure streaming at MPE bandwidth; the CPE
-// path pays the notification latency, then streams at cluster DMA bandwidth.
-// The crossover of the two curves sits near SmallMessageThresholdBytes,
-// which is how the paper derived the 1 KB threshold.
-func ModuleDispatchTime(inputBytes int64, onMPE bool) float64 {
-	if inputBytes <= 0 {
-		return 0
-	}
-	if onMPE {
-		return MPETime(inputBytes, DMASaturationChunk)
-	}
-	return FlagNotifyLatencySeconds() + DMATime(inputBytes, DMASaturationChunk, CPEsPerCluster)
-}

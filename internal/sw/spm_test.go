@@ -101,29 +101,26 @@ func TestConsumerBufferPlan(t *testing.T) {
 func TestNotifyFasterThanInterrupt(t *testing.T) {
 	// The design rationale for flag polling: it must beat the ~10 us
 	// interrupt by a wide margin.
-	if NotifySpeedupOverInterrupt() < 10 {
-		t.Fatalf("flag polling only %.1fx faster than interrupts; paper expects order(s) of magnitude",
-			NotifySpeedupOverInterrupt())
+	if speedup := InterruptLatencySeconds / FlagNotifyLatencySeconds(); speedup < 10 {
+		t.Fatalf("flag polling only %.1fx faster than interrupts; paper expects order(s) of magnitude", speedup)
 	}
 }
 
+// TestSmallMessageThreshold re-derives the published 1 KB threshold the
+// way the paper did: the MPE streams a module input at MPE bandwidth, a
+// CPE cluster pays the flag notification and then streams at cluster DMA
+// bandwidth, and the two curves must cross near SmallMessageThresholdBytes
+// (same order of magnitude).
 func TestSmallMessageThreshold(t *testing.T) {
-	if !ProcessOnMPE(512) || ProcessOnMPE(4096) {
-		t.Fatal("1 KB threshold misapplied")
-	}
-	// The crossover of the two dispatch-time curves must sit near the
-	// published 1 KB threshold (same order of magnitude).
 	var crossover int64
 	for b := int64(64); b <= 64<<10; b *= 2 {
-		if ModuleDispatchTime(b, false) < ModuleDispatchTime(b, true) {
+		onCPE := FlagNotifyLatencySeconds() + DMATime(b, DMASaturationChunk, CPEsPerCluster)
+		if onCPE < MPETime(b, DMASaturationChunk) {
 			crossover = b
 			break
 		}
 	}
-	if crossover < 512 || crossover > 8<<10 {
-		t.Fatalf("MPE/CPE dispatch crossover at %d bytes, want near 1 KB", crossover)
-	}
-	if ModuleDispatchTime(0, true) != 0 || ModuleDispatchTime(0, false) != 0 {
-		t.Error("zero input must take zero time")
+	if crossover < SmallMessageThresholdBytes/2 || crossover > 8*SmallMessageThresholdBytes {
+		t.Fatalf("MPE/CPE dispatch crossover at %d bytes, want near %d", crossover, SmallMessageThresholdBytes)
 	}
 }
