@@ -36,11 +36,12 @@ bench:
 
 # bench-layers runs the per-message ledger lines — one delivered End marker,
 # the inbox hand-off, one flight-recorded delivery — next to the send-side
-# and codec lines they sit between, and the validator's ns/edge on the
-# bfs-hybrid workload's scale-18 graph. Before/after figures of a change to
-# these layers go into its CHANGES.md line.
+# lines of both transports and the codec line they sit between, and the
+# validator's ns/edge on the bfs-hybrid workload's scale-18 graph.
+# Before/after figures of a change to these layers go into its CHANGES.md
+# line.
 bench-layers:
-	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkRelaySendManyInterleaved|BenchmarkEncodeAdaptive)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkEncodeAdaptive)$$' \
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 	$(GO) test -run='^$$' -bench='^BenchmarkValidation$$/scale18' -benchmem -count=5 .
@@ -67,7 +68,6 @@ chaos:
 # corpus — a smoke pass, not a soak; raise FUZZTIME for a real session.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz='^FuzzOrderPairs$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapWordScan -fuzztime=$(FUZZTIME) ./internal/graph/

@@ -117,9 +117,11 @@ type Batch struct {
 	NoCodec bool
 }
 
-// ByteSize returns the modelled wire size of the batch.
+// ByteSize returns the modelled wire size of the batch: the header, the
+// payload as it travels — its encoded bytes (an encoded batch carries no
+// Pairs), or 16 bytes per pair — and every inner batch.
 func (b *Batch) ByteSize() int64 {
-	size := int64(batchHeaderBytes) + int64(len(b.Pairs))*PairBytes
+	size := int64(batchHeaderBytes) + int64(len(b.Pairs))*PairBytes + int64(len(b.Enc))
 	for i := range b.Inner {
 		size += b.Inner[i].ByteSize()
 	}
@@ -179,12 +181,12 @@ const (
 	EvError
 )
 
-// ProtocolError reports a batch that breaks the transport protocol — another
-// level's, an End on a channel the level never opened, an envelope outside
-// the relay's row, an unknown kind or channel, a flight stream running
-// backwards — caught by rank Node, or a collective contribution of the wrong
-// length (no batch and no rank to name: Node and Src are -1). The run aborts
-// with it as the cause.
+// ProtocolError reports a batch that breaks the transport protocol — a
+// payload that does not decode, another level's, an End on a channel the
+// level never opened, an envelope outside the relay's row, an unknown kind
+// or channel, a flight stream running backwards — caught by rank Node, or a
+// collective contribution of the wrong length (no batch and no rank to name:
+// Node and Src are -1). The run aborts with it as the cause.
 type ProtocolError struct {
 	Node, Src, Level int
 	Kind             Kind

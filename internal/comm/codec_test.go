@@ -9,13 +9,15 @@ import (
 	"swbfs/internal/graph"
 )
 
+// TestRawCodecSize: raw is the nil codec, and a raw payload is charged 16
+// bytes per pair.
 func TestRawCodecSize(t *testing.T) {
-	pairs := make([]Pair, 10)
-	if got := (RawCodec{}).EncodedSize(pairs); got != 160 {
-		t.Fatalf("raw size = %d, want 160", got)
+	if c, err := CodecByName("raw"); c != nil || err != nil {
+		t.Fatalf("CodecByName(raw) = %v, %v; want the nil codec", c, err)
 	}
-	if (RawCodec{}).Name() != "raw" {
-		t.Fatal("name")
+	b := Batch{Kind: KindData, Pairs: make([]Pair, 10)}
+	if got := b.ByteSize() - batchHeaderBytes; got != 160 {
+		t.Fatalf("raw payload size = %d, want 160", got)
 	}
 }
 
@@ -30,8 +32,9 @@ func TestVarintDeltaCompressesClusteredDestinations(t *testing.T) {
 			graph.Vertex(rng.Int63n(1<<16) * 16), // clustered dest
 		}
 	}
-	raw := (RawCodec{}).EncodedSize(pairs)
-	compressed := (VarintDeltaCodec{}).EncodedSize(pairs)
+	raw := int64(len(pairs)) * PairBytes
+	enc, _ := VarintDeltaCodec{}.EncodePayload(nil, ChanForward, pairs)
+	compressed := int64(len(enc))
 	if compressed >= raw {
 		t.Fatalf("varint-delta %d B >= raw %d B", compressed, raw)
 	}
@@ -41,8 +44,8 @@ func TestVarintDeltaCompressesClusteredDestinations(t *testing.T) {
 }
 
 func TestVarintDeltaEmpty(t *testing.T) {
-	if got := (VarintDeltaCodec{}).EncodedSize(nil); got != 0 {
-		t.Fatalf("empty payload size = %d", got)
+	if enc, _ := (VarintDeltaCodec{}).EncodePayload(nil, ChanForward, nil); len(enc) != 0 {
+		t.Fatalf("empty payload size = %d", len(enc))
 	}
 }
 
@@ -57,8 +60,8 @@ func TestVarintDeltaBounds(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			pairs = append(pairs, Pair{graph.Vertex(raw[i]), graph.Vertex(raw[i+1])})
 		}
-		size := (VarintDeltaCodec{}).EncodedSize(pairs)
-		return size > 0 && size <= int64(len(pairs))*20
+		enc, _ := VarintDeltaCodec{}.EncodePayload(nil, ChanForward, pairs)
+		return len(enc) > 0 && len(enc) <= len(pairs)*20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -68,7 +71,7 @@ func TestVarintDeltaBounds(t *testing.T) {
 // TestCodecReducesNetworkTraffic: the same exchange accounts less traffic
 // under compression, and delivery stays lossless.
 func TestCodecReducesNetworkTraffic(t *testing.T) {
-	run := func(codec Codec) (int64, map[int]map[Pair]int) {
+	run := func(codec PayloadCodec) (int64, map[int]map[Pair]int) {
 		net := mustNetwork(t, Config{Nodes: 8, SuperNodeSize: 4, BatchBytes: 256, Codec: codec})
 		eps := make([]Endpoint, 8)
 		for i := range eps {

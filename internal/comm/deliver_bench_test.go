@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 )
 
@@ -53,6 +54,58 @@ func BenchmarkDeliverEnd(b *testing.B) {
 	msgs := float64(b.N) * nodes * nodes
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/msg")
+}
+
+// BenchmarkDirectSendManyInterleaved is BenchmarkRelaySendManyInterleaved's
+// stream on a 64-node Direct machine: 1 Mi pairs whose destinations cycle
+// through every node, so every run has length 1 and each destination fills
+// exactly four quanta a level. The 64 inboxes are drained raw, which leaves
+// SendMany, staging, drain and deliver as the measured work.
+func BenchmarkDirectSendManyInterleaved(b *testing.B) {
+	const pairs, nodes = 1 << 20, 64
+	net, err := NewNetwork(Config{Nodes: nodes, SuperNodeSize: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep := NewDirectEndpoint(net, 0)
+	var consumers sync.WaitGroup
+	for _, in := range net.inboxes {
+		consumers.Add(1)
+		go func(in *Inbox) {
+			defer consumers.Done()
+			for {
+				batch, ok := in.Pop()
+				if !ok {
+					return
+				}
+				PutPairs(batch.Pairs)
+			}
+		}(in)
+	}
+	var chunk Stage
+	for i := 0; i < StageCapPairs; i++ {
+		chunk.Add(i%nodes, Pair{graph.Vertex(i), graph.Vertex(i)})
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.StartLevel(i, ChanForward)
+		for sent := 0; sent < pairs; sent += StageCapPairs {
+			if err := ep.SendMany(ChanForward, chunk.Runs, chunk.Pairs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * pairs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/pair")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/pair")
+	net.Close()
+	consumers.Wait()
 }
 
 // BenchmarkInboxPushPop is the inbox hand-off alone, in the shape of the

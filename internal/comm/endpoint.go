@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -41,13 +42,6 @@ type Endpoint interface {
 type DstRun struct {
 	Dst int
 	N   int
-}
-
-func init() {
-	// numChannels is the array bound below; keep them in sync.
-	if numChannels != 2 {
-		panic("comm: channel count changed; update endpoint state arrays")
-	}
 }
 
 // pairFIFO is a per-destination send buffer: pairs append at the tail and
@@ -105,195 +99,286 @@ func (f *pairFIFO) take(n int) []Pair {
 	return out
 }
 
-// sendState is the shared send-side batching state of the direct
-// transport: one FIFO per (channel, destination), drained in quanta of
-// exactly Network.QuantumPairs pairs. Draining by fixed quantum — rather
-// than "flush whatever is buffered once it crosses the threshold" — makes
-// batch boundaries a pure function of the per-destination pair sequence,
-// independent of how senders chunked their SendMany calls. That
-// invariance is what lets the intra-node worker pools promise modelled
-// traffic bit-identical to the serial path.
-type sendState struct {
-	mu    sync.Mutex
-	fifos [numChannels][]pairFIFO
-	// residual is CloseChannel's scratch; each channel has one closer.
-	residual [numChannels][]Batch
+// groupStage buffers one destination group's outgoing pairs in arrival
+// order. The runs queue remembers the destination of each contiguous run,
+// so the quantum drain can rebuild per-destination inner batches without
+// per-pair bookkeeping; the FIFO holds the pairs themselves.
+type groupStage struct {
+	runs    []DstRun
+	runHead int // index of the oldest unconsumed run
+	runOff  int // pairs of runs[runHead] already consumed
+	fifo    pairFIFO
+	total   int
+
+	// Drain scratch, one slot per group member indexed by dst - base:
+	// round-robin vertex ownership makes nearly every run length 1, so the
+	// drain touches these once per pair. Both are all-zero between drains.
+	base   int
+	counts []int
+	bufs   [][]Pair
 }
 
-func (s *sendState) start(nodes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ch := range s.fifos {
-		if s.fifos[ch] == nil {
-			s.fifos[ch] = make([]pairFIFO, nodes)
-		}
-		for i := range s.fifos[ch] {
-			s.fifos[ch][i].buf = s.fifos[ch][i].buf[:0]
-			s.fifos[ch][i].head = 0
-		}
+// newGroupStage sizes the drain scratch for the m-node group whose first
+// member is node base.
+func newGroupStage(base, m int) groupStage {
+	return groupStage{base: base, counts: make([]int, m), bufs: make([][]Pair, m)}
+}
+
+// single reports a one-member group: every pair is for node base, so the
+// stage keeps no run queue and drains straight from its FIFO.
+func (g *groupStage) single() bool { return len(g.counts) == 1 }
+
+func (g *groupStage) reset() {
+	g.runs = g.runs[:0]
+	g.runHead, g.runOff = 0, 0
+	g.fifo.buf = g.fifo.buf[:0]
+	g.fifo.head = 0
+	g.total = 0
+}
+
+// trim releases buffers too large to keep across runs.
+func (g *groupStage) trim() {
+	g.fifo.trim()
+	if cap(g.runs) > fifoRetainPairs {
+		g.runs = nil
 	}
 }
 
-// DirectEndpoint implements all-pairs messaging: every batch goes straight
-// to its destination, and every node exchanges end-of-channel markers with
-// every other node — Theta(P^2) termination messages machine-wide, the
-// baseline behaviour of Figure 11's "Direct" lines.
-type DirectEndpoint struct {
-	net  *Network
-	node int
-	send sendState
+func (g *groupStage) push(dst int, ps []Pair) {
+	g.fifo.push(ps)
+	g.total += len(ps)
+	if g.single() {
+		return
+	}
+	if n := len(g.runs); n > g.runHead && g.runs[n-1].Dst == dst {
+		g.runs[n-1].N += len(ps)
+	} else {
+		g.runs = append(g.runs, DstRun{Dst: dst, N: len(ps)})
+	}
+}
+
+// drain consumes the oldest n buffered pairs and appends them to out as
+// inner batches in ascending destination order, preserving each
+// destination's arrival order. Pair slices come from the pool; the eventual
+// consumer recycles them.
+func (g *groupStage) drain(out []Batch, n int, src, level int, ch Channel) []Batch {
+	if g.single() {
+		g.total -= n
+		return append(out, Batch{
+			Kind: KindData, Channel: ch, Src: src, Dst: g.base, Level: level, Pairs: g.fifo.take(n),
+		})
+	}
+	dsts := 0
+	rh, ro, left := g.runHead, g.runOff, n
+	for left > 0 {
+		r := g.runs[rh]
+		take := min(r.N-ro, left)
+		if g.counts[r.Dst-g.base] == 0 {
+			dsts++
+		}
+		g.counts[r.Dst-g.base] += take
+		left -= take
+		ro += take
+		if ro == r.N {
+			rh++
+			ro = 0
+		}
+	}
+	for col, c := range g.counts {
+		if c > 0 {
+			g.bufs[col] = GetPairs(c)[:0]
+		}
+	}
+	for oldest := g.fifo.peek(n); len(oldest) > 0; {
+		r := &g.runs[g.runHead]
+		take := min(r.N-g.runOff, len(oldest))
+		g.bufs[r.Dst-g.base] = append(g.bufs[r.Dst-g.base], oldest[:take]...)
+		oldest = oldest[take:]
+		g.runOff += take
+		if g.runOff == r.N {
+			g.runHead++
+			g.runOff = 0
+		}
+	}
+	g.fifo.advance(n)
+	g.total -= n
+	if g.runHead == len(g.runs) {
+		g.runs = g.runs[:0]
+		g.runHead = 0
+	} else if g.runHead > 64 && g.runHead*2 >= len(g.runs) {
+		m := copy(g.runs, g.runs[g.runHead:])
+		g.runs = g.runs[:m]
+		g.runHead = 0
+	}
+	out = slices.Grow(out, dsts)
+	for col, c := range g.counts {
+		if c > 0 {
+			out = append(out, Batch{
+				Kind: KindData, Channel: ch, Src: src, Dst: g.base + col, Level: level, Pairs: g.bufs[col],
+			})
+			g.counts[col], g.bufs[col] = 0, nil
+		}
+	}
+	return out
+}
+
+// route is a transport's routing step: all the endpoint core leaves to the
+// transport it serves.
+type route interface {
+	// seal turns the inner batches of one drained quantum, out[at:], into
+	// what goes on the wire.
+	seal(ch Channel, out []Batch, at int) []Batch
+	// ship delivers one sealed batch.
+	ship(b Batch) error
+	// end sends the node's end-of-channel markers.
+	end(ch Channel) error
+	// handle consumes a batch of a kind the core does not know, or says
+	// why it breaks the protocol. It takes the batch by value: a pointer
+	// through the interface would move every received batch to the heap.
+	handle(b Batch) error
+}
+
+// endpointCore is the rank machinery both transports embed: the level and
+// its open channels, the send staging, and the receive half that hands data
+// to the caller and counts End markers. Destinations fall into groups of
+// `members` consecutive nodes, each staged in one groupStage whose quanta
+// drain in fixed size (Network.QuantumPairs). Draining by fixed quantum —
+// rather than "flush whatever is buffered once it crosses the threshold" —
+// makes batch boundaries a pure function of the per-group pair sequence,
+// independent of how senders chunked their SendMany calls. That invariance
+// is what lets the intra-node worker pools promise modelled traffic
+// bit-identical to the serial path.
+type endpointCore struct {
+	net   *Network
+	node  int
+	route route
+	// members is the size of a destination group; closeAfter is the End
+	// markers that close a channel.
+	members, closeAfter int
+	// groupOf maps a destination to its group: a table, because an integer
+	// division per staged run is what the send loop would spend its time on.
+	groupOf []int
 
 	level int
-	ends  [numChannels]int
 	open  [numChannels]bool
+	ends  [numChannels]int
 
-	recv receiver
-}
-
-// NewDirectEndpoint creates the rank for `node`.
-func NewDirectEndpoint(net *Network, node int) *DirectEndpoint {
-	return &DirectEndpoint{net: net, node: node}
-}
-
-func (e *DirectEndpoint) Node() int    { return e.node }
-func (e *DirectEndpoint) Mode() string { return "direct" }
-
-// Reset implements Endpoint. The send FIFOs are emptied by StartLevel.
-func (e *DirectEndpoint) Reset() {
-	e.level, e.ends, e.open = 0, [numChannels]int{}, [numChannels]bool{}
-	e.recv = receiver{}
-	for ch := range e.send.fifos {
-		for i := range e.send.fifos[ch] {
-			e.send.fifos[ch][i].trim()
-		}
-	}
-}
-
-// receiver is the receive-side prologue both transports share: pop the
-// node's inbox, discard chaos duplicates, decode, record, check the level.
-type receiver struct {
 	// seenDups tracks chaos-injected duplicate deliveries (by DupID) so
 	// the second copy is discarded before any processing or accounting.
 	// Lazily allocated: a fault-free run never sees a duplicate.
 	seenDups map[int64]bool
+
+	// mu guards the staging table: generator and handler modules send
+	// concurrently.
+	mu     sync.Mutex
+	groups [numChannels][]groupStage
+	// residual is CloseChannel's scratch; each channel has one closer.
+	residual [numChannels][]Batch
 }
 
-// next returns the node's next live batch of the level; an error is what
-// Recv must report instead.
-func (r *receiver) next(net *Network, node, level int) (Batch, error) {
-	for {
-		b, ok := net.inboxes[node].Pop()
-		if !ok {
-			return b, fmt.Errorf("comm: node %d inbox closed mid-level: %w", node, ErrAborted)
-		}
-		if b.DupID != 0 {
-			if r.seenDups[b.DupID] {
-				// Chaos duplicate: the first copy was already delivered.
-				if err := net.flightDupDrop(node, &b); err != nil {
-					return b, protocolError(node, &b, err.Error())
-				}
-				continue
-			}
-			if r.seenDups == nil {
-				r.seenDups = make(map[int64]bool)
-			}
-			r.seenDups[b.DupID] = true
-		}
-		if err := net.decodeForWire(&b); err != nil {
-			return b, err
-		}
-		// Recorded before the checks, so the dump of a run a hostile batch
-		// aborted shows that batch arriving.
-		if err := net.flightRecv(node, &b); err != nil {
-			return b, protocolError(node, &b, err.Error())
-		}
-		if b.Level != level {
-			return b, protocolError(node, &b, fmt.Sprintf("arrived during level %d", level))
-		}
-		if b.Channel >= numChannels {
-			return b, protocolError(node, &b, "unknown "+b.Channel.String())
-		}
-		return b, nil
+func newEndpointCore(net *Network, node int, r route, members, closeAfter int) endpointCore {
+	groupOf := make([]int, net.Nodes())
+	for dst := range groupOf {
+		groupOf[dst] = dst / members
 	}
+	return endpointCore{net: net, node: node, route: r, members: members, closeAfter: closeAfter, groupOf: groupOf}
 }
+
+func (e *endpointCore) Node() int { return e.node }
 
 // StartLevel implements Endpoint.
-func (e *DirectEndpoint) StartLevel(level int, channels ...Channel) {
+func (e *endpointCore) StartLevel(level int, channels ...Channel) {
 	e.level = level
-	e.send.start(e.net.Nodes())
-	for ch := range e.ends {
-		e.ends[ch] = 0
-		e.open[ch] = false
+	e.mu.Lock()
+	for ch := range e.groups {
+		if e.groups[ch] == nil {
+			e.groups[ch] = make([]groupStage, e.net.Nodes()/e.members)
+			for i := range e.groups[ch] {
+				e.groups[ch][i] = newGroupStage(i*e.members, e.members)
+			}
+		}
+		for i := range e.groups[ch] {
+			e.groups[ch][i].reset()
+		}
 	}
+	e.mu.Unlock()
+	e.ends, e.open = [numChannels]int{}, [numChannels]bool{}
 	for _, ch := range channels {
 		e.open[ch] = true
 	}
 }
 
-// SendMany implements Endpoint: buffer the staged runs, then ship every
-// completed quantum. Full batches are collected under the lock and
-// delivered outside it, so concurrent senders only contend on the append.
-func (e *DirectEndpoint) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
+// Reset implements Endpoint. The staging table is emptied by StartLevel.
+func (e *endpointCore) Reset() {
+	e.level, e.ends, e.open, e.seenDups = 0, [numChannels]int{}, [numChannels]bool{}, nil
+	for ch := range e.groups {
+		for i := range e.groups[ch] {
+			e.groups[ch][i].trim()
+		}
+	}
+}
+
+// SendMany implements Endpoint: stage the runs by destination group and
+// ship every completed quantum. Quanta are drained and sealed under the
+// lock and shipped outside it, so concurrent senders only contend on the
+// append.
+func (e *endpointCore) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
 	q := e.net.QuantumPairs()
 	var full []Batch
 	off := 0
-	e.send.mu.Lock()
+	e.mu.Lock()
 	for _, run := range runs {
-		f := &e.send.fifos[ch][run.Dst]
-		f.push(pairs[off : off+run.N])
+		g := &e.groups[ch][e.groupOf[run.Dst]]
+		g.push(run.Dst, pairs[off:off+run.N])
 		off += run.N
-		for f.n() >= q {
-			full = append(full, Batch{
-				Kind: KindData, Channel: ch, Src: e.node, Dst: run.Dst, Level: e.level, Pairs: f.take(q),
-			})
+		for g.total >= q {
+			full = e.drain(full, ch, g, q)
 		}
 	}
-	e.send.mu.Unlock()
-	for i := range full {
-		if err := e.net.deliver(full[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	e.mu.Unlock()
+	return e.shipAll(full)
 }
 
-// CloseChannel implements Endpoint: flush residual buffers in ascending
-// destination order, then send one end marker to every node (including
-// self, a free loopback).
-func (e *DirectEndpoint) CloseChannel(ch Channel) error {
-	e.send.mu.Lock()
-	residual := e.send.residual[ch][:0]
-	for dst := range e.send.fifos[ch] {
-		f := &e.send.fifos[ch][dst]
-		if n := f.n(); n > 0 {
-			residual = append(residual, Batch{
-				Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: f.take(n),
-			})
+// CloseChannel implements Endpoint: flush every group's residual in
+// ascending group order, then send the End markers.
+func (e *endpointCore) CloseChannel(ch Channel) error {
+	e.mu.Lock()
+	residual := e.residual[ch][:0]
+	for i := range e.groups[ch] {
+		if g := &e.groups[ch][i]; g.total > 0 {
+			residual = e.drain(residual, ch, g, g.total)
 		}
 	}
-	e.send.residual[ch] = residual
-	e.send.mu.Unlock()
-	for i := range residual {
-		if err := e.net.deliver(residual[i]); err != nil {
-			return err
-		}
+	e.residual[ch] = residual
+	e.mu.Unlock()
+	if err := e.shipAll(residual); err != nil {
+		return err
 	}
 	clear(residual) // the payloads are their receivers' now
-	for dst := 0; dst < e.net.Nodes(); dst++ {
-		err := e.net.deliver(Batch{
-			Kind: KindEnd, Channel: ch, Src: e.node, Dst: dst, Level: e.level,
-		})
-		if err != nil {
+	return e.route.end(ch)
+}
+
+// drain appends the oldest n pairs of g to out as one quantum, sealed for
+// the wire.
+func (e *endpointCore) drain(out []Batch, ch Channel, g *groupStage, n int) []Batch {
+	at := len(out)
+	return e.route.seal(ch, g.drain(out, n, e.node, e.level, ch), at)
+}
+
+func (e *endpointCore) shipAll(sealed []Batch) error {
+	for i := range sealed {
+		if err := e.route.ship(sealed[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Recv implements Endpoint.
-func (e *DirectEndpoint) Recv() Event {
+// Recv implements Endpoint: data goes to the caller, End markers close
+// their channel, and every other kind is the transport's to handle.
+func (e *endpointCore) Recv() Event {
 	for {
-		b, err := e.recv.next(e.net, e.node, e.level)
+		b, err := e.next()
 		if err != nil {
 			return Event{Type: EvError, Err: err}
 		}
@@ -305,12 +390,95 @@ func (e *DirectEndpoint) Recv() Event {
 				return Event{Type: EvError, Err: protocolError(e.node, &b, "end marker on a closed channel")}
 			}
 			e.ends[b.Channel]++
-			if e.ends[b.Channel] == e.net.Nodes() {
+			if e.ends[b.Channel] == e.closeAfter {
 				e.open[b.Channel] = false
 				return Event{Type: EvChannelClosed, Channel: b.Channel}
 			}
 		default:
-			return Event{Type: EvError, Err: protocolError(e.node, &b, "not a direct-transport kind")}
+			if err := e.route.handle(b); err != nil {
+				return Event{Type: EvError, Err: err}
+			}
 		}
 	}
+}
+
+// next pops the node's next live batch of the level: chaos duplicates are
+// discarded, the batch is recorded, decoded and checked. An error is what
+// Recv must report instead.
+func (e *endpointCore) next() (Batch, error) {
+	for {
+		b, ok := e.net.inboxes[e.node].Pop()
+		if !ok {
+			return b, fmt.Errorf("comm: node %d inbox closed mid-level: %w", e.node, ErrAborted)
+		}
+		if b.DupID != 0 {
+			if e.seenDups[b.DupID] {
+				// Chaos duplicate: the first copy was already delivered.
+				if err := e.net.flightDupDrop(e.node, &b); err != nil {
+					return b, protocolError(e.node, &b, err.Error())
+				}
+				continue
+			}
+			if e.seenDups == nil {
+				e.seenDups = make(map[int64]bool)
+			}
+			e.seenDups[b.DupID] = true
+		}
+		// Recorded before the decode and the checks, so the dump of a run a
+		// hostile batch aborted shows that batch arriving.
+		if err := e.net.flightRecv(e.node, &b); err != nil {
+			return b, protocolError(e.node, &b, err.Error())
+		}
+		if err := e.net.decodeForWire(&b); err != nil {
+			return b, protocolError(e.node, &b, err.Error())
+		}
+		if b.Level != e.level {
+			return b, protocolError(e.node, &b, fmt.Sprintf("arrived during level %d", e.level))
+		}
+		if b.Channel >= numChannels {
+			return b, protocolError(e.node, &b, "unknown "+b.Channel.String())
+		}
+		return b, nil
+	}
+}
+
+// DirectEndpoint implements all-pairs messaging: every destination is its
+// own group, every batch goes straight to its destination, and every node
+// exchanges end-of-channel markers with every other node — Theta(P^2)
+// termination messages machine-wide, the baseline behaviour of Figure 11's
+// "Direct" lines.
+type DirectEndpoint struct {
+	endpointCore
+}
+
+// NewDirectEndpoint creates the rank for `node`.
+func NewDirectEndpoint(net *Network, node int) *DirectEndpoint {
+	e := &DirectEndpoint{}
+	e.endpointCore = newEndpointCore(net, node, e, 1, net.Nodes())
+	return e
+}
+
+func (e *DirectEndpoint) Mode() string { return "direct" }
+
+// seal ships a quantum as it drained: one batch for one destination.
+func (e *DirectEndpoint) seal(_ Channel, out []Batch, _ int) []Batch { return out }
+
+func (e *DirectEndpoint) ship(b Batch) error { return e.net.deliver(b) }
+
+// end sends one End marker to every node, including self (a free
+// loopback).
+func (e *DirectEndpoint) end(ch Channel) error {
+	for dst := 0; dst < e.net.Nodes(); dst++ {
+		err := e.net.deliver(Batch{
+			Kind: KindEnd, Channel: ch, Src: e.node, Dst: dst, Level: e.level,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *DirectEndpoint) handle(b Batch) error {
+	return protocolError(e.node, &b, "not a direct-transport kind")
 }

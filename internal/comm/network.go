@@ -88,18 +88,17 @@ type Config struct {
 	// MPIMemoryBudget is the per-node connection memory cap
 	// (DefaultMPIMemoryBudget if zero).
 	MPIMemoryBudget int64
-	// Codec compresses data payloads on the wire (nil = RawCodec). A
-	// PayloadCodec runs on the real transport path — batches travel as
-	// their encoded bytes and are decoded on arrival; a plain Codec only
-	// reshapes the accounted traffic. Delivery is lossless either way.
-	Codec Codec
+	// Codec compresses data payloads on the wire (nil = raw, 16 bytes per
+	// pair): batches travel as their encoded bytes and are decoded on
+	// arrival. Delivery is lossless either way.
+	Codec PayloadCodec
 	// CodecBackward, when non-nil, overrides Codec on the backward
 	// channel. The bottom-up query waves are the dense traffic where the
 	// bitmap/adaptive layouts win; keeping the forward channel raw also
 	// keeps modelled wire bytes deterministic, because bottom-up forward
 	// replies are emitted in arrival order (see docs/ARCHITECTURE.md,
 	// "Wire encoding").
-	CodecBackward Codec
+	CodecBackward PayloadCodec
 	// Chaos, when non-nil, injects the compiled fault plan into every
 	// delivery (see internal/chaos and docs/CHAOS.md).
 	Chaos *chaos.Injector
@@ -117,8 +116,8 @@ type Network struct {
 
 	batchBytes    int64
 	budget        int64
-	codec         Codec
-	codecBackward Codec
+	codec         PayloadCodec
+	codecBackward PayloadCodec
 
 	inboxes []*Inbox
 
@@ -142,8 +141,8 @@ type Network struct {
 
 	// codecMsgs/codecBytes count payload-encoded messages and their
 	// encoded bytes per wire format (direct data batches and relay
-	// stage-one inner batches each count once). All zero when no
-	// PayloadCodec is configured.
+	// stage-one inner batches each count once). All zero when no codec is
+	// configured.
 	codecMsgs  [numWireFormats]atomicInt64
 	codecBytes [numWireFormats]atomicInt64
 
@@ -306,7 +305,7 @@ func (n *Network) deliver(b Batch) error {
 	}
 	n.encodeForWire(&b)
 	class := n.Topo.Classify(b.Src, b.Dst)
-	wire := n.wireSize(&b)
+	wire := b.ByteSize()
 	n.kindMsgs[b.Kind].Add(1)
 	if class != fabric.Loopback {
 		if err := n.connect(b.Src, b.Dst); err != nil {
@@ -339,21 +338,18 @@ func payloadPairs(b *Batch) int {
 }
 
 // encodeForWire replaces a data payload with its codec-encoded bytes when
-// the channel's codec runs on the real path: direct data batches and the
-// inner batches of a relay stage-one envelope. Stage-two re-batches
-// (NoCodec) and empty payloads pass through. The pair slice returns to
-// the pool — the receiver gets a freshly decoded pooled slice instead.
+// the channel runs a codec: direct data batches and the inner batches of a
+// relay stage-one envelope. Stage-two re-batches (NoCodec) and empty
+// payloads pass through. The pair slice returns to the pool — the receiver
+// gets a freshly decoded pooled slice instead.
 func (n *Network) encodeForWire(b *Batch) {
 	switch b.Kind {
 	case KindData:
-		if b.NoCodec || len(b.Pairs) == 0 {
+		codec := n.codecFor(b.Channel)
+		if codec == nil || b.NoCodec || len(b.Pairs) == 0 {
 			return
 		}
-		pc, ok := n.codecFor(b.Channel).(PayloadCodec)
-		if !ok {
-			return
-		}
-		enc, format := pc.EncodePayload(getEncBuf(), b.Channel, b.Pairs)
+		enc, format := codec.EncodePayload(getEncBuf(), b.Channel, b.Pairs)
 		n.codecMsgs[format].Add(1)
 		n.codecBytes[format].Add(int64(len(enc)))
 		b.EncN = len(b.Pairs)
@@ -370,23 +366,26 @@ func (n *Network) encodeForWire(b *Batch) {
 // decodeForWire restores the pair payload of an encoded batch (and, for
 // envelopes, of every inner batch) into pooled slices. Endpoints call it
 // once per consumed delivery, after duplicate discarding and before any
-// handler or relay accounting sees the batch. A decode failure is a
-// transport invariant violation and aborts the run.
+// handler or relay accounting sees the batch. A failure — bytes that do not
+// decode, a pair count they do not hold, an encoded payload on a raw
+// channel — is a protocol violation, reported for the endpoint to wrap.
 func (n *Network) decodeForWire(b *Batch) error {
 	if b.Enc != nil {
-		pc, ok := n.codecFor(b.Channel).(PayloadCodec)
-		if !ok {
-			return fmt.Errorf("comm: encoded %s batch on channel %s without a payload codec", b.Kind, b.Channel)
+		codec := n.codecFor(b.Channel)
+		if codec == nil {
+			return fmt.Errorf("encoded payload on the raw %s channel", b.Channel)
 		}
-		pairs, err := pc.DecodePayload(GetPairs(b.EncN)[:0], b.Enc)
+		if b.EncN < 0 || b.EncN > len(b.Enc) { // every format spends a byte or more per pair
+			return fmt.Errorf("%d payload bytes cannot carry %d pairs", len(b.Enc), b.EncN)
+		}
+		pairs, err := codec.DecodePayload(GetPairs(b.EncN)[:0], b.Enc)
 		if err != nil {
 			PutPairs(pairs)
-			return fmt.Errorf("comm: node %d payload from %d: %w", b.Dst, b.Src, err)
+			return fmt.Errorf("undecodable payload: %w", err)
 		}
 		if len(pairs) != b.EncN {
 			PutPairs(pairs)
-			return fmt.Errorf("comm: node %d payload from %d decoded to %d pairs, want %d",
-				b.Dst, b.Src, len(pairs), b.EncN)
+			return fmt.Errorf("payload decoded to %d pairs, want %d", len(pairs), b.EncN)
 		}
 		putEncBuf(b.Enc)
 		b.Enc = nil
@@ -499,7 +498,7 @@ func (n *Network) MetricsInto(r *obs.Registry) {
 
 // CodecTraffic reports the per-wire-format encoded traffic of the run:
 // one entry per format that carried at least one payload, in format
-// order. Empty when no PayloadCodec ran.
+// order. Empty when no codec ran.
 func (n *Network) CodecTraffic() []obs.CodecFormatTraffic {
 	var out []obs.CodecFormatTraffic
 	for f := WireFormat(0); f < numWireFormats; f++ {

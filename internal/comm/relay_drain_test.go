@@ -85,7 +85,7 @@ func TestDrainDenseMatchesReference(t *testing.T) {
 				next := graph.Vertex(0) // unique payloads make misplaced pairs visible
 				check := func(n int) {
 					t.Helper()
-					got := dense.drain(n, 5, 3, ChanBackward)
+					got := dense.drain(nil, n, 5, 3, ChanBackward)
 					want := drainReference(&ref, n, 5, 3, ChanBackward)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%dx%d q=%d group %d: inner batches diverge\n got %+v\nwant %+v",

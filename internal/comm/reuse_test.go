@@ -110,11 +110,22 @@ func TestInboxProducersKeepOrder(t *testing.T) {
 
 // TestProtocolErrors pushes each hostile batch into a live endpoint's inbox:
 // Recv reports a *ProtocolError naming the batch instead of panicking, and
-// the flight record still shows the batch arriving.
+// the flight record still shows the batch arriving. The network runs the
+// adaptive codec on the backward channel only, so a payload that does not
+// decode, decodes to the wrong pair count, or is encoded on the raw forward
+// channel is hostile too — alone or inside a relay envelope.
 func TestProtocolErrors(t *testing.T) {
 	shape, err := NewGroupShape(4, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	enc, _ := AdaptiveCodec{}.EncodePayload(nil, ChanBackward, []Pair{{1, 2}, {3, 4}})
+	corrupt := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: []byte{0xF8}, EncN: 1}
+	miscounted := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: 3}
+	onRaw := Batch{Kind: KindData, Channel: ChanForward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: 2}
+	envelope := func(in Batch) Batch {
+		in.Src, in.Dst = 3, 0
+		return Batch{Kind: KindRelayData, Channel: in.Channel, Src: 3, Dst: 1, Level: 3, Inner: []Batch{in}}
 	}
 	cases := []struct {
 		name    string
@@ -130,11 +141,18 @@ func TestProtocolErrors(t *testing.T) {
 		{"unknown kind, relay", true, Batch{Kind: Kind(7), Src: 3, Dst: 1, Level: 3}},
 		{"relay kind on the direct transport", false, Batch{Kind: KindRelayEnd, Src: 3, Dst: 1, Level: 3}},
 		{"unknown channel", false, Batch{Kind: KindEnd, Channel: Channel(9), Src: 3, Dst: 1, Level: 3}},
+		{"corrupt payload, direct", false, corrupt},
+		{"corrupt payload, relay", true, envelope(corrupt)},
+		{"payload pair count, direct", false, miscounted},
+		{"payload pair count, relay", true, envelope(miscounted)},
+		{"impossible pair count, direct", false, Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: -1}},
+		{"encoded payload on a raw channel, direct", false, onRaw},
+		{"encoded payload on a raw channel, relay", true, envelope(onRaw)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fr := obs.NewFlightRecorder(0)
-			net := mustNetwork(t, Config{Nodes: 4, SuperNodeSize: 2, Flight: fr})
+			net := mustNetwork(t, Config{Nodes: 4, SuperNodeSize: 2, CodecBackward: AdaptiveCodec{}, Flight: fr})
 			defer net.Close()
 			fr.BeginRun(0, "test", 4, "direct")
 			var ep Endpoint = NewDirectEndpoint(net, 1)
@@ -222,8 +240,8 @@ func reuseEndpoints(t *testing.T, net *Network, relay bool) []Endpoint {
 // field that is neither reset nor listed fails this test.
 func TestReuseResetEqualsFresh(t *testing.T) {
 	machineScoped := map[bool][]string{
-		false: {"net", "send"},                       // DirectEndpoint
-		true:  {"net", "send", "relayFIFO", "flows"}, // RelayEndpoint
+		false: {"net", "route", "groups", "residual"},                       // DirectEndpoint
+		true:  {"net", "route", "groups", "residual", "relayFIFO", "flows"}, // RelayEndpoint
 	}
 	for _, relay := range []bool{false, true} {
 		fr := obs.NewFlightRecorder(0)

@@ -14,7 +14,7 @@ import (
 	"swbfs/internal/testutil"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire_golden.json from the current codecs")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_golden.json files from the current code")
 
 const wireGolden = "testdata/wire_golden.json"
 

@@ -48,8 +48,8 @@ func (f WireFormat) String() string {
 // Tag byte of the self-describing formats: bits 0-1 carry the WireFormat,
 // bit 2 the key column (0 = column 1, the forward channel's destination;
 // 1 = column 0, the backward channel's probed parent), bits 3-7 must be
-// zero. VarintDeltaCodec's legacy stream stays untagged for compatibility;
-// only BitmapCodec and AdaptiveCodec emit tagged payloads.
+// zero. VarintDeltaCodec's stream is the untagged varint-delta layout keyed
+// on column 1; only BitmapCodec and AdaptiveCodec emit tagged payloads.
 const (
 	tagFormatMask = 0x03
 	tagKeyBit     = 0x04
@@ -64,42 +64,6 @@ func keyColumn(ch Channel) int {
 		return 0
 	}
 	return 1
-}
-
-// PayloadCodec is a Codec that actually encodes batches on the wire: the
-// transport calls EncodePayload on every outgoing data batch and
-// DecodePayload on arrival, and the modelled wire size of the batch is the
-// exact length of the encoded buffer. Encoding normalizes pair order —
-// DecodePayload returns the multiset sorted by (key column, other column)
-// — which completed runs cannot observe: parent claims and fold updates
-// are order-independent.
-type PayloadCodec interface {
-	Codec
-	// EncodePayload appends the encoded payload to dst and reports the
-	// format it chose. pairs must be non-empty; the input is not modified.
-	EncodePayload(dst []byte, ch Channel, pairs []Pair) ([]byte, WireFormat)
-	// PayloadSize returns exactly len(encoded) for the same arguments,
-	// without encoding.
-	PayloadSize(ch Channel, pairs []Pair) int64
-	// DecodePayload appends the decoded pairs to dst. It inverts
-	// EncodePayload bitwise: re-encoding the result reproduces the stream.
-	DecodePayload(dst []Pair, data []byte) ([]Pair, error)
-}
-
-// CodecByName resolves a CLI codec name. "" and "raw" mean no codec (the
-// identity encoding); unknown names error with the valid set.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", "raw":
-		return nil, nil
-	case "varint-delta":
-		return VarintDeltaCodec{}, nil
-	case "bitmap":
-		return BitmapCodec{}, nil
-	case "adaptive":
-		return AdaptiveCodec{}, nil
-	}
-	return nil, fmt.Errorf("comm: unknown codec %q (want raw, varint-delta, bitmap or adaptive)", name)
 }
 
 // codecScratch is the reusable encode workspace: the (key, other)-ordered
@@ -270,9 +234,9 @@ func mkPair(key int, k, o int64) Pair {
 
 func taggedRawSize(n int) int64 { return 1 + int64(n)*PairBytes }
 
-// wireSizes is the exact encoded size of one ordered batch in each format,
+// formatSizes is the exact encoded size of one ordered batch in each format,
 // and the bitmap section sizes its emitter places its cursors by.
-type wireSizes struct {
+type formatSizes struct {
 	size    [numWireFormats]int64
 	words   uint64 // bitmap words over the key span
 	firsts  int64  // bytes of the first-companion section
@@ -280,9 +244,9 @@ type wireSizes struct {
 }
 
 // sizeOrdered sizes sorted in all three formats in one pass.
-func sizeOrdered(sorted []Pair, key int) wireSizes {
+func sizeOrdered(sorted []Pair, key int) formatSizes {
 	base := int64(sorted[0][key])
-	z := wireSizes{words: (uint64(sorted[len(sorted)-1][key])-uint64(base))/64 + 1}
+	z := formatSizes{words: (uint64(sorted[len(sorted)-1][key])-uint64(base))/64 + 1}
 	varint, extras := int64(1), int64(0)
 	prev, prevExtra := int64(0), base
 	for i := range sorted {
@@ -306,7 +270,7 @@ func sizeOrdered(sorted []Pair, key int) wireSizes {
 }
 
 // appendTagged emits sorted in the given format, sized by z.
-func appendTagged(dst []byte, format WireFormat, sorted []Pair, key int, z wireSizes) []byte {
+func appendTagged(dst []byte, format WireFormat, sorted []Pair, key int, z formatSizes) []byte {
 	at := len(dst)
 	tag := byte(format)
 	if key == 0 {
@@ -341,6 +305,28 @@ func putVarintPairs(b []byte, sorted []Pair, key int) {
 	}
 }
 
+// decodeVarint inverts putVarintPairs, appending to dst. Pairs come back in
+// the order they were written: sorted by (key column, other column).
+func decodeVarint(dst []Pair, body []byte, key int) ([]Pair, error) {
+	prev := int64(0)
+	for len(body) > 0 {
+		d, n := binary.Uvarint(body)
+		if n <= 0 {
+			return dst, fmt.Errorf("comm: varint payload: bad key delta at pair %d", len(dst))
+		}
+		body = body[n:]
+		o, n := binary.Uvarint(body)
+		if n <= 0 {
+			return dst, fmt.Errorf("comm: varint payload: truncated companion at pair %d", len(dst))
+		}
+		body = body[n:]
+		k := prev + int64(d)
+		dst = append(dst, mkPair(key, k, int64(o)))
+		prev = k
+	}
+	return dst, nil
+}
+
 // putBitmap writes the body of the bitmap format into b:
 //
 //	zigzag-varint(base = min key) | uvarint(nwords)
@@ -354,7 +340,7 @@ func putVarintPairs(b []byte, sorted []Pair, key int) {
 // key (several sources discovering one destination, several probes of one
 // parent) spill into the extras stream. z gives every section's offset, so
 // one pass over sorted fills all three.
-func putBitmap(b []byte, sorted []Pair, key int, z wireSizes) {
+func putBitmap(b []byte, sorted []Pair, key int, z formatSizes) {
 	base := int64(sorted[0][key])
 	at := binary.PutUvarint(b, zigzag(base))
 	at += binary.PutUvarint(b[at:], z.words)
@@ -410,23 +396,7 @@ func decodeTagged(dst []Pair, data []byte) ([]Pair, error) {
 		return dst, nil
 
 	case FormatVarintDelta:
-		prev := int64(0)
-		for len(body) > 0 {
-			d, n := binary.Uvarint(body)
-			if n <= 0 {
-				return dst, fmt.Errorf("comm: varint payload: bad key delta")
-			}
-			body = body[n:]
-			o, n := binary.Uvarint(body)
-			if n <= 0 {
-				return dst, fmt.Errorf("comm: varint payload: truncated companion")
-			}
-			body = body[n:]
-			k := prev + int64(d)
-			dst = append(dst, mkPair(key, k, int64(o)))
-			prev = k
-		}
-		return dst, nil
+		return decodeVarint(dst, body, key)
 
 	case FormatBitmap:
 		return decodeTaggedBitmap(dst, body, key)
@@ -511,25 +481,8 @@ func decodeTaggedBitmap(dst []Pair, body []byte, key int) ([]Pair, error) {
 // codec exists to measure the bitmap layout in isolation.
 type BitmapCodec struct{}
 
-// Name implements Codec.
+// Name implements PayloadCodec.
 func (BitmapCodec) Name() string { return "bitmap" }
-
-// EncodedSize implements Codec with forward-channel semantics.
-func (c BitmapCodec) EncodedSize(pairs []Pair) int64 {
-	return c.PayloadSize(ChanForward, pairs)
-}
-
-// PayloadSize implements PayloadCodec.
-func (BitmapCodec) PayloadSize(ch Channel, pairs []Pair) int64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	key := keyColumn(ch)
-	s := getScratch(pairs, key)
-	defer s.release()
-	z := sizeOrdered(s.ps, key)
-	return min(z.size[FormatRaw], z.size[FormatBitmap])
-}
 
 // EncodePayload implements PayloadCodec.
 func (BitmapCodec) EncodePayload(dst []byte, ch Channel, pairs []Pair) ([]byte, WireFormat) {
@@ -560,25 +513,8 @@ func (BitmapCodec) DecodePayload(dst []Pair, data []byte) ([]Pair, error) {
 // so the steady-state hot path allocates nothing.
 type AdaptiveCodec struct{}
 
-// Name implements Codec.
+// Name implements PayloadCodec.
 func (AdaptiveCodec) Name() string { return "adaptive" }
-
-// EncodedSize implements Codec with forward-channel semantics.
-func (c AdaptiveCodec) EncodedSize(pairs []Pair) int64 {
-	return c.PayloadSize(ChanForward, pairs)
-}
-
-// PayloadSize implements PayloadCodec.
-func (AdaptiveCodec) PayloadSize(ch Channel, pairs []Pair) int64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	key := keyColumn(ch)
-	s := getScratch(pairs, key)
-	defer s.release()
-	format, z := adaptiveChoice(s.ps, key)
-	return z.size[format]
-}
 
 // EncodePayload implements PayloadCodec.
 func (AdaptiveCodec) EncodePayload(dst []byte, ch Channel, pairs []Pair) ([]byte, WireFormat) {
@@ -600,7 +536,7 @@ func (AdaptiveCodec) DecodePayload(dst []Pair, data []byte) ([]Pair, error) {
 // adaptiveChoice sizes sorted in every format in one pass and returns the
 // cheapest one — on a tie the earlier, cheaper-to-decode format — with the
 // sizes its emitter needs.
-func adaptiveChoice(sorted []Pair, key int) (WireFormat, wireSizes) {
+func adaptiveChoice(sorted []Pair, key int) (WireFormat, formatSizes) {
 	z := sizeOrdered(sorted, key)
 	best := FormatRaw
 	for f := FormatVarintDelta; f < numWireFormats; f++ {

@@ -40,7 +40,7 @@ func TestCodecParityBackwardChannel(t *testing.T) {
 			rawRes := runBFSWith(t, base, g, root)
 			checkBFSTree(t, g, root, rawRes.Parent)
 
-			for _, codec := range []comm.Codec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
+			for _, codec := range []comm.PayloadCodec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
 				t.Run(codec.Name(), func(t *testing.T) {
 					cfg := base
 					cfg.CodecBackward = codec
@@ -92,7 +92,7 @@ func TestCodecParityAllChannels(t *testing.T) {
 			base.Transport = transport
 			rawRes := runBFSWith(t, base, g, root)
 
-			for _, codec := range []comm.Codec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
+			for _, codec := range []comm.PayloadCodec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
 				t.Run(codec.Name(), func(t *testing.T) {
 					cfg := base
 					cfg.Codec = codec

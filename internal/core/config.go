@@ -162,9 +162,9 @@ type Config struct {
 	// integration (Section 7); comm.VarintDeltaCodec implements the
 	// classic sorted-delta scheme, comm.BitmapCodec the dense-frontier
 	// bitmap layout and comm.AdaptiveCodec the per-batch density pick.
-	// Payload codecs run on the real transport path (batches travel
-	// encoded and are decoded on arrival).
-	Codec comm.Codec
+	// Codecs run on the real transport path (batches travel encoded and
+	// are decoded on arrival).
+	Codec comm.PayloadCodec
 
 	// CodecBackward, when non-nil, overrides Codec on the backward
 	// channel only. The bottom-up query waves are the dense traffic where
@@ -172,7 +172,7 @@ type Config struct {
 	// modelled wire bytes deterministic (bottom-up forward replies are
 	// arrival-ordered, so content-sensitive sizing of the forward channel
 	// is not reproducible run to run).
-	CodecBackward comm.Codec
+	CodecBackward comm.PayloadCodec
 
 	// Partition selects the 1-D vertex layout (Section 5 balances the
 	// graph partitioning; the default round-robin is the Graph500

@@ -42,7 +42,7 @@ type Host struct {
 	CheckpointPath  string
 	// Codec and CodecBackward select the wire codecs (nil = leave the
 	// configuration's own; CodecBackward overrides the backward channel).
-	Codec, CodecBackward comm.Codec
+	Codec, CodecBackward comm.PayloadCodec
 }
 
 // Apply stamps the host knobs onto cfg. Set cfg.Nodes first: a seeded chaos

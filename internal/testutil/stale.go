@@ -11,7 +11,9 @@ import (
 // contents are compared, not capacity — a nil and an emptied slice or map
 // are equal — pointers are followed (cycles cut), and what carries no run
 // state by construction (sync.Cond internals, funcs, channels) is ignored.
-// Unexported fields are read, never set, so no unsafe is involved.
+// An embedded struct's fields count as the outer struct's own: they are
+// compared, named and kept one by one. Unexported fields are read, never
+// set, so no unsafe is involved.
 func StaleFields(fresh, used any, keep ...string) []string {
 	a, b := reflect.ValueOf(fresh).Elem(), reflect.ValueOf(used).Elem()
 	skip := map[string]bool{}
@@ -23,11 +25,19 @@ func StaleFields(fresh, used any, keep ...string) []string {
 	}
 	seen := map[[2]uintptr]bool{}
 	var stale []string
-	for i := 0; i < a.NumField(); i++ {
-		if name := a.Type().Field(i).Name; !skip[name] && !sameContents(a.Field(i), b.Field(i), seen) {
-			stale = append(stale, name)
+	var walk func(a, b reflect.Value)
+	walk = func(a, b reflect.Value) {
+		for i := 0; i < a.NumField(); i++ {
+			switch f := a.Type().Field(i); {
+			case skip[f.Name]:
+			case f.Anonymous && f.Type.Kind() == reflect.Struct:
+				walk(a.Field(i), b.Field(i))
+			case !sameContents(a.Field(i), b.Field(i), seen):
+				stale = append(stale, f.Name)
+			}
 		}
 	}
+	walk(a, b)
 	return stale
 }
 

@@ -62,11 +62,9 @@ const (
 
 // Codec compresses message payloads on the simulated wire; see
 // VarintDeltaCodec. Message compression is the paper's stated future-work
-// integration (Section 7).
-type Codec = comm.Codec
-
-// RawCodec is the identity wire format (16 bytes per pair).
-type RawCodec = comm.RawCodec
+// integration (Section 7). A nil Codec is the identity wire format (16
+// bytes per pair).
+type Codec = comm.PayloadCodec
 
 // VarintDeltaCodec sorts destinations, delta-encodes them and varints all
 // vertex IDs — the classic BFS message compressor.
