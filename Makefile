@@ -36,12 +36,13 @@ bench:
 
 # bench-layers runs the per-message ledger lines — one delivered End marker,
 # the inbox hand-off, one flight-recorded delivery — next to the send-side
-# lines of both transports and the codec line they sit between, and the
-# validator's ns/edge on the bfs-hybrid workload's scale-18 graph.
+# lines of both transports, relay stage two and the codec line they sit
+# between, and the validator's ns/edge on the bfs-hybrid workload's
+# scale-18 graph.
 # Before/after figures of a change to these layers go into its CHANGES.md
 # line.
 bench-layers:
-	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkEncodeAdaptive)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkRelayStageTwo|BenchmarkEncodeAdaptive)$$' \
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 	$(GO) test -run='^$$' -bench='^BenchmarkValidation$$/scale18' -benchmem -count=5 .

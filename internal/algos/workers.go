@@ -86,10 +86,15 @@ type localPair struct {
 }
 
 // applyBuckets runs body(shard, bucket) concurrently for every non-empty
-// bucket. body must only touch the vertex range of its own shard.
+// bucket, the last on the calling goroutine. body must only touch the
+// vertex range of its own shard.
 func applyBuckets(buckets [][]localPair, body func(shard int, bucket []localPair)) {
+	last := len(buckets) - 1
+	for last >= 0 && len(buckets[last]) == 0 {
+		last--
+	}
 	var wg sync.WaitGroup
-	for s := range buckets {
+	for s := 0; s < last; s++ {
 		if len(buckets[s]) == 0 {
 			continue
 		}
@@ -98,6 +103,9 @@ func applyBuckets(buckets [][]localPair, body func(shard int, bucket []localPair
 			defer wg.Done()
 			body(s, buckets[s])
 		}(s)
+	}
+	if last >= 0 {
+		body(last, buckets[last])
 	}
 	wg.Wait()
 }

@@ -182,11 +182,12 @@ const (
 )
 
 // ProtocolError reports a batch that breaks the transport protocol — a
-// payload that does not decode, another level's, an End on a channel the
-// level never opened, an envelope outside the relay's row, an unknown kind
-// or channel, a flight stream running backwards — caught by rank Node, or a
-// collective contribution of the wrong length (no batch and no rank to name:
-// Node and Src are -1). The run aborts with it as the cause.
+// payload that does not decode, another level's, data or an End on a
+// channel the level never opened or has closed, an envelope outside the
+// relay's row, an unknown kind or channel, a flight stream running
+// backwards — caught by rank Node, or a collective contribution of the
+// wrong length (no batch and no rank to name: Node and Src are -1). The run
+// aborts with it as the cause.
 type ProtocolError struct {
 	Node, Src, Level int
 	Kind             Kind

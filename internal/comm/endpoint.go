@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -33,7 +32,7 @@ type Endpoint interface {
 	// Mode names the transport for reports ("direct" or "relay").
 	Mode() string
 	// Reset clears what a cleanly finished run left behind, for the next
-	// run of a Reset network; send and relay buffers keep their capacity.
+	// run of a Reset network.
 	Reset()
 }
 
@@ -44,189 +43,30 @@ type DstRun struct {
 	N   int
 }
 
-// pairFIFO is a per-destination send buffer: pairs append at the tail and
-// drain from the head in batch quanta. The backing array survives across
-// levels and, on a machine the next run recycles, across runs, so
-// steady-state traversal allocates nothing on the send side.
-type pairFIFO struct {
-	buf  []Pair
-	head int
-}
+// minOpenPairs is the capacity an open batch starts from when the pair
+// pool has nothing larger to hand it: small enough that the 63 peers of a
+// 64-node Direct machine stay cheap in the small-message regime.
+const minOpenPairs = 16
 
-func (f *pairFIFO) n() int { return len(f.buf) - f.head }
-
-func (f *pairFIFO) push(ps []Pair) { f.buf = append(f.buf, ps...) }
-
-// peek views the oldest n pairs without consuming them. The view aliases
-// the buffer: copy it out before the next push or advance.
-func (f *pairFIFO) peek(n int) []Pair { return f.buf[f.head : f.head+n] }
-
-// advance consumes the oldest n pairs.
-func (f *pairFIFO) advance(n int) {
-	f.head += n
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	} else if f.head > 4096 && f.head*2 >= len(f.buf) {
-		// Compact once the dead prefix dominates, keeping pushes amortized
-		// O(1) without unbounded slack.
-		m := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:m]
-		f.head = 0
+// growPairs returns b with room for n more pairs. When it must move, the
+// new buffer comes from the pair pool — a payload a receiver recycled
+// becomes the next open batch — and the old one goes back to it. An open
+// batch never holds more than a quantum, so it never grows past q.
+func growPairs(b []Pair, n, q int) []Pair {
+	if len(b)+n <= cap(b) {
+		return b
 	}
-}
-
-// fifoRetainPairs bounds the buffer a FIFO keeps from one run to the next
-// (16 KB). Below it lies the small-message regime, where regrowing
-// thousands of little buffers per run is the cost that shows; a buffer that
-// grew past it carries bulk traffic, which amortizes its own allocation and,
-// kept, would only be live heap — and as much again in GC headroom.
-const fifoRetainPairs = 1024
-
-// trim releases a buffer too large to keep across runs.
-func (f *pairFIFO) trim() {
-	if cap(f.buf) > fifoRetainPairs {
-		f.buf = nil
-	}
-}
-
-// take removes the oldest n pairs into a pooled slice that the receiver
-// of the resulting batch will own (and may recycle with PutPairs).
-func (f *pairFIFO) take(n int) []Pair {
-	out := GetPairs(n)
-	copy(out, f.peek(n))
-	f.advance(n)
-	return out
-}
-
-// groupStage buffers one destination group's outgoing pairs in arrival
-// order. The runs queue remembers the destination of each contiguous run,
-// so the quantum drain can rebuild per-destination inner batches without
-// per-pair bookkeeping; the FIFO holds the pairs themselves.
-type groupStage struct {
-	runs    []DstRun
-	runHead int // index of the oldest unconsumed run
-	runOff  int // pairs of runs[runHead] already consumed
-	fifo    pairFIFO
-	total   int
-
-	// Drain scratch, one slot per group member indexed by dst - base:
-	// round-robin vertex ownership makes nearly every run length 1, so the
-	// drain touches these once per pair. Both are all-zero between drains.
-	base   int
-	counts []int
-	bufs   [][]Pair
-}
-
-// newGroupStage sizes the drain scratch for the m-node group whose first
-// member is node base.
-func newGroupStage(base, m int) groupStage {
-	return groupStage{base: base, counts: make([]int, m), bufs: make([][]Pair, m)}
-}
-
-// single reports a one-member group: every pair is for node base, so the
-// stage keeps no run queue and drains straight from its FIFO.
-func (g *groupStage) single() bool { return len(g.counts) == 1 }
-
-func (g *groupStage) reset() {
-	g.runs = g.runs[:0]
-	g.runHead, g.runOff = 0, 0
-	g.fifo.buf = g.fifo.buf[:0]
-	g.fifo.head = 0
-	g.total = 0
-}
-
-// trim releases buffers too large to keep across runs.
-func (g *groupStage) trim() {
-	g.fifo.trim()
-	if cap(g.runs) > fifoRetainPairs {
-		g.runs = nil
-	}
-}
-
-func (g *groupStage) push(dst int, ps []Pair) {
-	g.fifo.push(ps)
-	g.total += len(ps)
-	if g.single() {
-		return
-	}
-	if n := len(g.runs); n > g.runHead && g.runs[n-1].Dst == dst {
-		g.runs[n-1].N += len(ps)
-	} else {
-		g.runs = append(g.runs, DstRun{Dst: dst, N: len(ps)})
-	}
-}
-
-// drain consumes the oldest n buffered pairs and appends them to out as
-// inner batches in ascending destination order, preserving each
-// destination's arrival order. Pair slices come from the pool; the eventual
-// consumer recycles them.
-func (g *groupStage) drain(out []Batch, n int, src, level int, ch Channel) []Batch {
-	if g.single() {
-		g.total -= n
-		return append(out, Batch{
-			Kind: KindData, Channel: ch, Src: src, Dst: g.base, Level: level, Pairs: g.fifo.take(n),
-		})
-	}
-	dsts := 0
-	rh, ro, left := g.runHead, g.runOff, n
-	for left > 0 {
-		r := g.runs[rh]
-		take := min(r.N-ro, left)
-		if g.counts[r.Dst-g.base] == 0 {
-			dsts++
-		}
-		g.counts[r.Dst-g.base] += take
-		left -= take
-		ro += take
-		if ro == r.N {
-			rh++
-			ro = 0
-		}
-	}
-	for col, c := range g.counts {
-		if c > 0 {
-			g.bufs[col] = GetPairs(c)[:0]
-		}
-	}
-	for oldest := g.fifo.peek(n); len(oldest) > 0; {
-		r := &g.runs[g.runHead]
-		take := min(r.N-g.runOff, len(oldest))
-		g.bufs[r.Dst-g.base] = append(g.bufs[r.Dst-g.base], oldest[:take]...)
-		oldest = oldest[take:]
-		g.runOff += take
-		if g.runOff == r.N {
-			g.runHead++
-			g.runOff = 0
-		}
-	}
-	g.fifo.advance(n)
-	g.total -= n
-	if g.runHead == len(g.runs) {
-		g.runs = g.runs[:0]
-		g.runHead = 0
-	} else if g.runHead > 64 && g.runHead*2 >= len(g.runs) {
-		m := copy(g.runs, g.runs[g.runHead:])
-		g.runs = g.runs[:m]
-		g.runHead = 0
-	}
-	out = slices.Grow(out, dsts)
-	for col, c := range g.counts {
-		if c > 0 {
-			out = append(out, Batch{
-				Kind: KindData, Channel: ch, Src: src, Dst: g.base + col, Level: level, Pairs: g.bufs[col],
-			})
-			g.counts[col], g.bufs[col] = 0, nil
-		}
-	}
-	return out
+	nb := GetPairs(min(max(2*cap(b), len(b)+n, minOpenPairs), q))[:len(b)]
+	copy(nb, b)
+	PutPairs(b)
+	return nb
 }
 
 // route is a transport's routing step: all the endpoint core leaves to the
 // transport it serves.
 type route interface {
-	// seal turns the inner batches of one drained quantum, out[at:], into
-	// what goes on the wire.
+	// seal turns the inner batches of one quantum, out[at:], into what goes
+	// on the wire.
 	seal(ch Channel, out []Batch, at int) []Batch
 	// ship delivers one sealed batch.
 	ship(b Batch) error
@@ -241,13 +81,15 @@ type route interface {
 // endpointCore is the rank machinery both transports embed: the level and
 // its open channels, the send staging, and the receive half that hands data
 // to the caller and counts End markers. Destinations fall into groups of
-// `members` consecutive nodes, each staged in one groupStage whose quanta
-// drain in fixed size (Network.QuantumPairs). Draining by fixed quantum —
-// rather than "flush whatever is buffered once it crosses the threshold" —
-// makes batch boundaries a pure function of the per-group pair sequence,
-// independent of how senders chunked their SendMany calls. That invariance
-// is what lets the intra-node worker pools promise modelled traffic
-// bit-identical to the serial path.
+// `members` consecutive nodes. Each destination has an open batch that
+// SendMany appends into, and each group a count of the pairs its open
+// batches hold; when the count reaches Network.QuantumPairs, the group's
+// open batches are one quantum's inner batches and go out as they are.
+// Sealing by fixed quantum — rather than "flush whatever is buffered once
+// it crosses the threshold" — makes batch boundaries a pure function of the
+// per-group pair sequence, independent of how senders chunked their
+// SendMany calls. That invariance is what lets the intra-node worker pools
+// promise modelled traffic bit-identical to the serial path.
 type endpointCore struct {
 	net   *Network
 	node  int
@@ -268,12 +110,17 @@ type endpointCore struct {
 	// Lazily allocated: a fault-free run never sees a duplicate.
 	seenDups map[int64]bool
 
-	// mu guards the staging table: generator and handler modules send
-	// concurrently.
-	mu     sync.Mutex
-	groups [numChannels][]groupStage
-	// residual is CloseChannel's scratch; each channel has one closer.
-	residual [numChannels][]Batch
+	// mu guards the staging table — per channel, the open batch of every
+	// destination and the pair count of every group: generator and handler
+	// modules send concurrently. A sealed batch's payload is its
+	// receiver's, so the table holds nothing between levels.
+	mu      sync.Mutex
+	batches [numChannels][][]Pair
+	pending [numChannels][]int
+	// sealed is each channel's scratch for the batches a call seals under
+	// mu and ships outside it. The first seal of a call takes it and
+	// shipAll puts it back, so two calls never share it.
+	sealed [numChannels][]Batch
 }
 
 func newEndpointCore(net *Network, node int, r route, members, closeAfter int) endpointCore {
@@ -281,25 +128,26 @@ func newEndpointCore(net *Network, node int, r route, members, closeAfter int) e
 	for dst := range groupOf {
 		groupOf[dst] = dst / members
 	}
-	return endpointCore{net: net, node: node, route: r, members: members, closeAfter: closeAfter, groupOf: groupOf}
+	var batches [numChannels][][]Pair
+	var pending [numChannels][]int
+	for ch := range batches {
+		batches[ch] = make([][]Pair, net.Nodes())
+		pending[ch] = make([]int, net.Nodes()/members)
+	}
+	return endpointCore{net: net, node: node, route: r, members: members, closeAfter: closeAfter,
+		groupOf: groupOf, batches: batches, pending: pending}
 }
 
 func (e *endpointCore) Node() int { return e.node }
 
-// StartLevel implements Endpoint.
+// StartLevel implements Endpoint. It empties the staging table, which only
+// a level that never closed its channels can have left behind.
 func (e *endpointCore) StartLevel(level int, channels ...Channel) {
 	e.level = level
 	e.mu.Lock()
-	for ch := range e.groups {
-		if e.groups[ch] == nil {
-			e.groups[ch] = make([]groupStage, e.net.Nodes()/e.members)
-			for i := range e.groups[ch] {
-				e.groups[ch][i] = newGroupStage(i*e.members, e.members)
-			}
-		}
-		for i := range e.groups[ch] {
-			e.groups[ch][i].reset()
-		}
+	for ch := range e.batches {
+		clear(e.batches[ch])
+		clear(e.pending[ch])
 	}
 	e.mu.Unlock()
 	e.ends, e.open = [numChannels]int{}, [numChannels]bool{}
@@ -308,69 +156,98 @@ func (e *endpointCore) StartLevel(level int, channels ...Channel) {
 	}
 }
 
-// Reset implements Endpoint. The staging table is emptied by StartLevel.
+// Reset implements Endpoint.
 func (e *endpointCore) Reset() {
 	e.level, e.ends, e.open, e.seenDups = 0, [numChannels]int{}, [numChannels]bool{}, nil
-	for ch := range e.groups {
-		for i := range e.groups[ch] {
-			e.groups[ch][i].trim()
-		}
-	}
 }
 
-// SendMany implements Endpoint: stage the runs by destination group and
-// ship every completed quantum. Quanta are drained and sealed under the
-// lock and shipped outside it, so concurrent senders only contend on the
-// append.
+// SendMany implements Endpoint: append each run to its destination's open
+// batch, splitting it where its group completes a quantum, and ship every
+// quantum sealed. Quanta are sealed under the lock and shipped outside it,
+// so concurrent senders only contend on the append.
 func (e *endpointCore) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
 	q := e.net.QuantumPairs()
+	batches, pending := e.batches[ch], e.pending[ch]
 	var full []Batch
 	off := 0
 	e.mu.Lock()
 	for _, run := range runs {
-		g := &e.groups[ch][e.groupOf[run.Dst]]
-		g.push(run.Dst, pairs[off:off+run.N])
-		off += run.N
-		for g.total >= q {
-			full = e.drain(full, ch, g, q)
+		g := e.groupOf[run.Dst]
+		if b := batches[run.Dst]; run.N == 1 && len(b) < cap(b) && pending[g] < q-1 {
+			// Round-robin ownership's common case — one pair, room in its
+			// open batch, its group short of a quantum — is one store.
+			batches[run.Dst] = append(b, pairs[off])
+			pending[g]++
+			off++
+			continue
 		}
+		for ps := pairs[off : off+run.N]; len(ps) > 0; {
+			n := min(len(ps), q-pending[g])
+			batches[run.Dst] = append(growPairs(batches[run.Dst], n, q), ps[:n]...)
+			ps = ps[n:]
+			if pending[g] += n; pending[g] == q {
+				full = e.seal(full, ch, g)
+			}
+		}
+		off += run.N
 	}
 	e.mu.Unlock()
-	return e.shipAll(full)
+	return e.shipAll(ch, full)
 }
 
-// CloseChannel implements Endpoint: flush every group's residual in
+// CloseChannel implements Endpoint: seal every group's partial quantum in
 // ascending group order, then send the End markers.
 func (e *endpointCore) CloseChannel(ch Channel) error {
+	var residual []Batch
 	e.mu.Lock()
-	residual := e.residual[ch][:0]
-	for i := range e.groups[ch] {
-		if g := &e.groups[ch][i]; g.total > 0 {
-			residual = e.drain(residual, ch, g, g.total)
+	for g, n := range e.pending[ch] {
+		if n > 0 {
+			residual = e.seal(residual, ch, g)
 		}
 	}
-	e.residual[ch] = residual
 	e.mu.Unlock()
-	if err := e.shipAll(residual); err != nil {
+	if err := e.shipAll(ch, residual); err != nil {
 		return err
 	}
-	clear(residual) // the payloads are their receivers' now
 	return e.route.end(ch)
 }
 
-// drain appends the oldest n pairs of g to out as one quantum, sealed for
-// the wire.
-func (e *endpointCore) drain(out []Batch, ch Channel, g *groupStage, n int) []Batch {
+// seal appends group g's open batches to out as one quantum — inner
+// batches in ascending destination order, sealed for the wire — and leaves
+// them empty: the payloads go to their receivers.
+func (e *endpointCore) seal(out []Batch, ch Channel, g int) []Batch {
+	if out == nil {
+		out, e.sealed[ch] = e.sealed[ch], nil
+	}
 	at := len(out)
-	return e.route.seal(ch, g.drain(out, n, e.node, e.level, ch), at)
+	members := e.batches[ch][g*e.members : (g+1)*e.members]
+	for i, pairs := range members {
+		if len(pairs) > 0 {
+			out = append(out, Batch{
+				Kind: KindData, Channel: ch, Src: e.node, Dst: g*e.members + i, Level: e.level, Pairs: pairs,
+			})
+			members[i] = nil
+		}
+	}
+	e.pending[ch][g] = 0
+	return e.route.seal(ch, out, at)
 }
 
-func (e *endpointCore) shipAll(sealed []Batch) error {
+// shipAll delivers what a call sealed and puts the emptied slice back as
+// ch's scratch.
+func (e *endpointCore) shipAll(ch Channel, sealed []Batch) error {
+	if len(sealed) == 0 {
+		return nil
+	}
 	for i := range sealed {
 		if err := e.route.ship(sealed[i]); err != nil {
 			return err
 		}
 	}
+	clear(sealed) // the payloads are their receivers' now
+	e.mu.Lock()
+	e.sealed[ch] = sealed[:0]
+	e.mu.Unlock()
 	return nil
 }
 
@@ -384,6 +261,9 @@ func (e *endpointCore) Recv() Event {
 		}
 		switch b.Kind {
 		case KindData:
+			if !e.open[b.Channel] {
+				return Event{Type: EvError, Err: protocolError(e.node, &b, "data on a closed channel")}
+			}
 			return Event{Type: EvData, Channel: b.Channel, Batch: b}
 		case KindEnd:
 			if !e.open[b.Channel] {
@@ -460,7 +340,7 @@ func NewDirectEndpoint(net *Network, node int) *DirectEndpoint {
 
 func (e *DirectEndpoint) Mode() string { return "direct" }
 
-// seal ships a quantum as it drained: one batch for one destination.
+// seal ships a quantum as it is: one batch for one destination.
 func (e *DirectEndpoint) seal(_ Channel, out []Batch, _ int) []Batch { return out }
 
 func (e *DirectEndpoint) ship(b Batch) error { return e.net.deliver(b) }

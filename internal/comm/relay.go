@@ -74,7 +74,7 @@ func (s GroupShape) MessagesPerNode() int { return s.N + s.M - 1 }
 // (the Forward/Backward Relay modules of Figure 10) and forwards batched
 // messages within its group.
 //
-// Both stages drain in fixed quanta (Network.QuantumPairs), so batch
+// Both stages ship in fixed quanta (Network.QuantumPairs), so batch
 // counts — and, for content-independent sizing, wire bytes — depend only
 // on per-group / per-destination pair totals, not on how senders chunked
 // their calls or on relay arrival interleaving. Stage-two batches
@@ -90,11 +90,13 @@ type RelayEndpoint struct {
 	endpointCore
 	shape GroupShape
 
-	// Relay-side state: per-destination stage-two FIFOs plus the count of
-	// stage-one end markers from the node's column. Only the Recv
-	// goroutine touches these.
-	relayFIFO [numChannels][]pairFIFO
-	relayEnds [numChannels]int
+	// Relay-side state: the stage-two open batch of every node in the
+	// relay's row, indexed by column, plus the count of stage-one end
+	// markers from the node's column. Only the Recv goroutine touches
+	// these; a shipped batch's payload is its receiver's, so the open
+	// batches hold nothing between levels.
+	relayBatches [numChannels][][]Pair
+	relayEnds    [numChannels]int
 
 	// relayedBytes counts pair bytes this node shuffled as a relay during
 	// the current level — the input volume of its Forward/Backward Relay
@@ -118,6 +120,9 @@ func NewRelayEndpoint(net *Network, node int, shape GroupShape) (*RelayEndpoint,
 	}
 	e := &RelayEndpoint{shape: shape}
 	e.endpointCore = newEndpointCore(net, node, e, shape.M, shape.M)
+	for ch := range e.relayBatches {
+		e.relayBatches[ch] = make([][]Pair, shape.M)
+	}
 	return e, nil
 }
 
@@ -126,29 +131,16 @@ func (e *RelayEndpoint) Mode() string { return "relay" }
 // StartLevel implements Endpoint.
 func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	e.endpointCore.StartLevel(level, channels...)
-	for ch := range e.relayFIFO {
-		e.relayEnds[ch] = 0
-		if e.relayFIFO[ch] == nil {
-			e.relayFIFO[ch] = make([]pairFIFO, e.net.Nodes())
-		}
-		for i := range e.relayFIFO[ch] {
-			e.relayFIFO[ch][i].buf = e.relayFIFO[ch][i].buf[:0]
-			e.relayFIFO[ch][i].head = 0
-		}
+	for ch := range e.relayBatches {
+		clear(e.relayBatches[ch])
 	}
-	e.relayedBytes = 0
+	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
 }
 
-// Reset implements Endpoint. The relay FIFOs are emptied by StartLevel;
-// the flow sink belongs to the machine.
+// Reset implements Endpoint. The flow sink belongs to the machine.
 func (e *RelayEndpoint) Reset() {
 	e.endpointCore.Reset()
 	e.relayEnds, e.relayedBytes, e.totalRelayedBytes = [numChannels]int{}, 0, 0
-	for ch := range e.relayFIFO {
-		for i := range e.relayFIFO[ch] {
-			e.relayFIFO[ch][i].trim()
-		}
-	}
 }
 
 // SetFlowSink attaches (or detaches, with nil) the flow-link recorder.
@@ -169,7 +161,7 @@ func (e *RelayEndpoint) TotalRelayedBytes() int64 { return e.totalRelayedBytes }
 // match an uninterrupted one.
 func (e *RelayEndpoint) RestoreRelayedBytes(total int64) { e.totalRelayedBytes = total }
 
-// seal wraps a drained quantum in one stage-one envelope to the relay of
+// seal wraps a quantum in one stage-one envelope to the relay of
 // the group in the node's column.
 func (e *RelayEndpoint) seal(ch Channel, out []Batch, at int) []Batch {
 	inner := slices.Clone(out[at:])
@@ -207,9 +199,9 @@ func (e *RelayEndpoint) end(ch Channel) error {
 }
 
 // handle executes the node's relay duties: stage-one envelopes are
-// shuffled into per-destination FIFOs and forwarded in quanta (the Relay
-// modules); the final flush happens when every source in the column has
-// signalled done.
+// shuffled into per-destination open batches that ship in quanta (the
+// Relay modules); the final flush happens when every source in the column
+// has signalled done.
 func (e *RelayEndpoint) handle(b Batch) error {
 	ch := b.Channel
 	switch b.Kind {
@@ -217,20 +209,14 @@ func (e *RelayEndpoint) handle(b Batch) error {
 		if d := e.net.ChaosDelay(chaos.KindDelayRelay, e.node, e.level); d > 0 {
 			time.Sleep(d) // scheduled relay stall: host time only
 		}
-		q := e.net.QuantumPairs()
 		for _, in := range b.Inner {
 			if in.Dst < 0 || e.shape.Row(in.Dst) != e.shape.Row(e.node) {
 				return protocolError(e.node, &b, fmt.Sprintf("envelope for node %d, outside the relay's row", in.Dst))
 			}
-			f := &e.relayFIFO[ch][in.Dst]
-			f.push(in.Pairs)
 			e.relayedBytes += int64(len(in.Pairs)) * PairBytes
 			e.totalRelayedBytes += int64(len(in.Pairs)) * PairBytes
-			PutPairs(in.Pairs)
-			for f.n() >= q {
-				if err := e.relayFlush(ch, in.Dst, f.take(q)); err != nil {
-					return err
-				}
+			if err := e.stageTwo(ch, in.Dst, in.Pairs); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -243,10 +229,10 @@ func (e *RelayEndpoint) handle(b Batch) error {
 		// Every source in this column is done: flush residuals in ascending
 		// destination order and mark the channel done for the whole row.
 		row := e.shape.Row(e.node)
-		for col := 0; col < e.shape.M; col++ {
-			dst := row*e.shape.M + col
-			if f := &e.relayFIFO[ch][dst]; f.n() > 0 {
-				if err := e.relayFlush(ch, dst, f.take(f.n())); err != nil {
+		for col, pairs := range e.relayBatches[ch] {
+			if len(pairs) > 0 {
+				e.relayBatches[ch][col] = nil
+				if err := e.relayFlush(ch, row*e.shape.M+col, pairs); err != nil {
 					return err
 				}
 			}
@@ -262,6 +248,36 @@ func (e *RelayEndpoint) handle(b Batch) error {
 		return nil
 	}
 	return protocolError(e.node, &b, "unknown wire kind")
+}
+
+// stageTwo adds one arriving inner batch's pairs to dst's open batch and
+// ships every quantum that completes. The relay owns buf: what an empty
+// open batch can take whole it adopts, moved to the front of buf, and only
+// the pairs joining a non-empty open batch are copied.
+func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
+	q := e.net.QuantumPairs()
+	open := &e.relayBatches[ch][e.shape.Col(dst)]
+	for ps := buf; len(ps) > 0; {
+		if len(*open) == 0 && len(ps) <= q {
+			if len(ps) < len(buf) {
+				copy(buf, ps)
+			}
+			*open, ps, buf = buf[:len(ps)], nil, nil
+		} else {
+			n := min(q-len(*open), len(ps))
+			*open = append(growPairs(*open, n, q), ps[:n]...)
+			ps = ps[n:]
+		}
+		if len(*open) == q {
+			pairs := *open
+			*open = nil
+			if err := e.relayFlush(ch, dst, pairs); err != nil {
+				return err
+			}
+		}
+	}
+	PutPairs(buf)
+	return nil
 }
 
 // relayFlush ships one stage-two batch. Stage-two payloads are NoCodec:

@@ -136,6 +136,8 @@ func TestProtocolErrors(t *testing.T) {
 		{"other level, relay", true, Batch{Kind: KindData, Src: 0, Dst: 1, Level: 5}},
 		{"end on a closed channel, direct", false, Batch{Kind: KindEnd, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3}},
 		{"end on a closed channel, relay", true, Batch{Kind: KindEnd, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3}},
+		{"data on a closed channel, direct", false, Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}}},
+		{"data on a closed channel, relay", true, Batch{Kind: KindData, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}}},
 		{"envelope outside the relay's row", true, Batch{Kind: KindRelayData, Src: 3, Dst: 1, Level: 3,
 			Inner: []Batch{{Kind: KindData, Src: 3, Dst: 2, Level: 3}}}},
 		{"unknown kind, relay", true, Batch{Kind: Kind(7), Src: 3, Dst: 1, Level: 3}},
@@ -236,12 +238,12 @@ func reuseEndpoints(t *testing.T, net *Network, relay bool) []Endpoint {
 // dirties everything a run can — payload codec, retries, a duplicate,
 // relayed bytes, collectives — Network.Reset and Endpoint.Reset must leave
 // every field equal to a freshly built value's, except the fields listed
-// here as machine-scoped (buffers StartLevel empties, the flow sink). A new
+// here as machine-scoped (the sealed-batch scratch, the flow sink). A new
 // field that is neither reset nor listed fails this test.
 func TestReuseResetEqualsFresh(t *testing.T) {
 	machineScoped := map[bool][]string{
-		false: {"net", "route", "groups", "residual"},                       // DirectEndpoint
-		true:  {"net", "route", "groups", "residual", "relayFIFO", "flows"}, // RelayEndpoint
+		false: {"net", "route", "sealed"},          // DirectEndpoint
+		true:  {"net", "route", "sealed", "flows"}, // RelayEndpoint
 	}
 	for _, relay := range []bool{false, true} {
 		fr := obs.NewFlightRecorder(0)

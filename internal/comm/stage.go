@@ -186,10 +186,10 @@ func Fanout[S any](l *Lane, n int64, k int, s S, scan func(s S, l *Lane, lo, hi 
 }
 
 // ForEachShard splits [0, n) into k contiguous ranges and runs
-// body(shard, lo, hi) for each, concurrently, one goroutine per shard —
-// inline when k <= 1. The ranges are the ones Fanout scans. body must touch
-// only shard-private state; callers fold per-shard results in shard order
-// when order matters.
+// body(shard, lo, hi) for each, concurrently: one goroutine per shard but
+// the last, which runs on the caller's — so inline when k <= 1. The ranges
+// are the ones Fanout scans. body must touch only shard-private state;
+// callers fold per-shard results in shard order when order matters.
 func ForEachShard(n int64, k int, body func(shard int, lo, hi int64)) {
 	if int64(k) > n {
 		k = int(n)
@@ -199,7 +199,7 @@ func ForEachShard(n int64, k int, body func(shard int, lo, hi int64)) {
 		return
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
+	for i := 0; i < k-1; i++ {
 		lo, hi := shardRange(n, k, i)
 		wg.Add(1)
 		go func(i int, lo, hi int64) {
@@ -207,6 +207,8 @@ func ForEachShard(n int64, k int, body func(shard int, lo, hi int64)) {
 			body(i, lo, hi)
 		}(i, lo, hi)
 	}
+	lo, hi := shardRange(n, k, k-1)
+	body(k-1, lo, hi)
 	wg.Wait()
 }
 
