@@ -39,7 +39,6 @@ var keptExports = map[string]string{
 	"graph.CSR.IsSymmetric":           "checks built graphs",
 	"graph.Census":                    "checks generated graphs",
 	"graph.DegreeImbalance":           "checks partitions",
-	"graph.HubSet.At":                 "checks hub selection",
 	"obs.FlightRecorder.TotalDropped": "checks flight ring overflow",
 	"obs.ReadTraceJSON":               "checks trace export",
 	// Waiting for a caller: the uniform family of a graph-families sweep.

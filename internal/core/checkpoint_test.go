@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/graph"
 	"swbfs/internal/perf"
@@ -197,5 +200,78 @@ func TestResumeRejects(t *testing.T) {
 	bad.Nodes = bad.Nodes[:2]
 	if _, err := r.Resume(&bad); err == nil {
 		t.Fatal("truncated node list accepted")
+	}
+}
+
+// TestResumeEveryLevelWithTopDownHubSubset resumes a hybrid run whose
+// top-down hub budget is a strict subset of the bottom-up one from every
+// level's checkpoint, on both transports. The forward shortcut tests only
+// the top-down-budget hubs already visited, so a resumed run must rebuild
+// exactly that set from the checkpoint's hub-visited bitmap: each resumed
+// Result must equal the uninterrupted one. From root 12, with Alpha 0.2
+// keeping level 2 top-down, the frontiers of levels 2 and 4 reach hubs
+// visited before them, so a resume there without the rebuild sends
+// messages the uninterrupted run elides.
+func TestResumeEveryLevelWithTopDownHubSubset(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	g := kron(t, 12, 5)
+	const root = graph.Vertex(12)
+	for _, transport := range []Transport{TransportDirect, TransportRelay} {
+		t.Run(transport.String(), func(t *testing.T) {
+			cfg := DefaultConfig(8)
+			cfg.SuperNodeSize = 4
+			cfg.Transport = transport
+			cfg.Alpha = 0.2
+			cfg.HubsTopDown, cfg.HubsBottomUp = 128, 256
+			r, err := NewRunner(cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.hubsTopDown >= r.hubsBottomUp {
+				t.Fatalf("top-down budget %d is not below the bottom-up %d", r.hubsTopDown, r.hubsBottomUp)
+			}
+			base, err := r.Run(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.BottomUpLevels == 0 || base.BottomUpLevels == len(base.Levels) {
+				t.Fatalf("%d of %d levels bottom-up: not a hybrid run", base.BottomUpLevels, len(base.Levels))
+			}
+			wire := "end"
+			if transport == TransportRelay {
+				wire = "relay-end"
+			}
+			// A kill at level L aborts with the boundary checkpoint taken
+			// after level L-1; the last level with traffic bounds L.
+			for level := 1; level < len(base.Levels); level++ {
+				plan, err := chaos.ParsePlan(fmt.Sprintf("kill@0:l%d:%s/forward:0", level, wire))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kcfg := cfg
+				kcfg.Chaos = &plan
+				kcfg.CheckpointEvery = 1
+				kr, err := NewRunner(kcfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = kr.Run(root)
+				var ae *AbortError
+				if !errors.As(err, &ae) || ae.Checkpoint == nil || ae.Checkpoint.Level != level {
+					t.Fatalf("kill at level %d: want an abort with that level's checkpoint, got %v", level, err)
+				}
+				rr, err := NewRunner(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := rr.Resume(ae.Checkpoint)
+				if err != nil {
+					t.Fatalf("resume at level %d: %v", level, err)
+				}
+				if !reflect.DeepEqual(base, resumed) {
+					t.Fatalf("resumed at level %d, the result differs from the uninterrupted run:\n  base levels:    %+v\n  resumed levels: %+v", level, base.Levels, resumed.Levels)
+				}
+			}
+		})
 	}
 }

@@ -65,9 +65,23 @@ func TestReferenceBFS(t *testing.T) {
 	if parent[0] != 0 || parent[1] != 0 || parent[2] != 1 || parent[3] != 2 || parent[4] != graph.NoVertex {
 		t.Fatalf("parents = %v", parent)
 	}
-	if ComponentEdges(g, parent) != 3 {
-		t.Fatalf("component edges = %d, want 3", ComponentEdges(g, parent))
+	if componentEdges(g, parent) != 3 {
+		t.Fatalf("component edges = %d, want 3", componentEdges(g, parent))
 	}
+}
+
+// componentEdges is the oracle for Result.TraversedEdges: the number of
+// undirected edges with at least one endpoint in the BFS tree — the
+// Graph500 edge count used for TEPS (each undirected edge counted once),
+// summed over the global CSR.
+func componentEdges(g *graph.CSR, parent []graph.Vertex) int64 {
+	var directed int64
+	for v := graph.Vertex(0); int64(v) < g.N; v++ {
+		if parent[v] != graph.NoVertex {
+			directed += g.Degree(v)
+		}
+	}
+	return directed / 2
 }
 
 func TestPolicyTransitions(t *testing.T) {
@@ -466,18 +480,32 @@ func TestPartitionStrategies(t *testing.T) {
 		PartitionRoundRobin, PartitionBlock, PartitionDegreeBalanced,
 	} {
 		t.Run(strat.String(), func(t *testing.T) {
-			cfg := DefaultConfig(4)
-			cfg.SuperNodeSize = 2
-			cfg.Partition = strat
-			r, err := NewRunner(cfg, g)
-			if err != nil {
-				t.Fatal(err)
+			for _, transport := range []Transport{TransportDirect, TransportRelay} {
+				cfg := DefaultConfig(4)
+				cfg.SuperNodeSize = 2
+				cfg.Partition = strat
+				cfg.Transport = transport
+				r, err := NewRunner(cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.Run(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBFSTree(t, g, root, res.Parent)
+				// The per-node gather's counts against the global oracles.
+				var visited int64
+				for _, p := range res.Parent {
+					if p != graph.NoVertex {
+						visited++
+					}
+				}
+				if res.Visited != visited || res.TraversedEdges != componentEdges(g, res.Parent) {
+					t.Fatalf("%s: Visited %d, TraversedEdges %d; the parent map has %d and %d",
+						transport, res.Visited, res.TraversedEdges, visited, componentEdges(g, res.Parent))
+				}
 			}
-			res, err := r.Run(root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkBFSTree(t, g, root, res.Parent)
 		})
 	}
 }

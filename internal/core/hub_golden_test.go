@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"swbfs/internal/comm"
+	"swbfs/internal/graph"
 	"swbfs/internal/perf"
 	"swbfs/internal/testutil"
 )
@@ -29,7 +30,12 @@ type goldenResult struct {
 // generated while HubSet was a map, so the hub test's data structure is
 // host-side only, and forwardScan, backwardScan and localHubWords must see
 // the same slots. The relay variants pin the MPE engine, both backward
-// codecs and a 64-node machine of 8-node super nodes.
+// codecs and a 64-node machine of 8-node super nodes. The last four were
+// added before the hub tests moved onto vertex bitmaps, to pin what that
+// rewrite could break: a top-down hub budget smaller than the bottom-up
+// one (the forward shortcut tests a strict subset of the hubs), the block
+// and degree-balanced partitions (other local-to-global maps under the
+// own-hub lists and the result gather), and an odd worker width.
 func TestHubPrefetchResultMatchesGolden(t *testing.T) {
 	g := kron(t, 12, 5)
 	root := pickBigComponentRoot(t, g)
@@ -37,15 +43,26 @@ func TestHubPrefetchResultMatchesGolden(t *testing.T) {
 		name  string
 		nodes int
 		tune  func(*Config)
+		root  graph.Vertex // 0: the big-component root
 	}{
-		{"direct/hybrid=true", 8, func(c *Config) { c.Transport = TransportDirect }},
-		{"direct/hybrid=false", 8, func(c *Config) { c.Transport = TransportDirect; c.DirectionOptimized = false }},
-		{"relay/hybrid=true", 8, func(*Config) {}},
-		{"relay/hybrid=false", 8, func(c *Config) { c.DirectionOptimized = false }},
-		{"relay/engine=mpe", 8, func(c *Config) { c.Engine = perf.EngineMPE }},
-		{"relay/backward=varint-delta", 8, func(c *Config) { c.CodecBackward = comm.VarintDeltaCodec{} }},
-		{"relay/backward=adaptive", 8, func(c *Config) { c.CodecBackward = comm.AdaptiveCodec{} }},
-		{"relay/nodes=64/super=8", 64, func(c *Config) { c.SuperNodeSize = 8 }},
+		{"direct/hybrid=true", 8, func(c *Config) { c.Transport = TransportDirect }, 0},
+		{"direct/hybrid=false", 8, func(c *Config) { c.Transport = TransportDirect; c.DirectionOptimized = false }, 0},
+		{"relay/hybrid=true", 8, func(*Config) {}, 0},
+		{"relay/hybrid=false", 8, func(c *Config) { c.DirectionOptimized = false }, 0},
+		{"relay/engine=mpe", 8, func(c *Config) { c.Engine = perf.EngineMPE }, 0},
+		{"relay/backward=varint-delta", 8, func(c *Config) { c.CodecBackward = comm.VarintDeltaCodec{} }, 0},
+		{"relay/backward=adaptive", 8, func(c *Config) { c.CodecBackward = comm.AdaptiveCodec{} }, 0},
+		{"relay/nodes=64/super=8", 64, func(c *Config) { c.SuperNodeSize = 8 }, 0},
+		// From root 12 the top-down levels scan edges into visited hubs
+		// on both sides of slot 32, so the wire bytes move with the
+		// top-down budget (32 of 256 here).
+		{"direct/hubs=32+256/root=12", 8, func(c *Config) {
+			c.Transport = TransportDirect
+			c.HubsTopDown, c.HubsBottomUp = 32, 256
+		}, 12},
+		{"relay/partition=block", 8, func(c *Config) { c.Partition = PartitionBlock }, 0},
+		{"relay/partition=degree-balanced", 8, func(c *Config) { c.Partition = PartitionDegreeBalanced }, 0},
+		{"relay/workers=3", 8, func(c *Config) { c.Workers = 3 }, 0},
 	}
 	got := map[string]goldenResult{}
 	for _, tc := range cases {
@@ -59,7 +76,11 @@ func TestHubPrefetchResultMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(root)
+		start := root
+		if tc.root != 0 {
+			start = tc.root
+		}
+		res, err := r.Run(start)
 		if err != nil {
 			t.Fatal(err)
 		}

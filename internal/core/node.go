@@ -145,10 +145,6 @@ func (ns *nodeState) accumulateRun() {
 // module goroutines have joined.
 func (ns *nodeState) invocations() int64 { return ns.genInvocations + ns.hInvocations }
 
-func (ns *nodeState) parentOf(local int64) graph.Vertex {
-	return graph.Vertex(atomic.LoadInt64(&ns.parent[local]))
-}
-
 // claim publishes `u` as the parent of local vertex `local` unless an
 // equal-or-smaller parent is already recorded; it reports whether this
 // call improved the entry. The min rule (rather than first-writer-wins)
@@ -271,6 +267,7 @@ func (ns *nodeState) generate(ch comm.Channel, words int, scan func(*nodeState, 
 // generator input even when the shortcut elides their message.
 func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
+	seen := r.hubSeen // nil without hub prefetch
 	words := ns.curr.Words()
 	var scanned int64
 	for wi := lo; wi < hi; wi++ {
@@ -279,10 +276,8 @@ func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 			u := r.part.Global(ns.id, local)
 			for _, v := range ns.sub.Neighbors(local) {
 				scanned += comm.PairBytes
-				if r.hubs != nil {
-					if slot, ok := r.hubs.Slot(v); ok && slot < r.hubsTopDown && r.hubVisited.Get(int64(slot)) {
-						continue // hub already discovered: no message needed
-					}
+				if seen != nil && seen.Get(int64(v)) {
+					continue // hub already discovered: no message needed
 				}
 				l.Add(r.part.Owner(v), comm.Pair{u, v})
 				if l.Full() {
@@ -307,6 +302,10 @@ func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 // the probe traffic depend on message timing.
 func (ns *nodeState) backwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
+	var isHub, inFrontier *graph.Bitmap // nil without hub prefetch
+	if r.hubs != nil {
+		isHub, inFrontier = r.hubs.Members(), r.hubFrontier
+	}
 	n := ns.sub.NumVertices()
 	words := ns.visited.Words()
 	var scanned int64
@@ -320,16 +319,14 @@ func (ns *nodeState) backwardScan(l *comm.Lane, lo, hi int64) error {
 			v := r.part.Global(ns.id, local)
 			for _, u := range ns.sub.Neighbors(local) {
 				scanned += comm.PairBytes
-				if r.hubs != nil {
-					if slot, ok := r.hubs.Slot(u); ok && slot < r.hubsBottomUp {
-						if r.hubInCurr.Get(int64(slot)) {
-							if ns.claim(local, u) {
-								ns.genNext.Set(local)
-							}
-							break // parent found (by us or the handler): stop probing
+				if isHub != nil && isHub.Get(int64(u)) {
+					if inFrontier.Get(int64(u)) {
+						if ns.claim(local, u) {
+							ns.genNext.Set(local)
 						}
-						continue // hub known absent from the frontier: skip the query
+						break // parent found (by us or the handler): stop probing
 					}
+					continue // hub known absent from the frontier: skip the query
 				}
 				l.Add(r.part.Owner(u), comm.Pair{u, v})
 				if l.Full() {

@@ -32,16 +32,3 @@ func ReferenceBFS(g *graph.CSR, root graph.Vertex) (parent []graph.Vertex, level
 	}
 	return parent, level
 }
-
-// ComponentEdges returns the number of undirected edges with at least one
-// endpoint in the BFS tree rooted at root — the Graph500 edge count used
-// for TEPS (each undirected edge counted once).
-func ComponentEdges(g *graph.CSR, parent []graph.Vertex) int64 {
-	var directed int64
-	for v := graph.Vertex(0); int64(v) < g.N; v++ {
-		if parent[v] != graph.NoVertex {
-			directed += g.Degree(v)
-		}
-	}
-	return directed / 2
-}

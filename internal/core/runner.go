@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
@@ -48,13 +49,22 @@ type Runner struct {
 	subs []*graph.LocalSubgraph
 
 	// Hub prefetch state (nil when disabled): hubs are the top-degree
-	// vertices machine-wide; the bitmaps are replicated per the paper's
-	// allgather and rebuilt per level/run.
+	// vertices machine-wide, slot i the i-th by degree. hubVisited is the
+	// replicated slot bitmap of hubs discovered so far, grown from the
+	// paper's per-level allgather and stored in checkpoints. The
+	// generators test vertex-indexed bitmaps instead, one bit per scanned
+	// neighbour: hubs.Members(), hubFrontier (hubs in the current
+	// frontier) and hubSeen (top-down-budget hubs already visited), which
+	// node 0 refreshes from the allgather. ownHubs[node] lists each node's
+	// own hubs, so a node builds its allgather words without walking its
+	// frontier.
 	hubs         *graph.HubSet
 	hubsTopDown  int
 	hubsBottomUp int
-	hubInCurr    *graph.Bitmap
 	hubVisited   *graph.Bitmap
+	hubFrontier  *graph.Bitmap
+	hubSeen      *graph.Bitmap
+	ownHubs      [][]ownHub
 
 	// Per-run state: the machine the current (or most recent) run executes
 	// on, its network (cached for the per-edge paths), and node 0's policy
@@ -135,11 +145,23 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 		if td > bu {
 			td = bu
 		}
-		r.hubs = graph.NewHubSet(graph.SelectHubs(g, bu))
+		r.hubs = graph.NewHubSet(graph.SelectHubs(g, bu), g.N)
 		r.hubsTopDown = td
 		r.hubsBottomUp = r.hubs.Len()
+		r.ownHubs = make([][]ownHub, cfg.Nodes)
+		for slot := 0; slot < r.hubs.Len(); slot++ {
+			v := r.hubs.At(slot)
+			node := part.Owner(v)
+			r.ownHubs[node] = append(r.ownHubs[node], ownHub{local: part.Local(v), slot: slot})
+		}
 	}
 	return r, nil
+}
+
+// ownHub is one hub of a node: its local index there and its slot.
+type ownHub struct {
+	local int64
+	slot  int
 }
 
 // scaledHubCount turns the paper's per-node hub budget into a total, capped
@@ -210,8 +232,9 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		r.hostGenNanos = make([]int64, r.cfg.Nodes)
 		r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
 		if r.hubs != nil {
-			r.hubInCurr = graph.NewBitmap(int64(r.hubsBottomUp))
 			r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
+			r.hubFrontier = graph.NewBitmap(r.g.N)
+			r.hubSeen = graph.NewBitmap(r.g.N)
 		}
 		r.nodes = make([]*nodeState, r.cfg.Nodes)
 		for node := range r.nodes {
@@ -221,10 +244,16 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	clear(r.hostGenNanos)
 	clear(r.hostHandlerNanos)
 	if r.hubs != nil {
-		r.hubInCurr.Reset()
 		r.hubVisited.Reset()
+		r.hubFrontier.Reset()
+		r.hubSeen.Reset()
 		if resume != nil {
+			// exchangeHubs rebuilds hubFrontier before the level's module
+			// work; hubSeen is a function of the checkpointed slots.
 			r.hubVisited.LoadWords(resume.Machine.HubVisited)
+			for slot := r.hubVisited.NextSet(0); slot >= 0 && slot < int64(r.hubsTopDown); slot = r.hubVisited.NextSet(slot + 1) {
+				r.hubSeen.Set(int64(r.hubs.At(int(slot))))
+			}
 		}
 	}
 	for node, ns := range r.nodes {
@@ -461,10 +490,11 @@ func (r *Runner) detectStragglers(level int) {
 	}
 }
 
-// exchangeHubs rebuilds the replicated hub-frontier bitmap from the current
-// frontier and folds it into the visited set. Node 0 installs the shared
-// result; the trailing barrier publishes it to every node before module
-// work reads it.
+// exchangeHubs allgathers the hub slots in the current frontier and folds
+// them into the replicated hub state: node 0 rebuilds hubFrontier, adds the
+// slots to hubVisited and the top-down-budget ones to hubSeen, and the
+// trailing barrier publishes all three to every node before module work
+// reads them.
 func (ns *nodeState) exchangeHubs() error {
 	r := ns.r
 	words := ns.localHubWords()
@@ -476,11 +506,18 @@ func (ns *nodeState) exchangeHubs() error {
 		return ErrAborted
 	}
 	if ns.id == 0 {
-		r.hubInCurr.Reset()
-		if result != nil {
-			r.hubInCurr.LoadWords(result)
+		r.hubFrontier.Reset()
+		for wi, w := range result {
+			for ; w != 0; w &= w - 1 {
+				slot := wi<<6 + bits.TrailingZeros64(w)
+				v := int64(r.hubs.At(slot))
+				r.hubFrontier.Set(v)
+				r.hubVisited.Set(int64(slot))
+				if slot < r.hubsTopDown {
+					r.hubSeen.Set(v)
+				}
+			}
 		}
-		r.hubVisited.Or(r.hubInCurr)
 	}
 	r.net.Barrier()
 	if r.net.Aborted() {
@@ -489,17 +526,16 @@ func (ns *nodeState) exchangeHubs() error {
 	return nil
 }
 
-// localHubWords returns the bitmap words of this node's own frontier hubs,
-// or nil when it has none (triggering the one-byte empty-flag gather).
+// localHubWords returns the slot bitmap words of this node's own frontier
+// hubs, or nil when it has none (triggering the one-byte empty-flag
+// gather).
 func (ns *nodeState) localHubWords() []uint64 {
-	r := ns.r
 	bm := ns.hubWords
 	bm.Reset()
 	any := false
-	for local := ns.curr.NextSet(0); local >= 0; local = ns.curr.NextSet(local + 1) {
-		v := r.part.Global(ns.id, local)
-		if slot, ok := r.hubs.Slot(v); ok {
-			bm.Set(int64(slot))
+	for _, h := range ns.r.ownHubs[ns.id] {
+		if ns.curr.Get(h.local) {
+			bm.Set(int64(h.slot))
 			any = true
 		}
 	}
@@ -509,21 +545,28 @@ func (ns *nodeState) localHubWords() []uint64 {
 	return bm.Words()
 }
 
-// assemble merges per-node results into the global Result.
+// assemble merges per-node results into the global Result: one pass per
+// node in local order gathers its parents and, for the visited ones, the
+// vertex count and degree sum (each undirected edge of the component
+// counted once from each endpoint). Drive has joined the node goroutines,
+// so the parent arrays are read plainly.
 func (r *Runner) assemble(root graph.Vertex) *Result {
 	res := &Result{
 		Root:   root,
 		Parent: make([]graph.Vertex, r.g.N),
 		Levels: r.m.Levels(),
 	}
-	for v := graph.Vertex(0); int64(v) < r.g.N; v++ {
-		p := r.nodes[r.part.Owner(v)].parentOf(r.part.Local(v))
-		res.Parent[v] = p
-		if p != graph.NoVertex {
-			res.Visited++
+	var directed int64
+	for node, ns := range r.nodes {
+		for j, p := range ns.parent {
+			res.Parent[r.part.Global(node, int64(j))] = graph.Vertex(p)
+			if p != int64(graph.NoVertex) {
+				res.Visited++
+				directed += ns.sub.Degree(int64(j))
+			}
 		}
 	}
-	res.TraversedEdges = ComponentEdges(r.g, res.Parent)
+	res.TraversedEdges = directed / 2
 	res.Time = r.m.Model.TotalTime(res.Levels)
 	res.GTEPS = r.m.Model.GTEPS(res.TraversedEdges, res.Levels)
 	for _, s := range res.Levels {

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -86,7 +86,7 @@ func BuildCSR(n int64, edges []Edge) (*CSR, error) {
 				defer wg.Done()
 				for v := lo; v < hi; v++ {
 					seg := col[counts[v]:counts[v+1]]
-					sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+					slices.Sort(seg)
 					k := int64(0)
 					for i, u := range seg {
 						if i > 0 && u == seg[i-1] {

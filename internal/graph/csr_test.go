@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -201,4 +204,37 @@ func TestBuildCSRPropertyComplete(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuildCSRPinnedHash pins the scale-16 Kronecker CSR (RowPtr and Col)
+// and its hub order over all vertices to digests taken before BuildCSR and
+// SelectHubs switched sorting routines: a different sort may not move
+// one entry of either.
+func TestBuildCSRPinnedHash(t *testing.T) {
+	g, err := BuildKronecker(KroneckerConfig{Scale: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"RowPtr", int64Digest(g.RowPtr), "1d11e132008f9e26db2bda1c17828687dd663b63de28ea7c021f5d1b928a19e7"},
+		{"Col", int64Digest(g.Col), "7e4640af156a737455b92f8b038fee304aac9dec8b42c3361e09a470eadd4fca"},
+		{"SelectHubs", int64Digest(SelectHubs(g, int(g.N))), "aa35dcf6a022bd843ba1e0fd96030e2f4838394d68d8b3b744bf834f760de8ed"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s digest %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// int64Digest is the SHA-256 of xs as little-endian 64-bit words.
+func int64Digest[T ~int64](xs []T) string {
+	h := sha256.New()
+	var w [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(w[:], uint64(x))
+		h.Write(w[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -81,11 +82,11 @@ func SelectHubs(g *CSR, k int) []Vertex {
 	for v := int64(0); v < g.N; v++ {
 		all[v] = dv{d: g.Degree(Vertex(v)), v: Vertex(v)}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
+	slices.SortFunc(all, func(a, b dv) int {
+		if c := cmp.Compare(b.d, a.d); c != 0 {
+			return c
 		}
-		return all[i].v < all[j].v
+		return cmp.Compare(a.v, b.v)
 	})
 	hubs := make([]Vertex, k)
 	for i := 0; i < k; i++ {
@@ -94,23 +95,19 @@ func SelectHubs(g *CSR, k int) []Vertex {
 	return hubs
 }
 
-// HubSet is a membership index over a hub list, mapping each hub vertex to a
-// dense slot usable as a bitmap position. The index is a per-vertex table
-// (4 B per vertex up to the largest hub), so the per-edge hub test of the
-// generators is one bounds check and one load.
+// HubSet is a hub list and its membership bitmap: slot i holds the i-th
+// hub, and the generators' per-edge hub test is one bit of a vertex-indexed
+// bitmap (N/8 bytes).
 type HubSet struct {
-	slots []int32 // slot+1 of each vertex, 0 = not a hub
-	list  []Vertex
+	list    []Vertex
+	members *Bitmap
 }
 
-// NewHubSet indexes the given hub vertices, which must be non-negative.
-func NewHubSet(hubs []Vertex) *HubSet {
-	h := &HubSet{list: append([]Vertex(nil), hubs...)}
-	if len(hubs) > 0 {
-		h.slots = make([]int32, slices.Max(hubs)+1)
-	}
-	for i, v := range hubs {
-		h.slots[v] = int32(i + 1)
+// NewHubSet indexes the given hub vertices, which must lie in [0, n).
+func NewHubSet(hubs []Vertex, n int64) *HubSet {
+	h := &HubSet{list: append([]Vertex(nil), hubs...), members: NewBitmap(n)}
+	for _, v := range hubs {
+		h.members.Set(int64(v))
 	}
 	return h
 }
@@ -118,14 +115,9 @@ func NewHubSet(hubs []Vertex) *HubSet {
 // Len returns the number of hubs.
 func (h *HubSet) Len() int { return len(h.list) }
 
-// Slot returns the dense slot of v and whether v is a hub; any vertex
-// outside the table, negative ones included, is not.
-func (h *HubSet) Slot(v Vertex) (int, bool) {
-	if uint64(v) >= uint64(len(h.slots)) || h.slots[v] == 0 {
-		return 0, false
-	}
-	return int(h.slots[v]) - 1, true
-}
-
 // At returns the hub vertex in the given slot.
 func (h *HubSet) At(slot int) Vertex { return h.list[slot] }
+
+// Members returns the membership bitmap over [0, n): bit v is set iff v is
+// a hub. Callers must not modify it.
+func (h *HubSet) Members() *Bitmap { return h.members }

@@ -163,16 +163,15 @@ func TestSelectHubs(t *testing.T) {
 }
 
 func TestHubSet(t *testing.T) {
-	hs := NewHubSet([]Vertex{42, 7, 99})
+	hs := NewHubSet([]Vertex{42, 7, 99}, 100)
 	if hs.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", hs.Len())
 	}
-	slot, ok := hs.Slot(7)
-	if !ok || slot != 1 {
-		t.Fatalf("Slot(7) = (%d, %v), want (1, true)", slot, ok)
+	if !hs.Members().Get(7) {
+		t.Fatal("7 should be a member")
 	}
-	if _, ok := hs.Slot(8); ok {
-		t.Fatal("Slot(8) should miss")
+	if hs.Members().Get(8) {
+		t.Fatal("8 should not be a member")
 	}
 	if hs.At(2) != 99 {
 		t.Fatalf("At(2) = %d, want 99", hs.At(2))
