@@ -79,16 +79,25 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME) ./internal/graph500/
 
 # resume-smoke drives the full CLI walkthrough of docs/CHAOS.md: kill a
-# graph500 run mid-level, resume it from the abort checkpoint, and fail
-# unless the resumed result validates.
+# graph500 run mid-level with a flight dump and checkpointing on, inspect the
+# abort checkpoint and the dump (a dump diffed against itself must exit 0),
+# then resume from the checkpoint under -cpuprofile, and fail unless the
+# resumed result validates and the profile is non-empty.
 resume-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/graph500 -scale 10 -nodes 8 -roots 1 -seed 42 \
-		-checkpoint-every 1 -checkpoint "$$dir/smoke.ckpt.json" \
-		-chaos-plan 'kill@3:l2:data/forward:0' >/dev/null 2>&1; \
-	test -s "$$dir/smoke.ckpt.json" || { echo "resume-smoke: no checkpoint written"; exit 1; } && \
-	$(GO) run ./cmd/graph500 -scale 10 -nodes 8 -seed 42 -resume "$$dir/smoke.ckpt.json" \
-		| grep -q 'validation: *ok' && echo "resume-smoke: ok"
+	$(GO) build -o "$$dir/" ./cmd/graph500 ./cmd/inspect && \
+	{ "$$dir/graph500" -scale 10 -nodes 8 -roots 1 -seed 42 \
+		-checkpoint-every 1 -checkpoint "$$dir/smoke.ckpt.json" -flight-dump "$$dir/smoke.flight.json" \
+		-chaos-plan 'kill@3:l2:data/forward:0' >/dev/null 2>&1; true; } && \
+	test -s "$$dir/smoke.ckpt.json" || { echo "resume-smoke: no checkpoint written"; exit 1; }; \
+	test -s "$$dir/smoke.flight.json" || { echo "resume-smoke: no flight dump written"; exit 1; }; \
+	"$$dir/inspect" "$$dir/smoke.ckpt.json" | grep -q 'boundary *2 completed' || { echo "resume-smoke: inspect cannot read the checkpoint"; exit 1; }; \
+	"$$dir/inspect" "$$dir/smoke.flight.json" | grep -q '\[injected\]' || { echo "resume-smoke: inspect shows no injected fault in the dump"; exit 1; }; \
+	"$$dir/inspect" "$$dir/smoke.flight.json" "$$dir/smoke.flight.json" >/dev/null || { echo "resume-smoke: a dump diffed against itself diverges"; exit 1; }; \
+	"$$dir/graph500" -scale 10 -nodes 8 -seed 42 -resume "$$dir/smoke.ckpt.json" -cpuprofile "$$dir/resume.pprof" 2>/dev/null \
+		| grep -q 'validation: *ok' || { echo "resume-smoke: resumed run did not validate"; exit 1; }; \
+	test -s "$$dir/resume.pprof" || { echo "resume-smoke: no CPU profile written"; exit 1; }; \
+	echo "resume-smoke: ok"
 
 # bench-ab measures a base ref against the working tree with the repo
 # benchmark (benchmark/README.md): BASE is checked out into a temporary

@@ -182,7 +182,7 @@ func BenchmarkFig12WeakScaling(b *testing.B) {
 func BenchmarkTable2Headline(b *testing.B) {
 	var proj float64
 	for i := 0; i < b.N; i++ {
-		m, p := experiments.Headline(experiments.Host{}, 11, 1, 101)
+		m, p := experiments.Headline(core.Host{}, 11, 1, 101)
 		if m.Crashed() {
 			b.Fatal(m.Err)
 		}

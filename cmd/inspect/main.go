@@ -1,0 +1,160 @@
+// Command inspect reads the files the CLIs write and tells them apart by
+// their top-level JSON keys (obs.Sniff): flight-recorder dumps (the
+// -flight-dump post-mortem, /debug/flight), level-boundary checkpoints
+// (-checkpoint and the abort auto-checkpoint), RunTrace dumps (-trace-out,
+// /traces) and Chrome traces (-chrome-trace).
+//
+// Given one file it renders a flight dump as a per-node event timeline,
+// anomalies marked [injected] when the run's chaos injection log explains
+// them and [emergent] otherwise, or summarises a checkpoint: kernel,
+// boundary level, machine fingerprint, traffic and per-node state. Given
+// two files it diffs two flight dumps from the same seed, exiting 1 when
+// they diverge, or aligns two traces level by level, in either trace
+// format on either side, and prints a per-level / per-module delta table.
+// See docs/OBSERVABILITY.md.
+//
+// Usage:
+//
+//	inspect run.flight.json
+//	inspect run.ckpt.json
+//	inspect a.flight.json b.flight.json
+//	inspect before.json after.json
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+
+	"swbfs/internal/ckpt"
+	"swbfs/internal/flight"
+	"swbfs/internal/obs"
+)
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: exit status 0 on success, 1 on an error or a
+// flight-dump divergence, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var err error
+	switch len(args) {
+	case 1:
+		err = show(stdout, args[0])
+	case 2:
+		var diverged bool
+		diverged, err = diff(stdout, args[0], args[1])
+		if err == nil && diverged {
+			return 1
+		}
+	default:
+		fmt.Fprintln(stderr, "usage: inspect <dump.json | ckpt.json>")
+		fmt.Fprintln(stderr, "       inspect <a.json> <b.json>   (two flight dumps or two traces)")
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "inspect:", err)
+		return 1
+	}
+	return 0
+}
+
+// doc is one loaded file and its sniffed kind.
+type doc struct {
+	path, kind string
+	data       []byte
+}
+
+func load(path string) (doc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return doc{}, err
+	}
+	kind, err := obs.Sniff(data)
+	if err != nil {
+		return doc{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc{path, kind, data}, nil
+}
+
+func (d doc) isTrace() bool { return d.kind == obs.KindChrome || d.kind == obs.KindRunTrace }
+
+func (d doc) flightDump() (*obs.FlightDump, error) {
+	fd, err := obs.ReadFlightDump(bytes.NewReader(d.data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.path, err)
+	}
+	return fd, nil
+}
+
+func (d doc) summaries() ([]obs.RunSummary, error) {
+	runs, err := obs.ReadRunSummaries(bytes.NewReader(d.data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.path, err)
+	}
+	return runs, nil
+}
+
+// show renders one flight dump or checkpoint.
+func show(w io.Writer, path string) error {
+	d, err := load(path)
+	if err != nil {
+		return err
+	}
+	switch d.kind {
+	case obs.KindFlightDump:
+		fd, err := d.flightDump()
+		if err != nil {
+			return err
+		}
+		return flight.Render(w, fd)
+	case obs.KindCheckpoint:
+		c, err := ckpt.Read(bytes.NewReader(d.data))
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		return ckpt.Render(w, c)
+	}
+	return fmt.Errorf("%s is a %s: give two traces to diff them", path, d.kind)
+}
+
+// diff compares two flight dumps, reporting whether they diverge, or two
+// traces.
+func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
+	a, err := load(pathA)
+	if err != nil {
+		return false, err
+	}
+	b, err := load(pathB)
+	if err != nil {
+		return false, err
+	}
+	switch {
+	case a.kind == obs.KindFlightDump && b.kind == obs.KindFlightDump:
+		fa, err := a.flightDump()
+		if err != nil {
+			return false, err
+		}
+		fb, err := b.flightDump()
+		if err != nil {
+			return false, err
+		}
+		n, err := flight.Diff(w, fa, fb, pathA, pathB)
+		return n > 0, err
+	case a.isTrace() && b.isTrace():
+		ra, err := a.summaries()
+		if err != nil {
+			return false, err
+		}
+		rb, err := b.summaries()
+		if err != nil {
+			return false, err
+		}
+		obs.WriteTraceDiff(w, ra, rb, pathA, pathB)
+		return false, nil
+	}
+	return false, fmt.Errorf("cannot diff a %s (%s) against a %s (%s): give two flight dumps or two traces",
+		a.kind, pathA, b.kind, pathB)
+}

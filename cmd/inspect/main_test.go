@@ -1,0 +1,104 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"swbfs/internal/obs"
+)
+
+// fixtures writes one file of every kind inspect reads, plus garbage, and
+// returns their paths by name.
+func fixtures(t *testing.T) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dump := func(pairs int) *obs.FlightDump {
+		fr := obs.NewFlightRecorder(0)
+		fr.SetStreamNames([]string{"data"}, []string{"forward"})
+		fr.BeginRun(3, "bfs", 2, "direct")
+		fr.Send(0, 1, 0, pairs, 0, 0, 0, "")
+		fr.Recv(1, 0, 0, pairs, 0, 0)
+		return fr.Dump()
+	}
+	var a, b, runs bytes.Buffer
+	if err := obs.WriteFlightDump(&a, dump(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteFlightDump(&b, dump(4)); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewTraceRecorder()
+	rec.Record(obs.RunTrace{Root: 3, Levels: []obs.LevelSpan{{Level: 0, Direction: "topdown", WallSeconds: 1e-6}}})
+	if err := rec.WriteJSON(&runs); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{
+		"flight":     write("a.flight.json", a.Bytes()),
+		"flight2":    write("b.flight.json", b.Bytes()),
+		"runtrace":   write("t.json", runs.Bytes()),
+		"chrome":     filepath.Join("..", "..", "internal", "obs", "testdata", "chrometrace_golden.json"),
+		"checkpoint": filepath.Join("..", "..", "internal", "ckpt", "testdata", "golden.ckpt.json"),
+		"garbage":    write("garbage.json", []byte("not json\n")),
+	}
+}
+
+// TestLoadSniffsEveryKind checks the loader names each file kind, and
+// refuses garbage.
+func TestLoadSniffsEveryKind(t *testing.T) {
+	f := fixtures(t)
+	for name, want := range map[string]string{
+		"flight":     obs.KindFlightDump,
+		"runtrace":   obs.KindRunTrace,
+		"chrome":     obs.KindChrome,
+		"checkpoint": obs.KindCheckpoint,
+		"garbage":    "",
+	} {
+		d, err := load(f[name])
+		if d.kind != want || (err == nil) != (want != "") {
+			t.Errorf("%s: load = %q, %v; want %q", name, d.kind, err, want)
+		}
+	}
+}
+
+// TestRunModes drives the command through each mode and checks its exit
+// status and a line of its output.
+func TestRunModes(t *testing.T) {
+	f := fixtures(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		out  string // expected substring of stdout, or of stderr on failure
+	}{
+		{"render flight dump", []string{f["flight"]}, 0, "root=3"},
+		{"render checkpoint", []string{f["checkpoint"]}, 0, "checkpoint schema"},
+		{"identical dumps", []string{f["flight"], f["flight"]}, 0, ""},
+		{"divergent dumps", []string{f["flight"], f["flight2"]}, 1, ""},
+		{"mixed trace formats", []string{f["chrome"], f["runtrace"]}, 0, "root 3 vs root 3"},
+		{"flight dump against a trace", []string{f["flight"], f["runtrace"]}, 1, "cannot diff a flight dump"},
+		{"one trace", []string{f["runtrace"]}, 1, "give two traces"},
+		{"garbage", []string{f["garbage"]}, 1, "not a JSON object"},
+		{"no arguments", nil, 2, "usage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(tc.args, &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.code, &stdout, &stderr)
+			}
+			if !strings.Contains(stdout.String()+stderr.String(), tc.out) {
+				t.Fatalf("output lacks %q\nstdout:\n%s\nstderr:\n%s", tc.out, &stdout, &stderr)
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Flight-recorder integration with the chaos harness: the black box must
 // be byte-deterministic across repeated seeded runs (the property that
-// makes `flightview -diff` a usable bisection tool) on both transports.
+// makes `inspect a.flight.json b.flight.json` a usable bisection tool) on both transports.
 package chaos_test
 
 import (

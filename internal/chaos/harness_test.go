@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -150,7 +151,11 @@ func TestChaosHarness(t *testing.T) {
 					if ae2.FlightPath != ccfg.FlightDump {
 						t.Fatalf("seed %d (%s): flight path %q, want %q", seed, plan, ae2.FlightPath, ccfg.FlightDump)
 					}
-					d, err := obs.ReadFlightDumpFile(ae2.FlightPath)
+					data, err := os.ReadFile(ae2.FlightPath)
+					if err != nil {
+						t.Fatalf("seed %d (%s): written dump missing: %v", seed, plan, err)
+					}
+					d, err := obs.ReadFlightDump(bytes.NewReader(data))
 					if err != nil {
 						t.Fatalf("seed %d (%s): written dump unreadable: %v", seed, plan, err)
 					}

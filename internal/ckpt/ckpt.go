@@ -243,8 +243,8 @@ func ReadFile(path string) (*Checkpoint, error) {
 	return Read(f)
 }
 
-// Render writes a human-readable summary of a checkpoint — the
-// `flightview -checkpoint` inspection mode.
+// Render writes a human-readable summary of a checkpoint — what
+// `inspect <ckpt.json>` prints.
 func Render(w io.Writer, c *Checkpoint) error {
 	fmt.Fprintf(w, "checkpoint schema %d\n", c.Schema)
 	fmt.Fprintf(w, "  kernel       %s  root %d\n", c.Kernel, c.Root)

@@ -11,6 +11,7 @@ import (
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
+	"swbfs/internal/comm"
 	"swbfs/internal/graph"
 	"swbfs/internal/perf"
 	"swbfs/internal/testutil"
@@ -273,5 +274,64 @@ func TestResumeEveryLevelWithTopDownHubSubset(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHostAndFingerprintCoverConfig walks every Config field: each must be
+// either fingerprinted by machineConfig (a resume restores it through
+// ConfigFromCheckpoint) or stamped by Host.Apply (a resume takes it from
+// the command line). A field in neither would be silently dropped by every
+// resume.
+func TestHostAndFingerprintCoverConfig(t *testing.T) {
+	g := kron(t, 4, 1)
+	base := Config{Nodes: 4}
+	fingerprint := func(c Config) string { return machineConfig(c, c.Partition.String(), g).Fingerprint() }
+	baseFP := fingerprint(base)
+
+	var h Host
+	hv := reflect.ValueOf(&h).Elem()
+	for i := range hv.NumField() {
+		setNonZero(t, hv.Type().Field(i).Name, hv.Field(i))
+	}
+	stamped := reflect.ValueOf(h.Apply(base))
+
+	ct := reflect.TypeOf(base)
+	for i := range ct.NumField() {
+		name := ct.Field(i).Name
+		cfg := base
+		setNonZero(t, name, reflect.ValueOf(&cfg).Elem().Field(i))
+		inFingerprint := fingerprint(cfg) != baseFP
+		byHost := !reflect.DeepEqual(stamped.Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface())
+		if !inFingerprint && !byHost {
+			t.Errorf("Config.%s is neither fingerprinted by machineConfig nor stamped by Host.Apply: a resume drops it", name)
+		}
+	}
+}
+
+// setNonZero gives a Config or Host field a value that differs from its
+// zero value and from every default withDefaults fills in.
+func setNonZero(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(3)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Struct:
+		setNonZero(t, name, v.Field(0))
+	case reflect.Interface:
+		c := reflect.ValueOf(comm.VarintDeltaCodec{})
+		if !c.Type().Implements(v.Type()) {
+			t.Fatalf("field %s: no sample value for interface %s", name, v.Type())
+		}
+		v.Set(c)
+	default:
+		t.Fatalf("field %s: no sample value for kind %s", name, v.Kind())
 	}
 }

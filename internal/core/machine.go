@@ -44,7 +44,7 @@ type AbortError struct {
 	// FlightDump is the flight recorder's post-mortem: every black-box
 	// event leading up to the abort, in canonical order. FlightPath is
 	// where the dump was written when Config.FlightDump asked for a file
-	// ("" otherwise). Render with cmd/flightview.
+	// ("" otherwise). Render with cmd/inspect.
 	FlightDump *obs.FlightDump
 	FlightPath string
 
@@ -199,6 +199,63 @@ func machineConfig(cfg Config, partition string, g *graph.CSR) ckpt.MachineConfi
 		GraphN:             g.N,
 		GraphEdges:         g.NumEdges(),
 	}
+}
+
+// Host is the host-side half of a Config: the knobs machineConfig leaves
+// out of the fingerprint, which a CLI takes from its command line and
+// stamps onto every run, a resumed one included (ConfigFromCheckpoint, then
+// Apply). None of them moves a modelled number except the codecs, which are
+// fingerprinted and move only the bytes they save on the wire. The zero
+// value runs with core's defaults.
+type Host struct {
+	// Workers is the per-node worker-pool width (0 = core's default).
+	Workers int
+	// Obs receives metrics, traces, spans and live events of every run.
+	Obs *obs.Observer
+	// ChaosPlan is injected verbatim; otherwise a non-zero ChaosSeed
+	// derives a fresh random plan per configuration (node counts vary
+	// across a sweep, and plan node IDs must stay in range).
+	ChaosPlan *chaos.Plan
+	ChaosSeed int64
+	// LevelTimeout arms the per-level watchdog and StragglerFactor the
+	// straggler detector (0 = off; see docs/CHAOS.md).
+	LevelTimeout    time.Duration
+	StragglerFactor float64
+	// FlightDump is where an aborted run writes its post-mortem ("" =
+	// in-memory only).
+	FlightDump string
+	// CheckpointEvery and CheckpointPath arm level-boundary checkpointing
+	// (see docs/CHAOS.md "Checkpoint & resume").
+	CheckpointEvery int
+	CheckpointPath  string
+	// Codec and CodecBackward select the wire codecs (nil = leave the
+	// configuration's own; CodecBackward overrides the backward channel).
+	Codec, CodecBackward comm.PayloadCodec
+}
+
+// Apply stamps the host knobs onto cfg. Set cfg.Nodes first: a seeded chaos
+// plan is drawn for that node count.
+func (h Host) Apply(cfg Config) Config {
+	cfg.Workers = h.Workers
+	cfg.Obs = h.Obs
+	cfg.LevelTimeout = h.LevelTimeout
+	cfg.StragglerFactor = h.StragglerFactor
+	cfg.FlightDump = h.FlightDump
+	cfg.CheckpointEvery = h.CheckpointEvery
+	cfg.CheckpointPath = h.CheckpointPath
+	if h.Codec != nil {
+		cfg.Codec = h.Codec
+	}
+	if h.CodecBackward != nil {
+		cfg.CodecBackward = h.CodecBackward
+	}
+	if h.ChaosPlan != nil {
+		cfg.Chaos = h.ChaosPlan
+	} else if h.ChaosSeed != 0 {
+		plan := chaos.NewRandomPlan(h.ChaosSeed, cfg.Nodes)
+		cfg.Chaos = &plan
+	}
+	return cfg
 }
 
 // validateResume checks a checkpoint against the run it is being loaded

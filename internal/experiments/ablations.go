@@ -5,8 +5,6 @@ import (
 
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
-	"swbfs/internal/graph"
-	"swbfs/internal/graph500"
 	"swbfs/internal/perf"
 )
 
@@ -18,7 +16,7 @@ type AblationOptions struct {
 	Roots int
 	Seed  int64
 	// Host carries the driver's host-side knobs onto every run.
-	Host Host
+	Host core.Host
 }
 
 func (o AblationOptions) withDefaults() AblationOptions {
@@ -43,11 +41,7 @@ func (o AblationOptions) withDefaults() AblationOptions {
 // extension) and the partition strategy.
 func Ablations(opts AblationOptions) (*Table, error) {
 	opts = opts.withDefaults()
-	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: opts.Scale, Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	roots, err := graph500.SampleRoots(g, opts.Roots, opts.Seed)
+	sweep, err := newRootSweep(opts.Scale, opts.Roots, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -81,43 +75,20 @@ func Ablations(opts AblationOptions) (*Table, error) {
 	}
 	var baseline float64
 	for i, v := range variants {
-		runner, err := core.NewRunner(v.cfg, g)
+		r, err := sweep.run(v.cfg)
 		if err != nil {
 			t.AddRow(v.name, "CRASH", "-", "-")
 			continue
 		}
-		var invSum float64
-		var netBytes int64
-		ok := true
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				t.AddRow(v.name, "CRASH", "-", "-")
-				ok = false
-				break
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
-			for _, l := range res.Levels {
-				for _, b := range l.Net.Bytes {
-					netBytes += b
-				}
-			}
-		}
-		if !ok {
-			continue
-		}
-		gteps := float64(len(roots)) / invSum
 		if i == 0 {
-			baseline = gteps
+			baseline = r.GTEPS
 		}
 		rel := "1.00x"
 		if i > 0 && baseline > 0 {
-			rel = fmt.Sprintf("%.2fx", gteps/baseline)
+			rel = fmt.Sprintf("%.2fx", r.GTEPS/baseline)
 		}
-		t.AddRow(v.name, fmt.Sprintf("%.3f", gteps),
-			fmt.Sprintf("%.1f", float64(netBytes)/(1<<20)), rel)
+		t.AddRow(v.name, fmt.Sprintf("%.3f", r.GTEPS),
+			fmt.Sprintf("%.1f", float64(r.NetBytes)/(1<<20)), rel)
 	}
 	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per variant", opts.Nodes, opts.Scale, opts.Roots)
 	return t, nil

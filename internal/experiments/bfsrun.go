@@ -3,72 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
-	"swbfs/internal/chaos"
-	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/graph500"
-	"swbfs/internal/obs"
 	"swbfs/internal/perf"
 )
-
-// Host is the host-side half of a functional measurement's configuration:
-// the knobs a sweep driver (cmd/swbfs-bench) takes from its command line
-// and every experiment stamps onto each core.Config it runs. None of them
-// moves a modelled number except the codecs, and those only through the
-// bytes they save on the wire. The zero value runs with core's defaults.
-type Host struct {
-	// Workers is the per-node worker-pool width (0 = core's default).
-	Workers int
-	// Obs receives metrics, traces, spans and live events of every run.
-	Obs *obs.Observer
-	// ChaosPlan is injected verbatim; otherwise a non-zero ChaosSeed
-	// derives a fresh random plan per configuration (node counts vary
-	// across a sweep, and plan node IDs must stay in range).
-	ChaosPlan *chaos.Plan
-	ChaosSeed int64
-	// LevelTimeout arms the per-level watchdog and StragglerFactor the
-	// straggler detector (0 = off; see docs/CHAOS.md).
-	LevelTimeout    time.Duration
-	StragglerFactor float64
-	// FlightDump is where an aborted run writes its post-mortem ("" =
-	// in-memory only).
-	FlightDump string
-	// CheckpointEvery and CheckpointPath arm level-boundary checkpointing
-	// (see docs/CHAOS.md "Checkpoint & resume").
-	CheckpointEvery int
-	CheckpointPath  string
-	// Codec and CodecBackward select the wire codecs (nil = leave the
-	// configuration's own; CodecBackward overrides the backward channel).
-	Codec, CodecBackward comm.PayloadCodec
-}
-
-// Apply stamps the host knobs onto cfg. Set cfg.Nodes first: a seeded chaos
-// plan is drawn for that node count.
-func (h Host) Apply(cfg core.Config) core.Config {
-	cfg.Workers = h.Workers
-	cfg.Obs = h.Obs
-	cfg.LevelTimeout = h.LevelTimeout
-	cfg.StragglerFactor = h.StragglerFactor
-	cfg.FlightDump = h.FlightDump
-	cfg.CheckpointEvery = h.CheckpointEvery
-	cfg.CheckpointPath = h.CheckpointPath
-	if h.Codec != nil {
-		cfg.Codec = h.Codec
-	}
-	if h.CodecBackward != nil {
-		cfg.CodecBackward = h.CodecBackward
-	}
-	if h.ChaosPlan != nil {
-		cfg.Chaos = h.ChaosPlan
-	} else if h.ChaosSeed != 0 {
-		plan := chaos.NewRandomPlan(h.ChaosSeed, cfg.Nodes)
-		cfg.Chaos = &plan
-	}
-	return cfg
-}
 
 // scaledSuperNodeSize is the super-node size of scaled-down functional
 // runs: small enough that even modest node counts exercise the central
@@ -97,7 +37,7 @@ func (m *Measurement) Crashed() bool { return m.Err != nil }
 // MeasureBFS runs the configuration functionally: a Kronecker graph with
 // 2^perNodeLog vertices per node, `roots` BFS runs, harmonic-mean GTEPS.
 // nodes must be a power of two so weak-scaling graph sizes stay exact.
-func MeasureBFS(host Host, nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
+func MeasureBFS(host core.Host, nodes, perNodeLog int, transport core.Transport, engine perf.Engine, roots int, seed int64) *Measurement {
 	m := &Measurement{
 		Nodes:           nodes,
 		PerNodeVertices: int64(1) << uint(perNodeLog),
@@ -111,9 +51,12 @@ func MeasureBFS(host Host, nodes, perNodeLog int, transport core.Transport, engi
 	if roots <= 0 {
 		roots = 2
 	}
-	scale := perNodeLog + bits.TrailingZeros(uint(nodes))
-
-	cfg := host.Apply(core.Config{
+	sweep, err := newRootSweep(perNodeLog+bits.TrailingZeros(uint(nodes)), roots, seed)
+	if err != nil {
+		m.Err = err
+		return m
+	}
+	r, err := sweep.run(host.Apply(core.Config{
 		Nodes:              nodes,
 		SuperNodeSize:      scaledSuperNodeSize,
 		Transport:          transport,
@@ -121,41 +64,73 @@ func MeasureBFS(host Host, nodes, perNodeLog int, transport core.Transport, engi
 		DirectionOptimized: true,
 		HubPrefetch:        true,
 		SmallMessageMPE:    true,
-	})
+	}))
+	if err != nil {
+		m.Err = err
+		return m
+	}
+	m.GTEPS, m.Edges, m.Levels = r.GTEPS, r.First.TraversedEdges, r.First.Levels
+	return m
+}
 
+// rootSweep is a Kronecker graph and the roots sampled on it: what every
+// functional experiment measures its configurations over.
+type rootSweep struct {
+	g     *graph.CSR
+	roots []graph.Vertex
+}
+
+func newRootSweep(scale, roots int, seed int64) (*rootSweep, error) {
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: scale, Seed: seed})
 	if err != nil {
-		m.Err = err
-		return m
+		return nil, err
 	}
-	runner, err := core.NewRunner(cfg, g)
+	list, err := graph500.SampleRoots(g, roots, seed)
 	if err != nil {
-		m.Err = err
-		return m
+		return nil, err
 	}
-	rootList, err := graph500.SampleRoots(g, roots, seed)
-	if err != nil {
-		m.Err = err
-		return m
-	}
+	return &rootSweep{g: g, roots: list}, nil
+}
 
+// sweepResult is one configuration measured from every root of a sweep.
+type sweepResult struct {
+	GTEPS    float64 // harmonic mean across roots
+	NetBytes int64   // network bytes of every level of every run
+	// BottomUpLevels and Levels are summed across roots.
+	BottomUpLevels, Levels int
+	// First is the first root's run.
+	First *core.Result
+}
+
+// run builds a runner for cfg on the sweep's graph and runs every root.
+func (s *rootSweep) run(cfg core.Config) (sweepResult, error) {
+	var r sweepResult
+	runner, err := core.NewRunner(cfg, s.g)
+	if err != nil {
+		return r, err
+	}
 	var invSum float64
-	for i, root := range rootList {
+	for i, root := range s.roots {
 		res, err := runner.Run(root)
 		if err != nil {
-			m.Err = err
-			return m
+			return r, err
 		}
 		if res.GTEPS > 0 {
 			invSum += 1 / res.GTEPS
 		}
+		for _, l := range res.Levels {
+			for _, b := range l.Net.Bytes {
+				r.NetBytes += b
+			}
+		}
+		r.BottomUpLevels += res.BottomUpLevels
+		r.Levels += len(res.Levels)
 		if i == 0 {
-			m.Edges = res.TraversedEdges
-			m.Levels = res.Levels
+			r.First = res
 		}
 	}
 	if invSum > 0 {
-		m.GTEPS = float64(len(rootList)) / invSum
+		r.GTEPS = float64(len(s.roots)) / invSum
 	}
-	return m
+	return r, nil
 }

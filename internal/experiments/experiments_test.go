@@ -135,7 +135,7 @@ func TestMsgCountTable(t *testing.T) {
 }
 
 func TestMeasureBFSSmall(t *testing.T) {
-	m := MeasureBFS(Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
+	m := MeasureBFS(core.Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
 	if m.Crashed() {
 		t.Fatalf("measurement crashed: %v", m.Err)
 	}
@@ -145,14 +145,14 @@ func TestMeasureBFSSmall(t *testing.T) {
 }
 
 func TestMeasureBFSRejectsNonPow2(t *testing.T) {
-	m := MeasureBFS(Host{}, 3, 8, core.TransportDirect, perf.EngineMPE, 1, 1)
+	m := MeasureBFS(core.Host{}, 3, 8, core.TransportDirect, perf.EngineMPE, 1, 1)
 	if !m.Crashed() {
 		t.Fatal("non-power-of-two accepted")
 	}
 }
 
 func TestProjectionMonotoneAndCrashes(t *testing.T) {
-	m := MeasureBFS(Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
+	m := MeasureBFS(core.Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
 	if m.Crashed() {
 		t.Fatal(m.Err)
 	}
@@ -169,14 +169,14 @@ func TestProjectionMonotoneAndCrashes(t *testing.T) {
 	}
 
 	// Direct transports must crash at the paper's crash points.
-	d := MeasureBFS(Host{}, 4, 8, core.TransportDirect, perf.EngineCPE, 2, 7)
+	d := MeasureBFS(core.Host{}, 4, 8, core.TransportDirect, perf.EngineCPE, 2, 7)
 	if d.Crashed() {
 		t.Fatal(d.Err)
 	}
 	if p := Project(d, 1024); !p.Crashed() || !isSPMError(p.Err) {
 		t.Fatalf("Direct CPE at 1024 nodes should crash with SPM: %+v", p)
 	}
-	dm := MeasureBFS(Host{}, 4, 8, core.TransportDirect, perf.EngineMPE, 2, 7)
+	dm := MeasureBFS(core.Host{}, 4, 8, core.TransportDirect, perf.EngineMPE, 2, 7)
 	if dm.Crashed() {
 		t.Fatal(dm.Err)
 	}
@@ -201,12 +201,12 @@ func TestProjectionCrossValidates(t *testing.T) {
 		{core.TransportRelay, perf.EngineCPE},
 		{core.TransportDirect, perf.EngineMPE},
 	} {
-		m4 := MeasureBFS(Host{}, 4, 11, cfg.tr, cfg.en, 2, 5)
+		m4 := MeasureBFS(core.Host{}, 4, 11, cfg.tr, cfg.en, 2, 5)
 		if m4.Crashed() {
 			t.Fatal(m4.Err)
 		}
 		for _, target := range []int{16, 64} {
-			measured := MeasureBFS(Host{}, target, 11, cfg.tr, cfg.en, 2, 5)
+			measured := MeasureBFS(core.Host{}, target, 11, cfg.tr, cfg.en, 2, 5)
 			if measured.Crashed() {
 				t.Fatal(measured.Err)
 			}
@@ -332,7 +332,7 @@ func TestPolicySweepTiny(t *testing.T) {
 }
 
 func TestHeadlineTiny(t *testing.T) {
-	m, p := Headline(Host{}, 7, 1, 11)
+	m, p := Headline(core.Host{}, 7, 1, 11)
 	if m.Crashed() {
 		t.Fatalf("headline measurement crashed: %v", m.Err)
 	}

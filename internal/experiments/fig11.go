@@ -25,7 +25,7 @@ type Fig11Options struct {
 	// Seed for graph generation.
 	Seed int64
 	// Host carries the driver's host-side knobs onto every run.
-	Host Host
+	Host core.Host
 }
 
 func (o Fig11Options) withDefaults() Fig11Options {

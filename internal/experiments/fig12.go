@@ -34,7 +34,7 @@ type Fig12Options struct {
 	Roots int
 	Seed  int64
 	// Host carries the driver's host-side knobs onto every run.
-	Host Host
+	Host core.Host
 }
 
 func (o Fig12Options) withDefaults() Fig12Options {

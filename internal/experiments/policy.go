@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"swbfs/internal/core"
-	"swbfs/internal/graph"
-	"swbfs/internal/graph500"
 )
 
 // PolicySweepOptions scales the direction-policy sensitivity study.
@@ -17,7 +15,7 @@ type PolicySweepOptions struct {
 	// Beamer values the paper's TRAVERSAL_POLICY uses).
 	Alphas, Betas []float64
 	// Host carries the driver's host-side knobs onto every run.
-	Host Host
+	Host core.Host
 }
 
 func (o PolicySweepOptions) withDefaults() PolicySweepOptions {
@@ -49,11 +47,7 @@ func (o PolicySweepOptions) withDefaults() PolicySweepOptions {
 // practical.
 func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 	opts = opts.withDefaults()
-	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: opts.Scale, Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	roots, err := graph500.SampleRoots(g, opts.Roots, opts.Seed)
+	sweep, err := newRootSweep(opts.Scale, opts.Roots, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -64,48 +58,28 @@ func PolicySweep(opts PolicySweepOptions) (*Table, error) {
 		Header: []string{"alpha", "beta", "GTEPS", "bottom-up levels", "levels"},
 	}
 
-	measure := func(cfg core.Config) (gteps float64, bu, lv int, err error) {
-		runner, err := core.NewRunner(cfg, g)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		var invSum float64
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
-			bu += res.BottomUpLevels
-			lv += len(res.Levels)
-		}
-		return float64(len(roots)) / invSum, bu, lv, nil
-	}
-
 	for _, alpha := range opts.Alphas {
 		for _, beta := range opts.Betas {
 			cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
 			cfg.SuperNodeSize = scaledSuperNodeSize
 			cfg.Alpha, cfg.Beta = alpha, beta
-			gteps, bu, lv, err := measure(cfg)
+			r, err := sweep.run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(fmt.Sprintf("%.0f", alpha), fmt.Sprintf("%.0f", beta),
-				fmt.Sprintf("%.3f", gteps), fmt.Sprint(bu), fmt.Sprint(lv))
+				fmt.Sprintf("%.3f", r.GTEPS), fmt.Sprint(r.BottomUpLevels), fmt.Sprint(r.Levels))
 		}
 	}
 	// Top-down baseline.
 	cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
 	cfg.SuperNodeSize = scaledSuperNodeSize
 	cfg.DirectionOptimized = false
-	gteps, bu, lv, err := measure(cfg)
+	r, err := sweep.run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("-", "-", fmt.Sprintf("%.3f", gteps), fmt.Sprint(bu), fmt.Sprint(lv))
+	t.AddRow("-", "-", fmt.Sprintf("%.3f", r.GTEPS), fmt.Sprint(r.BottomUpLevels), fmt.Sprint(r.Levels))
 	t.AddNote("last row: direction optimization disabled (top-down only)")
 	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per cell", opts.Nodes, opts.Scale, opts.Roots)
 	return t, nil

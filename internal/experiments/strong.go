@@ -5,8 +5,6 @@ import (
 	"math/bits"
 
 	"swbfs/internal/core"
-	"swbfs/internal/graph"
-	"swbfs/internal/graph500"
 	"swbfs/internal/perf"
 )
 
@@ -21,7 +19,7 @@ type StrongOptions struct {
 	Seed  int64
 	Quick bool
 	// Host carries the driver's host-side knobs onto every run.
-	Host Host
+	Host core.Host
 }
 
 func (o StrongOptions) withDefaults() StrongOptions {
@@ -62,14 +60,9 @@ func StrongScaling(opts StrongOptions) *Table {
 		Title:  fmt.Sprintf("Strong scaling, scale-%d Kronecker, Relay CPE", opts.Scale),
 		Header: []string{"nodes", "GTEPS", "speedup", "efficiency"},
 	}
-	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: opts.Scale, Seed: opts.Seed})
+	sweep, err := newRootSweep(opts.Scale, opts.Roots, opts.Seed)
 	if err != nil {
 		t.AddNote("generation failed: %v", err)
-		return t
-	}
-	roots, err := graph500.SampleRoots(g, opts.Roots, opts.Seed)
-	if err != nil {
-		t.AddNote("root sampling failed: %v", err)
 		return t
 	}
 
@@ -88,34 +81,17 @@ func StrongScaling(opts StrongOptions) *Table {
 			HubPrefetch:        true,
 			SmallMessageMPE:    true,
 		})
-		runner, err := core.NewRunner(cfg, g)
+		r, err := sweep.run(cfg)
 		if err != nil {
 			t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
 			continue
 		}
-		var invSum float64
-		failed := false
-		for _, root := range roots {
-			res, err := runner.Run(root)
-			if err != nil {
-				t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
-				failed = true
-				break
-			}
-			if res.GTEPS > 0 {
-				invSum += 1 / res.GTEPS
-			}
-		}
-		if failed {
-			continue
-		}
-		gteps := float64(len(roots)) / invSum
 		if base == 0 {
-			base = gteps
+			base = r.GTEPS
 		}
-		speedup := gteps / base
+		speedup := r.GTEPS / base
 		eff := speedup / float64(nodes) * float64(opts.Nodes[0])
-		t.AddRow(fmt.Sprint(nodes), fmt.Sprintf("%.3f", gteps),
+		t.AddRow(fmt.Sprint(nodes), fmt.Sprintf("%.3f", r.GTEPS),
 			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.0f%%", eff*100))
 	}
 	t.AddNote("fixed total problem; %d roots per point; efficiency relative to the first row", opts.Roots)

@@ -45,7 +45,7 @@ const headlinePerNodeVertices = float64(int64(1)<<40) / HeadlineNodes
 // Headline projects the reproduction's full-machine number from a
 // functional Relay-CPE measurement, scaling both the node count and the
 // per-node problem size to the paper's scale-40 operating point.
-func Headline(host Host, perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
+func Headline(host core.Host, perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
 	if perNodeLog == 0 {
 		perNodeLog = 13
 	}

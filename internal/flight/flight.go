@@ -3,7 +3,7 @@
 // against the chaos injection log to mark them injected vs. emergent,
 // diffs two dumps from the same seed, and reconciles a dump's inject
 // events 1:1 with a run's recorded injections — the checks the chaos
-// harness runs on every aborted run and cmd/flightview exposes to
+// harness runs on every aborted run and cmd/inspect exposes to
 // operators. It sits above both obs and chaos in the import DAG, so the
 // transport and engines never pay for the analysis code.
 package flight

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"time"
 
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
-	"swbfs/internal/obs"
 	"swbfs/internal/perf"
 )
 
@@ -117,20 +115,6 @@ func Run(cfg BenchConfig) (*Report, error) {
 		ConstructionSeconds: construction,
 	}
 
-	// Opt-in host-side profiling, covering exactly the kernel runs (and
-	// their validation) — the region worth inspecting with pprof or
-	// `go tool trace`.
-	if cfg.Machine.Profile.Enabled() {
-		stop, err := obs.StartProfile(cfg.Machine.Profile)
-		if err != nil {
-			return nil, fmt.Errorf("graph500: %w", err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "graph500: stopping profile: %v\n", err)
-			}
-		}()
-	}
 	metrics := cfg.Machine.Obs.MetricsOf()
 
 	var teps, times []float64

@@ -590,13 +590,3 @@ func ReadFlightDump(r io.Reader) (*FlightDump, error) {
 	}
 	return &d, nil
 }
-
-// ReadFlightDumpFile reads a dump from path.
-func ReadFlightDumpFile(path string) (*FlightDump, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading flight dump: %w", err)
-	}
-	defer f.Close()
-	return ReadFlightDump(f)
-}

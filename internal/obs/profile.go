@@ -19,9 +19,6 @@ type ProfileConfig struct {
 	ExecTrace string
 }
 
-// Enabled reports whether any profiling output is requested.
-func (p ProfileConfig) Enabled() bool { return p.CPUProfile != "" || p.ExecTrace != "" }
-
 // StartProfile starts the requested profilers and returns a stop function
 // that flushes and closes the output files. It returns a no-op stop when
 // nothing is enabled. On error, anything already started is stopped.

@@ -44,24 +44,62 @@ type RunSummary struct {
 	Modules      []ModuleSummary
 }
 
-// ReadRunSummaries parses either export format into run digests. The format
-// is sniffed from the document's top-level keys: "traceEvents" marks a
-// Chrome export, "runs" a TraceRecorder dump.
+// Document kinds Sniff tells apart.
+const (
+	KindChrome     = "Chrome trace"
+	KindFlightDump = "flight dump"
+	KindCheckpoint = "checkpoint"
+	KindRunTrace   = "RunTrace dump"
+)
+
+// Sniff names the kind of a JSON document this repository writes from its
+// top-level keys: "traceEvents" marks a Chrome trace, "events" a flight
+// dump, "fingerprint" a checkpoint, and "runs" without "events" a RunTrace
+// dump (a flight dump has a "runs" key too).
+func Sniff(data []byte) (string, error) {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return "", fmt.Errorf("obs: not a JSON object: %w", err)
+	}
+	for _, k := range []struct{ key, kind string }{
+		{"traceEvents", KindChrome},
+		{"events", KindFlightDump},
+		{"fingerprint", KindCheckpoint},
+		{"runs", KindRunTrace},
+	} {
+		if _, ok := keys[k.key]; ok {
+			return k.kind, nil
+		}
+	}
+	return "", fmt.Errorf("obs: document is none of a %s, %s, %s or %s",
+		KindChrome, KindFlightDump, KindCheckpoint, KindRunTrace)
+}
+
+// ReadRunSummaries parses either trace export format into run digests,
+// and rejects every other kind of document (see Sniff).
 func ReadRunSummaries(rd io.Reader) ([]RunSummary, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("obs: reading trace: %w", err)
+	}
+	kind, err := Sniff(data)
+	if err != nil {
+		return nil, err
+	}
+	if kind != KindChrome && kind != KindRunTrace {
+		return nil, fmt.Errorf("obs: document is a %s, not a trace", kind)
+	}
 	var doc struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 		Runs        []RunTrace    `json:"runs"`
 	}
-	if err := json.NewDecoder(rd).Decode(&doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("obs: decoding trace: %w", err)
 	}
-	if len(doc.TraceEvents) > 0 {
+	if kind == KindChrome {
 		return summarizeChrome(doc.TraceEvents)
 	}
-	if doc.Runs != nil {
-		return summarizeRuns(doc.Runs), nil
-	}
-	return nil, fmt.Errorf("obs: document has neither traceEvents nor runs")
+	return summarizeRuns(doc.Runs), nil
 }
 
 // summarizeRuns digests a TraceRecorder dump. Module data is not part of

@@ -71,7 +71,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestTraceDiffChromeGolden round-trips WriteChromeTrace output through the
-// summarizer and golden-checks the rendered delta table — the cmd/tracediff
+// summarizer and golden-checks the rendered delta table — the cmd/inspect
 // path for two -chrome-trace exports.
 func TestTraceDiffChromeGolden(t *testing.T) {
 	aT, bT, aS, bS := diffFixtures()
@@ -216,5 +216,76 @@ func TestTraceDiffCrossFormat(t *testing.T) {
 			t.Fatalf("level %d diverges across formats:\nchrome: %+v\nruns:   %+v",
 				i, a[0].Levels[i], b[0].Levels[i])
 		}
+	}
+}
+
+// formatDoc is a test document and the kind Sniff must name ("" =
+// garbage).
+type formatDoc struct {
+	name, kind string
+	data       []byte
+}
+
+// formatDocs is one document of every kind the CLIs write, plus garbage.
+func formatDocs(t *testing.T) []formatDoc {
+	t.Helper()
+	traces, _, spans, _ := diffFixtures()
+	var chrome, runs, dump bytes.Buffer
+	if err := WriteChromeTrace(&chrome, traces, spans); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewTraceRecorder()
+	for _, rt := range traces {
+		rec.Record(rt)
+	}
+	if err := rec.WriteJSON(&runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFlightDump(&dump, seedFlight().Dump()); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "golden.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []formatDoc{
+		{"chrome", KindChrome, chrome.Bytes()},
+		{"runtrace", KindRunTrace, runs.Bytes()},
+		{"flight", KindFlightDump, dump.Bytes()},
+		{"checkpoint", KindCheckpoint, checkpoint},
+		{"not-json", "", []byte("garbage\n")},
+		{"array", "", []byte("[1, 2]")},
+		{"unknown-object", "", []byte(`{"levels": []}`)},
+	}
+}
+
+// TestReadRunSummariesFormats feeds the trace reader every kind of
+// document: the two trace formats parse, and everything else — a flight
+// dump, whose top-level "runs" key once passed for a RunTrace dump, a
+// checkpoint and garbage — is an error, not an empty diff.
+func TestReadRunSummariesFormats(t *testing.T) {
+	for _, doc := range formatDocs(t) {
+		t.Run(doc.name, func(t *testing.T) {
+			runs, err := ReadRunSummaries(bytes.NewReader(doc.data))
+			isTrace := doc.kind == KindChrome || doc.kind == KindRunTrace
+			if isTrace && (err != nil || len(runs) == 0) {
+				t.Fatalf("want run summaries, got %d runs, err %v", len(runs), err)
+			}
+			if !isTrace && err == nil {
+				t.Fatalf("want an error, got %d run summaries", len(runs))
+			}
+		})
+	}
+}
+
+// TestSniff names every kind from its top-level keys and rejects garbage.
+func TestSniff(t *testing.T) {
+	for _, doc := range formatDocs(t) {
+		t.Run(doc.name, func(t *testing.T) {
+			kind, err := Sniff(doc.data)
+			if kind != doc.kind || (err == nil) != (doc.kind != "") {
+				t.Fatalf("Sniff = %q, %v; want %q", kind, err, doc.kind)
+			}
+		})
 	}
 }

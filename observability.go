@@ -62,7 +62,7 @@ var ErrLevelTimeout = core.ErrLevelTimeout
 // attach one to Observer.Flight to share it with the telemetry server
 // (/debug/flight) or to dump it yourself. On an aborted run the recorder
 // drains into AbortError.FlightDump (and MachineConfig.FlightDump names a
-// file to write it to). Render dumps with cmd/flightview. See
+// file to write it to). Render dumps with cmd/inspect. See
 // docs/OBSERVABILITY.md "Flight recorder & post-mortems".
 type FlightRecorder = obs.FlightRecorder
 
