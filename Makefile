@@ -39,8 +39,10 @@ bench:
 # lines of both transports, relay stage two and the codec line they sit
 # between, the whole hybrid BFS with hub prefetch at scale 14 across worker
 # widths (BenchmarkBFSLevel: generators, hub tests, handlers, result
-# gather), and the validator's ns/edge on the bfs-hybrid workload's
-# scale-18 graph.
+# gather), the round engine's kernels at scale 14 across worker widths
+# (WCC to fixpoint, 8 PageRank iterations, a k=4 K-core peel: generators,
+# the driver's handler fan-out, result gather), and the validator's
+# ns/edge on the bfs-hybrid workload's scale-18 graph.
 # Before/after figures of a change to these layers go into its CHANGES.md
 # line.
 bench-layers:
@@ -48,6 +50,7 @@ bench-layers:
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 	$(GO) test -run='^$$' -bench='^BenchmarkBFSLevel$$' -benchmem -count=5 ./internal/core/
+	$(GO) test -run='^$$' -bench='^(BenchmarkWCCRound|BenchmarkPageRankIteration|BenchmarkKCorePeel)$$' -benchmem -count=5 ./internal/algos/
 	$(GO) test -run='^$$' -bench='^BenchmarkValidation$$/scale18' -benchmem -count=5 .
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per

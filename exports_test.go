@@ -35,7 +35,6 @@ var keptExports = map[string]string{
 	"flight.Reconcile":                "checks flight dumps against fault plans",
 	"graph.Bitmap.Clear":              "checks bitmap scans",
 	"graph.Bitmap.Empty":              "checks bitmap scans",
-	"graph.Bitmap.ForEach":            "checks bitmap scans",
 	"graph.CSR.IsSymmetric":           "checks built graphs",
 	"graph.Census":                    "checks generated graphs",
 	"graph.DegreeImbalance":           "checks partitions",

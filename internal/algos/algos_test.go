@@ -348,5 +348,7 @@ type neverConverges struct{}
 
 func (*neverConverges) Active() int64                  { return 1 }
 func (*neverConverges) Generate(int, *comm.Lane) error { return nil }
-func (*neverConverges) Handle(int, []comm.Pair) error  { return nil }
+func (*neverConverges) Handle(int, []comm.Pair)        {}
 func (*neverConverges) EndRound(int) error             { return nil }
+func (*neverConverges) CheckpointState() any           { return nil }
+func (*neverConverges) RestoreState([]byte) error      { return nil }

@@ -46,9 +46,11 @@ type bcNode struct {
 	// (fixedPointScale); integer adds keep it arrival-order independent.
 	deltaFix []int64
 
-	// frontier marks the current forward level; count is its population.
+	// frontier marks the current forward level; count is its population,
+	// found the per-shard discoveries Handle adds to it.
 	frontier *graph.Bitmap
 	count    int64
+	found    tally
 	depth    int64 // current forward level / backward depth
 	maxDepth int64
 	backward bool
@@ -57,10 +59,6 @@ type bcNode struct {
 	bc []float64
 
 	done bool
-
-	// Reusable handler fan-out scratch (capacity kept across rounds).
-	buckets [][]localPair
-	counts  []int64
 }
 
 // BCResult is the merged output.
@@ -97,7 +95,8 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 		}
 	}
 	nodes := make([]*bcNode, cfg.Nodes)
-	info, err := Run(cfg, g, RunOptions{Kernel: "betweenness", Root: sources[0], Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{Kernel: "betweenness", Root: sources[0], Args: fmt.Sprintf("sources=%v", sources), Resume: from}
+	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		bn := &bcNode{
 			ctx:      ctx,
@@ -106,6 +105,7 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 			sigma:    make([]float64, n),
 			deltaFix: make([]int64, n),
 			frontier: graph.NewBitmap(n),
+			found:    make(tally, ctx.Workers),
 			bc:       make([]float64, n),
 		}
 		bn.startSource()
@@ -115,19 +115,11 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 	if err != nil {
 		return nil, err
 	}
-	res := &BCResult{
-		Centrality: make([]float64, g.N),
+	return &BCResult{
+		Centrality: gather(nodes[0].ctx.Part, nodes, func(b *bcNode) []float64 { return b.bc }),
 		Sources:    sources,
 		Info:       info,
-	}
-	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
-		for v := lo; v < hi; v++ {
-			vv := graph.Vertex(v)
-			res.Centrality[v] = nodes[part.Owner(vv)].bc[part.Local(vv)]
-		}
-	})
-	return res, nil
+	}, nil
 }
 
 // delta converts a local's fixed-point dependency back to float.
@@ -149,9 +141,7 @@ func (b *bcNode) startSource() {
 	b.depth = 0
 	b.maxDepth = 0
 	b.backward = false
-	s := b.sources[b.srcIdx]
-	if b.ctx.Part.Owner(s) == b.ctx.ID {
-		local := b.ctx.Part.Local(s)
+	if local, ok := b.ctx.Own(b.sources[b.srcIdx]); ok {
 		b.dist[local] = 0
 		b.sigma[local] = 1
 		b.frontier.Set(local)
@@ -206,101 +196,38 @@ func (b *bcNode) broadcast(out *comm.Lane, local int64, payload float64) error {
 	return nil
 }
 
-func (b *bcNode) Handle(round int, pairs []comm.Pair) error {
-	if k := b.ctx.Workers; k > 1 && len(pairs) >= handleFanoutMin {
-		b.handleParallel(k, pairs)
-		return nil
-	}
-	if !b.backward {
+// Handle folds one level of either sweep. Forward pairs carry sigma and
+// discover depth+1 vertices, counted per shard; backward pairs carry a
+// dependency coefficient that depth-(d-1) receivers fold in fixed point.
+func (b *bcNode) Handle(shard int, pairs []comm.Pair) {
+	if b.backward {
 		for _, p := range pairs {
-			b.handleForward(p, &b.count)
-		}
-		return nil
-	}
-	for _, p := range pairs {
-		b.handleBackward(p)
-	}
-	return nil
-}
-
-// handleForward folds one sigma message; count receives the discovery
-// increment (shard-private under fan-out).
-func (b *bcNode) handleForward(p comm.Pair, count *int64) {
-	b.foldForward(b.ctx.Part.Local(p[0]), p[1], count)
-}
-
-func (b *bcNode) foldForward(local int64, payload graph.Vertex, count *int64) {
-	add := math.Float64frombits(uint64(payload))
-	switch b.dist[local] {
-	case -1:
-		b.dist[local] = b.depth + 1
-		b.sigma[local] = add
-		b.frontier.Set(local)
-		*count++
-	case b.depth + 1:
-		b.sigma[local] += add
-	}
-}
-
-// handleBackward folds one dependency message in fixed point.
-func (b *bcNode) handleBackward(p comm.Pair) {
-	b.foldBackward(b.ctx.Part.Local(p[0]), p[1])
-}
-
-func (b *bcNode) foldBackward(local int64, payload graph.Vertex) {
-	if b.dist[local] == b.depth-1 {
-		coeff := math.Float64frombits(uint64(payload))
-		b.deltaFix[local] += int64(b.sigma[local] * coeff * fixedPointScale)
-	}
-}
-
-// handleParallel buckets the batch by destination vertex shard in one
-// serial pass and folds the buckets concurrently: per-vertex update order
-// equals the serial pair order, frontier bitmap words are never shared,
-// and the per-shard discovery counts sum into the frontier population.
-func (b *bcNode) handleParallel(k int, pairs []comm.Pair) {
-	per, k := vertexShardWidth(int64(len(b.dist)), k)
-	if k <= 1 {
-		if !b.backward {
-			for _, p := range pairs {
-				b.handleForward(p, &b.count)
+			local := int64(p[0])
+			if b.dist[local] == b.depth-1 {
+				coeff := math.Float64frombits(uint64(p[1]))
+				b.deltaFix[local] += int64(b.sigma[local] * coeff * fixedPointScale)
 			}
-			return
-		}
-		for _, p := range pairs {
-			b.handleBackward(p)
 		}
 		return
 	}
-	b.buckets = takeShards(b.buckets, k)
-	buckets := b.buckets
 	for _, p := range pairs {
-		l := b.ctx.Part.Local(p[0])
-		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
-	}
-	if !b.backward {
-		b.counts = zeroTally(b.counts, k)
-		counts := b.counts
-		applyBuckets(buckets, func(shard int, bucket []localPair) {
-			for _, lp := range bucket {
-				b.foldForward(lp.local, lp.val, &counts[shard])
-			}
-		})
-		for _, c := range counts {
-			b.count += c
+		local, add := int64(p[0]), math.Float64frombits(uint64(p[1]))
+		switch b.dist[local] {
+		case -1:
+			b.dist[local] = b.depth + 1
+			b.sigma[local] = add
+			b.frontier.Set(local)
+			b.found[shard]++
+		case b.depth + 1:
+			b.sigma[local] += add
 		}
-		return
 	}
-	applyBuckets(buckets, func(_ int, bucket []localPair) {
-		for _, lp := range bucket {
-			b.foldBackward(lp.local, lp.val)
-		}
-	})
 }
 
 func (b *bcNode) EndRound(round int) error {
 	if !b.backward {
 		// Did the global frontier advance?
+		b.count += b.found.drain()
 		grew := b.ctx.Net.AllreduceSum(b.count)
 		b.depth++
 		if grew > 0 {
@@ -343,7 +270,7 @@ func (b *bcNode) finishSource() error {
 	return nil
 }
 
-// bcCkpt is the Checkpointer payload. Sigma and the accumulated
+// bcCkpt is the checkpoint payload. Sigma and the accumulated
 // centralities travel as IEEE-754 bit patterns so the restored floats are
 // exact; the dependency accumulator is already fixed-point.
 type bcCkpt struct {
@@ -360,7 +287,7 @@ type bcCkpt struct {
 	Done      bool     `json:"done"`
 }
 
-func (b *bcNode) CheckpointState() (any, error) {
+func (b *bcNode) CheckpointState() any {
 	return &bcCkpt{
 		SrcIdx:    b.srcIdx,
 		Dist:      append([]int64(nil), b.dist...),
@@ -373,7 +300,7 @@ func (b *bcNode) CheckpointState() (any, error) {
 		Backward:  b.backward,
 		BcBits:    ckpt.Float64sToBits(b.bc),
 		Done:      b.done,
-	}, nil
+	}
 }
 
 func (b *bcNode) RestoreState(data []byte) error {

@@ -126,23 +126,70 @@ func firstConnected(t *testing.T, g *graph.CSR) graph.Vertex {
 // TestKernelResumeRejects covers the driver's refuse-to-load paths.
 func TestKernelResumeRejects(t *testing.T) {
 	g := kron(t, 8, 21)
-	cfg := ckptMachine(core.TransportDirect)
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "wcc.ckpt.json")
-	if _, err := WCC(cfg, g); err != nil {
-		t.Fatal(err)
+	wg := weighted(t, g, 9)
+	root := firstConnected(t, g)
+	direct := ckptMachine(core.TransportDirect)
+	take := func(t *testing.T, run func(cfg core.Config) error) *ckpt.Checkpoint {
+		t.Helper()
+		cfg := direct
+		cfg.CheckpointEvery = 1
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "kernel.ckpt.json")
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckpt.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	c, err := ckpt.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+
+	c := take(t, func(cfg core.Config) error { _, err := WCC(cfg, g); return err })
 	if _, err := ResumeWCC(ckptMachine(core.TransportRelay), g, c); err == nil {
 		t.Fatal("wrong-transport (fingerprint) checkpoint accepted")
 	}
-	if _, err := ResumeKCore(ckptMachine(core.TransportDirect), g, 2, c); err == nil {
+	if _, err := ResumeKCore(direct, g, 2, c); err == nil {
 		t.Fatal("wrong-kernel checkpoint accepted")
 	}
-	if _, err := ResumeWCC(ckptMachine(core.TransportDirect), g, nil); err == nil {
+	if _, err := ResumeWCC(direct, g, nil); err == nil {
 		t.Fatal("nil checkpoint accepted")
+	}
+
+	// A checkpoint pins its kernel's arguments: each row resumes on the same
+	// machine, kernel and root, with different arguments.
+	for _, row := range []struct {
+		name   string
+		run    func(cfg core.Config) error
+		resume func(c *ckpt.Checkpoint) error
+	}{
+		{
+			name:   "kcore k=4 resumed with k=2",
+			run:    func(cfg core.Config) error { _, err := KCore(cfg, g, 4); return err },
+			resume: func(c *ckpt.Checkpoint) error { _, err := ResumeKCore(direct, g, 2, c); return err },
+		},
+		{
+			name:   "pagerank 5 iterations resumed with 9 at damping 0.5",
+			run:    func(cfg core.Config) error { _, err := PageRank(cfg, g, 5, 0); return err },
+			resume: func(c *ckpt.Checkpoint) error { _, err := ResumePageRank(direct, g, 9, 0.5, c); return err },
+		},
+		{
+			name:   "delta-sssp delta=16 resumed with delta=3",
+			run:    func(cfg core.Config) error { _, err := DeltaSSSP(cfg, wg, root, 16); return err },
+			resume: func(c *ckpt.Checkpoint) error { _, err := ResumeDeltaSSSP(direct, wg, root, 3, c); return err },
+		},
+		{
+			name: "betweenness one source resumed with two",
+			run:  func(cfg core.Config) error { _, err := Betweenness(cfg, g, []graph.Vertex{root}); return err },
+			resume: func(c *ckpt.Checkpoint) error {
+				_, err := ResumeBetweenness(direct, g, []graph.Vertex{root, root + 1}, c)
+				return err
+			},
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if err := row.resume(take(t, row.run)); err == nil {
+				t.Fatal("checkpoint resumed with different kernel arguments")
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package algos
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
@@ -37,8 +36,8 @@ type deltaNode struct {
 	phase     deltaPhase
 	done      bool
 
-	lightReq map[int64]struct{} // current-bucket vertices to light-relax
-	heavySet map[int64]struct{} // bucket members awaiting the heavy pass
+	lightReq *graph.Bitmap // current-bucket vertices to light-relax
+	heavySet *graph.Bitmap // bucket members awaiting the heavy pass
 
 	relaxed int64 // total edge relaxations performed (work measure)
 }
@@ -87,24 +86,24 @@ func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta i
 		}
 	}
 	nodes := make([]*deltaNode, cfg.Nodes)
-	info, err := Run(cfg, wg.CSR, RunOptions{Kernel: "delta-sssp", Root: root, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{Kernel: "delta-sssp", Root: root, Args: fmt.Sprintf("delta=%d", delta), Resume: from}
+	info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		dn := &deltaNode{
 			ctx:      ctx,
 			weights:  extractLocalWeights(wg, ctx),
 			delta:    delta,
 			dist:     make([]int64, n),
-			lightReq: make(map[int64]struct{}),
-			heavySet: make(map[int64]struct{}),
+			lightReq: graph.NewBitmap(n),
+			heavySet: graph.NewBitmap(n),
 		}
 		for i := range dn.dist {
 			dn.dist[i] = InfDistance
 		}
-		if ctx.Part.Owner(root) == ctx.ID {
-			local := ctx.Part.Local(root)
+		if local, ok := ctx.Own(root); ok {
 			dn.dist[local] = 0
-			dn.lightReq[local] = struct{}{}
-			dn.heavySet[local] = struct{}{}
+			dn.lightReq.Set(local)
+			dn.heavySet.Set(local)
 		}
 		nodes[ctx.ID] = dn
 		return dn, nil
@@ -113,10 +112,9 @@ func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta i
 		return nil, err
 	}
 
-	res := &DeltaSSSPResult{Dist: make([]int64, wg.N), Info: info}
-	part := graph.NewRoundRobin(wg.N, cfg.Nodes)
-	for v := graph.Vertex(0); int64(v) < wg.N; v++ {
-		res.Dist[v] = nodes[part.Owner(v)].dist[part.Local(v)]
+	res := &DeltaSSSPResult{
+		Dist: gather(nodes[0].ctx.Part, nodes, func(d *deltaNode) []int64 { return d.dist }),
+		Info: info,
 	}
 	for _, dn := range nodes {
 		res.Relaxations += dn.relaxed
@@ -141,11 +139,26 @@ func (d *deltaNode) Active() int64 {
 	return 1
 }
 
+// Generate relaxes the phase's request set — light edges of the light
+// requests, heavy edges of the heavy set — scanning its bitmap in ascending
+// local order. The kernel contract (docs/ALGORITHMS.md) requires a
+// deterministic send order: on the relay transport, batch envelopes pack
+// messages bound for different destinations together, so even
+// per-destination-stable orders are not enough.
 func (d *deltaNode) Generate(round int, out *comm.Lane) error {
-	relax := func(local int64, light bool) error {
+	set, light := d.lightReq, true
+	if d.phase == phaseHeavy {
+		set, light = d.heavySet, false
+	}
+	err := scanBits(set.Words(), 0, int64(len(set.Words())), func(local int64) error {
+		// Only relax if the vertex still belongs to the bucket (it may
+		// have improved into an earlier, already-closed one — then its
+		// edges were or will be handled there).
 		dv := d.dist[local]
-		lo, hi := d.ctx.Sub.RowPtr[local], d.ctx.Sub.RowPtr[local+1]
-		for i := lo; i < hi; i++ {
+		if d.bucketOf(dv) != d.curBucket {
+			return nil
+		}
+		for i := d.ctx.Sub.RowPtr[local]; i < d.ctx.Sub.RowPtr[local+1]; i++ {
 			w := d.weights[i]
 			if (w <= d.delta) != light {
 				continue
@@ -157,72 +170,34 @@ func (d *deltaNode) Generate(round int, out *comm.Lane) error {
 			}
 		}
 		return nil
-	}
-	switch d.phase {
-	case phaseLight:
-		req := d.lightReq
-		d.lightReq = make(map[int64]struct{})
-		for _, local := range sortedLocals(req) {
-			// Only relax if the vertex still belongs to the bucket (it
-			// may have improved into an earlier, already-closed one —
-			// then its edges were or will be handled there).
-			if d.bucketOf(d.dist[local]) == d.curBucket {
-				if err := relax(local, true); err != nil {
-					return err
-				}
-			}
-		}
-	case phaseHeavy:
-		set := d.heavySet
-		d.heavySet = make(map[int64]struct{})
-		for _, local := range sortedLocals(set) {
-			if d.bucketOf(d.dist[local]) == d.curBucket {
-				if err := relax(local, false); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	})
+	set.Reset()
+	return err
 }
 
-// sortedLocals flattens a request set into ascending vertex order. The
-// kernel contract (docs/ALGORITHMS.md) requires a deterministic send order:
-// on the relay transport, batch envelopes pack messages bound for different
-// destinations together, so even per-destination-stable orders are not
-// enough — map iteration order would leak into the modelled byte counts.
-func sortedLocals(set map[int64]struct{}) []int64 {
-	out := make([]int64, 0, len(set))
-	for local := range set {
-		out = append(out, local)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (d *deltaNode) Handle(round int, pairs []comm.Pair) error {
+// Handle keeps the minimum tentative distance per vertex and requests
+// both passes for every improvement that lands in the current bucket.
+// Improvements into future buckets are found by the bucket scan when that
+// bucket opens.
+func (d *deltaNode) Handle(_ int, pairs []comm.Pair) {
 	for _, p := range pairs {
-		u, nd := p[0], int64(p[1])
-		local := d.ctx.Part.Local(u)
+		local, nd := int64(p[0]), int64(p[1])
 		if nd >= d.dist[local] {
 			continue
 		}
 		d.dist[local] = nd
 		if d.bucketOf(nd) == d.curBucket {
-			d.lightReq[local] = struct{}{}
-			d.heavySet[local] = struct{}{}
+			d.lightReq.Set(local)
+			d.heavySet.Set(local)
 		}
-		// Improvements into future buckets are found by the bucket scan
-		// when that bucket opens.
 	}
-	return nil
 }
 
 func (d *deltaNode) EndRound(round int) error {
 	switch d.phase {
 	case phaseLight:
 		// More light work in this bucket anywhere?
-		pending := d.ctx.Net.AllreduceSum(int64(len(d.lightReq)))
+		pending := d.ctx.Net.AllreduceSum(d.lightReq.Count())
 		if pending == 0 {
 			d.phase = phaseHeavy
 		}
@@ -246,8 +221,8 @@ func (d *deltaNode) EndRound(round int) error {
 	return nil
 }
 
-// deltaCkpt is the Checkpointer payload. The request sets serialize as
-// sorted local lists (the canonical order Generate consumes them in).
+// deltaCkpt is the checkpoint payload. The request sets serialize as
+// sorted local lists (the order Generate scans them in).
 type deltaCkpt struct {
 	Dist      []int64 `json:"dist"`
 	CurBucket int64   `json:"cur_bucket"`
@@ -258,16 +233,35 @@ type deltaCkpt struct {
 	Relaxed   int64   `json:"relaxed"`
 }
 
-func (d *deltaNode) CheckpointState() (any, error) {
+func (d *deltaNode) CheckpointState() any {
 	return &deltaCkpt{
 		Dist:      append([]int64(nil), d.dist...),
 		CurBucket: d.curBucket,
 		Phase:     int(d.phase),
 		Done:      d.done,
-		LightReq:  sortedLocals(d.lightReq),
-		HeavySet:  sortedLocals(d.heavySet),
+		LightReq:  setLocals(d.lightReq),
+		HeavySet:  setLocals(d.heavySet),
 		Relaxed:   d.relaxed,
-	}, nil
+	}
+}
+
+// setLocals lists a request set's locals in ascending order.
+func setLocals(set *graph.Bitmap) []int64 {
+	locals := []int64{}
+	set.ForEach(func(local int64) { locals = append(locals, local) })
+	return locals
+}
+
+// loadLocals refills a request set from a checkpoint's local list.
+func loadLocals(set *graph.Bitmap, locals []int64) error {
+	set.Reset()
+	for _, local := range locals {
+		if local < 0 || local >= set.Len() {
+			return fmt.Errorf("delta-sssp state: request for local %d, partition gives %d", local, set.Len())
+		}
+		set.Set(local)
+	}
+	return nil
 }
 
 func (d *deltaNode) RestoreState(data []byte) error {
@@ -282,16 +276,11 @@ func (d *deltaNode) RestoreState(data []byte) error {
 	d.curBucket = c.CurBucket
 	d.phase = deltaPhase(c.Phase)
 	d.done = c.Done
-	d.lightReq = make(map[int64]struct{}, len(c.LightReq))
-	for _, local := range c.LightReq {
-		d.lightReq[local] = struct{}{}
-	}
-	d.heavySet = make(map[int64]struct{}, len(c.HeavySet))
-	for _, local := range c.HeavySet {
-		d.heavySet[local] = struct{}{}
-	}
 	d.relaxed = c.Relaxed
-	return nil
+	if err := loadLocals(d.lightReq, c.LightReq); err != nil {
+		return err
+	}
+	return loadLocals(d.heavySet, c.HeavySet)
 }
 
 // nextBucket scans all local vertices for the smallest bucket beyond the
@@ -320,23 +309,16 @@ func (d *deltaNode) nextBucket() int64 {
 }
 
 // fillBucket seeds the light/heavy request sets with the members of the
-// freshly opened bucket. Workers collect members over contiguous vertex
-// shards; the node goroutine folds them into the maps (set contents are
-// order-independent, so any fold order gives identical state).
+// freshly opened bucket, fanning the scan across ctx.Workers over
+// word-aligned shards so no two workers share a bitmap word.
 func (d *deltaNode) fillBucket() {
 	n := d.ctx.Sub.NumVertices()
-	members := make([][]int64, d.ctx.Workers)
-	comm.ForEachShard(n, d.ctx.Workers, func(shard int, lo, hi int64) {
-		for local := lo; local < hi; local++ {
+	comm.ForEachShard(int64(len(d.lightReq.Words())), d.ctx.Workers, func(_ int, lo, hi int64) {
+		for local := lo * 64; local < min(hi*64, n); local++ {
 			if d.bucketOf(d.dist[local]) == d.curBucket {
-				members[shard] = append(members[shard], local)
+				d.lightReq.Set(local)
+				d.heavySet.Set(local)
 			}
 		}
 	})
-	for _, shard := range members {
-		for _, local := range shard {
-			d.lightReq[local] = struct{}{}
-			d.heavySet[local] = struct{}{}
-		}
-	}
 }

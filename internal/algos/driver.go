@@ -54,6 +54,15 @@ type NodeCtx struct {
 // Global converts a local vertex index to its global ID.
 func (c *NodeCtx) Global(local int64) graph.Vertex { return c.Part.Global(c.ID, local) }
 
+// Own reports whether this node owns global vertex v and, if so, v's local
+// index (how a rooted kernel seeds its root).
+func (c *NodeCtx) Own(v graph.Vertex) (local int64, ok bool) {
+	if c.Part.Owner(v) != c.ID {
+		return 0, false
+	}
+	return c.Part.Local(v), true
+}
+
 // RoundAlgo is one node's algorithm instance.
 type RoundAlgo interface {
 	// Active returns this node's pending work; the round runs only while
@@ -65,11 +74,22 @@ type RoundAlgo interface {
 	// driver flushes out after it returns; an error from out means the run
 	// is tearing down: return it promptly.
 	Generate(round int, out *comm.Lane) error
-	// Handle folds one delivered batch into local state.
-	Handle(round int, pairs []comm.Pair) error
+	// Handle folds delivered pairs into local state. The driver has
+	// rewritten every p[0] to the destination's local index. It hands a
+	// batch over whole as Handle(0, batch) on the node goroutine, or splits
+	// it by word-aligned vertex shard and calls Handle(shard, bucket) for
+	// every shard concurrently. Handle may therefore write only the locals
+	// it is handed (bitmap bits included) and per-shard state indexed by
+	// shard (a tally sized ctx.Workers), and must not retain pairs.
+	Handle(shard int, pairs []comm.Pair)
 	// EndRound runs after all of the round's traffic has been handled
 	// (symmetric across nodes; collectives are allowed here).
 	EndRound(round int) error
+	// CheckpointState returns a JSON-serializable deep copy of the node's
+	// state at a round boundary; RestoreState loads such a payload into a
+	// freshly constructed node before the loop starts.
+	CheckpointState() any
+	RestoreState(data []byte) error
 }
 
 // RunOptions identifies and bounds one driver run.
@@ -84,13 +104,16 @@ type RunOptions struct {
 	// recorded traces and AbortError. Rootless kernels (WCC, PageRank,
 	// K-core) pass graph.NoVertex.
 	Root graph.Vertex
+	// Args is the kernel's canonical argument string ("k=4", ...). A
+	// checkpoint records it, and a resume whose Args differ is refused.
+	Args string
 	// Resume, when non-nil, reconstructs the ensemble from a round-boundary
 	// checkpoint instead of starting fresh: every node's kernel state is
-	// restored through its Checkpointer hook and the loop re-enters at the
-	// recorded round. The caller must rebuild the same graph and pass an
-	// equivalent machine configuration (fingerprint-checked) and identical
-	// kernel parameters; Workers, observers, timeouts and the chaos plan
-	// are host-side and may differ. The completed run's RunInfo is bitwise
+	// restored through RestoreState and the loop re-enters at the recorded
+	// round. The caller must rebuild the same graph and pass an equivalent
+	// machine configuration (fingerprint-checked) and identical kernel
+	// parameters (Args-checked); Workers, observers, timeouts and the chaos
+	// plan are host-side and may differ. The completed run's RunInfo is bitwise
 	// identical to an uninterrupted run's.
 	Resume *ckpt.Checkpoint
 }
@@ -143,7 +166,7 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	// The driver always lays vertices out round-robin (cfg.Partition is a
 	// BFS-engine knob), so the checkpoint identity records that.
 	m, err := core.OpenMachine(core.MachineSpec{
-		Cfg: cfg, Graph: g, Kernel: kernel, Root: opts.Root, Unit: "round",
+		Cfg: cfg, Graph: g, Kernel: kernel, Root: opts.Root, Args: opts.Args, Unit: "round",
 		Partition: core.PartitionRoundRobin.String(), Resume: opts.Resume,
 	})
 	if err != nil {
@@ -167,18 +190,14 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 			return nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
 		nodes[i] = &nodeRun{
-			ctx: ctx, algo: algo, ep: m.Endpoint(i), net: m.Net, m: m,
+			ctx: ctx, algo: algo, ep: m.Endpoint(i), net: m.Net, m: m, part: part,
 			maxRounds:  maxRounds,
 			kernel:     kernel,
 			root:       int64(opts.Root),
 			progress:   cfg.Obs.ProgressOf(),
 			checkpoint: cfg.CheckpointEvery > 0,
 		}
-		if cfg.CheckpointEvery > 0 {
-			if _, ok := algo.(Checkpointer); !ok {
-				return nil, fmt.Errorf("algos: kernel %q does not implement Checkpointer; cannot checkpoint", kernel)
-			}
-		}
+		nodes[i].per, nodes[i].shards = vertexShardWidth(ctx.Sub.NumVertices(), cfg.Workers)
 		if opts.Resume != nil {
 			if err := nodes[i].restoreNode(opts.Resume.Nodes[i].Data); err != nil {
 				return nil, err
@@ -242,6 +261,58 @@ type nodeRun struct {
 	lane comm.Lane
 
 	checkpoint bool // Config.CheckpointEvery > 0
+
+	// The handler fan-out: the layout that localises delivered pairs (the
+	// concrete type, so Local inlines), locals split into shards of per
+	// (see vertexShardWidth), and the bucket scratch a fanned-out batch is
+	// split into, capacity kept across batches.
+	part    *graph.RoundRobinPartition
+	per     int64
+	shards  int
+	buckets [][]comm.Pair
+}
+
+// handle localises one delivered batch — p[0] becomes the destination's
+// local index — and folds it: whole on the node goroutine at width 1 or
+// below handleFanoutMin pairs, else bucketed by vertex shard in one serial
+// pass and the buckets folded concurrently. A vertex's pairs all land in
+// one bucket in batch order, so its fold order equals the serial pair
+// order, and word-aligned shards never share a bitmap word. One bucketing
+// pass keeps the scan work O(pairs), not O(workers x pairs).
+func (n *nodeRun) handle(pairs []comm.Pair) {
+	part := n.part
+	if n.shards <= 1 || len(pairs) < handleFanoutMin {
+		for i := range pairs {
+			pairs[i][0] = graph.Vertex(part.Local(pairs[i][0]))
+		}
+		n.algo.Handle(0, pairs)
+		return
+	}
+	n.buckets = takeShards(n.buckets, n.shards)
+	for _, p := range pairs {
+		l := part.Local(p[0])
+		p[0] = graph.Vertex(l)
+		n.buckets[l/n.per] = append(n.buckets[l/n.per], p)
+	}
+	applyBuckets(n.buckets, n.algo.Handle)
+}
+
+// gather assembles one global per-vertex array from every node's local
+// one, walking each node's locals in order through Part.Global — no
+// per-vertex division. Run has joined the node goroutines, so node state
+// is read plainly.
+func gather[K, T any](part graph.Partition, nodes []K, local func(K) []T) []T {
+	var n int
+	for _, k := range nodes {
+		n += len(local(k))
+	}
+	out := make([]T, n)
+	for id, k := range nodes {
+		for j, x := range local(k) {
+			out[part.Global(id, int64(j))] = x
+		}
+	}
+	return out
 }
 
 func (n *nodeRun) loop() error {
@@ -313,12 +384,8 @@ func (n *nodeRun) loop() error {
 			case comm.EvData:
 				recvPairs += int64(len(ev.Batch.Pairs))
 				batches++
-				err := n.algo.Handle(round, ev.Batch.Pairs)
+				n.handle(ev.Batch.Pairs)
 				comm.PutPairs(ev.Batch.Pairs) // no kernel retains the slice
-				if err != nil {
-					n.net.Abort()
-					return err
-				}
 			case comm.EvChannelClosed:
 				break recvLoop
 			}

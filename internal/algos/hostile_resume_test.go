@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -130,5 +131,42 @@ func TestHostileCheckpointRejected(t *testing.T) {
 		if err := e.resume(cfg, healthy); err != nil {
 			t.Fatalf("%s: healthy checkpoint refused: %v", e.name, err)
 		}
+	}
+}
+
+// TestDeltaResumeRejectsForeignLocal: a delta-stepping checkpoint whose
+// request set names a local the node does not own is refused with an
+// error before the run starts, not indexed out of range mid-run.
+func TestDeltaResumeRejectsForeignLocal(t *testing.T) {
+	g := kron(t, 8, 21)
+	wg := weighted(t, g, 9)
+	root := firstConnected(t, g)
+	cfg := ckptMachine(core.TransportDirect)
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "delta.ckpt.json")
+	if _, err := DeltaSSSP(cfg, wg, root, 16); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ckpt.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data driverNodeData
+	var state deltaCkpt
+	if err := json.Unmarshal(c.Nodes[0].Data, &data); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data.Algo, &state); err != nil {
+		t.Fatal(err)
+	}
+	state.LightReq = append(state.LightReq, int64(len(state.Dist)))
+	if data.Algo, err = json.Marshal(&state); err != nil {
+		t.Fatal(err)
+	}
+	if c.Nodes[0].Data, err = json.Marshal(&data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeDeltaSSSP(ckptMachine(core.TransportDirect), wg, root, 16, c); err == nil {
+		t.Fatal("request for a local past the partition accepted")
 	}
 }

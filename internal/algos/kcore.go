@@ -3,7 +3,6 @@ package algos
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
@@ -20,13 +19,8 @@ type kcoreNode struct {
 	k       int64
 	alive   []bool
 	effdeg  []int64
-	dec     []int64
-	touched []int64 // locals with dec > 0 this round (unique, unsorted)
-	removal []int64 // local indices scheduled for removal this round
-
-	// Reusable handler fan-out scratch (capacity kept across rounds).
-	buckets      [][]localPair
-	touchedShard [][]int64
+	crossed *graph.Bitmap // locals whose effdeg fell below k this round
+	removal []int64       // local indices scheduled for removal this round
 }
 
 // KCoreResult is the merged output.
@@ -57,14 +51,15 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 		return nil, fmt.Errorf("algos: k must be >= 1, got %d", k)
 	}
 	nodes := make([]*kcoreNode, cfg.Nodes)
-	info, err := Run(cfg, g, RunOptions{Kernel: "kcore", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{Kernel: "kcore", Root: graph.NoVertex, Args: fmt.Sprintf("k=%d", k), Resume: from}
+	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		kn := &kcoreNode{
-			ctx:    ctx,
-			k:      k,
-			alive:  make([]bool, n),
-			effdeg: make([]int64, n),
-			dec:    make([]int64, n),
+			ctx:     ctx,
+			k:       k,
+			alive:   make([]bool, n),
+			effdeg:  make([]int64, n),
+			crossed: graph.NewBitmap(n),
 		}
 		for local := int64(0); local < n; local++ {
 			kn.alive[local] = true
@@ -80,22 +75,14 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 		return nil, err
 	}
 
-	res := &KCoreResult{InCore: make([]bool, g.N), Info: info}
-	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	workers := nodes[0].ctx.Workers
-	sizes := make([]int64, workers)
-	comm.ForEachShard(g.N, workers, func(shard int, lo, hi int64) {
-		for v := lo; v < hi; v++ {
-			vv := graph.Vertex(v)
-			in := nodes[part.Owner(vv)].alive[part.Local(vv)]
-			res.InCore[v] = in
-			if in {
-				sizes[shard]++
-			}
+	res := &KCoreResult{
+		InCore: gather(nodes[0].ctx.Part, nodes, func(kn *kcoreNode) []bool { return kn.alive }),
+		Info:   info,
+	}
+	for _, in := range res.InCore {
+		if in {
+			res.CoreSize++
 		}
-	})
-	for _, s := range sizes {
-		res.CoreSize += s
 	}
 	return res, nil
 }
@@ -122,94 +109,47 @@ func (kn *kcoreNode) Generate(round int, out *comm.Lane) error {
 	return err
 }
 
-func (kn *kcoreNode) Handle(round int, pairs []comm.Pair) error {
-	if k := kn.ctx.Workers; k > 1 && len(pairs) >= handleFanoutMin {
-		kn.handleParallel(k, pairs)
-		return nil
-	}
-	kn.handleSerial(pairs)
-	return nil
-}
-
-func (kn *kcoreNode) handleSerial(pairs []comm.Pair) {
+// Handle applies one decrement per pair to the live destinations and
+// marks each that crosses below k. Decrements arrive one at a time, so a
+// vertex crosses (effdeg k -> k-1) at most once however its decrements are
+// split across batches and shards; vertices already below k never cross
+// again, so none is scheduled twice.
+func (kn *kcoreNode) Handle(_ int, pairs []comm.Pair) {
 	for _, p := range pairs {
-		local := kn.ctx.Part.Local(p[0])
-		if kn.dec[local] == 0 {
-			kn.touched = append(kn.touched, local)
-		}
-		kn.dec[local]++
-	}
-}
-
-// handleParallel buckets the batch by destination vertex shard in one
-// serial pass and applies the buckets concurrently; per-shard touched
-// lists merge unordered (EndRound sorts).
-func (kn *kcoreNode) handleParallel(k int, pairs []comm.Pair) {
-	per, k := vertexShardWidth(int64(len(kn.dec)), k)
-	if k <= 1 {
-		kn.handleSerial(pairs)
-		return
-	}
-	kn.buckets = takeShards(kn.buckets, k)
-	buckets := kn.buckets
-	for _, p := range pairs {
-		l := kn.ctx.Part.Local(p[0])
-		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
-	}
-	kn.touchedShard = takeShards(kn.touchedShard, k)
-	touched := kn.touchedShard
-	applyBuckets(buckets, func(shard int, bucket []localPair) {
-		for _, lp := range bucket {
-			if kn.dec[lp.local] == 0 {
-				touched[shard] = append(touched[shard], lp.local)
-			}
-			kn.dec[lp.local]++
-		}
-	})
-	for _, t := range touched {
-		kn.touched = append(kn.touched, t...)
-	}
-}
-
-func (kn *kcoreNode) EndRound(round int) error {
-	// Fold only the locals that actually received decrements — O(messages),
-	// not O(n) per round. The touch order is batch-arrival order
-	// (nondeterministic), so sort before folding: removals then append in
-	// ascending local order, exactly as the old full-array scan did, which
-	// keeps the next round's send order — and so the modelled traffic —
-	// deterministic.
-	sort.Slice(kn.touched, func(i, j int) bool { return kn.touched[i] < kn.touched[j] })
-	for _, local := range kn.touched {
+		local := int64(p[0])
 		if kn.alive[local] {
-			before := kn.effdeg[local]
-			kn.effdeg[local] -= kn.dec[local]
-			// Schedule exactly on the downward crossing; vertices already
-			// queued (below k but still alive) must not be queued twice.
-			if before >= kn.k && kn.effdeg[local] < kn.k {
-				kn.removal = append(kn.removal, local)
+			kn.effdeg[local]--
+			if kn.effdeg[local] == kn.k-1 {
+				kn.crossed.Set(local)
 			}
 		}
-		kn.dec[local] = 0
 	}
-	kn.touched = kn.touched[:0]
+}
+
+// EndRound schedules the round's crossings for removal in ascending local
+// order, which keeps the next round's send order — and so the modelled
+// traffic — deterministic.
+func (kn *kcoreNode) EndRound(round int) error {
+	kn.crossed.ForEach(func(local int64) { kn.removal = append(kn.removal, local) })
+	kn.crossed.Reset()
 	return nil
 }
 
-// kcoreCkpt is the Checkpointer payload: survival flags, effective
-// degrees, and the removals scheduled for the next round. dec/touched are
-// empty at every boundary (EndRound drains them).
+// kcoreCkpt is the checkpoint payload: survival flags, effective
+// degrees, and the removals scheduled for the next round. crossed is empty
+// at every boundary (EndRound drains it).
 type kcoreCkpt struct {
 	Alive   []bool  `json:"alive"`
 	Effdeg  []int64 `json:"effdeg"`
 	Removal []int64 `json:"removal"`
 }
 
-func (kn *kcoreNode) CheckpointState() (any, error) {
+func (kn *kcoreNode) CheckpointState() any {
 	return &kcoreCkpt{
 		Alive:   append([]bool(nil), kn.alive...),
 		Effdeg:  append([]int64(nil), kn.effdeg...),
 		Removal: append([]int64(nil), kn.removal...),
-	}, nil
+	}
 }
 
 func (kn *kcoreNode) RestoreState(data []byte) error {

@@ -37,9 +37,6 @@ type prNode struct {
 	// dangling-mass scan is O(dangling), not O(n).
 	dangling []int64
 	n        int64 // global vertex count
-
-	// Reusable handler fan-out scratch (capacity kept across rounds).
-	buckets [][]localPair
 }
 
 // PageRankResult is the merged output.
@@ -77,7 +74,11 @@ func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64,
 		return nil, fmt.Errorf("algos: damping %v out of [0, 1)", damping)
 	}
 	nodes := make([]*prNode, cfg.Nodes)
-	info, err := Run(cfg, g, RunOptions{Kernel: "pagerank", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{
+		Kernel: "pagerank", Root: graph.NoVertex, Resume: from,
+		Args: fmt.Sprintf("iterations=%d damping=%v", iterations, damping),
+	}
+	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
 		nLocal := ctx.Sub.NumVertices()
 		pn := &prNode{
 			ctx:        ctx,
@@ -102,15 +103,11 @@ func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64,
 		return nil, err
 	}
 
-	res := &PageRankResult{Rank: make([]float64, g.N), Info: info, Iterations: iterations}
-	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
-		for v := lo; v < hi; v++ {
-			vv := graph.Vertex(v)
-			res.Rank[v] = nodes[part.Owner(vv)].rank[part.Local(vv)]
-		}
-	})
-	return res, nil
+	return &PageRankResult{
+		Rank:       gather(nodes[0].ctx.Part, nodes, func(p *prNode) []float64 { return p.rank }),
+		Info:       info,
+		Iterations: iterations,
+	}, nil
 }
 
 func (p *prNode) Active() int64 {
@@ -147,40 +144,12 @@ func (p *prNode) Generate(round int, out *comm.Lane) error {
 	})
 }
 
-func (p *prNode) Handle(round int, pairs []comm.Pair) error {
-	if k := p.ctx.Workers; k > 1 && len(pairs) >= handleFanoutMin {
-		p.handleParallel(k, pairs)
-		return nil
-	}
+// Handle adds the fixed-point contributions; integer adds are
+// order-independent however batches arrive and split across shards.
+func (p *prNode) Handle(_ int, pairs []comm.Pair) {
 	for _, pr := range pairs {
-		p.acc[p.ctx.Part.Local(pr[0])] += int64(pr[1])
+		p.acc[pr[0]] += int64(pr[1])
 	}
-	return nil
-}
-
-// handleParallel buckets the batch by destination vertex shard in one
-// serial pass and folds the buckets concurrently. The integer adds are
-// order-independent anyway; the sharding exists so no two workers write
-// the same accumulator element.
-func (p *prNode) handleParallel(k int, pairs []comm.Pair) {
-	per, k := vertexShardWidth(int64(len(p.acc)), k)
-	if k <= 1 {
-		for _, pr := range pairs {
-			p.acc[p.ctx.Part.Local(pr[0])] += int64(pr[1])
-		}
-		return
-	}
-	p.buckets = takeShards(p.buckets, k)
-	buckets := p.buckets
-	for _, pr := range pairs {
-		l := p.ctx.Part.Local(pr[0])
-		buckets[l/per] = append(buckets[l/per], localPair{l, pr[1]})
-	}
-	applyBuckets(buckets, func(_ int, bucket []localPair) {
-		for _, lp := range bucket {
-			p.acc[lp.local] += int64(lp.val)
-		}
-	})
 }
 
 func (p *prNode) EndRound(round int) error {
@@ -206,7 +175,7 @@ func (p *prNode) EndRound(round int) error {
 	return nil
 }
 
-// prCkpt is the Checkpointer payload. Ranks travel as IEEE-754 bit
+// prCkpt is the checkpoint payload. Ranks travel as IEEE-754 bit
 // patterns so the restored floats are exact; the contribution accumulator
 // is zero at every round boundary (EndRound drains it) but is carried for
 // robustness. dangling and n are rebuilt by the constructor.
@@ -216,12 +185,12 @@ type prCkpt struct {
 	Acc      []int64  `json:"acc"`
 }
 
-func (p *prNode) CheckpointState() (any, error) {
+func (p *prNode) CheckpointState() any {
 	return &prCkpt{
 		Iter:     p.iter,
 		RankBits: ckpt.Float64sToBits(p.rank),
 		Acc:      append([]int64(nil), p.acc...),
-	}, nil
+	}
 }
 
 func (p *prNode) RestoreState(data []byte) error {

@@ -23,6 +23,8 @@ type ssspNode struct {
 	dist    []int64
 	active  *graph.Bitmap
 	pending int64
+	// activated counts, per shard, the vertices Handle activated this round.
+	activated tally
 }
 
 // SSSPResult is the merged output.
@@ -55,16 +57,16 @@ func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ck
 	info, err := Run(cfg, wg.CSR, RunOptions{Kernel: "sssp", Root: root, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		sn := &ssspNode{
-			ctx:     ctx,
-			weights: extractLocalWeights(wg, ctx),
-			dist:    make([]int64, n),
-			active:  graph.NewBitmap(n),
+			ctx:       ctx,
+			weights:   extractLocalWeights(wg, ctx),
+			dist:      make([]int64, n),
+			active:    graph.NewBitmap(n),
+			activated: make(tally, ctx.Workers),
 		}
 		for i := range sn.dist {
 			sn.dist[i] = InfDistance
 		}
-		if ctx.Part.Owner(root) == ctx.ID {
-			local := ctx.Part.Local(root)
+		if local, ok := ctx.Own(root); ok {
 			sn.dist[local] = 0
 			sn.active.Set(local)
 			sn.pending = 1
@@ -76,10 +78,9 @@ func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ck
 		return nil, err
 	}
 
-	res := &SSSPResult{Dist: make([]int64, wg.N), Info: info}
-	part := graph.NewRoundRobin(wg.N, cfg.Nodes)
-	for v := graph.Vertex(0); int64(v) < wg.N; v++ {
-		res.Dist[v] = nodes[part.Owner(v)].dist[part.Local(v)]
+	res := &SSSPResult{
+		Dist: gather(nodes[0].ctx.Part, nodes, func(s *ssspNode) []int64 { return s.dist }),
+		Info: info,
 	}
 	for _, sn := range nodes {
 		res.Relaxations += sn.relaxations()
@@ -105,28 +106,30 @@ func (s *ssspNode) Generate(round int, out *comm.Lane) error {
 		})
 	})
 	s.active.Reset()
-	s.pending = 0
 	return err
 }
 
-func (s *ssspNode) Handle(round int, pairs []comm.Pair) error {
+// Handle keeps the minimum tentative distance per vertex and activates
+// every vertex it improves.
+func (s *ssspNode) Handle(shard int, pairs []comm.Pair) {
 	for _, p := range pairs {
-		u, nd := p[0], int64(p[1])
-		local := s.ctx.Part.Local(u)
+		local, nd := int64(p[0]), int64(p[1])
 		if nd < s.dist[local] {
 			s.dist[local] = nd
 			if !s.active.Get(local) {
 				s.active.Set(local)
-				s.pending++
+				s.activated[shard]++
 			}
 		}
 	}
+}
+
+func (s *ssspNode) EndRound(round int) error {
+	s.pending = s.activated.drain()
 	return nil
 }
 
-func (s *ssspNode) EndRound(round int) error { return nil }
-
-// ssspCkpt is the Checkpointer payload: the tentative distances and the
+// ssspCkpt is the checkpoint payload: the tentative distances and the
 // frontier entering the next round.
 type ssspCkpt struct {
 	Dist    []int64  `json:"dist"`
@@ -134,12 +137,12 @@ type ssspCkpt struct {
 	Pending int64    `json:"pending"`
 }
 
-func (s *ssspNode) CheckpointState() (any, error) {
+func (s *ssspNode) CheckpointState() any {
 	return &ssspCkpt{
 		Dist:    append([]int64(nil), s.dist...),
 		Active:  append([]uint64(nil), s.active.Words()...),
 		Pending: s.pending,
-	}, nil
+	}
 }
 
 func (s *ssspNode) RestoreState(data []byte) error {

@@ -19,10 +19,8 @@ type wccNode struct {
 	label   []graph.Vertex
 	active  *graph.Bitmap
 	pending int64
-
-	// Reusable handler fan-out scratch (capacity kept across rounds).
-	buckets   [][]localPair
-	activated []int64
+	// activated counts, per shard, the vertices Handle activated this round.
+	activated tally
 }
 
 // WCCResult is the merged output.
@@ -53,9 +51,10 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 	info, err := Run(cfg, g, RunOptions{Kernel: "wcc", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		wn := &wccNode{
-			ctx:    ctx,
-			label:  make([]graph.Vertex, n),
-			active: graph.NewBitmap(n),
+			ctx:       ctx,
+			label:     make([]graph.Vertex, n),
+			active:    graph.NewBitmap(n),
+			activated: make(tally, ctx.Workers),
 		}
 		for local := int64(0); local < n; local++ {
 			wn.label[local] = ctx.Global(local)
@@ -71,16 +70,10 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 		return nil, err
 	}
 
-	res := &WCCResult{Label: make([]graph.Vertex, g.N), Info: info}
-	part := graph.NewRoundRobin(g.N, cfg.Nodes)
-	// The gather is embarrassingly parallel (disjoint writes); the distinct
-	// count stays serial because it folds through one map.
-	comm.ForEachShard(g.N, nodes[0].ctx.Workers, func(_ int, lo, hi int64) {
-		for v := lo; v < hi; v++ {
-			vv := graph.Vertex(v)
-			res.Label[v] = nodes[part.Owner(vv)].label[part.Local(vv)]
-		}
-	})
+	res := &WCCResult{
+		Label: gather(nodes[0].ctx.Part, nodes, func(w *wccNode) []graph.Vertex { return w.label }),
+		Info:  info,
+	}
 	seen := make(map[graph.Vertex]struct{})
 	for _, l := range res.Label {
 		if _, ok := seen[l]; !ok {
@@ -108,71 +101,31 @@ func (w *wccNode) Generate(round int, out *comm.Lane) error {
 		})
 	})
 	w.active.Reset()
-	w.pending = 0
 	return err
 }
 
-func (w *wccNode) Handle(round int, pairs []comm.Pair) error {
-	if k := w.ctx.Workers; k > 1 && len(pairs) >= handleFanoutMin {
-		w.handleParallel(k, pairs)
-		return nil
-	}
-	w.handleSerial(pairs)
-	return nil
-}
-
-func (w *wccNode) handleSerial(pairs []comm.Pair) {
+// Handle keeps the minimum label per vertex. The min-fold is
+// order-independent, which is what keeps the result identical however
+// batches arrive and split across shards.
+func (w *wccNode) Handle(shard int, pairs []comm.Pair) {
 	for _, p := range pairs {
-		u, l := p[0], p[1]
-		local := w.ctx.Part.Local(u)
+		local, l := int64(p[0]), p[1]
 		if l < w.label[local] {
 			w.label[local] = l
 			if !w.active.Get(local) {
 				w.active.Set(local)
-				w.pending++
+				w.activated[shard]++
 			}
 		}
 	}
 }
 
-// handleParallel buckets the batch by destination vertex shard in one
-// serial pass and folds the buckets concurrently: per-vertex update order
-// equals the serial pair order and the bitmap writes never share a word.
-// The min-fold itself is order-independent, which is what keeps the
-// result identical however the batch's pairs interleave across shards.
-func (w *wccNode) handleParallel(k int, pairs []comm.Pair) {
-	per, k := vertexShardWidth(int64(len(w.label)), k)
-	if k <= 1 {
-		w.handleSerial(pairs)
-		return
-	}
-	w.buckets = takeShards(w.buckets, k)
-	buckets := w.buckets
-	for _, p := range pairs {
-		l := w.ctx.Part.Local(p[0])
-		buckets[l/per] = append(buckets[l/per], localPair{l, p[1]})
-	}
-	w.activated = zeroTally(w.activated, k)
-	activated := w.activated
-	applyBuckets(buckets, func(shard int, bucket []localPair) {
-		for _, lp := range bucket {
-			if lp.val < w.label[lp.local] {
-				w.label[lp.local] = lp.val
-				if !w.active.Get(lp.local) {
-					w.active.Set(lp.local)
-					activated[shard]++
-				}
-			}
-		}
-	})
-	for _, a := range activated {
-		w.pending += a
-	}
+func (w *wccNode) EndRound(round int) error {
+	w.pending = w.activated.drain()
+	return nil
 }
 
-func (w *wccNode) EndRound(round int) error { return nil }
-
-// wccCkpt is the Checkpointer payload: the current labels and the active
+// wccCkpt is the checkpoint payload: the current labels and the active
 // set entering the next round.
 type wccCkpt struct {
 	Label   []graph.Vertex `json:"label"`
@@ -180,12 +133,12 @@ type wccCkpt struct {
 	Pending int64          `json:"pending"`
 }
 
-func (w *wccNode) CheckpointState() (any, error) {
+func (w *wccNode) CheckpointState() any {
 	return &wccCkpt{
 		Label:   append([]graph.Vertex(nil), w.label...),
 		Active:  append([]uint64(nil), w.active.Words()...),
 		Pending: w.pending,
-	}, nil
+	}
 }
 
 func (w *wccNode) RestoreState(data []byte) error {

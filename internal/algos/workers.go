@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"swbfs/internal/comm"
-	"swbfs/internal/graph"
 )
 
 // Worker fan-out for the kernel hot loops, under the BFS engine's parity
@@ -45,13 +44,23 @@ func takeShards[T any](shards [][]T, k int) [][]T {
 	return shards
 }
 
-// zeroTally reslices a per-node tally to k zeroed counters, keeping its
-// backing array across batches (the append-of-make form allocates nothing
-// once the capacity is there).
-func zeroTally(t []int64, k int) []int64 { return append(t[:0], make([]int64, k)...) }
+// tally is a per-shard counter sized ctx.Workers: Handle(shard, ...)
+// bumps only its own slot, so concurrent bucket appliers never share a
+// counter, and the node goroutine drains it after the round's traffic.
+type tally []int64
 
-// handleFanoutMin is the batch size (in pairs) below which the parallel
-// Handle paths fall back to the serial fold: both paths produce bit-
+// drain returns the tally's sum and zeroes it.
+func (t tally) drain() int64 {
+	var sum int64
+	for i, c := range t {
+		sum += c
+		t[i] = 0
+	}
+	return sum
+}
+
+// handleFanoutMin is the batch size (in pairs) below which the driver
+// folds a batch inline instead of fanning it out: both paths produce bit-
 // identical state, so the threshold is purely a host-time knob — small
 // batches are cheaper to fold inline than to fan out.
 const handleFanoutMin = 512
@@ -72,23 +81,10 @@ func vertexShardWidth(n int64, k int) (per int64, workers int) {
 	return (words + int64(k) - 1) / int64(k) * 64, k
 }
 
-// localPair is one batch pair resolved to its destination local index.
-// Handler fan-outs bucket a batch by vertex shard in ONE serial pass and
-// then apply the buckets concurrently: a vertex's pairs all land in the
-// same bucket in batch order, so the per-vertex fold order equals the
-// serial pair order, and no two appliers touch the same element (or, with
-// word-aligned shards, the same bitmap word). Bucketing beats having
-// every worker scan the whole batch: total scan work stays O(pairs)
-// instead of O(workers x pairs).
-type localPair struct {
-	local int64
-	val   graph.Vertex
-}
-
 // applyBuckets runs body(shard, bucket) concurrently for every non-empty
 // bucket, the last on the calling goroutine. body must only touch the
 // vertex range of its own shard.
-func applyBuckets(buckets [][]localPair, body func(shard int, bucket []localPair)) {
+func applyBuckets(buckets [][]comm.Pair, body func(shard int, bucket []comm.Pair)) {
 	last := len(buckets) - 1
 	for last >= 0 && len(buckets[last]) == 0 {
 		last--

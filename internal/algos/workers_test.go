@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
@@ -156,20 +157,25 @@ func TestWorkersParityPageRank(t *testing.T) {
 }
 
 // TestWorkersParityKCore: removal fan-out, decrement fold and the
-// touched-list EndRound produce bit-identical membership and stats.
+// crossing-bitmap EndRound produce bit-identical membership and stats.
+// Scale 13 on 4 nodes with k=64 peels in three rounds, the first two of
+// 59 346 and 33 597 pairs, so batches cross handleFanoutMin and the driver
+// folds them bucketed: a temporary counter in the driver's bucketed path
+// read 33 bucketed Handle batches per run at every width above 1, on both
+// transports (scale 10 on 8 nodes with k=4 read 0).
 func TestWorkersParityKCore(t *testing.T) {
-	g := kron(t, 10, 41)
+	g := kron(t, 13, 41)
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 		t.Run(transport.String(), func(t *testing.T) {
-			cfg := machine(8, transport)
+			cfg := machine(4, transport)
 			cfg.Workers = 1
-			base, err := KCore(cfg, g, 4)
+			base, err := KCore(cfg, g, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range parityWidths {
 				cfg.Workers = k
-				got, err := KCore(cfg, g, 4)
+				got, err := KCore(cfg, g, 64)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", k, err)
 				}
@@ -246,12 +252,12 @@ func TestVertexShardWidth(t *testing.T) {
 // TestTakeShardsReuse: the scratch keeps per-shard capacity across rounds
 // and returns empty shards at any requested width.
 func TestTakeShardsReuse(t *testing.T) {
-	var scratch [][]localPair
+	var scratch [][]comm.Pair
 	scratch = takeShards(scratch, 3)
 	if len(scratch) != 3 {
 		t.Fatalf("got %d shards, want 3", len(scratch))
 	}
-	scratch[1] = append(scratch[1], localPair{7, 9})
+	scratch[1] = append(scratch[1], comm.Pair{7, 9})
 	grown := cap(scratch[1])
 	scratch = takeShards(scratch, 2)
 	if len(scratch) != 2 || len(scratch[1]) != 0 {

@@ -8,7 +8,7 @@
 // holds everything a Resume path needs to reconstruct the ensemble and
 // continue such that the completed run's Result/RunInfo is bitwise
 // identical to an uninterrupted run: per-node kernel state (serialized
-// through the engines' Checkpointer hooks), the machine-wide level
+// through the engines' checkpoint hooks), the machine-wide level
 // statistics and traffic counters, the direction-policy state, the chaos
 // injection log, and the flight-recorder rings.
 //
@@ -132,7 +132,7 @@ type ModuleWork struct {
 
 // NodeState is one simulated node's serialized state. Data is the engine's
 // per-node payload: the BFS runner's bfsNodeData or the algos driver's
-// wrapper around a kernel Checkpointer payload.
+// wrapper around a kernel's CheckpointState payload.
 type NodeState struct {
 	ID   int             `json:"id"`
 	Data json.RawMessage `json:"data"`
@@ -143,6 +143,9 @@ type Checkpoint struct {
 	Schema int    `json:"schema"`
 	Kernel string `json:"kernel"`
 	Root   int64  `json:"root"`
+	// Args is the kernel's canonical argument string ("k=4", ...); resume
+	// refuses a run with different arguments. Empty for BFS.
+	Args string `json:"args,omitempty"`
 	// Config identifies the machine; Fingerprint is Config.Fingerprint(),
 	// duplicated so mismatches show up even to readers that do not
 	// recompute it.

@@ -78,6 +78,9 @@ type MachineSpec struct {
 	// graph.NoVertex).
 	Kernel string
 	Root   graph.Vertex
+	// Args is the kernel's canonical argument string, recorded in every
+	// checkpoint; a resume whose Args differ is refused (BFS leaves it "").
+	Args string
 	// Unit is what the kernel calls one pass of its loop ("level" or
 	// "round"): the noun of watchdog and checkpoint messages.
 	Unit string
@@ -267,6 +270,9 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 	}
 	if c.Root != int64(spec.Root) {
 		return fmt.Errorf("core: checkpoint root %d, this run uses %d", c.Root, spec.Root)
+	}
+	if c.Args != spec.Args {
+		return fmt.Errorf("core: checkpoint kernel arguments %q, this run uses %q", c.Args, spec.Args)
 	}
 	if got := mcfg.Fingerprint(); got != c.Fingerprint {
 		return fmt.Errorf("core: checkpoint fingerprint mismatch:\n  file: %s\n  run:  %s", c.Fingerprint, got)
@@ -635,6 +641,7 @@ func (m *Machine) StageCheckpoint(node, level int, capture func() (json.RawMessa
 			Schema:      ckpt.SchemaVersion,
 			Kernel:      m.spec.Kernel,
 			Root:        int64(m.spec.Root),
+			Args:        m.spec.Args,
 			Config:      m.config,
 			Fingerprint: m.config.Fingerprint(),
 			Level:       level + 1,
