@@ -85,7 +85,9 @@ fuzz:
 # graph500 run mid-level with a flight dump and checkpointing on, inspect the
 # abort checkpoint and the dump (a dump diffed against itself must exit 0),
 # then resume from the checkpoint under -cpuprofile, and fail unless the
-# resumed result validates and the profile is non-empty.
+# resumed result validates and the profile is non-empty. A second leg kills
+# and resumes an SSSP run the same way, and fails unless the resumed
+# distances validate.
 resume-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/" ./cmd/graph500 ./cmd/inspect && \
@@ -100,6 +102,12 @@ resume-smoke:
 	"$$dir/graph500" -scale 10 -nodes 8 -seed 42 -resume "$$dir/smoke.ckpt.json" -cpuprofile "$$dir/resume.pprof" 2>/dev/null \
 		| grep -q 'validation: *ok' || { echo "resume-smoke: resumed run did not validate"; exit 1; }; \
 	test -s "$$dir/resume.pprof" || { echo "resume-smoke: no CPU profile written"; exit 1; }; \
+	{ "$$dir/graph500" -scale 10 -nodes 8 -roots 1 -seed 42 -kernel sssp \
+		-checkpoint-every 1 -checkpoint "$$dir/sssp.ckpt.json" \
+		-chaos-plan 'kill@3:l2:data/forward:0' >/dev/null 2>&1; true; } && \
+	"$$dir/inspect" "$$dir/sssp.ckpt.json" | grep -q 'boundary *2 completed' || { echo "resume-smoke: no mid-run sssp checkpoint written"; exit 1; }; \
+	"$$dir/graph500" -scale 10 -nodes 8 -seed 42 -resume "$$dir/sssp.ckpt.json" 2>/dev/null \
+		| grep -q 'validation: *ok' || { echo "resume-smoke: resumed sssp run did not validate"; exit 1; }; \
 	echo "resume-smoke: ok"
 
 # bench-ab measures a base ref against the working tree with the repo

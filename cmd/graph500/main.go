@@ -72,8 +72,9 @@ func main() {
 	}
 
 	if hostFlags.Resume != "" {
-		// The graph is rebuilt from the same generator flags; the
-		// checkpoint's fingerprint rejects a mismatched one.
+		// The graph (and a weighted kernel's weights) is rebuilt from the
+		// same generator flags; the checkpoint's digest rejects a
+		// mismatched one.
 		r := s.Resume(func(ckpt.MachineConfig) (*graph.CSR, error) {
 			if *input == "" {
 				return graph.BuildKronecker(graph.KroneckerConfig{Scale: *scale, EdgeFactor: *edgefactor, Seed: *seed})
@@ -83,22 +84,35 @@ func main() {
 				return nil, fmt.Errorf("loading %s: %w", *input, err)
 			}
 			return graph.BuildCSR(n, edges)
-		}, !*noValidate)
+		}, *seed, !*noValidate)
 		validated := "ok"
-		if *noValidate {
+		switch {
+		case *noValidate:
 			validated = "skipped"
+		case !r.Validated:
+			validated = "none (Graph500 defines no rule for " + r.Checkpoint.Kernel + ")"
 		}
-		res := r.Result
-		fmt.Printf("KERNEL:               bfs (resumed from level %d)\n", r.Checkpoint.Level)
-		fmt.Printf("root:                 %d\n", r.Checkpoint.Root)
+		c := r.Checkpoint
+		res, bfs := r.Result.(*core.Result)
+		if bfs {
+			fmt.Printf("KERNEL:               bfs (resumed from level %d)\n", c.Level)
+		} else {
+			fmt.Printf("KERNEL:               %s (resumed from round %d)\n", c.Kernel, c.Level)
+			if c.Args != "" {
+				fmt.Printf("args:                 %s\n", c.Args)
+			}
+		}
+		fmt.Printf("root:                 %d\n", c.Root)
 		fmt.Printf("num_vertices:         %d\n", r.Graph.N)
 		fmt.Printf("num_undirected_edges: %d\n", r.Graph.NumEdges()/2)
 		fmt.Printf("machine:              %s, %d nodes\n", r.Config.Name(), r.Config.Nodes)
-		fmt.Printf("visited:              %d\n", res.Visited)
-		fmt.Printf("traversed_edges:      %d\n", res.TraversedEdges)
-		fmt.Printf("levels:               %d\n", len(res.Levels))
-		fmt.Printf("bfs_time:             %.6f s (modelled)\n", res.Time)
-		fmt.Printf("GTEPS:                %.4f\n", res.GTEPS)
+		if bfs {
+			fmt.Printf("visited:              %d\n", res.Visited)
+			fmt.Printf("traversed_edges:      %d\n", res.TraversedEdges)
+			fmt.Printf("levels:               %d\n", len(res.Levels))
+			fmt.Printf("bfs_time:             %.6f s (modelled)\n", res.Time)
+			fmt.Printf("GTEPS:                %.4f\n", res.GTEPS)
+		}
 		fmt.Printf("validation:           %s\n", validated)
 		s.Close()
 		return
@@ -106,6 +120,9 @@ func main() {
 	machine = s.Apply(machine)
 
 	if *kernel == "sssp" {
+		if *input != "" {
+			s.Fatalf("-kernel sssp runs on its own Kronecker graph and cannot read -input %s; drop -input or use -kernel bfs", *input)
+		}
 		report, err := graph500.RunSSSP(graph500.SSSPBenchConfig{
 			Scale:      *scale,
 			EdgeFactor: *edgefactor,

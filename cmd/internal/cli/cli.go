@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"swbfs/internal/algos"
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
@@ -52,9 +53,9 @@ func Register() *Flags {
 	flag.StringVar(&f.codec, "codec", "", "wire codec for every channel: raw | varint-delta | bitmap | adaptive (empty = raw; see docs/ARCHITECTURE.md)")
 	flag.StringVar(&f.codecBackward, "codec-backward", "", "wire codec override for the backward (bottom-up) channel only: raw | varint-delta | bitmap | adaptive (empty = no override)")
 	flag.StringVar(&f.flightDump, "flight-dump", "", "write the flight-recorder post-mortem of an aborted run to this file (default: <-trace-out>.flight.json when -trace-out is set; render with inspect)")
-	flag.IntVar(&f.checkpointEvery, "checkpoint-every", 0, "write a resumable machine checkpoint every N completed BFS levels of each run (0 = off; see docs/CHAOS.md)")
+	flag.IntVar(&f.checkpointEvery, "checkpoint-every", 0, "write a resumable machine checkpoint every N completed levels (BFS) or rounds (other kernels) of each run (0 = off; see docs/CHAOS.md)")
 	flag.StringVar(&f.checkpoint, "checkpoint", "", "checkpoint file path (default: <-flight-dump>.ckpt.json on abort when -checkpoint-every is set)")
-	flag.StringVar(&f.Resume, "resume", "", "resume an interrupted BFS run from this checkpoint file and print its validated result (bfs kernel only; see docs/CHAOS.md)")
+	flag.StringVar(&f.Resume, "resume", "", "resume an interrupted run of any kernel from this checkpoint file and print its result, validated where Graph500 defines a rule (see docs/CHAOS.md)")
 	flag.Int64Var(&f.chaosSeed, "chaos-seed", 0, "inject a seeded random fault plan into every run (0 = off; see docs/CHAOS.md)")
 	flag.StringVar(&f.chaosPlan, "chaos-plan", "", "inject an explicit fault plan, comma-separated fault specs like kill@2:l1:data/forward:0 (wins over -chaos-seed; see docs/CHAOS.md)")
 	flag.DurationVar(&f.levelTimeout, "level-timeout", 0, "abort a run if no BFS level completes within this duration (0 = no watchdog)")
@@ -145,31 +146,47 @@ func (s *Session) logPlan(cfg core.Config) core.Config {
 	return cfg
 }
 
-// Resumed is a BFS run finished from a checkpoint.
+// Resumed is a run finished from a checkpoint.
 type Resumed struct {
 	Checkpoint *ckpt.Checkpoint
-	Graph      *graph.CSR
-	Config     core.Config
-	Result     *core.Result
+	// Graph is the rebuilt graph, with the rebuilt weights of a weighted
+	// kernel (Weights is nil otherwise).
+	Graph  *graph.WeightedCSR
+	Config core.Config
+	// Result is the kernel's own result (algos.Kernel.Run).
+	Result any
+	// Validated reports that a Graph500 rule checked the result: the BFS
+	// parent map, or SSSP distances. Graph500 defines none for the other
+	// kernels.
+	Validated bool
 }
 
-// Resume finishes the interrupted BFS run of the -resume checkpoint. build
-// rebuilds its graph (the checkpoint's fingerprint rejects a mismatched
-// one). The machine configuration, codecs included, comes from the
-// checkpoint and only the host knobs from the command line, so the result
-// is bitwise identical to the uninterrupted run's. The parent map is
-// Graph500-validated when validate is set. Any failure ends the command.
-func (s *Session) Resume(build func(ckpt.MachineConfig) (*graph.CSR, error), validate bool) Resumed {
+// Resume finishes the interrupted run of the -resume checkpoint, whatever
+// its kernel, through the algos kernel table. build rebuilds its graph, and
+// a weighted kernel's weights are drawn from seed as graph500.RunSSSP draws
+// them; the checkpoint's graph digest refuses a mismatch of either. The
+// machine configuration, codecs included, comes from the checkpoint and
+// only the host knobs from the command line, so the result is bitwise
+// identical to the uninterrupted run's. When validate is set, a result
+// Graph500 defines a rule for is validated. Any failure ends the command.
+func (s *Session) Resume(build func(ckpt.MachineConfig) (*graph.CSR, error), seed int64, validate bool) Resumed {
 	c, err := ckpt.ReadFile(s.f.Resume)
 	if err != nil {
 		s.Fatalf("%v", err)
 	}
-	if c.Kernel != core.KernelBFS {
-		s.Fatalf("checkpoint %s holds a %q run; -resume supports the bfs kernel (resume other kernels via the algos API, see docs/CHAOS.md)", s.f.Resume, c.Kernel)
+	k, err := algos.KernelByName(c.Kernel)
+	if err != nil {
+		s.Fatalf("checkpoint %s: %v", s.f.Resume, err)
 	}
 	g, err := build(c.Config)
 	if err != nil {
 		s.Fatalf("%v", err)
+	}
+	wg := &graph.WeightedCSR{CSR: g}
+	if k.Weighted {
+		if wg, err = graph500.SSSPWeights(g, seed); err != nil {
+			s.Fatalf("%v", err)
+		}
 	}
 	cfg, err := core.ConfigFromCheckpoint(c.Config)
 	if err != nil {
@@ -179,21 +196,30 @@ func (s *Session) Resume(build func(ckpt.MachineConfig) (*graph.CSR, error), val
 	h.Codec, h.CodecBackward = nil, nil // the checkpoint's own are fingerprinted
 	cfg = s.logPlan(h.Apply(cfg))
 
-	runner, err := core.NewRunner(cfg, g)
-	if err != nil {
-		s.Fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "%s: resuming bfs from root %d at level boundary %d (%s)\n", s.prog, c.Root, c.Level, s.f.Resume)
-	res, err := runner.Resume(c)
+	fmt.Fprintf(os.Stderr, "%s: resuming %s from root %d at boundary %d (%s)\n", s.prog, c.Kernel, c.Root, c.Level, s.f.Resume)
+	root := graph.Vertex(c.Root)
+	res, err := k.Run(cfg, wg, root, c.Args, c)
 	if err != nil {
 		s.Exit("resume failed", err)
 	}
+	r := Resumed{Checkpoint: c, Graph: wg, Config: cfg, Result: res}
 	if validate {
-		if _, err := graph500.ValidateParallel(g, graph.Vertex(c.Root), res.Parent, 0); err != nil {
-			s.Fatalf("validation failed for resumed root %d: %v", c.Root, err)
+		r.Validated = true
+		switch res := res.(type) {
+		case *core.Result:
+			_, err = graph500.ValidateParallel(g, root, res.Parent, 0)
+		case *algos.SSSPResult:
+			err = graph500.ValidateSSSP(wg, root, res.Dist)
+		case *algos.DeltaSSSPResult:
+			err = graph500.ValidateSSSP(wg, root, res.Dist)
+		default:
+			r.Validated = false
+		}
+		if err != nil {
+			s.Fatalf("validation failed for resumed %s root %d: %v", c.Kernel, c.Root, err)
 		}
 	}
-	return Resumed{Checkpoint: c, Graph: g, Config: cfg, Result: res}
+	return r
 }
 
 // Exit ends the command on a failed run: an aborted one (core.AbortError)

@@ -29,6 +29,7 @@ import (
 
 	"swbfs/cmd/internal/cli"
 	"swbfs/internal/ckpt"
+	"swbfs/internal/core"
 	"swbfs/internal/experiments"
 	"swbfs/internal/graph"
 )
@@ -149,17 +150,25 @@ func main() {
 
 	if hostFlags.Resume != "" {
 		// The Kronecker graph is rebuilt from -seed and the checkpoint's
-		// vertex count.
+		// vertex count, a weighted kernel's weights from -seed.
 		r := s.Resume(func(mc ckpt.MachineConfig) (*graph.CSR, error) {
 			n := mc.GraphN
 			if n <= 0 || n&(n-1) != 0 {
 				return nil, fmt.Errorf("checkpoint vertex count %d is not a power of two — not a swbfs-bench Kronecker run", n)
 			}
 			return graph.BuildKronecker(graph.KroneckerConfig{Scale: bits.TrailingZeros64(uint64(n)), Seed: *seed})
-		}, true)
-		res := r.Result
-		fmt.Printf("resumed bfs: root %d, %d vertices, visited %d, traversed %d edges, %d levels, %.3f GTEPS (modelled), validation ok\n",
-			r.Checkpoint.Root, r.Graph.N, res.Visited, res.TraversedEdges, len(res.Levels), res.GTEPS)
+		}, *seed, true)
+		validation := "validation ok"
+		if !r.Validated {
+			validation = "no Graph500 rule to validate"
+		}
+		if res, ok := r.Result.(*core.Result); ok {
+			fmt.Printf("resumed bfs: root %d, %d vertices, visited %d, traversed %d edges, %d levels, %.3f GTEPS (modelled), %s\n",
+				r.Checkpoint.Root, r.Graph.N, res.Visited, res.TraversedEdges, len(res.Levels), res.GTEPS, validation)
+		} else {
+			fmt.Printf("resumed %s: root %d, args %q, %d vertices, %s\n",
+				r.Checkpoint.Kernel, r.Checkpoint.Root, r.Checkpoint.Args, r.Graph.N, validation)
+		}
 	} else if flag.Arg(0) == "all" {
 		for _, name := range []string{
 			"table1", "fig3", "fig5", "regbus", "relaybw", "msgcount",

@@ -20,13 +20,6 @@ var keptExports = map[string]string{
 	"algos.ReferenceBetweenness": "serial oracle",
 	"algos.ReferenceKCore":       "serial oracle",
 	"algos.ReferenceSSSP":        "serial oracle",
-	// Resume constructors: the API-facing half of checkpoint/restart.
-	"algos.ResumeBetweenness": "checkpoint resume API",
-	"algos.ResumeDeltaSSSP":   "checkpoint resume API",
-	"algos.ResumeKCore":       "checkpoint resume API",
-	"algos.ResumePageRank":    "checkpoint resume API",
-	"algos.ResumeSSSP":        "checkpoint resume API",
-	"algos.ResumeWCC":         "checkpoint resume API",
 	// Measures the tests use to verify other code.
 	"chaos.Plan.Without":              "shrinks fault plans in the chaos harness",
 	"comm.Network.ConnectionCount":    "checks per-node connection accounting",

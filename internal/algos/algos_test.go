@@ -8,6 +8,7 @@ import (
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/perf"
+	"swbfs/internal/testutil"
 )
 
 func machine(nodes int, transport core.Transport) core.Config {
@@ -28,18 +29,9 @@ func kron(t testing.TB, scale int, seed int64) *graph.CSR {
 	return g
 }
 
-func weighted(t testing.TB, g *graph.CSR, seed int64) *graph.WeightedCSR {
-	t.Helper()
-	wg, err := graph.GenerateWeights(g, 64, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wg
-}
-
 func TestWeightedCSR(t *testing.T) {
 	g := kron(t, 9, 3)
-	wg := weighted(t, g, 5)
+	wg := testutil.Weighted(t, g, 5)
 	if err := wg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -69,7 +61,7 @@ func TestWeightedCSR(t *testing.T) {
 
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	g := kron(t, 10, 17)
-	wg := weighted(t, g, 7)
+	wg := testutil.Weighted(t, g, 7)
 	want := ReferenceSSSP(wg, 3)
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 		res, err := SSSP(machine(4, transport), wg, 3)
@@ -96,7 +88,7 @@ func TestSSSPUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := weighted(t, g, 1)
+	wg := testutil.Weighted(t, g, 1)
 	res, err := SSSP(machine(2, core.TransportDirect), wg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +105,7 @@ func TestSSSPUnreachable(t *testing.T) {
 
 func TestSSSPRejectsBadRoot(t *testing.T) {
 	g := kron(t, 6, 1)
-	wg := weighted(t, g, 1)
+	wg := testutil.Weighted(t, g, 1)
 	if _, err := SSSP(machine(2, core.TransportDirect), wg, -1); err == nil {
 		t.Fatal("negative root accepted")
 	}
@@ -299,7 +291,7 @@ func TestKCoreNesting(t *testing.T) {
 // as it does for BFS.
 func TestRelayBenefitsAlgorithms(t *testing.T) {
 	g := kron(t, 10, 47)
-	wg := weighted(t, g, 3)
+	wg := testutil.Weighted(t, g, 3)
 
 	direct, err := SSSP(machine(16, core.TransportDirect), wg, 1)
 	if err != nil {

@@ -76,15 +76,6 @@ func Betweenness(cfg core.Config, g *graph.CSR, sources []graph.Vertex) (*BCResu
 	return betweennessRun(cfg, g, sources, nil)
 }
 
-// ResumeBetweenness continues a checkpointed betweenness run over the same
-// graph and source list; see RunOptions.Resume for the contract.
-func ResumeBetweenness(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from *ckpt.Checkpoint) (*BCResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return betweennessRun(cfg, g, sources, from)
-}
-
 func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from *ckpt.Checkpoint) (*BCResult, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("algos: betweenness needs at least one source")

@@ -1,6 +1,8 @@
 package algos
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"swbfs/internal/ckpt"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
+	"swbfs/internal/testutil"
 )
 
 // ckptMachine is the kernel-parity machine: small enough that every kernel
@@ -19,176 +22,147 @@ func ckptMachine(transport core.Transport) core.Config {
 	return cfg
 }
 
-// runKernelCkpt runs one kernel three ways — plain, checkpointing every
-// boundary to path, and resumed from the written mid-run file — and
-// demands bitwise-identical results (reflect.DeepEqual covers the float
-// slices exactly).
-func runKernelCkpt(t *testing.T, name string, run func(cfg core.Config, from *ckpt.Checkpoint) (any, error)) {
-	t.Helper()
-	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
-		t.Run(name+"/"+transport.String(), func(t *testing.T) {
-			base, err := run(ckptMachine(transport), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			path := filepath.Join(t.TempDir(), "kernel.ckpt.json")
-			cfg := ckptMachine(transport)
-			cfg.CheckpointEvery = 2
-			cfg.CheckpointPath = path
-			withCk, err := run(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, withCk) {
-				t.Fatalf("checkpointing on changed the result:\n  off: %+v\n  on:  %+v", base, withCk)
-			}
-
-			c, err := ckpt.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcfg, err := core.ConfigFromCheckpoint(c.Config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcfg.Workers = 4 // resume at a different host width
-			resumed, err := run(rcfg, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base, resumed) {
-				t.Fatalf("resume from round %d differs from uninterrupted run:\n  base:    %+v\n  resumed: %+v",
-					c.Level, base, resumed)
-			}
-		})
+// ckptArgs are the arguments the checkpoint tests run each kernel of the
+// table with. K-core at k=4 peels in cascades over several rounds, so a
+// mid-run boundary exists for the resume leg.
+func ckptArgs(root graph.Vertex) map[string]string {
+	return map[string]string{
+		"bfs":         "",
+		"sssp":        "",
+		"delta-sssp":  "delta=16",
+		"wcc":         "",
+		"pagerank":    "iterations=5 damping=0.85",
+		"kcore":       "k=4",
+		"betweenness": fmt.Sprintf("sources=[%d]", root),
 	}
 }
 
+// resume finishes a checkpointed run the way the CLIs do: the kernel, root
+// and arguments all come from the checkpoint, through the table.
+func resume(cfg core.Config, wg *graph.WeightedCSR, c *ckpt.Checkpoint) (any, error) {
+	k, err := KernelByName(c.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	return k.Run(cfg, wg, graph.Vertex(c.Root), c.Args, c)
+}
+
+// TestKernelCheckpointResumeParity runs every kernel of the table three
+// ways — plain, checkpointing every second boundary to a file, and resumed
+// from the written mid-run file at another host width — and demands
+// bitwise-identical results (reflect.DeepEqual covers the float slices
+// exactly).
 func TestKernelCheckpointResumeParity(t *testing.T) {
 	g := kron(t, 8, 21)
-	wg := weighted(t, g, 9)
-	root := firstConnected(t, g)
+	wg := testutil.Weighted(t, g, 9)
+	root := testutil.FirstConnected(t, g)
+	args := ckptArgs(root)
+	for _, k := range Kernels {
+		for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+			t.Run(k.Name+"/"+transport.String(), func(t *testing.T) {
+				kargs, ok := args[k.Name]
+				if !ok {
+					t.Fatalf("no arguments for kernel %s", k.Name)
+				}
+				base, err := k.Run(ckptMachine(transport), wg, root, kargs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	runKernelCkpt(t, "sssp", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		if from == nil {
-			return SSSP(cfg, wg, root)
-		}
-		return ResumeSSSP(cfg, wg, root, from)
-	})
-	runKernelCkpt(t, "wcc", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		if from == nil {
-			return WCC(cfg, g)
-		}
-		return ResumeWCC(cfg, g, from)
-	})
-	runKernelCkpt(t, "pagerank", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		if from == nil {
-			return PageRank(cfg, g, 5, 0)
-		}
-		return ResumePageRank(cfg, g, 5, 0, from)
-	})
-	runKernelCkpt(t, "kcore", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		// k=4 peels in cascades over several rounds, so a mid-run boundary
-		// exists for the resume leg.
-		if from == nil {
-			return KCore(cfg, g, 4)
-		}
-		return ResumeKCore(cfg, g, 4, from)
-	})
-	runKernelCkpt(t, "delta-sssp", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		if from == nil {
-			return DeltaSSSP(cfg, wg, root, 16)
-		}
-		return ResumeDeltaSSSP(cfg, wg, root, 16, from)
-	})
-	runKernelCkpt(t, "betweenness", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-		if from == nil {
-			return Betweenness(cfg, g, []graph.Vertex{root})
-		}
-		return ResumeBetweenness(cfg, g, []graph.Vertex{root}, from)
-	})
-}
+				path := filepath.Join(t.TempDir(), "kernel.ckpt.json")
+				cfg := ckptMachine(transport)
+				cfg.CheckpointEvery = 2
+				cfg.CheckpointPath = path
+				withCk, err := k.Run(cfg, wg, root, kargs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(base, withCk) {
+					t.Fatalf("checkpointing on changed the result:\n  off: %+v\n  on:  %+v", base, withCk)
+				}
 
-// firstConnected picks the lowest vertex with a neighbour, so rooted
-// kernels traverse more than one round.
-func firstConnected(t *testing.T, g *graph.CSR) graph.Vertex {
-	t.Helper()
-	for v := graph.Vertex(0); int64(v) < g.N; v++ {
-		if g.Degree(v) > 0 {
-			return v
+				c, err := ckpt.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rcfg, err := core.ConfigFromCheckpoint(c.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rcfg.Workers = 4 // resume at a different host width
+				resumed, err := resume(rcfg, wg, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(base, resumed) {
+					t.Fatalf("resume from round %d differs from uninterrupted run:\n  base:    %+v\n  resumed: %+v",
+						c.Level, base, resumed)
+				}
+			})
 		}
 	}
-	t.Fatal("graph has no edges")
-	return graph.NoVertex
 }
 
-// TestKernelResumeRejects covers the driver's refuse-to-load paths.
+// TestKernelResumeRejects covers the refuse-to-load paths of a resume
+// through the table.
 func TestKernelResumeRejects(t *testing.T) {
 	g := kron(t, 8, 21)
-	wg := weighted(t, g, 9)
-	root := firstConnected(t, g)
+	wg := testutil.Weighted(t, g, 9)
+	root := testutil.FirstConnected(t, g)
 	direct := ckptMachine(core.TransportDirect)
-	take := func(t *testing.T, run func(cfg core.Config) error) *ckpt.Checkpoint {
-		t.Helper()
-		cfg := direct
-		cfg.CheckpointEvery = 1
-		cfg.CheckpointPath = filepath.Join(t.TempDir(), "kernel.ckpt.json")
-		if err := run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		c, err := ckpt.ReadFile(cfg.CheckpointPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 
-	c := take(t, func(cfg core.Config) error { _, err := WCC(cfg, g); return err })
-	if _, err := ResumeWCC(ckptMachine(core.TransportRelay), g, c); err == nil {
+	c := healthyCheckpoint(t, direct, wg, root, "wcc", "")
+	if _, err := resume(ckptMachine(core.TransportRelay), wg, c); err == nil {
 		t.Fatal("wrong-transport (fingerprint) checkpoint accepted")
 	}
-	if _, err := ResumeKCore(direct, g, 2, c); err == nil {
+	kcore, err := KernelByName("kcore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kcore.Run(direct, wg, root, "k=2", c); err == nil {
 		t.Fatal("wrong-kernel checkpoint accepted")
 	}
-	if _, err := ResumeWCC(direct, g, nil); err == nil {
-		t.Fatal("nil checkpoint accepted")
-	}
 
-	// A checkpoint pins its kernel's arguments: each row resumes on the same
-	// machine, kernel and root, with different arguments.
+	// A checkpoint pins its kernel's arguments and its graph: each row takes
+	// a checkpoint, then resumes it on the same machine, kernel and root
+	// with other arguments, other weights or another graph of the same
+	// vertex and edge counts.
+	relabelled := &graph.WeightedCSR{CSR: testutil.Relabelled(t, g)}
 	for _, row := range []struct {
-		name   string
-		run    func(cfg core.Config) error
-		resume func(c *ckpt.Checkpoint) error
+		name, kernel, args string
+		resumeArgs         string
+		resumeOn           *graph.WeightedCSR // nil: the graph the checkpoint was taken on
 	}{
+		{name: "kcore k=4 resumed with k=2", kernel: "kcore", args: "k=4", resumeArgs: "k=2"},
 		{
-			name:   "kcore k=4 resumed with k=2",
-			run:    func(cfg core.Config) error { _, err := KCore(cfg, g, 4); return err },
-			resume: func(c *ckpt.Checkpoint) error { _, err := ResumeKCore(direct, g, 2, c); return err },
+			name: "pagerank 5 iterations resumed with 9 at damping 0.5", kernel: "pagerank",
+			args: "iterations=5 damping=0.85", resumeArgs: "iterations=9 damping=0.5",
 		},
+		{name: "delta-sssp delta=16 resumed with delta=3", kernel: "delta-sssp", args: "delta=16", resumeArgs: "delta=3"},
 		{
-			name:   "pagerank 5 iterations resumed with 9 at damping 0.5",
-			run:    func(cfg core.Config) error { _, err := PageRank(cfg, g, 5, 0); return err },
-			resume: func(c *ckpt.Checkpoint) error { _, err := ResumePageRank(direct, g, 9, 0.5, c); return err },
+			name: "betweenness one source resumed with two", kernel: "betweenness",
+			args: fmt.Sprintf("sources=[%d]", root), resumeArgs: fmt.Sprintf("sources=[%d %d]", root, root+1),
 		},
-		{
-			name:   "delta-sssp delta=16 resumed with delta=3",
-			run:    func(cfg core.Config) error { _, err := DeltaSSSP(cfg, wg, root, 16); return err },
-			resume: func(c *ckpt.Checkpoint) error { _, err := ResumeDeltaSSSP(direct, wg, root, 3, c); return err },
-		},
-		{
-			name: "betweenness one source resumed with two",
-			run:  func(cfg core.Config) error { _, err := Betweenness(cfg, g, []graph.Vertex{root}); return err },
-			resume: func(c *ckpt.Checkpoint) error {
-				_, err := ResumeBetweenness(direct, g, []graph.Vertex{root, root + 1}, c)
-				return err
-			},
-		},
+		{name: "sssp weights seed 9 resumed with seed 10", kernel: "sssp", resumeOn: testutil.Weighted(t, g, 10)},
+		{name: "wcc resumed onto a relabelled graph", kernel: "wcc", resumeOn: relabelled},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			if err := row.resume(take(t, row.run)); err == nil {
-				t.Fatal("checkpoint resumed with different kernel arguments")
+			c := healthyCheckpoint(t, direct, wg, root, row.kernel, row.args)
+			k, err := KernelByName(row.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			on := wg
+			if row.resumeOn != nil {
+				on = row.resumeOn
+			}
+			_, err = k.Run(direct, on, root, row.resumeArgs, c)
+			if err == nil {
+				t.Fatal("checkpoint resumed with different kernel arguments or onto another graph")
+			}
+			var mismatch *core.GraphDigestError
+			if row.resumeOn != nil && !errors.As(err, &mismatch) {
+				t.Fatalf("resume onto another graph refused with %v, want a *core.GraphDigestError", err)
 			}
 		})
 	}

@@ -59,15 +59,6 @@ func DeltaSSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta 
 	return deltaRun(cfg, wg, root, delta, nil)
 }
 
-// ResumeDeltaSSSP continues a checkpointed delta-stepping run over the
-// same graph, root and delta; see RunOptions.Resume for the contract.
-func ResumeDeltaSSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta int64, from *ckpt.Checkpoint) (*DeltaSSSPResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return deltaRun(cfg, wg, root, delta, from)
-}
-
 func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta int64, from *ckpt.Checkpoint) (*DeltaSSSPResult, error) {
 	if root < 0 || int64(root) >= wg.N {
 		return nil, fmt.Errorf("algos: SSSP root %d out of range", root)
@@ -86,7 +77,7 @@ func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta i
 		}
 	}
 	nodes := make([]*deltaNode, cfg.Nodes)
-	opts := RunOptions{Kernel: "delta-sssp", Root: root, Args: fmt.Sprintf("delta=%d", delta), Resume: from}
+	opts := RunOptions{Kernel: "delta-sssp", Root: root, Args: fmt.Sprintf("delta=%d", delta), Weights: wg.Weights, Resume: from}
 	info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		dn := &deltaNode{

@@ -5,11 +5,12 @@ import (
 
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
+	"swbfs/internal/testutil"
 )
 
 func TestDeltaSSSPMatchesDijkstra(t *testing.T) {
 	g := kron(t, 10, 53)
-	wg := weighted(t, g, 100)
+	wg := testutil.Weighted(t, g, 100)
 	_, root := g.MaxDegree()
 	want := ReferenceSSSP(wg, root)
 	for _, delta := range []int64{1, 10, 50, 0 /* = max weight */} {
@@ -33,7 +34,7 @@ func TestDeltaSSSPMatchesDijkstra(t *testing.T) {
 
 func TestDeltaSSSPAgreesWithBellmanFord(t *testing.T) {
 	g := kron(t, 9, 59)
-	wg := weighted(t, g, 64)
+	wg := testutil.Weighted(t, g, 64)
 	cfg := machine(4, core.TransportRelay)
 	_, root := g.MaxDegree()
 
@@ -70,7 +71,7 @@ func TestDeltaSSSPPathGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg := weighted(t, g, 9)
+	wg := testutil.Weighted(t, g, 9)
 	res, err := DeltaSSSP(machine(2, core.TransportDirect), wg, 0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestDeltaSSSPPathGraph(t *testing.T) {
 
 func TestDeltaSSSPRejects(t *testing.T) {
 	g := kron(t, 6, 1)
-	wg := weighted(t, g, 8)
+	wg := testutil.Weighted(t, g, 8)
 	if _, err := DeltaSSSP(machine(2, core.TransportDirect), wg, -1, 4); err == nil {
 		t.Fatal("bad root accepted")
 	}

@@ -107,12 +107,17 @@ type RunOptions struct {
 	// Args is the kernel's canonical argument string ("k=4", ...). A
 	// checkpoint records it, and a resume whose Args differ is refused.
 	Args string
+	// Weights are a weighted kernel's edge weights (nil otherwise): a
+	// checkpoint pins them with the graph, so a resume onto other weights
+	// is refused.
+	Weights *graph.Weights
 	// Resume, when non-nil, reconstructs the ensemble from a round-boundary
 	// checkpoint instead of starting fresh: every node's kernel state is
 	// restored through RestoreState and the loop re-enters at the recorded
-	// round. The caller must rebuild the same graph and pass an equivalent
-	// machine configuration (fingerprint-checked) and identical kernel
-	// parameters (Args-checked); Workers, observers, timeouts and the chaos
+	// round. The caller must rebuild the same graph and weights
+	// (digest-checked) and pass an equivalent machine configuration
+	// (fingerprint-checked) and identical kernel parameters
+	// (Args-checked); Workers, observers, timeouts and the chaos
 	// plan are host-side and may differ. The completed run's RunInfo is bitwise
 	// identical to an uninterrupted run's.
 	Resume *ckpt.Checkpoint
@@ -166,7 +171,7 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 	// The driver always lays vertices out round-robin (cfg.Partition is a
 	// BFS-engine knob), so the checkpoint identity records that.
 	m, err := core.OpenMachine(core.MachineSpec{
-		Cfg: cfg, Graph: g, Kernel: kernel, Root: opts.Root, Args: opts.Args, Unit: "round",
+		Cfg: cfg, Graph: g, Weights: opts.Weights, Kernel: kernel, Root: opts.Root, Args: opts.Args, Unit: "round",
 		Partition: core.PartitionRoundRobin.String(), Resume: opts.Resume,
 	})
 	if err != nil {

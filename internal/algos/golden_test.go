@@ -83,7 +83,7 @@ type goldenRun struct {
 // before sending, so they hold its bitmap scan to the same send order.
 func TestRoundStatsMatchGolden(t *testing.T) {
 	g := kron(t, 10, 11)
-	wg := weighted(t, g, 5)
+	wg := testutil.Weighted(t, g, 5)
 	got := map[string]goldenRun{}
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 		for _, workers := range []int{1, 3} {

@@ -2,12 +2,15 @@ package algos
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"swbfs/internal/ckpt"
 	"swbfs/internal/core"
+	"swbfs/internal/graph"
 	"swbfs/internal/obs"
+	"swbfs/internal/testutil"
 )
 
 // hostileCheckpoints returns copies of a healthy checkpoint: one from a
@@ -61,75 +64,99 @@ func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 }
 
 // TestHostileCheckpointRejected feeds internally inconsistent checkpoints
-// through both engines' resume entry points: each must be refused with an
-// error before anything is announced, and the healthy original must still
-// resume.
+// of both engines — BFS and a round kernel — through the table's resume:
+// each must be refused with an error before anything is announced, and the
+// healthy original must still resume.
 func TestHostileCheckpointRejected(t *testing.T) {
 	g := kron(t, 9, 21)
+	wg := &graph.WeightedCSR{CSR: g}
+	root := testutil.FirstConnected(t, g)
 	cfg := ckptMachine(core.TransportRelay)
-	cfg.CheckpointEvery = 1
-
-	engines := []struct {
-		name   string
-		take   func() (*ckpt.Checkpoint, error)
-		resume func(cfg core.Config, c *ckpt.Checkpoint) error
-	}{
-		{
-			name: "bfs",
-			take: func() (*ckpt.Checkpoint, error) {
-				r, err := core.NewRunner(cfg, g)
-				if err != nil {
-					return nil, err
-				}
-				_, err = r.Run(firstConnected(t, g))
-				return r.LastCheckpoint(), err
-			},
-			resume: func(cfg core.Config, c *ckpt.Checkpoint) error {
-				r, err := core.NewRunner(cfg, g)
-				if err != nil {
-					return err
-				}
-				_, err = r.Resume(c)
-				return err
-			},
-		},
-		{
-			name: "wcc",
-			take: func() (*ckpt.Checkpoint, error) {
-				kcfg := cfg
-				kcfg.CheckpointPath = filepath.Join(t.TempDir(), "wcc.ckpt.json")
-				if _, err := WCC(kcfg, g); err != nil {
-					return nil, err
-				}
-				return ckpt.ReadFile(kcfg.CheckpointPath)
-			},
-			resume: func(cfg core.Config, c *ckpt.Checkpoint) error {
-				_, err := ResumeWCC(cfg, g, c) // RunOptions.Resume
-				return err
-			},
-		},
-	}
-	for _, e := range engines {
-		healthy, err := e.take()
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		if healthy == nil || len(healthy.Machine.Levels) < 2 {
-			t.Fatalf("%s: no usable checkpoint", e.name)
+	for _, kernel := range []string{"bfs", "wcc"} {
+		healthy := healthyCheckpoint(t, cfg, wg, root, kernel, "")
+		if len(healthy.Machine.Levels) < 2 {
+			t.Fatalf("%s: no usable checkpoint", kernel)
 		}
 		for what, hostile := range hostileCheckpoints(healthy) {
-			t.Run(e.name+"/"+what, func(t *testing.T) {
+			t.Run(kernel+"/"+what, func(t *testing.T) {
 				o, events := quietObserver()
 				rcfg := cfg
 				rcfg.Obs = o
-				if err := e.resume(rcfg, hostile); err == nil {
+				if _, err := resume(rcfg, wg, hostile); err == nil {
 					t.Fatal("hostile checkpoint resumed")
 				}
 				checkSilent(t, o, events)
 			})
 		}
-		if err := e.resume(cfg, healthy); err != nil {
-			t.Fatalf("%s: healthy checkpoint refused: %v", e.name, err)
+		if _, err := resume(cfg, wg, healthy); err != nil {
+			t.Fatalf("%s: healthy checkpoint refused: %v", kernel, err)
+		}
+	}
+}
+
+// healthyCheckpoint runs kernel through the table with a checkpoint at
+// every boundary and returns the last one written.
+func healthyCheckpoint(t *testing.T, cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, kernel, args string) *ckpt.Checkpoint {
+	t.Helper()
+	k, err := KernelByName(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), kernel+".ckpt.json")
+	if _, err := k.Run(cfg, wg, root, args, nil); err != nil {
+		t.Fatalf("%s: %v", kernel, err)
+	}
+	c, err := ckpt.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestHostileArgsRefused edits the arguments (or the kernel name) of a
+// healthy kernel checkpoint and resumes it through the table, as the CLIs
+// do: every row must be refused with an error before the run starts, with
+// nothing emitted, and never panic.
+func TestHostileArgsRefused(t *testing.T) {
+	g := kron(t, 8, 21)
+	wg := testutil.Weighted(t, g, 9)
+	root := testutil.FirstConnected(t, g)
+	cfg := ckptMachine(core.TransportDirect)
+	healthy := map[string]*ckpt.Checkpoint{
+		"kcore":       healthyCheckpoint(t, cfg, wg, root, "kcore", "k=4"),
+		"pagerank":    healthyCheckpoint(t, cfg, wg, root, "pagerank", "iterations=5 damping=0.85"),
+		"betweenness": healthyCheckpoint(t, cfg, wg, root, "betweenness", fmt.Sprintf("sources=[%d]", root)),
+	}
+	for _, row := range []struct {
+		name, kernel string
+		edit         func(c *ckpt.Checkpoint)
+	}{
+		{"leading zero", "kcore", func(c *ckpt.Checkpoint) { c.Args = "k=04" }},
+		{"empty value", "kcore", func(c *ckpt.Checkpoint) { c.Args = "k=" }},
+		{"negative k", "kcore", func(c *ckpt.Checkpoint) { c.Args = "k=-1" }},
+		{"damping out of range", "pagerank", func(c *ckpt.Checkpoint) { c.Args = "iterations=5 damping=1.5" }},
+		{"source not a vertex", "betweenness", func(c *ckpt.Checkpoint) { c.Args = "sources=[1 x]" }},
+		{"trailing junk", "kcore", func(c *ckpt.Checkpoint) { c.Args = "k=4 junk" }},
+		{"unknown kernel", "kcore", func(c *ckpt.Checkpoint) { c.Kernel = "kcore2" }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := *healthy[row.kernel]
+			row.edit(&c)
+			o, events := quietObserver()
+			rcfg := cfg
+			rcfg.Obs = o
+			_, err := resume(rcfg, wg, &c)
+			if err == nil {
+				t.Fatalf("checkpoint with kernel %q args %q resumed", c.Kernel, c.Args)
+			}
+			t.Logf("refused: %v", err)
+			checkSilent(t, o, events)
+		})
+	}
+	for kernel, c := range healthy {
+		if _, err := resume(cfg, wg, c); err != nil {
+			t.Fatalf("%s: healthy checkpoint refused: %v", kernel, err)
 		}
 	}
 }
@@ -139,21 +166,13 @@ func TestHostileCheckpointRejected(t *testing.T) {
 // error before the run starts, not indexed out of range mid-run.
 func TestDeltaResumeRejectsForeignLocal(t *testing.T) {
 	g := kron(t, 8, 21)
-	wg := weighted(t, g, 9)
-	root := firstConnected(t, g)
-	cfg := ckptMachine(core.TransportDirect)
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "delta.ckpt.json")
-	if _, err := DeltaSSSP(cfg, wg, root, 16); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ckpt.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wg := testutil.Weighted(t, g, 9)
+	root := testutil.FirstConnected(t, g)
+	c := healthyCheckpoint(t, ckptMachine(core.TransportDirect), wg, root, "delta-sssp", "delta=16")
 	var data driverNodeData
 	var state deltaCkpt
-	if err := json.Unmarshal(c.Nodes[0].Data, &data); err != nil {
+	err := json.Unmarshal(c.Nodes[0].Data, &data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(data.Algo, &state); err != nil {
@@ -166,7 +185,7 @@ func TestDeltaResumeRejectsForeignLocal(t *testing.T) {
 	if c.Nodes[0].Data, err = json.Marshal(&data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeDeltaSSSP(ckptMachine(core.TransportDirect), wg, root, 16, c); err == nil {
+	if _, err := resume(ckptMachine(core.TransportDirect), wg, c); err == nil {
 		t.Fatal("request for a local past the partition accepted")
 	}
 }

@@ -37,15 +37,6 @@ func KCore(cfg core.Config, g *graph.CSR, k int64) (*KCoreResult, error) {
 	return kcoreRun(cfg, g, k, nil)
 }
 
-// ResumeKCore continues a checkpointed k-core run over the same graph with
-// the identical k; see RunOptions.Resume for the contract.
-func ResumeKCore(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*KCoreResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return kcoreRun(cfg, g, k, from)
-}
-
 func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*KCoreResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("algos: k must be >= 1, got %d", k)

@@ -53,16 +53,6 @@ func PageRank(cfg core.Config, g *graph.CSR, iterations int, damping float64) (*
 	return pagerankRun(cfg, g, iterations, damping, nil)
 }
 
-// ResumePageRank continues a checkpointed PageRank run over the same graph
-// with identical iteration count and damping; see RunOptions.Resume for
-// the contract.
-func ResumePageRank(cfg core.Config, g *graph.CSR, iterations int, damping float64, from *ckpt.Checkpoint) (*PageRankResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return pagerankRun(cfg, g, iterations, damping, from)
-}
-
 func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64, from *ckpt.Checkpoint) (*PageRankResult, error) {
 	if iterations <= 0 {
 		return nil, fmt.Errorf("algos: PageRank needs a positive iteration count, got %d", iterations)

@@ -40,21 +40,12 @@ func SSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex) (*SSSPResul
 	return ssspRun(cfg, wg, root, nil)
 }
 
-// ResumeSSSP continues a checkpointed SSSP run over the same graph and
-// root; see RunOptions.Resume for the contract.
-func ResumeSSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ckpt.Checkpoint) (*SSSPResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return ssspRun(cfg, wg, root, from)
-}
-
 func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ckpt.Checkpoint) (*SSSPResult, error) {
 	if root < 0 || int64(root) >= wg.N {
 		return nil, fmt.Errorf("algos: SSSP root %d out of range", root)
 	}
 	nodes := make([]*ssspNode, cfg.Nodes)
-	info, err := Run(cfg, wg.CSR, RunOptions{Kernel: "sssp", Root: root, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	info, err := Run(cfg, wg.CSR, RunOptions{Kernel: "sssp", Root: root, Weights: wg.Weights, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
 		n := ctx.Sub.NumVertices()
 		sn := &ssspNode{
 			ctx:       ctx,

@@ -37,15 +37,6 @@ func WCC(cfg core.Config, g *graph.CSR) (*WCCResult, error) {
 	return wccRun(cfg, g, nil)
 }
 
-// ResumeWCC continues a checkpointed WCC run over the same graph; see
-// RunOptions.Resume for the contract.
-func ResumeWCC(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, error) {
-	if from == nil {
-		return nil, fmt.Errorf("algos: nil checkpoint")
-	}
-	return wccRun(cfg, g, from)
-}
-
 func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, error) {
 	nodes := make([]*wccNode, cfg.Nodes)
 	info, err := Run(cfg, g, RunOptions{Kernel: "wcc", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {

@@ -10,6 +10,7 @@ import (
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
+	"swbfs/internal/testutil"
 )
 
 // widths swept by the parity tests: serial, even splits (including the
@@ -22,7 +23,7 @@ var parityWidths = []int{2, 3, 4, 8}
 // bit-identical to the serial run, on both transports.
 func TestWorkersParitySSSP(t *testing.T) {
 	g := kron(t, 10, 11)
-	wg := weighted(t, g, 5)
+	wg := testutil.Weighted(t, g, 5)
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 		t.Run(transport.String(), func(t *testing.T) {
 			cfg := machine(8, transport)
@@ -56,7 +57,7 @@ func TestWorkersParitySSSP(t *testing.T) {
 // scans.
 func TestWorkersParityDeltaSSSP(t *testing.T) {
 	g := kron(t, 10, 11)
-	wg := weighted(t, g, 5)
+	wg := testutil.Weighted(t, g, 5)
 	cfg := machine(8, core.TransportDirect)
 	cfg.Workers = 1
 	base, err := DeltaSSSP(cfg, wg, 3, 16)
@@ -303,7 +304,7 @@ func TestChunkedSumWidthIndependent(t *testing.T) {
 // payload /events subscribers see.
 func TestAlgosProgressEvents(t *testing.T) {
 	g := kron(t, 9, 2)
-	wg := weighted(t, g, 3)
+	wg := testutil.Weighted(t, g, 3)
 	cfg := machine(4, core.TransportDirect)
 	cfg.Obs = obs.New()
 	cfg.Obs.Progress = obs.NewProgressBroker()
@@ -359,7 +360,7 @@ func TestAlgosProgressEvents(t *testing.T) {
 // module slices — the -chrome-trace payload.
 func TestAlgosTraceRecorded(t *testing.T) {
 	g := kron(t, 9, 2)
-	wg := weighted(t, g, 3)
+	wg := testutil.Weighted(t, g, 3)
 	cfg := machine(4, core.TransportDirect)
 	cfg.Workers = 2
 	cfg.Obs = obs.New()

@@ -1,6 +1,7 @@
-// The resume-parity sweep: for every kernel, transport and completed
-// level, kill a node mid-run, pick the abort's auto-checkpoint back up,
-// and demand that the resumed run finishes bitwise identical to the
+// The resume-parity sweep: for every kernel of the table (algos.Kernels),
+// transport and completed level, kill a node mid-run, pick the abort's
+// auto-checkpoint back up through the table, as the CLIs do, and demand
+// that the resumed run finishes bitwise identical to the
 // fault-free baseline — parent trees, labels, float ranks (DeepEqual
 // compares the IEEE-754 values exactly), per-level statistics and summed
 // modelled traffic alike. The kill coordinates are not guessed: the
@@ -31,83 +32,26 @@ import (
 	"swbfs/internal/testutil"
 )
 
-// resumeKernel adapts one kernel to the sweep: run executes it (fresh
-// when from == nil, resumed otherwise) and returns the comparable result.
-type resumeKernel struct {
-	name string
-	run  func(cfg core.Config, from *ckpt.Checkpoint) (any, error)
-}
-
-func resumeGraph(t testing.TB) *graph.CSR {
+func resumeGraph(t testing.TB) *graph.WeightedCSR {
 	t.Helper()
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 9, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return testutil.Weighted(t, g, 7)
 }
 
-// resumeRootOf picks the lowest vertex with a neighbour (Kronecker graphs
-// have isolated vertices; a rooted kernel needs a real component).
-func resumeRootOf(t testing.TB, g *graph.CSR) graph.Vertex {
-	t.Helper()
-	for v := graph.Vertex(0); int64(v) < g.N; v++ {
-		if g.Degree(v) > 0 {
-			return v
-		}
-	}
-	t.Fatal("graph has no edges")
-	return graph.NoVertex
-}
-
-func resumeKernels(t testing.TB, g *graph.CSR) []resumeKernel {
-	t.Helper()
-	wg, err := graph.GenerateWeights(g, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := resumeRootOf(t, g)
-	return []resumeKernel{
-		{"bfs", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			r, err := core.NewRunner(cfg, g)
-			if err != nil {
-				return nil, err
-			}
-			if from == nil {
-				return r.Run(root)
-			}
-			return r.Resume(from)
-		}},
-		{"sssp", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			if from == nil {
-				return algos.SSSP(cfg, wg, root)
-			}
-			return algos.ResumeSSSP(cfg, wg, root, from)
-		}},
-		{"wcc", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			if from == nil {
-				return algos.WCC(cfg, g)
-			}
-			return algos.ResumeWCC(cfg, g, from)
-		}},
-		{"pagerank", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			if from == nil {
-				return algos.PageRank(cfg, g, 3, 0.85)
-			}
-			return algos.ResumePageRank(cfg, g, 3, 0.85, from)
-		}},
-		{"kcore", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			if from == nil {
-				return algos.KCore(cfg, g, 4)
-			}
-			return algos.ResumeKCore(cfg, g, 4, from)
-		}},
-		{"betweenness", func(cfg core.Config, from *ckpt.Checkpoint) (any, error) {
-			if from == nil {
-				return algos.Betweenness(cfg, g, []graph.Vertex{root})
-			}
-			return algos.ResumeBetweenness(cfg, g, []graph.Vertex{root}, from)
-		}},
+// resumeArgs are the arguments the sweep runs each kernel of the table
+// with.
+func resumeArgs(root graph.Vertex) map[string]string {
+	return map[string]string{
+		"bfs":         "",
+		"sssp":        "",
+		"delta-sssp":  "delta=16",
+		"wcc":         "",
+		"pagerank":    "iterations=3 damping=0.85",
+		"kcore":       "k=4",
+		"betweenness": fmt.Sprintf("sources=[%d]", root),
 	}
 }
 
@@ -140,18 +84,23 @@ func killSpecsFromDump(t *testing.T, d *obs.FlightDump) map[int]chaos.Fault {
 // TestChaosResumeSweep is the kill-everywhere sweep: kernels × transports
 // × every completed level with traffic × alternating worker widths.
 func TestChaosResumeSweep(t *testing.T) {
-	g := resumeGraph(t)
+	wg := resumeGraph(t)
+	root := testutil.FirstConnected(t, wg.CSR)
+	args := resumeArgs(root)
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
-		for _, k := range resumeKernels(t, g) {
-			k := k
-			t.Run(k.name+"/"+transport.String(), func(t *testing.T) {
+		for _, k := range algos.Kernels {
+			t.Run(k.Name+"/"+transport.String(), func(t *testing.T) {
+				kargs, ok := args[k.Name]
+				if !ok {
+					t.Fatalf("no arguments for kernel %s", k.Name)
+				}
 				// Fault-free baseline, with a flight recorder attached so the
 				// dump yields one kill coordinate per level. The observer is
 				// host-side: it cannot change the modelled result.
 				bcfg := harnessConfig(transport)
 				bcfg.Obs = obs.New()
 				bcfg.Obs.Flight = obs.NewFlightRecorder(1 << 16)
-				base, err := k.run(bcfg, nil)
+				base, err := k.Run(bcfg, wg, root, kargs, nil)
 				if err != nil {
 					t.Fatalf("baseline: %v", err)
 				}
@@ -187,7 +136,7 @@ func TestChaosResumeSweep(t *testing.T) {
 					kcfg.CheckpointEvery = 1
 
 					leak := testutil.CheckGoroutines(t)
-					_, err := k.run(kcfg, nil)
+					_, err := k.Run(kcfg, wg, root, kargs, nil)
 					leak()
 					if t.Failed() {
 						t.Fatalf("level %d (%s): goroutine leak after kill", l, f)
@@ -224,7 +173,7 @@ func TestChaosResumeSweep(t *testing.T) {
 					if stripped := plan.Without(ae.Injections); len(stripped.Faults) > 0 {
 						t.Fatalf("level %d: stripping the fired kill left %v", l, stripped.Faults)
 					}
-					resumed, err := k.run(rcfg, c)
+					resumed, err := k.Run(rcfg, wg, graph.Vertex(c.Root), c.Args, c)
 					if err != nil {
 						t.Fatalf("level %d (%s): resume failed: %v", l, f, err)
 					}
@@ -237,7 +186,7 @@ func TestChaosResumeSweep(t *testing.T) {
 					t.Fatal("no level was swept")
 				}
 				t.Logf("%s/%s: killed and resumed at %d of %d level boundaries",
-					k.name, transport, swept, maxLevel)
+					k.Name, transport, swept, maxLevel)
 			})
 		}
 	}
@@ -251,8 +200,8 @@ func TestChaosResumeSweep(t *testing.T) {
 // flight dump 1:1 against the injection log; and resuming once more
 // finishes bit-identical to the fault-free baseline.
 func TestChaosCheckpointCrashConsistency(t *testing.T) {
-	g := resumeGraph(t)
-	root := resumeRootOf(t, g)
+	g := resumeGraph(t).CSR
+	root := testutil.FirstConnected(t, g)
 
 	// Baseline with a roomy recorder: learn one kill coordinate per level.
 	bcfg := harnessConfig(core.TransportRelay)
@@ -382,8 +331,8 @@ func TestChaosCheckpointCrashConsistency(t *testing.T) {
 // during level 0 aborts before any boundary exists, so the abort carries
 // no checkpoint — there is nothing to resume, by design.
 func TestChaosResumeNoBoundaryBeforeLevelOne(t *testing.T) {
-	g := resumeGraph(t)
-	root := resumeRootOf(t, g)
+	g := resumeGraph(t).CSR
+	root := testutil.FirstConnected(t, g)
 	owner := int(root) % harnessNodes // round-robin partition
 	plan, err := chaos.ParsePlan(fmt.Sprintf("kill@%d:l0:data/forward:0", owner))
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"swbfs/internal/algos"
 	"swbfs/internal/chaos"
 	"swbfs/internal/core"
 	"swbfs/internal/obs"
+	"swbfs/internal/testutil"
 )
 
 // TestResumeKeepsModuleSpans: a BFS and a WCC run killed mid-run with span
@@ -16,21 +18,23 @@ import (
 // machine's module-work ledger rides in the checkpoint, so the levels
 // before the boundary keep their spans.
 func TestResumeKeepsModuleSpans(t *testing.T) {
-	g := resumeGraph(t)
+	wg := resumeGraph(t)
+	root := testutil.FirstConnected(t, wg.CSR)
 	withSpans := func(cfg core.Config) core.Config {
 		cfg.Obs = obs.New()
 		cfg.Obs.Spans = obs.NewSpanRecorder()
 		return cfg
 	}
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
-		for _, k := range resumeKernels(t, g) {
-			if k.name != "bfs" && k.name != "wcc" {
-				continue
+		for _, name := range []string{"bfs", "wcc"} {
+			k, err := algos.KernelByName(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(k.name+"/"+transport.String(), func(t *testing.T) {
+			t.Run(name+"/"+transport.String(), func(t *testing.T) {
 				bcfg := withSpans(harnessConfig(transport))
 				bcfg.Obs.Flight = obs.NewFlightRecorder(1 << 16)
-				if _, err := k.run(bcfg, nil); err != nil {
+				if _, err := k.Run(bcfg, wg, root, "", nil); err != nil {
 					t.Fatalf("baseline: %v", err)
 				}
 				want := bcfg.Obs.Spans.Runs()[0].Spans
@@ -44,7 +48,7 @@ func TestResumeKeepsModuleSpans(t *testing.T) {
 				kcfg := withSpans(harnessConfig(transport))
 				kcfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{f}}
 				kcfg.CheckpointEvery = 1
-				_, err := k.run(kcfg, nil)
+				_, err := k.Run(kcfg, wg, root, "", nil)
 				var ae *core.AbortError
 				if !errors.As(err, &ae) || ae.Checkpoint == nil {
 					t.Fatalf("kill %s: want an abort with a checkpoint, got %v", f, err)
@@ -61,7 +65,7 @@ func TestResumeKeepsModuleSpans(t *testing.T) {
 				}
 				rcfg = withSpans(rcfg)
 				rcfg.Workers = kcfg.Workers // spans attribute the resumed run's width
-				if _, err := k.run(rcfg, c); err != nil {
+				if _, err := k.Run(rcfg, wg, root, c.Args, c); err != nil {
 					t.Fatalf("resume: %v", err)
 				}
 				got := rcfg.Obs.Spans.Runs()[0].Spans

@@ -26,11 +26,7 @@ const ssspPlans = 12
 
 func ssspGraph(t testing.TB) *graph.WeightedCSR {
 	t.Helper()
-	wg, err := graph.GenerateWeights(harnessGraph(t), 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wg
+	return testutil.Weighted(t, harnessGraph(t), 7)
 }
 
 func ssspConfig(transport core.Transport) core.Config {

@@ -31,63 +31,25 @@ type kernelOutcome struct {
 	NetMsgs  int64
 }
 
-// parityKernels runs each rootless kernel under cfg and reduces it to a
-// kernelOutcome. Betweenness sums three sources so both the forward and
-// the backward sweep cross node boundaries.
-var parityKernels = []struct {
-	name string
-	run  func(cfg core.Config, g *graph.CSR) (*kernelOutcome, error)
-}{
-	{"wcc", func(cfg core.Config, g *graph.CSR) (*kernelOutcome, error) {
-		res, err := algos.WCC(cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		return &kernelOutcome{
-			Payload: struct {
-				Label      []graph.Vertex
-				Components int64
-			}{res.Label, res.Components},
-			NetBytes: res.Info.NetworkBytes,
-			NetMsgs:  res.Info.NetworkMessages,
-		}, nil
-	}},
-	{"pagerank", func(cfg core.Config, g *graph.CSR) (*kernelOutcome, error) {
-		res, err := algos.PageRank(cfg, g, 8, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &kernelOutcome{
-			Payload:  res.Rank,
-			NetBytes: res.Info.NetworkBytes,
-			NetMsgs:  res.Info.NetworkMessages,
-		}, nil
-	}},
-	{"kcore", func(cfg core.Config, g *graph.CSR) (*kernelOutcome, error) {
-		res, err := algos.KCore(cfg, g, 4)
-		if err != nil {
-			return nil, err
-		}
-		return &kernelOutcome{
-			Payload: struct {
-				InCore   []bool
-				CoreSize int64
-			}{res.InCore, res.CoreSize},
-			NetBytes: res.Info.NetworkBytes,
-			NetMsgs:  res.Info.NetworkMessages,
-		}, nil
-	}},
-	{"betweenness", func(cfg core.Config, g *graph.CSR) (*kernelOutcome, error) {
-		res, err := algos.Betweenness(cfg, g, []graph.Vertex{1, 33, 200})
-		if err != nil {
-			return nil, err
-		}
-		return &kernelOutcome{
-			Payload:  res.Centrality,
-			NetBytes: res.Info.NetworkBytes,
-			NetMsgs:  res.Info.NetworkMessages,
-		}, nil
-	}},
+// parityArgs names the kernels of the table this sweep runs, with their
+// arguments: the rootless ones, since the guaranteed abort below needs
+// every node active in round 0. Betweenness sums three sources so both the
+// forward and the backward sweep cross node boundaries.
+var parityArgs = map[string]string{
+	"wcc":         "",
+	"pagerank":    "iterations=8 damping=0.85",
+	"kcore":       "k=4",
+	"betweenness": "sources=[1 33 200]",
+}
+
+// outcome reduces a kernel's table result to a kernelOutcome: the result
+// with its RunInfo split off, and that RunInfo's modelled network totals.
+func outcome(res any) *kernelOutcome {
+	payload := reflect.New(reflect.TypeOf(res).Elem()).Elem()
+	payload.Set(reflect.ValueOf(res).Elem())
+	info := payload.FieldByName("Info").Interface().(*algos.RunInfo)
+	payload.FieldByName("Info").SetZero()
+	return &kernelOutcome{Payload: payload.Interface(), NetBytes: info.NetworkBytes, NetMsgs: info.NetworkMessages}
 }
 
 // TestChaosWorkersParityKernels sweeps every rootless kernel across
@@ -103,18 +65,28 @@ var parityKernels = []struct {
 //     dump reconciles 1:1 against the AbortError's injection log and
 //     renders with the abort marked.
 func TestChaosWorkersParityKernels(t *testing.T) {
-	g := harnessGraph(t)
+	wg := &graph.WeightedCSR{CSR: harnessGraph(t)}
 	const chaosSeeds = 6
 	const chaosWidth = 3 // odd width: shards never align with batch sizes
 	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 		t.Run(transport.String(), func(t *testing.T) {
 			completed, aborted := 0, 0
-			for _, kernel := range parityKernels {
-				kernel := kernel
-				t.Run(kernel.name, func(t *testing.T) {
+			for _, k := range algos.Kernels {
+				args, ok := parityArgs[k.Name]
+				if !ok {
+					continue
+				}
+				run := func(cfg core.Config) (*kernelOutcome, error) {
+					res, err := k.Run(cfg, wg, graph.NoVertex, args, nil)
+					if err != nil {
+						return nil, err
+					}
+					return outcome(res), nil
+				}
+				t.Run(k.Name, func(t *testing.T) {
 					cfg := harnessConfig(transport)
 					cfg.Workers = 1
-					base, err := kernel.run(cfg, g)
+					base, err := run(cfg)
 					if err != nil {
 						t.Fatalf("baseline: %v", err)
 					}
@@ -122,7 +94,7 @@ func TestChaosWorkersParityKernels(t *testing.T) {
 					for _, w := range []int{2, 3, 8} {
 						wcfg := harnessConfig(transport)
 						wcfg.Workers = w
-						got, err := kernel.run(wcfg, g)
+						got, err := run(wcfg)
 						if err != nil {
 							t.Fatalf("workers=%d: %v", w, err)
 						}
@@ -150,7 +122,7 @@ func TestChaosWorkersParityKernels(t *testing.T) {
 					kcfg.Workers = chaosWidth
 					kcfg.Chaos = &killPlan
 					leak := testutil.CheckGoroutines(t)
-					_, killErr := kernel.run(kcfg, g)
+					_, killErr := run(kcfg)
 					leak()
 					if t.Failed() {
 						t.Fatal("killed run leaked goroutines")
@@ -188,7 +160,7 @@ func TestChaosWorkersParityKernels(t *testing.T) {
 						ccfg.Chaos = &plan
 
 						leak := testutil.CheckGoroutines(t)
-						got, err := kernel.run(ccfg, g)
+						got, err := run(ccfg)
 						leak()
 						if t.Failed() {
 							t.Fatalf("seed %d (%s): goroutine leak", seed, plan)
@@ -224,7 +196,7 @@ func TestChaosWorkersParityKernels(t *testing.T) {
 				})
 			}
 			t.Logf("%s: %d completed, %d aborted of %d faulted kernel runs",
-				transport, completed, aborted, chaosSeeds*len(parityKernels))
+				transport, completed, aborted, chaosSeeds*len(parityArgs))
 			if completed == 0 {
 				t.Error("no faulted kernel run completed: the sweep never exercised recovery under fan-out")
 			}

@@ -75,6 +75,11 @@ type MachineConfig struct {
 	// graph itself; the resume caller must rebuild the same one).
 	GraphN     int64 `json:"graph_n"`
 	GraphEdges int64 `json:"graph_edges"`
+	// GraphDigest pins that graph by content (graph.Digest: the CSR, plus
+	// the weights of a weighted kernel); a resume onto a graph that digests
+	// otherwise is refused. It stays out of the fingerprint, which names
+	// the machine and the graph's shape.
+	GraphDigest string `json:"graph_digest,omitempty"`
 }
 
 // Fingerprint renders the configuration identity as a canonical string.
@@ -255,6 +260,9 @@ func Render(w io.Writer, c *Checkpoint) error {
 		c.Config.Nodes, c.Config.Transport, c.Config.Engine, c.Config.GraphN, c.Config.GraphEdges)
 	fmt.Fprintf(w, "  boundary     %d completed level(s)/round(s)\n", c.Level)
 	fmt.Fprintf(w, "  fingerprint  %s\n", c.Fingerprint)
+	if c.Config.GraphDigest != "" {
+		fmt.Fprintf(w, "  graph digest %s\n", c.Config.GraphDigest)
+	}
 	fmt.Fprintf(w, "  traffic      %s\n", c.Machine.Net.Counters.String())
 	if len(c.Machine.Injections) > 0 {
 		specs := make([]string, len(c.Machine.Injections))

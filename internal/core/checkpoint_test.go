@@ -202,6 +202,23 @@ func TestResumeRejects(t *testing.T) {
 	if _, err := r.Resume(&bad); err == nil {
 		t.Fatal("truncated node list accepted")
 	}
+
+	// The fingerprint names the graph only by its vertex and edge counts;
+	// the digest tells a relabelled graph of the same counts apart, and a
+	// checkpoint that pins no graph is refused outright.
+	var mismatch *GraphDigestError
+	relabelled, err := NewRunner(cfg, testutil.Relabelled(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := relabelled.Resume(c); !errors.As(err, &mismatch) {
+		t.Fatalf("resume onto a relabelled graph: %v, want a *GraphDigestError", err)
+	}
+	bad = *c
+	bad.Config.GraphDigest = ""
+	if _, err := r.Resume(&bad); !errors.As(err, &mismatch) {
+		t.Fatalf("resume from a checkpoint without a graph digest: %v, want a *GraphDigestError", err)
+	}
 }
 
 // TestResumeEveryLevelWithTopDownHubSubset resumes a hybrid run whose
@@ -285,7 +302,7 @@ func TestResumeEveryLevelWithTopDownHubSubset(t *testing.T) {
 func TestHostAndFingerprintCoverConfig(t *testing.T) {
 	g := kron(t, 4, 1)
 	base := Config{Nodes: 4}
-	fingerprint := func(c Config) string { return machineConfig(c, c.Partition.String(), g).Fingerprint() }
+	fingerprint := func(c Config) string { return machineConfig(c, c.Partition.String(), g, "").Fingerprint() }
 	baseFP := fingerprint(base)
 
 	var h Host

@@ -69,10 +69,32 @@ func (e *AbortError) Error() string {
 
 func (e *AbortError) Unwrap() error { return e.Cause }
 
+// GraphDigestError refuses a resume onto a graph other than the one the
+// checkpoint pins: File is the checkpoint's graph digest ("" when it pins
+// none), Run the digest of the graph the run was handed.
+type GraphDigestError struct {
+	File, Run string
+}
+
+func (e *GraphDigestError) Error() string {
+	if e.File == "" {
+		return "core: checkpoint pins no graph (no graph_digest), so it cannot be resumed"
+	}
+	return fmt.Sprintf("core: checkpoint is for another graph: its digest is %s, this run's graph digests %s", e.File, e.Run)
+}
+
 // MachineSpec identifies one run to OpenMachine.
 type MachineSpec struct {
 	Cfg   Config
 	Graph *graph.CSR
+	// Weights are the edge weights of a weighted kernel (nil otherwise).
+	// The graph digest a checkpoint pins covers them.
+	Weights *graph.Weights
+	// Digest is graph.Digest(Graph, Weights) when the caller already holds
+	// it (a Runner keeps the first one for all its roots). Otherwise
+	// OpenMachine computes it, and only for a run that can checkpoint or
+	// resumes: a plain run never pays for it.
+	Digest string
 	// Kernel and Root are the run's identity in live events, the flight
 	// record, checkpoints and AbortError (rootless kernels pass
 	// graph.NoVertex).
@@ -171,7 +193,7 @@ func flightFor(o *obs.Observer) *obs.FlightRecorder {
 // machineConfig builds the checkpoint identity record of a configuration
 // over a graph. Defaults are applied first, so the fingerprint of a config
 // reconstructed via ConfigFromCheckpoint matches the original.
-func machineConfig(cfg Config, partition string, g *graph.CSR) ckpt.MachineConfig {
+func machineConfig(cfg Config, partition string, g *graph.CSR, digest string) ckpt.MachineConfig {
 	cfg = cfg.withDefaults()
 	codec := "raw"
 	if cfg.Codec != nil {
@@ -201,6 +223,7 @@ func machineConfig(cfg Config, partition string, g *graph.CSR) ckpt.MachineConfi
 		Partition:          partition,
 		GraphN:             g.N,
 		GraphEdges:         g.NumEdges(),
+		GraphDigest:        digest,
 	}
 }
 
@@ -277,6 +300,9 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 	if got := mcfg.Fingerprint(); got != c.Fingerprint {
 		return fmt.Errorf("core: checkpoint fingerprint mismatch:\n  file: %s\n  run:  %s", c.Fingerprint, got)
 	}
+	if c.Config.GraphDigest == "" || c.Config.GraphDigest != mcfg.GraphDigest {
+		return &GraphDigestError{File: c.Config.GraphDigest, Run: mcfg.GraphDigest}
+	}
 	if len(c.Nodes) != mcfg.Nodes {
 		return fmt.Errorf("core: checkpoint has %d node states, machine has %d", len(c.Nodes), mcfg.Nodes)
 	}
@@ -311,9 +337,13 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 	cfg, resume := spec.Cfg, spec.Resume
 	prev := spec.Recycle
 	spec.Recycle = nil // a machine must not keep its predecessors alive
+	digest := spec.Digest
+	if digest == "" && (cfg.CheckpointEvery > 0 || resume != nil) {
+		digest = graph.Digest(spec.Graph, spec.Weights)
+	}
 	m := &Machine{
 		spec:   spec,
-		config: machineConfig(cfg, spec.Partition, spec.Graph),
+		config: machineConfig(cfg, spec.Partition, spec.Graph, digest),
 		Flight: spec.Flight,
 		// A resumed run that dies before its next boundary still has a
 		// checkpoint to offer: the one it resumed from.

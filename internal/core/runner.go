@@ -77,6 +77,10 @@ type Runner struct {
 	policy  *Policy
 	curRoot graph.Vertex
 
+	// digest is the graph's checkpoint digest, computed by the first machine
+	// that needed it ("" until then) and handed to every later one.
+	digest string
+
 	// flight is the always-on black-box recorder, kept across roots so the
 	// run index advances. Drained into a post-mortem dump when a run aborts
 	// (see AbortError.FlightDump).
@@ -194,8 +198,8 @@ func (r *Runner) Run(root graph.Vertex) (*Result, error) {
 
 // Resume continues a checkpointed BFS run: the ensemble is reconstructed
 // from the checkpoint and the loop re-enters at the recorded boundary. The
-// runner must have been built over the same graph and an equivalent
-// machine configuration (fingerprint-checked); Workers, observers,
+// runner must have been built over the same graph (digest-checked) and an
+// equivalent machine configuration (fingerprint-checked); Workers, observers,
 // timeouts and the chaos plan may differ — they are host-side. The
 // completed run's Result is bitwise identical to an uninterrupted run's.
 func (r *Runner) Resume(c *ckpt.Checkpoint) (*Result, error) {
@@ -214,12 +218,13 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	}
 	m, err := OpenMachine(MachineSpec{
 		Cfg: r.cfg, Graph: r.g, Kernel: KernelBFS, Root: root, Unit: "level",
-		Partition: r.cfg.Partition.String(), Flight: r.flight, Resume: resume,
+		Partition: r.cfg.Partition.String(), Digest: r.digest, Flight: r.flight, Resume: resume,
 		CaptureKernel: r.captureKernel, Recycle: r.m,
 	})
 	if err != nil {
 		return nil, err
 	}
+	r.digest = m.config.GraphDigest
 	defer func() {
 		m.Close()
 		r.net = nil

@@ -19,11 +19,8 @@ import (
 type SSSPBenchConfig struct {
 	Scale      int
 	EdgeFactor int
-	// MaxWeight bounds the uniform random edge weights (default 255, the
-	// spec's byte-sized weights).
-	MaxWeight int64
-	Seed      int64
-	Roots     int
+	Seed       int64
+	Roots      int
 	// Delta selects delta-stepping bucket width (0 = frontier
 	// Bellman-Ford, the suite's default SSSP).
 	Delta   int64
@@ -52,13 +49,17 @@ type SSSPRunResult struct {
 // GTEPSHarmonicMean is the headline number.
 func (r *SSSPReport) GTEPSHarmonicMean() float64 { return r.TEPS.Mean / 1e9 }
 
+// SSSPWeights draws the weights of the SSSP benchmark's graph from seed:
+// uniform in [1, 255], the spec's byte-sized weights. RunSSSP runs on
+// them, and a resumed weighted kernel rebuilds them the same way.
+func SSSPWeights(g *graph.CSR, seed int64) (*graph.WeightedCSR, error) {
+	return graph.GenerateWeights(g, 255, seed)
+}
+
 // RunSSSP executes the SSSP benchmark.
 func RunSSSP(cfg SSSPBenchConfig) (*SSSPReport, error) {
 	if cfg.Roots == 0 {
 		cfg.Roots = DefaultRoots
-	}
-	if cfg.MaxWeight == 0 {
-		cfg.MaxWeight = 255
 	}
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{
 		Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed,
@@ -66,7 +67,7 @@ func RunSSSP(cfg SSSPBenchConfig) (*SSSPReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	wg, err := graph.GenerateWeights(g, cfg.MaxWeight, cfg.Seed)
+	wg, err := SSSPWeights(g, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
