@@ -87,10 +87,12 @@ fuzz:
 # then resume from the checkpoint under -cpuprofile, and fail unless the
 # resumed result validates and the profile is non-empty. A second leg kills
 # and resumes an SSSP run the same way, and fails unless the resumed
-# distances validate.
+# distances validate. A third benchmarks SSSP on an edge list graphgen
+# wrote, and fails unless it prints its headline; a fourth fails unless
+# graph500 refuses a flag the run would ignore (-delta with -kernel bfs).
 resume-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/" ./cmd/graph500 ./cmd/inspect && \
+	$(GO) build -o "$$dir/" ./cmd/graph500 ./cmd/inspect ./cmd/graphgen && \
 	{ "$$dir/graph500" -scale 10 -nodes 8 -roots 1 -seed 42 \
 		-checkpoint-every 1 -checkpoint "$$dir/smoke.ckpt.json" -flight-dump "$$dir/smoke.flight.json" \
 		-chaos-plan 'kill@3:l2:data/forward:0' >/dev/null 2>&1; true; } && \
@@ -108,6 +110,11 @@ resume-smoke:
 	"$$dir/inspect" "$$dir/sssp.ckpt.json" | grep -q 'boundary *2 completed' || { echo "resume-smoke: no mid-run sssp checkpoint written"; exit 1; }; \
 	"$$dir/graph500" -scale 10 -nodes 8 -seed 42 -resume "$$dir/sssp.ckpt.json" 2>/dev/null \
 		| grep -q 'validation: *ok' || { echo "resume-smoke: resumed sssp run did not validate"; exit 1; }; \
+	"$$dir/graphgen" -scale 10 -out "$$dir/edges.txt" >/dev/null 2>&1 || { echo "resume-smoke: graphgen wrote no edge list"; exit 1; }; \
+	"$$dir/graph500" -kernel sssp -input "$$dir/edges.txt" -roots 2 2>/dev/null | grep -q 'harmonic_mean_GTEPS' \
+		|| { echo "resume-smoke: sssp on an edge list printed no headline"; exit 1; }; \
+	! "$$dir/graph500" -kernel bfs -delta 16 -scale 8 -roots 1 >/dev/null 2>&1 \
+		|| { echo "resume-smoke: graph500 accepted -delta with -kernel bfs"; exit 1; }; \
 	echo "resume-smoke: ok"
 
 # bench-ab measures a base ref against the working tree with the repo

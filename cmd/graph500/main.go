@@ -1,11 +1,12 @@
 // Command graph500 runs the full Graph500 benchmark on the simulated
-// Sunway TaihuLight machine: Kronecker generation, graph construction,
-// 64 rooted BFS runs on the configured machine, validation, and
-// harmonic-mean TEPS reporting.
+// Sunway TaihuLight machine: Kronecker generation (or an edge-list file),
+// graph construction, 64 rooted BFS or SSSP runs on the configured
+// machine, validation, and harmonic-mean TEPS reporting.
 //
 // Example:
 //
 //	graph500 -scale 18 -nodes 64 -transport relay -engine cpe
+//	graph500 -kernel sssp -delta 32 -scale 14 -nodes 16
 package main
 
 import (
@@ -28,24 +29,40 @@ func main() {
 		edgefactor = flag.Int("edgefactor", 16, "edges per vertex")
 		nodes      = flag.Int("nodes", 16, "simulated compute nodes")
 		superSize  = flag.Int("super", 16, "nodes per super node (fat-tree scaling)")
-		roots      = flag.Int("roots", 64, "number of BFS roots (Graph500 uses 64)")
+		roots      = flag.Int("roots", 64, "number of search roots (Graph500 uses 64)")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
 		transport  = flag.String("transport", "relay", "messaging scheme: direct | relay")
 		engine     = flag.String("engine", "cpe", "module processing: mpe | cpe")
 		noOpt      = flag.Bool("no-direction-opt", false, "disable the hybrid top-down/bottom-up policy")
 		noHubs     = flag.Bool("no-hub-prefetch", false, "disable degree-aware hub prefetching")
 		noValidate = flag.Bool("skip-validation", false, "skip result validation (timing sweeps only)")
-		input      = flag.String("input", "", "edge-list file to benchmark instead of generating (see -format)")
-		format     = flag.String("format", "text", "input format: text | binary")
+		input      = flag.String("input", "", "edge-list file to benchmark instead of generating, with either kernel (see -format; sssp draws its weights from -seed)")
+		format     = flag.String("format", "text", "-input format: text | binary")
 		vertices   = flag.Int64("vertices", 0, "vertex count for -input (0 = max vertex ID + 1)")
-		verbose    = flag.Bool("verbose", false, "print per-root and per-level detail")
-		kernel     = flag.String("kernel", "bfs", "benchmark kernel: bfs | sssp (Graph500 v3 second kernel)")
-		delta      = flag.Int64("delta", 0, "sssp kernel: delta-stepping bucket width (0 = Bellman-Ford)")
+		verbose    = flag.Bool("verbose", false, "print per-root and per-level (per-round for sssp) detail")
+		kernel     = flag.String("kernel", "bfs", "benchmark kernel: bfs | sssp (Graph500 v3 second kernel; Bellman-Ford, or delta-stepping with -delta)")
+		delta      = flag.Int64("delta", 0, "-kernel sssp only: delta-stepping bucket width (0 = Bellman-Ford)")
 		trace      = flag.String("trace", "", "write per-root/per-level statistics as JSON lines to this file")
 	)
 	hostFlags := cli.Register()
 	flag.Parse()
 	s := hostFlags.Open("graph500")
+
+	// A flag only some runs read is refused when set for a run that would
+	// ignore it: the SSSP round driver reads neither BFS switch.
+	readBy := map[string]string{
+		"delta":            "-kernel sssp",
+		"no-direction-opt": "-kernel bfs",
+		"no-hub-prefetch":  "-kernel bfs",
+		"format":           "-input",
+		"vertices":         "-input",
+	}
+	reads := map[string]bool{"-kernel sssp": *kernel == "sssp", "-kernel bfs": *kernel == "bfs", "-input": *input != ""}
+	flag.Visit(func(f *flag.Flag) {
+		if who, ok := readBy[f.Name]; ok && !reads[who] {
+			s.Fatalf("-%s is read only with %s", f.Name, who)
+		}
+	})
 
 	machine := core.Config{
 		Nodes:              *nodes,
@@ -89,12 +106,11 @@ func main() {
 		switch {
 		case *noValidate:
 			validated = "skipped"
-		case !r.Validated:
+		case r.Run == nil:
 			validated = "none (Graph500 defines no rule for " + r.Checkpoint.Kernel + ")"
 		}
 		c := r.Checkpoint
-		res, bfs := r.Result.(*core.Result)
-		if bfs {
+		if c.Kernel == core.KernelBFS {
 			fmt.Printf("KERNEL:               bfs (resumed from level %d)\n", c.Level)
 		} else {
 			fmt.Printf("KERNEL:               %s (resumed from round %d)\n", c.Kernel, c.Level)
@@ -106,12 +122,12 @@ func main() {
 		fmt.Printf("num_vertices:         %d\n", r.Graph.N)
 		fmt.Printf("num_undirected_edges: %d\n", r.Graph.NumEdges()/2)
 		fmt.Printf("machine:              %s, %d nodes\n", r.Config.Name(), r.Config.Nodes)
-		if bfs {
-			fmt.Printf("visited:              %d\n", res.Visited)
-			fmt.Printf("traversed_edges:      %d\n", res.TraversedEdges)
-			fmt.Printf("levels:               %d\n", len(res.Levels))
-			fmt.Printf("bfs_time:             %.6f s (modelled)\n", res.Time)
-			fmt.Printf("GTEPS:                %.4f\n", res.GTEPS)
+		if rr := r.Run; rr != nil {
+			fmt.Printf("visited:              %d\n", rr.Visited)
+			fmt.Printf("traversed_edges:      %d\n", rr.TraversedEdges)
+			fmt.Printf("levels:               %d\n", rr.Levels)
+			fmt.Printf("%-22s%.6f s (modelled)\n", c.Kernel+"_time:", rr.Time)
+			fmt.Printf("GTEPS:                %.4f\n", rr.TEPS/1e9)
 		}
 		fmt.Printf("validation:           %s\n", validated)
 		s.Close()
@@ -119,38 +135,8 @@ func main() {
 	}
 	machine = s.Apply(machine)
 
-	if *kernel == "sssp" {
-		if *input != "" {
-			s.Fatalf("-kernel sssp runs on its own Kronecker graph and cannot read -input %s; drop -input or use -kernel bfs", *input)
-		}
-		report, err := graph500.RunSSSP(graph500.SSSPBenchConfig{
-			Scale:      *scale,
-			EdgeFactor: *edgefactor,
-			Seed:       *seed,
-			Roots:      *roots,
-			Delta:      *delta,
-			Machine:    machine,
-		})
-		if err != nil {
-			s.Exit("sssp benchmark failed", err)
-		}
-		fmt.Printf("KERNEL:               sssp (delta=%d)\n", *delta)
-		fmt.Printf("SCALE:                %d\n", *scale)
-		fmt.Printf("NROOTS:               %d\n", len(report.Runs))
-		fmt.Printf("num_vertices:         %d\n", report.NumVertices)
-		fmt.Printf("num_undirected_edges: %d\n", report.NumEdges)
-		fmt.Printf("machine:              %s, %d nodes\n", machine.Name(), machine.Nodes)
-		fmt.Printf("sssp_time:            %s\n", report.KernelTime)
-		fmt.Printf("sssp_TEPS:            %s\n", report.TEPS)
-		fmt.Printf("harmonic_mean_GTEPS:  %.4f\n", report.GTEPSHarmonicMean())
-		s.Close()
-		return
-	}
-	if *kernel != "bfs" {
-		s.Fatalf("unknown kernel %q (want bfs or sssp)", *kernel)
-	}
-
 	cfg := graph500.BenchConfig{
+		Kernel:         *kernel,
 		Scale:          *scale,
 		EdgeFactor:     *edgefactor,
 		Seed:           *seed,
@@ -158,6 +144,9 @@ func main() {
 		SkipValidation: *noValidate,
 		KeepLevels:     *verbose || *trace != "",
 		Machine:        machine,
+	}
+	if *delta != 0 {
+		cfg.Kernel, cfg.Args = "delta-sssp", fmt.Sprintf("delta=%d", *delta)
 	}
 	if *input != "" {
 		edges, n, err := loadEdges(*input, *format, *vertices)
@@ -184,7 +173,7 @@ func main() {
 	s.Close()
 }
 
-// writeTrace dumps one JSON object per BFS run (with its per-level
+// writeTrace dumps one JSON object per kernel run (with its per-level
 // statistics) for external analysis tooling.
 func writeTrace(path string, report *graph500.Report) error {
 	f, err := os.Create(path)

@@ -153,22 +153,20 @@ type Resumed struct {
 	// kernel (Weights is nil otherwise).
 	Graph  *graph.WeightedCSR
 	Config core.Config
-	// Result is the kernel's own result (algos.Kernel.Run).
-	Result any
-	// Validated reports that a Graph500 rule checked the result: the BFS
-	// parent map, or SSSP distances. Graph500 defines none for the other
-	// kernels.
-	Validated bool
+	// Run is the resumed run's row (graph500.Measure), validated when
+	// Resume was asked to; nil for a kernel Graph500 defines no rule for.
+	Run *graph500.RootResult
 }
 
 // Resume finishes the interrupted run of the -resume checkpoint, whatever
 // its kernel, through the algos kernel table. build rebuilds its graph, and
-// a weighted kernel's weights are drawn from seed as graph500.RunSSSP draws
+// a weighted kernel's weights are drawn from seed as graph500.Run draws
 // them; the checkpoint's graph digest refuses a mismatch of either. The
 // machine configuration, codecs included, comes from the checkpoint and
 // only the host knobs from the command line, so the result is bitwise
-// identical to the uninterrupted run's. When validate is set, a result
-// Graph500 defines a rule for is validated. Any failure ends the command.
+// identical to the uninterrupted run's. A result Graph500 defines a rule
+// for is measured, and validated when validate is set. Any failure ends
+// the command.
 func (s *Session) Resume(build func(ckpt.MachineConfig) (*graph.CSR, error), seed int64, validate bool) Resumed {
 	c, err := ckpt.ReadFile(s.f.Resume)
 	if err != nil {
@@ -202,22 +200,13 @@ func (s *Session) Resume(build func(ckpt.MachineConfig) (*graph.CSR, error), see
 	if err != nil {
 		s.Exit("resume failed", err)
 	}
-	r := Resumed{Checkpoint: c, Graph: wg, Config: cfg, Result: res}
-	if validate {
-		r.Validated = true
-		switch res := res.(type) {
-		case *core.Result:
-			_, err = graph500.ValidateParallel(g, root, res.Parent, 0)
-		case *algos.SSSPResult:
-			err = graph500.ValidateSSSP(wg, root, res.Dist)
-		case *algos.DeltaSSSPResult:
-			err = graph500.ValidateSSSP(wg, root, res.Dist)
-		default:
-			r.Validated = false
-		}
+	r := Resumed{Checkpoint: c, Graph: wg, Config: cfg}
+	if graph500.HasRule(k.Name) {
+		rr, err := graph500.Measure(wg, root, res, validate)
 		if err != nil {
-			s.Fatalf("validation failed for resumed %s root %d: %v", c.Kernel, c.Root, err)
+			s.Fatalf("resumed %s: %v", c.Kernel, err)
 		}
+		r.Run = &rr
 	}
 	return r
 }

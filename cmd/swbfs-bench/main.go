@@ -29,7 +29,6 @@ import (
 
 	"swbfs/cmd/internal/cli"
 	"swbfs/internal/ckpt"
-	"swbfs/internal/core"
 	"swbfs/internal/experiments"
 	"swbfs/internal/graph"
 )
@@ -159,15 +158,15 @@ func main() {
 			return graph.BuildKronecker(graph.KroneckerConfig{Scale: bits.TrailingZeros64(uint64(n)), Seed: *seed})
 		}, *seed, true)
 		validation := "validation ok"
-		if !r.Validated {
+		if r.Run == nil {
 			validation = "no Graph500 rule to validate"
 		}
-		if res, ok := r.Result.(*core.Result); ok {
-			fmt.Printf("resumed bfs: root %d, %d vertices, visited %d, traversed %d edges, %d levels, %.3f GTEPS (modelled), %s\n",
-				r.Checkpoint.Root, r.Graph.N, res.Visited, res.TraversedEdges, len(res.Levels), res.GTEPS, validation)
+		c := r.Checkpoint
+		if rr := r.Run; rr != nil {
+			fmt.Printf("resumed %s: root %d, %d vertices, visited %d, traversed %d edges, %d levels, %.3f GTEPS (modelled), %s\n",
+				c.Kernel, c.Root, r.Graph.N, rr.Visited, rr.TraversedEdges, rr.Levels, rr.TEPS/1e9, validation)
 		} else {
-			fmt.Printf("resumed %s: root %d, args %q, %d vertices, %s\n",
-				r.Checkpoint.Kernel, r.Checkpoint.Root, r.Checkpoint.Args, r.Graph.N, validation)
+			fmt.Printf("resumed %s: root %d, args %q, %d vertices, %s\n", c.Kernel, c.Root, c.Args, r.Graph.N, validation)
 		}
 	} else if flag.Arg(0) == "all" {
 		for _, name := range []string{

@@ -3,6 +3,7 @@ package algos
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"swbfs/internal/core"
@@ -15,55 +16,31 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/round_sta
 
 const roundStatsGolden = "testdata/round_stats.golden.json"
 
-// kernelRun runs one rootless kernel and returns its machine-level outcome.
-type kernelRun func(cfg core.Config, g *graph.CSR) (*RunInfo, error)
+// tableRun names a table kernel and the arguments to run it with.
+type tableRun struct{ kernel, args string }
 
-func wccInfo(cfg core.Config, g *graph.CSR) (*RunInfo, error) {
-	r, err := WCC(cfg, g)
+// runInfo runs a table kernel from root and returns its machine-level
+// outcome.
+func runInfo(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, run tableRun) (*RunInfo, error) {
+	k, err := KernelByName(run.kernel)
 	if err != nil {
 		return nil, err
 	}
-	return r.Info, nil
+	res, err := k.Run(cfg, wg, root, run.args, nil)
+	if err != nil {
+		return nil, err
+	}
+	return reflect.ValueOf(res).Elem().FieldByName("Info").Interface().(*RunInfo), nil
 }
 
-func pagerankInfo(iterations int) kernelRun {
-	return func(cfg core.Config, g *graph.CSR) (*RunInfo, error) {
-		r, err := PageRank(cfg, g, iterations, 0)
-		if err != nil {
-			return nil, err
-		}
-		return r.Info, nil
-	}
-}
-
-func kcoreInfo(k int64) kernelRun {
-	return func(cfg core.Config, g *graph.CSR) (*RunInfo, error) {
-		r, err := KCore(cfg, g, k)
-		if err != nil {
-			return nil, err
-		}
-		return r.Info, nil
-	}
-}
-
-func ssspInfo(wg *graph.WeightedCSR, root graph.Vertex) kernelRun {
-	return func(cfg core.Config, _ *graph.CSR) (*RunInfo, error) {
-		r, err := SSSP(cfg, wg, root)
-		if err != nil {
-			return nil, err
-		}
-		return r.Info, nil
-	}
-}
-
-func deltaInfo(wg *graph.WeightedCSR, root graph.Vertex, delta int64) kernelRun {
-	return func(cfg core.Config, _ *graph.CSR) (*RunInfo, error) {
-		r, err := DeltaSSSP(cfg, wg, root, delta)
-		if err != nil {
-			return nil, err
-		}
-		return r.Info, nil
-	}
+// goldenKernels maps each golden key to the table kernel and arguments it
+// runs; the weighted kernels run from root 3.
+var goldenKernels = map[string]tableRun{
+	"wcc":        {"wcc", ""},
+	"pagerank3":  {"pagerank", "iterations=3 damping=0.85"},
+	"kcore4":     {"kcore", "k=4"},
+	"sssp":       {"sssp", ""},
+	"delta-sssp": {"delta-sssp", "delta=16"},
 }
 
 // goldenRun is the modelled outcome of one kernel run that a host-side
@@ -89,16 +66,12 @@ func TestRoundStatsMatchGolden(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			cfg := machine(8, transport) // relay: 2 groups of 4
 			cfg.Workers = workers
-			runs := map[string]kernelRun{
-				"wcc": wccInfo, "pagerank3": pagerankInfo(3), "kcore4": kcoreInfo(4),
-				"sssp": ssspInfo(wg, 3), "delta-sssp": deltaInfo(wg, 3, 16),
-			}
-			for kernel, run := range runs {
-				info, err := run(cfg, g)
+			for name, run := range goldenKernels {
+				info, err := runInfo(cfg, wg, 3, run)
 				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", kernel, transport, workers, err)
+					t.Fatalf("%s %s workers=%d: %v", name, transport, workers, err)
 				}
-				key := fmt.Sprintf("%s/%s/workers=%d", kernel, transport, workers)
+				key := fmt.Sprintf("%s/%s/workers=%d", name, transport, workers)
 				got[key] = goldenRun{info.Levels, info.NetworkBytes, info.NetworkMessages}
 			}
 		}

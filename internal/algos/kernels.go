@@ -16,64 +16,94 @@ type Kernel struct {
 	Name string
 	// Weighted kernels read wg.Weights; the others run on wg.CSR alone.
 	Weighted bool
-	// Run executes the kernel on wg with its canonical argument string
-	// (RunOptions.Args; "" for a kernel that takes none): fresh from root
-	// when from is nil, else resumed from the checkpoint, whose Root and
-	// Args the caller passes. Rootless kernels ignore root; betweenness
-	// takes its sources from args. Run parses args and nothing more: a
-	// resume compares the arguments the run records with the checkpoint's,
-	// which refuses a non-canonical string. The result is the kernel's own:
-	// *core.Result for BFS, *SSSPResult, *DeltaSSSPResult, *WCCResult,
-	// *PageRankResult, *KCoreResult or *BCResult.
-	Run func(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, args string, from *ckpt.Checkpoint) (any, error)
+	// Open prepares the kernel on wg with its canonical argument string
+	// (RunOptions.Args; "" for a kernel that takes none) and returns the
+	// function that runs it. Open parses args, so malformed arguments are
+	// refused before any run starts, and BFS partitions the graph here
+	// once, so its runs share the partition and recycle machines. A resume
+	// compares the arguments the run records with the checkpoint's, which
+	// refuses a non-canonical string.
+	Open func(cfg core.Config, wg *graph.WeightedCSR, args string) (RunFunc, error)
+}
+
+// RunFunc runs an opened kernel: fresh from root when from is nil, else
+// resumed from the checkpoint, whose Root the caller passes. Rootless
+// kernels ignore root; betweenness takes its sources from its arguments.
+// The result is the kernel's own: *core.Result for BFS, *SSSPResult,
+// *DeltaSSSPResult, *WCCResult, *PageRankResult, *KCoreResult or
+// *BCResult.
+type RunFunc func(root graph.Vertex, from *ckpt.Checkpoint) (any, error)
+
+// Run opens k on wg with args and runs it once, from root or from the
+// checkpoint.
+func (k Kernel) Run(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, args string, from *ckpt.Checkpoint) (any, error) {
+	run, err := k.Open(cfg, wg, args)
+	if err != nil {
+		return nil, err
+	}
+	return run(root, from)
 }
 
 // Kernels is the kernel table: BFS and every round kernel.
 var Kernels = []Kernel{
-	{Name: core.KernelBFS, Run: func(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, _ string, from *ckpt.Checkpoint) (any, error) {
+	{Name: core.KernelBFS, Open: func(cfg core.Config, wg *graph.WeightedCSR, _ string) (RunFunc, error) {
 		r, err := core.NewRunner(cfg, wg.CSR)
 		if err != nil {
 			return nil, err
 		}
-		if from == nil {
-			return result(r.Run(root))
-		}
-		return result(r.Resume(from))
+		return func(root graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			if from == nil {
+				return result(r.Run(root))
+			}
+			return result(r.Resume(from))
+		}, nil
 	}},
-	{Name: "sssp", Weighted: true, Run: func(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, _ string, from *ckpt.Checkpoint) (any, error) {
-		return result(ssspRun(cfg, wg, root, from))
+	{Name: "sssp", Weighted: true, Open: func(cfg core.Config, wg *graph.WeightedCSR, _ string) (RunFunc, error) {
+		return func(root graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(ssspRun(cfg, wg, root, from))
+		}, nil
 	}},
-	{Name: "delta-sssp", Weighted: true, Run: func(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, args string, from *ckpt.Checkpoint) (any, error) {
+	{Name: "delta-sssp", Weighted: true, Open: func(cfg core.Config, wg *graph.WeightedCSR, args string) (RunFunc, error) {
 		var delta int64
 		if err := scanArgs(args, "delta=%d", &delta); err != nil {
 			return nil, err
 		}
-		return result(deltaRun(cfg, wg, root, delta, from))
+		return func(root graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(deltaRun(cfg, wg, root, delta, from))
+		}, nil
 	}},
-	{Name: "wcc", Run: func(cfg core.Config, wg *graph.WeightedCSR, _ graph.Vertex, _ string, from *ckpt.Checkpoint) (any, error) {
-		return result(wccRun(cfg, wg.CSR, from))
+	{Name: "wcc", Open: func(cfg core.Config, wg *graph.WeightedCSR, _ string) (RunFunc, error) {
+		return func(_ graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(wccRun(cfg, wg.CSR, from))
+		}, nil
 	}},
-	{Name: "pagerank", Run: func(cfg core.Config, wg *graph.WeightedCSR, _ graph.Vertex, args string, from *ckpt.Checkpoint) (any, error) {
+	{Name: "pagerank", Open: func(cfg core.Config, wg *graph.WeightedCSR, args string) (RunFunc, error) {
 		var iterations int
 		var damping float64
 		if err := scanArgs(args, "iterations=%d damping=%g", &iterations, &damping); err != nil {
 			return nil, err
 		}
-		return result(pagerankRun(cfg, wg.CSR, iterations, damping, from))
+		return func(_ graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(pagerankRun(cfg, wg.CSR, iterations, damping, from))
+		}, nil
 	}},
-	{Name: "kcore", Run: func(cfg core.Config, wg *graph.WeightedCSR, _ graph.Vertex, args string, from *ckpt.Checkpoint) (any, error) {
+	{Name: "kcore", Open: func(cfg core.Config, wg *graph.WeightedCSR, args string) (RunFunc, error) {
 		var k int64
 		if err := scanArgs(args, "k=%d", &k); err != nil {
 			return nil, err
 		}
-		return result(kcoreRun(cfg, wg.CSR, k, from))
+		return func(_ graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(kcoreRun(cfg, wg.CSR, k, from))
+		}, nil
 	}},
-	{Name: "betweenness", Run: func(cfg core.Config, wg *graph.WeightedCSR, _ graph.Vertex, args string, from *ckpt.Checkpoint) (any, error) {
+	{Name: "betweenness", Open: func(cfg core.Config, wg *graph.WeightedCSR, args string) (RunFunc, error) {
 		sources, err := parseSources(args)
 		if err != nil {
 			return nil, err
 		}
-		return result(betweennessRun(cfg, wg.CSR, sources, from))
+		return func(_ graph.Vertex, from *ckpt.Checkpoint) (any, error) {
+			return result(betweennessRun(cfg, wg.CSR, sources, from))
+		}, nil
 	}},
 }
 

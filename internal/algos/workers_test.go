@@ -435,21 +435,21 @@ func TestAlgosTraceRecorded(t *testing.T) {
 // per twenty generated pairs, at two scales a factor of four apart. (The
 // per-pair Send path this replaced sat above one allocation per pair.)
 func TestKernelSendAllocsDoNotScaleWithEdges(t *testing.T) {
-	kernels := map[string]kernelRun{"pagerank4": pagerankInfo(4), "wcc": wccInfo}
+	kernels := map[string]tableRun{"pagerank4": {"pagerank", "iterations=4 damping=0.85"}, "wcc": {"wcc", ""}}
 	for _, scale := range []int{10, 12} {
-		g := kron(t, scale, 11)
+		wg := &graph.WeightedCSR{CSR: kron(t, scale, 11)}
 		for name, run := range kernels {
 			for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
 				for _, workers := range []int{1, 3} {
 					cfg := machine(4, transport)
 					cfg.SuperNodeSize = 2 // relay: 2 groups of 2
 					cfg.Workers = workers
-					if _, err := run(cfg, g); err != nil { // warm the pools
+					if _, err := runInfo(cfg, wg, graph.NoVertex, run); err != nil { // warm the pools
 						t.Fatal(err)
 					}
 					var before, after runtime.MemStats
 					runtime.ReadMemStats(&before)
-					info, err := run(cfg, g)
+					info, err := runInfo(cfg, wg, graph.NoVertex, run)
 					runtime.ReadMemStats(&after)
 					if err != nil {
 						t.Fatal(err)

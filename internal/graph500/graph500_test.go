@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"swbfs/internal/algos"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 )
@@ -364,12 +365,117 @@ func TestBenchmarkDeterministic(t *testing.T) {
 	}
 }
 
+// benchKernels are the kernels Run benchmarks, with the arguments the
+// harness tests run them with.
+var benchKernels = []struct{ kernel, args string }{
+	{"bfs", ""}, {"sssp", ""}, {"delta-sssp", "delta=32"},
+}
+
+// runKernels runs base with every benchmarked kernel and checks the
+// protocol they share: every root validates, every kernel gets the same
+// roots, and BFS, SSSP and delta-stepping all reach the root's component.
+// A kernel Graph500 defines no rule for is refused by name.
+func runKernels(t *testing.T, base BenchConfig) map[string]*Report {
+	t.Helper()
+	reports := map[string]*Report{}
+	for _, k := range benchKernels {
+		cfg := base
+		cfg.Kernel, cfg.Args = k.kernel, k.args
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", k.kernel, err)
+		}
+		if len(r.Runs) != base.Roots || r.GTEPSHarmonicMean() <= 0 {
+			t.Fatalf("%s: report = %+v", k.kernel, r)
+		}
+		for i, rr := range r.Runs {
+			if !rr.Validated || rr.TEPS <= 0 || rr.Time <= 0 {
+				t.Fatalf("%s root %d: %+v", k.kernel, rr.Root, rr)
+			}
+			bfs := reports["bfs"]
+			if bfs == nil {
+				continue
+			}
+			if rr.Root != bfs.Runs[i].Root {
+				t.Fatalf("%s: root %d is %d, bfs had %d", k.kernel, i, rr.Root, bfs.Runs[i].Root)
+			}
+			if rr.Visited != bfs.Runs[i].Visited {
+				t.Fatalf("%s root %d: reached %d, bfs visited %d", k.kernel, rr.Root, rr.Visited, bfs.Runs[i].Visited)
+			}
+		}
+		reports[k.kernel] = r
+	}
+	wcc := base
+	wcc.Kernel = "wcc"
+	if _, err := Run(wcc); err == nil || !strings.Contains(err.Error(), `"wcc"`) {
+		t.Fatalf("wcc: err = %v, want a refusal naming it", err)
+	}
+	return reports
+}
+
+// TestRunKernels runs every benchmarked kernel on a Kronecker graph and
+// pins the SSSP and delta=32 harmonic-mean GTEPS to the values the
+// separate SSSP harness gave for this configuration before Run took SSSP
+// over.
+func TestRunKernels(t *testing.T) {
+	machine := core.DefaultConfig(4)
+	machine.SuperNodeSize = 2
+	reports := runKernels(t, BenchConfig{Scale: 9, Seed: 11, Roots: 3, Machine: machine})
+	for kernel, want := range map[string]float64{"sssp": 0.013617208570572373, "delta-sssp": 0.005767332030298994} {
+		if got := reports[kernel].GTEPSHarmonicMean(); got != want {
+			t.Errorf("%s: harmonic-mean GTEPS = %v, want %v", kernel, got, want)
+		}
+	}
+}
+
+// TestMeasureRejects: Measure fails a corrupted BFS parent map or SSSP
+// distance array when asked to validate, passes it through unvalidated
+// when not, and refuses a result Graph500 defines no rule for.
+func TestMeasureRejects(t *testing.T) {
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg, err := SSSPWeights(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, root := g.MaxDegree()
+	for _, kernel := range []string{"bfs", "sssp", "wcc"} {
+		k, err := algos.KernelByName(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := k.Run(core.DefaultConfig(2), wg, root, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch res := res.(type) {
+		case *core.Result:
+			res.Parent[root] = graph.NoVertex
+		case *algos.SSSPResult:
+			res.Dist[root] = 1
+		default:
+			if _, err := Measure(wg, root, res, false); err == nil || HasRule(kernel) {
+				t.Fatalf("%s: a result with no Graph500 rule was measured", kernel)
+			}
+			continue
+		}
+		if _, err := Measure(wg, root, res, true); err == nil {
+			t.Fatalf("%s: corrupted result validated", kernel)
+		}
+		if rr, err := Measure(wg, root, res, false); err != nil || rr.Validated || rr.TEPS <= 0 {
+			t.Fatalf("%s: unvalidated row = %+v, %v", kernel, rr, err)
+		}
+	}
+}
+
 func TestBenchmarkFileInput(t *testing.T) {
 	edges, err := graph.GenerateKronecker(graph.KroneckerConfig{Scale: 9, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(BenchConfig{
+	reports := runKernels(t, BenchConfig{
 		Edges:       edges,
 		NumVertices: 1 << 9,
 		Seed:        3,
@@ -377,19 +483,18 @@ func TestBenchmarkFileInput(t *testing.T) {
 		KeepLevels:  true,
 		Machine:     core.DefaultConfig(2),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumVertices != 1<<9 {
-		t.Fatalf("vertices = %d", r.NumVertices)
-	}
-	if len(r.Runs[0].LevelDetail) == 0 {
-		t.Fatal("KeepLevels did not retain level detail")
-	}
-	var sb strings.Builder
-	r.PrintDetail(&sb)
-	if !strings.Contains(sb.String(), "file input") || !strings.Contains(sb.String(), "L0") {
-		t.Fatalf("detail output wrong:\n%s", sb.String())
+	for kernel, r := range reports {
+		if r.NumVertices != 1<<9 {
+			t.Fatalf("%s: vertices = %d", kernel, r.NumVertices)
+		}
+		if len(r.Runs[0].LevelDetail) == 0 {
+			t.Fatalf("%s: KeepLevels did not retain level detail", kernel)
+		}
+		var sb strings.Builder
+		r.PrintDetail(&sb)
+		if !strings.Contains(sb.String(), "file input") || !strings.Contains(sb.String(), "L0") {
+			t.Fatalf("%s: detail output wrong:\n%s", kernel, sb.String())
+		}
 	}
 	// Edges without NumVertices must be rejected.
 	if _, err := Run(BenchConfig{Edges: edges, Roots: 1, Machine: core.DefaultConfig(2)}); err == nil {

@@ -4,18 +4,36 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
+	"swbfs/internal/algos"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 	"swbfs/internal/perf"
 )
 
-// DefaultRoots is the benchmark's search-key count (64 BFS runs).
+// DefaultRoots is the benchmark's search-key count (64 kernel runs).
 const DefaultRoots = 64
+
+// benchmarkedAs maps each table kernel (algos.Kernels) Graph500 defines a
+// validation rule for to the Graph500 kernel it is benchmarked as: BFS
+// checks a parent map, SSSP (spec v3's second kernel, by Bellman-Ford or
+// delta-stepping) a distance array. Run refuses the rootless kernels.
+var benchmarkedAs = map[string]string{core.KernelBFS: "bfs", "sssp": "sssp", "delta-sssp": "sssp"}
+
+// HasRule reports whether Graph500 defines a validation rule for the table
+// kernel, that is, whether Run benchmarks it and Measure takes its result.
+func HasRule(kernel string) bool { return benchmarkedAs[kernel] != "" }
 
 // BenchConfig describes one full benchmark execution.
 type BenchConfig struct {
+	// Kernel names the table kernel to benchmark: "bfs" (also ""), "sssp"
+	// or "delta-sssp". A weighted kernel runs on SSSPWeights(graph, Seed).
+	Kernel string
+	// Args is the kernel's canonical argument string ("delta=16"; "" for
+	// a kernel that takes none).
+	Args string
 	// Scale and EdgeFactor parametrize the Kronecker input. When Edges is
 	// non-nil the benchmark runs on that raw edge list instead (NumVertices
 	// must then be set) — the path cmd/graph500 -input uses.
@@ -37,11 +55,13 @@ type BenchConfig struct {
 	// KeepLevels retains per-level statistics in each RootResult for
 	// detailed reporting (PrintDetail).
 	KeepLevels bool
-	// Machine is the simulated machine configuration for the BFS kernel.
+	// Machine is the simulated machine configuration for the kernel.
 	Machine core.Config
 }
 
-// RootResult records one kernel invocation.
+// RootResult records one kernel invocation. For SSSP, Visited counts the
+// reached vertices, TraversedEdges the relaxations (the TEPS numerator)
+// and Levels the rounds.
 type RootResult struct {
 	Root           graph.Vertex
 	Visited        int64
@@ -70,18 +90,28 @@ type Report struct {
 func (r *Report) GTEPSHarmonicMean() float64 { return r.TEPS.Mean / 1e9 }
 
 // Run executes the benchmark: (1) generate the edge list, (2) sample
-// nontrivial search roots, (3) construct the CSR, (4) run the BFS kernel
-// per root on the simulated machine, (5) validate every result, (6) compute
-// statistics.
+// nontrivial search roots, (3) construct the CSR (and draw the weights of a
+// weighted kernel), (4) run the kernel per root on the simulated machine,
+// opened once so every root shares its partition, (5) validate every
+// result, (6) compute statistics.
 func Run(cfg BenchConfig) (*Report, error) {
 	if cfg.Roots == 0 {
 		cfg.Roots = DefaultRoots
+	}
+	if cfg.Kernel == "" {
+		cfg.Kernel = core.KernelBFS
+	}
+	k, err := algos.KernelByName(cfg.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	if !HasRule(k.Name) {
+		return nil, fmt.Errorf("graph500: Graph500 defines no validation rule for kernel %q (want bfs, sssp or delta-sssp)", k.Name)
 	}
 	edges := cfg.Edges
 	numVertices := cfg.NumVertices
 	if edges == nil {
 		kcfg := graph.KroneckerConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}
-		var err error
 		edges, err = graph.GenerateKronecker(kcfg)
 		if err != nil {
 			return nil, err
@@ -97,13 +127,19 @@ func Run(cfg BenchConfig) (*Report, error) {
 		return nil, err
 	}
 	construction := time.Since(start).Seconds()
+	wg := &graph.WeightedCSR{CSR: g}
+	if k.Weighted {
+		if wg, err = SSSPWeights(g, cfg.Seed); err != nil {
+			return nil, err
+		}
+	}
 
 	roots, err := SampleRoots(g, cfg.Roots, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	runner, err := core.NewRunner(cfg.Machine, g)
+	run, err := k.Open(cfg.Machine, wg, cfg.Args)
 	if err != nil {
 		return nil, err
 	}
@@ -119,35 +155,23 @@ func Run(cfg BenchConfig) (*Report, error) {
 
 	var teps, times []float64
 	for _, root := range roots {
-		// The runner attaches one per-level RunTrace per root to the
+		// The kernel attaches one per-level RunTrace per root to the
 		// observer; the harness adds the benchmark-level accounting.
-		res, err := runner.Run(root)
+		res, err := run(root, nil)
 		if err != nil {
-			return nil, fmt.Errorf("graph500: BFS from root %d: %w", root, err)
+			return nil, fmt.Errorf("graph500: %s from root %d: %w", k.Name, root, err)
 		}
-		rr := RootResult{
-			Root:           root,
-			Visited:        res.Visited,
-			TraversedEdges: res.TraversedEdges,
-			Levels:         len(res.Levels),
-			BottomUpLevels: res.BottomUpLevels,
-			Time:           res.Time,
-			TEPS:           res.GTEPS * 1e9,
+		vstart := time.Now()
+		rr, err := Measure(wg, root, res, !cfg.SkipValidation)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.KeepLevels {
-			rr.LevelDetail = res.Levels
+		if rr.Validated && metrics != nil {
+			metrics.Counter("graph500.validations").Inc()
+			metrics.Histogram("graph500.validation_us").Observe(time.Since(vstart).Microseconds())
 		}
-		if !cfg.SkipValidation {
-			// The parallel validator (Section 5's scaled verification).
-			vstart := time.Now()
-			if _, err := ValidateParallel(g, root, res.Parent, 0); err != nil {
-				return nil, fmt.Errorf("graph500: validation failed for root %d: %w", root, err)
-			}
-			rr.Validated = true
-			if metrics != nil {
-				metrics.Counter("graph500.validations").Inc()
-				metrics.Histogram("graph500.validation_us").Observe(time.Since(vstart).Microseconds())
-			}
+		if !cfg.KeepLevels {
+			rr.LevelDetail = nil
 		}
 		report.Runs = append(report.Runs, rr)
 		teps = append(teps, rr.TEPS)
@@ -161,6 +185,57 @@ func Run(cfg BenchConfig) (*Report, error) {
 		metrics.Gauge("graph500.harmonic_mean_mteps").Set(int64(report.TEPS.Mean / 1e6))
 	}
 	return report, nil
+}
+
+// Measure returns the row of res, the table result of a kernel HasRule
+// admits, run from root on wg, with its level detail. When validate is set
+// the result is validated first (ValidateParallel for a BFS parent map,
+// ValidateSSSP for distances) and a failure is returned as the error.
+// TEPS is each kernel's own rate: traversed edges of the discovered
+// component for BFS, relaxations for SSSP, over the modelled time.
+func Measure(wg *graph.WeightedCSR, root graph.Vertex, res any, validate bool) (RootResult, error) {
+	var rr RootResult
+	var check func() error
+	switch res := res.(type) {
+	case *core.Result:
+		rr = RootResult{
+			Root: root, Visited: res.Visited, TraversedEdges: res.TraversedEdges,
+			Levels: len(res.Levels), BottomUpLevels: res.BottomUpLevels,
+			Time: res.Time, TEPS: res.GTEPS * 1e9, LevelDetail: res.Levels,
+		}
+		check = func() error {
+			_, err := ValidateParallel(wg.CSR, root, res.Parent, 0)
+			return err
+		}
+	case *algos.SSSPResult:
+		rr, check = ssspRow(wg, root, res.Dist, res.Relaxations, res.Info)
+	case *algos.DeltaSSSPResult:
+		rr, check = ssspRow(wg, root, res.Dist, res.Relaxations, res.Info)
+	default:
+		return rr, fmt.Errorf("graph500: no validation rule for a %T result", res)
+	}
+	if validate {
+		if err := check(); err != nil {
+			return rr, fmt.Errorf("graph500: validation failed for root %d: %w", root, err)
+		}
+		rr.Validated = true
+	}
+	return rr, nil
+}
+
+// ssspRow is Measure's row of an SSSP result, and the check of its
+// distances.
+func ssspRow(wg *graph.WeightedCSR, root graph.Vertex, dist []int64, relaxations int64, info *algos.RunInfo) (RootResult, func() error) {
+	rr := RootResult{Root: root, TraversedEdges: relaxations, Levels: info.Rounds, Time: info.Time, LevelDetail: info.Levels}
+	for _, d := range dist {
+		if d < algos.InfDistance {
+			rr.Visited++
+		}
+	}
+	if rr.Time > 0 {
+		rr.TEPS = float64(relaxations) / rr.Time
+	}
+	return rr, func() error { return ValidateSSSP(wg, root, dist) }
 }
 
 // SampleRoots picks `count` distinct nontrivial search keys (vertices with
@@ -197,8 +272,18 @@ func SampleRoots(g *graph.CSR, count int, seed int64) ([]graph.Vertex, error) {
 }
 
 // Print renders the report in the spirit of the reference implementation's
-// output block.
+// output block, its rows named after the Graph500 kernel (bfs_time,
+// sssp_TEPS, ...). A kernel other than BFS heads the block with its name
+// and arguments.
 func (r *Report) Print(w io.Writer) {
+	name := benchmarkedAs[r.Config.Kernel]
+	if r.Config.Kernel != core.KernelBFS {
+		args := ""
+		if r.Config.Args != "" {
+			args = " (" + r.Config.Args + ")"
+		}
+		fmt.Fprintf(w, "KERNEL:               %s%s\n", r.Config.Kernel, args)
+	}
 	if r.Config.Edges != nil {
 		fmt.Fprintf(w, "SCALE:                - (file input)\n")
 		fmt.Fprintf(w, "edgefactor:           - (file input)\n")
@@ -210,13 +295,13 @@ func (r *Report) Print(w io.Writer) {
 		}
 		fmt.Fprintf(w, "edgefactor:           %d\n", ef)
 	}
-	fmt.Fprintf(w, "NBFS:                 %d\n", len(r.Runs))
+	fmt.Fprintf(w, "%-22s%d\n", "N"+strings.ToUpper(name)+":", len(r.Runs))
 	fmt.Fprintf(w, "num_vertices:         %d\n", r.NumVertices)
 	fmt.Fprintf(w, "num_undirected_edges: %d\n", r.NumEdges)
 	fmt.Fprintf(w, "machine:              %s, %d nodes\n", r.Config.Machine.Name(), r.Config.Machine.Nodes)
 	fmt.Fprintf(w, "construction_time:    %.4g s (host)\n", r.ConstructionSeconds)
-	fmt.Fprintf(w, "bfs_time:             %s\n", r.KernelTime)
-	fmt.Fprintf(w, "bfs_TEPS:             %s\n", r.TEPS)
+	fmt.Fprintf(w, "%-22s%s\n", name+"_time:", r.KernelTime)
+	fmt.Fprintf(w, "%-22s%s\n", name+"_TEPS:", r.TEPS)
 	fmt.Fprintf(w, "harmonic_mean_GTEPS:  %.4f\n", r.GTEPSHarmonicMean())
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"swbfs/internal/algos"
-	"swbfs/internal/core"
 	"swbfs/internal/graph"
 )
 
@@ -62,43 +61,5 @@ func TestValidateSSSPRejectsCorruptions(t *testing.T) {
 	}
 	if err := ValidateSSSP(wg, 99, base); err == nil {
 		t.Fatal("bad root accepted")
-	}
-}
-
-func TestRunSSSPBothKernels(t *testing.T) {
-	base := SSSPBenchConfig{
-		Scale: 9,
-		Seed:  11,
-		Roots: 3,
-		Machine: func() core.Config {
-			c := core.DefaultConfig(4)
-			c.SuperNodeSize = 2
-			return c
-		}(),
-	}
-	bf, err := RunSSSP(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bf.Runs) != 3 || bf.GTEPSHarmonicMean() <= 0 {
-		t.Fatalf("report = %+v", bf)
-	}
-
-	ds := base
-	ds.Delta = 32
-	dsReport, err := RunSSSP(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same roots, same graph: identical reach; delta-stepping takes at
-	// least as many rounds.
-	for i := range bf.Runs {
-		if bf.Runs[i].Root != dsReport.Runs[i].Root {
-			t.Fatal("root sampling diverged")
-		}
-		if bf.Runs[i].Reached != dsReport.Runs[i].Reached {
-			t.Fatalf("root %d: reach %d vs %d", bf.Runs[i].Root,
-				bf.Runs[i].Reached, dsReport.Runs[i].Reached)
-		}
 	}
 }
