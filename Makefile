@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-layers bench-ab chaos fuzz docs-check resume-smoke loc
+.PHONY: build test check fmt vet race bench bench-layers bench-ab chaos fuzz docs-check resume-smoke loc regen-modelled
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,19 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='^BenchmarkBFSLevel$$' -benchmem -count=5 ./internal/core/
 	$(GO) test -run='^$$' -bench='^(BenchmarkWCCRound|BenchmarkPageRankIteration|BenchmarkKCorePeel)$$' -benchmem -count=5 ./internal/algos/
 	$(GO) test -run='^$$' -bench='^BenchmarkValidation$$/scale18' -benchmem -count=5 .
+
+# regen-modelled rewrites every golden file from the current code: the comm
+# wire and endpoint goldens, core's hub result, module spans and flight
+# dumps, algos' round statistics and module spans, and obs' chrome-trace and
+# trace-diff renderings. A change to the modelled clock runs it, then audits
+# `git diff` of testdata/: only the fields the change predicts may move, and
+# a golden it predicts unchanged must come back byte-identical. Two modelled
+# constants are not generated: TestRunKernels' pinned SSSP and delta-stepping
+# harmonic-mean GTEPS (internal/graph500/graph500_test.go) are updated by
+# hand from the test's failure message.
+regen-modelled:
+	$(GO) test -count=1 -run Golden ./internal/comm/ ./internal/core/ ./internal/algos/ -update-golden
+	$(GO) test -count=1 -run Golden ./internal/obs/ -update
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per
 # internal/ package and for cmd/ as a whole — the number ROADMAP's

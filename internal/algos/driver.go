@@ -354,7 +354,7 @@ func (n *nodeRun) loop() error {
 
 		n.ep.StartLevel(round, comm.ChanForward)
 		n.lane.Open(n.ep, comm.ChanForward)
-		n.net.Barrier()
+		n.net.Sync()
 		if n.net.Aborted() {
 			return core.ErrAborted
 		}
@@ -400,19 +400,20 @@ func (n *nodeRun) loop() error {
 			return err
 		}
 
-		// Round statistics (same critical-path folding as the BFS engine),
-		// after this node's ledger entry: a round's generator and handler
-		// are the forward pair.
-		n.m.RecordWork(n.ctx.ID, round, core.TopDown, [4]int64{sentPairs * comm.PairBytes, recvPairs * comm.PairBytes})
-		processed := (sentPairs + recvPairs) * comm.PairBytes
+		// Round statistics, folded by node 0 from every node's work slot
+		// as the BFS engine's are: a round's generator and handler are the
+		// forward pair.
 		sentMsgs1, sentBytes1 := n.net.NodeSent(n.ctx.ID)
-		maxProcessed := n.net.AllreduceMax(processed)
-		maxSent := n.net.AllreduceMax(sentBytes1 - sentBytes0)
-		maxMsgs := n.net.AllreduceMax(sentMsgs1 - sentMsgs0)
-		maxBatches := n.net.AllreduceMax(batches + 1)
-		sumPairs := n.net.AllreduceSum(sentPairs)
-		if n.net.Aborted() {
-			return core.ErrAborted
+		fold, err := n.m.EndWork(n.ctx.ID, round, core.TopDown, core.LevelWork{
+			Processed:   (sentPairs + recvPairs) * comm.PairBytes,
+			Sent:        sentBytes1 - sentBytes0,
+			Messages:    sentMsgs1 - sentMsgs0,
+			Invocations: batches + 1,
+			Modules:     [4]int64{sentPairs * comm.PairBytes, recvPairs * comm.PairBytes},
+			Pairs:       sentPairs,
+		})
+		if err != nil {
+			return err
 		}
 		if n.ctx.ID == 0 {
 			rounds := 1
@@ -420,16 +421,12 @@ func (n *nodeRun) loop() error {
 				rounds = 2
 			}
 			n.m.CloseLevel(perf.LevelStats{
-				Level:                 round,
-				Direction:             "round",
-				FrontierVertices:      active,
-				FrontierEdges:         sumPairs,
-				MaxNodeProcessedBytes: maxProcessed,
-				MaxNodeSentBytes:      maxSent,
-				MaxNodeMessages:       maxMsgs,
-				ModuleInvocations:     maxBatches,
-				Rounds:                rounds,
-			}, fmt.Sprintf("active=%d pairs=%d", active, sumPairs))
+				Level:            round,
+				Direction:        "round",
+				FrontierVertices: active,
+				FrontierEdges:    fold.Pairs,
+				Rounds:           rounds,
+			}, fold, fmt.Sprintf("active=%d pairs=%d", active, fold.Pairs))
 		}
 
 		// Round boundary: stage this node's checkpoint capture before

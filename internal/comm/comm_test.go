@@ -514,6 +514,11 @@ func TestCollectiveTopologyAttribution(t *testing.T) {
 		t.Fatalf("single-node collective totals: %d B / %d ops",
 			solo.Counters.CollectiveBytes(), solo.Counters.CollectiveOps())
 	}
+	v := []int64{1, 2, 3}
+	solo.AllreduceSums(v)
+	if got := solo.Counters.Snapshot(); got.NetworkBytes() != 0 || got.Collective[fabric.Loopback] != 16*4 || got.CollectiveOps != 2 {
+		t.Fatalf("single-node 3-element allreduce: %v, want all loopback, one op", got)
+	}
 
 	// Four nodes in two super nodes {0,1} and {2,3}: tree links 1->0
 	// (intra), 2->0 (inter) and 3->1 (inter).
@@ -537,6 +542,23 @@ func TestCollectiveTopologyAttribution(t *testing.T) {
 	}
 	if c.NetworkBytes() != 48 {
 		t.Fatalf("NetworkBytes = %d, want 48 (excludes loopback share)", c.NetworkBytes())
+	}
+
+	// A k-element allreduce: k trees on the same hops, one op.
+	scalar := c.Snapshot()
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); net.AllreduceSums([]int64{1, 2, 3}) }()
+	}
+	wg.Wait()
+	vec := c.Snapshot().Sub(scalar)
+	for class, b := range vec.Collective {
+		if want := 3 * scalar.Collective[class]; b != want {
+			t.Fatalf("3-element allreduce on class %d = %d B, want %d", class, b, want)
+		}
+	}
+	if vec.CollectiveOps != 1 {
+		t.Fatalf("3-element allreduce = %d ops, want 1", vec.CollectiveOps)
 	}
 
 	// Allgather: ring distribution preserves payload * (P-1) exactly.

@@ -156,11 +156,10 @@ type Machine struct {
 	window   fabric.Snapshot
 	tick     atomic.Int64
 
-	// The module-work ledger, kept only for a span recorder (both nil
-	// otherwise). Each node writes its level's slot before its post-level
-	// statistics collectives, so node 0's CloseLevel, after them, reads
-	// every slot race-free and appends the row to work.
-	slots []ckpt.ModuleWork
+	// Per-node work slots, folded by node 0 in EndWork, and the
+	// module-work ledger of their module bytes, kept only for a span
+	// recorder.
+	slots []LevelWork
 	work  [][]ckpt.ModuleWork
 
 	// The checkpoint latch: nodes stage their boundary captures and the
@@ -368,11 +367,11 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
 		sr.BeginRun(int64(spec.Root))
-		m.slots = make([]ckpt.ModuleWork, cfg.Nodes)
 		if resume != nil {
 			m.work = append(m.work, resume.Machine.Work...)
 		}
 	}
+	m.slots = make([]LevelWork, cfg.Nodes)
 	if m.Flight == nil {
 		m.Flight = flightFor(cfg.Obs)
 	}
@@ -485,41 +484,76 @@ func (m *Machine) Injections() []chaos.Fault {
 
 // OpenLevel opens a level's accounting window. Node 0 calls it before the
 // level's first collective, so every byte of the level — frontier
-// statistics, data, post-level statistics — lands in exactly one level's
-// delta. (The window is safe: no peer traffic can be recorded before node 0
-// joins that collective.)
+// statistics, hub gather, data — lands in exactly one level's delta. (The
+// window is safe: no peer traffic can be recorded before node 0 joins that
+// collective.)
 func (m *Machine) OpenLevel(level int) {
 	m.window = m.Net.Counters.Snapshot()
 	m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
 }
 
-// CloseLevel records a completed level. Node 0 calls it after the
-// post-level collectives with the already-reduced statistics; the machine
-// fills in the window's traffic, feeds the watchdog and stamps the flight
+// CloseLevel records a completed level. Node 0 calls it with the body's
+// statistics and EndWork's fold, whose maxima it fills in; the machine
+// adds the window's traffic, feeds the watchdog and stamps the flight
 // record with detail.
-func (m *Machine) CloseLevel(s perf.LevelStats, detail string) {
+func (m *Machine) CloseLevel(s perf.LevelStats, fold LevelWork, detail string) {
+	s.MaxNodeProcessedBytes, s.MaxNodeSentBytes = fold.Processed, fold.Sent
+	s.MaxNodeMessages, s.ModuleInvocations = fold.Messages, fold.Invocations
 	after := m.Net.Counters.Snapshot()
 	s.Net = after.Sub(m.window)
 	m.mu.Lock()
 	m.levels = append(m.levels, s)
 	m.lastSnap = after
-	if m.slots != nil {
-		m.work = append(m.work, slices.Clone(m.slots))
-	}
 	m.mu.Unlock()
 	m.tick.Add(1)
 	m.Flight.Control(obs.FlightRoundClose, -1, s.Level, detail)
 }
 
-// RecordWork writes node's module work of the level it just ran into the
-// ledger: generator, forward handler, backward handler and relay input
-// bytes, under the level's direction. Every node calls it before its
-// post-level statistics collectives. It does nothing without a span
-// recorder.
-func (m *Machine) RecordWork(node, level int, dir Direction, bytes [4]int64) {
-	if m.slots != nil {
-		m.slots[node] = ckpt.ModuleWork{Level: level, Dir: int(dir), Bytes: bytes}
+// LevelWork is one node's work vector of one level: module input bytes
+// (Processed in all, Modules per generator, forward handler, backward
+// handler and relay), the bytes and messages it sent, its module
+// invocations and the pairs it sent.
+type LevelWork struct {
+	Processed, Sent, Messages, Invocations int64
+	Modules                                [4]int64
+	Pairs                                  int64
+}
+
+// EndWork closes node's part of a level: every node writes its work vector
+// into its slot and joins a host-only rendezvous (comm.Network.Sync, no
+// modelled traffic), after which node 0 folds the slots for CloseLevel —
+// per-field maxima, the critical path, with Pairs summed — and, with a
+// span recorder, appends their module bytes to the ledger.
+func (m *Machine) EndWork(node, level int, dir Direction, w LevelWork) (LevelWork, error) {
+	m.slots[node] = w
+	m.Net.Sync()
+	if m.Net.Aborted() {
+		return LevelWork{}, ErrAborted
 	}
+	var f LevelWork
+	if node != 0 {
+		return f, nil
+	}
+	for _, s := range m.slots {
+		f.Processed = max(f.Processed, s.Processed)
+		f.Sent = max(f.Sent, s.Sent)
+		f.Messages = max(f.Messages, s.Messages)
+		f.Invocations = max(f.Invocations, s.Invocations)
+		for i, b := range s.Modules {
+			f.Modules[i] = max(f.Modules[i], b)
+		}
+		f.Pairs += s.Pairs
+	}
+	if m.spec.Cfg.Obs.SpansOf() != nil {
+		row := make([]ckpt.ModuleWork, len(m.slots))
+		for i, s := range m.slots {
+			row[i] = ckpt.ModuleWork{Level: level, Dir: int(dir), Bytes: s.Modules}
+		}
+		m.mu.Lock()
+		m.work = append(m.work, row)
+		m.mu.Unlock()
+	}
+	return f, nil
 }
 
 // Drive runs body once per node, SPMD-style, under the level watchdog, and
@@ -593,6 +627,9 @@ func (m *Machine) Drive(body func(node int) error) error {
 		return nil
 	}
 	if cause == nil {
+		cause = m.Net.Err() // a mismatched collective, seen by every node as an abort
+	}
+	if cause == nil {
 		select {
 		case cause = <-watchdogErr:
 		default:
@@ -633,16 +670,16 @@ func (m *Machine) Drive(body func(node int) error) error {
 // StageCheckpoint stages one node's boundary capture; level is the level
 // that just completed (the checkpoint's Level is level+1 — the resumed
 // run's start level). Each node calls it at the bottom of its loop, after
-// the post-level statistics collectives and before joining the next
-// level's. That window makes the capture race-free without any extra
-// modelled traffic: once a node's post-level allreduces complete, every
-// byte of the level is recorded, and no next-level traffic, flight event or
-// injection can occur until all nodes (each after its own capture) join the
-// next level's first collective — so node 0's machine-wide reads here are
-// stable and deterministic. The last node to stage freezes the checkpoint
-// and, at the configured cadence, writes it to Config.CheckpointPath; a
-// failed periodic write is fatal — silently continuing would lose the
-// restart guarantee.
+// EndWork and before joining the next level's first collective. That
+// window makes the capture race-free without any modelled traffic: once a
+// node returns from EndWork's rendezvous every node has finished the
+// level's module work, so every byte of it is recorded, and no next-level
+// traffic, flight event or injection can occur until all nodes (each after
+// its own capture) join the next level's first collective — so node 0's
+// machine-wide reads here are stable and deterministic. The last node to
+// stage freezes the checkpoint and, at the configured cadence, writes it to
+// Config.CheckpointPath; a failed periodic write is fatal — silently
+// continuing would lose the restart guarantee.
 func (m *Machine) StageCheckpoint(node, level int, capture func() (json.RawMessage, error)) error {
 	data, err := capture()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func ringBody(m *core.Machine, state []ringState, stall func(node, level int)) f
 				stall(node, level)
 			}
 			ep.StartLevel(level, comm.ChanForward)
-			if m.Net.Barrier(); m.Net.Aborted() {
+			if m.Net.Sync(); m.Net.Aborted() {
 				return core.ErrAborted
 			}
 			err := ep.SendMany(comm.ChanForward, []comm.DstRun{{Dst: (node + 1) % n, N: 1}},
@@ -73,15 +74,15 @@ func ringBody(m *core.Machine, state []ringState, stall func(node, level int)) f
 				m.Net.Abort()
 				return err
 			}
-			maxSent := m.Net.AllreduceMax(comm.PairBytes)
-			if m.Net.Aborted() {
-				return core.ErrAborted
+			fold, err := m.EndWork(node, level, core.TopDown, core.LevelWork{Sent: comm.PairBytes, Pairs: 1})
+			if err != nil {
+				return err
 			}
 			if node == 0 {
 				m.CloseLevel(perf.LevelStats{
 					Level: level, Direction: "ring", FrontierVertices: active,
-					MaxNodeSentBytes: maxSent, Rounds: 1,
-				}, "ring")
+					FrontierEdges: fold.Pairs, Rounds: 1,
+				}, fold, "ring")
 			}
 			if m.Cfg().CheckpointEvery > 0 {
 				capture := func() (json.RawMessage, error) { return json.Marshal(state[node]) }
@@ -268,5 +269,44 @@ func TestMachineProtocolErrorAborts(t *testing.T) {
 		if !arrived {
 			t.Errorf("%s: the post-mortem dump does not show node %d receiving the hostile batch", transport, pe.Node)
 		}
+	}
+}
+
+// TestMachineCollectiveMismatchAborts: a node that calls another collective
+// than its peers — here node 1 calls a max-allreduce where they join the
+// level's rendezvous — tears the run down with an AbortError whose cause
+// is the network's *comm.ProtocolError naming both kinds, although every
+// node itself only saw the abort.
+func TestMachineCollectiveMismatchAborts(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.OpenMachine(core.MachineSpec{
+		Cfg: ringConfig(core.TransportDirect), Graph: g, Kernel: "ring", Root: graph.NoVertex, Unit: "level", Partition: "none",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	state := make([]ringState, m.Cfg().Nodes)
+	err = m.Drive(ringBody(m, state, func(node, level int) {
+		if node == 1 && level == 2 {
+			if got := m.Net.AllreduceMax(1); got != 0 {
+				t.Errorf("mismatched max returned %d", got)
+			}
+		}
+	}))
+	var ae *core.AbortError
+	var pe *comm.ProtocolError
+	if !errors.As(err, &ae) || !errors.As(err, &pe) {
+		t.Fatalf("mismatched run returned %v, want an *AbortError caused by a *comm.ProtocolError", err)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, "max") || !strings.Contains(msg, "sync") {
+		t.Errorf("%q does not name both collectives", msg)
+	}
+	if len(ae.CompletedLevels) != 2 {
+		t.Errorf("%d levels completed before the mismatch, want 2", len(ae.CompletedLevels))
 	}
 }

@@ -176,13 +176,6 @@ func (ns *nodeState) resetLevelCounters() {
 	ns.smallBatches = 0
 }
 
-// moduleBytes returns the level's per-module input volumes for the
-// pipelined-module-mapping scheduler: generator, forward handler, backward
-// handler, relay. Call after the module goroutines have joined.
-func (ns *nodeState) moduleBytes() [4]int64 {
-	return [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes}
-}
-
 // levelChannels lists the channels a level of each direction opens.
 var levelChannels = [...][]comm.Channel{
 	TopDown:  {comm.ChanForward},
@@ -197,7 +190,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	ns.genNext.Reset()
 
 	ns.ep.StartLevel(level, levelChannels[dir]...)
-	ns.r.net.Barrier()
+	ns.r.net.Sync()
 	if ns.r.net.Aborted() {
 		return ErrAborted
 	}
@@ -206,7 +199,7 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 	// delays stall the module goroutines before their work, as if a CPE
 	// cluster were slow to dispatch — host time only, invisible to the
 	// modelled machine. The handler's slot write is ordered before the
-	// runner's post-level read by the handlerErr receive below.
+	// runner's end-of-level read by the handlerErr receive below.
 	go func() {
 		start := time.Now()
 		if d := ns.r.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
@@ -88,7 +89,7 @@ type Runner struct {
 
 	// Straggler state: per-node host-side module durations for the
 	// current level (each node writes only its own slot, ordered against
-	// node 0's read by the post-level collectives) and node 0's
+	// node 0's read by EndWork's rendezvous) and node 0's
 	// accumulated flags. Generator and handler are timed separately
 	// because whole-level wall time cannot discriminate — every node's
 	// level ends only when the slowest peer's end markers arrive.
@@ -316,10 +317,10 @@ func (ns *nodeState) runBFS(startLevel int) error {
 	level := startLevel
 	for {
 		// Node 0 opens the level's accounting window before the frontier
-		// collectives, so every byte of the level — statistics
-		// allreduces, hub allgather, barrier and data — lands in exactly
-		// one level's delta. (The window is safe: no peer traffic can be
-		// recorded before node 0 joins the first allreduce below.)
+		// allreduce, so every byte of the level — frontier statistics, hub
+		// allgather and data — lands in exactly one level's delta. (The
+		// window is safe: no peer traffic can be recorded before node 0
+		// joins the allreduce below.)
 		if ns.id == 0 {
 			r.m.OpenLevel(level)
 		}
@@ -329,17 +330,17 @@ func (ns *nodeState) runBFS(startLevel int) error {
 		// the probe set is fixed at level start.
 		ns.visited.Or(ns.curr)
 
-		// Global frontier statistics (three allreduces: the runtime
-		// statistics TRAVERSAL_POLICY consumes).
+		// Global frontier statistics, the runtime statistics
+		// TRAVERSAL_POLICY consumes: nf, mf and mu in one allreduce.
 		var nfLocal, mfLocal int64
 		for local := ns.curr.NextSet(0); local >= 0; local = ns.curr.NextSet(local + 1) {
 			nfLocal++
 			mfLocal += ns.sub.Degree(local)
 		}
 		ns.visitedDeg += mfLocal
-		nf := r.net.AllreduceSum(nfLocal)
-		mf := r.net.AllreduceSum(mfLocal)
-		mu := r.net.AllreduceSum(ns.localEdges - ns.visitedDeg)
+		stats := [3]int64{nfLocal, mfLocal, ns.localEdges - ns.visitedDeg}
+		r.net.AllreduceSums(stats[:])
+		nf, mf, mu := stats[0], stats[1], stats[2]
 		if r.net.Aborted() {
 			return ErrAborted
 		}
@@ -375,20 +376,17 @@ func (ns *nodeState) runBFS(startLevel int) error {
 			return err
 		}
 
-		// Critical-path statistics, after this node's ledger entry.
-		modules := ns.moduleBytes()
-		r.m.RecordWork(ns.id, level, dir, modules)
+		// Critical-path statistics: node 0 folds every node's work slot.
 		sentMsgs1, sentBytes1 := r.net.NodeSent(ns.id)
-		maxProcessed := r.net.AllreduceMax(ns.genBytes.Load() + ns.handlerBytes + ns.relayBytes)
-		maxSent := r.net.AllreduceMax(sentBytes1 - sentBytes0)
-		maxMsgs := r.net.AllreduceMax(sentMsgs1 - sentMsgs0)
-		maxInvocations := r.net.AllreduceMax(ns.invocations())
-		var maxModules [4]int64
-		for i, b := range modules {
-			maxModules[i] = r.net.AllreduceMax(b)
-		}
-		if r.net.Aborted() {
-			return ErrAborted
+		fold, err := r.m.EndWork(ns.id, level, dir, LevelWork{
+			Processed:   ns.genBytes.Load() + ns.handlerBytes + ns.relayBytes,
+			Sent:        sentBytes1 - sentBytes0,
+			Messages:    sentMsgs1 - sentMsgs0,
+			Invocations: ns.invocations(),
+			Modules:     [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
+		})
+		if err != nil {
+			return err
 		}
 
 		ns.accumulateRun()
@@ -402,17 +400,13 @@ func (ns *nodeState) runBFS(startLevel int) error {
 				rounds *= 2
 			}
 			r.m.CloseLevel(perf.LevelStats{
-				Level:                 level,
-				Direction:             dir.String(),
-				FrontierVertices:      nf,
-				FrontierEdges:         mf,
-				MaxNodeProcessedBytes: maxProcessed,
-				ModuleBytes:           append([]int64(nil), maxModules[:]...), // a copy: the array stays on every other node's stack
-				MaxNodeSentBytes:      maxSent,
-				MaxNodeMessages:       maxMsgs,
-				ModuleInvocations:     maxInvocations,
-				Rounds:                rounds,
-			}, fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
+				Level:            level,
+				Direction:        dir.String(),
+				FrontierVertices: nf,
+				FrontierEdges:    mf,
+				ModuleBytes:      slices.Clone(fold.Modules[:]),
+				Rounds:           rounds,
+			}, fold, fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
 			if r.cfg.StragglerFactor > 0 {
 				r.detectStragglers(level)
 			}
@@ -454,9 +448,9 @@ func meanNanos(xs []int64) float64 {
 // factor. Generator and handler spans are compared against their own
 // class: a generator straggler delays every peer's handler, so only the
 // per-class comparison pins the blame on the slow node instead of its
-// victims. Node 0 only, after the post-level collectives: every peer has
-// written its slots and none can start the next level until node 0 joins
-// its collectives. Host time only — modelled statistics are untouched, so
+// victims. Node 0 only, after EndWork's rendezvous: every peer has written
+// its slots before joining it, and none can start the next level until
+// node 0 joins that level's first collective. Host time only — modelled statistics are untouched, so
 // enabling the detector never perturbs LevelStats.
 func (r *Runner) detectStragglers(level int) {
 	factor := r.cfg.StragglerFactor
@@ -498,8 +492,8 @@ func (r *Runner) detectStragglers(level int) {
 // exchangeHubs allgathers the hub slots in the current frontier and folds
 // them into the replicated hub state: node 0 rebuilds hubFrontier, adds the
 // slots to hubVisited and the top-down-budget ones to hubSeen, and the
-// trailing barrier publishes all three to every node before module work
-// reads them.
+// trailing host rendezvous (uncharged: it moves no modelled data) publishes
+// all three to every node before module work reads them.
 func (ns *nodeState) exchangeHubs() error {
 	r := ns.r
 	words := ns.localHubWords()
@@ -524,7 +518,7 @@ func (ns *nodeState) exchangeHubs() error {
 			}
 		}
 	}
-	r.net.Barrier()
+	r.net.Sync()
 	if r.net.Aborted() {
 		return ErrAborted
 	}

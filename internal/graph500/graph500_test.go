@@ -414,14 +414,14 @@ func runKernels(t *testing.T, base BenchConfig) map[string]*Report {
 }
 
 // TestRunKernels runs every benchmarked kernel on a Kronecker graph and
-// pins the SSSP and delta=32 harmonic-mean GTEPS to the values the
-// separate SSSP harness gave for this configuration before Run took SSSP
-// over.
+// pins the SSSP and delta=32 harmonic-mean GTEPS. They are modelled
+// numbers that `make regen-modelled` does not generate: a change to the
+// modelled clock updates them by hand.
 func TestRunKernels(t *testing.T) {
 	machine := core.DefaultConfig(4)
 	machine.SuperNodeSize = 2
 	reports := runKernels(t, BenchConfig{Scale: 9, Seed: 11, Roots: 3, Machine: machine})
-	for kernel, want := range map[string]float64{"sssp": 0.013617208570572373, "delta-sssp": 0.005767332030298994} {
+	for kernel, want := range map[string]float64{"sssp": 0.0226410687593423, "delta-sssp": 0.011083700528749548} {
 		if got := reports[kernel].GTEPSHarmonicMean(); got != want {
 			t.Errorf("%s: harmonic-mean GTEPS = %v, want %v", kernel, got, want)
 		}

@@ -119,34 +119,77 @@ func NewModel(topo fabric.Topology, engine Engine) Model {
 	return Model{Topo: topo, Engine: engine}
 }
 
+// Terms is one level's modelled time split into the terms of the model, in
+// seconds. Compute and the network side (Injection + PerMessage, or Central
+// when the shared central network is slower) overlap, so the larger bounds
+// the level; the latency floor — StageLatency, CollectiveLatency and
+// CollectiveBytes — adds on top.
+type Terms struct {
+	// Compute is the slowest node's module work through the engine, plus
+	// its dispatch notifications on CPE clusters.
+	Compute float64
+	// Injection is the slowest node's sent bytes at the node bandwidth and
+	// PerMessage its messages' software overhead on the MPE.
+	Injection, PerMessage float64
+	// Central is the level's inter-super-node bytes on the central network.
+	Central float64
+	// StageLatency is one wire latency per sequential message stage.
+	StageLatency float64
+	// CollectiveLatency is a tree of latencies per charged collective, and
+	// CollectiveBytes the collectives' bytes on the central network.
+	CollectiveLatency, CollectiveBytes float64
+	// Bound names the side that bounds the level: BoundCompute,
+	// BoundInjection (injection plus per-message overhead) or BoundCentral.
+	Bound string
+}
+
+// The sides a level's time can be bound by (Terms.Bound).
+const (
+	BoundCompute   = "compute"
+	BoundInjection = "injection"
+	BoundCentral   = "central"
+)
+
+// Total returns the level's modelled seconds: the slower of compute and the
+// network, plus the latency floor.
+func (t Terms) Total() float64 {
+	network := t.Injection + t.PerMessage
+	if t.Central > network {
+		network = t.Central
+	}
+	level := t.Compute
+	if network > level {
+		level = network
+	}
+	return level + (t.StageLatency + t.CollectiveLatency + t.CollectiveBytes)
+}
+
 // LevelTime returns the modelled wall-clock seconds of one BFS level.
-func (m Model) LevelTime(s LevelStats) float64 {
+func (m Model) LevelTime(s LevelStats) float64 { return m.Terms(s).Total() }
+
+// Terms splits one level's modelled time into the model's terms.
+func (m Model) Terms(s LevelStats) Terms {
 	// Compute: the slowest node's module work, streamed through the
 	// engine, plus dispatch notifications (CPE only — MPE work needs no
 	// cluster hand-off). With a per-module split available, the CPE path
 	// uses the pipelined module mapping: modules run concurrently on the
 	// node's four CPE clusters (Figure 10) under the FCFS scheduler.
-	var compute float64
+	var t Terms
 	if m.Engine == EngineCPE && len(s.ModuleBytes) > 0 {
-		compute = sw.MakespanForBytes(s.ModuleBytes, EngineCPE.Bandwidth(), EngineMPE.Bandwidth())
-		compute += float64(s.ModuleInvocations) * sw.FlagNotifyLatencySeconds()
+		t.Compute = sw.MakespanForBytes(s.ModuleBytes, EngineCPE.Bandwidth(), EngineMPE.Bandwidth())
+		t.Compute += float64(s.ModuleInvocations) * sw.FlagNotifyLatencySeconds()
 	} else {
-		compute = float64(s.MaxNodeProcessedBytes) / m.Engine.Bandwidth()
+		t.Compute = float64(s.MaxNodeProcessedBytes) / m.Engine.Bandwidth()
 		if m.Engine == EngineCPE {
-			compute += float64(s.ModuleInvocations) * sw.FlagNotifyLatencySeconds()
+			t.Compute += float64(s.ModuleInvocations) * sw.FlagNotifyLatencySeconds()
 		}
 	}
 
 	// Network: the slowest node's injection, the shared central network,
 	// and the per-message software overhead on the MPE.
-	injection := float64(s.MaxNodeSentBytes) / fabric.EffectiveNodeBandwidth
-	central := float64(s.Net.Bytes[fabric.InterSuper]) / m.Topo.CentralBandwidth()
-	perMessage := float64(s.MaxNodeMessages) * PerMessageOverheadSeconds
-
-	network := injection + perMessage
-	if central > network {
-		network = central
-	}
+	t.Injection = float64(s.MaxNodeSentBytes) / fabric.EffectiveNodeBandwidth
+	t.Central = float64(s.Net.Bytes[fabric.InterSuper]) / m.Topo.CentralBandwidth()
+	t.PerMessage = float64(s.MaxNodeMessages) * PerMessageOverheadSeconds
 
 	// Latency floor: each sequential message stage pays a wire latency;
 	// collectives pay a tree of latencies.
@@ -154,19 +197,23 @@ func (m Model) LevelTime(s LevelStats) float64 {
 	if rounds < 1 {
 		rounds = 1
 	}
-	latency := float64(rounds) * fabric.InterSuperLatency
-	latency += float64(log2ceil(m.Topo.Nodes)) * fabric.IntraSuperLatency * float64(s.Net.CollectiveOps)
-	latency += float64(s.Net.CollectiveBytes) / m.Topo.CentralBandwidth()
+	t.StageLatency = float64(rounds) * fabric.InterSuperLatency
+	t.CollectiveLatency = float64(log2ceil(m.Topo.Nodes)) * fabric.IntraSuperLatency * float64(s.Net.CollectiveOps)
+	t.CollectiveBytes = float64(s.Net.CollectiveBytes) / m.Topo.CentralBandwidth()
 
 	// The pipelined module mapping overlaps computation with
 	// communication ("data should be transmitted or processed as soon as
 	// it is ready"), so the level takes the slower of the two plus the
 	// unavoidable latency floor.
-	level := compute
-	if network > level {
-		level = network
+	switch network := t.Injection + t.PerMessage; {
+	case t.Compute >= network && t.Compute >= t.Central:
+		t.Bound = BoundCompute
+	case t.Central > network:
+		t.Bound = BoundCentral
+	default:
+		t.Bound = BoundInjection
 	}
-	return level + latency
+	return t
 }
 
 // TotalTime sums level times.

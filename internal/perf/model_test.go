@@ -137,3 +137,30 @@ func TestModelString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
+
+// TestTermsBound: each side of the model bounds the level it dominates,
+// and the collective-latency term is log2(P) tree latencies per charged
+// collective.
+func TestTermsBound(t *testing.T) {
+	m := NewModel(topo(t, 512, 256), EngineMPE)
+	var central LevelStats
+	central.Net.Bytes[fabric.InterSuper] = 512 << 20
+	for _, tc := range []struct {
+		name  string
+		s     LevelStats
+		bound string
+	}{
+		{"compute", LevelStats{MaxNodeProcessedBytes: 1 << 30}, BoundCompute},
+		{"messages", LevelStats{MaxNodeMessages: 4096}, BoundInjection},
+		{"central", central, BoundCentral},
+	} {
+		if got := m.Terms(tc.s).Bound; got != tc.bound {
+			t.Errorf("%s-heavy level bound by %q, want %q", tc.name, got, tc.bound)
+		}
+	}
+	var s LevelStats
+	s.Net.CollectiveOps = 2
+	if got, want := m.Terms(s).CollectiveLatency, 9*fabric.IntraSuperLatency*2; got != want {
+		t.Errorf("2 collectives on 512 nodes: latency %v, want %v", got, want)
+	}
+}
