@@ -55,15 +55,14 @@ bench-layers:
 
 # regen-modelled rewrites every golden file from the current code: the comm
 # wire and endpoint goldens, core's hub result, module spans and flight
-# dumps, algos' round statistics and module spans, and obs' chrome-trace and
-# trace-diff renderings. A change to the modelled clock runs it, then audits
+# dumps, algos' round statistics and module spans, graph500's SSSP and
+# delta-stepping harmonic-mean GTEPS, and obs' chrome-trace and trace-diff
+# renderings. A change to the modelled clock runs it, then audits
 # `git diff` of testdata/: only the fields the change predicts may move, and
-# a golden it predicts unchanged must come back byte-identical. Two modelled
-# constants are not generated: TestRunKernels' pinned SSSP and delta-stepping
-# harmonic-mean GTEPS (internal/graph500/graph500_test.go) are updated by
-# hand from the test's failure message.
+# a golden it predicts unchanged must come back byte-identical.
 regen-modelled:
 	$(GO) test -count=1 -run Golden ./internal/comm/ ./internal/core/ ./internal/algos/ -update-golden
+	$(GO) test -count=1 -run TestRunKernels ./internal/graph500/ -update-golden
 	$(GO) test -count=1 -run Golden ./internal/obs/ -update
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per

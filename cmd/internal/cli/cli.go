@@ -58,7 +58,7 @@ func Register() *Flags {
 	flag.StringVar(&f.Resume, "resume", "", "resume an interrupted run of any kernel from this checkpoint file and print its result, validated where Graph500 defines a rule (see docs/CHAOS.md)")
 	flag.Int64Var(&f.chaosSeed, "chaos-seed", 0, "inject a seeded random fault plan into every run (0 = off; see docs/CHAOS.md)")
 	flag.StringVar(&f.chaosPlan, "chaos-plan", "", "inject an explicit fault plan, comma-separated fault specs like kill@2:l1:data/forward:0 (wins over -chaos-seed; see docs/CHAOS.md)")
-	flag.DurationVar(&f.levelTimeout, "level-timeout", 0, "abort a run if no BFS level completes within this duration (0 = no watchdog)")
+	flag.DurationVar(&f.levelTimeout, "level-timeout", 0, "abort a run if no level or round completes within this duration (0 = no watchdog)")
 	flag.Float64Var(&f.stragglerFactor, "straggler-factor", 0, "flag nodes whose per-level module host time exceeds this multiple of the fleet mean (0 = off)")
 	flag.BoolVar(&f.metrics, "metrics", false, "print the unified metrics registry after the command (see docs/OBSERVABILITY.md)")
 	flag.StringVar(&f.traceOut, "trace-out", "", "write the structured per-level trace of every run (one RunTrace per root) as JSON to this file")

@@ -320,7 +320,7 @@ func TestRelayBenefitsAlgorithms(t *testing.T) {
 func TestRunGuards(t *testing.T) {
 	g := kron(t, 6, 1)
 	// Non-converging algorithm trips the round guard.
-	_, err := Run(machine(2, core.TransportDirect), g, RunOptions{MaxRounds: 5, Root: graph.NoVertex}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	_, _, err := Run(machine(2, core.TransportDirect), g, RunOptions{MaxRounds: 5, Root: graph.NoVertex}, func(ctx *NodeCtx) (RoundAlgo, error) {
 		return &neverConverges{}, nil
 	})
 	if err == nil {
@@ -329,7 +329,7 @@ func TestRunGuards(t *testing.T) {
 	// Impossible machine config propagates.
 	bad := machine(512, core.TransportDirect)
 	bad.Engine = perf.EngineCPE
-	if _, err := Run(bad, g, RunOptions{Root: graph.NoVertex}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	if _, _, err := Run(bad, g, RunOptions{Root: graph.NoVertex}, func(ctx *NodeCtx) (RoundAlgo, error) {
 		return &neverConverges{}, nil
 	}); err == nil {
 		t.Fatal("impossible machine accepted")

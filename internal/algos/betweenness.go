@@ -80,14 +80,8 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("algos: betweenness needs at least one source")
 	}
-	for _, s := range sources {
-		if s < 0 || int64(s) >= g.N {
-			return nil, fmt.Errorf("algos: source %d out of range", s)
-		}
-	}
-	nodes := make([]*bcNode, cfg.Nodes)
-	opts := RunOptions{Kernel: "betweenness", Root: sources[0], Args: fmt.Sprintf("sources=%v", sources), Resume: from}
-	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{Kernel: "betweenness", Root: sources[0], Args: fmt.Sprintf("sources=%v", sources), Resume: from, roots: sources}
+	nodes, info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (*bcNode, error) {
 		n := ctx.Sub.NumVertices()
 		bn := &bcNode{
 			ctx:      ctx,
@@ -100,7 +94,6 @@ func betweennessRun(cfg core.Config, g *graph.CSR, sources []graph.Vertex, from 
 			bc:       make([]float64, n),
 		}
 		bn.startSource()
-		nodes[ctx.ID] = bn
 		return bn, nil
 	})
 	if err != nil {

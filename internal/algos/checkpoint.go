@@ -6,19 +6,18 @@ import (
 )
 
 // The driver side of round-boundary checkpointing: what one node
-// serializes at the bottom of its round loop — its kernel's
-// CheckpointState — and how a resumed node loads it back through
-// RestoreState. The latch that assembles the boundary lives on the machine
-// (core.Machine.StageCheckpoint).
+// serializes at a round boundary — its kernel's CheckpointState — and how a
+// resumed node loads it back through RestoreState. The latch that
+// assembles the boundary lives on the machine (core.Machine).
 
 // driverNodeData wraps one node's kernel payload.
 type driverNodeData struct {
 	Algo json.RawMessage `json:"algo"`
 }
 
-// captureNode serializes one node's driver + kernel state. Called at the
+// Capture serializes one node's driver + kernel state. Called at the
 // round boundary on the node's own goroutine — no concurrent writers.
-func (n *nodeRun) captureNode() (json.RawMessage, error) {
+func (n *nodeRun) Capture() (json.RawMessage, error) {
 	raw, err := json.Marshal(n.algo.CheckpointState())
 	if err != nil {
 		return nil, fmt.Errorf("algos: node %d checkpoint state: %w", n.ctx.ID, err)

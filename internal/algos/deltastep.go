@@ -60,25 +60,20 @@ func DeltaSSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta 
 }
 
 func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta int64, from *ckpt.Checkpoint) (*DeltaSSSPResult, error) {
-	if root < 0 || int64(root) >= wg.N {
-		return nil, fmt.Errorf("algos: SSSP root %d out of range", root)
-	}
 	if delta < 0 {
 		return nil, fmt.Errorf("algos: negative delta %d", delta)
 	}
-	if delta == 0 {
+	if delta == 0 && wg.Weights != nil { // without weights, Run refuses the kernel
+		delta = 1
 		for _, w := range wg.Weights.W {
-			if w > delta {
-				delta = w
-			}
-		}
-		if delta == 0 {
-			delta = 1
+			delta = max(delta, w)
 		}
 	}
-	nodes := make([]*deltaNode, cfg.Nodes)
-	opts := RunOptions{Kernel: "delta-sssp", Root: root, Args: fmt.Sprintf("delta=%d", delta), Weights: wg.Weights, Resume: from}
-	info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{
+		Kernel: "delta-sssp", Root: root, Args: fmt.Sprintf("delta=%d", delta), Weights: wg.Weights, Resume: from,
+		weighted: true, roots: []graph.Vertex{root},
+	}
+	nodes, info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (*deltaNode, error) {
 		n := ctx.Sub.NumVertices()
 		dn := &deltaNode{
 			ctx:      ctx,
@@ -96,7 +91,6 @@ func deltaRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, delta i
 			dn.lightReq.Set(local)
 			dn.heavySet.Set(local)
 		}
-		nodes[ctx.ID] = dn
 		return dn, nil
 	})
 	if err != nil {

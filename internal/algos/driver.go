@@ -13,12 +13,12 @@
 // vertices, the transport batches and delivers them, handlers fold them
 // into local state, and a sum-allreduce decides termination.
 //
-// The driver's round loop is a level body on core.Machine — the same
-// run lifecycle the BFS engine executes on (see docs/ALGORITHMS.md): live
-// per-round events on the ProgressBroker, a reconciling RunTrace plus
-// generator/handler module spans per run, chaos-injected faults with
-// bounded retries, a per-round watchdog, and clean *core.AbortError
-// teardown with the completed rounds attached.
+// The driver's round is a level body on core.Machine, whose level loop the
+// BFS engine runs too (see docs/ALGORITHMS.md): live per-round events on
+// the ProgressBroker, a reconciling RunTrace plus generator/handler module
+// spans per run, chaos-injected faults with bounded retries, a per-round
+// watchdog, straggler flags, and clean *core.AbortError teardown with the
+// completed rounds attached.
 package algos
 
 import (
@@ -121,6 +121,12 @@ type RunOptions struct {
 	// plan are host-side and may differ. The completed run's RunInfo is bitwise
 	// identical to an uninterrupted run's.
 	Resume *ckpt.Checkpoint
+
+	// weighted marks a kernel that reads Weights, which it must then have;
+	// roots are the vertices a rooted kernel starts from, which must lie in
+	// the graph. Only the package's own kernels set them.
+	weighted bool
+	roots    []graph.Vertex
 }
 
 // RunInfo is the machine-level outcome of a run.
@@ -148,24 +154,43 @@ func (r *RunInfo) MTEPS(edges int64) float64 {
 }
 
 // Run executes one algorithm on the simulated machine described by cfg
-// over graph g. makeAlgo constructs each node's instance.
+// over graph g: newNode constructs each node's instance, and Run hands the
+// instances back, in node order, for the kernel to gather its result from.
+// It is the entry every round kernel goes through. Before it allocates
+// anything per node, it refuses an invalid configuration, a missing graph,
+// a weighted kernel's missing weights, weights that do not cover the graph,
+// and roots outside it.
 //
-// The run executes on a core.Machine, the lifecycle the BFS engine uses:
-// cfg.Chaos faults inject into every send, cfg.LevelTimeout arms a
-// per-round watchdog, cfg.Obs receives live round events, a reconciling
-// RunTrace and module spans, and a torn-down run returns a *core.AbortError
-// carrying the original cause and the completed rounds.
-func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *NodeCtx) (RoundAlgo, error)) (*RunInfo, error) {
+// The run executes on a core.Machine, whose level loop the BFS engine
+// runs too: cfg.Chaos faults inject into every send, cfg.LevelTimeout arms
+// a per-round watchdog, cfg.StragglerFactor flags slow nodes, cfg.Obs
+// receives live round events, a reconciling RunTrace and module spans, and
+// a torn-down run returns a *core.AbortError carrying the original cause
+// and the completed rounds.
+func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode func(ctx *NodeCtx) (A, error)) ([]A, *RunInfo, error) {
 	if err := core.ValidateConfig(cfg); err != nil {
-		return nil, err
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
+		return nil, nil, err
 	}
 	kernel := opts.Kernel
 	if kernel == "" {
 		kernel = "algo"
+	}
+	switch {
+	case g == nil:
+		return nil, nil, fmt.Errorf("algos: %s: nil graph", kernel)
+	case opts.weighted && opts.Weights == nil:
+		return nil, nil, fmt.Errorf("algos: %s: no edge weights", kernel)
+	case opts.Weights != nil && int64(len(opts.Weights.W)) != g.NumEdges():
+		return nil, nil, fmt.Errorf("algos: %s: %d edge weights for %d edges", kernel, len(opts.Weights.W), g.NumEdges())
+	}
+	for _, v := range opts.roots {
+		if v < 0 || int64(v) >= g.N {
+			return nil, nil, fmt.Errorf("algos: %s: root %d out of range [0, %d)", kernel, v, g.N)
+		}
+	}
+	maxRounds := opts.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = DefaultMaxRounds
 	}
 
 	// The driver always lays vertices out round-robin (cfg.Partition is a
@@ -175,14 +200,15 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		Partition: core.PartitionRoundRobin.String(), Resume: opts.Resume,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer m.Close()
 	cfg = m.Cfg()
 
 	part := graph.NewRoundRobin(g.N, cfg.Nodes)
+	insts := make([]A, cfg.Nodes)
 	nodes := make([]*nodeRun, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := range nodes {
 		ctx := &NodeCtx{
 			ID:      i,
 			Part:    part,
@@ -190,28 +216,22 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 			Net:     m.Net,
 			Workers: cfg.Workers,
 		}
-		algo, err := makeAlgo(ctx)
+		inst, err := newNode(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("algos: node %d: %w", i, err)
+			return nil, nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
-		nodes[i] = &nodeRun{
-			ctx: ctx, algo: algo, ep: m.Endpoint(i), net: m.Net, m: m, part: part,
-			maxRounds:  maxRounds,
-			kernel:     kernel,
-			root:       int64(opts.Root),
-			progress:   cfg.Obs.ProgressOf(),
-			checkpoint: cfg.CheckpointEvery > 0,
-		}
+		insts[i] = inst
+		nodes[i] = &nodeRun{ctx: ctx, algo: inst, ep: m.Endpoint(i), part: part, maxRounds: maxRounds}
 		nodes[i].per, nodes[i].shards = vertexShardWidth(ctx.Sub.NumVertices(), cfg.Workers)
 		if opts.Resume != nil {
 			if err := nodes[i].restoreNode(opts.Resume.Nodes[i].Data); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 
-	if err := m.Drive(func(node int) error { return nodes[node].loop() }); err != nil {
-		return nil, err
+	if err := m.Drive(func(node int) core.Body { return nodes[node] }); err != nil {
+		return nil, nil, err
 	}
 
 	info := &RunInfo{
@@ -223,49 +243,34 @@ func Run(cfg core.Config, g *graph.CSR, opts RunOptions, makeAlgo func(ctx *Node
 		MaxConnections:  m.Net.MaxConnectionCount(),
 		Injections:      m.Injections(),
 	}
-
 	if mr := cfg.Obs.MetricsOf(); mr != nil {
 		mr.Counter("algos.runs").Inc()
 		mr.Counter("algos.rounds").Add(int64(info.Rounds))
 		mr.Counter("algos." + kernel + ".runs").Inc()
 		mr.Gauge("algos.workers").Set(int64(cfg.Workers))
-		m.Net.MetricsInto(mr)
 	}
-	if t := cfg.Obs.TraceOf(); t != nil {
-		t.Record(m.Trace())
+	var edges int64
+	for _, s := range info.Levels {
+		edges += s.FrontierEdges
 	}
-	m.EndSpans(nil)
-	if pb := cfg.Obs.ProgressOf(); pb != nil {
-		var edges int64
-		for _, s := range info.Levels {
-			edges += s.FrontierEdges
-		}
-		pb.Publish(obs.LiveEvent{
-			Kind: obs.EventRunDone, Root: int64(opts.Root), Kernel: kernel,
-			GTEPS: info.MTEPS(edges) / 1e3,
-		})
-	}
-	return info, nil
+	m.Finish(nil, obs.LiveEvent{GTEPS: info.MTEPS(edges) / 1e3})
+	return insts, info, nil
 }
 
-// nodeRun drives one node's SPMD loop.
+// nodeRun is one node's round body (core.Body): what a round kernel does
+// between the steps of the machine's level loop.
 type nodeRun struct {
 	ctx       *NodeCtx
 	algo      RoundAlgo
 	ep        comm.Endpoint
-	net       *comm.Network
-	m         *core.Machine
 	maxRounds int
 
-	kernel   string
-	root     int64
-	progress *obs.ProgressBroker
+	// active is the round's statistics vector: the kernel's pending work.
+	active [1]int64
 
 	// lane stages the round's outgoing messages between flushes. On an
 	// abort whatever is still staged is dropped with it, never flushed.
 	lane comm.Lane
-
-	checkpoint bool // Config.CheckpointEvery > 0
 
 	// The handler fan-out: the layout that localises delivered pairs (the
 	// concrete type, so Local inlines), locals split into shards of per
@@ -275,6 +280,91 @@ type nodeRun struct {
 	per     int64
 	shards  int
 	buckets [][]comm.Pair
+}
+
+// roundChannels are the channels a round opens: a round's generator and
+// handler are the forward pair.
+var roundChannels = []comm.Channel{comm.ChanForward}
+
+// Stats returns the kernel's pending work: the run goes on while the
+// machine-wide sum is positive.
+func (n *nodeRun) Stats(int) []int64 {
+	n.active[0] = n.algo.Active()
+	return n.active[:]
+}
+
+// Plan runs the round top-down on the forward channel, unless the round
+// guard trips.
+func (n *nodeRun) Plan(round int, _ []int64) (core.Plan, error) {
+	if round >= n.maxRounds {
+		return core.Plan{}, fmt.Errorf("algos: node %d exceeded %d rounds without converging", n.ctx.ID, n.maxRounds)
+	}
+	return core.Plan{Dir: core.TopDown, Label: "round", Channels: roundChannels}, nil
+}
+
+// Work runs the round's module work: Generate and flush, then Handle
+// every delivered batch until the forward channel closes, then EndRound.
+// The chaos delays stall the generator and the handler before their work,
+// host time only, and both are timed for the straggler detector.
+func (n *nodeRun) Work(round int, _ core.Plan) (core.LevelWork, error) {
+	id, net := n.ctx.ID, n.ctx.Net
+	start := time.Now()
+	if d := net.ChaosDelay(chaos.KindDelayGenerator, id, round); d > 0 {
+		time.Sleep(d)
+	}
+	n.lane.Open(n.ep, comm.ChanForward)
+	err := n.algo.Generate(round, &n.lane)
+	if err == nil {
+		err = n.lane.Flush()
+	}
+	sent := n.lane.Sent
+	n.lane.Release()
+	if err == nil {
+		err = n.ep.CloseChannel(comm.ChanForward)
+	}
+	if err != nil {
+		return core.LevelWork{}, err
+	}
+	genNanos := int64(time.Since(start))
+
+	start = time.Now()
+	if d := net.ChaosDelay(chaos.KindDelayHandler, id, round); d > 0 {
+		time.Sleep(d)
+	}
+	var recv, batches int64
+recvLoop:
+	for {
+		ev := n.ep.Recv()
+		switch ev.Type {
+		case comm.EvError:
+			return core.LevelWork{}, ev.Err
+		case comm.EvData:
+			recv += int64(len(ev.Batch.Pairs))
+			batches++
+			n.handle(ev.Batch.Pairs)
+			comm.PutPairs(ev.Batch.Pairs) // no kernel retains the slice
+		case comm.EvChannelClosed:
+			break recvLoop
+		}
+	}
+	handlerNanos := int64(time.Since(start))
+	if err := n.algo.EndRound(round); err != nil {
+		return core.LevelWork{}, err
+	}
+	return core.LevelWork{
+		Invocations:  batches + 1,
+		Modules:      [4]int64{sent * comm.PairBytes, recv * comm.PairBytes},
+		Pairs:        sent,
+		GenNanos:     genNanos,
+		HandlerNanos: handlerNanos,
+	}, nil
+}
+
+// Close counts the pairs the round sent machine-wide as the edges it
+// relaxed.
+func (n *nodeRun) Close(s perf.LevelStats, fold core.LevelWork) (perf.LevelStats, string) {
+	s.FrontierEdges = fold.Pairs
+	return s, fmt.Sprintf("active=%d pairs=%d", s.FrontierVertices, fold.Pairs)
 }
 
 // handle localises one delivered batch — p[0] becomes the destination's
@@ -318,125 +408,4 @@ func gather[K, T any](part graph.Partition, nodes []K, local func(K) []T) []T {
 		}
 	}
 	return out
-}
-
-func (n *nodeRun) loop() error {
-	defer n.lane.Release()
-	for round := n.m.StartLevel; ; round++ {
-		if round >= n.maxRounds {
-			n.net.Abort()
-			return fmt.Errorf("algos: node %d exceeded %d rounds without converging", n.ctx.ID, n.maxRounds)
-		}
-
-		// Node 0 opens the round's accounting window before the activity
-		// allreduce, so the termination check lands in the round's delta.
-		if n.ctx.ID == 0 {
-			n.m.OpenLevel(round)
-		}
-
-		active := n.net.AllreduceSum(n.algo.Active())
-		if n.net.Aborted() {
-			return core.ErrAborted
-		}
-		if active == 0 {
-			return nil
-		}
-
-		if n.ctx.ID == 0 && n.progress != nil {
-			n.progress.Publish(obs.LiveEvent{
-				Kind: obs.EventLevel, Root: n.root, Kernel: n.kernel,
-				Level: round, Direction: "round",
-				FrontierVertices: active,
-			})
-		}
-
-		sentMsgs0, sentBytes0 := n.net.NodeSent(n.ctx.ID)
-
-		n.ep.StartLevel(round, comm.ChanForward)
-		n.lane.Open(n.ep, comm.ChanForward)
-		n.net.Sync()
-		if n.net.Aborted() {
-			return core.ErrAborted
-		}
-
-		var recvPairs, batches int64
-		if d := n.net.ChaosDelay(chaos.KindDelayGenerator, n.ctx.ID, round); d > 0 {
-			time.Sleep(d)
-		}
-		err := n.algo.Generate(round, &n.lane)
-		if err == nil {
-			err = n.lane.Flush()
-		}
-		if err != nil {
-			n.net.Abort()
-			return err
-		}
-		sentPairs := n.lane.Sent
-		if err := n.ep.CloseChannel(comm.ChanForward); err != nil {
-			n.net.Abort()
-			return err
-		}
-		if d := n.net.ChaosDelay(chaos.KindDelayHandler, n.ctx.ID, round); d > 0 {
-			time.Sleep(d)
-		}
-	recvLoop:
-		for {
-			ev := n.ep.Recv()
-			switch ev.Type {
-			case comm.EvError:
-				n.net.Abort()
-				return ev.Err
-			case comm.EvData:
-				recvPairs += int64(len(ev.Batch.Pairs))
-				batches++
-				n.handle(ev.Batch.Pairs)
-				comm.PutPairs(ev.Batch.Pairs) // no kernel retains the slice
-			case comm.EvChannelClosed:
-				break recvLoop
-			}
-		}
-		if err := n.algo.EndRound(round); err != nil {
-			n.net.Abort()
-			return err
-		}
-
-		// Round statistics, folded by node 0 from every node's work slot
-		// as the BFS engine's are: a round's generator and handler are the
-		// forward pair.
-		sentMsgs1, sentBytes1 := n.net.NodeSent(n.ctx.ID)
-		fold, err := n.m.EndWork(n.ctx.ID, round, core.TopDown, core.LevelWork{
-			Processed:   (sentPairs + recvPairs) * comm.PairBytes,
-			Sent:        sentBytes1 - sentBytes0,
-			Messages:    sentMsgs1 - sentMsgs0,
-			Invocations: batches + 1,
-			Modules:     [4]int64{sentPairs * comm.PairBytes, recvPairs * comm.PairBytes},
-			Pairs:       sentPairs,
-		})
-		if err != nil {
-			return err
-		}
-		if n.ctx.ID == 0 {
-			rounds := 1
-			if n.ep.Mode() == "relay" {
-				rounds = 2
-			}
-			n.m.CloseLevel(perf.LevelStats{
-				Level:            round,
-				Direction:        "round",
-				FrontierVertices: active,
-				FrontierEdges:    fold.Pairs,
-				Rounds:           rounds,
-			}, fold, fmt.Sprintf("active=%d pairs=%d", active, fold.Pairs))
-		}
-
-		// Round boundary: stage this node's checkpoint capture before
-		// joining the next round's activity allreduce (see
-		// core.Machine.StageCheckpoint for why this window is race-free).
-		if n.checkpoint {
-			if err := n.m.StageCheckpoint(n.ctx.ID, round, n.captureNode); err != nil {
-				n.net.Abort()
-				return err
-			}
-		}
-	}
 }

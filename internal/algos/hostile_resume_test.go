@@ -189,3 +189,41 @@ func TestDeltaResumeRejectsForeignLocal(t *testing.T) {
 		t.Fatal("request for a local past the partition accepted")
 	}
 }
+
+// TestKernelsRefuseHostileInput runs every kernel of the table on input no
+// kernel can run on: each case must come back as an error, never a panic.
+// The configuration and the graph are refused before anything is
+// allocated per node, a weighted kernel's weights before any node reads
+// them.
+func TestKernelsRefuseHostileInput(t *testing.T) {
+	g := kron(t, 6, 1)
+	wg := testutil.Weighted(t, g, 9)
+	args := ckptArgs(0)
+	type input struct {
+		cfg core.Config
+		wg  *graph.WeightedCSR
+	}
+	fine := machine(4, core.TransportDirect)
+	for _, k := range Kernels {
+		cases := map[string]input{
+			"nodes -1":  {machine(-1, core.TransportDirect), wg},
+			"nil graph": {fine, &graph.WeightedCSR{}},
+		}
+		if k.Weighted {
+			cases["no weights"] = input{fine, &graph.WeightedCSR{CSR: g}}
+			cases["weights short of the edges"] = input{fine, &graph.WeightedCSR{CSR: g, Weights: &graph.Weights{W: wg.Weights.W[:1]}}}
+		}
+		for name, c := range cases {
+			t.Run(k.Name+"/"+name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				if res, err := k.Run(c.cfg, c.wg, 0, args[k.Name], nil); err == nil {
+					t.Fatalf("ran to %T, want an error", res)
+				}
+			})
+		}
+	}
+}

@@ -41,9 +41,8 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 	if k < 1 {
 		return nil, fmt.Errorf("algos: k must be >= 1, got %d", k)
 	}
-	nodes := make([]*kcoreNode, cfg.Nodes)
 	opts := RunOptions{Kernel: "kcore", Root: graph.NoVertex, Args: fmt.Sprintf("k=%d", k), Resume: from}
-	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
+	nodes, info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (*kcoreNode, error) {
 		n := ctx.Sub.NumVertices()
 		kn := &kcoreNode{
 			ctx:     ctx,
@@ -59,7 +58,6 @@ func kcoreRun(cfg core.Config, g *graph.CSR, k int64, from *ckpt.Checkpoint) (*K
 				kn.removal = append(kn.removal, local)
 			}
 		}
-		nodes[ctx.ID] = kn
 		return kn, nil
 	})
 	if err != nil {

@@ -63,12 +63,11 @@ func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64,
 	if damping < 0 || damping >= 1 {
 		return nil, fmt.Errorf("algos: damping %v out of [0, 1)", damping)
 	}
-	nodes := make([]*prNode, cfg.Nodes)
 	opts := RunOptions{
 		Kernel: "pagerank", Root: graph.NoVertex, Resume: from,
 		Args: fmt.Sprintf("iterations=%d damping=%v", iterations, damping),
 	}
-	info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (RoundAlgo, error) {
+	nodes, info, err := Run(cfg, g, opts, func(ctx *NodeCtx) (*prNode, error) {
 		nLocal := ctx.Sub.NumVertices()
 		pn := &prNode{
 			ctx:        ctx,
@@ -86,7 +85,6 @@ func pagerankRun(cfg core.Config, g *graph.CSR, iterations int, damping float64,
 				pn.dangling = append(pn.dangling, local)
 			}
 		}
-		nodes[ctx.ID] = pn
 		return pn, nil
 	})
 	if err != nil {

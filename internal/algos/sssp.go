@@ -41,11 +41,8 @@ func SSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex) (*SSSPResul
 }
 
 func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ckpt.Checkpoint) (*SSSPResult, error) {
-	if root < 0 || int64(root) >= wg.N {
-		return nil, fmt.Errorf("algos: SSSP root %d out of range", root)
-	}
-	nodes := make([]*ssspNode, cfg.Nodes)
-	info, err := Run(cfg, wg.CSR, RunOptions{Kernel: "sssp", Root: root, Weights: wg.Weights, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	opts := RunOptions{Kernel: "sssp", Root: root, Weights: wg.Weights, Resume: from, weighted: true, roots: []graph.Vertex{root}}
+	nodes, info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (*ssspNode, error) {
 		n := ctx.Sub.NumVertices()
 		sn := &ssspNode{
 			ctx:       ctx,
@@ -62,7 +59,6 @@ func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ck
 			sn.active.Set(local)
 			sn.pending = 1
 		}
-		nodes[ctx.ID] = sn
 		return sn, nil
 	})
 	if err != nil {

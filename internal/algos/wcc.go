@@ -38,8 +38,7 @@ func WCC(cfg core.Config, g *graph.CSR) (*WCCResult, error) {
 }
 
 func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, error) {
-	nodes := make([]*wccNode, cfg.Nodes)
-	info, err := Run(cfg, g, RunOptions{Kernel: "wcc", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (RoundAlgo, error) {
+	nodes, info, err := Run(cfg, g, RunOptions{Kernel: "wcc", Root: graph.NoVertex, Resume: from}, func(ctx *NodeCtx) (*wccNode, error) {
 		n := ctx.Sub.NumVertices()
 		wn := &wccNode{
 			ctx:       ctx,
@@ -54,7 +53,6 @@ func wccRun(cfg core.Config, g *graph.CSR, from *ckpt.Checkpoint) (*WCCResult, e
 				wn.pending++
 			}
 		}
-		nodes[ctx.ID] = wn
 		return wn, nil
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"swbfs/internal/algos"
 	"swbfs/internal/chaos"
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
@@ -344,68 +345,78 @@ func TestChaosLevelTimeout(t *testing.T) {
 }
 
 // TestChaosStragglerFlagged: a delayed node is flagged as a straggler on
-// the live event stream, in the span recorder, and in the Chrome trace.
+// the live event stream, in the span recorder, in the metrics and in the
+// Chrome trace — by the machine's level loop, so for BFS and the round
+// kernels alike.
 func TestChaosStragglerFlagged(t *testing.T) {
-	g := harnessGraph(t)
+	wg := ssspGraph(t)
 	plan, err := chaos.ParsePlan("delay-gen@2:l1:40")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := harnessConfig(core.TransportDirect)
-	cfg.Chaos = &plan
-	cfg.StragglerFactor = 2
-	cfg.Obs = obs.New()
-	cfg.Obs.Spans = obs.NewSpanRecorder()
-	cfg.Obs.Progress = obs.NewProgressBroker()
-	events, cancel := cfg.Obs.Progress.Subscribe(256)
-	defer cancel()
-
-	if _, _, err := runOnce(t, cfg, g); err != nil {
-		t.Fatalf("delayed run aborted: %v", err)
-	}
-
-	found := false
-	for done := false; !done; {
-		select {
-		case ev := <-events:
-			if ev.Kind == obs.EventStraggler && ev.Node == 2 && ev.Level == 1 {
-				found = true
-				if ev.HostSeconds <= ev.MeanHostSeconds {
-					t.Fatalf("straggler event host %.6fs <= mean %.6fs", ev.HostSeconds, ev.MeanHostSeconds)
-				}
-				done = true
+	for _, kernel := range []string{"bfs", "sssp", "wcc"} {
+		t.Run(kernel, func(t *testing.T) {
+			k, err := algos.KernelByName(kernel)
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			done = true
-		}
-	}
-	if !found {
-		t.Fatal("no straggler event for node 2 level 1 on the live stream")
-	}
+			cfg := harnessConfig(core.TransportDirect)
+			cfg.Chaos = &plan
+			cfg.StragglerFactor = 2
+			cfg.Obs = obs.New()
+			cfg.Obs.Spans = obs.NewSpanRecorder()
+			cfg.Obs.Progress = obs.NewProgressBroker()
+			events, cancel := cfg.Obs.Progress.Subscribe(256)
+			defer cancel()
 
-	runs := cfg.Obs.Spans.Runs()
-	if len(runs) == 0 {
-		t.Fatal("no recorded runs")
-	}
-	var flagged bool
-	for _, sf := range runs[len(runs)-1].Stragglers {
-		if sf.Node == 2 && sf.Level == 1 {
-			flagged = true
-		}
-	}
-	if !flagged {
-		t.Fatalf("span recorder stragglers = %+v, want node 2 level 1", runs[len(runs)-1].Stragglers)
-	}
-	if v := cfg.Obs.Metrics.Counter("core.stragglers").Value(); v < 1 {
-		t.Fatalf("core.stragglers = %d, want >= 1", v)
-	}
+			if _, err := k.Run(cfg, wg, harnessRoot, "", nil); err != nil {
+				t.Fatalf("delayed run aborted: %v", err)
+			}
 
-	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, nil, runs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"straggler L1"`)) {
-		t.Fatal("Chrome trace has no straggler instant event")
+			found := false
+			for done := false; !done; {
+				select {
+				case ev := <-events:
+					if ev.Kind == obs.EventStraggler && ev.Node == 2 && ev.Level == 1 {
+						found = true
+						if ev.HostSeconds <= ev.MeanHostSeconds {
+							t.Fatalf("straggler event host %.6fs <= mean %.6fs", ev.HostSeconds, ev.MeanHostSeconds)
+						}
+						done = true
+					}
+				default:
+					done = true
+				}
+			}
+			if !found {
+				t.Fatal("no straggler event for node 2 level 1 on the live stream")
+			}
+
+			runs := cfg.Obs.Spans.Runs()
+			if len(runs) == 0 {
+				t.Fatal("no recorded runs")
+			}
+			var flagged bool
+			for _, sf := range runs[len(runs)-1].Stragglers {
+				if sf.Node == 2 && sf.Level == 1 {
+					flagged = true
+				}
+			}
+			if !flagged {
+				t.Fatalf("span recorder stragglers = %+v, want node 2 level 1", runs[len(runs)-1].Stragglers)
+			}
+			if v := cfg.Obs.Metrics.Counter("core.stragglers").Value(); v < 1 {
+				t.Fatalf("core.stragglers = %d, want >= 1", v)
+			}
+
+			var buf bytes.Buffer
+			if err := obs.WriteChromeTrace(&buf, nil, runs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(buf.Bytes(), []byte(`"straggler L1"`)) {
+				t.Fatal("Chrome trace has no straggler instant event")
+			}
+		})
 	}
 }
 

@@ -29,8 +29,6 @@ type Endpoint interface {
 	// Recv blocks for the next event: a data batch, a channel-closed
 	// notification (once per open channel), or a transport error.
 	Recv() Event
-	// Mode names the transport for reports ("direct" or "relay").
-	Mode() string
 	// Reset clears what a cleanly finished run left behind, for the next
 	// run of a Reset network.
 	Reset()
@@ -337,8 +335,6 @@ func NewDirectEndpoint(net *Network, node int) *DirectEndpoint {
 	e.endpointCore = newEndpointCore(net, node, e, 1, net.Nodes())
 	return e
 }
-
-func (e *DirectEndpoint) Mode() string { return "direct" }
 
 // seal ships a quantum as it is: one batch for one destination.
 func (e *DirectEndpoint) seal(_ Channel, out []Batch, _ int) []Batch { return out }

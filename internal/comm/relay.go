@@ -126,8 +126,6 @@ func NewRelayEndpoint(net *Network, node int, shape GroupShape) (*RelayEndpoint,
 	return e, nil
 }
 
-func (e *RelayEndpoint) Mode() string { return "relay" }
-
 // StartLevel implements Endpoint.
 func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	e.endpointCore.StartLevel(level, channels...)

@@ -44,7 +44,6 @@ func (*sink) Node() int                  { return 0 }
 func (*sink) StartLevel(int, ...Channel) {}
 func (*sink) CloseChannel(Channel) error { return nil }
 func (*sink) Recv() Event                { return Event{} }
-func (*sink) Mode() string               { return "sink" }
 func (*sink) Reset()                     {}
 
 // lane opens a lane onto the sink.

@@ -11,14 +11,14 @@ import (
 )
 
 // The BFS side of level-boundary checkpointing: what one node serializes
-// at the bottom of its loop and how a resumed node loads it back. The latch
-// that assembles the boundary, and why the window is race-free, live on the
-// machine (Machine.StageCheckpoint).
+// at a level boundary and how a resumed node loads it back. The latch that
+// assembles the boundary, and why the window is race-free, live on the
+// machine (Machine.stageCheckpoint).
 
 // bfsNodeData is one node's serialized BFS state at a level boundary: the
 // parent map, the frontier entering the next level (curr — next and
 // genNext are empty at the boundary), the visited snapshot *before* the
-// new frontier is folded in (the fold is the first statement of the loop),
+// new frontier is folded in (the fold opens the next level's Stats),
 // and the cumulative per-module counters the end-of-run metrics fold.
 type bfsNodeData struct {
 	Parent     []int64  `json:"parent"`
@@ -37,9 +37,9 @@ type bfsNodeData struct {
 	RelayedTotal int64 `json:"relayed_total,omitempty"`
 }
 
-// captureNode serializes this node's state. Called at the level boundary,
+// Capture serializes this node's state. Called at the level boundary,
 // after the module goroutines have joined — no concurrent writers.
-func (ns *nodeState) captureNode() (json.RawMessage, error) {
+func (ns *nodeState) Capture() (json.RawMessage, error) {
 	data := bfsNodeData{
 		Parent:          append([]int64(nil), ns.parent...),
 		Curr:            append([]uint64(nil), ns.curr.Words()...),

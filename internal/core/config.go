@@ -121,9 +121,9 @@ type Config struct {
 	// reproduces the same injections bit-for-bit (see docs/CHAOS.md).
 	Chaos *chaos.Plan
 
-	// LevelTimeout arms the per-level watchdog: if no BFS level completes
-	// for this long (host time), the run is aborted with ErrLevelTimeout
-	// wrapped in an AbortError. 0 disables the watchdog.
+	// LevelTimeout arms the per-level watchdog: if no level or round
+	// completes for this long (host time), the run is aborted with
+	// ErrLevelTimeout wrapped in an AbortError. 0 disables the watchdog.
 	LevelTimeout time.Duration
 
 	// FlightDump, when non-empty, is the file an aborted Run writes its

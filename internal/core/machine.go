@@ -126,37 +126,40 @@ type MachineSpec struct {
 	Recycle *Machine
 }
 
-// Machine is the run-scoped simulated machine a level body executes on: the
+// Machine is the run-scoped simulated machine a kernel executes on: the
 // network with its fault injector and flight recorder, one endpoint per
-// node, node 0's level ledger, the watchdog, the level-boundary checkpoint
-// latch and the abort path. Both engines — the BFS runner's runBFS and the
-// round driver's loop in internal/algos — are bodies on it: OpenMachine,
-// build the per-node state, Drive, read the results, Close.
+// node, the level loop every node runs, node 0's level ledger, the
+// watchdog, the straggler detector, the level-boundary checkpoint latch and
+// the abort path. Both engines — the BFS runner and the round driver in
+// internal/algos — supply only a Body per node: OpenMachine, build the
+// bodies, Drive, read the results, Finish, Close.
 type Machine struct {
 	Net    *comm.Network
 	Model  perf.Model
 	Flight *obs.FlightRecorder
-	// StartLevel is the first level the body runs: 0, or the checkpoint's
-	// boundary on a resume.
-	StartLevel int
 
 	spec   MachineSpec // Cfg with defaults applied
 	config ckpt.MachineConfig
 	inj    *chaos.Injector
 	eps    []comm.Endpoint
+	// start is the first level the loop runs: 0, or the checkpoint's
+	// boundary on a resume.
+	start int
 
 	// Node 0's ledger. lastSnap is its counter snapshot after the final
 	// recorded level: the delta to the end-of-run totals is the termination
 	// traffic (the emptiness collectives) the trace reports separately so
 	// its books balance. window is the open level's starting snapshot and
 	// tick feeds the watchdog, advancing once per completed level.
-	mu       sync.Mutex
-	levels   []perf.LevelStats
-	lastSnap fabric.Snapshot
-	window   fabric.Snapshot
-	tick     atomic.Int64
+	// stragglers are the detector's flags (Config.StragglerFactor).
+	mu         sync.Mutex
+	levels     []perf.LevelStats
+	lastSnap   fabric.Snapshot
+	window     fabric.Snapshot
+	tick       atomic.Int64
+	stragglers []obs.StragglerFlag
 
-	// Per-node work slots, folded by node 0 in EndWork, and the
+	// Per-node work slots, folded by node 0 in closeLevel, and the
 	// module-work ledger of their module bytes, kept only for a span
 	// recorder.
 	slots []LevelWork
@@ -358,12 +361,8 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		return nil, err
 	}
 
-	label := spec.Kernel
-	if label == KernelBFS {
-		label = ""
-	}
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
-		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(spec.Root), Kernel: label})
+		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(spec.Root), Kernel: m.label()})
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
 		sr.BeginRun(int64(spec.Root))
@@ -434,7 +433,7 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 			m.Close()
 			return nil, err
 		}
-		m.StartLevel = resume.Level
+		m.start = resume.Level
 		m.levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
 		m.lastSnap = resume.Machine.LastSnap
 		m.tick.Store(int64(resume.Level))
@@ -482,23 +481,180 @@ func (m *Machine) Injections() []chaos.Fault {
 	return m.inj.Log()
 }
 
-// OpenLevel opens a level's accounting window. Node 0 calls it before the
-// level's first collective, so every byte of the level — frontier
-// statistics, hub gather, data — lands in exactly one level's delta. (The
-// window is safe: no peer traffic can be recorded before node 0 joins that
-// collective.)
-func (m *Machine) OpenLevel(level int) {
-	m.window = m.Net.Counters.Snapshot()
-	m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
+// Body is one node's side of a kernel: what differs between kernels in the
+// level loop Drive runs. The loop calls a node's body on that node's
+// goroutine only, in the order of its steps (see loop).
+type Body interface {
+	// Stats returns the node's statistics vector for the level, which the
+	// loop sum-allreduces in place. Its first element is the node's
+	// frontier: the run ends when that sums to zero, and the level's live
+	// event and statistics carry the sum. The vector is the node's own,
+	// reused every level, and of one length on every node.
+	Stats(level int) []int64
+	// Plan reads the summed statistics and returns the level's plan, which
+	// every node decides alike. It may run collectives of its own (BFS's
+	// hub allgather): the loop's rendezvous before Work publishes what
+	// node 0 writes here. An error tears the run down.
+	Plan(level int, sums []int64) (Plan, error)
+	// Work runs the node's module work once the plan's channels are open
+	// and returns the node's work vector; the loop fills in Processed,
+	// Sent and Messages. An error tears the run down.
+	Work(level int, p Plan) (LevelWork, error)
+	// Close completes node 0's statistics of the level, which the loop has
+	// filled from the plan and the fold of every node's work vector, and
+	// returns the detail of the level's flight record.
+	Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string)
+	// Capture serializes the node's state at a level boundary for the
+	// checkpoint (Config.CheckpointEvery > 0 only).
+	Capture() (json.RawMessage, error)
 }
 
-// CloseLevel records a completed level. Node 0 calls it with the body's
-// statistics and EndWork's fold, whose maxima it fills in; the machine
-// adds the window's traffic, feeds the watchdog and stamps the flight
-// record with detail.
-func (m *Machine) CloseLevel(s perf.LevelStats, fold LevelWork, detail string) {
-	s.MaxNodeProcessedBytes, s.MaxNodeSentBytes = fold.Processed, fold.Sent
-	s.MaxNodeMessages, s.ModuleInvocations = fold.Messages, fold.Invocations
+// Plan is the shape of one level.
+type Plan struct {
+	// Dir is the traversal direction: a bottom-up level's generator is the
+	// backward one in the module ledger. Round kernels run top-down.
+	Dir Direction
+	// Label is the level's direction in live events and statistics.
+	Label string
+	// Channels are the channels the level opens.
+	Channels []comm.Channel
+	// Edges are the edges the level relaxes as known before its work: the
+	// live level event carries them and the level's statistics start from
+	// them.
+	Edges int64
+}
+
+// LevelWork is one node's work vector of one level: module input bytes
+// (Processed in all, Modules per generator, forward handler, backward
+// handler and relay), the bytes and messages it sent, its module
+// invocations and the pairs it sent — plus the host nanoseconds its
+// generator and handler modules took, which only the straggler detector
+// reads.
+type LevelWork struct {
+	Processed, Sent, Messages, Invocations int64
+	Modules                                [4]int64
+	Pairs                                  int64
+	GenNanos, HandlerNanos                 int64
+}
+
+// loop runs one node's levels from m.start until the frontier sums to
+// zero: the level protocol, written once for every kernel. Each level:
+//
+//  1. node 0 opens the level's accounting window and flight record;
+//  2. every node sum-allreduces its statistics, one charged collective,
+//     and the run ends when the frontier, the first sum, is zero;
+//  3. every node plans the level, and node 0 publishes its live event;
+//  4. every node opens the plan's channels and joins a host-only
+//     rendezvous (comm.Network.Sync), so no level traffic reaches an
+//     endpoint that has not opened them;
+//  5. every node works, writes its work vector into its slot and joins a
+//     second rendezvous;
+//  6. node 0 folds the slots and records the level (closeLevel);
+//  7. every node stages its checkpoint capture (stageCheckpoint).
+//
+// Two windows keep the books exact. Node 0 opens the accounting window
+// before the level's first collective, so every byte of the level lands in
+// exactly one level's delta: no peer can move a byte before node 0 joins
+// that collective. And a node captures its boundary state after step 5's
+// rendezvous and before the next level's allreduce, where no traffic moves.
+func (m *Machine) loop(node int, b Body) error {
+	net, ep := m.Net, m.eps[node]
+	for level := m.start; ; level++ {
+		if node == 0 {
+			m.window = net.Counters.Snapshot()
+			m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
+		}
+		sums := b.Stats(level)
+		if net.AllreduceSums(sums); net.Aborted() {
+			return ErrAborted
+		}
+		if sums[0] == 0 {
+			return nil
+		}
+		p, err := b.Plan(level, sums)
+		if err != nil {
+			net.Abort()
+			return err
+		}
+		if pb := m.spec.Cfg.Obs.ProgressOf(); node == 0 && pb != nil {
+			pb.Publish(obs.LiveEvent{
+				Kind: obs.EventLevel, Root: int64(m.spec.Root), Kernel: m.label(),
+				Level: level, Direction: p.Label,
+				FrontierVertices: sums[0], EdgesRelaxed: p.Edges,
+			})
+		}
+
+		ep.StartLevel(level, p.Channels...)
+		if net.Sync(); net.Aborted() {
+			return ErrAborted
+		}
+		msgs, bytes := net.NodeSent(node)
+		w, err := b.Work(level, p)
+		if err != nil {
+			net.Abort()
+			return err
+		}
+		msgs1, bytes1 := net.NodeSent(node)
+		w.Sent, w.Messages = bytes1-bytes, msgs1-msgs
+		for _, mb := range w.Modules {
+			w.Processed += mb
+		}
+		m.slots[node] = w
+		if net.Sync(); net.Aborted() {
+			return ErrAborted
+		}
+		if node == 0 {
+			m.closeLevel(level, sums[0], p, b)
+		}
+
+		if m.spec.Cfg.CheckpointEvery > 0 {
+			if err := m.stageCheckpoint(node, level, b); err != nil {
+				net.Abort()
+				return err
+			}
+		}
+	}
+}
+
+// closeLevel records a completed level on node 0. It folds the nodes' work
+// slots — per-field maxima, the critical path, with Pairs summed — and,
+// with a span recorder, ledgers their module bytes; the body completes the
+// statistics; the machine adds the window's traffic, feeds the watchdog,
+// stamps the flight record with the body's detail and, when armed, runs
+// the straggler detector.
+func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
+	var f LevelWork
+	for _, s := range m.slots {
+		f.Processed = max(f.Processed, s.Processed)
+		f.Sent = max(f.Sent, s.Sent)
+		f.Messages = max(f.Messages, s.Messages)
+		f.Invocations = max(f.Invocations, s.Invocations)
+		for i, mb := range s.Modules {
+			f.Modules[i] = max(f.Modules[i], mb)
+		}
+		f.Pairs += s.Pairs
+	}
+	if m.spec.Cfg.Obs.SpansOf() != nil {
+		row := make([]ckpt.ModuleWork, len(m.slots))
+		for i, s := range m.slots {
+			row[i] = ckpt.ModuleWork{Level: level, Dir: int(p.Dir), Bytes: s.Modules}
+		}
+		m.mu.Lock()
+		m.work = append(m.work, row)
+		m.mu.Unlock()
+	}
+
+	rounds := len(p.Channels) // transport stages x channels opened
+	if m.spec.Cfg.Transport == TransportRelay {
+		rounds *= 2
+	}
+	s, detail := b.Close(perf.LevelStats{
+		Level: level, Direction: p.Label,
+		FrontierVertices: frontier, FrontierEdges: p.Edges,
+		MaxNodeProcessedBytes: f.Processed, MaxNodeSentBytes: f.Sent,
+		MaxNodeMessages: f.Messages, ModuleInvocations: f.Invocations,
+		Rounds: rounds,
+	}, f)
 	after := m.Net.Counters.Snapshot()
 	s.Net = after.Sub(m.window)
 	m.mu.Lock()
@@ -506,61 +662,67 @@ func (m *Machine) CloseLevel(s perf.LevelStats, fold LevelWork, detail string) {
 	m.lastSnap = after
 	m.mu.Unlock()
 	m.tick.Add(1)
-	m.Flight.Control(obs.FlightRoundClose, -1, s.Level, detail)
+	m.Flight.Control(obs.FlightRoundClose, -1, level, detail)
+	if m.spec.Cfg.StragglerFactor > 0 {
+		m.detectStragglers(level)
+	}
 }
 
-// LevelWork is one node's work vector of one level: module input bytes
-// (Processed in all, Modules per generator, forward handler, backward
-// handler and relay), the bytes and messages it sent, its module
-// invocations and the pairs it sent.
-type LevelWork struct {
-	Processed, Sent, Messages, Invocations int64
-	Modules                                [4]int64
-	Pairs                                  int64
-}
+// stragglerFloorNanos is the absolute floor below which a level is too
+// fast for its spread to mean anything: sub-200µs levels on an idle host
+// are scheduler noise, not stragglers.
+const stragglerFloorNanos = 200_000
 
-// EndWork closes node's part of a level: every node writes its work vector
-// into its slot and joins a host-only rendezvous (comm.Network.Sync, no
-// modelled traffic), after which node 0 folds the slots for CloseLevel —
-// per-field maxima, the critical path, with Pairs summed — and, with a
-// span recorder, appends their module bytes to the ledger.
-func (m *Machine) EndWork(node, level int, dir Direction, w LevelWork) (LevelWork, error) {
-	m.slots[node] = w
-	m.Net.Sync()
-	if m.Net.Aborted() {
-		return LevelWork{}, ErrAborted
-	}
-	var f LevelWork
-	if node != 0 {
-		return f, nil
-	}
+// detectStragglers flags the nodes whose host-side module time for this
+// level exceeded the all-node mean of that module class by the configured
+// factor. Generator and handler times are compared within their own class:
+// a generator straggler delays every peer's handler, so only the per-class
+// comparison blames the slow node instead of its victims (whole-level wall
+// time cannot: every node's level ends with the slowest peer's end
+// markers). Node 0 reads the slots in closeLevel, where none can be
+// rewritten. Host time only: LevelStats are never perturbed.
+func (m *Machine) detectStragglers(level int) {
+	factor := m.spec.Cfg.StragglerFactor
+	var genSum, handlerSum int64
 	for _, s := range m.slots {
-		f.Processed = max(f.Processed, s.Processed)
-		f.Sent = max(f.Sent, s.Sent)
-		f.Messages = max(f.Messages, s.Messages)
-		f.Invocations = max(f.Invocations, s.Invocations)
-		for i, b := range s.Modules {
-			f.Modules[i] = max(f.Modules[i], b)
-		}
-		f.Pairs += s.Pairs
+		genSum += s.GenNanos
+		handlerSum += s.HandlerNanos
 	}
-	if m.spec.Cfg.Obs.SpansOf() != nil {
-		row := make([]ckpt.ModuleWork, len(m.slots))
-		for i, s := range m.slots {
-			row[i] = ckpt.ModuleWork{Level: level, Dir: int(dir), Bytes: s.Modules}
+	genMean := float64(genSum) / float64(len(m.slots))
+	handlerMean := float64(handlerSum) / float64(len(m.slots))
+	for node, s := range m.slots {
+		var host, mean float64
+		if g := float64(s.GenNanos); g > factor*genMean && g > stragglerFloorNanos {
+			host, mean = g, genMean
 		}
-		m.mu.Lock()
-		m.work = append(m.work, row)
-		m.mu.Unlock()
+		if h := float64(s.HandlerNanos); h > factor*handlerMean && h > stragglerFloorNanos && h > host {
+			host, mean = h, handlerMean
+		}
+		if host == 0 {
+			continue
+		}
+		sf := obs.StragglerFlag{Node: node, Level: level, HostSeconds: host / 1e9, MeanHostSeconds: mean / 1e9}
+		m.stragglers = append(m.stragglers, sf)
+		// Host timings: a straggler event's detail is nondeterministic,
+		// which is why byte-identical dumps require the detector off.
+		m.Flight.Control(obs.FlightStraggler, node, level,
+			fmt.Sprintf("host=%.6fs mean=%.6fs", sf.HostSeconds, sf.MeanHostSeconds))
+		if pb := m.spec.Cfg.Obs.ProgressOf(); pb != nil {
+			pb.Publish(obs.LiveEvent{
+				Kind: obs.EventStraggler, Root: int64(m.spec.Root), Kernel: m.label(),
+				Level: level, Node: node,
+				HostSeconds: sf.HostSeconds, MeanHostSeconds: sf.MeanHostSeconds,
+			})
+		}
 	}
-	return f, nil
 }
 
-// Drive runs body once per node, SPMD-style, under the level watchdog, and
-// joins. A torn-down run returns an *AbortError carrying the original
-// cause, the completed levels, the post-mortem flight dump, the injection
-// log and the newest complete checkpoint.
-func (m *Machine) Drive(body func(node int) error) error {
+// Drive runs the level loop once per node on that node's body, SPMD-style,
+// under the level watchdog, and joins. A torn-down run returns an
+// *AbortError carrying the original cause, the completed levels, the
+// post-mortem flight dump, the injection log and the newest complete
+// checkpoint.
+func (m *Machine) Drive(bodies func(node int) Body) error {
 	cfg, unit := m.spec.Cfg, m.spec.Unit
 
 	// Watchdog: if node 0's tick stops advancing for a whole timeout
@@ -602,7 +764,7 @@ func (m *Machine) Drive(body func(node int) error) error {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			errs[node] = body(node)
+			errs[node] = m.loop(node, bodies(node))
 		}(node)
 	}
 	wg.Wait()
@@ -667,12 +829,13 @@ func (m *Machine) Drive(body func(node int) error) error {
 	return ae
 }
 
-// StageCheckpoint stages one node's boundary capture; level is the level
+// stageCheckpoint stages one node's boundary capture; level is the level
 // that just completed (the checkpoint's Level is level+1 — the resumed
 // run's start level). Each node calls it at the bottom of its loop, after
-// EndWork and before joining the next level's first collective. That
-// window makes the capture race-free without any modelled traffic: once a
-// node returns from EndWork's rendezvous every node has finished the
+// the work rendezvous and before joining the next level's first
+// collective. That window makes the capture race-free without any
+// modelled traffic: once a node returns from the rendezvous every node has
+// finished the
 // level's module work, so every byte of it is recorded, and no next-level
 // traffic, flight event or injection can occur until all nodes (each after
 // its own capture) join the next level's first collective — so node 0's
@@ -680,8 +843,8 @@ func (m *Machine) Drive(body func(node int) error) error {
 // stage freezes the checkpoint and, at the configured cadence, writes it to
 // Config.CheckpointPath; a failed periodic write is fatal — silently
 // continuing would lose the restart guarantee.
-func (m *Machine) StageCheckpoint(node, level int, capture func() (json.RawMessage, error)) error {
-	data, err := capture()
+func (m *Machine) stageCheckpoint(node, level int, b Body) error {
+	data, err := b.Capture()
 	if err != nil {
 		return err
 	}
@@ -759,16 +922,15 @@ func (m *Machine) CheckpointJSON() ([]byte, bool) {
 	return data, err == nil
 }
 
-// EndSpans seals the run on the span recorder, if one is attached: the
+// endSpans seals the run on the span recorder, if one is attached: the
 // ledgered module work of every node laid out on the modelled timeline,
-// plus the engine's straggler flags, each stamped in place with its
-// level's start. A
-// module span starts at its level's start and lasts bytes/bandwidth at the
+// plus the straggler flags, each stamped in place with its level's start.
+// A module span starts at its level's start and lasts bytes/bandwidth at the
 // configured engine's module bandwidth. Modules run concurrently (one CPE
 // cluster each, Figure 10), so spans of one level overlap by design; none
 // outlasts its level, whose time bounds the slowest node's makespan from
-// above. Call after Drive.
-func (m *Machine) EndSpans(stragglers []obs.StragglerFlag) {
+// above.
+func (m *Machine) endSpans() {
 	cfg := m.spec.Cfg
 	sr := cfg.Obs.SpansOf()
 	if sr == nil {
@@ -801,20 +963,19 @@ func (m *Machine) EndSpans(stragglers []obs.StragglerFlag) {
 			}
 		}
 	}
-	for i, sf := range stragglers {
+	for i, sf := range m.stragglers {
 		if sf.Level < len(m.levels) {
-			stragglers[i].Start = starts[sf.Level]
+			m.stragglers[i].Start = starts[sf.Level]
 		}
 	}
-	sr.EndRun(starts[len(m.levels)], spans, stragglers)
+	sr.EndRun(starts[len(m.levels)], spans, m.stragglers)
 }
 
-// Trace converts the ledger into a RunTrace whose books balance
+// trace converts the ledger into a RunTrace whose books balance
 // (RunTrace.Reconcile): level wall times sum to the run's modelled time and
 // level byte counts plus the termination traffic sum to the fabric's grand
-// total. The engine fills in its own header fields. Call after Drive, before
-// Close.
-func (m *Machine) Trace() obs.RunTrace {
+// total. Finish has the body fill in its header fields.
+func (m *Machine) trace() obs.RunTrace {
 	final := m.Net.Counters.Snapshot()
 	term := final.Sub(m.lastSnap)
 	rt := obs.RunTrace{
@@ -853,4 +1014,41 @@ func (m *Machine) Trace() obs.RunTrace {
 		})
 	}
 	return rt
+}
+
+// label is the kernel's name in live events: none for BFS
+// (obs.LiveEvent.Kernel).
+func (m *Machine) label() string {
+	if m.spec.Kernel == KernelBFS {
+		return ""
+	}
+	return m.spec.Kernel
+}
+
+// Finish seals a completed run on the observer, after Drive and before
+// Close: it records the run's RunTrace, header (when non-nil) filling in
+// the body's header fields; folds the network's metrics and the straggler
+// count; lays the module spans and straggler flags out on the modelled
+// timeline; and publishes the run's end, done carrying the body's Visited
+// and GTEPS.
+func (m *Machine) Finish(header func(*obs.RunTrace), done obs.LiveEvent) {
+	o := m.spec.Cfg.Obs
+	if t := o.TraceOf(); t != nil {
+		rt := m.trace()
+		if header != nil {
+			header(&rt)
+		}
+		t.Record(rt)
+	}
+	if mr := o.MetricsOf(); mr != nil {
+		if n := len(m.stragglers); n > 0 {
+			mr.Counter("core.stragglers").Add(int64(n))
+		}
+		m.Net.MetricsInto(mr)
+	}
+	m.endSpans()
+	if pb := o.ProgressOf(); pb != nil {
+		done.Kind, done.Root, done.Kernel = obs.EventRunDone, int64(m.spec.Root), m.label()
+		pb.Publish(done)
+	}
 }

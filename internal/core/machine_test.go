@@ -29,71 +29,62 @@ type ringState struct {
 	Token int64 `json:"token"`
 }
 
-// ringBody is the toy body. stall, when non-nil, runs at the top of every
-// level (a slow node).
-func ringBody(m *core.Machine, state []ringState, stall func(node, level int)) func(int) error {
-	return func(node int) error {
-		n, ep := m.Cfg().Nodes, m.Endpoint(node)
-		for level := m.StartLevel; ; level++ {
-			if node == 0 {
-				m.OpenLevel(level)
-			}
-			var active int64
-			if level < ringLevels {
-				active = 1
-			}
-			if active = m.Net.AllreduceSum(active); m.Net.Aborted() {
-				return core.ErrAborted
-			}
-			if active == 0 {
-				return nil
-			}
-			if stall != nil {
-				stall(node, level)
-			}
-			ep.StartLevel(level, comm.ChanForward)
-			if m.Net.Sync(); m.Net.Aborted() {
-				return core.ErrAborted
-			}
-			err := ep.SendMany(comm.ChanForward, []comm.DstRun{{Dst: (node + 1) % n, N: 1}},
-				[]comm.Pair{{graph.Vertex(state[node].Token), graph.Vertex(level)}})
-			if err == nil {
-				err = ep.CloseChannel(comm.ChanForward)
-			}
-			for err == nil {
-				ev := ep.Recv()
-				if ev.Type == comm.EvChannelClosed {
-					break
-				}
-				if ev.Type == comm.EvData {
-					state[node].Token = int64(ev.Batch.Pairs[0][0])
-				}
-				err = ev.Err
-			}
-			if err != nil {
-				m.Net.Abort()
-				return err
-			}
-			fold, err := m.EndWork(node, level, core.TopDown, core.LevelWork{Sent: comm.PairBytes, Pairs: 1})
-			if err != nil {
-				return err
-			}
-			if node == 0 {
-				m.CloseLevel(perf.LevelStats{
-					Level: level, Direction: "ring", FrontierVertices: active,
-					FrontierEdges: fold.Pairs, Rounds: 1,
-				}, fold, "ring")
-			}
-			if m.Cfg().CheckpointEvery > 0 {
-				capture := func() (json.RawMessage, error) { return json.Marshal(state[node]) }
-				if err := m.StageCheckpoint(node, level, capture); err != nil {
-					m.Net.Abort()
-					return err
-				}
-			}
-		}
-	}
+// ring is the toy body of one node. stall, when non-nil, runs once the
+// level's statistics are summed, before its channels open (a slow node).
+type ring struct {
+	m      *core.Machine
+	node   int
+	state  *ringState
+	stall  func(node, level int)
+	active [1]int64
 }
+
+// ringBodies builds every node's ring body over state.
+func ringBodies(m *core.Machine, state []ringState, stall func(node, level int)) func(int) core.Body {
+	return func(node int) core.Body { return &ring{m: m, node: node, state: &state[node], stall: stall} }
+}
+
+func (r *ring) Stats(level int) []int64 {
+	r.active[0] = 0
+	if level < ringLevels {
+		r.active[0] = 1
+	}
+	return r.active[:]
+}
+
+func (r *ring) Plan(level int, _ []int64) (core.Plan, error) {
+	if r.stall != nil {
+		r.stall(r.node, level)
+	}
+	return core.Plan{Label: "ring", Channels: []comm.Channel{comm.ChanForward}}, nil
+}
+
+func (r *ring) Work(level int, _ core.Plan) (core.LevelWork, error) {
+	ep := r.m.Endpoint(r.node)
+	err := ep.SendMany(comm.ChanForward, []comm.DstRun{{Dst: (r.node + 1) % r.m.Cfg().Nodes, N: 1}},
+		[]comm.Pair{{graph.Vertex(r.state.Token), graph.Vertex(level)}})
+	if err == nil {
+		err = ep.CloseChannel(comm.ChanForward)
+	}
+	for err == nil {
+		ev := ep.Recv()
+		if ev.Type == comm.EvChannelClosed {
+			break
+		}
+		if ev.Type == comm.EvData {
+			r.state.Token = int64(ev.Batch.Pairs[0][0])
+		}
+		err = ev.Err
+	}
+	return core.LevelWork{Pairs: 1}, err
+}
+
+func (r *ring) Close(s perf.LevelStats, fold core.LevelWork) (perf.LevelStats, string) {
+	s.FrontierEdges = fold.Pairs
+	return s, "ring"
+}
+
+func (r *ring) Capture() (json.RawMessage, error) { return json.Marshal(r.state) }
 
 // runRing opens a machine, loads or seeds the tokens, drives the body and
 // returns the ledger and the final tokens.
@@ -120,7 +111,7 @@ func runRing(t *testing.T, cfg core.Config, from *ckpt.Checkpoint, stall func(no
 			}
 		}
 	}
-	if err := m.Drive(ringBody(m, state, stall)); err != nil {
+	if err := m.Drive(ringBodies(m, state, stall)); err != nil {
 		return nil, nil, err
 	}
 	return m.Levels(), state, nil
@@ -246,7 +237,7 @@ func TestMachineProtocolErrorAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 		state := make([]ringState, m.Cfg().Nodes)
-		err = m.Drive(ringBody(m, state, func(node, level int) {
+		err = m.Drive(ringBodies(m, state, func(node, level int) {
 			if node == 1 && level == 2 {
 				_ = m.Endpoint(1).CloseChannel(comm.ChanBackward) // the hostile act; its outcome is the peers' to report
 			}
@@ -291,7 +282,7 @@ func TestMachineCollectiveMismatchAborts(t *testing.T) {
 	}
 	defer m.Close()
 	state := make([]ringState, m.Cfg().Nodes)
-	err = m.Drive(ringBody(m, state, func(node, level int) {
+	err = m.Drive(ringBodies(m, state, func(node, level int) {
 		if node == 1 && level == 2 {
 			if got := m.Net.AllreduceMax(1); got != 0 {
 				t.Errorf("mismatched max returned %d", got)

@@ -47,7 +47,7 @@ type nodeState struct {
 	// the handler's forward replies — and holding a pooled stage only while
 	// that module sends.
 	lanes [2]comm.Lane
-	// handlerErr carries the handler goroutine's verdict to runLevel.
+	// handlerErr carries the handler goroutine's verdict to Work.
 	handlerErr chan error
 
 	// workers is the module worker-pool width (Config.Workers resolved):
@@ -64,17 +64,19 @@ type nodeState struct {
 	// visitedDeg accumulates the degrees of locally visited vertices, for
 	// the mu (unexplored edges) statistic of the direction policy.
 	visitedDeg int64
+	// stats is the level's statistics vector (Stats), allreduced in place.
+	stats [3]int64
 
 	// Per-level statistics; generator-owned and handler-owned fields are
 	// separate so the two module goroutines never share a counter.
 	genBytes       atomic.Int64 // generator module input (scanned edges), tallied by its lanes
 	genInvocations int64        // generator CPE-cluster dispatches
-	handlerBytes   int64        // handler module input (received pairs)
-	hFwdBytes      int64        // Forward Handler share of handlerBytes
-	hBwdBytes      int64        // Backward Handler share of handlerBytes
+	hFwdBytes      int64        // Forward Handler module input (received pairs)
+	hBwdBytes      int64        // Backward Handler module input (received pairs)
 	relayBytes     int64        // Forward/Backward Relay module input (relay transport)
 	hInvocations   int64        // handler CPE-cluster dispatches (batches >= 1 KB)
 	smallBatches   int64        // sub-1 KB batches fast-pathed on the MPE
+	handlerNanos   int64        // handler host time, for straggler detection
 
 	// Whole-run accumulations of the per-level counters above, folded
 	// into the observability registry after the run (each node writes
@@ -168,7 +170,6 @@ func (ns *nodeState) claim(local int64, u graph.Vertex) bool {
 func (ns *nodeState) resetLevelCounters() {
 	ns.genBytes.Store(0)
 	ns.genInvocations = 0
-	ns.handlerBytes = 0
 	ns.hFwdBytes = 0
 	ns.hBwdBytes = 0
 	ns.relayBytes = 0
@@ -182,31 +183,27 @@ var levelChannels = [...][]comm.Channel{
 	BottomUp: {comm.ChanForward, comm.ChanBackward},
 }
 
-// runLevel executes one BFS level on this node: generator and handler
-// modules run concurrently, the level completes when the transport reports
-// all channels closed.
-func (ns *nodeState) runLevel(level int, dir Direction) error {
+// Work runs one BFS level's module work on this node: the generator and
+// handler modules concurrently, until the transport reports all channels
+// closed. It then advances the frontier — next (handler discoveries)
+// merged with genNext (local hub claims) — so a boundary capture sees the
+// frontier entering the next level.
+func (ns *nodeState) Work(level int, p Plan) (LevelWork, error) {
 	ns.resetLevelCounters()
 	ns.genNext.Reset()
-
-	ns.ep.StartLevel(level, levelChannels[dir]...)
-	ns.r.net.Sync()
-	if ns.r.net.Aborted() {
-		return ErrAborted
-	}
 
 	// Each module's host duration feeds straggler detection. The chaos
 	// delays stall the module goroutines before their work, as if a CPE
 	// cluster were slow to dispatch — host time only, invisible to the
-	// modelled machine. The handler's slot write is ordered before the
-	// runner's end-of-level read by the handlerErr receive below.
+	// modelled machine. The handler's time is ordered before its read below
+	// by the handlerErr receive.
 	go func() {
 		start := time.Now()
 		if d := ns.r.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {
 			time.Sleep(d)
 		}
-		err := ns.handle(dir)
-		ns.r.hostHandlerNanos[ns.id] = int64(time.Since(start))
+		err := ns.handle(p.Dir)
+		ns.handlerNanos = int64(time.Since(start))
 		ns.handlerErr <- err
 	}()
 
@@ -215,17 +212,30 @@ func (ns *nodeState) runLevel(level int, dir Direction) error {
 		time.Sleep(d)
 	}
 	var genErr error
-	if dir == TopDown {
+	if p.Dir == TopDown {
 		genErr = ns.generate(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan)
 	} else {
 		genErr = ns.generate(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan)
 	}
-	ns.r.hostGenNanos[ns.id] = int64(time.Since(genStart))
-	hErr := <-ns.handlerErr
-	if genErr != nil {
-		return genErr
+	genNanos := int64(time.Since(genStart))
+	if hErr := <-ns.handlerErr; genErr == nil {
+		genErr = hErr
 	}
-	return hErr
+	if genErr != nil {
+		return LevelWork{}, genErr
+	}
+
+	ns.accumulateRun()
+	ns.next.Or(ns.genNext)
+	ns.curr, ns.next = ns.next, ns.curr
+	ns.next.Reset()
+	gen := ns.genBytes.Load()
+	return LevelWork{
+		Invocations:  ns.invocations(),
+		Modules:      [4]int64{gen, ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
+		GenNanos:     genNanos,
+		HandlerNanos: ns.handlerNanos,
+	}, nil
 }
 
 // generate runs the level's generator module on channel ch: scan covers a
@@ -352,7 +362,6 @@ func (ns *nodeState) handle(dir Direction) error {
 			batch := &ev.Batch
 			bytes := batch.ByteSize()
 			pairBytes := int64(len(batch.Pairs)) * comm.PairBytes
-			ns.handlerBytes += pairBytes
 			if ev.Channel == comm.ChanForward {
 				ns.hFwdBytes += pairBytes
 			} else {

@@ -5,35 +5,22 @@ import (
 	"swbfs/internal/obs"
 )
 
-// observe folds one completed run into the configured Observer: a
+// observe folds one completed run into the configured Observer: the
+// accumulated metrics of every subsystem, then the machine's run tail — a
 // RunTrace whose spans reconcile exactly with the run's reported totals,
-// and the accumulated metrics of every subsystem. Called from assemble,
-// while the run's network is still alive and after every module goroutine
-// has joined.
+// the module spans and the end of the run. Called from assemble, while the
+// run's network is still alive and after every module goroutine has
+// joined.
 func (r *Runner) observe(res *Result) {
-	o := r.cfg.Obs
-	if o == nil {
-		return
+	if m := r.cfg.Obs.MetricsOf(); m != nil {
+		r.foldMetrics(m, res)
 	}
-
-	if t := o.TraceOf(); t != nil {
-		rt := r.m.Trace()
+	r.m.Finish(func(rt *obs.RunTrace) {
 		rt.Visited = res.Visited
 		rt.TraversedEdges = res.TraversedEdges
 		rt.BottomUpLevels = res.BottomUpLevels
 		rt.GTEPS = res.GTEPS
-		t.Record(rt)
-	}
-	if m := o.MetricsOf(); m != nil {
-		r.foldMetrics(m, res)
-	}
-	r.m.EndSpans(r.stragglers)
-	if pb := o.ProgressOf(); pb != nil {
-		pb.Publish(obs.LiveEvent{
-			Kind: obs.EventRunDone, Root: int64(res.Root),
-			Visited: res.Visited, GTEPS: res.GTEPS,
-		})
-	}
+	}, obs.LiveEvent{Visited: res.Visited, GTEPS: res.GTEPS})
 }
 
 // foldMetrics adds the run's totals to the metrics registry. The registry
@@ -83,10 +70,4 @@ func (r *Runner) foldMetrics(m *obs.Registry, res *Result) {
 	m.Counter("core.module.small_batches_mpe").Add(smallBatches)
 	m.Counter("comm.relay.pair_bytes").Add(relayed)
 	m.Gauge("core.workers").Set(int64(r.cfg.Workers))
-	if n := len(r.stragglers); n > 0 {
-		m.Counter("core.stragglers").Add(int64(n))
-	}
-
-	// Network traffic and connection accounting (comm.* taxonomy).
-	r.net.MetricsInto(m)
 }

@@ -72,11 +72,10 @@ type Runner struct {
 	// replica, the authoritative copy for reporting. The machine is offered
 	// to the next run for recycling and the node states are reset in place
 	// (docs/ARCHITECTURE.md, "What a Runner keeps across roots").
-	m       *Machine
-	net     *comm.Network
-	nodes   []*nodeState
-	policy  *Policy
-	curRoot graph.Vertex
+	m      *Machine
+	net    *comm.Network
+	nodes  []*nodeState
+	policy *Policy
 
 	// digest is the graph's checkpoint digest, computed by the first machine
 	// that needed it ("" until then) and handed to every later one.
@@ -86,16 +85,6 @@ type Runner struct {
 	// run index advances. Drained into a post-mortem dump when a run aborts
 	// (see AbortError.FlightDump).
 	flight *obs.FlightRecorder
-
-	// Straggler state: per-node host-side module durations for the
-	// current level (each node writes only its own slot, ordered against
-	// node 0's read by EndWork's rendezvous) and node 0's
-	// accumulated flags. Generator and handler are timed separately
-	// because whole-level wall time cannot discriminate — every node's
-	// level ends only when the slowest peer's end markers arrive.
-	hostGenNanos     []int64
-	hostHandlerNanos []int64
-	stragglers       []obs.StragglerFlag
 }
 
 // NewRunner partitions g over the configured machine and validates the
@@ -230,13 +219,10 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		m.Close()
 		r.net = nil
 	}()
-	r.m, r.net, r.curRoot = m, m.Net, root
-	r.stragglers = nil
+	r.m, r.net = m, m.Net
 
 	if r.nodes == nil {
 		// First run: everything below is allocated once and reset per run.
-		r.hostGenNanos = make([]int64, r.cfg.Nodes)
-		r.hostHandlerNanos = make([]int64, r.cfg.Nodes)
 		if r.hubs != nil {
 			r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
 			r.hubFrontier = graph.NewBitmap(r.g.N)
@@ -247,8 +233,6 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 			r.nodes[node] = newNodeState(r, node)
 		}
 	}
-	clear(r.hostGenNanos)
-	clear(r.hostHandlerNanos)
 	if r.hubs != nil {
 		r.hubVisited.Reset()
 		r.hubFrontier.Reset()
@@ -281,7 +265,7 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 		r.nodes[owner].curr.Set(rootLocal)
 	}
 
-	if err := m.Drive(func(node int) error { return r.nodes[node].runBFS(m.StartLevel) }); err != nil {
+	if err := m.Drive(func(node int) Body { return r.nodes[node] }); err != nil {
 		return nil, err
 	}
 	return r.assemble(root), nil
@@ -310,190 +294,53 @@ func (r *Runner) LastCheckpoint() *ckpt.Checkpoint { return r.m.LastCheckpoint()
 // CheckpointJSON implements obs.CheckpointSource over LastCheckpoint.
 func (r *Runner) CheckpointJSON() ([]byte, bool) { return r.m.CheckpointJSON() }
 
-// runBFS is the per-node main loop of Algorithm 1, entered at level 0 for
-// a fresh run or at the checkpoint boundary for a resumed one.
-func (ns *nodeState) runBFS(startLevel int) error {
-	r := ns.r
-	level := startLevel
-	for {
-		// Node 0 opens the level's accounting window before the frontier
-		// allreduce, so every byte of the level — frontier statistics, hub
-		// allgather and data — lands in exactly one level's delta. (The
-		// window is safe: no peer traffic can be recorded before node 0
-		// joins the allreduce below.)
-		if ns.id == 0 {
-			r.m.OpenLevel(level)
-		}
+// nodeState is BFS's level body: Stats, Plan, Work, Close and Capture are
+// Algorithm 1's steps between the ones the machine's level loop takes.
 
-		// Fold the arriving frontier into the visited snapshot before any
-		// module work: the bottom-up generator scans its complement, so
-		// the probe set is fixed at level start.
-		ns.visited.Or(ns.curr)
-
-		// Global frontier statistics, the runtime statistics
-		// TRAVERSAL_POLICY consumes: nf, mf and mu in one allreduce.
-		var nfLocal, mfLocal int64
-		for local := ns.curr.NextSet(0); local >= 0; local = ns.curr.NextSet(local + 1) {
-			nfLocal++
-			mfLocal += ns.sub.Degree(local)
-		}
-		ns.visitedDeg += mfLocal
-		stats := [3]int64{nfLocal, mfLocal, ns.localEdges - ns.visitedDeg}
-		r.net.AllreduceSums(stats[:])
-		nf, mf, mu := stats[0], stats[1], stats[2]
-		if r.net.Aborted() {
-			return ErrAborted
-		}
-		if nf == 0 {
-			return nil
-		}
-
-		// Every node evaluates the policy on identical inputs; node 0's
-		// policy object is authoritative for reporting, the others track
-		// the same state machine.
-		dir := ns.policyReplica.Next(nf, mf, mu, r.g.N)
-
-		if ns.id == 0 {
-			if pb := r.cfg.Obs.ProgressOf(); pb != nil {
-				pb.Publish(obs.LiveEvent{
-					Kind: obs.EventLevel, Root: int64(r.curRoot),
-					Level: level, Direction: dir.String(),
-					FrontierVertices: nf, EdgesRelaxed: mf,
-				})
-			}
-		}
-
-		// Hub frontier exchange (with the empty-flag optimization).
-		if r.hubs != nil {
-			if err := ns.exchangeHubs(); err != nil {
-				return err
-			}
-		}
-
-		sentMsgs0, sentBytes0 := r.net.NodeSent(ns.id)
-
-		if err := ns.runLevel(level, dir); err != nil {
-			return err
-		}
-
-		// Critical-path statistics: node 0 folds every node's work slot.
-		sentMsgs1, sentBytes1 := r.net.NodeSent(ns.id)
-		fold, err := r.m.EndWork(ns.id, level, dir, LevelWork{
-			Processed:   ns.genBytes.Load() + ns.handlerBytes + ns.relayBytes,
-			Sent:        sentBytes1 - sentBytes0,
-			Messages:    sentMsgs1 - sentMsgs0,
-			Invocations: ns.invocations(),
-			Modules:     [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
-		})
-		if err != nil {
-			return err
-		}
-
-		ns.accumulateRun()
-
-		if ns.id == 0 {
-			rounds := 1
-			if r.cfg.Transport == TransportRelay {
-				rounds = 2
-			}
-			if dir == BottomUp {
-				rounds *= 2
-			}
-			r.m.CloseLevel(perf.LevelStats{
-				Level:            level,
-				Direction:        dir.String(),
-				FrontierVertices: nf,
-				FrontierEdges:    mf,
-				ModuleBytes:      slices.Clone(fold.Modules[:]),
-				Rounds:           rounds,
-			}, fold, fmt.Sprintf("dir=%s frontier=%d edges=%d", dir, nf, mf))
-			if r.cfg.StragglerFactor > 0 {
-				r.detectStragglers(level)
-			}
-		}
-
-		// Advance the frontier: next (handler discoveries) merged with
-		// genNext (local hub claims).
-		ns.next.Or(ns.genNext)
-		ns.curr, ns.next = ns.next, ns.curr
-		ns.next.Reset()
-
-		// Level boundary: stage this node's checkpoint capture (see
-		// Machine.StageCheckpoint for why this window is race-free).
-		if r.cfg.CheckpointEvery > 0 {
-			if err := r.m.StageCheckpoint(ns.id, level, ns.captureNode); err != nil {
-				r.net.Abort()
-				return err
-			}
-		}
-		level++
+// Stats folds the arriving frontier into the visited snapshot before any
+// module work (the bottom-up generator scans its complement, so the probe
+// set is fixed at level start) and returns the runtime statistics
+// TRAVERSAL_POLICY consumes: the frontier's vertices nf and edges mf, and
+// the unexplored edges mu.
+func (ns *nodeState) Stats(int) []int64 {
+	ns.visited.Or(ns.curr)
+	var nf, mf int64
+	for local := ns.curr.NextSet(0); local >= 0; local = ns.curr.NextSet(local + 1) {
+		nf++
+		mf += ns.sub.Degree(local)
 	}
+	ns.visitedDeg += mf
+	ns.stats = [3]int64{nf, mf, ns.localEdges - ns.visitedDeg}
+	return ns.stats[:]
 }
 
-// stragglerFloorNanos is the absolute floor below which a level is too
-// fast for its spread to mean anything: sub-200µs levels on an idle host
-// are scheduler noise, not stragglers.
-const stragglerFloorNanos = 200_000
-
-func meanNanos(xs []int64) float64 {
-	var sum int64
-	for _, x := range xs {
-		sum += x
+// Plan runs the direction policy and, with hub prefetch, the hub frontier
+// exchange. Every node evaluates the policy on identical inputs; node 0's
+// replica is authoritative for reporting, the others track the same state
+// machine.
+func (ns *nodeState) Plan(_ int, sums []int64) (Plan, error) {
+	nf, mf, mu := sums[0], sums[1], sums[2]
+	dir := ns.policyReplica.Next(nf, mf, mu, ns.r.g.N)
+	if ns.r.hubs != nil {
+		if err := ns.exchangeHubs(); err != nil {
+			return Plan{}, err
+		}
 	}
-	return float64(sum) / float64(len(xs))
+	return Plan{Dir: dir, Label: dir.String(), Channels: levelChannels[dir], Edges: mf}, nil
 }
 
-// detectStragglers flags the nodes whose host-side module time for this
-// level exceeded the all-node mean of that module class by the configured
-// factor. Generator and handler spans are compared against their own
-// class: a generator straggler delays every peer's handler, so only the
-// per-class comparison pins the blame on the slow node instead of its
-// victims. Node 0 only, after EndWork's rendezvous: every peer has written
-// its slots before joining it, and none can start the next level until
-// node 0 joins that level's first collective. Host time only — modelled statistics are untouched, so
-// enabling the detector never perturbs LevelStats.
-func (r *Runner) detectStragglers(level int) {
-	factor := r.cfg.StragglerFactor
-	genMean := meanNanos(r.hostGenNanos)
-	handlerMean := meanNanos(r.hostHandlerNanos)
-	for node := 0; node < len(r.hostGenNanos); node++ {
-		var host, mean float64
-		if g := float64(r.hostGenNanos[node]); g > factor*genMean && g > stragglerFloorNanos {
-			host, mean = g, genMean
-		}
-		if h := float64(r.hostHandlerNanos[node]); h > factor*handlerMean && h > stragglerFloorNanos && h > host {
-			host, mean = h, handlerMean
-		}
-		if host == 0 {
-			continue
-		}
-		sf := obs.StragglerFlag{
-			Node: node, Level: level,
-			HostSeconds:     host / 1e9,
-			MeanHostSeconds: mean / 1e9,
-		}
-		r.stragglers = append(r.stragglers, sf)
-		// Host timings — a straggler event's detail is inherently
-		// nondeterministic, which is why byte-identical dumps require
-		// straggler detection off.
-		r.flight.Control(obs.FlightStraggler, node, level,
-			fmt.Sprintf("host=%.6fs mean=%.6fs", sf.HostSeconds, sf.MeanHostSeconds))
-		if pb := r.cfg.Obs.ProgressOf(); pb != nil {
-			pb.Publish(obs.LiveEvent{
-				Kind: obs.EventStraggler, Root: int64(r.curRoot),
-				Level: level, Node: node,
-				HostSeconds:     sf.HostSeconds,
-				MeanHostSeconds: sf.MeanHostSeconds,
-			})
-		}
-	}
+// Close adds the level's per-module maxima and names its direction (the
+// policy's state, which Plan just set) and frontier in the flight record.
+func (ns *nodeState) Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string) {
+	s.ModuleBytes = slices.Clone(fold.Modules[:])
+	return s, fmt.Sprintf("dir=%s frontier=%d edges=%d", ns.policyReplica.State(), s.FrontierVertices, s.FrontierEdges)
 }
 
 // exchangeHubs allgathers the hub slots in the current frontier and folds
 // them into the replicated hub state: node 0 rebuilds hubFrontier, adds the
 // slots to hubVisited and the top-down-budget ones to hubSeen, and the
-// trailing host rendezvous (uncharged: it moves no modelled data) publishes
-// all three to every node before module work reads them.
+// level loop's rendezvous before Work publishes all three to every node
+// before module work reads them.
 func (ns *nodeState) exchangeHubs() error {
 	r := ns.r
 	words := ns.localHubWords()
@@ -517,10 +364,6 @@ func (ns *nodeState) exchangeHubs() error {
 				}
 			}
 		}
-	}
-	r.net.Sync()
-	if r.net.Aborted() {
-		return ErrAborted
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package graph500
 
 import (
+	"flag"
 	"math"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"swbfs/internal/algos"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
+	"swbfs/internal/testutil"
 )
 
 func pathGraph(t *testing.T, n int64) *graph.CSR {
@@ -413,19 +415,22 @@ func runKernels(t *testing.T, base BenchConfig) map[string]*Report {
 	return reports
 }
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/kernel_gteps.golden.json from the current engine")
+
+const kernelGTEPSGolden = "testdata/kernel_gteps.golden.json"
+
 // TestRunKernels runs every benchmarked kernel on a Kronecker graph and
-// pins the SSSP and delta=32 harmonic-mean GTEPS. They are modelled
-// numbers that `make regen-modelled` does not generate: a change to the
-// modelled clock updates them by hand.
+// pins the SSSP and delta=32 harmonic-mean GTEPS, modelled numbers that
+// `make regen-modelled` rewrites.
 func TestRunKernels(t *testing.T) {
 	machine := core.DefaultConfig(4)
 	machine.SuperNodeSize = 2
 	reports := runKernels(t, BenchConfig{Scale: 9, Seed: 11, Roots: 3, Machine: machine})
-	for kernel, want := range map[string]float64{"sssp": 0.0226410687593423, "delta-sssp": 0.011083700528749548} {
-		if got := reports[kernel].GTEPSHarmonicMean(); got != want {
-			t.Errorf("%s: harmonic-mean GTEPS = %v, want %v", kernel, got, want)
-		}
+	got := map[string]float64{}
+	for _, kernel := range []string{"sssp", "delta-sssp"} {
+		got[kernel] = reports[kernel].GTEPSHarmonicMean()
 	}
+	testutil.Golden(t, kernelGTEPSGolden, *updateGolden, got)
 }
 
 // TestMeasureRejects: Measure fails a corrupted BFS parent map or SSSP
