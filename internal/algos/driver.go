@@ -247,7 +247,6 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 		mr.Counter("algos.runs").Inc()
 		mr.Counter("algos.rounds").Add(int64(info.Rounds))
 		mr.Counter("algos." + kernel + ".runs").Inc()
-		mr.Gauge("algos.workers").Set(int64(cfg.Workers))
 	}
 	var edges int64
 	for _, s := range info.Levels {
@@ -352,8 +351,10 @@ recvLoop:
 		return core.LevelWork{}, err
 	}
 	return core.LevelWork{
-		Invocations:  batches + 1,
-		Modules:      [4]int64{sent * comm.PairBytes, recv * comm.PairBytes},
+		ModuleWork: ckpt.ModuleWork{
+			Bytes:       [4]int64{sent * comm.PairBytes, recv * comm.PairBytes},
+			Invocations: batches + 1,
+		},
 		Pairs:        sent,
 		GenNanos:     genNanos,
 		HandlerNanos: handlerNanos,

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"swbfs/internal/ckpt"
@@ -21,6 +23,7 @@ func hostileCheckpoints(c *ckpt.Checkpoint) map[string]*ckpt.Checkpoint {
 	mutate := func(f func(h *ckpt.Checkpoint)) *ckpt.Checkpoint {
 		h := *c
 		h.Nodes = append([]ckpt.NodeState(nil), c.Nodes...)
+		h.Machine.Work = slices.Clone(c.Machine.Work)
 		f(&h)
 		return &h
 	}
@@ -31,6 +34,13 @@ func hostileCheckpoints(c *ckpt.Checkpoint) map[string]*ckpt.Checkpoint {
 		"ledger truncated":          mutate(func(h *ckpt.Checkpoint) { h.Machine.Levels = h.Machine.Levels[:1] }),
 		"node states swapped":       mutate(func(h *ckpt.Checkpoint) { h.Nodes[0], h.Nodes[1] = h.Nodes[1], h.Nodes[0] }),
 		"node id out of place":      mutate(func(h *ckpt.Checkpoint) { h.Nodes[2].ID = 0 }),
+		"work row truncated":        mutate(func(h *ckpt.Checkpoint) { h.Machine.Work[1] = h.Machine.Work[1][:1] }),
+		"work row missing":          mutate(func(h *ckpt.Checkpoint) { h.Machine.Work = h.Machine.Work[:len(h.Machine.Work)-1] }),
+		"work row at a wrong level": mutate(func(h *ckpt.Checkpoint) {
+			h.Machine.Work[1] = slices.Clone(h.Machine.Work[1])
+			h.Machine.Work[1][0].Level = 0
+		}),
+		"work ledger absent": mutate(func(h *ckpt.Checkpoint) { h.Machine.Work = nil }),
 	}
 }
 
@@ -65,8 +75,9 @@ func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 
 // TestHostileCheckpointRejected feeds internally inconsistent checkpoints
 // of both engines — BFS and a round kernel — through the table's resume:
-// each must be refused with an error before anything is announced, and the
-// healthy original must still resume.
+// each must be refused with an error before anything is announced (one
+// whose work ledger is off, with an error naming it), and the healthy
+// original must still resume.
 func TestHostileCheckpointRejected(t *testing.T) {
 	g := kron(t, 9, 21)
 	wg := &graph.WeightedCSR{CSR: g}
@@ -82,8 +93,12 @@ func TestHostileCheckpointRejected(t *testing.T) {
 				o, events := quietObserver()
 				rcfg := cfg
 				rcfg.Obs = o
-				if _, err := resume(rcfg, wg, hostile); err == nil {
+				_, err := resume(rcfg, wg, hostile)
+				if err == nil {
 					t.Fatal("hostile checkpoint resumed")
+				}
+				if strings.HasPrefix(what, "work") && !strings.Contains(err.Error(), "work ledger") {
+					t.Fatalf("refused without naming the work ledger: %v", err)
 				}
 				checkSilent(t, o, events)
 			})

@@ -120,19 +120,23 @@ type MachineState struct {
 	// Flight is the flight recorder's ring state, so a post-resume dump
 	// still covers the pre-checkpoint events.
 	Flight *obs.FlightState `json:"flight,omitempty"`
-	// Work is the module-work ledger, one row per completed level indexed
-	// by node — kept only while a span recorder is attached, so a resumed
-	// run's module spans cover the levels before the boundary too.
+	// Work is the machine's module-work ledger, one row per completed level
+	// indexed by node, kept on every run: a resumed run's module metrics
+	// and spans cover the levels before the boundary too.
 	Work [][]ModuleWork `json:"work,omitempty"`
 }
 
-// ModuleWork is one node's module input of one completed level: generator,
-// forward handler, backward handler and relay bytes, and the level's
-// direction (core.Direction), which names the generator.
+// ModuleWork is one node's deterministic module work of one completed
+// level: the level and its direction (core.Direction), which names the
+// generator; the generator, forward handler, backward handler and relay
+// input bytes; the module invocations (CPE-cluster dispatches); and the
+// sub-1 KB batches the MPE handled itself.
 type ModuleWork struct {
-	Level int      `json:"level"`
-	Dir   int      `json:"dir"`
-	Bytes [4]int64 `json:"bytes"`
+	Level        int      `json:"level"`
+	Dir          int      `json:"dir"`
+	Bytes        [4]int64 `json:"bytes"`
+	Invocations  int64    `json:"invocations"`
+	SmallBatches int64    `json:"small_batches"`
 }
 
 // NodeState is one simulated node's serialized state. Data is the engine's

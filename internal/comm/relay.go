@@ -101,9 +101,7 @@ type RelayEndpoint struct {
 	// relayedBytes counts pair bytes this node shuffled as a relay during
 	// the current level — the input volume of its Forward/Backward Relay
 	// modules (read by the same goroutine that runs Recv).
-	// totalRelayedBytes accumulates across levels for whole-run metrics.
-	relayedBytes      int64
-	totalRelayedBytes int64
+	relayedBytes int64
 
 	// flows, when non-nil, records each transport hop (stage-one envelope
 	// to the relay, stage-two batch to the handler) so the Chrome-trace
@@ -138,7 +136,7 @@ func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 // Reset implements Endpoint. The flow sink belongs to the machine.
 func (e *RelayEndpoint) Reset() {
 	e.endpointCore.Reset()
-	e.relayEnds, e.relayedBytes, e.totalRelayedBytes = [numChannels]int{}, 0, 0
+	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
 }
 
 // SetFlowSink attaches (or detaches, with nil) the flow-link recorder.
@@ -148,16 +146,6 @@ func (e *RelayEndpoint) SetFlowSink(sr *obs.SpanRecorder) { e.flows = sr }
 // RelayedBytes reports the pair bytes relayed during the current level.
 // Call it from the handler goroutine after the level completes.
 func (e *RelayEndpoint) RelayedBytes() int64 { return e.relayedBytes }
-
-// TotalRelayedBytes reports the pair bytes relayed across all levels of
-// the run so far. Call it after the run's module goroutines have joined.
-func (e *RelayEndpoint) TotalRelayedBytes() int64 { return e.totalRelayedBytes }
-
-// RestoreRelayedBytes sets the cross-level relayed-byte accumulator. The
-// checkpoint/restart path calls it on a fresh endpoint before the node's
-// module goroutines start, so whole-run relay metrics of a resumed run
-// match an uninterrupted one.
-func (e *RelayEndpoint) RestoreRelayedBytes(total int64) { e.totalRelayedBytes = total }
 
 // seal wraps a quantum in one stage-one envelope to the relay of
 // the group in the node's column.
@@ -212,7 +200,6 @@ func (e *RelayEndpoint) handle(b Batch) error {
 				return protocolError(e.node, &b, fmt.Sprintf("envelope for node %d, outside the relay's row", in.Dst))
 			}
 			e.relayedBytes += int64(len(in.Pairs)) * PairBytes
-			e.totalRelayedBytes += int64(len(in.Pairs)) * PairBytes
 			if err := e.stageTwo(ch, in.Dst, in.Pairs); err != nil {
 				return err
 			}

@@ -283,7 +283,7 @@ func TestWireTrafficReconciles(t *testing.T) {
 		}
 		var stageTwoPairBytes int64
 		for _, re := range reps {
-			stageTwoPairBytes += re.TotalRelayedBytes()
+			stageTwoPairBytes += re.RelayedBytes() // exchange runs a single level
 		}
 		// Each stage-one inner batch carries one header plus its encoded
 		// payload (codecMsgs counts exactly the inner batches); stage-two

@@ -17,45 +17,25 @@ import (
 
 // bfsNodeData is one node's serialized BFS state at a level boundary: the
 // parent map, the frontier entering the next level (curr — next and
-// genNext are empty at the boundary), the visited snapshot *before* the
-// new frontier is folded in (the fold opens the next level's Stats),
-// and the cumulative per-module counters the end-of-run metrics fold.
+// genNext are empty at the boundary) and the visited snapshot *before* the
+// new frontier is folded in (the fold opens the next level's Stats). The
+// node's module work rides in the machine's work ledger.
 type bfsNodeData struct {
 	Parent     []int64  `json:"parent"`
 	Curr       []uint64 `json:"curr"`
 	Visited    []uint64 `json:"visited"`
 	VisitedDeg int64    `json:"visited_deg"`
-
-	RunGenBytes     int64 `json:"run_gen_bytes"`
-	RunFwdBytes     int64 `json:"run_fwd_bytes"`
-	RunBwdBytes     int64 `json:"run_bwd_bytes"`
-	RunRelayBytes   int64 `json:"run_relay_bytes"`
-	RunInvocations  int64 `json:"run_invocations"`
-	RunSmallBatches int64 `json:"run_small_batches"`
-	// RelayedTotal is the relay endpoint's cross-level byte accumulator
-	// (relay transport only).
-	RelayedTotal int64 `json:"relayed_total,omitempty"`
 }
 
 // Capture serializes this node's state. Called at the level boundary,
 // after the module goroutines have joined — no concurrent writers.
 func (ns *nodeState) Capture() (json.RawMessage, error) {
-	data := bfsNodeData{
-		Parent:          append([]int64(nil), ns.parent...),
-		Curr:            append([]uint64(nil), ns.curr.Words()...),
-		Visited:         append([]uint64(nil), ns.visited.Words()...),
-		VisitedDeg:      ns.visitedDeg,
-		RunGenBytes:     ns.runGenBytes,
-		RunFwdBytes:     ns.runFwdBytes,
-		RunBwdBytes:     ns.runBwdBytes,
-		RunRelayBytes:   ns.runRelayBytes,
-		RunInvocations:  ns.runInvocations,
-		RunSmallBatches: ns.runSmallBatches,
-	}
-	if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
-		data.RelayedTotal = rep.TotalRelayedBytes()
-	}
-	return json.Marshal(&data)
+	return json.Marshal(&bfsNodeData{
+		Parent:     append([]int64(nil), ns.parent...),
+		Curr:       append([]uint64(nil), ns.curr.Words()...),
+		Visited:    append([]uint64(nil), ns.visited.Words()...),
+		VisitedDeg: ns.visitedDeg,
+	})
 }
 
 // restoreNode loads a serialized node state into a freshly constructed
@@ -73,15 +53,6 @@ func (ns *nodeState) restoreNode(raw json.RawMessage) error {
 	ns.curr.LoadWords(data.Curr)
 	ns.visited.LoadWords(data.Visited)
 	ns.visitedDeg = data.VisitedDeg
-	ns.runGenBytes = data.RunGenBytes
-	ns.runFwdBytes = data.RunFwdBytes
-	ns.runBwdBytes = data.RunBwdBytes
-	ns.runRelayBytes = data.RunRelayBytes
-	ns.runInvocations = data.RunInvocations
-	ns.runSmallBatches = data.RunSmallBatches
-	if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
-		rep.RestoreRelayedBytes(data.RelayedTotal)
-	}
 	return nil
 }
 

@@ -128,9 +128,9 @@ type MachineSpec struct {
 
 // Machine is the run-scoped simulated machine a kernel executes on: the
 // network with its fault injector and flight recorder, one endpoint per
-// node, the level loop every node runs, node 0's level ledger, the
-// watchdog, the straggler detector, the level-boundary checkpoint latch and
-// the abort path. Both engines — the BFS runner and the round driver in
+// node, the level loop every node runs, node 0's level and work ledgers,
+// the watchdog, the straggler detector, the level-boundary checkpoint
+// latch and the abort path. Both engines — the BFS runner and the round driver in
 // internal/algos — supply only a Body per node: OpenMachine, build the
 // bodies, Drive, read the results, Finish, Close.
 type Machine struct {
@@ -159,9 +159,10 @@ type Machine struct {
 	tick       atomic.Int64
 	stragglers []obs.StragglerFlag
 
-	// Per-node work slots, folded by node 0 in closeLevel, and the
-	// module-work ledger of their module bytes, kept only for a span
-	// recorder.
+	// Per-node work slots, which node 0 folds in closeLevel, and the work
+	// ledger: every node's deterministic module work of every completed
+	// level, one row per level, kept on every run. Checkpoints carry it,
+	// Finish folds the module metrics from it and endSpans lays it out.
 	slots []LevelWork
 	work  [][]ckpt.ModuleWork
 
@@ -317,13 +318,17 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 			return fmt.Errorf("core: checkpoint node state %d carries id %d", i, ns.ID)
 		}
 	}
-	for _, row := range c.Machine.Work {
+	if len(c.Machine.Work) != c.Level {
+		return fmt.Errorf("core: checkpoint's work ledger has %d rows for %d completed %ss",
+			len(c.Machine.Work), c.Level, spec.Unit)
+	}
+	for i, row := range c.Machine.Work {
 		if len(row) != mcfg.Nodes {
-			return fmt.Errorf("core: checkpoint work row has %d nodes, machine has %d", len(row), mcfg.Nodes)
+			return fmt.Errorf("core: checkpoint's work ledger row %d has %d nodes, machine has %d", i, len(row), mcfg.Nodes)
 		}
 		for _, w := range row {
-			if w.Level < 0 || w.Level >= c.Level {
-				return fmt.Errorf("core: checkpoint records work of %s %d, not a completed one", spec.Unit, w.Level)
+			if w.Level != i {
+				return fmt.Errorf("core: checkpoint's work ledger row %d records work of %s %d", i, spec.Unit, w.Level)
 			}
 		}
 	}
@@ -366,9 +371,6 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 	}
 	if sr := cfg.Obs.SpansOf(); sr != nil {
 		sr.BeginRun(int64(spec.Root))
-		if resume != nil {
-			m.work = append(m.work, resume.Machine.Work...)
-		}
 	}
 	m.slots = make([]LevelWork, cfg.Nodes)
 	if m.Flight == nil {
@@ -435,6 +437,7 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		}
 		m.start = resume.Level
 		m.levels = append([]perf.LevelStats(nil), resume.Machine.Levels...)
+		m.work = slices.Clone(resume.Machine.Work)
 		m.lastSnap = resume.Machine.LastSnap
 		m.tick.Store(int64(resume.Level))
 	}
@@ -497,8 +500,8 @@ type Body interface {
 	// node 0 writes here. An error tears the run down.
 	Plan(level int, sums []int64) (Plan, error)
 	// Work runs the node's module work once the plan's channels are open
-	// and returns the node's work vector; the loop fills in Processed,
-	// Sent and Messages. An error tears the run down.
+	// and returns the node's work vector; the loop fills in the level, the
+	// direction, Processed, Sent and Messages. An error tears the run down.
 	Work(level int, p Plan) (LevelWork, error)
 	// Close completes node 0's statistics of the level, which the loop has
 	// filled from the plan and the fold of every node's work vector, and
@@ -524,17 +527,15 @@ type Plan struct {
 	Edges int64
 }
 
-// LevelWork is one node's work vector of one level: module input bytes
-// (Processed in all, Modules per generator, forward handler, backward
-// handler and relay), the bytes and messages it sent, its module
-// invocations and the pairs it sent — plus the host nanoseconds its
-// generator and handler modules took, which only the straggler detector
-// reads.
+// LevelWork is one node's work vector of one level: its row of the work
+// ledger (module bytes, invocations and MPE small batches), the module
+// bytes in all (Processed), the bytes and messages it sent and the pairs it
+// sent — plus the host nanoseconds its generator and handler modules took,
+// which only the straggler detector reads and no checkpoint holds.
 type LevelWork struct {
-	Processed, Sent, Messages, Invocations int64
-	Modules                                [4]int64
-	Pairs                                  int64
-	GenNanos, HandlerNanos                 int64
+	ckpt.ModuleWork
+	Processed, Sent, Messages, Pairs int64
+	GenNanos, HandlerNanos           int64
 }
 
 // loop runs one node's levels from m.start until the frontier sums to
@@ -595,8 +596,9 @@ func (m *Machine) loop(node int, b Body) error {
 			return err
 		}
 		msgs1, bytes1 := net.NodeSent(node)
+		w.Level, w.Dir = level, int(p.Dir)
 		w.Sent, w.Messages = bytes1-bytes, msgs1-msgs
-		for _, mb := range w.Modules {
+		for _, mb := range w.Bytes {
 			w.Processed += mb
 		}
 		m.slots[node] = w
@@ -617,31 +619,24 @@ func (m *Machine) loop(node int, b Body) error {
 }
 
 // closeLevel records a completed level on node 0. It folds the nodes' work
-// slots — per-field maxima, the critical path, with Pairs summed — and,
-// with a span recorder, ledgers their module bytes; the body completes the
+// slots — per-field maxima, the critical path, with Pairs summed — and
+// appends their ledger rows to the work ledger; the body completes the
 // statistics; the machine adds the window's traffic, feeds the watchdog,
 // stamps the flight record with the body's detail and, when armed, runs
 // the straggler detector.
 func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
 	var f LevelWork
-	for _, s := range m.slots {
+	row := make([]ckpt.ModuleWork, len(m.slots))
+	for i, s := range m.slots {
 		f.Processed = max(f.Processed, s.Processed)
 		f.Sent = max(f.Sent, s.Sent)
 		f.Messages = max(f.Messages, s.Messages)
 		f.Invocations = max(f.Invocations, s.Invocations)
-		for i, mb := range s.Modules {
-			f.Modules[i] = max(f.Modules[i], mb)
+		for mi, mb := range s.Bytes {
+			f.Bytes[mi] = max(f.Bytes[mi], mb)
 		}
 		f.Pairs += s.Pairs
-	}
-	if m.spec.Cfg.Obs.SpansOf() != nil {
-		row := make([]ckpt.ModuleWork, len(m.slots))
-		for i, s := range m.slots {
-			row[i] = ckpt.ModuleWork{Level: level, Dir: int(p.Dir), Bytes: s.Modules}
-		}
-		m.mu.Lock()
-		m.work = append(m.work, row)
-		m.mu.Unlock()
+		row[i] = s.ModuleWork
 	}
 
 	rounds := len(p.Channels) // transport stages x channels opened
@@ -659,6 +654,7 @@ func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
 	s.Net = after.Sub(m.window)
 	m.mu.Lock()
 	m.levels = append(m.levels, s)
+	m.work = append(m.work, row)
 	m.lastSnap = after
 	m.mu.Unlock()
 	m.tick.Add(1)
@@ -923,7 +919,7 @@ func (m *Machine) CheckpointJSON() ([]byte, bool) {
 }
 
 // endSpans seals the run on the span recorder, if one is attached: the
-// ledgered module work of every node laid out on the modelled timeline,
+// work ledger's module bytes of every node laid out on the modelled timeline,
 // plus the straggler flags, each stamped in place with its level's start.
 // A module span starts at its level's start and lasts bytes/bandwidth at the
 // configured engine's module bandwidth. Modules run concurrently (one CPE
@@ -1016,6 +1012,36 @@ func (m *Machine) trace() obs.RunTrace {
 	return rt
 }
 
+// moduleMetrics name the work ledger's module byte counters, in the order
+// of ckpt.ModuleWork.Bytes.
+var moduleMetrics = [4]string{
+	"core.module.generator.bytes",
+	"core.module.handler.forward.bytes",
+	"core.module.handler.backward.bytes",
+	"core.module.relay.bytes",
+}
+
+// foldWork adds the work ledger, summed over every node and level of the
+// run, to the module counters. A resumed run's ledger starts with the
+// checkpoint's rows, so it folds what an uninterrupted run would.
+func (m *Machine) foldWork(mr *obs.Registry) {
+	var run ckpt.ModuleWork
+	for _, row := range m.work {
+		for _, w := range row {
+			for i, b := range w.Bytes {
+				run.Bytes[i] += b
+			}
+			run.Invocations += w.Invocations
+			run.SmallBatches += w.SmallBatches
+		}
+	}
+	for i, name := range moduleMetrics {
+		mr.Counter(name).Add(run.Bytes[i])
+	}
+	mr.Counter("core.module.invocations").Add(run.Invocations)
+	mr.Counter("core.module.small_batches_mpe").Add(run.SmallBatches)
+}
+
 // label is the kernel's name in live events: none for BFS
 // (obs.LiveEvent.Kernel).
 func (m *Machine) label() string {
@@ -1027,10 +1053,10 @@ func (m *Machine) label() string {
 
 // Finish seals a completed run on the observer, after Drive and before
 // Close: it records the run's RunTrace, header (when non-nil) filling in
-// the body's header fields; folds the network's metrics and the straggler
-// count; lays the module spans and straggler flags out on the modelled
-// timeline; and publishes the run's end, done carrying the body's Visited
-// and GTEPS.
+// the body's header fields; folds the module metrics of the work ledger,
+// the worker width, the straggler count and the network's metrics; lays
+// the module spans and straggler flags out on the modelled timeline; and
+// publishes the run's end, done carrying the body's Visited and GTEPS.
 func (m *Machine) Finish(header func(*obs.RunTrace), done obs.LiveEvent) {
 	o := m.spec.Cfg.Obs
 	if t := o.TraceOf(); t != nil {
@@ -1041,6 +1067,8 @@ func (m *Machine) Finish(header func(*obs.RunTrace), done obs.LiveEvent) {
 		t.Record(rt)
 	}
 	if mr := o.MetricsOf(); mr != nil {
+		m.foldWork(mr)
+		mr.Gauge("core.workers").Set(int64(m.spec.Cfg.Workers))
 		if n := len(m.stragglers); n > 0 {
 			mr.Counter("core.stragglers").Add(int64(n))
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"swbfs/internal/chaos"
+	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/graph"
 	"swbfs/internal/sw"
@@ -77,16 +78,6 @@ type nodeState struct {
 	hInvocations   int64        // handler CPE-cluster dispatches (batches >= 1 KB)
 	smallBatches   int64        // sub-1 KB batches fast-pathed on the MPE
 	handlerNanos   int64        // handler host time, for straggler detection
-
-	// Whole-run accumulations of the per-level counters above, folded
-	// into the observability registry after the run (each node writes
-	// only its own fields; the runner sums after the goroutines join).
-	runGenBytes     int64
-	runFwdBytes     int64
-	runBwdBytes     int64
-	runRelayBytes   int64
-	runInvocations  int64
-	runSmallBatches int64
 }
 
 // newNodeState allocates a node's run-surviving buffers; resetRun makes
@@ -131,21 +122,6 @@ func (ns *nodeState) resetRun(ep comm.Endpoint) {
 		bm.Reset()
 	}
 }
-
-// accumulateRun folds the level's counters into the whole-run totals;
-// called once per level after the module goroutines have joined.
-func (ns *nodeState) accumulateRun() {
-	ns.runGenBytes += ns.genBytes.Load()
-	ns.runFwdBytes += ns.hFwdBytes
-	ns.runBwdBytes += ns.hBwdBytes
-	ns.runRelayBytes += ns.relayBytes
-	ns.runInvocations += ns.invocations()
-	ns.runSmallBatches += ns.smallBatches
-}
-
-// invocations sums the module dispatches of the level; call only after the
-// module goroutines have joined.
-func (ns *nodeState) invocations() int64 { return ns.genInvocations + ns.hInvocations }
 
 // claim publishes `u` as the parent of local vertex `local` unless an
 // equal-or-smaller parent is already recorded; it reports whether this
@@ -225,14 +201,15 @@ func (ns *nodeState) Work(level int, p Plan) (LevelWork, error) {
 		return LevelWork{}, genErr
 	}
 
-	ns.accumulateRun()
 	ns.next.Or(ns.genNext)
 	ns.curr, ns.next = ns.next, ns.curr
 	ns.next.Reset()
-	gen := ns.genBytes.Load()
 	return LevelWork{
-		Invocations:  ns.invocations(),
-		Modules:      [4]int64{gen, ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
+		ModuleWork: ckpt.ModuleWork{
+			Bytes:        [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
+			Invocations:  ns.genInvocations + ns.hInvocations,
+			SmallBatches: ns.smallBatches,
+		},
 		GenNanos:     genNanos,
 		HandlerNanos: ns.handlerNanos,
 	}, nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"swbfs/internal/comm"
 	"swbfs/internal/obs"
 )
 
@@ -48,26 +47,4 @@ func (r *Runner) foldMetrics(m *obs.Registry, res *Result) {
 		}
 	}
 	m.Counter("bfs.direction_switches").Add(switches)
-
-	// Module work, summed over all nodes and levels of the run.
-	var gen, fwd, bwd, relay, invocations, smallBatches, relayed int64
-	for _, ns := range r.nodes {
-		gen += ns.runGenBytes
-		fwd += ns.runFwdBytes
-		bwd += ns.runBwdBytes
-		relay += ns.runRelayBytes
-		invocations += ns.runInvocations
-		smallBatches += ns.runSmallBatches
-		if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
-			relayed += rep.TotalRelayedBytes()
-		}
-	}
-	m.Counter("core.module.generator.bytes").Add(gen)
-	m.Counter("core.module.handler.forward.bytes").Add(fwd)
-	m.Counter("core.module.handler.backward.bytes").Add(bwd)
-	m.Counter("core.module.relay.bytes").Add(relay)
-	m.Counter("core.module.invocations").Add(invocations)
-	m.Counter("core.module.small_batches_mpe").Add(smallBatches)
-	m.Counter("comm.relay.pair_bytes").Add(relayed)
-	m.Gauge("core.workers").Set(int64(r.cfg.Workers))
 }

@@ -189,7 +189,7 @@ func TestReuseNodeStateReset(t *testing.T) {
 		fresh := newNodeState(r, node)
 		fresh.resetRun(used.ep)
 		dirty := testutil.StaleFields(fresh, used)
-		for _, name := range []string{"parent", "visited", "visitedDeg", "runGenBytes", "runInvocations"} {
+		for _, name := range []string{"parent", "visited", "visitedDeg"} {
 			if !slices.Contains(dirty, name) {
 				t.Fatalf("node %d: the run left %s clean: this test no longer covers its reset", node, name)
 			}

@@ -42,10 +42,9 @@ type Result struct {
 // graph is partitioned once; Run may be called repeatedly with different
 // roots (the Graph500 harness uses 64).
 type Runner struct {
-	cfg   Config
-	g     *graph.CSR
-	part  graph.Partition
-	shape comm.GroupShape
+	cfg  Config
+	g    *graph.CSR
+	part graph.Partition
 
 	subs []*graph.LocalSubgraph
 
@@ -119,7 +118,6 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 		cfg:    cfg,
 		g:      g,
 		part:   part,
-		shape:  shape,
 		subs:   make([]*graph.LocalSubgraph, cfg.Nodes),
 		flight: flightFor(cfg.Obs),
 	}
@@ -332,7 +330,7 @@ func (ns *nodeState) Plan(_ int, sums []int64) (Plan, error) {
 // Close adds the level's per-module maxima and names its direction (the
 // policy's state, which Plan just set) and frontier in the flight record.
 func (ns *nodeState) Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string) {
-	s.ModuleBytes = slices.Clone(fold.Modules[:])
+	s.ModuleBytes = slices.Clone(fold.Bytes[:])
 	return s, fmt.Sprintf("dir=%s frontier=%d edges=%d", ns.policyReplica.State(), s.FrontierVertices, s.FrontierEdges)
 }
 
