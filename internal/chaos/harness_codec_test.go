@@ -17,22 +17,36 @@ import (
 )
 
 // TestChaosAdaptiveCodec sweeps seeded fault plans through BFS runs with
-// the adaptive backward-channel codec on both transports: completed runs
-// must be bit-identical to the fault-free adaptive baseline (which itself
-// must match the raw baseline's traversal), and aborts must stay clean.
+// the adaptive backward-channel codec on both transports, and through
+// top-down-only relay runs with the adaptive codec on every channel — the
+// shape in which every relay stage-two batch forwards encoded segments.
+// Completed runs must be bit-identical to the fault-free adaptive baseline
+// (which itself must match the raw baseline's traversal), and aborts must
+// stay clean.
 func TestChaosAdaptiveCodec(t *testing.T) {
 	g := harnessGraph(t)
 	const plans = harnessPlans
-	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
-		t.Run(transport.String(), func(t *testing.T) {
-			cfg := harnessConfig(transport)
+	for _, c := range []struct {
+		name      string
+		transport core.Transport
+		everyChan bool // Codec on every channel and no bottom-up level
+	}{
+		{core.TransportDirect.String(), core.TransportDirect, false},
+		{core.TransportRelay.String(), core.TransportRelay, false},
+		{"relay-topdown-every-channel", core.TransportRelay, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, rawCfg := harnessConfig(c.transport), harnessConfig(c.transport)
 			cfg.CodecBackward = comm.AdaptiveCodec{}
+			if c.everyChan {
+				cfg.Codec, cfg.CodecBackward = comm.AdaptiveCodec{}, nil
+				cfg.DirectionOptimized, rawCfg.DirectionOptimized = false, false
+			}
 
 			base, _, err := runOnce(t, cfg, g)
 			if err != nil {
 				t.Fatalf("adaptive baseline: %v", err)
 			}
-			rawCfg := harnessConfig(transport)
 			rawBase, _, err := runOnce(t, rawCfg, g)
 			if err != nil {
 				t.Fatalf("raw baseline: %v", err)
@@ -69,7 +83,7 @@ func TestChaosAdaptiveCodec(t *testing.T) {
 					t.Fatalf("seed %d (%s): LevelStats differ from fault-free adaptive run", seed, plan)
 				}
 			}
-			t.Logf("%s: %d completed, %d aborted of %d plans", transport, completed, aborted, plans)
+			t.Logf("%s: %d completed, %d aborted of %d plans", c.name, completed, aborted, plans)
 			if completed == 0 {
 				t.Error("no plan completed: the sweep never exercised codec recovery")
 			}

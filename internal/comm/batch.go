@@ -93,7 +93,11 @@ type Batch struct {
 	Dst     int
 	Level   int
 	Pairs   []Pair
-	Inner   []Batch // only for KindRelayData
+	// Inner holds a relay stage-one envelope's per-destination batches
+	// and, on a channel that runs a codec, a relay stage-two batch's
+	// segments: stage one's encoded inner batches, forwarded as they
+	// arrived, which the destination decodes into Pairs.
+	Inner []Batch
 
 	// DupID is nonzero only on chaos-injected duplicate deliveries: both
 	// copies carry the same id and the receiving endpoint discards the
@@ -109,12 +113,6 @@ type Batch struct {
 	// never be recycled twice; the discarded copy only reads EncN.
 	Enc  []byte
 	EncN int
-
-	// NoCodec ships the batch raw regardless of the channel codec. Relay
-	// stage-two re-batches set it: their composition depends on envelope
-	// arrival interleaving at the relay, so encoding them would make
-	// modelled wire bytes scheduling-dependent.
-	NoCodec bool
 }
 
 // ByteSize returns the modelled wire size of the batch: the header, the

@@ -130,9 +130,12 @@ func TestDefaultGroupShape(t *testing.T) {
 }
 
 // exchange runs a full one-level exchange over the given endpoints: every
-// node sends `per` random pairs to random destinations on ChanForward, then
-// closes the channel and receives until closure. It returns sent and
-// received pair multisets keyed by destination, or the first error.
+// node sends `per` random pairs to random destinations on ChanForward, one
+// call per destination in ascending order, then closes the channel and
+// receives until closure. What each node sends is a function of the seed,
+// so two exchanges with one seed put the same batches on the wire. It
+// returns sent and received pair multisets keyed by destination, or the
+// first error.
 func exchange(t *testing.T, net *Network, eps []Endpoint, per int, seed int64) (sent, got map[int]map[Pair]int, err error) {
 	t.Helper()
 	p := len(eps)
@@ -163,7 +166,7 @@ func exchange(t *testing.T, net *Network, eps []Endpoint, per int, seed int64) (
 		go func(node int) { // sender
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(node)))
-			local := make(map[int][]Pair)
+			local := make([][]Pair, p)
 			for i := 0; i < per; i++ {
 				dst := rng.Intn(p)
 				// Realistic vertex IDs (graph-sized, not 63-bit noise) so
@@ -172,6 +175,9 @@ func exchange(t *testing.T, net *Network, eps []Endpoint, per int, seed int64) (
 				local[dst] = append(local[dst], pair)
 			}
 			for dst, pairs := range local {
+				if len(pairs) == 0 {
+					continue
+				}
 				if err := sendTo(ep, ChanForward, dst, pairs...); err != nil {
 					fail(err)
 					return

@@ -92,11 +92,7 @@ func payloadDigest(b *Batch) string {
 	if n == 0 {
 		return ""
 	}
-	d := fmt.Sprintf(" n=%d sha=%x", n, h.Sum(nil)[:6])
-	if b.NoCodec {
-		d += " nocodec"
-	}
-	return d
+	return fmt.Sprintf(" n=%d sha=%x", n, h.Sum(nil)[:6])
 }
 
 // describeBatch is one line of the golden: kind, channel, route, level,

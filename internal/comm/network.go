@@ -339,14 +339,15 @@ func payloadPairs(b *Batch) int {
 
 // encodeForWire replaces a data payload with its codec-encoded bytes when
 // the channel runs a codec: direct data batches and the inner batches of a
-// relay stage-one envelope. Stage-two re-batches (NoCodec) and empty
-// payloads pass through. The pair slice returns to the pool — the receiver
-// gets a freshly decoded pooled slice instead.
+// relay stage-one envelope. Empty payloads pass through, and so does a
+// relay stage-two batch on such a channel: its payload is stage one's
+// segments, already encoded. The pair slice returns to the pool — the
+// receiver gets a freshly decoded pooled slice instead.
 func (n *Network) encodeForWire(b *Batch) {
 	switch b.Kind {
 	case KindData:
 		codec := n.codecFor(b.Channel)
-		if codec == nil || b.NoCodec || len(b.Pairs) == 0 {
+		if codec == nil || len(b.Pairs) == 0 {
 			return
 		}
 		enc, format := codec.EncodePayload(getEncBuf(), b.Channel, b.Pairs)
@@ -363,40 +364,98 @@ func (n *Network) encodeForWire(b *Batch) {
 	}
 }
 
-// decodeForWire restores the pair payload of an encoded batch (and, for
-// envelopes, of every inner batch) into pooled slices. Endpoints call it
-// once per consumed delivery, after duplicate discarding and before any
-// handler or relay accounting sees the batch. A failure — bytes that do not
-// decode, a pair count they do not hold, an encoded payload on a raw
+// decodeForWire restores the pair payload of an encoded batch into a
+// pooled slice. Endpoints call it once per consumed delivery, after
+// duplicate discarding and before any handler or relay accounting sees the
+// batch. A relay stage-two batch's segments decode back to back into one
+// slice that replaces them and their encode buffers are recycled; the
+// segments themselves are not written, because the relay's segment list
+// and a chaos duplicate share them. A relay envelope's inner batches stay
+// encoded — the relay forwards them — and get only the checks that need no
+// decode. A failure — bytes that do not decode, a pair count they do not
+// hold, an encoded payload on a raw channel or a raw one on an encoded
 // channel — is a protocol violation, reported for the endpoint to wrap.
 func (n *Network) decodeForWire(b *Batch) error {
+	codec := n.codecFor(b.Channel)
 	if b.Enc != nil {
-		codec := n.codecFor(b.Channel)
-		if codec == nil {
-			return fmt.Errorf("encoded payload on the raw %s channel", b.Channel)
+		if err := checkEncoded(codec, b.Channel, b); err != nil {
+			return err
 		}
-		if b.EncN < 0 || b.EncN > len(b.Enc) { // every format spends a byte or more per pair
-			return fmt.Errorf("%d payload bytes cannot carry %d pairs", len(b.Enc), b.EncN)
-		}
-		pairs, err := codec.DecodePayload(GetPairs(b.EncN)[:0], b.Enc)
+		pairs, err := decodeInto(codec, GetPairs(b.EncN)[:0], b)
 		if err != nil {
-			PutPairs(pairs)
-			return fmt.Errorf("undecodable payload: %w", err)
-		}
-		if len(pairs) != b.EncN {
-			PutPairs(pairs)
-			return fmt.Errorf("payload decoded to %d pairs, want %d", len(pairs), b.EncN)
+			return err
 		}
 		putEncBuf(b.Enc)
 		b.Enc = nil
 		b.Pairs = pairs
 	}
-	for i := range b.Inner {
-		if err := n.decodeForWire(&b.Inner[i]); err != nil {
-			return err
+	switch {
+	case b.Kind == KindRelayData:
+		for i := range b.Inner {
+			if in := &b.Inner[i]; in.Enc != nil || codec != nil {
+				if err := checkEncoded(codec, b.Channel, in); err != nil {
+					return err
+				}
+			}
 		}
+	case b.Kind == KindData && len(b.Inner) > 0:
+		if codec == nil {
+			return fmt.Errorf("encoded segments on the raw %s channel", b.Channel)
+		}
+		total := 0
+		for i := range b.Inner {
+			if err := checkEncoded(codec, b.Channel, &b.Inner[i]); err != nil {
+				return fmt.Errorf("segment %d: %w", i, err)
+			}
+			total += b.Inner[i].EncN
+		}
+		pairs := GetPairs(total)[:0]
+		for i := range b.Inner {
+			var err error
+			if pairs, err = decodeInto(codec, pairs, &b.Inner[i]); err != nil {
+				return fmt.Errorf("segment %d: %w", i, err)
+			}
+		}
+		for i := range b.Inner {
+			putEncBuf(b.Inner[i].Enc)
+		}
+		b.Inner = nil
+		b.Pairs = pairs
 	}
 	return nil
+}
+
+// checkEncoded is what can be checked of an encoded payload on channel ch
+// without decoding it: the channel runs a codec, the payload is encoded,
+// and its bytes could carry its pair count.
+func checkEncoded(codec PayloadCodec, ch Channel, b *Batch) error {
+	switch {
+	case codec == nil:
+		return fmt.Errorf("encoded payload on the raw %s channel", ch)
+	case b.Enc == nil:
+		return fmt.Errorf("unencoded payload on the encoded %s channel", ch)
+	case b.EncN < 0 || b.EncN > len(b.Enc): // every format spends a byte or more per pair
+		return fmt.Errorf("%d payload bytes cannot carry %d pairs", len(b.Enc), b.EncN)
+	}
+	return nil
+}
+
+// decodeInto appends b's checked encoded payload to pairs. On a failure it
+// recycles pairs.
+func decodeInto(codec PayloadCodec, pairs []Pair, b *Batch) ([]Pair, error) {
+	before := len(pairs)
+	pairs, err := codec.DecodePayload(pairs, b.Enc)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("undecodable payload: %w", err)
+	case len(pairs)-before != b.EncN:
+		err = fmt.Errorf("payload decoded to %d pairs, want %d", len(pairs)-before, b.EncN)
+	}
+	if err != nil {
+		PutPairs(pairs)
+		return nil, err
+	}
+	return pairs, nil
 }
 
 // flightRecv records a consumed delivery in the flight recorder; endpoints

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -181,41 +182,55 @@ func TestSendQuantaMatchReference(t *testing.T) {
 	}
 }
 
-// TestRelayStageTwoMatchesReference feeds relay 0 of a 2x4 machine
-// hand-built stage-one envelopes through Recv and holds every stage-two
-// batch to the rule: per destination, the arriving inner batches'
-// pairs in arrival order, cut every q pairs, the rest flushed once the
-// column's sources are done; each batch NoCodec and from the relay. The
-// cases put an inner batch below q into an empty open batch and into a
-// non-empty one, one of exactly q into either, and one above 2q.
-func TestRelayStageTwoMatchesReference(t *testing.T) {
-	const q, level = 8, 2
-	shape := GroupShape{N: 2, M: 4}
-	type inner struct{ col, n int }
+// stageTwoInner is one inner batch of a hand-built stage-one envelope: n
+// pairs for the relay row's column col.
+type stageTwoInner struct{ col, n int }
+
+// stageTwoCase is a sequence of stage-one envelopes for relay 0 of
+// stageTwoShape, alternately from the two sources of its column.
+type stageTwoCase struct {
+	name string
+	envs [][]stageTwoInner
+}
+
+var stageTwoShape = GroupShape{N: 2, M: 4}
+
+// stageTwoCases put an inner batch below q into an empty open batch and
+// into a non-empty one, one of exactly q into either, one above 2q, every
+// column, and a seeded mix.
+func stageTwoCases(q int) []stageTwoCase {
 	rng := rand.New(rand.NewSource(3))
-	var mixed [][]inner
+	var mixed [][]stageTwoInner
 	for i := 0; i < 30; i++ {
-		var env []inner
-		for col := 0; col < shape.M; col++ {
+		var env []stageTwoInner
+		for col := 0; col < stageTwoShape.M; col++ {
 			if rng.Intn(3) > 0 {
-				env = append(env, inner{col, 1 + rng.Intn(q)})
+				env = append(env, stageTwoInner{col, 1 + rng.Intn(q)})
 			}
 		}
 		mixed = append(mixed, env)
 	}
-	cases := []struct {
-		name string
-		envs [][]inner
-	}{
-		{"below q into empty", [][]inner{{{1, 3}}}},
-		{"below q into non-empty", [][]inner{{{1, 3}}, {{1, 4}}, {{1, 6}}}},
-		{"exactly q into empty", [][]inner{{{2, q}}, {{2, q}, {3, 1}}}},
-		{"exactly q into non-empty", [][]inner{{{2, 5}}, {{2, q}}}},
-		{"above 2q into empty", [][]inner{{{3, 2*q + 3}}}},
-		{"above 2q into non-empty", [][]inner{{{3, 2}}, {{3, 2*q + 7}}}},
-		{"every column, self included", [][]inner{{{0, 5}, {1, 2}, {2, q}, {3, 3 * q}}, {{0, 6}, {2, 1}}}},
+	return []stageTwoCase{
+		{"below q into empty", [][]stageTwoInner{{{1, 3}}}},
+		{"below q into non-empty", [][]stageTwoInner{{{1, 3}}, {{1, 4}}, {{1, 6}}}},
+		{"exactly q into empty", [][]stageTwoInner{{{2, q}}, {{2, q}, {3, 1}}}},
+		{"exactly q into non-empty", [][]stageTwoInner{{{2, 5}}, {{2, q}}}},
+		{"above 2q into empty", [][]stageTwoInner{{{3, 2*q + 3}}}},
+		{"above 2q into non-empty", [][]stageTwoInner{{{3, 2}}, {{3, 2*q + 7}}}},
+		{"every column, self included", [][]stageTwoInner{{{0, 5}, {1, 2}, {2, q}, {3, 3 * q}}, {{0, 6}, {2, 1}}}},
 		{"mixed", mixed},
 	}
+}
+
+// TestRelayStageTwoMatchesReference feeds relay 0 of a 2x4 machine
+// hand-built stage-one envelopes through Recv and holds every stage-two
+// batch to the rule: per destination, the arriving inner batches'
+// pairs in arrival order, cut every q pairs, the rest flushed once the
+// column's sources are done; each batch from the relay.
+func TestRelayStageTwoMatchesReference(t *testing.T) {
+	const q, level = 8, 2
+	shape := stageTwoShape
+	cases := stageTwoCases(q)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			net := mustNetwork(t, Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M, BatchBytes: q * PairBytes})
@@ -251,8 +266,8 @@ func TestRelayStageTwoMatchesReference(t *testing.T) {
 
 			got := map[int][][]Pair{}
 			record := func(b Batch) {
-				if b.Kind != KindData || b.Src != 0 || b.Level != level || b.Channel != ChanForward || !b.NoCodec {
-					t.Fatalf("stage-two batch %+v: want NoCodec level-%d data from the relay", b, level)
+				if b.Kind != KindData || b.Src != 0 || b.Level != level || b.Channel != ChanForward {
+					t.Fatalf("stage-two batch %+v: want level-%d data from the relay", b, level)
 				}
 				got[b.Dst] = append(got[b.Dst], b.Pairs)
 			}
@@ -278,6 +293,107 @@ func TestRelayStageTwoMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("stage-two batches diverge from the reference\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRelayStageTwoEncodedMatchesReference is the encoded sibling: on a
+// channel that runs a codec, relay 0 of a 2x4 machine gets the same
+// envelopes with encoded inner batches ("segments"), in two interleavings
+// that keep each source's order — as listed, and the second source's whole
+// stream first. Both must ship identical stage-two batches, equal to the
+// rule: nothing before the column's last End; then per destination, in
+// ascending order, its segments as they arrived, ordered by source (arrival
+// order within a source), cut into batches that close once they hold q
+// pairs or more. Both interleavings run on one endpoint, so the second
+// reuses the segment lists the first left.
+func TestRelayStageTwoEncodedMatchesReference(t *testing.T) {
+	const q, level = 8, 2
+	shape := stageTwoShape
+	sources := []int{0, shape.M} // column 0
+	for _, c := range stageTwoCases(q) {
+		t.Run(c.name, func(t *testing.T) {
+			net := mustNetwork(t, Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M, BatchBytes: q * PairBytes,
+				Codec: AdaptiveCodec{}})
+			defer net.Close()
+			ep, err := NewRelayEndpoint(net, 0, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each source's envelopes in its send order, segments encoded,
+			// and all of them as listed.
+			streams := map[int][]Batch{}
+			var listed, secondFirst []Batch
+			next := graph.Vertex(0)
+			for i, env := range c.envs {
+				src := sources[i%len(sources)]
+				b := Batch{Kind: KindRelayData, Channel: ChanForward, Src: src, Dst: 0, Level: level}
+				for _, in := range env {
+					ps := make([]Pair, in.n)
+					for j := range ps {
+						ps[j] = Pair{next, next + 1}
+						next += 2
+					}
+					enc, _ := AdaptiveCodec{}.EncodePayload(nil, ChanForward, ps)
+					b.Inner = append(b.Inner, Batch{Kind: KindData, Channel: ChanForward, Src: src, Dst: in.col, Level: level,
+						Enc: enc, EncN: in.n})
+				}
+				streams[src] = append(streams[src], b)
+				listed = append(listed, b)
+			}
+			end := func(src int) Batch {
+				return Batch{Kind: KindRelayEnd, Channel: ChanForward, Src: src, Dst: 0, Level: level}
+			}
+			listed = append(listed, end(sources[0]), end(sources[1]))
+			secondFirst = append(append(secondFirst, streams[sources[1]]...), end(sources[1]))
+			secondFirst = append(append(secondFirst, streams[sources[0]]...), end(sources[0]))
+
+			run := func(arrivals []Batch) map[int][]Batch {
+				ep.StartLevel(level, ChanForward)
+				for i, b := range arrivals {
+					if err := ep.handle(b); err != nil {
+						t.Fatal(err)
+					}
+					if i < len(arrivals)-1 && slices.ContainsFunc(net.inboxes[:shape.M], func(in *Inbox) bool { return in.Len() > 0 }) {
+						t.Fatalf("arrival %d: the relay shipped before its column's last End", i)
+					}
+				}
+				got := map[int][]Batch{}
+				for dst := 0; dst < shape.M; dst++ {
+					for b, _ := net.inboxes[dst].Pop(); b.Kind != KindEnd; b, _ = net.inboxes[dst].Pop() {
+						b.Inner = slices.Clone(b.Inner) // the relay reuses its segment lists next level
+						got[dst] = append(got[dst], b)
+					}
+				}
+				return got
+			}
+			first, second := run(listed), run(secondFirst)
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("stage two depends on arrival interleaving\n listed       %v\n second first %v", first, second)
+			}
+
+			want := map[int][]Batch{}
+			for _, src := range sources {
+				for _, env := range streams[src] {
+					for _, seg := range env.Inner {
+						want[seg.Dst] = append(want[seg.Dst], seg)
+					}
+				}
+			}
+			for dst, segs := range want {
+				var batches []Batch
+				for start, n, i := 0, 0, 0; i < len(segs); i++ {
+					if n += segs[i].EncN; n >= q || i == len(segs)-1 {
+						batches = append(batches, Batch{Kind: KindData, Channel: ChanForward, Src: 0, Dst: dst, Level: level,
+							Inner: segs[start : i+1]})
+						start, n = i+1, 0
+					}
+				}
+				want[dst] = batches
+			}
+			if !reflect.DeepEqual(first, want) {
+				t.Fatalf("stage-two batches diverge from the reference\n got %v\nwant %v", first, want)
 			}
 		})
 	}
@@ -411,17 +527,22 @@ func BenchmarkRelaySendManyInterleaved(b *testing.B) {
 // machine handles 64 fixed stage-one envelopes a level, each one quantum of
 // four inner batches — 1 024 pairs per row member ("even"), or 3 072, 768,
 // 192 and 64 ("skewed") — then its column's four end markers. Each inner
-// payload is a fresh pooled copy, as a decode leaves it; the row's inboxes
-// are drained raw. ns/pair and allocs/pair are per relayed pair.
+// payload is a fresh pooled copy, as a decode leaves it, or ("adaptive",
+// the even mix on an AdaptiveCodec channel) as stage one's encode leaves
+// it. The row's inboxes are drained raw, encode buffers recycled, and each
+// level waits for the drain, as a level barrier would. ns/pair and
+// allocs/pair are per relayed pair.
 func BenchmarkRelayStageTwo(b *testing.B) {
+	even := [4]int{1024, 1024, 1024, 1024}
 	for _, mix := range []struct {
 		name  string
 		sizes [4]int
-	}{{"even", [4]int{1024, 1024, 1024, 1024}}, {"skewed", [4]int{3072, 768, 192, 64}}} {
+		codec PayloadCodec
+	}{{"even", even, nil}, {"skewed", [4]int{3072, 768, 192, 64}, nil}, {"adaptive", even, AdaptiveCodec{}}} {
 		b.Run(mix.name, func(b *testing.B) {
 			const envelopes = 64
 			shape := GroupShape{N: 4, M: 4}
-			net, err := NewNetwork(Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M})
+			net, err := NewNetwork(Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M, Codec: mix.codec})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -429,7 +550,7 @@ func BenchmarkRelayStageTwo(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var consumers sync.WaitGroup
+			var consumers, drained sync.WaitGroup
 			for dst := 0; dst < shape.M; dst++ {
 				consumers.Add(1)
 				go func(in *Inbox) {
@@ -440,23 +561,38 @@ func BenchmarkRelayStageTwo(b *testing.B) {
 							return
 						}
 						PutPairs(batch.Pairs)
+						for _, seg := range batch.Inner {
+							putEncBuf(seg.Enc)
+						}
+						if batch.Kind == KindEnd {
+							drained.Done()
+						}
 					}
 				}(net.inboxes[dst])
 			}
 			var payload [4][]Pair
+			var encoded [4][]byte
 			perEnvelope := 0
 			for col, n := range mix.sizes {
 				for i := 0; i < n; i++ {
 					payload[col] = append(payload[col], Pair{graph.Vertex(i), graph.Vertex(i*shape.M + col)})
+				}
+				if mix.codec != nil {
+					encoded[col], _ = mix.codec.EncodePayload(nil, ChanForward, payload[col])
 				}
 				perEnvelope += n
 			}
 			envelope := func(src, level int) Batch {
 				env := Batch{Kind: KindRelayData, Channel: ChanForward, Src: src, Dst: 0, Level: level, Inner: make([]Batch, shape.M)}
 				for col := range env.Inner {
-					ps := GetPairs(len(payload[col]))
-					copy(ps, payload[col])
-					env.Inner[col] = Batch{Kind: KindData, Channel: ChanForward, Src: src, Dst: col, Level: level, Pairs: ps}
+					in := Batch{Kind: KindData, Channel: ChanForward, Src: src, Dst: col, Level: level}
+					if mix.codec != nil {
+						in.Enc, in.EncN = append(getEncBuf(), encoded[col]...), len(payload[col])
+					} else {
+						in.Pairs = GetPairs(len(payload[col]))
+						copy(in.Pairs, payload[col])
+					}
+					env.Inner[col] = in
 				}
 				return env
 			}
@@ -467,6 +603,7 @@ func BenchmarkRelayStageTwo(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ep.StartLevel(i, ChanForward)
+				drained.Add(shape.M)
 				for k := 0; k < envelopes; k++ {
 					if err := ep.handle(envelope(k%shape.N*shape.M, i)); err != nil {
 						b.Fatal(err)
@@ -478,6 +615,7 @@ func BenchmarkRelayStageTwo(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				drained.Wait()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)

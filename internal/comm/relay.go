@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -74,13 +75,25 @@ func (s GroupShape) MessagesPerNode() int { return s.N + s.M - 1 }
 // (the Forward/Backward Relay modules of Figure 10) and forwards batched
 // messages within its group.
 //
-// Both stages ship in fixed quanta (Network.QuantumPairs), so batch
-// counts — and, for content-independent sizing, wire bytes — depend only
-// on per-group / per-destination pair totals, not on how senders chunked
-// their calls or on relay arrival interleaving. Stage-two batches
-// therefore ship NoCodec: their *content* does depend on envelope arrival
-// order, and a payload codec's byte count is content-sensitive. The one
-// residual nondeterminism is the per-destination composition of a
+// Stage one ships in fixed quanta (Network.QuantumPairs), so its batch
+// counts depend only on per-group pair totals, not on how senders chunked
+// their calls. Stage two has one rule per channel kind:
+//
+//   - On a raw channel the relay streams: each destination's pairs, in
+//     arrival order, ship every quantum, and the rest once the relay's
+//     column is done. Batch counts depend only on per-destination pair
+//     totals; the content of a batch on arrival interleaving, which a raw
+//     payload's size does not see.
+//   - On a channel that runs a codec the relay forwards stage one's encoded
+//     inner batches ("segments") as they arrived, never decoding them; the
+//     destination decodes. A segment cannot be split, so nothing ships
+//     until the column's last End: then each destination's segments,
+//     ordered by source (arrival order within a source, which its FIFO
+//     stream fixes), are cut into batches that close once they hold a
+//     quantum or more, so composition, size and count are independent of
+//     arrival interleaving.
+//
+// The one residual nondeterminism is the per-destination composition of a
 // mid-level stage-one envelope when two modules race on the same channel;
 // BFS never does that (generators and handler replies use different
 // channels), so modelled traffic stays reproducible. (With a payload
@@ -90,12 +103,17 @@ type RelayEndpoint struct {
 	endpointCore
 	shape GroupShape
 
-	// Relay-side state: the stage-two open batch of every node in the
-	// relay's row, indexed by column, plus the count of stage-one end
-	// markers from the node's column. Only the Recv goroutine touches
-	// these; a shipped batch's payload is its receiver's, so the open
-	// batches hold nothing between levels.
+	// Relay-side state for every node in the relay's row, indexed by
+	// column: on a raw channel its stage-two open batch, on an encoded one
+	// the segments bound for it this level. relayEnds counts the stage-one
+	// End markers from the relay's column. Only the Recv goroutine touches
+	// these. A shipped batch's payload is its receiver's, so the open
+	// batches hold nothing between levels; a shipped batch's segments
+	// alias the segment lists until the level ends, so StartLevel (and
+	// Reset), not the flush, empties them, and the lists keep their
+	// capacity.
 	relayBatches [numChannels][][]Pair
+	segments     [numChannels][][]Batch
 	relayEnds    [numChannels]int
 
 	// relayedBytes counts pair bytes this node shuffled as a relay during
@@ -120,6 +138,7 @@ func NewRelayEndpoint(net *Network, node int, shape GroupShape) (*RelayEndpoint,
 	e.endpointCore = newEndpointCore(net, node, e, shape.M, shape.M)
 	for ch := range e.relayBatches {
 		e.relayBatches[ch] = make([][]Pair, shape.M)
+		e.segments[ch] = make([][]Batch, shape.M)
 	}
 	return e, nil
 }
@@ -130,13 +149,27 @@ func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	for ch := range e.relayBatches {
 		clear(e.relayBatches[ch])
 	}
+	e.emptySegments()
 	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
 }
 
 // Reset implements Endpoint. The flow sink belongs to the machine.
 func (e *RelayEndpoint) Reset() {
 	e.endpointCore.Reset()
+	e.emptySegments()
 	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
+}
+
+// emptySegments empties every segment list and keeps its capacity for the
+// next level, run or not: once a level has ended, no shipped batch aliases
+// the lists any more.
+func (e *RelayEndpoint) emptySegments() {
+	for ch := range e.segments {
+		for col, segs := range e.segments[ch] {
+			clear(segs)
+			e.segments[ch][col] = segs[:0]
+		}
+	}
 }
 
 // SetFlowSink attaches (or detaches, with nil) the flow-link recorder.
@@ -185,9 +218,10 @@ func (e *RelayEndpoint) end(ch Channel) error {
 }
 
 // handle executes the node's relay duties: stage-one envelopes are
-// shuffled into per-destination open batches that ship in quanta (the
-// Relay modules); the final flush happens when every source in the column
-// has signalled done.
+// shuffled per destination (the Relay modules) — streamed in quanta on a
+// raw channel, collected as encoded segments on a channel that runs a
+// codec — and the final flush happens when every source in the column has
+// signalled done.
 func (e *RelayEndpoint) handle(b Batch) error {
 	ch := b.Channel
 	switch b.Kind {
@@ -195,12 +229,17 @@ func (e *RelayEndpoint) handle(b Batch) error {
 		if d := e.net.ChaosDelay(chaos.KindDelayRelay, e.node, e.level); d > 0 {
 			time.Sleep(d) // scheduled relay stall: host time only
 		}
-		for _, in := range b.Inner {
+		encoded := e.net.codecFor(ch) != nil
+		for i := range b.Inner {
+			in := &b.Inner[i]
 			if in.Dst < 0 || e.shape.Row(in.Dst) != e.shape.Row(e.node) {
 				return protocolError(e.node, &b, fmt.Sprintf("envelope for node %d, outside the relay's row", in.Dst))
 			}
-			e.relayedBytes += int64(len(in.Pairs)) * PairBytes
-			if err := e.stageTwo(ch, in.Dst, in.Pairs); err != nil {
+			e.relayedBytes += int64(payloadPairs(in)) * PairBytes
+			if encoded {
+				col := e.shape.Col(in.Dst)
+				e.segments[ch][col] = append(e.segments[ch][col], *in)
+			} else if err := e.stageTwo(ch, in.Dst, in.Pairs); err != nil {
 				return err
 			}
 		}
@@ -211,15 +250,21 @@ func (e *RelayEndpoint) handle(b Batch) error {
 		if e.relayEnds[ch] < e.shape.N {
 			return nil
 		}
-		// Every source in this column is done: flush residuals in ascending
-		// destination order and mark the channel done for the whole row.
+		// Every source in this column is done: flush what is left in
+		// ascending destination order and mark the channel done for the
+		// whole row.
 		row := e.shape.Row(e.node)
 		for col, pairs := range e.relayBatches[ch] {
 			if len(pairs) > 0 {
 				e.relayBatches[ch][col] = nil
-				if err := e.relayFlush(ch, row*e.shape.M+col, pairs); err != nil {
+				if err := e.forward(ch, row*e.shape.M+col, pairs, nil); err != nil {
 					return err
 				}
+			}
+		}
+		for col, segs := range e.segments[ch] {
+			if err := e.forwardSegments(ch, row*e.shape.M+col, segs); err != nil {
+				return err
 			}
 		}
 		for col := 0; col < e.shape.M; col++ {
@@ -235,8 +280,8 @@ func (e *RelayEndpoint) handle(b Batch) error {
 	return protocolError(e.node, &b, "unknown wire kind")
 }
 
-// stageTwo adds one arriving inner batch's pairs to dst's open batch and
-// ships every quantum that completes. The relay owns buf: what an empty
+// stageTwo adds one arriving inner batch's raw pairs to dst's open batch
+// and ships every quantum that completes. The relay owns buf: what an empty
 // open batch can take whole it adopts, moved to the front of buf, and only
 // the pairs joining a non-empty open batch are copied.
 func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
@@ -256,7 +301,7 @@ func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
 		if len(*open) == q {
 			pairs := *open
 			*open = nil
-			if err := e.relayFlush(ch, dst, pairs); err != nil {
+			if err := e.forward(ch, dst, pairs, nil); err != nil {
 				return err
 			}
 		}
@@ -265,16 +310,29 @@ func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
 	return nil
 }
 
-// relayFlush ships one stage-two batch. Stage-two payloads are NoCodec:
-// their composition depends on the order envelopes reached the relay, so
-// re-encoding them would make modelled wire bytes scheduling-dependent;
-// the byte win of the codecs comes from stage one (and the pairs were
-// already normalized by the stage-one decode).
-func (e *RelayEndpoint) relayFlush(ch Channel, dst int, pairs []Pair) error {
-	if e.flows != nil {
-		e.flows.Flow(e.level, ch.String(), obs.FlowStageTwo, e.node, dst, int64(len(pairs))*PairBytes)
+// forwardSegments ships the encoded segments bound for dst this level:
+// ordered by source, arrival order kept within a source, and cut into
+// batches that close once they hold a quantum of pairs or more.
+func (e *RelayEndpoint) forwardSegments(ch Channel, dst int, segs []Batch) error {
+	slices.SortStableFunc(segs, func(a, b Batch) int { return cmp.Compare(a.Src, b.Src) })
+	q := e.net.QuantumPairs()
+	for start, n, i := 0, 0, 0; i < len(segs); i++ {
+		if n += segs[i].EncN; n >= q || i == len(segs)-1 {
+			if err := e.forward(ch, dst, nil, segs[start:i+1:i+1]); err != nil {
+				return err
+			}
+			start, n = i+1, 0
+		}
 	}
-	return e.net.deliver(Batch{
-		Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: pairs, NoCodec: true,
-	})
+	return nil
+}
+
+// forward ships one stage-two batch to dst: raw pairs, or encoded segments
+// for the destination to decode.
+func (e *RelayEndpoint) forward(ch Channel, dst int, pairs []Pair, segs []Batch) error {
+	b := Batch{Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: pairs, Inner: segs}
+	if e.flows != nil {
+		e.flows.Flow(e.level, ch.String(), obs.FlowStageTwo, e.node, dst, int64(payloadPairs(&b))*PairBytes)
+	}
+	return e.net.deliver(b)
 }

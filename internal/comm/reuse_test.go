@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -113,7 +114,13 @@ func TestInboxProducersKeepOrder(t *testing.T) {
 // the flight record still shows the batch arriving. The network runs the
 // adaptive codec on the backward channel only, so a payload that does not
 // decode, decodes to the wrong pair count, or is encoded on the raw forward
-// channel is hostile too — alone or inside a relay envelope.
+// channel is hostile too, and so is a raw payload on the encoded backward
+// channel inside a relay envelope. A relay forwards encoded segments
+// undecoded, so it rejects only what needs no decode — an encoded segment
+// on the raw channel, a raw one on the encoded channel, a pair count its
+// bytes cannot carry — and a payload that does not decode, or to the wrong
+// count, is caught at the destination, as the second segment of a
+// stage-two batch.
 func TestProtocolErrors(t *testing.T) {
 	shape, err := NewGroupShape(4, 2)
 	if err != nil {
@@ -123,9 +130,16 @@ func TestProtocolErrors(t *testing.T) {
 	corrupt := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: []byte{0xF8}, EncN: 1}
 	miscounted := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: 3}
 	onRaw := Batch{Kind: KindData, Channel: ChanForward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: 2}
+	rawOnEncoded := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}}
+	impossible := Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: -1}
 	envelope := func(in Batch) Batch {
 		in.Src, in.Dst = 3, 0
 		return Batch{Kind: KindRelayData, Channel: in.Channel, Src: 3, Dst: 1, Level: 3, Inner: []Batch{in}}
+	}
+	stageTwo := func(in Batch) Batch { // from relay 0: sources 0 and 2 sit in its column
+		good := Batch{Kind: KindData, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3, Enc: enc, EncN: 2}
+		in.Src = 2
+		return Batch{Kind: KindData, Channel: in.Channel, Src: 0, Dst: 1, Level: 3, Inner: []Batch{good, in}}
 	}
 	cases := []struct {
 		name    string
@@ -144,12 +158,15 @@ func TestProtocolErrors(t *testing.T) {
 		{"relay kind on the direct transport", false, Batch{Kind: KindRelayEnd, Src: 3, Dst: 1, Level: 3}},
 		{"unknown channel", false, Batch{Kind: KindEnd, Channel: Channel(9), Src: 3, Dst: 1, Level: 3}},
 		{"corrupt payload, direct", false, corrupt},
-		{"corrupt payload, relay", true, envelope(corrupt)},
+		{"corrupt payload, relay", true, stageTwo(corrupt)},
 		{"payload pair count, direct", false, miscounted},
-		{"payload pair count, relay", true, envelope(miscounted)},
-		{"impossible pair count, direct", false, Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Enc: enc, EncN: -1}},
+		{"payload pair count, relay", true, stageTwo(miscounted)},
+		{"impossible pair count, direct", false, impossible},
+		{"impossible pair count, relay", true, envelope(impossible)},
 		{"encoded payload on a raw channel, direct", false, onRaw},
 		{"encoded payload on a raw channel, relay", true, envelope(onRaw)},
+		{"segments on a raw channel, relay", true, stageTwo(onRaw)},
+		{"raw payload on an encoded channel, relay", true, envelope(rawOnEncoded)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -304,10 +321,7 @@ func TestReuseResetEqualsFresh(t *testing.T) {
 		if _, _, err := exchange(t, fresh, freshEps, 400, 8); err != nil {
 			t.Fatal(err)
 		}
-		// (Message counts only: the helper sends in map order, so encoded
-		// bytes differ between any two exchanges.)
-		if a, b := used.CaptureState(), fresh.CaptureState(); !slices.EqualFunc(a.Conns, b.Conns, slices.Equal[[]int]) ||
-			!slices.Equal(a.KindMsgs, b.KindMsgs) || !slices.Equal(a.NodeMsgs, b.NodeMsgs) {
+		if a, b := used.CaptureState(), fresh.CaptureState(); !reflect.DeepEqual(a, b) {
 			t.Errorf("relay=%v: second run on the reset network diverged from a fresh network:\n reset %+v\n fresh %+v", relay, a, b)
 		}
 		used.Close()

@@ -209,9 +209,8 @@ func TestCodecByName(t *testing.T) {
 
 // TestWireTrafficReconciles: the modelled wire bytes equal the actual
 // encoded buffer lengths, on both transports. Every point-to-point byte
-// the fabric charged decomposes exactly into batch headers, encoded
-// payload bytes (the codec counters' sum — real buffer lengths), and the
-// raw pair bytes of the relay's stage-two re-batches.
+// the fabric charged decomposes exactly into batch headers and encoded
+// payload bytes (the codec counters' sum — real buffer lengths).
 func TestWireTrafficReconciles(t *testing.T) {
 	totalP2P := func(net *Network) int64 {
 		s := net.Counters.Snapshot()
@@ -262,13 +261,10 @@ func TestWireTrafficReconciles(t *testing.T) {
 			t.Fatal(err)
 		}
 		eps := make([]Endpoint, nodes)
-		reps := make([]*RelayEndpoint, nodes)
 		for i := range eps {
-			re, err := NewRelayEndpoint(net, i, shape)
-			if err != nil {
+			if eps[i], err = NewRelayEndpoint(net, i, shape); err != nil {
 				t.Fatal(err)
 			}
-			eps[i], reps[i] = re, re
 		}
 		sent, got, err := exchange(t, net, eps, 500, 12)
 		if err != nil {
@@ -281,17 +277,13 @@ func TestWireTrafficReconciles(t *testing.T) {
 		for _, msgs := range net.CaptureState().KindMsgs {
 			topMsgs += msgs
 		}
-		var stageTwoPairBytes int64
-		for _, re := range reps {
-			stageTwoPairBytes += re.RelayedBytes() // exchange runs a single level
-		}
-		// Each stage-one inner batch carries one header plus its encoded
-		// payload (codecMsgs counts exactly the inner batches); stage-two
-		// re-batches go raw, so their payload is the relayed pair bytes.
-		want := batchHeaderBytes*(topMsgs+codecMsgs) + codecBytes + stageTwoPairBytes
+		// Every encoded inner batch (codecMsgs counts exactly those) crosses
+		// two hops, to its relay inside an envelope and on inside a
+		// stage-two batch, each time with its header and its bytes.
+		want := batchHeaderBytes*(topMsgs+2*codecMsgs) + 2*codecBytes
 		if got := totalP2P(net); got != want {
-			t.Fatalf("modelled wire bytes %d != %d (headers %d*(%d+%d) + encoded %d + stage-two %d)",
-				got, want, int64(batchHeaderBytes), topMsgs, codecMsgs, codecBytes, stageTwoPairBytes)
+			t.Fatalf("modelled wire bytes %d != %d (headers %d*(%d+2*%d) + 2*encoded %d)",
+				got, want, int64(batchHeaderBytes), topMsgs, codecMsgs, codecBytes)
 		}
 	})
 }
