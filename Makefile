@@ -55,9 +55,9 @@ bench-layers:
 
 # regen-modelled rewrites every golden file from the current code: the comm
 # wire and endpoint goldens, core's hub result, module spans and flight
-# dumps, algos' round statistics and module spans, graph500's SSSP and
-# delta-stepping harmonic-mean GTEPS, and obs' chrome-trace and trace-diff
-# renderings. A change to the modelled clock runs it, then audits
+# dumps, algos' round statistics, module spans and whole-run Chrome export,
+# graph500's SSSP and delta-stepping harmonic-mean GTEPS, and obs'
+# chrome-trace and trace-diff renderings. A change to the modelled clock runs it, then audits
 # `git diff` of testdata/: only the fields the change predicts may move, and
 # a golden it predicts unchanged must come back byte-identical.
 regen-modelled:

@@ -1,16 +1,17 @@
 // Command inspect reads the files the CLIs write and tells them apart by
 // their top-level JSON keys (obs.Sniff): flight-recorder dumps (the
 // -flight-dump post-mortem, /debug/flight), level-boundary checkpoints
-// (-checkpoint and the abort auto-checkpoint), RunTrace dumps (-trace-out,
-// /traces) and Chrome traces (-chrome-trace).
+// (-checkpoint and the abort auto-checkpoint) and RunTrace dumps
+// (-trace-out, /traces). A Chrome trace (-chrome-trace) is recognised and
+// refused: it is a rendering of RunTrace dumps, for chrome://tracing.
 //
 // Given one file it renders a flight dump as a per-node event timeline,
 // anomalies marked [injected] when the run's chaos injection log explains
 // them and [emergent] otherwise, or summarises a checkpoint: kernel,
 // boundary level, machine fingerprint, traffic and per-node state. Given
 // two files it diffs two flight dumps from the same seed, exiting 1 when
-// they diverge, or aligns two traces level by level, in either trace
-// format on either side, and prints a per-level / per-module delta table.
+// they diverge, or aligns two RunTrace dumps level by level and module by
+// module and prints a per-level / per-module delta table.
 // See docs/OBSERVABILITY.md.
 //
 // Usage:
@@ -51,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	default:
 		fmt.Fprintln(stderr, "usage: inspect <dump.json | ckpt.json>")
-		fmt.Fprintln(stderr, "       inspect <a.json> <b.json>   (two flight dumps or two traces)")
+		fmt.Fprintln(stderr, "       inspect <a.json> <b.json>   (two flight dumps or two -trace-out RunTrace dumps)")
 		return 2
 	}
 	if err != nil {
@@ -78,8 +79,6 @@ func load(path string) (doc, error) {
 	}
 	return doc{path, kind, data}, nil
 }
-
-func (d doc) isTrace() bool { return d.kind == obs.KindChrome || d.kind == obs.KindRunTrace }
 
 func (d doc) flightDump() (*obs.FlightDump, error) {
 	fd, err := obs.ReadFlightDump(bytes.NewReader(d.data))
@@ -121,7 +120,7 @@ func show(w io.Writer, path string) error {
 }
 
 // diff compares two flight dumps, reporting whether they diverge, or two
-// traces.
+// RunTrace dumps; obs.ReadRunSummaries refuses any other document.
 func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
 	a, err := load(pathA)
 	if err != nil {
@@ -143,7 +142,7 @@ func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
 		}
 		n, err := flight.Diff(w, fa, fb, pathA, pathB)
 		return n > 0, err
-	case a.isTrace() && b.isTrace():
+	case a.kind != obs.KindFlightDump && b.kind != obs.KindFlightDump:
 		ra, err := a.summaries()
 		if err != nil {
 			return false, err
@@ -155,6 +154,6 @@ func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
 		obs.WriteTraceDiff(w, ra, rb, pathA, pathB)
 		return false, nil
 	}
-	return false, fmt.Errorf("cannot diff a %s (%s) against a %s (%s): give two flight dumps or two traces",
+	return false, fmt.Errorf("cannot diff a %s (%s) against a %s (%s): give two flight dumps or two RunTrace dumps",
 		a.kind, pathA, b.kind, pathB)
 }

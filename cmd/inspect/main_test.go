@@ -84,7 +84,8 @@ func TestRunModes(t *testing.T) {
 		{"render checkpoint", []string{f["checkpoint"]}, 0, "checkpoint schema"},
 		{"identical dumps", []string{f["flight"], f["flight"]}, 0, ""},
 		{"divergent dumps", []string{f["flight"], f["flight2"]}, 1, ""},
-		{"mixed trace formats", []string{f["chrome"], f["runtrace"]}, 0, "root 3 vs root 3"},
+		{"two traces", []string{f["runtrace"], f["runtrace"]}, 0, "root 3 vs root 3"},
+		{"mixed trace formats", []string{f["chrome"], f["runtrace"]}, 1, "Chrome trace, not a RunTrace dump (write one with -trace-out)"},
 		{"flight dump against a trace", []string{f["flight"], f["runtrace"]}, 1, "cannot diff a flight dump"},
 		{"one trace", []string{f["runtrace"]}, 1, "give two traces"},
 		{"garbage", []string{f["garbage"]}, 1, "not a JSON object"},

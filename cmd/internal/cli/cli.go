@@ -115,9 +115,6 @@ func (f *Flags) Open(prog string) *Session {
 	if f.metrics || f.traceOut != "" || f.serve != "" || f.chromeTrace != "" {
 		h.Obs = obs.New()
 		h.Obs.Flight = obs.NewFlightRecorder(0)
-		if f.chromeTrace != "" {
-			h.Obs.Spans = obs.NewSpanRecorder()
-		}
 	}
 	if f.serve != "" {
 		h.Obs.Progress = obs.NewProgressBroker()
@@ -270,7 +267,7 @@ func (s *Session) Close() {
 		}
 		if s.f.chromeTrace != "" {
 			s.write("chrome trace", s.f.chromeTrace, func(w io.Writer) error {
-				return obs.WriteChromeTrace(w, o.Trace.Runs(), o.Spans.Runs())
+				return obs.WriteChromeTrace(w, o.Trace.Runs())
 			})
 			fmt.Fprintf(os.Stderr, "%s: chrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", s.prog, s.f.chromeTrace)
 		}

@@ -32,7 +32,6 @@ var keptExports = map[string]string{
 	"graph.Census":                    "checks generated graphs",
 	"graph.DegreeImbalance":           "checks partitions",
 	"obs.FlightRecorder.TotalDropped": "checks flight ring overflow",
-	"obs.ReadTraceJSON":               "checks trace export",
 	// Waiting for a caller: the uniform family of a graph-families sweep.
 	"graph.GenerateUniform": "uniform graph family, caller pending",
 	// The CPE-cluster simulator's introspection: what its tests check the

@@ -49,7 +49,6 @@ func hostileCheckpoints(c *ckpt.Checkpoint) map[string]*ckpt.Checkpoint {
 func quietObserver() (*obs.Observer, <-chan obs.LiveEvent) {
 	o := obs.New()
 	o.Flight = obs.NewFlightRecorder(0)
-	o.Spans = obs.NewSpanRecorder()
 	o.Progress = obs.NewProgressBroker()
 	events, _ := o.Progress.Subscribe(64)
 	return o, events
@@ -57,7 +56,7 @@ func quietObserver() (*obs.Observer, <-chan obs.LiveEvent) {
 
 // checkSilent fails unless the observer saw nothing at all: a rejected
 // resume must publish no run-start (there would be no run-done to pair it
-// with), open no flight run and no span run.
+// with), open no flight run and record no run.
 func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 	t.Helper()
 	select {
@@ -68,8 +67,8 @@ func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 	if d := o.Flight.Dump(); len(d.Runs) != 0 || len(d.Events) != 0 {
 		t.Errorf("rejected resume touched the flight recorder: %d runs, %d events", len(d.Runs), len(d.Events))
 	}
-	if n := len(o.Spans.Runs()); n != 0 {
-		t.Errorf("rejected resume opened %d span runs", n)
+	if n := o.Trace.Len(); n != 0 {
+		t.Errorf("rejected resume recorded %d runs", n)
 	}
 }
 

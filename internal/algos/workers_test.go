@@ -355,17 +355,15 @@ func TestAlgosProgressEvents(t *testing.T) {
 	}
 }
 
-// TestAlgosTraceRecorded: an SSSP run records a reconcilable RunTrace and
-// module spans, and the pair exports to a Chrome trace with level and
-// module slices — the -chrome-trace payload.
+// TestAlgosTraceRecorded: an SSSP run records a reconcilable RunTrace with
+// module spans, and it exports to a Chrome trace with level and module
+// slices — the -chrome-trace payload.
 func TestAlgosTraceRecorded(t *testing.T) {
 	g := kron(t, 9, 2)
 	wg := testutil.Weighted(t, g, 3)
 	cfg := machine(4, core.TransportDirect)
 	cfg.Workers = 2
 	cfg.Obs = obs.New()
-	cfg.Obs.Trace = obs.NewTraceRecorder()
-	cfg.Obs.Spans = obs.NewSpanRecorder()
 
 	res, err := SSSP(cfg, wg, 240)
 	if err != nil {
@@ -390,12 +388,11 @@ func TestAlgosTraceRecorded(t *testing.T) {
 		}
 	}
 
-	spans := cfg.Obs.Spans.Runs()
-	if len(spans) != 1 || len(spans[0].Spans) == 0 {
-		t.Fatalf("span recorder runs = %+v, want one run with module spans", spans)
+	if len(rt.Spans) == 0 {
+		t.Fatal("the run recorded no module spans")
 	}
 	var sawGenWorkers, sawHandlerWorkers bool
-	for _, sp := range spans[0].Spans {
+	for _, sp := range rt.Spans {
 		if sp.Module == obs.ModuleForwardGenerator && sp.Workers == 2 {
 			sawGenWorkers = true
 		}
@@ -411,7 +408,7 @@ func TestAlgosTraceRecorded(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, traces, spans); err != nil {
+	if err := obs.WriteChromeTrace(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"cat": "level"`, `"cat": "module"`, `"cat": "run"`} {
@@ -420,12 +417,16 @@ func TestAlgosTraceRecorded(t *testing.T) {
 		}
 	}
 
-	sums, err := obs.ReadRunSummaries(&buf)
+	var dump bytes.Buffer
+	if err := cfg.Obs.Trace.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := obs.ReadRunSummaries(&dump)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sums) != 1 || len(sums[0].Levels) != len(rt.Levels) || len(sums[0].Modules) == 0 {
-		t.Fatalf("tracediff summary of the export is incomplete: %+v", sums)
+		t.Fatalf("tracediff summary of the dump is incomplete: %+v", sums)
 	}
 }
 

@@ -58,7 +58,6 @@ func TestModuleCountersMatchSpans(t *testing.T) {
 		t.Run(transport.String(), func(t *testing.T) {
 			bcfg := config(transport)
 			bcfg.Obs = obs.New()
-			bcfg.Obs.Spans = obs.NewSpanRecorder()
 			bcfg.Obs.Flight = obs.NewFlightRecorder(1 << 17)
 			r, err := core.NewRunner(bcfg, g)
 			if err != nil {
@@ -69,7 +68,7 @@ func TestModuleCountersMatchSpans(t *testing.T) {
 			}
 			want := moduleCounters(bcfg.Obs)
 			spanBytes := map[string]int64{}
-			for _, sp := range bcfg.Obs.Spans.Runs()[0].Spans {
+			for _, sp := range bcfg.Obs.Trace.Runs()[0].Spans {
 				spanBytes[sp.Module] += sp.Bytes
 			}
 			for name, modules := range classes {

@@ -345,7 +345,7 @@ func TestChaosLevelTimeout(t *testing.T) {
 }
 
 // TestChaosStragglerFlagged: a delayed node is flagged as a straggler on
-// the live event stream, in the span recorder, in the metrics and in the
+// the live event stream, in the run's RunTrace, in the metrics and in the
 // Chrome trace — by the machine's level loop, so for BFS and the round
 // kernels alike.
 func TestChaosStragglerFlagged(t *testing.T) {
@@ -364,7 +364,6 @@ func TestChaosStragglerFlagged(t *testing.T) {
 			cfg.Chaos = &plan
 			cfg.StragglerFactor = 2
 			cfg.Obs = obs.New()
-			cfg.Obs.Spans = obs.NewSpanRecorder()
 			cfg.Obs.Progress = obs.NewProgressBroker()
 			events, cancel := cfg.Obs.Progress.Subscribe(256)
 			defer cancel()
@@ -392,7 +391,7 @@ func TestChaosStragglerFlagged(t *testing.T) {
 				t.Fatal("no straggler event for node 2 level 1 on the live stream")
 			}
 
-			runs := cfg.Obs.Spans.Runs()
+			runs := cfg.Obs.Trace.Runs()
 			if len(runs) == 0 {
 				t.Fatal("no recorded runs")
 			}
@@ -403,14 +402,14 @@ func TestChaosStragglerFlagged(t *testing.T) {
 				}
 			}
 			if !flagged {
-				t.Fatalf("span recorder stragglers = %+v, want node 2 level 1", runs[len(runs)-1].Stragglers)
+				t.Fatalf("recorded stragglers = %+v, want node 2 level 1", runs[len(runs)-1].Stragglers)
 			}
 			if v := cfg.Obs.Metrics.Counter("core.stragglers").Value(); v < 1 {
 				t.Fatalf("core.stragglers = %d, want >= 1", v)
 			}
 
 			var buf bytes.Buffer
-			if err := obs.WriteChromeTrace(&buf, nil, runs); err != nil {
+			if err := obs.WriteChromeTrace(&buf, runs); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Contains(buf.Bytes(), []byte(`"straggler L1"`)) {

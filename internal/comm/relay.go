@@ -121,11 +121,12 @@ type RelayEndpoint struct {
 	// modules (read by the same goroutine that runs Recv).
 	relayedBytes int64
 
-	// flows, when non-nil, records each transport hop (stage-one envelope
-	// to the relay, stage-two batch to the handler) so the Chrome-trace
-	// export can draw cross-node flow arrows. The recorder aggregates per
-	// (level, channel, stage, src, dst) and is safe for concurrent use.
-	flows *obs.SpanRecorder
+	// flows, when TallyFlows turned it on, tallies the current level's
+	// pair bytes per transport hop, indexed by channel, stage (0: stage-one
+	// envelopes to a relay, 1: stage-two batches to a destination) and
+	// peer. Stage one is tallied when sealed, under the staging lock;
+	// stage two on the Recv goroutine. Nil tallies when off.
+	flows [numChannels][2][]int64
 }
 
 // NewRelayEndpoint creates the rank for `node` under the given shape.
@@ -149,32 +150,65 @@ func (e *RelayEndpoint) StartLevel(level int, channels ...Channel) {
 	for ch := range e.relayBatches {
 		clear(e.relayBatches[ch])
 	}
-	e.emptySegments()
-	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
+	e.emptyLevel()
 }
 
-// Reset implements Endpoint. The flow sink belongs to the machine.
+// Reset implements Endpoint. Whether flows are tallied is the machine's
+// to say (TallyFlows).
 func (e *RelayEndpoint) Reset() {
 	e.endpointCore.Reset()
-	e.emptySegments()
-	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
+	e.emptyLevel()
 }
 
-// emptySegments empties every segment list and keeps its capacity for the
-// next level, run or not: once a level has ended, no shipped batch aliases
-// the lists any more.
-func (e *RelayEndpoint) emptySegments() {
+// emptyLevel clears the relay side's per-level books — End counts, relayed
+// bytes, flow tallies — and empties every segment list, keeping its
+// capacity for the next level, run or not: once a level has ended, no
+// shipped batch aliases the lists any more.
+func (e *RelayEndpoint) emptyLevel() {
+	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
 	for ch := range e.segments {
 		for col, segs := range e.segments[ch] {
 			clear(segs)
 			e.segments[ch][col] = segs[:0]
 		}
+		clear(e.flows[ch][0])
+		clear(e.flows[ch][1])
 	}
 }
 
-// SetFlowSink attaches (or detaches, with nil) the flow-link recorder.
-// Call before the endpoint carries traffic.
-func (e *RelayEndpoint) SetFlowSink(sr *obs.SpanRecorder) { e.flows = sr }
+// TallyFlows turns the per-level flow tally on or off. Call it before the
+// endpoint carries traffic.
+func (e *RelayEndpoint) TallyFlows(on bool) {
+	for ch := range e.flows {
+		for st, tally := range e.flows[ch] {
+			switch {
+			case !on:
+				e.flows[ch][st] = nil
+			case tally == nil:
+				e.flows[ch][st] = make([]int64, e.net.Nodes())
+			}
+		}
+	}
+}
+
+// AppendFlows appends the current level's tallied hops to links, one link
+// per (channel, stage, peer) that carried pair bytes. Call it once the
+// level's traffic is done and before the next StartLevel.
+func (e *RelayEndpoint) AppendFlows(links []obs.FlowLink) []obs.FlowLink {
+	for ch := range e.flows {
+		for st, tally := range e.flows[ch] {
+			for peer, b := range tally {
+				if b > 0 {
+					links = append(links, obs.FlowLink{
+						Level: e.level, Channel: Channel(ch).String(), Stage: obs.FlowStage(st + 1),
+						From: e.node, To: peer, Bytes: b,
+					})
+				}
+			}
+		}
+	}
+	return links
+}
 
 // RelayedBytes reports the pair bytes relayed during the current level.
 // Call it from the handler goroutine after the level completes.
@@ -185,23 +219,20 @@ func (e *RelayEndpoint) RelayedBytes() int64 { return e.relayedBytes }
 func (e *RelayEndpoint) seal(ch Channel, out []Batch, at int) []Batch {
 	inner := slices.Clone(out[at:])
 	clear(out[at:])
+	relay := e.shape.Relay(e.node, inner[0].Dst)
+	if tally := e.flows[ch][0]; tally != nil {
+		for i := range inner {
+			tally[relay] += int64(len(inner[i].Pairs)) * PairBytes
+		}
+	}
 	return append(out[:at], Batch{
-		Kind: KindRelayData, Channel: ch, Src: e.node, Dst: e.shape.Relay(e.node, inner[0].Dst), Level: e.level,
+		Kind: KindRelayData, Channel: ch, Src: e.node, Dst: relay, Level: e.level,
 		Inner: inner,
 	})
 }
 
 // ship delivers one stage-one envelope.
-func (e *RelayEndpoint) ship(b Batch) error {
-	if e.flows != nil {
-		var payload int64
-		for i := range b.Inner {
-			payload += int64(len(b.Inner[i].Pairs)) * PairBytes
-		}
-		e.flows.Flow(e.level, b.Channel.String(), obs.FlowStageOne, e.node, b.Dst, payload)
-	}
-	return e.net.deliver(b)
-}
+func (e *RelayEndpoint) ship(b Batch) error { return e.net.deliver(b) }
 
 // end tells every relay in the node's column that this source is done.
 func (e *RelayEndpoint) end(ch Channel) error {
@@ -331,8 +362,8 @@ func (e *RelayEndpoint) forwardSegments(ch Channel, dst int, segs []Batch) error
 // for the destination to decode.
 func (e *RelayEndpoint) forward(ch Channel, dst int, pairs []Pair, segs []Batch) error {
 	b := Batch{Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: pairs, Inner: segs}
-	if e.flows != nil {
-		e.flows.Flow(e.level, ch.String(), obs.FlowStageTwo, e.node, dst, int64(payloadPairs(&b))*PairBytes)
+	if tally := e.flows[ch][1]; tally != nil {
+		tally[dst] += int64(payloadPairs(&b)) * PairBytes
 	}
 	return e.net.deliver(b)
 }

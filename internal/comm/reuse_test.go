@@ -255,8 +255,9 @@ func reuseEndpoints(t *testing.T, net *Network, relay bool) []Endpoint {
 // dirties everything a run can — payload codec, retries, a duplicate,
 // relayed bytes, collectives — Network.Reset and Endpoint.Reset must leave
 // every field equal to a freshly built value's, except the fields listed
-// here as machine-scoped (the sealed-batch scratch, the flow sink). A new
-// field that is neither reset nor listed fails this test.
+// here as machine-scoped (the sealed-batch scratch, the flow tallies that
+// TallyFlows switches). A new field that is neither reset nor listed fails
+// this test.
 func TestReuseResetEqualsFresh(t *testing.T) {
 	machineScoped := map[bool][]string{
 		false: {"net", "route", "sealed"},          // DirectEndpoint

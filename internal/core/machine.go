@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -151,18 +152,21 @@ type Machine struct {
 	// traffic (the emptiness collectives) the trace reports separately so
 	// its books balance. window is the open level's starting snapshot and
 	// tick feeds the watchdog, advancing once per completed level.
-	// stragglers are the detector's flags (Config.StragglerFactor).
+	// stragglers are the detector's flags (Config.StragglerFactor), and
+	// flows the relay endpoints' flow links of every level this machine
+	// ran, collected when a trace recorder is attached.
 	mu         sync.Mutex
 	levels     []perf.LevelStats
 	lastSnap   fabric.Snapshot
 	window     fabric.Snapshot
 	tick       atomic.Int64
 	stragglers []obs.StragglerFlag
+	flows      []obs.FlowLink
 
 	// Per-node work slots, which node 0 folds in closeLevel, and the work
 	// ledger: every node's deterministic module work of every completed
 	// level, one row per level, kept on every run. Checkpoints carry it,
-	// Finish folds the module metrics from it and endSpans lays it out.
+	// Finish folds the module metrics from it and trace lays it out.
 	slots []LevelWork
 	work  [][]ckpt.ModuleWork
 
@@ -336,9 +340,9 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 }
 
 // OpenMachine opens one run: it validates spec.Resume, announces the run
-// (live event, span recorder, flight record), rebuilds the fault injector,
-// and brings up the network, the timing model and every node's endpoint.
-// The caller must Close the returned machine.
+// (live event, flight record), rebuilds the fault injector, and brings up
+// the network, the timing model and every node's endpoint. The caller must
+// Close the returned machine.
 func OpenMachine(spec MachineSpec) (*Machine, error) {
 	spec.Cfg = spec.Cfg.withDefaults()
 	cfg, resume := spec.Cfg, spec.Resume
@@ -368,9 +372,6 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 
 	if pb := cfg.Obs.ProgressOf(); pb != nil {
 		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(spec.Root), Kernel: m.label()})
-	}
-	if sr := cfg.Obs.SpansOf(); sr != nil {
-		sr.BeginRun(int64(spec.Root))
 	}
 	m.slots = make([]LevelWork, cfg.Nodes)
 	if m.Flight == nil {
@@ -455,7 +456,7 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 			}
 		}
 		if ep, ok := m.eps[node].(*comm.RelayEndpoint); ok {
-			ep.SetFlowSink(cfg.Obs.SpansOf())
+			ep.TallyFlows(cfg.Obs.TraceOf() != nil)
 		}
 	}
 	return m, nil
@@ -621,9 +622,10 @@ func (m *Machine) loop(node int, b Body) error {
 // closeLevel records a completed level on node 0. It folds the nodes' work
 // slots — per-field maxima, the critical path, with Pairs summed — and
 // appends their ledger rows to the work ledger; the body completes the
-// statistics; the machine adds the window's traffic, feeds the watchdog,
-// stamps the flight record with the body's detail and, when armed, runs
-// the straggler detector.
+// statistics; the machine adds the window's traffic, collects the relay
+// endpoints' flow tallies when tracing, feeds the watchdog, stamps the
+// flight record with the body's detail and, when armed, runs the straggler
+// detector.
 func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
 	var f LevelWork
 	row := make([]ckpt.ModuleWork, len(m.slots))
@@ -657,6 +659,13 @@ func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
 	m.work = append(m.work, row)
 	m.lastSnap = after
 	m.mu.Unlock()
+	if m.spec.Cfg.Obs.TraceOf() != nil {
+		for _, ep := range m.eps {
+			if r, ok := ep.(*comm.RelayEndpoint); ok {
+				m.flows = r.AppendFlows(m.flows)
+			}
+		}
+	}
 	m.tick.Add(1)
 	m.Flight.Control(obs.FlightRoundClose, -1, level, detail)
 	if m.spec.Cfg.StragglerFactor > 0 {
@@ -918,24 +927,76 @@ func (m *Machine) CheckpointJSON() ([]byte, bool) {
 	return data, err == nil
 }
 
-// endSpans seals the run on the span recorder, if one is attached: the
-// work ledger's module bytes of every node laid out on the modelled timeline,
-// plus the straggler flags, each stamped in place with its level's start.
-// A module span starts at its level's start and lasts bytes/bandwidth at the
-// configured engine's module bandwidth. Modules run concurrently (one CPE
-// cluster each, Figure 10), so spans of one level overlap by design; none
-// outlasts its level, whose time bounds the slowest node's makespan from
-// above.
-func (m *Machine) endSpans() {
-	cfg := m.spec.Cfg
-	sr := cfg.Obs.SpansOf()
-	if sr == nil {
-		return
+// trace converts the ledger into a RunTrace whose books balance
+// (RunTrace.Reconcile): level wall times sum to the run's modelled time,
+// level byte counts plus the termination traffic sum to the fabric's grand
+// total, and every relay passes on what it receives. It lays the work
+// ledger out as module spans and stamps each straggler flag with its
+// level's start. Finish has the body fill in its header fields.
+func (m *Machine) trace() obs.RunTrace {
+	final := m.Net.Counters.Snapshot()
+	term := final.Sub(m.lastSnap)
+	rt := obs.RunTrace{
+		Root: int64(m.spec.Root),
+
+		TerminationCollectiveBytes: term.CollectiveBytes,
+		TerminationWireBytes:       term.NetworkBytes(),
+		TotalNetworkBytes:          final.NetworkBytes(),
+
+		CodecTraffic: m.Net.CodecTraffic(),
 	}
 	starts := make([]float64, len(m.levels)+1)
+	rt.Levels = make([]obs.LevelSpan, 0, len(m.levels))
 	for i, s := range m.levels {
-		starts[i+1] = starts[i] + m.Model.LevelTime(s)
+		wall := m.Model.LevelTime(s)
+		starts[i+1] = starts[i] + wall
+		rt.Levels = append(rt.Levels, obs.LevelSpan{
+			Level:            s.Level,
+			Direction:        s.Direction,
+			FrontierVertices: s.FrontierVertices,
+			EdgesRelaxed:     s.FrontierEdges,
+			WallSeconds:      wall,
+			Rounds:           s.Rounds,
+
+			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
+			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
+			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
+
+			CollectiveBytes:     s.Net.CollectiveBytes,
+			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
+			CollectiveOps:       s.Net.CollectiveOps,
+
+			NetworkBytes:    s.Net.NetworkBytes(),
+			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
+
+			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
+			MaxNodeSentBytes:      s.MaxNodeSentBytes,
+		})
 	}
+	rt.TotalSeconds = starts[len(m.levels)]
+	rt.Spans = m.spans(starts)
+	for i, sf := range m.stragglers {
+		if sf.Level < len(m.levels) {
+			m.stragglers[i].Start = starts[sf.Level]
+		}
+	}
+	rt.Stragglers = m.stragglers
+	slices.SortFunc(m.flows, func(a, b obs.FlowLink) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Stage, b.Stage),
+			cmp.Compare(a.Channel, b.Channel), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	rt.Flows = m.flows
+	return rt
+}
+
+// spans lays the work ledger's module bytes of every node out on the
+// modelled timeline, starts holding each level's start. A module span
+// starts at its level's start and lasts bytes/bandwidth at the configured
+// engine's module bandwidth. Modules run concurrently (one CPE cluster
+// each, Figure 10), so spans of one level overlap by design; none outlasts
+// its level, whose time bounds the slowest node's makespan from above.
+func (m *Machine) spans(starts []float64) []obs.ModuleSpan {
+	cfg := m.spec.Cfg
 	bw := cfg.Engine.Bandwidth()
 	workers := 0
 	if cfg.Workers > 1 {
@@ -959,57 +1020,7 @@ func (m *Machine) endSpans() {
 			}
 		}
 	}
-	for i, sf := range m.stragglers {
-		if sf.Level < len(m.levels) {
-			m.stragglers[i].Start = starts[sf.Level]
-		}
-	}
-	sr.EndRun(starts[len(m.levels)], spans, m.stragglers)
-}
-
-// trace converts the ledger into a RunTrace whose books balance
-// (RunTrace.Reconcile): level wall times sum to the run's modelled time and
-// level byte counts plus the termination traffic sum to the fabric's grand
-// total. Finish has the body fill in its header fields.
-func (m *Machine) trace() obs.RunTrace {
-	final := m.Net.Counters.Snapshot()
-	term := final.Sub(m.lastSnap)
-	rt := obs.RunTrace{
-		Root:         int64(m.spec.Root),
-		TotalSeconds: m.Model.TotalTime(m.levels),
-
-		TerminationCollectiveBytes: term.CollectiveBytes,
-		TerminationWireBytes:       term.NetworkBytes(),
-		TotalNetworkBytes:          final.NetworkBytes(),
-
-		CodecTraffic: m.Net.CodecTraffic(),
-	}
-	rt.Levels = make([]obs.LevelSpan, 0, len(m.levels))
-	for _, s := range m.levels {
-		rt.Levels = append(rt.Levels, obs.LevelSpan{
-			Level:            s.Level,
-			Direction:        s.Direction,
-			FrontierVertices: s.FrontierVertices,
-			EdgesRelaxed:     s.FrontierEdges,
-			WallSeconds:      m.Model.LevelTime(s),
-			Rounds:           s.Rounds,
-
-			LoopbackBytes:   s.Net.Bytes[fabric.Loopback],
-			IntraSuperBytes: s.Net.Bytes[fabric.IntraSuper],
-			InterSuperBytes: s.Net.Bytes[fabric.InterSuper],
-
-			CollectiveBytes:     s.Net.CollectiveBytes,
-			CollectiveWireBytes: s.Net.CollectiveWireBytes(),
-			CollectiveOps:       s.Net.CollectiveOps,
-
-			NetworkBytes:    s.Net.NetworkBytes(),
-			NetworkMessages: s.Net.Messages[fabric.IntraSuper] + s.Net.Messages[fabric.InterSuper],
-
-			MaxNodeProcessedBytes: s.MaxNodeProcessedBytes,
-			MaxNodeSentBytes:      s.MaxNodeSentBytes,
-		})
-	}
-	return rt
+	return spans
 }
 
 // moduleMetrics name the work ledger's module byte counters, in the order
@@ -1052,11 +1063,11 @@ func (m *Machine) label() string {
 }
 
 // Finish seals a completed run on the observer, after Drive and before
-// Close: it records the run's RunTrace, header (when non-nil) filling in
-// the body's header fields; folds the module metrics of the work ledger,
-// the worker width, the straggler count and the network's metrics; lays
-// the module spans and straggler flags out on the modelled timeline; and
-// publishes the run's end, done carrying the body's Visited and GTEPS.
+// Close: it records the run's RunTrace (module spans, flows and straggler
+// flags included), header (when non-nil) filling in the body's header
+// fields; folds the module metrics of the work ledger, the worker width,
+// the straggler count and the network's metrics; and publishes the run's
+// end, done carrying the body's Visited and GTEPS.
 func (m *Machine) Finish(header func(*obs.RunTrace), done obs.LiveEvent) {
 	o := m.spec.Cfg.Obs
 	if t := o.TraceOf(); t != nil {
@@ -1074,7 +1085,6 @@ func (m *Machine) Finish(header func(*obs.RunTrace), done obs.LiveEvent) {
 		}
 		m.Net.MetricsInto(mr)
 	}
-	m.endSpans()
 	if pb := o.ProgressOf(); pb != nil {
 		done.Kind, done.Root, done.Kernel = obs.EventRunDone, int64(m.spec.Root), m.label()
 		pb.Publish(done)

@@ -6,8 +6,8 @@ import (
 
 // observe folds one completed run into the configured Observer: the
 // accumulated metrics of every subsystem, then the machine's run tail — a
-// RunTrace whose spans reconcile exactly with the run's reported totals,
-// the module spans and the end of the run. Called from assemble, while the
+// RunTrace whose books reconcile exactly with the run's reported totals,
+// module spans and relay flows included, and the end of the run. Called from assemble, while the
 // run's network is still alive and after every module goroutine has
 // joined.
 func (r *Runner) observe(res *Result) {

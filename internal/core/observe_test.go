@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"swbfs/internal/comm"
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
@@ -88,6 +90,65 @@ func TestTraceReconcilesWithRun(t *testing.T) {
 				t.Errorf("frontier histogram count = %d, want %d", got.Count, levels)
 			}
 		})
+	}
+}
+
+// TestRelayBooksBalance: on relay runs — raw and adaptive codecs, one and
+// three workers, hybrid and top-down — every relay node's recorded
+// stage-one flow bytes in, stage-two flow bytes out and Relay span bytes
+// agree on every level, so each trace reconciles; and one corrupted flow,
+// or one corrupted Relay span, makes Reconcile fail.
+func TestRelayBooksBalance(t *testing.T) {
+	g := kron(t, 10, 7)
+	roots := pickRoots(t, g, 2)
+	for _, codec := range []comm.PayloadCodec{nil, comm.AdaptiveCodec{}} {
+		for _, workers := range []int{1, 3} {
+			for _, hybrid := range []bool{true, false} {
+				cfg := Config{
+					Nodes: 16, SuperNodeSize: 4, Transport: TransportRelay, Engine: perf.EngineCPE,
+					DirectionOptimized: hybrid, HubPrefetch: true, SmallMessageMPE: true,
+					Workers: workers, Codec: codec, Obs: obs.New(),
+				}
+				t.Run(fmt.Sprintf("codec=%v/workers=%d/hybrid=%v", codec != nil, workers, hybrid), func(t *testing.T) {
+					runner, err := NewRunner(cfg, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, root := range roots {
+						if _, err := runner.Run(root); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, run := range cfg.Obs.Trace.Runs() {
+						if err := run.Reconcile(); err != nil {
+							t.Fatalf("root %d: %v", run.Root, err)
+						}
+						if len(run.Flows) == 0 {
+							t.Fatalf("root %d: a relay run recorded no flows", run.Root)
+						}
+						for i := range run.Flows {
+							bad := run
+							bad.Flows = append([]obs.FlowLink(nil), run.Flows...)
+							bad.Flows[i].Bytes += comm.PairBytes
+							if bad.Reconcile() == nil {
+								t.Fatalf("root %d: Reconcile accepts corrupted flow %+v", run.Root, bad.Flows[i])
+							}
+						}
+						for i, sp := range run.Spans {
+							if sp.Module != obs.ModuleRelay {
+								continue
+							}
+							bad := run
+							bad.Spans = append([]obs.ModuleSpan(nil), run.Spans...)
+							bad.Spans[i].Bytes -= comm.PairBytes
+							if bad.Reconcile() == nil {
+								t.Fatalf("root %d: Reconcile accepts corrupted span %+v", run.Root, bad.Spans[i])
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -177,7 +177,6 @@ func TestReuseNodeStateReset(t *testing.T) {
 	g := kron(t, 10, 42)
 	cfg := ckptConfig(TransportRelay, 2)
 	cfg.Obs = obs.New()
-	cfg.Obs.Spans = obs.NewSpanRecorder()
 	r, err := NewRunner(cfg, g)
 	if err != nil {
 		t.Fatal(err)

@@ -4,20 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
-)
-
-// Module track names of the pipelined module mapping (Figure 10). The
-// generator track carries Forward Generator spans on top-down levels and
-// Backward Generator spans on bottom-up levels; the relay track carries the
-// Forward/Backward Relay duties the node performs for its group.
-const (
-	ModuleForwardGenerator  = "Forward Generator"
-	ModuleBackwardGenerator = "Backward Generator"
-	ModuleForwardHandler    = "Forward Handler"
-	ModuleBackwardHandler   = "Backward Handler"
-	ModuleRelay             = "Relay"
 )
 
 // moduleTrack maps a module name to its fixed thread id inside a node's
@@ -38,172 +24,6 @@ func moduleTrack(module string) int {
 
 // trackNames labels the per-node threads in track order.
 var trackNames = [4]string{"generator", "forward handler", "backward handler", "relay"}
-
-// ModuleSpan is one module's work during one level on one simulated node,
-// placed on the run's modelled timeline (seconds from run start).
-type ModuleSpan struct {
-	Node   int     `json:"node"`
-	Module string  `json:"module"`
-	Level  int     `json:"level"`
-	Start  float64 `json:"start_seconds"`
-	Dur    float64 `json:"duration_seconds"`
-	Bytes  int64   `json:"bytes"`
-	// Workers is the host worker-pool width that executed the module's hot
-	// loop (0 when unattributed or serial): the lanes of the module's CPE
-	// cluster the simulation actually emulated.
-	Workers int `json:"workers,omitempty"`
-}
-
-// FlowStage distinguishes the two hops of the relay transport.
-type FlowStage int
-
-const (
-	// FlowStageOne is the generator→relay hop (the batched envelope to the
-	// destination group's relay in the sender's column).
-	FlowStageOne FlowStage = 1
-	// FlowStageTwo is the relay→handler hop (the shuffled per-destination
-	// batch forwarded within the relay's row).
-	FlowStageTwo FlowStage = 2
-)
-
-// FlowLink is the aggregated data flow between two module spans of one
-// level: every batch a node shipped to a given peer on a given channel and
-// stage, summed. The Chrome export renders each link as a flow arrow from
-// the source module's span to the destination module's span.
-type FlowLink struct {
-	Level   int       `json:"level"`
-	Channel string    `json:"channel"`
-	Stage   FlowStage `json:"stage"`
-	From    int       `json:"from"`
-	To      int       `json:"to"`
-	Bytes   int64     `json:"bytes"`
-}
-
-// StragglerFlag marks one node whose host-side level makespan exceeded
-// the all-node mean by the configured factor (core.Config.StragglerFactor)
-// — the load-imbalance signal distributed BFS work treats as the
-// first-order scaling hazard. Start places the flag at the level's start
-// on the run's modelled timeline.
-type StragglerFlag struct {
-	Node            int     `json:"node"`
-	Level           int     `json:"level"`
-	HostSeconds     float64 `json:"host_seconds"`
-	MeanHostSeconds float64 `json:"mean_host_seconds"`
-	Start           float64 `json:"start_seconds"`
-}
-
-// RunSpans is the module-level timeline of one rooted BFS.
-type RunSpans struct {
-	Root int64 `json:"root"`
-	// Offset is where this run starts on the benchmark timeline (runs are
-	// sequential; offsets accumulate the previous runs' totals).
-	Offset float64 `json:"offset_seconds"`
-	// Total is the run's modelled wall time.
-	Total float64      `json:"total_seconds"`
-	Spans []ModuleSpan `json:"spans"`
-	Flows []FlowLink   `json:"flows"`
-	// Stragglers carries the run's straggler flags; the Chrome export
-	// renders each as an instant event on the node's track.
-	Stragglers []StragglerFlag `json:"stragglers,omitempty"`
-}
-
-type flowKey struct {
-	level    int
-	channel  string
-	stage    FlowStage
-	from, to int
-}
-
-// SpanRecorder collects the module spans and flow links of successive runs.
-// Flow calls arrive concurrently from every node's module goroutines during
-// a run; BeginRun/EndRun bracket each run and are called by the runner.
-type SpanRecorder struct {
-	mu       sync.Mutex
-	runs     []RunSpans
-	inRun    bool
-	curRoot  int64
-	curFlows map[flowKey]int64
-	offset   float64
-}
-
-// NewSpanRecorder returns an empty recorder.
-func NewSpanRecorder() *SpanRecorder { return &SpanRecorder{} }
-
-// BeginRun opens the recording window of one rooted BFS.
-func (r *SpanRecorder) BeginRun(root int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inRun = true
-	r.curRoot = root
-	r.curFlows = make(map[flowKey]int64)
-}
-
-// Flow records bytes moving from node `from` to node `to` on one hop of
-// the relay transport. Safe for concurrent use; links aggregate per
-// (level, channel, stage, from, to).
-func (r *SpanRecorder) Flow(level int, channel string, stage FlowStage, from, to int, bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.inRun {
-		return
-	}
-	r.curFlows[flowKey{level, channel, stage, from, to}] += bytes
-}
-
-// EndRun seals the current run: the caller supplies the run's total
-// modelled seconds, its module spans (built post-run, when per-level
-// wall times are known) and any straggler flags raised during the run.
-// The buffered flow links are sorted into a deterministic order.
-func (r *SpanRecorder) EndRun(total float64, spans []ModuleSpan, stragglers []StragglerFlag) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.inRun {
-		return
-	}
-	flows := make([]FlowLink, 0, len(r.curFlows))
-	for k, b := range r.curFlows {
-		flows = append(flows, FlowLink{
-			Level: k.level, Channel: k.channel, Stage: k.stage,
-			From: k.from, To: k.to, Bytes: b,
-		})
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		a, b := flows[i], flows[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if a.Channel != b.Channel {
-			return a.Channel < b.Channel
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-	r.runs = append(r.runs, RunSpans{
-		Root:       r.curRoot,
-		Offset:     r.offset,
-		Total:      total,
-		Spans:      spans,
-		Flows:      flows,
-		Stragglers: stragglers,
-	})
-	r.offset += total
-	r.inRun = false
-	r.curFlows = nil
-}
-
-// Runs returns a copy of the sealed runs in recording order.
-func (r *SpanRecorder) Runs() []RunSpans {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RunSpans, len(r.runs))
-	copy(out, r.runs)
-	return out
-}
 
 // chromeEvent is one entry of the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
@@ -232,33 +52,27 @@ type chromeFile struct {
 // timeline; node n's module tracks live on pid n+1.
 const machinePid = 0
 
-// WriteChromeTrace exports the benchmark as Chrome trace-event JSON,
+// WriteChromeTrace exports recorded runs as Chrome trace-event JSON,
 // loadable in chrome://tracing or Perfetto. Track layout:
 //
 //   - pid 0 ("machine"): one slice per run ("root N") nesting one slice
-//     per BFS level, from the RunTraces;
+//     per level;
 //   - pid n+1 ("node n"): four module threads (generator, forward handler,
-//     backward handler, relay) carrying the ModuleSpans, plus flow arrows
-//     for every relay-transport hop so cross-node causality is visible.
+//     backward handler, relay) carrying the run's ModuleSpans and
+//     straggler flags, plus a flow arrow for every relay-transport hop so
+//     cross-node causality is visible.
 //
-// traces and spans are matched by index (both are recorded per run, in
-// order); either may be shorter — missing halves just thin the output.
 // Timestamps are microseconds of modelled machine time; runs are laid out
-// sequentially at their recorded offsets.
-func WriteChromeTrace(w io.Writer, traces []RunTrace, spans []RunSpans) error {
-	var events []chromeEvent
-	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: machinePid,
-		Args: map[string]any{"name": "machine"},
-	})
-
-	// Level timeline from the RunTraces. Offsets come from the matching
-	// RunSpans when present, else accumulate the traces' own totals.
+// one after another, each starting where the previous runs' TotalSeconds
+// sum to.
+func WriteChromeTrace(w io.Writer, traces []RunTrace) error {
+	// The machine's level timeline goes first, then the node tracks.
+	events := []chromeEvent{{Name: "process_name", Ph: "M", Pid: machinePid, Args: map[string]any{"name": "machine"}}}
+	var nodes []chromeEvent
+	namedNodes := map[int]bool{}
+	flowID := 0
 	var offset float64
-	for i, rt := range traces {
-		if i < len(spans) {
-			offset = spans[i].Offset
-		}
+	for _, rt := range traces {
 		runArgs := map[string]any{
 			"visited":         rt.Visited,
 			"traversed_edges": rt.TraversedEdges,
@@ -291,51 +105,45 @@ func WriteChromeTrace(w io.Writer, traces []RunTrace, spans []RunSpans) error {
 			})
 			levelStart += s.WallSeconds
 		}
-		offset += rt.TotalSeconds
-	}
 
-	// Node/module tracks and flow arrows from the RunSpans.
-	namedNodes := map[int]bool{}
-	flowID := 0
-	for _, rs := range spans {
-		// spanAt locates a span for flow anchoring: flows bind to the
+		// index locates a span for flow anchoring: flows bind to the
 		// slice enclosing their timestamp on the given thread.
 		type spanPos struct{ start, dur float64 }
 		index := make(map[[3]int]spanPos) // (node, track, level)
-		for _, sp := range rs.Spans {
+		for _, sp := range rt.Spans {
 			node, track := sp.Node, moduleTrack(sp.Module)
 			if !namedNodes[node] {
 				namedNodes[node] = true
-				events = append(events, chromeEvent{
+				nodes = append(nodes, chromeEvent{
 					Name: "process_name", Ph: "M", Pid: node + 1,
 					Args: map[string]any{"name": fmt.Sprintf("node %d", node)},
 				})
 				for tid, tn := range trackNames {
-					events = append(events, chromeEvent{
+					nodes = append(nodes, chromeEvent{
 						Name: "thread_name", Ph: "M", Pid: node + 1, Tid: tid,
 						Args: map[string]any{"name": tn},
 					})
 				}
 			}
-			index[[3]int{node, track, sp.Level}] = spanPos{rs.Offset + sp.Start, sp.Dur}
+			index[[3]int{node, track, sp.Level}] = spanPos{offset + sp.Start, sp.Dur}
 			args := map[string]any{"bytes": sp.Bytes}
 			if sp.Workers > 0 {
 				args["workers"] = sp.Workers
 			}
-			events = append(events, chromeEvent{
+			nodes = append(nodes, chromeEvent{
 				Name: fmt.Sprintf("%s L%d", sp.Module, sp.Level), Cat: "module", Ph: "X",
-				Ts: (rs.Offset + sp.Start) * 1e6, Dur: sp.Dur * 1e6,
+				Ts: (offset + sp.Start) * 1e6, Dur: sp.Dur * 1e6,
 				Pid: node + 1, Tid: track,
 				Args: args,
 			})
 		}
 		// Straggler flags become instant events on the node's generator
 		// track at the flagged level's start.
-		for _, sf := range rs.Stragglers {
-			events = append(events, chromeEvent{
+		for _, sf := range rt.Stragglers {
+			nodes = append(nodes, chromeEvent{
 				Name: fmt.Sprintf("straggler L%d", sf.Level), Cat: "straggler",
 				Ph: "i", S: "t",
-				Ts:  (rs.Offset + sf.Start) * 1e6,
+				Ts:  (offset + sf.Start) * 1e6,
 				Pid: sf.Node + 1, Tid: 0,
 				Args: map[string]any{
 					"host_seconds":      sf.HostSeconds,
@@ -343,7 +151,7 @@ func WriteChromeTrace(w io.Writer, traces []RunTrace, spans []RunSpans) error {
 				},
 			})
 		}
-		for _, fl := range rs.Flows {
+		for _, fl := range rt.Flows {
 			srcTrack, dstTrack := flowTracks(fl)
 			src, okS := index[[3]int{fl.From, srcTrack, fl.Level}]
 			dst, okD := index[[3]int{fl.To, dstTrack, fl.Level}]
@@ -354,23 +162,24 @@ func WriteChromeTrace(w io.Writer, traces []RunTrace, spans []RunSpans) error {
 			name := fmt.Sprintf("relay stage %d %s", fl.Stage, fl.Channel)
 			// Anchor a quarter into the source span and three quarters
 			// into the destination span so arrows point forward.
-			events = append(events, chromeEvent{
+			nodes = append(nodes, chromeEvent{
 				Name: name, Cat: "flow", Ph: "s", ID: flowID,
 				Ts:  (src.start + src.dur/4) * 1e6,
 				Pid: fl.From + 1, Tid: srcTrack,
 				Args: map[string]any{"bytes": fl.Bytes},
 			})
-			events = append(events, chromeEvent{
+			nodes = append(nodes, chromeEvent{
 				Name: name, Cat: "flow", Ph: "f", BP: "e", ID: flowID,
 				Ts:  (dst.start + 3*dst.dur/4) * 1e6,
 				Pid: fl.To + 1, Tid: dstTrack,
 			})
 		}
+		offset += rt.TotalSeconds
 	}
 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return enc.Encode(chromeFile{TraceEvents: append(events, nodes...), DisplayTimeUnit: "ms"})
 }
 
 // flowTracks resolves the source and destination module tracks of a flow

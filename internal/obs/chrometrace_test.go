@@ -13,8 +13,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureTrace builds a deterministic two-level, two-node run: level 0
 // top-down, level 1 bottom-up, with relay flows on both stages.
-func fixtureTrace() ([]RunTrace, []RunSpans) {
-	traces := []RunTrace{{
+func fixtureTrace() []RunTrace {
+	return []RunTrace{{
 		Root: 3, Visited: 10, TraversedEdges: 20, BottomUpLevels: 1,
 		Levels: []LevelSpan{
 			{Level: 0, Direction: "topdown", FrontierVertices: 1, EdgesRelaxed: 4,
@@ -24,9 +24,6 @@ func fixtureTrace() ([]RunTrace, []RunSpans) {
 		},
 		TotalSeconds: 0.003, GTEPS: 0.02,
 		TotalNetworkBytes: 768,
-	}}
-	spans := []RunSpans{{
-		Root: 3, Offset: 0, Total: 0.003,
 		Spans: []ModuleSpan{
 			{Node: 0, Module: ModuleForwardGenerator, Level: 0, Start: 0, Dur: 0.0002, Bytes: 128},
 			{Node: 0, Module: ModuleRelay, Level: 0, Start: 0, Dur: 0.0001, Bytes: 64},
@@ -45,7 +42,6 @@ func fixtureTrace() ([]RunTrace, []RunSpans) {
 			{Level: 0, Channel: "forward", Stage: FlowStageOne, From: 5, To: 1, Bytes: 1},
 		},
 	}}
-	return traces, spans
 }
 
 // TestWriteChromeTraceGolden compares the export byte-for-byte against the
@@ -53,9 +49,9 @@ func fixtureTrace() ([]RunTrace, []RunSpans) {
 // Chrome -update`). The export has no wall-clock inputs, so it must be
 // fully deterministic.
 func TestWriteChromeTraceGolden(t *testing.T) {
-	traces, spans := fixtureTrace()
+	traces := fixtureTrace()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, traces, spans); err != nil {
+	if err := WriteChromeTrace(&buf, traces); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 
@@ -78,7 +74,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 
 	// Determinism: a second export must be byte-identical.
 	var again bytes.Buffer
-	if err := WriteChromeTrace(&again, traces, spans); err != nil {
+	if err := WriteChromeTrace(&again, traces); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -90,9 +86,9 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 // golden file cannot express by itself: JSON shape, track layout, matched
 // flow pairs, and spans contained in their level windows.
 func TestWriteChromeTraceStructure(t *testing.T) {
-	traces, spans := fixtureTrace()
+	traces := fixtureTrace()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, traces, spans); err != nil {
+	if err := WriteChromeTrace(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -143,8 +139,8 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 			flowIDs[ev.ID]++
 		}
 	}
-	if moduleSlices != len(spans[0].Spans) {
-		t.Errorf("module slices = %d, want %d", moduleSlices, len(spans[0].Spans))
+	if moduleSlices != len(traces[0].Spans) {
+		t.Errorf("module slices = %d, want %d", moduleSlices, len(traces[0].Spans))
 	}
 	if runSlices != 1 || levelSlices != 2 {
 		t.Errorf("run/level slices = %d/%d, want 1/2", runSlices, levelSlices)
@@ -157,48 +153,5 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 		if n != 2 {
 			t.Errorf("flow id %d has %d events, want matched s+f pair", id, n)
 		}
-	}
-}
-
-// TestSpanRecorderAggregation checks flow links aggregate per key, sort
-// deterministically, and run offsets accumulate.
-func TestSpanRecorderAggregation(t *testing.T) {
-	r := NewSpanRecorder()
-	// Flow outside a run window is dropped.
-	r.Flow(0, "forward", FlowStageOne, 0, 1, 999)
-
-	r.BeginRun(7)
-	r.Flow(0, "forward", FlowStageOne, 0, 1, 100)
-	r.Flow(0, "forward", FlowStageOne, 0, 1, 50) // same key: aggregates
-	r.Flow(0, "forward", FlowStageTwo, 1, 2, 30)
-	r.Flow(1, "backward", FlowStageOne, 2, 0, 10)
-	r.EndRun(0.5, []ModuleSpan{{Node: 0, Module: ModuleForwardGenerator}}, nil)
-
-	r.BeginRun(9)
-	r.EndRun(0.25, nil, nil)
-
-	runs := r.Runs()
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(runs))
-	}
-	first := runs[0]
-	if first.Root != 7 || first.Offset != 0 || first.Total != 0.5 {
-		t.Errorf("first run header = %+v", first)
-	}
-	want := []FlowLink{
-		{Level: 0, Channel: "forward", Stage: FlowStageOne, From: 0, To: 1, Bytes: 150},
-		{Level: 0, Channel: "forward", Stage: FlowStageTwo, From: 1, To: 2, Bytes: 30},
-		{Level: 1, Channel: "backward", Stage: FlowStageOne, From: 2, To: 0, Bytes: 10},
-	}
-	if len(first.Flows) != len(want) {
-		t.Fatalf("flows = %+v, want %+v", first.Flows, want)
-	}
-	for i := range want {
-		if first.Flows[i] != want[i] {
-			t.Errorf("flow[%d] = %+v, want %+v", i, first.Flows[i], want[i])
-		}
-	}
-	if runs[1].Offset != 0.5 {
-		t.Errorf("second run offset = %f, want 0.5 (previous total)", runs[1].Offset)
 	}
 }

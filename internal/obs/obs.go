@@ -1,7 +1,6 @@
 // Package obs is the unified observability layer of the simulation: a
 // lock-cheap metrics registry (atomic counters, gauges and fixed
-// log-scale-bucket histograms) plus a structured per-level BFS trace
-// recorder.
+// log-scale-bucket histograms) plus one structured record per run.
 //
 // The paper's evaluation hinges on knowing exactly where time and traffic
 // go — per-level frontier sizes, direction switches, relay batching
@@ -13,15 +12,16 @@
 //   - Registry accumulates named metrics across an arbitrary number of
 //     BFS runs. Hot paths pay one atomic add per update; name resolution
 //     happens once, at registration time.
-//   - TraceRecorder collects one RunTrace per rooted BFS, each a sequence
-//     of LevelSpans (level number, direction chosen, frontier size, edges
-//     relaxed, modelled wall time, bytes moved per link class). Summed
-//     span times and byte counts reconcile exactly with the run's
-//     reported totals (see RunTrace.Reconcile).
-//   - SpanRecorder collects per-node, per-module work spans (the
-//     Forward/Backward Generator–Relay–Handler modules of the pipelined
-//     module mapping) plus the relay→handler flow links, exported as
-//     Chrome trace-event JSON by WriteChromeTrace.
+//   - TraceRecorder collects one RunTrace per run, the run's one record:
+//     its LevelSpans (level number, direction chosen, frontier size, edges
+//     relaxed, modelled wall time, bytes moved per link class), every
+//     node's per-module work spans (the Forward/Backward
+//     Generator–Relay–Handler modules of the pipelined module mapping),
+//     the relay transport's flow links and the straggler flags. Summed
+//     level times and byte counts reconcile exactly with the run's
+//     reported totals, and every relay passes on what it receives (see
+//     RunTrace.Reconcile). WriteChromeTrace renders recorded runs as
+//     Chrome trace-event JSON; WriteTraceDiff compares two recordings.
 //   - ProgressBroker fans live run progress (current root, level,
 //     direction, frontier size) out to subscribers — the /events SSE
 //     endpoint of the telemetry server.
@@ -43,11 +43,9 @@ package obs
 type Observer struct {
 	// Metrics accumulates named counters/gauges/histograms across runs.
 	Metrics *Registry
-	// Trace records one RunTrace per rooted BFS.
+	// Trace records one RunTrace per run, module spans and relay flows
+	// included.
 	Trace *TraceRecorder
-	// Spans records per-module work spans and relay flow links for the
-	// Chrome trace export (enabled by -chrome-trace).
-	Spans *SpanRecorder
 	// Progress fans live per-level progress out to subscribers (the
 	// /events endpoint of the telemetry server).
 	Progress *ProgressBroker
@@ -74,8 +72,8 @@ type CheckpointSource interface {
 }
 
 // New returns an Observer with the metrics and trace sinks enabled (the
-// two every reporting path consumes). Spans and Progress are opt-in —
-// attach them when a Chrome trace or a live server is requested.
+// two every reporting path consumes). Progress is opt-in — attach it when
+// a live server is requested.
 func New() *Observer {
 	return &Observer{Metrics: NewRegistry(), Trace: NewTraceRecorder()}
 }
@@ -94,14 +92,6 @@ func (o *Observer) TraceOf() *TraceRecorder {
 		return nil
 	}
 	return o.Trace
-}
-
-// SpansOf returns o.Spans, tolerating a nil receiver.
-func (o *Observer) SpansOf() *SpanRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Spans
 }
 
 // ProgressOf returns o.Progress, tolerating a nil receiver.

@@ -1,20 +1,21 @@
 package obs
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 )
 
-// Trace diffing: align two recorded benchmarks level by level and render
-// what changed. Both export formats are accepted — the Chrome trace-event
-// JSON written by -chrome-trace / WriteChromeTrace and the {"runs": [...]}
-// dump served at /traces and written by -trace-out — so a trace captured
-// before a change can be compared against one captured after it without
-// caring which exporter produced either side.
+// Trace diffing: align two recorded benchmarks level by level and module
+// by module and render what changed. Both sides are RunTrace dumps — the
+// {"runs": [...]} document served at /traces and written by -trace-out —
+// so a trace captured before a change can be compared against one captured
+// after it.
 
 // LevelSummary is one level (or algorithm round) of a summarized run.
 type LevelSummary struct {
@@ -36,7 +37,7 @@ type ModuleSummary struct {
 	Nodes       int
 }
 
-// RunSummary is the format-neutral digest of one recorded run.
+// RunSummary is the digest of one recorded run that a trace diff compares.
 type RunSummary struct {
 	Root         int64
 	TotalSeconds float64
@@ -75,8 +76,8 @@ func Sniff(data []byte) (string, error) {
 		KindChrome, KindFlightDump, KindCheckpoint, KindRunTrace)
 }
 
-// ReadRunSummaries parses either trace export format into run digests,
-// and rejects every other kind of document (see Sniff).
+// ReadRunSummaries parses a RunTrace dump into run digests, and rejects
+// every other kind of document (see Sniff).
 func ReadRunSummaries(rd io.Reader) ([]RunSummary, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
@@ -86,24 +87,18 @@ func ReadRunSummaries(rd io.Reader) ([]RunSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != KindChrome && kind != KindRunTrace {
-		return nil, fmt.Errorf("obs: document is a %s, not a trace", kind)
+	if kind != KindRunTrace {
+		return nil, fmt.Errorf("obs: document is a %s, not a RunTrace dump (write one with -trace-out)", kind)
 	}
-	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-		Runs        []RunTrace    `json:"runs"`
+	runs, err := ReadTraceJSON(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("obs: decoding trace: %w", err)
-	}
-	if kind == KindChrome {
-		return summarizeChrome(doc.TraceEvents)
-	}
-	return summarizeRuns(doc.Runs), nil
+	return summarizeRuns(runs), nil
 }
 
-// summarizeRuns digests a TraceRecorder dump. Module data is not part of
-// that format, so Modules stays empty.
+// summarizeRuns digests recorded runs: their levels, and their module
+// spans summed over nodes per (level, module).
 func summarizeRuns(runs []RunTrace) []RunSummary {
 	out := make([]RunSummary, 0, len(runs))
 	for _, rt := range runs {
@@ -119,133 +114,25 @@ func summarizeRuns(runs []RunTrace) []RunSummary {
 				Rounds:       int64(s.Rounds),
 			})
 		}
+		for _, sp := range rt.Spans {
+			i := slices.IndexFunc(rs.Modules, func(m ModuleSummary) bool {
+				return m.Level == sp.Level && m.Module == sp.Module
+			})
+			if i < 0 {
+				i = len(rs.Modules)
+				rs.Modules = append(rs.Modules, ModuleSummary{Module: sp.Module, Level: sp.Level})
+			}
+			m := &rs.Modules[i]
+			m.WallSeconds += sp.Dur
+			m.Bytes += sp.Bytes
+			m.Nodes++
+		}
+		slices.SortFunc(rs.Modules, func(a, b ModuleSummary) int {
+			return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Module, b.Module))
+		})
 		out = append(out, rs)
 	}
 	return out
-}
-
-// summarizeChrome rebuilds run digests from a Chrome export. Run slices
-// (cat "run", pid 0) define the timeline windows; level and module slices
-// are assigned to the run window containing their start timestamp.
-func summarizeChrome(events []chromeEvent) ([]RunSummary, error) {
-	type window struct {
-		lo, hi float64
-		run    *RunSummary
-	}
-	var windows []window
-	for _, ev := range events {
-		if ev.Cat != "run" || ev.Ph != "X" {
-			continue
-		}
-		var root int64
-		if _, err := fmt.Sscanf(ev.Name, "root %d", &root); err != nil {
-			return nil, fmt.Errorf("obs: unparseable run slice name %q", ev.Name)
-		}
-		windows = append(windows, window{
-			lo:  ev.Ts,
-			hi:  ev.Ts + ev.Dur,
-			run: &RunSummary{Root: root, TotalSeconds: ev.Dur / 1e6},
-		})
-	}
-	if len(windows) == 0 {
-		return nil, fmt.Errorf("obs: chrome trace has no run slices")
-	}
-	sort.Slice(windows, func(i, j int) bool { return windows[i].lo < windows[j].lo })
-	runOf := func(ts float64) *RunSummary {
-		for _, w := range windows {
-			// Half-open on the right except for the final window, so a
-			// slice starting exactly at a run boundary lands in the later
-			// run while end-of-timeline slices still resolve.
-			if ts >= w.lo && (ts < w.hi || w.hi == windows[len(windows)-1].hi) {
-				return w.run
-			}
-		}
-		return nil
-	}
-
-	type modKey struct {
-		module string
-		level  int
-	}
-	modules := make(map[*RunSummary]map[modKey]*ModuleSummary)
-	argInt := func(args map[string]any, key string) int64 {
-		if v, ok := args[key].(float64); ok {
-			return int64(v)
-		}
-		return 0
-	}
-	for _, ev := range events {
-		if ev.Ph != "X" {
-			continue
-		}
-		switch ev.Cat {
-		case "level":
-			run := runOf(ev.Ts)
-			if run == nil {
-				continue
-			}
-			var level int
-			var dir string
-			if _, err := fmt.Sscanf(ev.Name, "L%d %s", &level, &dir); err != nil {
-				return nil, fmt.Errorf("obs: unparseable level slice name %q", ev.Name)
-			}
-			run.Levels = append(run.Levels, LevelSummary{
-				Level:        level,
-				Direction:    dir,
-				WallSeconds:  ev.Dur / 1e6,
-				Frontier:     argInt(ev.Args, "frontier_vertices"),
-				Edges:        argInt(ev.Args, "edges_relaxed"),
-				NetworkBytes: argInt(ev.Args, "network_bytes"),
-				Rounds:       argInt(ev.Args, "rounds"),
-			})
-		case "module":
-			run := runOf(ev.Ts)
-			if run == nil {
-				continue
-			}
-			// Module slice names are "<module> L<level>"; the module name
-			// itself contains spaces, so split at the final " L".
-			cut := strings.LastIndex(ev.Name, " L")
-			if cut < 0 {
-				return nil, fmt.Errorf("obs: unparseable module slice name %q", ev.Name)
-			}
-			var level int
-			if _, err := fmt.Sscanf(ev.Name[cut+2:], "%d", &level); err != nil {
-				return nil, fmt.Errorf("obs: unparseable module slice name %q", ev.Name)
-			}
-			key := modKey{module: ev.Name[:cut], level: level}
-			if modules[run] == nil {
-				modules[run] = make(map[modKey]*ModuleSummary)
-			}
-			m := modules[run][key]
-			if m == nil {
-				m = &ModuleSummary{Module: key.module, Level: key.level}
-				modules[run][key] = m
-			}
-			m.WallSeconds += ev.Dur / 1e6
-			m.Bytes += argInt(ev.Args, "bytes")
-			m.Nodes++
-		}
-	}
-
-	out := make([]RunSummary, 0, len(windows))
-	for _, w := range windows {
-		sort.Slice(w.run.Levels, func(i, j int) bool {
-			return w.run.Levels[i].Level < w.run.Levels[j].Level
-		})
-		for _, m := range modules[w.run] {
-			w.run.Modules = append(w.run.Modules, *m)
-		}
-		sort.Slice(w.run.Modules, func(i, j int) bool {
-			a, b := w.run.Modules[i], w.run.Modules[j]
-			if a.Level != b.Level {
-				return a.Level < b.Level
-			}
-			return a.Module < b.Module
-		})
-		out = append(out, *w.run)
-	}
-	return out, nil
 }
 
 // WriteTraceDiff aligns two summarized benchmarks run by run and level by

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // diffFixtures builds a matched before/after pair: "before" has two levels
 // and per-node module spans; "after" grows a level, shifts the byte counts
 // and runs faster.
-func diffFixtures() (a, b []RunTrace, as, bs []RunSpans) {
+func diffFixtures() (a, b []RunTrace) {
 	a = []RunTrace{{
 		Root: 7, Visited: 100, TraversedEdges: 500, TotalSeconds: 30e-6,
 		TotalNetworkBytes: 3000,
@@ -20,9 +21,6 @@ func diffFixtures() (a, b []RunTrace, as, bs []RunSpans) {
 			{Level: 1, Direction: "topdown", FrontierVertices: 40, EdgesRelaxed: 450,
 				WallSeconds: 20e-6, Rounds: 1, NetworkBytes: 2000},
 		},
-	}}
-	as = []RunSpans{{
-		Root: 7, Total: 30e-6,
 		Spans: []ModuleSpan{
 			{Node: 0, Module: ModuleForwardGenerator, Level: 0, Start: 0, Dur: 4e-6, Bytes: 400},
 			{Node: 1, Module: ModuleForwardGenerator, Level: 0, Start: 0, Dur: 6e-6, Bytes: 600},
@@ -40,9 +38,6 @@ func diffFixtures() (a, b []RunTrace, as, bs []RunSpans) {
 			{Level: 2, Direction: "bottomup", FrontierVertices: 20, EdgesRelaxed: 10,
 				WallSeconds: 4e-6, Rounds: 2, NetworkBytes: 300},
 		},
-	}}
-	bs = []RunSpans{{
-		Root: 7, Total: 27e-6,
 		Spans: []ModuleSpan{
 			{Node: 0, Module: ModuleForwardGenerator, Level: 0, Start: 0, Dur: 3e-6, Bytes: 500},
 			{Node: 1, Module: ModuleForwardGenerator, Level: 0, Start: 0, Dur: 5e-6, Bytes: 500},
@@ -51,6 +46,33 @@ func diffFixtures() (a, b []RunTrace, as, bs []RunSpans) {
 		},
 	}}
 	return
+}
+
+// dump writes runs as the RunTrace dump -trace-out writes.
+func dump(t *testing.T, runs []RunTrace) *bytes.Buffer {
+	t.Helper()
+	rec := NewTraceRecorder()
+	for _, rt := range runs {
+		rec.Record(rt)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// summaries reads both sides' dumps back.
+func summaries(t *testing.T, aT, bT []RunTrace) (a, b []RunSummary) {
+	t.Helper()
+	a, err := ReadRunSummaries(dump(t, aT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = ReadRunSummaries(dump(t, bT)); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -70,62 +92,26 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestTraceDiffChromeGolden round-trips WriteChromeTrace output through the
-// summarizer and golden-checks the rendered delta table — the cmd/inspect
-// path for two -chrome-trace exports.
-func TestTraceDiffChromeGolden(t *testing.T) {
-	aT, bT, aS, bS := diffFixtures()
-
-	var aBuf, bBuf bytes.Buffer
-	if err := WriteChromeTrace(&aBuf, aT, aS); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChromeTrace(&bBuf, bT, bS); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ReadRunSummaries(&aBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadRunSummaries(&bBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestTraceDiffModulesGolden diffs two RunTrace dumps that carry module
+// spans and golden-checks the rendered level and module delta tables — the
+// cmd/inspect path for two -trace-out files.
+func TestTraceDiffModulesGolden(t *testing.T) {
+	aT, bT := diffFixtures()
+	a, b := summaries(t, aT, bT)
 	if len(a) != 1 || len(a[0].Modules) != 2 {
 		t.Fatalf("side A parsed wrong: %+v", a)
 	}
 	var out bytes.Buffer
 	WriteTraceDiff(&out, a, b, "before.json", "after.json")
-	checkGolden(t, "tracediff_chrome.golden", out.Bytes())
+	checkGolden(t, "tracediff_modules.golden", out.Bytes())
 }
 
-// TestTraceDiffRunsGolden does the same for two /traces-format dumps, which
-// carry no module spans — the module section must be absent.
+// TestTraceDiffRunsGolden does the same for two dumps without module spans
+// — the module section must be absent.
 func TestTraceDiffRunsGolden(t *testing.T) {
-	aT, bT, _, _ := diffFixtures()
-
-	var aBuf, bBuf bytes.Buffer
-	aRec, bRec := NewTraceRecorder(), NewTraceRecorder()
-	for _, rt := range aT {
-		aRec.Record(rt)
-	}
-	for _, rt := range bT {
-		bRec.Record(rt)
-	}
-	if err := aRec.WriteJSON(&aBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := bRec.WriteJSON(&bBuf); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ReadRunSummaries(&aBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadRunSummaries(&bBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aT, bT := diffFixtures()
+	aT[0].Spans, bT[0].Spans = nil, nil
+	a, b := summaries(t, aT, bT)
 	if len(a[0].Modules) != 0 {
 		t.Fatalf("runs dump should carry no module data, got %+v", a[0].Modules)
 	}
@@ -181,41 +167,18 @@ func TestTraceDiffDuplicateRootsFallback(t *testing.T) {
 	}
 }
 
-// TestTraceDiffCrossFormat checks a chrome export diffs cleanly against a
-// runs dump of the same benchmark: level rows align, module rows appear
-// one-sided.
+// TestTraceDiffCrossFormat checks a Chrome export is refused as a diff
+// side with an error that names its kind and points at -trace-out: only
+// RunTrace dumps are read back.
 func TestTraceDiffCrossFormat(t *testing.T) {
-	aT, _, aS, _ := diffFixtures()
-	var chromeBuf, runsBuf bytes.Buffer
-	if err := WriteChromeTrace(&chromeBuf, aT, aS); err != nil {
+	aT, _ := diffFixtures()
+	var chrome bytes.Buffer
+	if err := WriteChromeTrace(&chrome, aT); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder()
-	for _, rt := range aT {
-		rec.Record(rt)
-	}
-	if err := rec.WriteJSON(&runsBuf); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ReadRunSummaries(&chromeBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadRunSummaries(&runsBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0].Root != b[0].Root {
-		t.Fatalf("roots diverge: %d vs %d", a[0].Root, b[0].Root)
-	}
-	if len(a[0].Levels) != len(b[0].Levels) {
-		t.Fatalf("level counts diverge: %d vs %d", len(a[0].Levels), len(b[0].Levels))
-	}
-	for i := range a[0].Levels {
-		if a[0].Levels[i] != b[0].Levels[i] {
-			t.Fatalf("level %d diverges across formats:\nchrome: %+v\nruns:   %+v",
-				i, a[0].Levels[i], b[0].Levels[i])
-		}
+	_, err := ReadRunSummaries(&chrome)
+	if err == nil || !strings.Contains(err.Error(), KindChrome) || !strings.Contains(err.Error(), "-trace-out") {
+		t.Fatalf("reading a Chrome export: err %v, want one naming %q and -trace-out", err, KindChrome)
 	}
 }
 
@@ -229,19 +192,12 @@ type formatDoc struct {
 // formatDocs is one document of every kind the CLIs write, plus garbage.
 func formatDocs(t *testing.T) []formatDoc {
 	t.Helper()
-	traces, _, spans, _ := diffFixtures()
-	var chrome, runs, dump bytes.Buffer
-	if err := WriteChromeTrace(&chrome, traces, spans); err != nil {
+	traces, _ := diffFixtures()
+	var chrome, flight bytes.Buffer
+	if err := WriteChromeTrace(&chrome, traces); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder()
-	for _, rt := range traces {
-		rec.Record(rt)
-	}
-	if err := rec.WriteJSON(&runs); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFlightDump(&dump, seedFlight().Dump()); err != nil {
+	if err := WriteFlightDump(&flight, seedFlight().Dump()); err != nil {
 		t.Fatal(err)
 	}
 	checkpoint, err := os.ReadFile(filepath.Join("..", "ckpt", "testdata", "golden.ckpt.json"))
@@ -250,8 +206,8 @@ func formatDocs(t *testing.T) []formatDoc {
 	}
 	return []formatDoc{
 		{"chrome", KindChrome, chrome.Bytes()},
-		{"runtrace", KindRunTrace, runs.Bytes()},
-		{"flight", KindFlightDump, dump.Bytes()},
+		{"runtrace", KindRunTrace, dump(t, traces).Bytes()},
+		{"flight", KindFlightDump, flight.Bytes()},
 		{"checkpoint", KindCheckpoint, checkpoint},
 		{"not-json", "", []byte("garbage\n")},
 		{"array", "", []byte("[1, 2]")},
@@ -260,14 +216,14 @@ func formatDocs(t *testing.T) []formatDoc {
 }
 
 // TestReadRunSummariesFormats feeds the trace reader every kind of
-// document: the two trace formats parse, and everything else — a flight
-// dump, whose top-level "runs" key once passed for a RunTrace dump, a
-// checkpoint and garbage — is an error, not an empty diff.
+// document: a RunTrace dump parses, and everything else — a Chrome export,
+// a flight dump, whose top-level "runs" key once passed for a RunTrace
+// dump, a checkpoint and garbage — is an error, not an empty diff.
 func TestReadRunSummariesFormats(t *testing.T) {
 	for _, doc := range formatDocs(t) {
 		t.Run(doc.name, func(t *testing.T) {
 			runs, err := ReadRunSummaries(bytes.NewReader(doc.data))
-			isTrace := doc.kind == KindChrome || doc.kind == KindRunTrace
+			isTrace := doc.kind == KindRunTrace
 			if isTrace && (err != nil || len(runs) == 0) {
 				t.Fatalf("want run summaries, got %d runs, err %v", len(runs), err)
 			}

@@ -9,16 +9,16 @@ import (
 
 // Observability surface of the public API: attach an Observer to
 // MachineConfig.Obs and every BFS and algorithm run feeds it — metrics,
-// structured run traces, module spans for the Chrome export and live
-// progress events. See docs/OBSERVABILITY.md for the full tour.
+// one structured record per run (its levels, module spans, relay flows and
+// straggler flags, which the Chrome export renders) and live progress
+// events. See docs/OBSERVABILITY.md for the full tour.
 
 // Observer bundles the observability sinks a run feeds; any field may be
 // nil to disable that sink.
 type Observer = obs.Observer
 
 // NewObserver returns an Observer with the metrics and trace sinks
-// enabled. Attach a ProgressBroker (for live events) or a SpanRecorder
-// (for Chrome traces) to taste.
+// enabled. Attach a ProgressBroker for live events.
 func NewObserver() *Observer { return obs.New() }
 
 // ProgressBroker fans live per-level / per-round progress events out to
