@@ -111,6 +111,11 @@ func (s *ssspNode) Handle(shard int, pairs []comm.Pair) {
 	}
 }
 
+// pairFold declares Bellman-Ford's exact fold: Handle keeps the minimum
+// tentative distance, so the smallest of a vertex's distances leaves the
+// state all of them would.
+func (s *ssspNode) pairFold() fold { return foldMin }
+
 func (s *ssspNode) EndRound(round int) error {
 	s.pending = s.activated.drain()
 	return nil

@@ -109,6 +109,10 @@ func (w *wccNode) Handle(shard int, pairs []comm.Pair) {
 	}
 }
 
+// pairFold declares WCC's exact fold: Handle keeps the minimum label, so
+// the smallest of a vertex's labels leaves the state all of them would.
+func (w *wccNode) pairFold() fold { return foldMin }
+
 func (w *wccNode) EndRound(round int) error {
 	w.pending = w.activated.drain()
 	return nil
