@@ -430,6 +430,37 @@ func TestAlgosTraceRecorded(t *testing.T) {
 	}
 }
 
+// TestRelayRoundReconciles: a WCC run on the relay transport charges each
+// node's relayed bytes to its Relay module, so its RunTrace records Relay
+// spans, and RunTrace.Reconcile balances every relay node's stage one,
+// stage two and Relay span on every round.
+func TestRelayRoundReconciles(t *testing.T) {
+	g := kron(t, 10, 11)
+	for _, workers := range []int{1, 3} {
+		cfg := machine(8, core.TransportRelay)
+		cfg.Workers = workers
+		cfg.Obs = obs.New()
+		if _, err := WCC(cfg, g); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rt := cfg.Obs.Trace.Runs()[0]
+		if err := rt.Reconcile(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		relayed := map[int]int64{}
+		for _, sp := range rt.Spans {
+			if sp.Module == obs.ModuleRelay {
+				relayed[sp.Level] += sp.Bytes
+			}
+		}
+		for _, s := range rt.Levels {
+			if relayed[s.Level] == 0 {
+				t.Errorf("workers=%d round %d: no Relay span carries bytes", workers, s.Level)
+			}
+		}
+	}
+}
+
 // TestKernelSendAllocsDoNotScaleWithEdges: the send path stages, recycles
 // delivered batches and regroups relay quanta without per-pair heap work, so
 // a whole run — set-up, rounds and teardown — allocates well under one object

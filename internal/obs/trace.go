@@ -187,9 +187,7 @@ func (t *RunTrace) Reconcile() error {
 // reconcileRelays balances the relay books: on every level the flows
 // cover, each relay node's stage-one bytes in, stage-two bytes out and
 // Relay span bytes are one number. Levels without flows — a direct run's,
-// or those a resumed run inherited from its checkpoint — are not checked,
-// and a run with no Relay span on them (the round kernels keep no relay
-// work in their ledger) balances only its two stages.
+// or those a resumed run inherited from its checkpoint — are not checked.
 func (t *RunTrace) reconcileRelays() error {
 	type cell struct{ level, node int }
 	books := map[cell][3]int64{} // stage one in, stage two out, Relay span
@@ -211,15 +209,13 @@ func (t *RunTrace) reconcileRelays() error {
 		}
 		tally(c, i, f.Bytes)
 	}
-	relaySpans := false
 	for _, sp := range t.Spans {
 		if sp.Module == ModuleRelay && flowed[sp.Level] {
 			tally(cell{sp.Level, sp.Node}, 2, sp.Bytes)
-			relaySpans = true
 		}
 	}
 	for _, c := range cells {
-		if b := books[c]; b[0] != b[1] || (relaySpans && b[1] != b[2]) {
+		if b := books[c]; b[0] != b[1] || b[1] != b[2] {
 			return fmt.Errorf("obs: level %d relay node %d: stage one brings %d bytes, stage two ships %d, its Relay span holds %d",
 				c.level, c.node, b[0], b[1], b[2])
 		}
