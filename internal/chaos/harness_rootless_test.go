@@ -17,6 +17,7 @@ import (
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/flight"
+	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/testutil"
 )
@@ -134,6 +135,51 @@ func TestChaosRootlessKillDump(t *testing.T) {
 	out := rendered.String()
 	if !strings.Contains(out, "kill@") || !strings.Contains(out, "[injected]") {
 		t.Fatalf("rendered post-mortem does not show the injected kill:\n%s", out)
+	}
+}
+
+// TestChaosRootlessKillThenFreshRun: a WCC run killed in the middle of a
+// round is followed, in the same process, by a fault-free run whose labels
+// and RunInfo are bitwise those of a clean run: no combiner state leaks
+// from the dead run into the next. The graph is scale 14 so that every
+// node folds more than one staged chunk (comm.StageCapPairs) of distinct
+// vertices in round 1: the kill at node 1's first delivery then fails
+// sends while the combiners still hold pairs they have not shipped.
+func TestChaosRootlessKillThenFreshRun(t *testing.T) {
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 14, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kills := map[core.Transport]string{
+		core.TransportDirect: "kill@1:l1:data/forward:0",
+		core.TransportRelay:  "kill@1:l1:relay-data/forward:0",
+	}
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		t.Run(transport.String(), func(t *testing.T) {
+			cfg := harnessConfig(transport)
+			cfg.Workers = 3
+			clean, err := algos.WCC(cfg, g)
+			if err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			plan, err := chaos.ParsePlan(kills[transport])
+			if err != nil {
+				t.Fatal(err)
+			}
+			killed := cfg
+			killed.Chaos = &plan
+			var ae *core.AbortError
+			if _, err := algos.WCC(killed, g); !errors.As(err, &ae) || len(ae.CompletedLevels) != 1 {
+				t.Fatalf("killed run: %v, want an abort in round 1", err)
+			}
+			fresh, err := algos.WCC(cfg, g)
+			if err != nil {
+				t.Fatalf("fresh run: %v", err)
+			}
+			if !reflect.DeepEqual(fresh.Label, clean.Label) || !reflect.DeepEqual(fresh.Info, clean.Info) {
+				t.Fatal("the run after a killed one differs from a clean run")
+			}
+		})
 	}
 }
 
