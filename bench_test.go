@@ -10,6 +10,7 @@ package swbfs
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"swbfs/internal/algos"
@@ -80,12 +81,24 @@ func BenchmarkRegisterShuffle(b *testing.B) {
 // BenchmarkRelayBandwidth regenerates the Section 4.4 relay-overhead test
 // (direct vs via-relay big messages; paper: both ~1.2 GB/s per node).
 func BenchmarkRelayBandwidth(b *testing.B) {
-	var tab *experiments.Table
+	relaybw := artifact(b, "relaybw")
 	for i := 0; i < b.N; i++ {
-		tab = experiments.RelayBW()
+		if _, err := relaybw.Build(experiments.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	_ = tab
 	b.ReportMetric(fabric.EffectiveNodeBandwidth/1e9, "GB/s-per-node")
+}
+
+// artifact returns the swbfs-bench artifact id.
+func artifact(b *testing.B, id string) experiments.Artifact {
+	for _, a := range experiments.All {
+		if a.ID == id {
+			return a
+		}
+	}
+	b.Fatalf("no artifact %q", id)
+	return experiments.Artifact{}
 }
 
 // BenchmarkConnectionScaling regenerates the Section 4.4 arithmetic:
@@ -178,18 +191,20 @@ func BenchmarkFig12WeakScaling(b *testing.B) {
 }
 
 // BenchmarkTable2Headline reproduces the headline pipeline: a functional
-// Relay-CPE measurement projected to the paper's 40,768 nodes (Table 2 row).
+// Relay-CPE measurement at the quick size, projected to the paper's 40,768
+// nodes (Table 2 row).
 func BenchmarkTable2Headline(b *testing.B) {
-	var proj float64
+	headline := artifact(b, "headline")
+	var tab *experiments.Table
 	for i := 0; i < b.N; i++ {
-		m, p := experiments.Headline(core.Host{}, 11, 1, 101)
-		if m.Crashed() {
-			b.Fatal(m.Err)
+		var err error
+		if tab, err = headline.Build(experiments.Options{Seed: 101, Roots: 1, Size: experiments.Quick}); err != nil {
+			b.Fatal(err)
 		}
-		if p.Crashed() {
-			b.Fatal(p.Err)
-		}
-		proj = p.GTEPS
+	}
+	proj, err := strconv.ParseFloat(tab.Rows[1][3], 64)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportMetric(proj, "gteps-modelled-40768")
 	b.ReportMetric(23755.7, "gteps-paper")

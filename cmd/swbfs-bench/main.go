@@ -1,31 +1,26 @@
 // Command swbfs-bench regenerates the paper's tables and figures on the
-// simulated machine. Each subcommand prints one artifact; `all` prints
-// everything in paper order.
+// simulated machine. Each subcommand prints one artifact of
+// experiments.All, `all` prints every one in paper order:
 //
-//	swbfs-bench table1    machine specification (Table 1)
-//	swbfs-bench fig3      DMA bandwidth vs chunk size (Figure 3)
-//	swbfs-bench fig5      memory bandwidth vs CPE count (Figure 5)
-//	swbfs-bench regbus    contention-free shuffle bandwidth (Section 4.3)
-//	swbfs-bench relaybw   relay vs direct big-message bandwidth (Section 4.4)
-//	swbfs-bench msgcount  connection & MPI memory scaling (Section 4.4)
-//	swbfs-bench fig11     technique comparison sweep (Figure 11)
-//	swbfs-bench fig12     weak scaling sweep (Figure 12)
-//	swbfs-bench strong    strong-scaling complement to Figure 12
-//	swbfs-bench table2    cross-system comparison (Table 2)
-//	swbfs-bench headline  full-machine GTEPS projection
-//	swbfs-bench ablations design-choice ablation study
-//	swbfs-bench policy    direction-policy threshold sensitivity
-//	swbfs-bench all       everything
+//	table1 fig3 fig5          machine specification, DMA bandwidth curves
+//	regbus relaybw msgcount   Section 4.3 and 4.4 micro-benchmarks
+//	fig11 fig12 strong        technique, weak- and strong-scaling sweeps
+//	table2 headline           cross-system comparison, full-machine GTEPS
+//	ablations policy          design-choice ablations, policy thresholds
 //
-// Use -quick for smaller sweeps, -full for larger ones, and
-// -format csv|json for machine-readable output.
+// Every functional BFS is a Graph500 run whose roots are validated.
+// -quick and -full pick each experiment's small or large shape
+// (experiments.Size), and -format csv|json prints machine-readable
+// tables.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
+	"strings"
 
 	"swbfs/cmd/internal/cli"
 	"swbfs/internal/ckpt"
@@ -38,7 +33,7 @@ func main() {
 		quick  = flag.Bool("quick", false, "small sweeps (seconds)")
 		full   = flag.Bool("full", false, "large sweeps (minutes; up to 256 functional nodes)")
 		seed   = flag.Int64("seed", 20160624, "deterministic seed")
-		roots  = flag.Int("roots", 0, "BFS roots per data point (0 = per-experiment default)")
+		roots  = flag.Int("roots", 0, "BFS roots per data point (0 = 2)")
 		format = flag.String("format", "text", "output format: text | csv | json")
 	)
 	hostFlags := cli.Register()
@@ -47,105 +42,30 @@ func main() {
 	if hostFlags.Resume != "" {
 		args = 0
 	}
-	if flag.NArg() != args {
+	write := map[string]func(*experiments.Table, io.Writer) error{
+		"text": func(t *experiments.Table, w io.Writer) error { t.Print(w); return nil },
+		"csv":  (*experiments.Table).WriteCSV,
+		"json": (*experiments.Table).WriteJSON,
+	}[*format]
+	name := flag.Arg(0)
+	var artifacts []experiments.Artifact
+	for _, a := range experiments.All {
+		if name == "all" || a.ID == name {
+			artifacts = append(artifacts, a)
+		}
+	}
+	if flag.NArg() != args || args == 1 && artifacts == nil || *quick && *full || write == nil {
 		usage()
 	}
-	s := hostFlags.Open("swbfs-bench")
-	host := s.Host
-
-	fig11opts := experiments.Fig11Options{Seed: *seed, Roots: *roots, Host: host}
-	fig12opts := experiments.Fig12Options{Seed: *seed, Roots: *roots, Host: host}
-	headlineLog := 13
+	size := experiments.Default
 	switch {
 	case *quick:
-		fig11opts.FunctionalNodes = []int{1, 4, 16}
-		fig11opts.PerNodeLog = 11
-		fig12opts.FunctionalNodes = []int{4, 16}
-		fig12opts.PerNodeLogs = []int{7, 9, 11}
-		headlineLog = 11
+		size = experiments.Quick
 	case *full:
-		fig11opts.FunctionalNodes = []int{1, 4, 16, 64, 256}
-		fig12opts.FunctionalNodes = []int{4, 16, 64, 256}
+		size = experiments.Full
 	}
-
-	emit := func(t *experiments.Table) {
-		switch *format {
-		case "csv":
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				s.Fatalf("csv: %v", err)
-			}
-		case "json":
-			if err := t.WriteJSON(os.Stdout); err != nil {
-				s.Fatalf("json: %v", err)
-			}
-		default:
-			t.Print(os.Stdout)
-		}
-	}
-
-	run := func(name string) {
-		switch name {
-		case "table1":
-			emit(experiments.Table1())
-		case "fig3":
-			emit(experiments.Fig3())
-		case "fig5":
-			emit(experiments.Fig5())
-		case "regbus":
-			t, err := experiments.RegBus(0)
-			if err != nil {
-				s.Fatalf("regbus: %v", err)
-			}
-			emit(t)
-		case "relaybw":
-			emit(experiments.RelayBW())
-		case "msgcount":
-			emit(experiments.MsgCount())
-		case "fig11":
-			emit(experiments.Fig11(fig11opts))
-		case "fig12":
-			emit(experiments.Fig12(fig12opts))
-		case "strong":
-			emit(experiments.StrongScaling(experiments.StrongOptions{Seed: *seed, Roots: *roots, Quick: *quick, Host: host}))
-		case "table2":
-			_, proj := experiments.Headline(host, headlineLog, *roots, *seed)
-			emit(experiments.Table2(proj))
-		case "ablations":
-			ablOpts := experiments.AblationOptions{Seed: *seed, Roots: *roots, Host: host}
-			if *quick {
-				ablOpts.Scale = 13
-			}
-			t, err := experiments.Ablations(ablOpts)
-			if err != nil {
-				s.Fatalf("ablations: %v", err)
-			}
-			emit(t)
-		case "policy":
-			polOpts := experiments.PolicySweepOptions{Seed: *seed, Roots: *roots, Host: host}
-			if *quick {
-				polOpts.Scale = 12
-			}
-			t, err := experiments.PolicySweep(polOpts)
-			if err != nil {
-				s.Fatalf("policy: %v", err)
-			}
-			emit(t)
-		case "headline":
-			m, proj := experiments.Headline(host, headlineLog, *roots, *seed)
-			if m.Crashed() {
-				s.Fatalf("headline measurement failed: %v", m.Err)
-			}
-			fmt.Printf("functional: %d nodes, %d vtx/node, %.3f GTEPS (measured)\n",
-				m.Nodes, m.PerNodeVertices, m.GTEPS)
-			if proj.Crashed() {
-				s.Fatalf("projection failed: %v", proj.Err)
-			}
-			fmt.Printf("projected:  %d nodes, %.1f GTEPS (modelled)\n", proj.Nodes, proj.GTEPS)
-			fmt.Printf("paper:      40,768 nodes, 23755.7 GTEPS (measured on TaihuLight)\n")
-		default:
-			usage()
-		}
-	}
+	s := hostFlags.Open("swbfs-bench")
+	opts := experiments.Options{Seed: *seed, Roots: *roots, Size: size, Host: s.Host}
 
 	if hostFlags.Resume != "" {
 		// The Kronecker graph is rebuilt from -seed and the checkpoint's
@@ -168,22 +88,29 @@ func main() {
 		} else {
 			fmt.Printf("resumed %s: root %d, args %q, %d vertices, %s\n", c.Kernel, c.Root, c.Args, r.Graph.N, validation)
 		}
-	} else if flag.Arg(0) == "all" {
-		for _, name := range []string{
-			"table1", "fig3", "fig5", "regbus", "relaybw", "msgcount",
-			"fig11", "fig12", "strong", "table2", "headline", "ablations", "policy",
-		} {
-			run(name)
-			fmt.Println()
-		}
 	} else {
-		run(flag.Arg(0))
+		for _, a := range artifacts {
+			t, err := a.Build(opts)
+			if err != nil {
+				s.Fatalf("%s: %v", a.ID, err)
+			}
+			if err := write(t, os.Stdout); err != nil {
+				s.Fatalf("%s: %v", *format, err)
+			}
+			if name == "all" {
+				fmt.Println()
+			}
+		}
 	}
 	s.Close()
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: swbfs-bench [-quick|-full] [-seed N] [-roots N] [-format text|csv|json] <table1|fig3|fig5|regbus|relaybw|msgcount|fig11|fig12|strong|table2|headline|ablations|policy|all>")
+	ids := make([]string, 0, len(experiments.All)+1)
+	for _, a := range experiments.All {
+		ids = append(ids, a.ID)
+	}
+	fmt.Fprintf(os.Stderr, "usage: swbfs-bench [-quick|-full] [-seed N] [-roots N] [-format text|csv|json] <%s>\n", strings.Join(append(ids, "all"), "|"))
 	fmt.Fprintln(os.Stderr, "       swbfs-bench -resume <ckpt.json> [-seed N]")
 	os.Exit(2)
 }

@@ -8,64 +8,35 @@ import (
 	"swbfs/internal/perf"
 )
 
-// AblationOptions scales the ablation study.
-type AblationOptions struct {
-	// Nodes and Scale fix the common workload (defaults 8 and 15).
-	Nodes, Scale int
-	// Roots per configuration (default 2) and Seed.
-	Roots int
-	Seed  int64
-	// Host carries the driver's host-side knobs onto every run.
-	Host core.Host
-}
-
-func (o AblationOptions) withDefaults() AblationOptions {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Scale == 0 {
-		o.Scale = 15
-	}
-	if o.Roots == 0 {
-		o.Roots = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 20160624
-	}
-	return o
-}
-
-// Ablations measures each design choice DESIGN.md calls out, toggled on
-// the production configuration: direction optimization, hub prefetch, the
-// small-message MPE fast path, message compression (the Section 7
-// extension) and the partition strategy.
-func Ablations(opts AblationOptions) (*Table, error) {
-	opts = opts.withDefaults()
-	sweep, err := newRootSweep(opts.Scale, opts.Roots, opts.Seed)
+// ablations measures each design choice DESIGN.md calls out, toggled on
+// the production configuration of s.nodes[0] nodes at scale s.scale:
+// direction optimization, hub prefetch, the small-message MPE fast path,
+// message compression (the Section 7 extension) and the partition
+// strategy.
+func ablations(o Options, s shape) (*Table, error) {
+	edges, err := o.edges(s.scale)
 	if err != nil {
 		return nil, err
 	}
-
-	base := func() core.Config {
-		cfg := core.DefaultConfig(opts.Nodes)
-		cfg.SuperNodeSize = scaledSuperNodeSize
-		return opts.Host.Apply(cfg)
+	nodes := s.nodes[0]
+	variant := func(change func(*core.Config)) core.Config {
+		cfg := o.machine(nodes)
+		change(&cfg)
+		return cfg
 	}
-
-	type variant struct {
+	variants := []struct {
 		name string
 		cfg  core.Config
-	}
-	variants := []variant{
-		{"production (all on)", base()},
-		{"no direction optimization", func() core.Config { c := base(); c.DirectionOptimized = false; return c }()},
-		{"no hub prefetch", func() core.Config { c := base(); c.HubPrefetch = false; return c }()},
-		{"no small-message MPE path", func() core.Config { c := base(); c.SmallMessageMPE = false; return c }()},
-		{"varint-delta compression", func() core.Config { c := base(); c.Codec = comm.VarintDeltaCodec{}; return c }()},
-		{"block partition", func() core.Config { c := base(); c.Partition = core.PartitionBlock; return c }()},
-		{"degree-balanced partition", func() core.Config { c := base(); c.Partition = core.PartitionDegreeBalanced; return c }()},
-		{"direct transport", func() core.Config { c := base(); c.Transport = core.TransportDirect; return c }()},
-		{"MPE engine", func() core.Config { c := base(); c.Engine = perf.EngineMPE; return c }()},
+	}{
+		{"production (all on)", o.machine(nodes)},
+		{"no direction optimization", variant(func(c *core.Config) { c.DirectionOptimized = false })},
+		{"no hub prefetch", variant(func(c *core.Config) { c.HubPrefetch = false })},
+		{"no small-message MPE path", variant(func(c *core.Config) { c.SmallMessageMPE = false })},
+		{"varint-delta compression", variant(func(c *core.Config) { c.Codec = comm.VarintDeltaCodec{} })},
+		{"block partition", variant(func(c *core.Config) { c.Partition = core.PartitionBlock })},
+		{"degree-balanced partition", variant(func(c *core.Config) { c.Partition = core.PartitionDegreeBalanced })},
+		{"direct transport", variant(func(c *core.Config) { c.Transport = core.TransportDirect })},
+		{"MPE engine", variant(func(c *core.Config) { c.Engine = perf.EngineMPE })},
 	}
 
 	t := &Table{
@@ -75,21 +46,30 @@ func Ablations(opts AblationOptions) (*Table, error) {
 	}
 	var baseline float64
 	for i, v := range variants {
-		r, err := sweep.run(v.cfg)
+		r, err := o.bench(v.cfg, s.scale, edges)
 		if err != nil {
 			t.AddRow(v.name, "CRASH", "-", "-")
 			continue
 		}
+		gteps := r.GTEPSHarmonicMean()
 		if i == 0 {
-			baseline = r.GTEPS
+			baseline = gteps
 		}
 		rel := "1.00x"
 		if i > 0 && baseline > 0 {
-			rel = fmt.Sprintf("%.2fx", r.GTEPS/baseline)
+			rel = fmt.Sprintf("%.2fx", gteps/baseline)
 		}
-		t.AddRow(v.name, fmt.Sprintf("%.3f", r.GTEPS),
-			fmt.Sprintf("%.1f", float64(r.NetBytes)/(1<<20)), rel)
+		var netBytes int64
+		for _, run := range r.Runs {
+			for _, l := range run.LevelDetail {
+				for _, b := range l.Net.Bytes {
+					netBytes += b
+				}
+			}
+		}
+		t.AddRow(v.name, fmt.Sprintf("%.3f", gteps),
+			fmt.Sprintf("%.1f", float64(netBytes)/(1<<20)), rel)
 	}
-	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per variant", opts.Nodes, opts.Scale, opts.Roots)
+	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per variant", nodes, s.scale, o.Roots)
 	return t, nil
 }

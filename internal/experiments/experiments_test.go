@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,14 +55,14 @@ func TestTableCSVAndJSON(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tab := Table1()
+	tab := table1()
 	if len(tab.Rows) != 7 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab := Fig3()
+	tab := fig3()
 	// Parse the cluster column: monotone non-decreasing; saturated at the
 	// end; MPE column capped below cluster peak.
 	var prev float64
@@ -85,7 +86,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tab := Fig5()
+	tab := fig5()
 	first, _ := strconv.ParseFloat(tab.Rows[0][1], 64)
 	last, _ := strconv.ParseFloat(tab.Rows[len(tab.Rows)-1][1], 64)
 	if first > last/5 {
@@ -94,7 +95,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestRegBusWithinEnvelope(t *testing.T) {
-	tab, err := RegBus(4000)
+	tab, err := regBus(4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRegBusWithinEnvelope(t *testing.T) {
 }
 
 func TestRelayBWParity(t *testing.T) {
-	tab := RelayBW()
+	tab := relayBW()
 	direct, _ := strconv.ParseFloat(tab.Rows[0][1], 64)
 	relay, _ := strconv.ParseFloat(tab.Rows[1][1], 64)
 	// Paper: "no bandwidth difference between the two settings exists".
@@ -116,7 +117,7 @@ func TestRelayBWParity(t *testing.T) {
 }
 
 func TestMsgCountTable(t *testing.T) {
-	tab := MsgCount()
+	tab := msgCount()
 	var found bool
 	for _, row := range tab.Rows {
 		if row[0] == "40000" {
@@ -134,57 +135,60 @@ func TestMsgCountTable(t *testing.T) {
 	}
 }
 
+// tiny is the options of the functional tests: one or two roots, a fixed
+// seed.
+func tiny(roots int, seed int64) Options { return Options{Roots: roots, Seed: seed} }
+
 func TestMeasureBFSSmall(t *testing.T) {
-	m := MeasureBFS(core.Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
-	if m.Crashed() {
-		t.Fatalf("measurement crashed: %v", m.Err)
+	m, err := measureBFS(tiny(2, 7), 4, 8, core.TransportRelay, perf.EngineCPE)
+	if err != nil {
+		t.Fatalf("measurement crashed: %v", err)
 	}
-	if m.GTEPS <= 0 || m.Edges <= 0 || len(m.Levels) == 0 {
+	if m.gteps <= 0 || m.edges <= 0 || len(m.levels) == 0 {
 		t.Fatalf("measurement empty: %+v", m)
 	}
 }
 
 func TestMeasureBFSRejectsNonPow2(t *testing.T) {
-	m := MeasureBFS(core.Host{}, 3, 8, core.TransportDirect, perf.EngineMPE, 1, 1)
-	if !m.Crashed() {
+	if _, err := measureBFS(tiny(1, 1), 3, 8, core.TransportDirect, perf.EngineMPE); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 }
 
 func TestProjectionMonotoneAndCrashes(t *testing.T) {
-	m := MeasureBFS(core.Host{}, 4, 8, core.TransportRelay, perf.EngineCPE, 2, 7)
-	if m.Crashed() {
-		t.Fatal(m.Err)
+	m, err := measureBFS(tiny(2, 7), 4, 8, core.TransportRelay, perf.EngineCPE)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p1 := Project(m, 256)
-	p2 := Project(m, 4096)
-	if p1.Crashed() || p2.Crashed() {
-		t.Fatalf("relay projection crashed: %v %v", p1.Err, p2.Err)
+	p1, err1 := project(m, 256)
+	p2, err2 := project(m, 4096)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("relay projection crashed: %v %v", err1, err2)
 	}
-	if p2.GTEPS <= p1.GTEPS {
-		t.Fatalf("relay weak scaling not increasing: %.3f -> %.3f", p1.GTEPS, p2.GTEPS)
+	if p2 <= p1 {
+		t.Fatalf("relay weak scaling not increasing: %.3f -> %.3f", p1, p2)
 	}
-	if p := Project(m, 2); !p.Crashed() {
+	if _, err := project(m, 2); err == nil {
 		t.Fatal("projection below measurement size accepted")
 	}
 
 	// Direct transports must crash at the paper's crash points.
-	d := MeasureBFS(core.Host{}, 4, 8, core.TransportDirect, perf.EngineCPE, 2, 7)
-	if d.Crashed() {
-		t.Fatal(d.Err)
+	d, err := measureBFS(tiny(2, 7), 4, 8, core.TransportDirect, perf.EngineCPE)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := Project(d, 1024); !p.Crashed() || !isSPMError(p.Err) {
-		t.Fatalf("Direct CPE at 1024 nodes should crash with SPM: %+v", p)
+	if _, err := project(d, 1024); crashCell(err) != "CRASH(SPM)" {
+		t.Fatalf("Direct CPE at 1024 nodes should crash with SPM: %v", err)
 	}
-	dm := MeasureBFS(core.Host{}, 4, 8, core.TransportDirect, perf.EngineMPE, 2, 7)
-	if dm.Crashed() {
-		t.Fatal(dm.Err)
+	dm, err := measureBFS(tiny(2, 7), 4, 8, core.TransportDirect, perf.EngineMPE)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := Project(dm, 4096); p.Crashed() {
-		t.Fatalf("Direct MPE at 4096 should survive: %v", p.Err)
+	if _, err := project(dm, 4096); err != nil {
+		t.Fatalf("Direct MPE at 4096 should survive: %v", err)
 	}
-	if p := Project(dm, 16384); !p.Crashed() || !isConnError(p.Err) {
-		t.Fatalf("Direct MPE at 16384 should crash with MPI memory: %+v", p)
+	if _, err := project(dm, 16384); crashCell(err) != "CRASH(MPI mem)" {
+		t.Fatalf("Direct MPE at 16384 should crash with MPI memory: %v", err)
 	}
 }
 
@@ -201,36 +205,33 @@ func TestProjectionCrossValidates(t *testing.T) {
 		{core.TransportRelay, perf.EngineCPE},
 		{core.TransportDirect, perf.EngineMPE},
 	} {
-		m4 := MeasureBFS(core.Host{}, 4, 11, cfg.tr, cfg.en, 2, 5)
-		if m4.Crashed() {
-			t.Fatal(m4.Err)
+		m4, err := measureBFS(tiny(2, 5), 4, 11, cfg.tr, cfg.en)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, target := range []int{16, 64} {
-			measured := MeasureBFS(core.Host{}, target, 11, cfg.tr, cfg.en, 2, 5)
-			if measured.Crashed() {
-				t.Fatal(measured.Err)
+			measured, err := measureBFS(tiny(2, 5), target, 11, cfg.tr, cfg.en)
+			if err != nil {
+				t.Fatal(err)
 			}
-			projected := Project(m4, target)
-			if projected.Crashed() {
-				t.Fatal(projected.Err)
+			projected, err := project(m4, target)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ratio := projected.GTEPS / measured.GTEPS
+			ratio := projected / measured.gteps
 			if ratio < 0.5 || ratio > 2.0 {
 				t.Fatalf("%v/%v at %d nodes: projection %.3f vs measured %.3f (ratio %.2f) outside 2x envelope",
-					cfg.tr, cfg.en, target, projected.GTEPS, measured.GTEPS, ratio)
+					cfg.tr, cfg.en, target, projected, measured.gteps, ratio)
 			}
 		}
 	}
 }
 
 func TestFig11TinyShape(t *testing.T) {
-	tab := Fig11(Fig11Options{
-		FunctionalNodes: []int{1, 4},
-		ProjectedNodes:  []int{1024, 16384},
-		PerNodeLog:      13,
-		Roots:           1,
-		Seed:            3,
-	})
+	tab, err := fig11(tiny(1, 3), shape{nodes: []int{1, 4}, projected: []int{1024, 16384}, perNodeLogs: []int{13}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -261,13 +262,10 @@ func TestFig11TinyShape(t *testing.T) {
 }
 
 func TestFig12TinyShape(t *testing.T) {
-	tab := Fig12(Fig12Options{
-		PerNodeLogs:     []int{7, 9},
-		FunctionalNodes: []int{4},
-		ProjectedNodes:  []int{256},
-		Roots:           1,
-		Seed:            5,
-	})
+	tab, err := fig12(tiny(1, 5), shape{nodes: []int{4}, projected: []int{256}, perNodeLogs: []int{7, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -279,8 +277,38 @@ func TestFig12TinyShape(t *testing.T) {
 	}
 }
 
+// TestStrongScalingSkippedFirstRow holds speedup and efficiency to the
+// first row that ran: with 3 nodes skipped, the 4-node row is the base and
+// reads 1.00x at 100%.
+func TestStrongScalingSkippedFirstRow(t *testing.T) {
+	tab, err := strongScaling(tiny(1, 9), shape{nodes: []int{3, 4, 8}, scale: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3 || !strings.HasPrefix(tab.Rows[0][1], "skip") {
+		t.Fatalf("rows = %v", tab.Rows)
+	}
+	if base := tab.Rows[1]; base[0] != "4" || base[2] != "1.00x" || base[3] != "100%" {
+		t.Fatalf("base row = %v, want 4 nodes at 1.00x and 100%%", base)
+	}
+	speedup, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[2][2], "x"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eff, err := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[2][3], "%"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := speedup / 2 * 100; math.Abs(eff-want) > 1 {
+		t.Fatalf("8-node efficiency %v%%, want speedup %.2fx over twice the nodes = %.0f%%", eff, speedup, want)
+	}
+}
+
 func TestTable2(t *testing.T) {
-	tab := Table2(&Projection{Nodes: HeadlineNodes, GTEPS: 1234.5})
+	tab, err := table2(tiny(1, 11), shape{nodes: []int{64}, perNodeLogs: []int{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 9 { // 7 published + paper + reproduction
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -292,7 +320,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestAblationsTiny(t *testing.T) {
-	tab, err := Ablations(AblationOptions{Nodes: 4, Scale: 11, Roots: 1, Seed: 9})
+	tab, err := ablations(tiny(1, 9), shape{nodes: []int{4}, scale: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,36 +338,42 @@ func TestAblationsTiny(t *testing.T) {
 }
 
 func TestPolicySweepTiny(t *testing.T) {
-	tab, err := PolicySweep(PolicySweepOptions{
-		Nodes: 4, Scale: 11, Roots: 1, Seed: 9,
-		Alphas: []float64{2, 14}, Betas: []float64{24},
-	})
+	tab, err := policySweep(tiny(1, 9), shape{nodes: []int{4}, scale: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2x1 grid + baseline.
-	if len(tab.Rows) != 3 {
+	// 3x3 grid + baseline.
+	if len(tab.Rows) != 10 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
 	// Baseline (last row) must report zero bottom-up levels.
-	if tab.Rows[2][3] != "0" {
-		t.Fatalf("top-down baseline ran bottom-up levels: %v", tab.Rows[2])
+	if tab.Rows[9][3] != "0" {
+		t.Fatalf("top-down baseline ran bottom-up levels: %v", tab.Rows[9])
 	}
-	// Aggressive alpha=2 must go bottom-up at least as often as alpha=14.
-	if tab.Rows[0][3] < tab.Rows[1][3] {
-		t.Fatalf("alpha sensitivity inverted: %v vs %v", tab.Rows[0], tab.Rows[1])
+	// Aggressive alpha=2 must go bottom-up at least as often as alpha=14,
+	// at the same beta.
+	for b := range policyBetas {
+		aggressive, _ := strconv.Atoi(tab.Rows[b][3])
+		moderate, _ := strconv.Atoi(tab.Rows[len(policyBetas)+b][3])
+		if aggressive < moderate {
+			t.Fatalf("alpha sensitivity inverted: %v vs %v", tab.Rows[b], tab.Rows[len(policyBetas)+b])
+		}
 	}
 }
 
 func TestHeadlineTiny(t *testing.T) {
-	m, p := Headline(core.Host{}, 7, 1, 11)
-	if m.Crashed() {
-		t.Fatalf("headline measurement crashed: %v", m.Err)
+	tab, err := headlineTable(tiny(1, 11), shape{nodes: []int{64}, perNodeLogs: []int{7}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Crashed() || p.GTEPS <= 0 {
-		t.Fatalf("headline projection: %+v", p)
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %v", tab.Rows)
 	}
-	if p.Nodes != HeadlineNodes {
-		t.Fatalf("projection nodes = %d", p.Nodes)
+	projected := tab.Rows[1]
+	if gteps, err := strconv.ParseFloat(projected[3], 64); err != nil || gteps <= 0 {
+		t.Fatalf("headline projection: %v", projected)
+	}
+	if projected[1] != strconv.Itoa(headlineNodes) {
+		t.Fatalf("projection nodes = %s", projected[1])
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"swbfs/internal/sw"
 )
 
-// Table1 reproduces the machine specification table.
-func Table1() *Table {
+// table1 reproduces the machine specification table.
+func table1() *Table {
 	t := &Table{
 		ID:     "table1",
 		Title:  "Sunway TaihuLight specifications (Table 1)",
@@ -27,9 +27,9 @@ func Table1() *Table {
 	return t
 }
 
-// Fig3 reproduces the DMA bandwidth vs chunk size curve: one column for a
+// fig3 reproduces the DMA bandwidth vs chunk size curve: one column for a
 // full CPE cluster, one for the MPE (the 10x gap the design exploits).
-func Fig3() *Table {
+func fig3() *Table {
 	t := &Table{
 		ID:     "fig3",
 		Title:  "DMA bandwidth vs chunk size (Figure 3)",
@@ -42,9 +42,9 @@ func Fig3() *Table {
 	return t
 }
 
-// Fig5 reproduces the memory bandwidth vs CPE count curve at 256-byte
+// fig5 reproduces the memory bandwidth vs CPE count curve at 256-byte
 // chunks.
-func Fig5() *Table {
+func fig5() *Table {
 	t := &Table{
 		ID:     "fig5",
 		Title:  "Memory bandwidth vs number of CPEs, 256 B chunks (Figure 5)",
@@ -57,13 +57,10 @@ func Fig5() *Table {
 	return t
 }
 
-// RegBus reproduces the Section 4.3 register-shuffle measurement: the
+// regBus reproduces the Section 4.3 register-shuffle measurement: the
 // cycle-stepped producer/router/consumer mesh against the 14.5 GB/s
 // theoretical ceiling and the paper's 10 GB/s measurement.
-func RegBus(records int) (*Table, error) {
-	if records <= 0 {
-		records = 16384
-	}
+func regBus(records int) (*Table, error) {
 	rng := rand.New(rand.NewSource(4317))
 	recs := make([]shuffle.Record, records)
 	const dests = 64
@@ -91,13 +88,13 @@ func RegBus(records int) (*Table, error) {
 	return t, nil
 }
 
-// RelayBW reproduces the Section 4.4 relay-overhead test: big messages sent
+// relayBW reproduces the Section 4.4 relay-overhead test: big messages sent
 // directly across super nodes versus through a relay node. The relay's
 // second stage rides the full-bisection super-node network
 // (4x the per-node central-network share), so it hides behind stage one
 // and per-node bandwidth is unchanged — the paper measures 1.2 GB/s for
 // both.
-func RelayBW() *Table {
+func relayBW() *Table {
 	const perNodeBytes = 1 << 30
 
 	// Direct: one inter-super stage at the effective node bandwidth.
@@ -127,9 +124,9 @@ func RelayBW() *Table {
 	return t
 }
 
-// MsgCount reproduces the Section 4.4 connection arithmetic: messages
+// msgCount reproduces the Section 4.4 connection arithmetic: messages
 // (connections) per node and the resulting MPI memory, direct vs grouped.
-func MsgCount() *Table {
+func msgCount() *Table {
 	t := &Table{
 		ID:    "msgcount",
 		Title: "Connections per node and MPI memory (Section 4.4)",

@@ -6,81 +6,55 @@ import (
 	"swbfs/internal/core"
 )
 
-// PolicySweepOptions scales the direction-policy sensitivity study.
-type PolicySweepOptions struct {
-	Nodes, Scale int
-	Roots        int
-	Seed         int64
-	// Alphas and Betas are the threshold grids (defaults bracket the
-	// Beamer values the paper's TRAVERSAL_POLICY uses).
-	Alphas, Betas []float64
-	// Host carries the driver's host-side knobs onto every run.
-	Host core.Host
-}
+// policyAlphas and policyBetas are the threshold grid of the policy sweep:
+// they bracket the Beamer values the paper's TRAVERSAL_POLICY uses.
+var policyAlphas, policyBetas = []float64{2, 14, 100}, []float64{4, 24, 100}
 
-func (o PolicySweepOptions) withDefaults() PolicySweepOptions {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Scale == 0 {
-		o.Scale = 14
-	}
-	if o.Roots == 0 {
-		o.Roots = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 20160624
-	}
-	if o.Alphas == nil {
-		o.Alphas = []float64{2, 14, 100}
-	}
-	if o.Betas == nil {
-		o.Betas = []float64{4, 24, 100}
-	}
-	return o
-}
-
-// PolicySweep measures the hybrid policy's sensitivity to its alpha/beta
-// thresholds: GTEPS and bottom-up level counts across the grid, with the
-// top-down-only baseline for reference. The broad flatness around the
-// defaults (and the gap to the baseline) is what makes the heuristic
-// practical.
-func PolicySweep(opts PolicySweepOptions) (*Table, error) {
-	opts = opts.withDefaults()
-	sweep, err := newRootSweep(opts.Scale, opts.Roots, opts.Seed)
+// policySweep measures the hybrid policy's sensitivity to its alpha/beta
+// thresholds on s.nodes[0] nodes at scale s.scale: GTEPS and bottom-up
+// level counts across the grid, with the top-down-only baseline for
+// reference. The broad flatness around the defaults (and the gap to the
+// baseline) is what makes the heuristic practical.
+func policySweep(o Options, s shape) (*Table, error) {
+	edges, err := o.edges(s.scale)
 	if err != nil {
 		return nil, err
 	}
-
+	nodes := s.nodes[0]
 	t := &Table{
 		ID:     "policy",
 		Title:  "Direction policy sensitivity (TRAVERSAL_POLICY thresholds)",
 		Header: []string{"alpha", "beta", "GTEPS", "bottom-up levels", "levels"},
 	}
-
-	for _, alpha := range opts.Alphas {
-		for _, beta := range opts.Betas {
-			cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
-			cfg.SuperNodeSize = scaledSuperNodeSize
+	row := func(alpha, beta string, cfg core.Config) error {
+		r, err := o.bench(cfg, s.scale, edges)
+		if err != nil {
+			return err
+		}
+		var bottomUp, levels int
+		for _, run := range r.Runs {
+			bottomUp += run.BottomUpLevels
+			levels += run.Levels
+		}
+		t.AddRow(alpha, beta, fmt.Sprintf("%.3f", r.GTEPSHarmonicMean()), fmt.Sprint(bottomUp), fmt.Sprint(levels))
+		return nil
+	}
+	for _, alpha := range policyAlphas {
+		for _, beta := range policyBetas {
+			cfg := o.machine(nodes)
 			cfg.Alpha, cfg.Beta = alpha, beta
-			r, err := sweep.run(cfg)
-			if err != nil {
+			if err := row(fmt.Sprintf("%.0f", alpha), fmt.Sprintf("%.0f", beta), cfg); err != nil {
 				return nil, err
 			}
-			t.AddRow(fmt.Sprintf("%.0f", alpha), fmt.Sprintf("%.0f", beta),
-				fmt.Sprintf("%.3f", r.GTEPS), fmt.Sprint(r.BottomUpLevels), fmt.Sprint(r.Levels))
 		}
 	}
 	// Top-down baseline.
-	cfg := opts.Host.Apply(core.DefaultConfig(opts.Nodes))
-	cfg.SuperNodeSize = scaledSuperNodeSize
+	cfg := o.machine(nodes)
 	cfg.DirectionOptimized = false
-	r, err := sweep.run(cfg)
-	if err != nil {
+	if err := row("-", "-", cfg); err != nil {
 		return nil, err
 	}
-	t.AddRow("-", "-", fmt.Sprintf("%.3f", r.GTEPS), fmt.Sprint(r.BottomUpLevels), fmt.Sprint(r.Levels))
 	t.AddNote("last row: direction optimization disabled (top-down only)")
-	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per cell", opts.Nodes, opts.Scale, opts.Roots)
+	t.AddNote("%d nodes, scale-%d Kronecker, %d roots per cell", nodes, s.scale, o.Roots)
 	return t, nil
 }

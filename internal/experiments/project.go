@@ -9,7 +9,7 @@ import (
 	"swbfs/internal/perf"
 )
 
-// Projection extends a functional measurement to node counts the host
+// project extends a functional measurement to node counts the host
 // cannot simulate, under the weak-scaling laws the functional runs obey:
 //
 //   - per-node module work and injected bytes stay constant (weak scaling
@@ -25,81 +25,55 @@ import (
 //   - level count and directions are kept from the measurement.
 //
 // Crash conditions are evaluated at the target scale: the SPM destination
-// budget for Direct+CPE, the MPI connection memory for direct transports.
-type Projection struct {
-	Nodes int
-	GTEPS float64
-	Err   error // projected crash, if any
+// budget for Direct+CPE, the MPI connection memory for direct transports;
+// the error is the projected crash.
+func project(m *measurement, targetNodes int) (float64, error) {
+	return projectWork(m, targetNodes, 1)
 }
 
-// Crashed reports whether the configuration cannot run at this scale.
-func (p *Projection) Crashed() bool { return p.Err != nil }
-
-// Project extrapolates a measurement to targetNodes at the measured
-// per-node problem size (pure weak scaling).
-func Project(m *Measurement, targetNodes int) *Projection {
-	return ProjectWork(m, targetNodes, 1)
-}
-
-// ProjectWork extrapolates to targetNodes while also growing the per-node
+// projectWork extrapolates to targetNodes while also growing the per-node
 // problem by workRatio — needed to reach the paper's operating point
 // (26M vertices per node at scale 40), where levels are bandwidth-bound
 // rather than latency-bound. Per-node work, injected bytes and data
 // message counts scale with workRatio; termination markers and collective
 // op counts do not (they depend on topology, not problem size); BFS level
 // count is kept (Kronecker small-world diameters barely move with scale).
-func ProjectWork(m *Measurement, targetNodes int, workRatio float64) *Projection {
-	out := &Projection{Nodes: targetNodes}
-	if m.Crashed() {
-		out.Err = fmt.Errorf("experiments: cannot project a crashed measurement: %w", m.Err)
-		return out
-	}
-	if targetNodes < m.Nodes {
-		out.Err = fmt.Errorf("experiments: projection target %d below measured %d", targetNodes, m.Nodes)
-		return out
+func projectWork(m *measurement, targetNodes int, workRatio float64) (float64, error) {
+	if targetNodes < m.nodes {
+		return 0, fmt.Errorf("experiments: projection target %d below measured %d", targetNodes, m.nodes)
 	}
 	if workRatio < 1 {
-		out.Err = fmt.Errorf("experiments: work ratio %v below 1", workRatio)
-		return out
+		return 0, fmt.Errorf("experiments: work ratio %v below 1", workRatio)
 	}
 
 	// Architectural validity at target scale.
 	cfg := core.Config{
 		Nodes:     targetNodes,
-		Transport: m.Transport,
-		Engine:    m.Engine,
+		Transport: m.transport,
+		Engine:    m.engine,
 	}
 	if err := core.ValidateConfig(cfg); err != nil {
-		out.Err = err
-		return out
+		return 0, err
 	}
-	if m.Transport == core.TransportDirect {
-		if int64(targetNodes)*comm.MPIConnectionBytes > comm.DefaultMPIMemoryBudget {
-			out.Err = &comm.ErrConnMemory{
-				Node:        0,
-				Connections: targetNodes,
-				Budget:      comm.DefaultMPIMemoryBudget,
-			}
-			return out
-		}
+	if m.transport == core.TransportDirect && int64(targetNodes)*comm.MPIConnectionBytes > comm.DefaultMPIMemoryBudget {
+		return 0, &comm.ErrConnMemory{Connections: targetNodes, Budget: comm.DefaultMPIMemoryBudget}
 	}
 
 	topo, err := fabric.NewTopology(targetNodes, fabric.SuperNodeSize)
 	if err != nil {
-		out.Err = err
-		return out
+		return 0, err
 	}
-	model := perf.NewModel(topo, m.Engine)
+	model := perf.NewModel(topo, m.engine)
 
-	ratio := float64(targetNodes) / float64(m.Nodes)
+	ratio := float64(targetNodes) / float64(m.nodes)
 	// Peer counts under each topology's own group geometry: the
 	// measurement grouped by the scaled-down super node, the target by
 	// the machine's 256-node super node.
-	basePeers := peerCount(m.Transport, m.Nodes, scaledSuperNodeSize)
-	targetPeers := peerCount(m.Transport, targetNodes, fabric.SuperNodeSize)
+	basePeers := peerCount(m.transport, m.nodes, scaledSuperNodeSize)
+	targetPeers := peerCount(m.transport, targetNodes, fabric.SuperNodeSize)
 
-	scaled := make([]perf.LevelStats, len(m.Levels))
-	for i, s := range m.Levels {
+	scaled := make([]perf.LevelStats, len(m.levels))
+	for i, s := range m.levels {
 		t := s
 		// Per-node work grows with the per-node problem size.
 		t.MaxNodeProcessedBytes = int64(float64(s.MaxNodeProcessedBytes) * workRatio)
@@ -138,9 +112,8 @@ func ProjectWork(m *Measurement, targetNodes int, workRatio float64) *Projection
 		scaled[i] = t
 	}
 
-	edges := int64(float64(m.Edges) * ratio * workRatio)
-	out.GTEPS = model.GTEPS(edges, scaled)
-	return out
+	edges := int64(float64(m.edges) * ratio * workRatio)
+	return model.GTEPS(edges, scaled), nil
 }
 
 // peerCount returns the distinct peers a node exchanges termination

@@ -2,9 +2,16 @@
 // evaluation on the simulated machine: the architecture micro-benchmarks
 // (Figures 3 and 5, the register-shuffle and relay-bandwidth measurements,
 // the MPI memory arithmetic), the technique comparison (Figure 11), the
-// weak-scaling study (Figure 12), and the cross-system comparison
-// (Table 2). Each experiment returns a Table that cmd/swbfs-bench prints
-// and bench_test.go regenerates.
+// weak-scaling and strong-scaling studies (Figure 12), the cross-system
+// comparison (Table 2) and its full-machine headline, and the ablation
+// and direction-policy studies.
+//
+// All lists each artifact with its quick, default and full shape; Build
+// returns its Table under one Options (seed, roots, Size, host knobs).
+// Every functional BFS is a graph500.Run with validation on; a sweep that
+// measures several configurations on one graph generates its edge list
+// once. cmd/swbfs-bench prints the tables, and testdata/quick.golden pins
+// every quick-size one.
 package experiments
 
 import (

@@ -35,40 +35,55 @@ var paperResult = publishedResult{
 	Processors: "40,768 (10.6M cores)", Arch: "SW26010", Hetero: true,
 }
 
-// HeadlineNodes is the node count of the paper's headline run; the paper's
+// headlineNodes is the node count of the paper's headline run; the paper's
 // scale-40 problem puts about 2^40 / 40768 ≈ 27M vertices on each node.
-const HeadlineNodes = 40768
+const headlineNodes = 40768
 
 // headlinePerNodeVertices is the paper's per-node problem size at scale 40.
-const headlinePerNodeVertices = float64(int64(1)<<40) / HeadlineNodes
+const headlinePerNodeVertices = float64(int64(1)<<40) / headlineNodes
 
-// Headline projects the reproduction's full-machine number from a
-// functional Relay-CPE measurement, scaling both the node count and the
-// per-node problem size to the paper's scale-40 operating point.
-func Headline(host core.Host, perNodeLog, roots int, seed int64) (*Measurement, *Projection) {
-	if perNodeLog == 0 {
-		perNodeLog = 13
+// headline projects the reproduction's full-machine GTEPS from a
+// functional Relay-CPE measurement on s.nodes[0] nodes at
+// 2^s.perNodeLogs[0] vertices per node, scaling both the node count and
+// the per-node problem size to the paper's scale-40 operating point.
+func headline(o Options, s shape) (*measurement, float64, error) {
+	m, err := measureBFS(o, s.nodes[0], s.perNodeLogs[0], core.TransportRelay, perf.EngineCPE)
+	if err != nil {
+		return nil, 0, fmt.Errorf("headline measurement failed: %w", err)
 	}
-	if roots == 0 {
-		roots = 2
-	}
-	if seed == 0 {
-		seed = 20160624
-	}
-	m := MeasureBFS(host, 64, perNodeLog, core.TransportRelay, perf.EngineCPE, roots, seed)
-	if m.Crashed() {
-		return m, &Projection{Nodes: HeadlineNodes, Err: m.Err}
-	}
-	workRatio := headlinePerNodeVertices / float64(m.PerNodeVertices)
+	workRatio := headlinePerNodeVertices / float64(m.perNodeVertices)
 	if workRatio < 1 {
 		workRatio = 1
 	}
-	return m, ProjectWork(m, HeadlineNodes, workRatio)
+	gteps, err := projectWork(m, headlineNodes, workRatio)
+	if err != nil {
+		return nil, 0, fmt.Errorf("headline projection failed: %w", err)
+	}
+	return m, gteps, nil
 }
 
-// Table2 reproduces the cross-system comparison, appending this
-// reproduction's modelled full-machine row.
-func Table2(headline *Projection) *Table {
+// headlineTable sets the headline's measurement and projection beside the
+// paper's full-machine result.
+func headlineTable(o Options, s shape) (*Table, error) {
+	m, gteps, err := headline(o, s)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		ID:     "headline",
+		Title:  "Full-machine GTEPS projection",
+		Header: []string{"source", "nodes", "vtx/node", "GTEPS"},
+	}
+	t.AddRow("functional (measured)", fmt.Sprint(m.nodes), fmt.Sprint(m.perNodeVertices), fmt.Sprintf("%.3f", m.gteps))
+	t.AddRow("projected (modelled)", fmt.Sprint(headlineNodes), fmt.Sprintf("%.0f", headlinePerNodeVertices), fmt.Sprintf("%.1f", gteps))
+	t.AddRow("paper (measured on TaihuLight)", fmt.Sprint(headlineNodes), fmt.Sprintf("%.0f", headlinePerNodeVertices), fmt.Sprintf("%.1f", paperResult.GTEPS))
+	return t, nil
+}
+
+// table2 reproduces the cross-system comparison, appending this
+// reproduction's modelled full-machine row when the headline run
+// completes.
+func table2(o Options, s shape) (*Table, error) {
 	t := &Table{
 		ID:     "table2",
 		Title:  "Recent distributed BFS results (Table 2)",
@@ -79,13 +94,13 @@ func Table2(headline *Projection) *Table {
 		t.AddRow(r.Authors, fmt.Sprint(r.Year), fmt.Sprint(r.Scale),
 			fmt.Sprintf("%.1f", r.GTEPS), r.Processors, r.Arch, heteroStr(r.Hetero))
 	}
-	if headline != nil && !headline.Crashed() {
+	if _, gteps, err := headline(o, s); err == nil {
 		t.AddRow("This reproduction (modelled)", "2026", "-",
-			fmt.Sprintf("%.1f", headline.GTEPS),
-			fmt.Sprintf("%d simulated nodes", headline.Nodes), "simulated SW26010", "Hetero.")
+			fmt.Sprintf("%.1f", gteps),
+			fmt.Sprintf("%d simulated nodes", headlineNodes), "simulated SW26010", "Hetero.")
 		t.AddNote("the reproduction row is a weak-scaling projection from functional runs on the simulated machine; absolute GTEPS are modelled, not testbed measurements")
 	}
-	return t
+	return t, nil
 }
 
 func heteroStr(h bool) string {
