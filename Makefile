@@ -103,7 +103,9 @@ fuzz:
 # and resumes an SSSP run the same way, and fails unless the resumed
 # distances validate. A third benchmarks SSSP on an edge list graphgen
 # wrote, and fails unless it prints its headline; a fourth fails unless
-# graph500 refuses a flag the run would ignore (-delta with -kernel bfs).
+# graph500 refuses a flag the run would ignore (-delta with -kernel bfs); a
+# fifth writes a -trace-out dump and fails unless inspect renders it as a
+# Chrome trace.
 resume-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/" ./cmd/graph500 ./cmd/inspect ./cmd/graphgen && \
@@ -129,6 +131,10 @@ resume-smoke:
 		|| { echo "resume-smoke: sssp on an edge list printed no headline"; exit 1; }; \
 	! "$$dir/graph500" -kernel bfs -delta 16 -scale 8 -roots 1 >/dev/null 2>&1 \
 		|| { echo "resume-smoke: graph500 accepted -delta with -kernel bfs"; exit 1; }; \
+	"$$dir/graph500" -scale 10 -nodes 8 -roots 1 -trace-out "$$dir/trace.json" >/dev/null 2>&1 \
+		|| { echo "resume-smoke: graph500 -trace-out failed"; exit 1; }; \
+	"$$dir/inspect" "$$dir/trace.json" | grep -q traceEvents \
+		|| { echo "resume-smoke: inspect renders no Chrome trace from a -trace-out dump"; exit 1; }; \
 	echo "resume-smoke: ok"
 
 # bench-ab measures a base ref against the working tree with the repo

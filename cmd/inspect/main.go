@@ -2,22 +2,24 @@
 // their top-level JSON keys (obs.Sniff): flight-recorder dumps (the
 // -flight-dump post-mortem, /debug/flight), level-boundary checkpoints
 // (-checkpoint and the abort auto-checkpoint) and RunTrace dumps
-// (-trace-out, /traces). A Chrome trace (-chrome-trace) is recognised and
-// refused: it is a rendering of RunTrace dumps, for chrome://tracing.
+// (-trace-out, /traces). A Chrome trace is recognised and refused: it is
+// what inspect renders from a RunTrace dump, not something it reads.
 //
 // Given one file it renders a flight dump as a per-node event timeline,
 // anomalies marked [injected] when the run's chaos injection log explains
-// them and [emergent] otherwise, or summarises a checkpoint: kernel,
-// boundary level, machine fingerprint, traffic and per-node state. Given
-// two files it diffs two flight dumps from the same seed, exiting 1 when
-// they diverge, or aligns two RunTrace dumps level by level and module by
-// module and prints a per-level / per-module delta table.
+// them and [emergent] otherwise, summarises a checkpoint: kernel, boundary
+// level, machine fingerprint, traffic and per-node state, or writes a
+// RunTrace dump as Chrome trace-event JSON for chrome://tracing.
+// Given two files it diffs two flight dumps from the same seed, exiting 1
+// when they diverge, or aligns two RunTrace dumps level by level and module
+// by module and prints a per-level / per-module delta table.
 // See docs/OBSERVABILITY.md.
 //
 // Usage:
 //
 //	inspect run.flight.json
 //	inspect run.ckpt.json
+//	inspect trace.json > timeline.json
 //	inspect a.flight.json b.flight.json
 //	inspect before.json after.json
 package main
@@ -51,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	default:
-		fmt.Fprintln(stderr, "usage: inspect <dump.json | ckpt.json>")
+		fmt.Fprintln(stderr, "usage: inspect <dump.json | ckpt.json | trace.json>   (a -trace-out dump renders as a Chrome trace)")
 		fmt.Fprintln(stderr, "       inspect <a.json> <b.json>   (two flight dumps or two -trace-out RunTrace dumps)")
 		return 2
 	}
@@ -96,7 +98,7 @@ func (d doc) summaries() ([]obs.RunSummary, error) {
 	return runs, nil
 }
 
-// show renders one flight dump or checkpoint.
+// show renders one flight dump, checkpoint or RunTrace dump.
 func show(w io.Writer, path string) error {
 	d, err := load(path)
 	if err != nil {
@@ -115,8 +117,14 @@ func show(w io.Writer, path string) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		return ckpt.Render(w, c)
+	case obs.KindRunTrace:
+		runs, err := obs.ReadTraceJSON(bytes.NewReader(d.data))
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		return obs.WriteChromeTrace(w, runs)
 	}
-	return fmt.Errorf("%s is a %s: give two traces to diff them", path, d.kind)
+	return fmt.Errorf("%s is a %s: give a -trace-out dump to render one", path, d.kind)
 }
 
 // diff compares two flight dumps, reporting whether they diverge, or two

@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"swbfs/internal/algos"
+	"swbfs/internal/core"
+	"swbfs/internal/graph"
 	"swbfs/internal/obs"
+	"swbfs/internal/testutil"
 )
 
 // fixtures writes one file of every kind inspect reads, plus garbage, and
@@ -87,7 +91,8 @@ func TestRunModes(t *testing.T) {
 		{"two traces", []string{f["runtrace"], f["runtrace"]}, 0, "root 3 vs root 3"},
 		{"mixed trace formats", []string{f["chrome"], f["runtrace"]}, 1, "Chrome trace, not a RunTrace dump (write one with -trace-out)"},
 		{"flight dump against a trace", []string{f["flight"], f["runtrace"]}, 1, "cannot diff a flight dump"},
-		{"one trace", []string{f["runtrace"]}, 1, "give two traces"},
+		{"one trace", []string{f["runtrace"]}, 0, `"traceEvents"`},
+		{"one Chrome trace", []string{f["chrome"]}, 1, "give a -trace-out dump"},
 		{"garbage", []string{f["garbage"]}, 1, "not a JSON object"},
 		{"no arguments", nil, 2, "usage"},
 	} {
@@ -101,5 +106,45 @@ func TestRunModes(t *testing.T) {
 				t.Fatalf("output lacks %q\nstdout:\n%s\nstderr:\n%s", tc.out, &stdout, &stderr)
 			}
 		})
+	}
+}
+
+// TestTraceRendersAsChromeTrace: inspect of a -trace-out dump writes, byte
+// for byte, what obs.WriteChromeTrace writes over the recorded runs
+// themselves — a BFS and a WCC run on the relay transport, so module
+// spans and relay flows both cross the dump.
+func TestTraceRendersAsChromeTrace(t *testing.T) {
+	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 9, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(8)
+	cfg.SuperNodeSize, cfg.Transport, cfg.Obs = 4, core.TransportRelay, obs.New()
+	r, err := core.NewRunner(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(testutil.FirstConnected(t, g)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := algos.WCC(cfg, g); err != nil {
+		t.Fatal(err)
+	}
+	var dump, want, stdout, stderr bytes.Buffer
+	if err := cfg.Obs.Trace.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteChromeTrace(&want, cfg.Obs.Trace.Runs()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, dump.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
+	}
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+		t.Fatalf("inspect wrote %d bytes, WriteChromeTrace over the recorded runs %d", stdout.Len(), want.Len())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,7 +39,7 @@ type Flags struct {
 	levelTimeout          time.Duration
 	stragglerFactor       float64
 	metrics               bool
-	traceOut, chromeTrace string
+	traceOut              string
 	serve                 string
 	cpuprofile, execTrace string
 }
@@ -61,8 +60,7 @@ func Register() *Flags {
 	flag.DurationVar(&f.levelTimeout, "level-timeout", 0, "abort a run if no level or round completes within this duration (0 = no watchdog)")
 	flag.Float64Var(&f.stragglerFactor, "straggler-factor", 0, "flag nodes whose per-level module host time exceeds this multiple of the fleet mean (0 = off)")
 	flag.BoolVar(&f.metrics, "metrics", false, "print the unified metrics registry after the command (see docs/OBSERVABILITY.md)")
-	flag.StringVar(&f.traceOut, "trace-out", "", "write the structured per-level trace of every run (one RunTrace per root) as JSON to this file")
-	flag.StringVar(&f.chromeTrace, "chrome-trace", "", "write the runs' timeline (per-node module tracks + relay flow arrows) as Chrome trace-event JSON to this file")
+	flag.StringVar(&f.traceOut, "trace-out", "", "write the structured per-level trace of every run (one RunTrace per root) as JSON to this file; inspect renders it as a Chrome trace")
 	flag.StringVar(&f.serve, "serve", "", "serve live telemetry on this address while the command runs: /metrics (Prometheus), /traces, /events (SSE), /debug/pprof")
 	flag.StringVar(&f.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole command to this file")
 	flag.StringVar(&f.execTrace, "exec-trace", "", "write a runtime/trace execution trace of the whole command to this file")
@@ -112,7 +110,7 @@ func (f *Flags) Open(prog string) *Session {
 		}
 		h.ChaosPlan = &plan
 	}
-	if f.metrics || f.traceOut != "" || f.serve != "" || f.chromeTrace != "" {
+	if f.metrics || f.traceOut != "" || f.serve != "" {
 		h.Obs = obs.New()
 		h.Obs.Flight = obs.NewFlightRecorder(0)
 	}
@@ -248,9 +246,8 @@ func (s *Session) Fatalf(format string, args ...any) {
 }
 
 // Close ends the command: it checks that every recorded run's books
-// balance, prints the metrics table, writes the RunTrace and Chrome
-// exports, stops the profile and, with -serve, keeps the telemetry server
-// up until Ctrl-C.
+// balance, prints the metrics table, writes the RunTrace dump, stops the
+// profile and, with -serve, keeps the telemetry server up until Ctrl-C.
 func (s *Session) Close() {
 	if o := s.Host.Obs; o != nil {
 		for _, run := range o.Trace.Runs() {
@@ -263,13 +260,16 @@ func (s *Session) Close() {
 			o.Metrics.WriteTable(os.Stdout)
 		}
 		if s.f.traceOut != "" {
-			s.write("trace", s.f.traceOut, o.Trace.WriteJSON)
-		}
-		if s.f.chromeTrace != "" {
-			s.write("chrome trace", s.f.chromeTrace, func(w io.Writer) error {
-				return obs.WriteChromeTrace(w, o.Trace.Runs())
-			})
-			fmt.Fprintf(os.Stderr, "%s: chrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", s.prog, s.f.chromeTrace)
+			f, err := os.Create(s.f.traceOut)
+			if err == nil {
+				err = o.Trace.WriteJSON(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				s.Fatalf("writing trace: %v", err)
+			}
 		}
 	}
 	s.stop()
@@ -279,20 +279,6 @@ func (s *Session) Close() {
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
 		s.server.Close()
-	}
-}
-
-// write creates path and fills it with emit.
-func (s *Session) write(what, path string, emit func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = emit(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		s.Fatalf("writing %s: %v", what, err)
 	}
 }
 

@@ -32,8 +32,6 @@ var keptExports = map[string]string{
 	"graph.Census":                    "checks generated graphs",
 	"graph.DegreeImbalance":           "checks partitions",
 	"obs.FlightRecorder.TotalDropped": "checks flight ring overflow",
-	// Waiting for a caller: the uniform family of a graph-families sweep.
-	"graph.GenerateUniform": "uniform graph family, caller pending",
 	// The CPE-cluster simulator's introspection: what its tests check the
 	// cycle-level runs and the paper's constants with.
 	"shuffle.Layout.Role":        "checks the Figure 6 role map",

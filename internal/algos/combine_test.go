@@ -73,14 +73,14 @@ func TestCombineMatchesHandle(t *testing.T) {
 	}
 	kernels := map[string]func(r *rand.Rand) RoundAlgo{
 		"wcc": func(r *rand.Rand) RoundAlgo {
-			w := &wccNode{label: make([]graph.Vertex, n), active: graph.NewBitmap(n), activated: make(tally, 1)}
+			w := &relaxNode[graph.Vertex]{val: make([]graph.Vertex, n), active: graph.NewBitmap(n), activated: make(tally, 1)}
 			for i, l := range values(r) {
-				w.label[i] = graph.Vertex(l)
+				w.val[i] = graph.Vertex(l)
 			}
 			return w
 		},
 		"sssp": func(r *rand.Rand) RoundAlgo {
-			return &ssspNode{dist: values(r), active: graph.NewBitmap(n), activated: make(tally, 1)}
+			return &relaxNode[int64]{val: values(r), active: graph.NewBitmap(n), activated: make(tally, 1)}
 		},
 		"pagerank": func(r *rand.Rand) RoundAlgo {
 			return &prNode{acc: values(r)}

@@ -76,7 +76,8 @@ func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 // of both engines — BFS and a round kernel — through the table's resume:
 // each must be refused with an error before anything is announced (one
 // whose work ledger is off, with an error naming it), and the healthy
-// original must still resume.
+// original must still resume. A WCC or SSSP payload in the format from
+// before the two shared a kernel is refused too.
 func TestHostileCheckpointRejected(t *testing.T) {
 	g := kron(t, 9, 21)
 	wg := &graph.WeightedCSR{CSR: g}
@@ -106,6 +107,58 @@ func TestHostileCheckpointRejected(t *testing.T) {
 			t.Fatalf("%s: healthy checkpoint refused: %v", kernel, err)
 		}
 	}
+	// WCC and SSSP once wrote their values under their own keys ("label",
+	// "dist"); the kernel they share reads "value". A payload in the old
+	// format must be refused, not loaded as zeroed state. The kernel reads
+	// its payload once the machine is open, so this refusal comes after the
+	// run is announced.
+	wwg := testutil.Weighted(t, g, 9)
+	for kernel, key := range map[string]string{"wcc": "label", "sssp": "dist"} {
+		healthy := healthyCheckpoint(t, cfg, wwg, root, kernel, "")
+		t.Run(kernel+"/payload keyed "+key, func(t *testing.T) {
+			old := *healthy
+			old.Nodes = slices.Clone(healthy.Nodes)
+			for i := range old.Nodes {
+				old.Nodes[i].Data = renamePayloadKey(t, old.Nodes[i].Data, "value", key)
+			}
+			_, err := resume(cfg, wwg, &old)
+			if err == nil || !strings.Contains(err.Error(), "0 values") {
+				t.Fatalf("payload in the old format: %v, want a refusal naming its missing values", err)
+			}
+		})
+		if _, err := resume(cfg, wwg, healthy); err != nil {
+			t.Fatalf("%s: healthy checkpoint refused: %v", kernel, err)
+		}
+	}
+}
+
+// renamePayloadKey returns a node's checkpoint data with the kernel
+// payload's key named from renamed to the name to.
+func renamePayloadKey(t *testing.T, raw []byte, from, to string) []byte {
+	t.Helper()
+	var data driverNodeData
+	if err := json.Unmarshal(raw, &data); err != nil {
+		t.Fatal(err)
+	}
+	var payload map[string]json.RawMessage
+	if err := json.Unmarshal(data.Algo, &payload); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := payload[from]
+	if !ok {
+		t.Fatalf("payload has no %q key", from)
+	}
+	delete(payload, from)
+	payload[to] = v
+	var err error
+	if data.Algo, err = json.Marshal(payload); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(&data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // healthyCheckpoint runs kernel through the table with a checkpoint at

@@ -1,31 +1,16 @@
 package algos
 
 import (
-	"encoding/json"
-	"fmt"
+	"container/heap"
 	"math"
 
 	"swbfs/internal/ckpt"
-	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
 )
 
 // InfDistance marks unreachable vertices in SSSP output.
 const InfDistance = int64(math.MaxInt64 / 4)
-
-// ssspNode is one node's Bellman-Ford state: frontier-driven relaxation,
-// the distributed analogue of the BFS Forward Generator/Handler pair with
-// (vertex, tentative distance) messages instead of (parent, child).
-type ssspNode struct {
-	ctx     *NodeCtx
-	weights []int64 // aligned with ctx.Sub.Col
-	dist    []int64
-	active  *graph.Bitmap
-	pending int64
-	// activated counts, per shard, the vertices Handle activated this round.
-	activated tally
-}
 
 // SSSPResult is the merged output.
 type SSSPResult struct {
@@ -40,127 +25,36 @@ func SSSP(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex) (*SSSPResul
 	return ssspRun(cfg, wg, root, nil)
 }
 
+// ssspRun is frontier-driven Bellman-Ford, the min-relaxation round over
+// the graph's weights: every vertex starts at InfDistance, the root at 0
+// and alone on the frontier.
 func ssspRun(cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, from *ckpt.Checkpoint) (*SSSPResult, error) {
 	opts := RunOptions{Kernel: "sssp", Root: root, Weights: wg.Weights, Resume: from, weighted: true, roots: []graph.Vertex{root}}
-	nodes, info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (*ssspNode, error) {
-		n := ctx.Sub.NumVertices()
-		sn := &ssspNode{
-			ctx:       ctx,
-			weights:   extractLocalWeights(wg, ctx),
-			dist:      make([]int64, n),
-			active:    graph.NewBitmap(n),
-			activated: make(tally, ctx.Workers),
-		}
-		for i := range sn.dist {
-			sn.dist[i] = InfDistance
+	nodes, info, err := Run(cfg, wg.CSR, opts, func(ctx *NodeCtx) (*relaxNode[int64], error) {
+		r := newRelaxNode[int64](ctx, extractLocalWeights(wg, ctx))
+		for i := range r.val {
+			r.val[i] = InfDistance
 		}
 		if local, ok := ctx.Own(root); ok {
-			sn.dist[local] = 0
-			sn.active.Set(local)
-			sn.pending = 1
+			r.val[local] = 0
+			r.active.Set(local)
+			r.pending = 1
 		}
-		return sn, nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &SSSPResult{
-		Dist: gather(nodes[0].ctx.Part, nodes, func(s *ssspNode) []int64 { return s.dist }),
-		Info: info,
-	}
-	for _, sn := range nodes {
-		res.Relaxations += sn.relaxations()
+	res := &SSSPResult{Dist: relaxed(nodes), Info: info}
+	// Each settled vertex relaxed its out-edges at least once; the degree
+	// sum of reached vertices is the conventional TEPS numerator.
+	for v, d := range res.Dist {
+		if d < InfDistance {
+			res.Relaxations += wg.Degree(graph.Vertex(v))
+		}
 	}
 	return res, nil
-}
-
-func (s *ssspNode) Active() int64 { return s.pending }
-
-// Generate relaxes the out-edges of the frontier, fanning the bitmap scan
-// over the node's workers in word-aligned shards (see comm.Fanout).
-func (s *ssspNode) Generate(round int, out *comm.Lane) error {
-	err := comm.Fanout(out, int64(len(s.active.Words())), s.ctx.Workers, s, func(s *ssspNode, out *comm.Lane, lo, hi int64) error {
-		return scanBits(s.active.Words(), lo, hi, func(local int64) error {
-			d := s.dist[local]
-			for i := s.ctx.Sub.RowPtr[local]; i < s.ctx.Sub.RowPtr[local+1]; i++ {
-				u := s.ctx.Sub.Col[i]
-				if err := out.Send(s.ctx.Part.Owner(u), comm.Pair{u, graph.Vertex(d + s.weights[i])}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	})
-	s.active.Reset()
-	return err
-}
-
-// Handle keeps the minimum tentative distance per vertex and activates
-// every vertex it improves.
-func (s *ssspNode) Handle(shard int, pairs []comm.Pair) {
-	for _, p := range pairs {
-		local, nd := int64(p[0]), int64(p[1])
-		if nd < s.dist[local] {
-			s.dist[local] = nd
-			if !s.active.Get(local) {
-				s.active.Set(local)
-				s.activated[shard]++
-			}
-		}
-	}
-}
-
-// pairFold declares Bellman-Ford's exact fold: Handle keeps the minimum
-// tentative distance, so the smallest of a vertex's distances leaves the
-// state all of them would.
-func (s *ssspNode) pairFold() fold { return foldMin }
-
-func (s *ssspNode) EndRound(round int) error {
-	s.pending = s.activated.drain()
-	return nil
-}
-
-// ssspCkpt is the checkpoint payload: the tentative distances and the
-// frontier entering the next round.
-type ssspCkpt struct {
-	Dist    []int64  `json:"dist"`
-	Active  []uint64 `json:"active"`
-	Pending int64    `json:"pending"`
-}
-
-func (s *ssspNode) CheckpointState() any {
-	return &ssspCkpt{
-		Dist:    append([]int64(nil), s.dist...),
-		Active:  append([]uint64(nil), s.active.Words()...),
-		Pending: s.pending,
-	}
-}
-
-func (s *ssspNode) RestoreState(data []byte) error {
-	var c ssspCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("sssp state: %w", err)
-	}
-	if len(c.Dist) != len(s.dist) {
-		return fmt.Errorf("sssp state: %d distances, partition gives %d", len(c.Dist), len(s.dist))
-	}
-	copy(s.dist, c.Dist)
-	s.active.LoadWords(c.Active)
-	s.pending = c.Pending
-	return nil
-}
-
-func (s *ssspNode) relaxations() int64 {
-	// Each settled vertex relaxed its out-edges at least once; use the
-	// degree sum of reached vertices as the conventional TEPS numerator.
-	var r int64
-	for local := int64(0); local < s.ctx.Sub.NumVertices(); local++ {
-		if s.dist[local] < InfDistance {
-			r += s.ctx.Sub.Degree(local)
-		}
-	}
-	return r
 }
 
 // extractLocalWeights aligns the weighted graph's edge weights with a
@@ -185,47 +79,9 @@ func ReferenceSSSP(wg *graph.WeightedCSR, root graph.Vertex) []int64 {
 		return dist
 	}
 	dist[root] = 0
-	// Binary heap of (dist, vertex).
-	type item struct {
-		d int64
-		v graph.Vertex
-	}
-	heap := []item{{0, root}}
-	push := func(it item) {
-		heap = append(heap, it)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p].d <= heap[i].d {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < last && heap[l].d < heap[small].d {
-				small = l
-			}
-			if r < last && heap[r].d < heap[small].d {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		it := pop()
+	h := &distHeap{{0, root}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(distItem)
 		if it.d > dist[it.v] {
 			continue
 		}
@@ -235,9 +91,29 @@ func ReferenceSSSP(wg *graph.WeightedCSR, root graph.Vertex) []int64 {
 			nd := it.d + wg.Weights.W[i]
 			if nd < dist[u] {
 				dist[u] = nd
-				push(item{nd, u})
+				heap.Push(h, distItem{nd, u})
 			}
 		}
 	}
 	return dist
+}
+
+// distHeap is ReferenceSSSP's min-heap of tentative distances
+// (container/heap).
+type distHeap []distItem
+
+type distItem struct {
+	d int64
+	v graph.Vertex
+}
+
+func (h distHeap) Len() int           { return len(h) }
+func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
+func (h *distHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }

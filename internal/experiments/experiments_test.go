@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"swbfs/internal/chaos"
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
 )
@@ -316,6 +317,28 @@ func TestTable2(t *testing.T) {
 	tab.Print(&sb)
 	if !strings.Contains(sb.String(), "23755.7") {
 		t.Fatal("paper headline missing")
+	}
+}
+
+// TestTable2NotesFailedHeadline: when the headline run is killed, table2
+// keeps the published rows, adds no reproduction row, and says why in a
+// note.
+func TestTable2NotesFailedHeadline(t *testing.T) {
+	plan, err := chaos.ParsePlan("kill@2:l1:data/forward:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiny(1, 11)
+	o.Host.ChaosPlan = &plan
+	tab, err := table2(o, shape{nodes: []int{4}, perNodeLogs: []int{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 8 { // 7 published + paper
+		t.Fatalf("%d rows", len(tab.Rows))
+	}
+	if len(tab.Notes) != 1 || !strings.Contains(tab.Notes[0], "no reproduction row: headline measurement failed") {
+		t.Fatalf("notes = %q, want one naming the failed headline", tab.Notes)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
+	"swbfs/internal/testutil"
 )
 
 // family is one graph shape with its reference BFS tree, shared by the
@@ -19,86 +20,18 @@ type family struct {
 	level  []int64
 }
 
-// validateFamilies builds the shapes the validators are compared on. Every
-// hand-built one carries three trailing stragglers — an isolated vertex and
-// a disjoint edge — so an unvisited component always exists. Between them
-// the shapes pin what the chunked edge pass must get right: an N that is not
-// a multiple of validateChunkEdges, a row longer than one chunk (the star's
+// validateFamilies builds the shapes the validators are compared on
+// (testutil.Families) with their reference BFS trees. Between them the
+// shapes pin what the chunked edge pass must get right: an N that is not a
+// multiple of validateChunkEdges, a row longer than one chunk (the star's
 // hub), several chunks (kronecker, star, skew), and heavy rows packed at
-// the low vertex ids (skew — what an unpermuted file graph looks like).
+// the low vertex ids (skew).
 func validateFamilies(tb testing.TB) []family {
 	tb.Helper()
-	build := func(name string, n int64, root graph.Vertex, edges []graph.Edge) family {
-		edges = append(edges, graph.Edge{From: graph.Vertex(n + 1), To: graph.Vertex(n + 2)})
-		g, err := graph.BuildCSR(n+3, edges)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return family{name: name, g: g, root: root}
-	}
 	var fams []family
-
-	kron, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 11, Seed: 19})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	_, hub := kron.MaxDegree()
-	fams = append(fams, family{name: "kronecker", g: kron, root: hub})
-
-	var path []graph.Edge
-	for v := graph.Vertex(0); v < 256; v++ {
-		path = append(path, graph.Edge{From: v, To: v + 1})
-	}
-	fams = append(fams, build("path", 257, 0, path))
-
-	const starN = validateChunkEdges + 7000
-	var star []graph.Edge
-	for v := graph.Vertex(1); v < starN; v++ {
-		star = append(star, graph.Edge{From: 0, To: v})
-	}
-	fams = append(fams, build("star", starN, 7, star)) // rooted at a leaf: three levels
-
-	const side = 24
-	var grid []graph.Edge
-	for r := graph.Vertex(0); r < side; r++ {
-		for c := graph.Vertex(0); c < side; c++ {
-			if c+1 < side {
-				grid = append(grid, graph.Edge{From: r*side + c, To: r*side + c + 1})
-			}
-			if r+1 < side {
-				grid = append(grid, graph.Edge{From: r*side + c, To: (r+1)*side + c})
-			}
-		}
-	}
-	fams = append(fams, build("grid", side*side, side*side/2, grid))
-
-	const clique = 12
-	cliques := []graph.Edge{{From: clique - 1, To: clique}} // the bridge
-	for a := graph.Vertex(0); a < clique; a++ {
-		for b := a + 1; b < clique; b++ {
-			cliques = append(cliques, graph.Edge{From: a, To: b}, graph.Edge{From: clique + a, To: clique + b})
-		}
-	}
-	fams = append(fams, build("two cliques and a bridge", 2*clique, 3, cliques))
-
-	// A binary tree on every third vertex; the two between are isolated.
-	var sparse []graph.Edge
-	for i := graph.Vertex(1); i < 60; i++ {
-		sparse = append(sparse, graph.Edge{From: 3 * ((i - 1) / 2), To: 3 * i})
-	}
-	fams = append(fams, build("isolated vertices", 180, 0, sparse))
-
-	const skewN = 4096
-	var skew []graph.Edge
-	for u := graph.Vertex(0); u < skewN; u++ {
-		for v := u + 1; v < min(skewN, u+1+skewN/(u+1)); v++ {
-			skew = append(skew, graph.Edge{From: u, To: v})
-		}
-	}
-	fams = append(fams, build("unpermuted skew", skewN, skewN-1, skew))
-
-	for i := range fams {
-		fams[i].parent, fams[i].level = core.ReferenceBFS(fams[i].g, fams[i].root)
+	for _, f := range testutil.Families(tb, validateChunkEdges+7000) {
+		parent, level := core.ReferenceBFS(f.G, f.Root)
+		fams = append(fams, family{name: f.Name, g: f.G, root: f.Root, parent: parent, level: level})
 	}
 	return fams
 }
