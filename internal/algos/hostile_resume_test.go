@@ -3,7 +3,6 @@ package algos
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -165,20 +164,7 @@ func renamePayloadKey(t *testing.T, raw []byte, from, to string) []byte {
 // every boundary and returns the last one written.
 func healthyCheckpoint(t *testing.T, cfg core.Config, wg *graph.WeightedCSR, root graph.Vertex, kernel, args string) *ckpt.Checkpoint {
 	t.Helper()
-	k, err := KernelByName(kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointEvery = 1
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), kernel+".ckpt.json")
-	if _, err := k.Run(cfg, wg, root, args, nil); err != nil {
-		t.Fatalf("%s: %v", kernel, err)
-	}
-	c, err := ckpt.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return checkpointEvery(t, cfg, wg, root, kernel, args, 1)
 }
 
 // TestHostileArgsRefused edits the arguments (or the kernel name) of a
