@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzOrderPairs$$' -fuzztime=$(FUZZTIME) ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapWordScan -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
+	$(GO) test -run='^$$' -fuzz='^FuzzStateDecode$$' -fuzztime=$(FUZZTIME) ./internal/ckpt/
 	$(GO) test -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME) ./internal/graph500/
 
 # resume-smoke drives the full CLI walkthrough of docs/CHAOS.md: kill a

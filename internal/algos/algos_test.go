@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
@@ -342,5 +343,4 @@ func (*neverConverges) Active() int64                  { return 1 }
 func (*neverConverges) Generate(int, *comm.Lane) error { return nil }
 func (*neverConverges) Handle(int, []comm.Pair)        {}
 func (*neverConverges) EndRound(int) error             { return nil }
-func (*neverConverges) CheckpointState() any           { return nil }
-func (*neverConverges) RestoreState([]byte) error      { return nil }
+func (*neverConverges) State() ckpt.State              { return nil }

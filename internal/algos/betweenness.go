@@ -1,7 +1,6 @@
 package algos
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -237,6 +236,10 @@ func (b *bcNode) EndRound(round int) error {
 // finishes the run). Every node takes the same transition: the decision
 // depends only on synchronized state.
 func (b *bcNode) finishSource() error {
+	if b.srcIdx == len(b.sources) { // a resumed node that was already done
+		b.done = true
+		return nil
+	}
 	s := b.sources[b.srcIdx]
 	comm.ForEachShard(b.ctx.Sub.NumVertices(), b.ctx.Workers, func(_ int, lo, hi int64) {
 		for local := lo; local < hi; local++ {
@@ -254,64 +257,24 @@ func (b *bcNode) finishSource() error {
 	return nil
 }
 
-// bcCkpt is the checkpoint payload. Sigma and the accumulated
+// State is the source index (len(sources) once done), the sweep state of
+// the current source and the centralities so far. Sigma and the
 // centralities travel as IEEE-754 bit patterns so the restored floats are
 // exact; the dependency accumulator is already fixed-point.
-type bcCkpt struct {
-	SrcIdx    int      `json:"src_idx"`
-	Dist      []int64  `json:"dist"`
-	SigmaBits []uint64 `json:"sigma_bits"`
-	DeltaFix  []int64  `json:"delta_fix"`
-	Frontier  []uint64 `json:"frontier"`
-	Count     int64    `json:"count"`
-	Depth     int64    `json:"depth"`
-	MaxDepth  int64    `json:"max_depth"`
-	Backward  bool     `json:"backward"`
-	BcBits    []uint64 `json:"bc_bits"`
-	Done      bool     `json:"done"`
-}
-
-func (b *bcNode) CheckpointState() any {
-	return &bcCkpt{
-		SrcIdx:    b.srcIdx,
-		Dist:      append([]int64(nil), b.dist...),
-		SigmaBits: ckpt.Float64sToBits(b.sigma),
-		DeltaFix:  append([]int64(nil), b.deltaFix...),
-		Frontier:  append([]uint64(nil), b.frontier.Words()...),
-		Count:     b.count,
-		Depth:     b.depth,
-		MaxDepth:  b.maxDepth,
-		Backward:  b.backward,
-		BcBits:    ckpt.Float64sToBits(b.bc),
-		Done:      b.done,
+func (b *bcNode) State() ckpt.State {
+	return ckpt.State{
+		ckpt.Enum("src_idx", &b.srcIdx, len(b.sources)+1),
+		ckpt.Slice("dist", b.dist),
+		ckpt.Floats("sigma_bits", b.sigma),
+		ckpt.Slice("delta_fix", b.deltaFix),
+		ckpt.Words("frontier", b.frontier),
+		ckpt.Scalar("count", &b.count),
+		ckpt.Scalar("depth", &b.depth),
+		ckpt.Scalar("max_depth", &b.maxDepth),
+		ckpt.Scalar("backward", &b.backward),
+		ckpt.Floats("bc_bits", b.bc),
+		ckpt.Scalar("done", &b.done),
 	}
-}
-
-func (b *bcNode) RestoreState(data []byte) error {
-	var c bcCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("betweenness state: %w", err)
-	}
-	if len(c.Dist) != len(b.dist) || len(c.SigmaBits) != len(b.sigma) ||
-		len(c.DeltaFix) != len(b.deltaFix) || len(c.BcBits) != len(b.bc) {
-		return fmt.Errorf("betweenness state: entry counts do not match the partition's %d locals", len(b.dist))
-	}
-	// srcIdx == len(sources) is the finished state (done=true).
-	if c.SrcIdx < 0 || c.SrcIdx > len(b.sources) {
-		return fmt.Errorf("betweenness state: source index %d out of range [0, %d]", c.SrcIdx, len(b.sources))
-	}
-	b.srcIdx = c.SrcIdx
-	copy(b.dist, c.Dist)
-	copy(b.sigma, ckpt.BitsToFloat64s(c.SigmaBits))
-	copy(b.deltaFix, c.DeltaFix)
-	b.frontier.LoadWords(c.Frontier)
-	b.count = c.Count
-	b.depth = c.Depth
-	b.maxDepth = c.MaxDepth
-	b.backward = c.Backward
-	copy(b.bc, ckpt.BitsToFloat64s(c.BcBits))
-	b.done = c.Done
-	return nil
 }
 
 // ReferenceBetweenness is the sequential Brandes oracle over the same

@@ -1,7 +1,6 @@
 package algos
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"swbfs/internal/ckpt"
@@ -206,66 +205,19 @@ func (d *deltaNode) EndRound(round int) error {
 	return nil
 }
 
-// deltaCkpt is the checkpoint payload. The request sets serialize as
-// sorted local lists (the order Generate scans them in).
-type deltaCkpt struct {
-	Dist      []int64 `json:"dist"`
-	CurBucket int64   `json:"cur_bucket"`
-	Phase     int     `json:"phase"`
-	Done      bool    `json:"done"`
-	LightReq  []int64 `json:"light_req"`
-	HeavySet  []int64 `json:"heavy_set"`
-	Relaxed   int64   `json:"relaxed"`
-}
-
-func (d *deltaNode) CheckpointState() any {
-	return &deltaCkpt{
-		Dist:      append([]int64(nil), d.dist...),
-		CurBucket: d.curBucket,
-		Phase:     int(d.phase),
-		Done:      d.done,
-		LightReq:  setLocals(d.lightReq),
-		HeavySet:  setLocals(d.heavySet),
-		Relaxed:   d.relaxed,
+// State is the distances, the open bucket and its phase, the request
+// sets as ascending local lists (the order Generate scans them in) and the
+// relaxation count.
+func (d *deltaNode) State() ckpt.State {
+	return ckpt.State{
+		ckpt.Slice("dist", d.dist),
+		ckpt.Scalar("cur_bucket", &d.curBucket),
+		ckpt.Enum("phase", &d.phase, phaseHeavy+1),
+		ckpt.Scalar("done", &d.done),
+		ckpt.Set("light_req", d.lightReq),
+		ckpt.Set("heavy_set", d.heavySet),
+		ckpt.Scalar("relaxed", &d.relaxed),
 	}
-}
-
-// setLocals lists a request set's locals in ascending order.
-func setLocals(set *graph.Bitmap) []int64 {
-	locals := []int64{}
-	set.ForEach(func(local int64) { locals = append(locals, local) })
-	return locals
-}
-
-// loadLocals refills a request set from a checkpoint's local list.
-func loadLocals(set *graph.Bitmap, locals []int64) error {
-	set.Reset()
-	for _, local := range locals {
-		if local < 0 || local >= set.Len() {
-			return fmt.Errorf("delta-sssp state: request for local %d, partition gives %d", local, set.Len())
-		}
-		set.Set(local)
-	}
-	return nil
-}
-
-func (d *deltaNode) RestoreState(data []byte) error {
-	var c deltaCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("delta-sssp state: %w", err)
-	}
-	if len(c.Dist) != len(d.dist) {
-		return fmt.Errorf("delta-sssp state: %d distances, partition gives %d", len(c.Dist), len(d.dist))
-	}
-	copy(d.dist, c.Dist)
-	d.curBucket = c.CurBucket
-	d.phase = deltaPhase(c.Phase)
-	d.done = c.Done
-	d.relaxed = c.Relaxed
-	if err := loadLocals(d.lightReq, c.LightReq); err != nil {
-		return err
-	}
-	return loadLocals(d.heavySet, c.HeavySet)
 }
 
 // nextBucket scans all local vertices for the smallest bucket beyond the

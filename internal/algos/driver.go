@@ -86,11 +86,10 @@ type RoundAlgo interface {
 	// EndRound runs after all of the round's traffic has been handled
 	// (symmetric across nodes; collectives are allowed here).
 	EndRound(round int) error
-	// CheckpointState returns a JSON-serializable deep copy of the node's
-	// state at a round boundary; RestoreState loads such a payload into a
-	// freshly constructed node before the loop starts.
-	CheckpointState() any
-	RestoreState(data []byte) error
+	// State declares the node's checkpoint state, which the machine
+	// captures at round boundaries and checks and loads on a resume. State
+	// the constructor rebuilds, or a boundary always finds empty, stays out.
+	State() ckpt.State
 }
 
 // RunOptions identifies and bounds one driver run.
@@ -114,8 +113,8 @@ type RunOptions struct {
 	Weights *graph.Weights
 	// Resume, when non-nil, reconstructs the ensemble from a round-boundary
 	// checkpoint instead of starting fresh: every node's kernel state is
-	// restored through RestoreState and the loop re-enters at the recorded
-	// round. The caller must rebuild the same graph and weights
+	// checked and loaded through its State and the loop re-enters at the
+	// recorded round. The caller must rebuild the same graph and weights
 	// (digest-checked) and pass an equivalent machine configuration
 	// (fingerprint-checked) and identical kernel parameters
 	// (Args-checked); Workers, observers, timeouts and the chaos
@@ -234,11 +233,6 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 			nodes[i].comb = newCombiner(nodes[i].ep, part, c.pairFold())
 		}
 		nodes[i].per, nodes[i].shards = vertexShardWidth(ctx.Sub.NumVertices(), cfg.Workers)
-		if opts.Resume != nil {
-			if err := nodes[i].restoreNode(opts.Resume.Nodes[i].Data); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
 
 	if err := m.Drive(func(node int) core.Body { return nodes[node] }); err != nil {
@@ -305,6 +299,9 @@ type nodeRun struct {
 	shards  int
 	buckets [][]comm.Pair
 }
+
+// State declares the node's checkpoint state: its kernel's, under "algo".
+func (n *nodeRun) State() ckpt.State { return ckpt.State{ckpt.Object("algo", n.algo.State())} }
 
 // roundChannels are the channels a round opens: a round's generator and
 // handler are the forward pair.

@@ -2,11 +2,13 @@ package algos
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/core"
 	"swbfs/internal/graph"
@@ -55,7 +57,8 @@ func quietObserver() (*obs.Observer, <-chan obs.LiveEvent) {
 
 // checkSilent fails unless the observer saw nothing at all: a rejected
 // resume must publish no run-start (there would be no run-done to pair it
-// with), open no flight run and record no run.
+// with), open no flight run, record no run and leave /debug/checkpoint
+// serving what it did (here: nothing).
 func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 	t.Helper()
 	select {
@@ -68,6 +71,9 @@ func checkSilent(t *testing.T, o *obs.Observer, events <-chan obs.LiveEvent) {
 	}
 	if n := o.Trace.Len(); n != 0 {
 		t.Errorf("rejected resume recorded %d runs", n)
+	}
+	if o.Checkpoint != nil {
+		t.Error("rejected resume took over /debug/checkpoint")
 	}
 }
 
@@ -108,9 +114,8 @@ func TestHostileCheckpointRejected(t *testing.T) {
 	}
 	// WCC and SSSP once wrote their values under their own keys ("label",
 	// "dist"); the kernel they share reads "value". A payload in the old
-	// format must be refused, not loaded as zeroed state. The kernel reads
-	// its payload once the machine is open, so this refusal comes after the
-	// run is announced.
+	// format must be refused, not loaded as zeroed state, and before the run
+	// is announced.
 	wwg := testutil.Weighted(t, g, 9)
 	for kernel, key := range map[string]string{"wcc": "label", "sssp": "dist"} {
 		healthy := healthyCheckpoint(t, cfg, wwg, root, kernel, "")
@@ -118,12 +123,17 @@ func TestHostileCheckpointRejected(t *testing.T) {
 			old := *healthy
 			old.Nodes = slices.Clone(healthy.Nodes)
 			for i := range old.Nodes {
-				old.Nodes[i].Data = renamePayloadKey(t, old.Nodes[i].Data, "value", key)
+				old.Nodes[i].Data = editState(t, old.Nodes[i].Data, func(fields map[string]json.RawMessage) {
+					fields[key] = fields["value"]
+					delete(fields, "value")
+				})
 			}
-			_, err := resume(cfg, wwg, &old)
-			if err == nil || !strings.Contains(err.Error(), "0 values") {
-				t.Fatalf("payload in the old format: %v, want a refusal naming its missing values", err)
-			}
+			o, events := quietObserver()
+			rcfg := cfg
+			rcfg.Obs = o
+			_, err := resume(rcfg, wwg, &old)
+			checkNamesField(t, err, "algo.value")
+			checkSilent(t, o, events)
 		})
 		if _, err := resume(cfg, wwg, healthy); err != nil {
 			t.Fatalf("%s: healthy checkpoint refused: %v", kernel, err)
@@ -131,33 +141,45 @@ func TestHostileCheckpointRejected(t *testing.T) {
 	}
 }
 
-// renamePayloadKey returns a node's checkpoint data with the kernel
-// payload's key named from renamed to the name to.
-func renamePayloadKey(t *testing.T, raw []byte, from, to string) []byte {
+// editState returns a node payload with edit applied to its kernel's
+// fields: the payload's own for BFS, the ones under "algo" for a round
+// kernel.
+func editState(t *testing.T, raw []byte, edit func(fields map[string]json.RawMessage)) []byte {
 	t.Helper()
-	var data driverNodeData
-	if err := json.Unmarshal(raw, &data); err != nil {
+	var outer map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &outer); err != nil {
 		t.Fatal(err)
 	}
-	var payload map[string]json.RawMessage
-	if err := json.Unmarshal(data.Algo, &payload); err != nil {
-		t.Fatal(err)
+	fields := outer
+	inner, wrapped := outer["algo"]
+	if wrapped {
+		fields = nil
+		if err := json.Unmarshal(inner, &fields); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v, ok := payload[from]
-	if !ok {
-		t.Fatalf("payload has no %q key", from)
-	}
-	delete(payload, from)
-	payload[to] = v
+	edit(fields)
 	var err error
-	if data.Algo, err = json.Marshal(payload); err != nil {
-		t.Fatal(err)
+	if wrapped {
+		if outer["algo"], err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out, err := json.Marshal(&data)
+	out, err := json.Marshal(outer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// checkNamesField fails unless err refuses a resume with a *ckpt.StateError
+// naming field.
+func checkNamesField(t *testing.T, err error, field string) {
+	t.Helper()
+	var se *ckpt.StateError
+	if !errors.As(err, &se) || se.Field != field {
+		t.Fatalf("resume returned %v, want a *ckpt.StateError naming %q", err, field)
+	}
 }
 
 // healthyCheckpoint runs kernel through the table with a checkpoint at
@@ -221,26 +243,21 @@ func TestDeltaResumeRejectsForeignLocal(t *testing.T) {
 	g := kron(t, 8, 21)
 	wg := testutil.Weighted(t, g, 9)
 	root := testutil.FirstConnected(t, g)
-	c := healthyCheckpoint(t, ckptMachine(core.TransportDirect), wg, root, "delta-sssp", "delta=16")
-	var data driverNodeData
-	var state deltaCkpt
-	err := json.Unmarshal(c.Nodes[0].Data, &data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data.Algo, &state); err != nil {
-		t.Fatal(err)
-	}
-	state.LightReq = append(state.LightReq, int64(len(state.Dist)))
-	if data.Algo, err = json.Marshal(&state); err != nil {
-		t.Fatal(err)
-	}
-	if c.Nodes[0].Data, err = json.Marshal(&data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := resume(ckptMachine(core.TransportDirect), wg, c); err == nil {
-		t.Fatal("request for a local past the partition accepted")
-	}
+	cfg := ckptMachine(core.TransportDirect)
+	c := healthyCheckpoint(t, cfg, wg, root, "delta-sssp", "delta=16")
+	c.Nodes = slices.Clone(c.Nodes)
+	c.Nodes[0].Data = editState(t, c.Nodes[0].Data, func(fields map[string]json.RawMessage) {
+		var dist []int64
+		if err := json.Unmarshal(fields["dist"], &dist); err != nil {
+			t.Fatal(err)
+		}
+		fields["light_req"] = []byte(fmt.Sprintf("[%d]", len(dist)))
+	})
+	o, events := quietObserver()
+	cfg.Obs = o
+	_, err := resume(cfg, wg, c)
+	checkNamesField(t, err, "algo.light_req")
+	checkSilent(t, o, events)
 }
 
 // TestKernelsRefuseHostileInput runs every kernel of the table on input no
@@ -278,5 +295,251 @@ func TestKernelsRefuseHostileInput(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A field's kind says how a hostile checkpoint breaks it, on top of
+// dropping it: a fixed-length field (one entry per local, or a bitmap's
+// words) loses its last entry, a local list gains a local past the graph,
+// an enumeration takes a value past its range and a plain scalar one of
+// the wrong type.
+type fieldKind int
+
+const (
+	fixedLen fieldKind = iota
+	localList
+	enumeration
+	scalar
+)
+
+// stateFields lists every field each kernel's State declares: a node
+// payload's keys for the kernel, and for BFS the machine record's
+// ("machine.policy", "machine.hub_visited"). TestHostileStateRefused
+// fails when a payload carries a key this table lacks.
+var stateFields = map[string]map[string]fieldKind{
+	"bfs": {
+		"parent": fixedLen, "curr": fixedLen, "visited": fixedLen, "visited_deg": scalar,
+		"machine.policy": enumeration, "machine.hub_visited": fixedLen,
+	},
+	"sssp": {"value": fixedLen, "active": fixedLen, "pending": scalar},
+	"wcc":  {"value": fixedLen, "active": fixedLen, "pending": scalar},
+	"delta-sssp": {
+		"dist": fixedLen, "cur_bucket": scalar, "phase": enumeration, "done": scalar,
+		"light_req": localList, "heavy_set": localList, "relaxed": scalar,
+	},
+	"pagerank": {"iter": scalar, "rank_bits": fixedLen, "acc": fixedLen},
+	"kcore":    {"alive": fixedLen, "effdeg": fixedLen, "removal": localList},
+	"betweenness": {
+		"src_idx": enumeration, "dist": fixedLen, "sigma_bits": fixedLen, "delta_fix": fixedLen,
+		"frontier": fixedLen, "count": scalar, "depth": scalar, "max_depth": scalar,
+		"backward": scalar, "bc_bits": fixedLen, "done": scalar,
+	},
+}
+
+// breakField returns the hostile values of one field given its healthy
+// encoding: what each mutation names, and the raw value (nil: drop the
+// field).
+func breakField(t *testing.T, kind fieldKind, healthy json.RawMessage, n int64) map[string]json.RawMessage {
+	t.Helper()
+	out := map[string]json.RawMessage{"missing": nil}
+	switch kind {
+	case fixedLen:
+		var list []json.RawMessage
+		if err := json.Unmarshal(healthy, &list); err != nil || len(list) == 0 {
+			t.Fatalf("fixed-length field %s is not a non-empty list", healthy)
+		}
+		short, err := json.Marshal(list[:len(list)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["shortened"] = short
+	case localList:
+		var list []int64
+		if err := json.Unmarshal(healthy, &list); err != nil {
+			t.Fatal(err)
+		}
+		past, err := json.Marshal(append(list, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["local past the graph"] = past
+	case enumeration:
+		out["out of range"] = json.RawMessage("5")
+	case scalar:
+		out["wrong type"] = json.RawMessage(`"x"`)
+	}
+	return out
+}
+
+// TestHostileStateRefused breaks every field every kernel's State declares,
+// in node 0's payload or, for BFS's machine-wide fields, the machine
+// record: each hostile checkpoint must be refused with a *ckpt.StateError
+// naming the field, before anything is announced, and never panic; the
+// healthy original must still resume afterwards. BFS runs hybrid with hub
+// prefetch, so the machine record carries the hub-visited bitmap.
+func TestHostileStateRefused(t *testing.T) {
+	g := kron(t, 8, 21)
+	wg := testutil.Weighted(t, g, 9)
+	root := testutil.FirstConnected(t, g)
+	args := ckptArgs(root)
+	cfg := ckptMachine(core.TransportRelay)
+	cfg.DirectionOptimized, cfg.HubPrefetch = true, true
+	for _, k := range Kernels {
+		fields, ok := stateFields[k.Name]
+		if !ok {
+			t.Fatalf("stateFields has no entry for kernel %s", k.Name)
+		}
+		healthy := healthyCheckpoint(t, cfg, wg, root, k.Name, args[k.Name])
+		var seen []string
+		editState(t, healthy.Nodes[0].Data, func(payload map[string]json.RawMessage) {
+			for key := range payload {
+				seen = append(seen, key)
+			}
+		})
+		if k.Name == core.KernelBFS {
+			seen = append(seen, "machine.policy", "machine.hub_visited")
+		}
+		for _, key := range seen {
+			if _, ok := fields[key]; !ok {
+				t.Fatalf("%s: payload field %q is not in stateFields", k.Name, key)
+			}
+		}
+		if len(seen) != len(fields) {
+			t.Fatalf("%s: payload has fields %v, stateFields lists %d", k.Name, seen, len(fields))
+		}
+		for field, kind := range fields {
+			machineKey, onMachine := strings.CutPrefix(field, "machine.")
+			var value json.RawMessage
+			if onMachine {
+				machine := map[string]any{"policy": healthy.Machine.Policy, "hub_visited": healthy.Machine.HubVisited}
+				var err error
+				if value, err = json.Marshal(machine[machineKey]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				editState(t, healthy.Nodes[0].Data, func(payload map[string]json.RawMessage) { value = payload[field] })
+			}
+			for what, raw := range breakField(t, kind, value, g.N) {
+				t.Run(k.Name+"/"+field+"/"+what, func(t *testing.T) {
+					c := *healthy
+					c.Nodes = slices.Clone(healthy.Nodes)
+					want := field
+					switch {
+					case onMachine:
+						if err := breakMachineField(&c.Machine, machineKey, raw); err != nil {
+							t.Fatal(err)
+						}
+						want = machineKey
+					default:
+						c.Nodes[0].Data = editState(t, c.Nodes[0].Data, func(payload map[string]json.RawMessage) {
+							if raw == nil {
+								delete(payload, field)
+							} else {
+								payload[field] = raw
+							}
+						})
+						if k.Name != core.KernelBFS {
+							want = "algo." + field
+						}
+					}
+					o, events := quietObserver()
+					rcfg := cfg
+					rcfg.Obs, rcfg.CheckpointEvery = o, 1
+					_, err := resume(rcfg, wg, &c)
+					checkNamesField(t, err, want)
+					checkSilent(t, o, events)
+				})
+			}
+		}
+		if _, err := resume(cfg, wg, healthy); err != nil {
+			t.Fatalf("%s: healthy checkpoint refused: %v", k.Name, err)
+		}
+	}
+}
+
+// breakMachineField sets one of BFS's machine-record fields to raw, or
+// drops it (nil raw): a dropped policy reads back as null, a dropped
+// bitmap as empty.
+func breakMachineField(ms *ckpt.MachineState, key string, raw json.RawMessage) error {
+	switch key {
+	case "policy":
+		if raw == nil {
+			ms.Policy = -1 // the record's int cannot be absent; -1 is out of range
+			return nil
+		}
+		return json.Unmarshal(raw, &ms.Policy)
+	default:
+		ms.HubVisited = nil
+		if raw == nil {
+			return nil
+		}
+		return json.Unmarshal(raw, &ms.HubVisited)
+	}
+}
+
+// TestResumeProbesRefused replays three hostile resumes that builds before
+// the state codec took: a BFS checkpoint at a level-2 boundary whose
+// frontier words are emptied (it resumed and built a short tree), a
+// direction policy past the two directions (it indexed the level channels
+// out of range) and a K-core removal past the partition (it indexed the
+// survival flags out of range). Each must be refused with an error naming
+// the field, before anything is announced.
+func TestResumeProbesRefused(t *testing.T) {
+	g := kron(t, 9, 21)
+	wg := &graph.WeightedCSR{CSR: g}
+	root := testutil.FirstConnected(t, g)
+	cfg := ckptMachine(core.TransportRelay)
+	cfg.DirectionOptimized, cfg.HubPrefetch = true, true
+
+	plan, err := chaos.ParsePlan("kill@0:l2:relay-end/forward:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kcfg := cfg
+	kcfg.Chaos, kcfg.CheckpointEvery = &plan, 1
+	bfs, err := KernelByName(core.KernelBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = bfs.Run(kcfg, wg, root, "", nil)
+	var ae *core.AbortError
+	if !errors.As(err, &ae) || ae.Checkpoint == nil || ae.Checkpoint.Level != 2 {
+		t.Fatalf("want an abort carrying the level-2 boundary, got %v", err)
+	}
+	kcore := healthyCheckpoint(t, cfg, wg, root, "kcore", "k=4")
+
+	for _, row := range []struct {
+		name, field string
+		healthy     *ckpt.Checkpoint
+		edit        func(c *ckpt.Checkpoint)
+	}{
+		{"bfs frontier words emptied", "curr", ae.Checkpoint, func(c *ckpt.Checkpoint) {
+			for i := range c.Nodes {
+				c.Nodes[i].Data = editState(t, c.Nodes[i].Data, func(fields map[string]json.RawMessage) {
+					fields["curr"] = json.RawMessage("[]")
+				})
+			}
+		}},
+		{"bfs policy 5", "policy", ae.Checkpoint, func(c *ckpt.Checkpoint) { c.Machine.Policy = 5 }},
+		{"kcore removal past the partition", "algo.removal", kcore, func(c *ckpt.Checkpoint) {
+			c.Nodes[0].Data = editState(t, c.Nodes[0].Data, func(fields map[string]json.RawMessage) {
+				fields["removal"] = json.RawMessage(fmt.Sprintf("[%d]", g.N))
+			})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := *row.healthy
+			c.Nodes = slices.Clone(row.healthy.Nodes)
+			row.edit(&c)
+			o, events := quietObserver()
+			rcfg := cfg
+			rcfg.Obs, rcfg.CheckpointEvery = o, 1
+			_, err := resume(rcfg, wg, &c)
+			checkNamesField(t, err, row.field)
+			checkSilent(t, o, events)
+			if _, err := resume(cfg, wg, row.healthy); err != nil {
+				t.Fatalf("healthy checkpoint refused: %v", err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package algos
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"swbfs/internal/ckpt"
@@ -124,36 +123,15 @@ func (kn *kcoreNode) EndRound(round int) error {
 	return nil
 }
 
-// kcoreCkpt is the checkpoint payload: survival flags, effective
-// degrees, and the removals scheduled for the next round. crossed is empty
-// at every boundary (EndRound drains it).
-type kcoreCkpt struct {
-	Alive   []bool  `json:"alive"`
-	Effdeg  []int64 `json:"effdeg"`
-	Removal []int64 `json:"removal"`
-}
-
-func (kn *kcoreNode) CheckpointState() any {
-	return &kcoreCkpt{
-		Alive:   append([]bool(nil), kn.alive...),
-		Effdeg:  append([]int64(nil), kn.effdeg...),
-		Removal: append([]int64(nil), kn.removal...),
+// State is the survival flags, the effective degrees and the removals
+// scheduled for the next round, ascending as EndRound schedules them.
+// crossed is empty at every boundary (EndRound drains it).
+func (kn *kcoreNode) State() ckpt.State {
+	return ckpt.State{
+		ckpt.Slice("alive", kn.alive),
+		ckpt.Slice("effdeg", kn.effdeg),
+		ckpt.Locals("removal", &kn.removal, int64(len(kn.alive))),
 	}
-}
-
-func (kn *kcoreNode) RestoreState(data []byte) error {
-	var c kcoreCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("kcore state: %w", err)
-	}
-	if len(c.Alive) != len(kn.alive) || len(c.Effdeg) != len(kn.effdeg) {
-		return fmt.Errorf("kcore state: %d/%d entries, partition gives %d",
-			len(c.Alive), len(c.Effdeg), len(kn.alive))
-	}
-	copy(kn.alive, c.Alive)
-	copy(kn.effdeg, c.Effdeg)
-	kn.removal = append(kn.removal[:0], c.Removal...)
-	return nil
 }
 
 // ReferenceKCore is the sequential peeling oracle.

@@ -1,7 +1,6 @@
 package algos
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"swbfs/internal/ckpt"
@@ -167,37 +166,11 @@ func (p *prNode) EndRound(round int) error {
 	return nil
 }
 
-// prCkpt is the checkpoint payload. Ranks travel as IEEE-754 bit
-// patterns so the restored floats are exact; the contribution accumulator
-// is zero at every round boundary (EndRound drains it) but is carried for
-// robustness. dangling and n are rebuilt by the constructor.
-type prCkpt struct {
-	Iter     int      `json:"iter"`
-	RankBits []uint64 `json:"rank_bits"`
-	Acc      []int64  `json:"acc"`
-}
-
-func (p *prNode) CheckpointState() any {
-	return &prCkpt{
-		Iter:     p.iter,
-		RankBits: ckpt.Float64sToBits(p.rank),
-		Acc:      append([]int64(nil), p.acc...),
-	}
-}
-
-func (p *prNode) RestoreState(data []byte) error {
-	var c prCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("pagerank state: %w", err)
-	}
-	if len(c.RankBits) != len(p.rank) || len(c.Acc) != len(p.acc) {
-		return fmt.Errorf("pagerank state: %d ranks / %d accumulators, partition gives %d",
-			len(c.RankBits), len(c.Acc), len(p.rank))
-	}
-	p.iter = c.Iter
-	copy(p.rank, ckpt.BitsToFloat64s(c.RankBits))
-	copy(p.acc, c.Acc)
-	return nil
+// State is the iteration and the ranks. The contribution accumulator is
+// zero at every round boundary (EndRound drains it) but is carried for
+// robustness; dangling and n are rebuilt by the constructor.
+func (p *prNode) State() ckpt.State {
+	return ckpt.State{ckpt.Scalar("iter", &p.iter), ckpt.Floats("rank_bits", p.rank), ckpt.Slice("acc", p.acc)}
 }
 
 // ReferencePageRank is the sequential oracle running the identical update,

@@ -1,9 +1,7 @@
 package algos
 
 import (
-	"encoding/json"
-	"fmt"
-
+	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/graph"
 )
@@ -90,32 +88,7 @@ func (r *relaxNode[V]) EndRound(round int) error {
 	return nil
 }
 
-// relaxCkpt is the checkpoint payload: the values and the frontier
-// entering the next round.
-type relaxCkpt[V ~int64] struct {
-	Value   []V      `json:"value"`
-	Active  []uint64 `json:"active"`
-	Pending int64    `json:"pending"`
-}
-
-func (r *relaxNode[V]) CheckpointState() any {
-	return &relaxCkpt[V]{
-		Value:   append([]V(nil), r.val...),
-		Active:  append([]uint64(nil), r.active.Words()...),
-		Pending: r.pending,
-	}
-}
-
-func (r *relaxNode[V]) RestoreState(data []byte) error {
-	var c relaxCkpt[V]
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("relax state: %w", err)
-	}
-	if len(c.Value) != len(r.val) {
-		return fmt.Errorf("relax state: %d values, partition gives %d", len(c.Value), len(r.val))
-	}
-	copy(r.val, c.Value)
-	r.active.LoadWords(c.Active)
-	r.pending = c.Pending
-	return nil
+// State is the values and the frontier entering the next round.
+func (r *relaxNode[V]) State() ckpt.State {
+	return ckpt.State{ckpt.Slice("value", r.val), ckpt.Words("active", r.active), ckpt.Scalar("pending", &r.pending)}
 }

@@ -7,8 +7,8 @@
 // node's algorithm state is a pure function of the run so far. The file
 // holds everything a Resume path needs to reconstruct the ensemble and
 // continue such that the completed run's Result/RunInfo is bitwise
-// identical to an uninterrupted run: per-node kernel state (serialized
-// through the engines' checkpoint hooks), the machine-wide level
+// identical to an uninterrupted run: per-node kernel state (each engine's
+// State, encoded by the one codec in state.go), the machine-wide level
 // statistics and traffic counters, the direction-policy state, the chaos
 // injection log, and the flight-recorder rings.
 //
@@ -23,8 +23,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"swbfs/internal/chaos"
@@ -109,9 +109,10 @@ type MachineState struct {
 	LastSnap fabric.Snapshot `json:"last_snap"`
 	// Net is the network's cumulative counter state.
 	Net comm.NetState `json:"net"`
-	// Policy is the direction policy's current state (core.Direction).
-	Policy int `json:"policy"`
-	// HubVisited is the machine-wide hub-visited bitmap (BFS only).
+	// Policy is the direction policy's current state (core.Direction) and
+	// HubVisited the machine-wide hub-visited bitmap: BFS's machine-wide
+	// state (core.MachineSpec.Shared), each under its field's name.
+	Policy     int      `json:"policy"`
 	HubVisited []uint64 `json:"hub_visited,omitempty"`
 	// Injections is the chaos injection log at the boundary — the faults
 	// that already fired. A resumed run seeds its injector's log with these
@@ -139,9 +140,8 @@ type ModuleWork struct {
 	SmallBatches int64    `json:"small_batches"`
 }
 
-// NodeState is one simulated node's serialized state. Data is the engine's
-// per-node payload: the BFS runner's bfsNodeData or the algos driver's
-// wrapper around a kernel's CheckpointState payload.
+// NodeState is one simulated node's serialized state. Data is the node's
+// payload: its engine's State, encoded (see State).
 type NodeState struct {
 	ID   int             `json:"id"`
 	Data json.RawMessage `json:"data"`
@@ -167,31 +167,6 @@ type Checkpoint struct {
 	Nodes   []NodeState  `json:"nodes"`
 }
 
-// Float64sToBits converts float values to their IEEE-754 bit patterns for
-// serialization: uint64 round-trips exactly through JSON, float64 does not.
-func Float64sToBits(vals []float64) []uint64 {
-	if vals == nil {
-		return nil
-	}
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = math.Float64bits(v)
-	}
-	return out
-}
-
-// BitsToFloat64s is the inverse of Float64sToBits.
-func BitsToFloat64s(bits []uint64) []float64 {
-	if bits == nil {
-		return nil
-	}
-	out := make([]float64, len(bits))
-	for i, b := range bits {
-		out[i] = math.Float64frombits(b)
-	}
-	return out
-}
-
 // Encode serializes the checkpoint into its canonical byte form.
 func Encode(c *Checkpoint) ([]byte, error) {
 	var b strings.Builder
@@ -213,17 +188,26 @@ func Write(w io.Writer, c *Checkpoint) error {
 }
 
 // WriteFile writes a checkpoint to path (the -checkpoint flags and the
-// abort post-mortem path).
+// abort post-mortem path). It writes a temporary file next to path and
+// renames it over path, so a failed or interrupted write leaves the
+// previous checkpoint there whole.
 func WriteFile(path string, c *Checkpoint) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("ckpt: writing checkpoint: %w", err)
 	}
-	if err := Write(f, c); err != nil {
-		f.Close()
-		return err
+	err = Write(f, c)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644) // CreateTemp's 0600, widened to what os.Create gives
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("ckpt: writing checkpoint: %w", err)
 	}
 	return nil

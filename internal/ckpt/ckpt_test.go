@@ -148,6 +148,35 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFailedWriteKeepsPrevious: a write that fails midway — here on a node
+// payload that is not JSON — returns an error and leaves the checkpoint
+// already at the path whole, with no temporary file beside it.
+func TestFailedWriteKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.ckpt.json")
+	good := sampleCheckpoint()
+	if err := WriteFile(path, good); err != nil {
+		t.Fatal(err)
+	}
+	bad := sampleCheckpoint()
+	bad.Level++
+	bad.Nodes[1].Data = json.RawMessage("not json")
+	if err := WriteFile(path, bad); err == nil {
+		t.Fatal("a checkpoint with a non-JSON node payload was written")
+	}
+	back, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("the previous checkpoint is gone: %v", err)
+	}
+	compactNodes(back)
+	if !reflect.DeepEqual(good, back) {
+		t.Fatal("the failed write changed the previous checkpoint")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after the failed write, want the checkpoint alone (%v)", len(entries), err)
+	}
+}
+
 func TestSchemaReject(t *testing.T) {
 	c := sampleCheckpoint()
 	c.Schema = SchemaVersion + 1
@@ -184,28 +213,26 @@ func TestReadGarbage(t *testing.T) {
 	}
 }
 
-// TestFloatBits: the bit-pattern carriers round-trip every IEEE-754
-// value exactly — including the ones plain JSON floats mangle or reject
-// (NaN, infinities, negative zero, subnormals).
+// TestFloatBits: a Floats field round-trips every IEEE-754 value exactly
+// through its bit patterns — including the ones plain JSON floats mangle or
+// reject (NaN, infinities, negative zero, subnormals).
 func TestFloatBits(t *testing.T) {
 	vals := []float64{
 		0, math.Copysign(0, -1), 1.0 / 3.0, -14.25,
 		math.NaN(), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, math.MaxFloat64,
 	}
-	bits := Float64sToBits(vals)
-	back := BitsToFloat64s(bits)
-	if len(back) != len(vals) {
-		t.Fatalf("%d values in, %d out", len(vals), len(back))
+	back := make([]float64, len(vals))
+	load, err := State{Floats("f", back)}.Decode(State{Floats("f", vals)}.Encode())
+	if err != nil {
+		t.Fatal(err)
 	}
+	load()
 	for i := range vals {
 		if math.Float64bits(back[i]) != math.Float64bits(vals[i]) {
 			t.Fatalf("value %d: %x round-tripped to %x",
 				i, math.Float64bits(vals[i]), math.Float64bits(back[i]))
 		}
-	}
-	if Float64sToBits(nil) != nil || BitsToFloat64s(nil) != nil {
-		t.Fatal("nil does not map to nil")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -10,50 +9,17 @@ import (
 	"swbfs/internal/perf"
 )
 
-// The BFS side of level-boundary checkpointing: what one node serializes
-// at a level boundary and how a resumed node loads it back. The latch that
-// assembles the boundary, and why the window is race-free, live on the
-// machine (Machine.stageCheckpoint).
-
-// bfsNodeData is one node's serialized BFS state at a level boundary: the
-// parent map, the frontier entering the next level (curr — next and
-// genNext are empty at the boundary) and the visited snapshot *before* the
-// new frontier is folded in (the fold opens the next level's Stats). The
-// node's module work rides in the machine's work ledger.
-type bfsNodeData struct {
-	Parent     []int64  `json:"parent"`
-	Curr       []uint64 `json:"curr"`
-	Visited    []uint64 `json:"visited"`
-	VisitedDeg int64    `json:"visited_deg"`
-}
-
-// Capture serializes this node's state. Called at the level boundary,
-// after the module goroutines have joined — no concurrent writers.
-func (ns *nodeState) Capture() (json.RawMessage, error) {
-	return json.Marshal(&bfsNodeData{
-		Parent:     append([]int64(nil), ns.parent...),
-		Curr:       append([]uint64(nil), ns.curr.Words()...),
-		Visited:    append([]uint64(nil), ns.visited.Words()...),
-		VisitedDeg: ns.visitedDeg,
-	})
-}
-
-// restoreNode loads a serialized node state into a freshly constructed
-// node (the resume path, before any goroutine starts).
-func (ns *nodeState) restoreNode(raw json.RawMessage) error {
-	var data bfsNodeData
-	if err := json.Unmarshal(raw, &data); err != nil {
-		return fmt.Errorf("core: node %d checkpoint state: %w", ns.id, err)
+// State declares one node's BFS state at a level boundary: the parent map,
+// the frontier entering the next level (next and genNext are empty there),
+// and the visited snapshot *before* that frontier is folded in (the fold
+// opens the next level's Stats) with its degree sum.
+func (ns *nodeState) State() ckpt.State {
+	return ckpt.State{
+		ckpt.Slice("parent", ns.parent),
+		ckpt.Words("curr", ns.curr),
+		ckpt.Words("visited", ns.visited),
+		ckpt.Scalar("visited_deg", &ns.visitedDeg),
 	}
-	if len(data.Parent) != len(ns.parent) {
-		return fmt.Errorf("core: node %d checkpoint has %d parents, partition gives %d",
-			ns.id, len(data.Parent), len(ns.parent))
-	}
-	copy(ns.parent, data.Parent)
-	ns.curr.LoadWords(data.Curr)
-	ns.visited.LoadWords(data.Visited)
-	ns.visitedDeg = data.VisitedDeg
-	return nil
 }
 
 // ConfigFromCheckpoint reconstructs a machine Config from a checkpoint's

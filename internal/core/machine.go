@@ -115,9 +115,11 @@ type MachineSpec struct {
 	Flight *obs.FlightRecorder
 	// Resume, when non-nil, reopens the machine at a checkpointed boundary.
 	Resume *ckpt.Checkpoint
-	// CaptureKernel adds kernel-owned machine-wide state to node 0's
-	// boundary capture (BFS: direction policy, hub-visited bitmap).
-	CaptureKernel func(*ckpt.MachineState)
+	// Shared declares the kernel's machine-wide checkpoint state, kept in
+	// the checkpoint's machine record (BFS: "policy" and "hub_visited"; nil
+	// for none). Node 0 captures it at every boundary; a resume checks and
+	// loads it with the bodies' states.
+	Shared func() ckpt.State
 	// Recycle, when non-nil, is the machine of the caller's previous run.
 	// If that run finished cleanly on the same configuration and flight
 	// recorder, this run takes over its network and endpoints, reset, with
@@ -339,10 +341,10 @@ func validateResume(c *ckpt.Checkpoint, spec MachineSpec, mcfg ckpt.MachineConfi
 	return nil
 }
 
-// OpenMachine opens one run: it validates spec.Resume, announces the run
-// (live event, flight record), rebuilds the fault injector, and brings up
-// the network, the timing model and every node's endpoint. The caller must
-// Close the returned machine.
+// OpenMachine opens one run: it validates spec.Resume, rebuilds the fault
+// injector, and brings up the network, the timing model and every node's
+// endpoint. It announces nothing: Drive does, once a resume has restored
+// the bodies' states. The caller must Close the returned machine.
 func OpenMachine(spec MachineSpec) (*Machine, error) {
 	spec.Cfg = spec.Cfg.withDefaults()
 	cfg, resume := spec.Cfg, spec.Resume
@@ -370,20 +372,9 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		return nil, err
 	}
 
-	if pb := cfg.Obs.ProgressOf(); pb != nil {
-		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(spec.Root), Kernel: m.label()})
-	}
 	m.slots = make([]LevelWork, cfg.Nodes)
 	if m.Flight == nil {
 		m.Flight = flightFor(cfg.Obs)
-	}
-	if resume == nil {
-		m.Flight.BeginRun(int64(spec.Root), spec.Kernel, cfg.Nodes, cfg.Transport.String())
-	} else {
-		// Restore the black box instead of opening a new run: the run index
-		// and every pre-checkpoint event continue where the original left
-		// off, so a post-resume dump reconciles 1:1 with the injection log.
-		m.Flight.RestoreState(resume.Machine.Flight)
 	}
 
 	// The injector is rebuilt per run so every run against the same plan
@@ -428,9 +419,6 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		m.eps = make([]comm.Endpoint, cfg.Nodes)
 	}
 	m.Model = perf.NewModel(m.Net.Topo, cfg.Engine)
-	if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
-		cfg.Obs.Checkpoint = m // serve /debug/checkpoint
-	}
 	if resume != nil {
 		if err := m.Net.RestoreState(resume.Machine.Net); err != nil {
 			m.Close()
@@ -508,9 +496,10 @@ type Body interface {
 	// filled from the plan and the fold of every node's work vector, and
 	// returns the detail of the level's flight record.
 	Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string)
-	// Capture serializes the node's state at a level boundary for the
-	// checkpoint (Config.CheckpointEvery > 0 only).
-	Capture() (json.RawMessage, error)
+	// State declares the node's checkpoint state, bound to its live values:
+	// the machine captures it at every level boundary (Config.CheckpointEvery
+	// > 0) and, on a resume, checks and loads it before the run starts.
+	State() ckpt.State
 }
 
 // Plan is the shape of one level.
@@ -723,12 +712,36 @@ func (m *Machine) detectStragglers(level int) {
 }
 
 // Drive runs the level loop once per node on that node's body, SPMD-style,
-// under the level watchdog, and joins. A torn-down run returns an
+// under the level watchdog, and joins. A resume first restores the bodies
+// (restore), and a refusal returns before anything is announced. A
+// torn-down run returns an
 // *AbortError carrying the original cause, the completed levels, the
 // post-mortem flight dump, the injection log and the newest complete
 // checkpoint.
 func (m *Machine) Drive(bodies func(node int) Body) error {
 	cfg, unit := m.spec.Cfg, m.spec.Unit
+	bs := make([]Body, cfg.Nodes)
+	for node := range bs {
+		bs[node] = bodies(node)
+	}
+	if m.spec.Resume != nil {
+		if err := m.restore(bs); err != nil {
+			return err
+		}
+	}
+	// Announce the run. A resume restores the flight rings, so its run index
+	// and earlier events continue and its dump reconciles with the log.
+	if pb := cfg.Obs.ProgressOf(); pb != nil {
+		pb.Publish(obs.LiveEvent{Kind: obs.EventRunStart, Root: int64(m.spec.Root), Kernel: m.label()})
+	}
+	if m.spec.Resume == nil {
+		m.Flight.BeginRun(int64(m.spec.Root), m.spec.Kernel, cfg.Nodes, cfg.Transport.String())
+	} else {
+		m.Flight.RestoreState(m.spec.Resume.Machine.Flight)
+	}
+	if cfg.CheckpointEvery > 0 && cfg.Obs != nil {
+		cfg.Obs.Checkpoint = m
+	}
 
 	// Watchdog: if node 0's tick stops advancing for a whole timeout
 	// window, poison the network so every blocked module unwinds.
@@ -769,7 +782,7 @@ func (m *Machine) Drive(bodies func(node int) Body) error {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			errs[node] = m.loop(node, bodies(node))
+			errs[node] = m.loop(node, bs[node])
 		}(node)
 	}
 	wg.Wait()
@@ -834,6 +847,33 @@ func (m *Machine) Drive(bodies func(node int) Body) error {
 	return ae
 }
 
+// restore checks the kernel's machine-wide state and every body's node
+// payload against the resume checkpoint, each through its declared State,
+// and loads them only once all have passed: a refused resume writes nothing.
+func (m *Machine) restore(bodies []Body) error {
+	c := m.spec.Resume
+	var loads []func()
+	if m.spec.Shared != nil {
+		shared, _ := json.Marshal(map[string]any{"policy": c.Machine.Policy, "hub_visited": c.Machine.HubVisited}) // always marshals
+		load, err := m.spec.Shared().Decode(shared)
+		if err != nil {
+			return fmt.Errorf("core: checkpoint machine state: %w", err)
+		}
+		loads = append(loads, load)
+	}
+	for node, b := range bodies {
+		load, err := b.State().Decode(c.Nodes[node].Data)
+		if err != nil {
+			return fmt.Errorf("core: node %d checkpoint state: %w", node, err)
+		}
+		loads = append(loads, load)
+	}
+	for _, load := range loads {
+		load()
+	}
+	return nil
+}
+
 // stageCheckpoint stages one node's boundary capture; level is the level
 // that just completed (the checkpoint's Level is level+1 — the resumed
 // run's start level). Each node calls it at the bottom of its loop, after
@@ -849,10 +889,7 @@ func (m *Machine) Drive(bodies func(node int) Body) error {
 // Config.CheckpointPath; a failed periodic write is fatal — silently
 // continuing would lose the restart guarantee.
 func (m *Machine) stageCheckpoint(node, level int, b Body) error {
-	data, err := b.Capture()
-	if err != nil {
-		return err
-	}
+	data := b.State().Encode()
 	var machine *ckpt.MachineState
 	if node == 0 {
 		m.mu.Lock()
@@ -865,8 +902,10 @@ func (m *Machine) stageCheckpoint(node, level int, b Body) error {
 			Work:       slices.Clone(m.work),
 		}
 		m.mu.Unlock()
-		if m.spec.CaptureKernel != nil {
-			m.spec.CaptureKernel(machine)
+		if m.spec.Shared != nil { // each field under its own key
+			if err := json.Unmarshal(m.spec.Shared().Encode(), machine); err != nil {
+				return err
+			}
 		}
 	}
 	m.ckMu.Lock()

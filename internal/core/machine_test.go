@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -84,10 +83,11 @@ func (r *ring) Close(s perf.LevelStats, fold core.LevelWork) (perf.LevelStats, s
 	return s, "ring"
 }
 
-func (r *ring) Capture() (json.RawMessage, error) { return json.Marshal(r.state) }
+func (r *ring) State() ckpt.State { return ckpt.State{ckpt.Scalar("token", &r.state.Token)} }
 
-// runRing opens a machine, loads or seeds the tokens, drives the body and
-// returns the ledger and the final tokens.
+// runRing opens a machine, seeds the tokens, drives the body (which, on a
+// resume, loads the checkpoint's) and returns the ledger and the final
+// tokens.
 func runRing(t *testing.T, cfg core.Config, from *ckpt.Checkpoint, stall func(node, level int)) ([]perf.LevelStats, []ringState, error) {
 	t.Helper()
 	g, err := graph.BuildKronecker(graph.KroneckerConfig{Scale: 4, Seed: 1})
@@ -105,11 +105,6 @@ func runRing(t *testing.T, cfg core.Config, from *ckpt.Checkpoint, stall func(no
 	state := make([]ringState, cfg.Nodes)
 	for node := range state {
 		state[node].Token = int64(node)
-		if from != nil {
-			if err := json.Unmarshal(from.Nodes[node].Data, &state[node]); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	if err := m.Drive(ringBodies(m, state, stall)); err != nil {
 		return nil, nil, err

@@ -57,8 +57,8 @@ type nodeState struct {
 	workers int
 
 	// policyReplica is this node's private copy of the direction policy
-	// state machine (node 0 uses the runner's authoritative one); all
-	// replicas see identical allreduced inputs and stay in lock step.
+	// state machine (node 0's is the one checkpoints capture); all replicas
+	// see identical allreduced inputs and stay in lock step.
 	policyReplica *Policy
 
 	localEdges int64

@@ -72,8 +72,3 @@ func (p *Policy) Next(nf, mf, mu, n int64) Direction {
 
 // State reports the current direction without advancing.
 func (p *Policy) State() Direction { return p.state }
-
-// SetState forces the current direction — the checkpoint/restart path uses
-// it to restore the policy's hysteresis so a resumed run makes the same
-// direction decisions an uninterrupted run would.
-func (p *Policy) SetState(d Direction) { p.state = d }

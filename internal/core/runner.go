@@ -67,14 +67,12 @@ type Runner struct {
 	ownHubs      [][]ownHub
 
 	// Per-run state: the machine the current (or most recent) run executes
-	// on, its network (cached for the per-edge paths), and node 0's policy
-	// replica, the authoritative copy for reporting. The machine is offered
-	// to the next run for recycling and the node states are reset in place
-	// (docs/ARCHITECTURE.md, "What a Runner keeps across roots").
-	m      *Machine
-	net    *comm.Network
-	nodes  []*nodeState
-	policy *Policy
+	// on and its network (cached for the per-edge paths). The machine is
+	// offered to the next run for recycling and the node states are reset
+	// in place (docs/ARCHITECTURE.md, "What a Runner keeps across roots").
+	m     *Machine
+	net   *comm.Network
+	nodes []*nodeState
 
 	// digest is the graph's checkpoint digest, computed by the first machine
 	// that needed it ("" until then) and handed to every later one.
@@ -204,21 +202,6 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	if root < 0 || int64(root) >= r.g.N {
 		return nil, fmt.Errorf("core: root %d out of range [0, %d)", root, r.g.N)
 	}
-	m, err := OpenMachine(MachineSpec{
-		Cfg: r.cfg, Graph: r.g, Kernel: KernelBFS, Root: root, Unit: "level",
-		Partition: r.cfg.Partition.String(), Digest: r.digest, Flight: r.flight, Resume: resume,
-		CaptureKernel: r.captureKernel, Recycle: r.m,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.digest = m.config.GraphDigest
-	defer func() {
-		m.Close()
-		r.net = nil
-	}()
-	r.m, r.net = m, m.Net
-
 	if r.nodes == nil {
 		// First run: everything below is allocated once and reset per run.
 		if r.hubs != nil {
@@ -231,29 +214,29 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 			r.nodes[node] = newNodeState(r, node)
 		}
 	}
+	m, err := OpenMachine(MachineSpec{
+		Cfg: r.cfg, Graph: r.g, Kernel: KernelBFS, Root: root, Unit: "level",
+		Partition: r.cfg.Partition.String(), Digest: r.digest, Flight: r.flight, Resume: resume,
+		Shared: r.shared, Recycle: r.m,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.digest = m.config.GraphDigest
+	defer func() {
+		m.Close()
+		r.net = nil
+	}()
+	r.m, r.net = m, m.Net
+
 	if r.hubs != nil {
 		r.hubVisited.Reset()
 		r.hubFrontier.Reset()
 		r.hubSeen.Reset()
-		if resume != nil {
-			// exchangeHubs rebuilds hubFrontier before the level's module
-			// work; hubSeen is a function of the checkpointed slots.
-			r.hubVisited.LoadWords(resume.Machine.HubVisited)
-			for slot := r.hubVisited.NextSet(0); slot >= 0 && slot < int64(r.hubsTopDown); slot = r.hubVisited.NextSet(slot + 1) {
-				r.hubSeen.Set(int64(r.hubs.At(int(slot))))
-			}
-		}
 	}
 	for node, ns := range r.nodes {
 		ns.resetRun(m.Endpoint(node))
-		if resume != nil {
-			if err := ns.restoreNode(resume.Nodes[node].Data); err != nil {
-				return nil, err
-			}
-			ns.policyReplica.SetState(Direction(resume.Machine.Policy))
-		}
 	}
-	r.policy = r.nodes[0].policyReplica
 
 	if resume == nil {
 		// Seed the root (a resumed run's frontier came from the checkpoint).
@@ -269,13 +252,24 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	return r.assemble(root), nil
 }
 
-// captureKernel adds the BFS-owned machine-wide state to node 0's boundary
-// capture: the direction policy and the replicated hub-visited bitmap.
-func (r *Runner) captureKernel(ms *ckpt.MachineState) {
-	ms.Policy = int(r.policy.State())
-	if r.hubVisited != nil {
-		ms.HubVisited = append([]uint64(nil), r.hubVisited.Words()...)
+// shared declares BFS's machine-wide checkpoint state: the direction policy
+// (node 0's replica, restored into every one) and the hub-visited bitmap,
+// from which a restore rebuilds hubSeen; exchangeHubs rebuilds hubFrontier.
+func (r *Runner) shared() ckpt.State {
+	policy := &r.nodes[0].policyReplica.state
+	s := ckpt.State{ckpt.Enum("policy", policy, BottomUp+1).Then(func() {
+		for _, ns := range r.nodes {
+			ns.policyReplica.state = *policy
+		}
+	})}
+	if r.hubs != nil {
+		s = append(s, ckpt.Words("hub_visited", r.hubVisited).Then(func() {
+			for slot := r.hubVisited.NextSet(0); slot >= 0 && slot < int64(r.hubsTopDown); slot = r.hubVisited.NextSet(slot + 1) {
+				r.hubSeen.Set(int64(r.hubs.At(int(slot))))
+			}
+		}))
 	}
+	return s
 }
 
 // LastInjections returns the faults actually injected during the most
@@ -292,7 +286,7 @@ func (r *Runner) LastCheckpoint() *ckpt.Checkpoint { return r.m.LastCheckpoint()
 // CheckpointJSON implements obs.CheckpointSource over LastCheckpoint.
 func (r *Runner) CheckpointJSON() ([]byte, bool) { return r.m.CheckpointJSON() }
 
-// nodeState is BFS's level body: Stats, Plan, Work, Close and Capture are
+// nodeState is BFS's level body: Stats, Plan, Work, Close and State are
 // Algorithm 1's steps between the ones the machine's level loop takes.
 
 // Stats folds the arriving frontier into the visited snapshot before any

@@ -14,7 +14,7 @@ import (
 // message compression (the Section 7 extension) and the partition
 // strategy.
 func ablations(o Options, s shape) (*Table, error) {
-	edges, err := o.edges(s.scale)
+	g, err := o.graph(s.scale)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func ablations(o Options, s shape) (*Table, error) {
 	}
 	var baseline float64
 	for i, v := range variants {
-		r, err := o.bench(v.cfg, s.scale, edges)
+		r, err := o.bench(v.cfg, s.scale, g)
 		if err != nil {
 			t.AddRow(v.name, "CRASH", "-", "-")
 			continue

@@ -29,21 +29,17 @@ func (o Options) machine(nodes int) core.Config {
 // bench runs the Graph500 benchmark of cfg from the options' roots on a
 // scale-`scale` Kronecker graph, validating every root and keeping its
 // levels. A sweep that measures several configurations on one graph passes
-// the edge list it generated once; with nil edges the harness generates it.
-func (o Options) bench(cfg core.Config, scale int, edges []graph.Edge) (*graph500.Report, error) {
-	var n int64
-	if edges != nil {
-		n = int64(1) << uint(scale)
-	}
+// the graph it built once; with a nil g the harness builds it.
+func (o Options) bench(cfg core.Config, scale int, g *graph.CSR) (*graph500.Report, error) {
 	return graph500.Run(graph500.BenchConfig{
-		Scale: scale, Edges: edges, NumVertices: n,
+		Scale: scale, Graph: g,
 		Seed: o.Seed, Roots: o.Roots, KeepLevels: true, Machine: cfg,
 	})
 }
 
-// edges generates the Kronecker edge list a sweep shares.
-func (o Options) edges(scale int) ([]graph.Edge, error) {
-	return graph.GenerateKronecker(graph.KroneckerConfig{Scale: scale, Seed: o.Seed})
+// graph builds the Kronecker graph a sweep shares.
+func (o Options) graph(scale int) (*graph.CSR, error) {
+	return graph.BuildKronecker(graph.KroneckerConfig{Scale: scale, Seed: o.Seed})
 }
 
 // measurement is one functional BFS data point: a machine configuration

@@ -16,7 +16,7 @@ var policyAlphas, policyBetas = []float64{2, 14, 100}, []float64{4, 24, 100}
 // reference. The broad flatness around the defaults (and the gap to the
 // baseline) is what makes the heuristic practical.
 func policySweep(o Options, s shape) (*Table, error) {
-	edges, err := o.edges(s.scale)
+	g, err := o.graph(s.scale)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +27,7 @@ func policySweep(o Options, s shape) (*Table, error) {
 		Header: []string{"alpha", "beta", "GTEPS", "bottom-up levels", "levels"},
 	}
 	row := func(alpha, beta string, cfg core.Config) error {
-		r, err := o.bench(cfg, s.scale, edges)
+		r, err := o.bench(cfg, s.scale, g)
 		if err != nil {
 			return err
 		}

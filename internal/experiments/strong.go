@@ -26,7 +26,7 @@ func strongScaling(o Options, s shape) (*Table, error) {
 		Title:  fmt.Sprintf("Strong scaling, scale-%d Kronecker, Relay CPE", s.scale),
 		Header: []string{"nodes", "GTEPS", "speedup", "efficiency"},
 	}
-	edges, err := o.edges(s.scale)
+	g, err := o.graph(s.scale)
 	if err != nil {
 		t.AddNote("generation failed: %v", err)
 		return t, nil
@@ -41,7 +41,7 @@ func strongScaling(o Options, s shape) (*Table, error) {
 		}
 		cfg := o.machine(nodes)
 		cfg.Transport, cfg.Engine = core.TransportRelay, perf.EngineCPE
-		r, err := o.bench(cfg, s.scale, edges)
+		r, err := o.bench(cfg, s.scale, g)
 		if err != nil {
 			t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
 			continue

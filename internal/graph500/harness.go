@@ -34,15 +34,13 @@ type BenchConfig struct {
 	// Args is the kernel's canonical argument string ("delta=16"; "" for
 	// a kernel that takes none).
 	Args string
-	// Scale and EdgeFactor parametrize the Kronecker input. When Edges is
-	// non-nil the benchmark runs on that raw edge list instead (NumVertices
-	// must then be set) — the path cmd/graph500 -input uses.
+	// Scale and EdgeFactor parametrize the Kronecker input. When Graph is
+	// non-nil the benchmark runs on that graph instead: cmd/graph500 -input
+	// passes the one it read, a sweep the one it shares across its
+	// configurations.
 	Scale      int
 	EdgeFactor int
-	// Edges optionally supplies a pre-generated edge list.
-	Edges []graph.Edge
-	// NumVertices is required with Edges.
-	NumVertices int64
+	Graph      *graph.CSR
 	// Seed makes the whole benchmark deterministic.
 	Seed int64
 	// Roots is the number of search keys (DefaultRoots if zero; smaller
@@ -79,21 +77,23 @@ type RootResult struct {
 type Report struct {
 	Config                BenchConfig
 	NumVertices, NumEdges int64
-	ConstructionSeconds   float64 // host-side, informational
-	Runs                  []RootResult
-	TEPS                  Summary // harmonic statistics over per-root TEPS
-	KernelTime            Summary // arithmetic statistics over per-root times
+	// ConstructionSeconds is the host time Run spent building the CSR (0
+	// when BenchConfig.Graph supplied it); informational.
+	ConstructionSeconds float64
+	Runs                []RootResult
+	TEPS                Summary // harmonic statistics over per-root TEPS
+	KernelTime          Summary // arithmetic statistics over per-root times
 }
 
 // GTEPSHarmonicMean is the headline number (Graph500 ranks by the harmonic
 // mean TEPS across the 64 roots).
 func (r *Report) GTEPSHarmonicMean() float64 { return r.TEPS.Mean / 1e9 }
 
-// Run executes the benchmark: (1) generate the edge list, (2) sample
-// nontrivial search roots, (3) construct the CSR (and draw the weights of a
-// weighted kernel), (4) run the kernel per root on the simulated machine,
-// opened once so every root shares its partition, (5) validate every
-// result, (6) compute statistics.
+// Run executes the benchmark: (1) generate the edge list and (2) construct
+// the CSR, unless cfg.Graph supplies it, (3) sample nontrivial search roots
+// (and draw the weights of a weighted kernel), (4) run the kernel per root
+// on the simulated machine, opened once so every root shares its
+// partition, (5) validate every result, (6) compute statistics.
 func Run(cfg BenchConfig) (*Report, error) {
 	if cfg.Roots == 0 {
 		cfg.Roots = DefaultRoots
@@ -108,25 +108,20 @@ func Run(cfg BenchConfig) (*Report, error) {
 	if !HasRule(k.Name) {
 		return nil, fmt.Errorf("graph500: Graph500 defines no validation rule for kernel %q (want bfs, sssp or delta-sssp)", k.Name)
 	}
-	edges := cfg.Edges
-	numVertices := cfg.NumVertices
-	if edges == nil {
+	g := cfg.Graph
+	var construction float64
+	if g == nil {
 		kcfg := graph.KroneckerConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}
-		edges, err = graph.GenerateKronecker(kcfg)
+		edges, err := graph.GenerateKronecker(kcfg)
 		if err != nil {
 			return nil, err
 		}
-		numVertices = kcfg.NumVertices()
-	} else if numVertices <= 0 {
-		return nil, fmt.Errorf("graph500: NumVertices required with a supplied edge list")
+		start := time.Now()
+		if g, err = graph.BuildCSR(kcfg.NumVertices(), edges); err != nil {
+			return nil, err
+		}
+		construction = time.Since(start).Seconds()
 	}
-
-	start := time.Now()
-	g, err := graph.BuildCSR(numVertices, edges)
-	if err != nil {
-		return nil, err
-	}
-	construction := time.Since(start).Seconds()
 	wg := &graph.WeightedCSR{CSR: g}
 	if k.Weighted {
 		if wg, err = SSSPWeights(g, cfg.Seed); err != nil {
@@ -284,7 +279,7 @@ func (r *Report) Print(w io.Writer) {
 		}
 		fmt.Fprintf(w, "KERNEL:               %s%s\n", r.Config.Kernel, args)
 	}
-	if r.Config.Edges != nil {
+	if r.Config.Graph != nil {
 		fmt.Fprintf(w, "SCALE:                - (file input)\n")
 		fmt.Fprintf(w, "edgefactor:           - (file input)\n")
 	} else {
