@@ -68,12 +68,14 @@ regen-modelled:
 	$(GO) test -count=1 -run TestQuickTablesGolden ./internal/experiments/ -update-golden
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per
-# internal/ package and for cmd/ as a whole — the number ROADMAP's
-# "least code" aim and every deletion claim in CHANGES.md are quoted in.
+# internal/ package, for cmd/ as a whole and, as total, for internal/ and
+# cmd/ together — the numbers ROADMAP's "least code" aim and every deletion
+# claim in CHANGES.md are quoted in.
 loc:
 	@for d in internal/*/ cmd/; do \
 		printf '%-24s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
 	done
+	@printf '%-24s %6d\n' total "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 # docs-check fails when docs and code drift: broken intra-repo markdown
 # links, or a cmd/ flag no markdown file mentions.

@@ -90,8 +90,12 @@ func (d doc) flightDump() (*obs.FlightDump, error) {
 	return fd, nil
 }
 
-func (d doc) summaries() ([]obs.RunSummary, error) {
-	runs, err := obs.ReadRunSummaries(bytes.NewReader(d.data))
+// runs decodes a RunTrace dump, and refuses every other kind of document.
+func (d doc) runs() ([]obs.RunTrace, error) {
+	if d.kind != obs.KindRunTrace {
+		return nil, fmt.Errorf("%s: document is a %s, not a RunTrace dump (write one with -trace-out)", d.path, d.kind)
+	}
+	runs, err := obs.ReadTraceJSON(bytes.NewReader(d.data))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.path, err)
 	}
@@ -118,9 +122,9 @@ func show(w io.Writer, path string) error {
 		}
 		return ckpt.Render(w, c)
 	case obs.KindRunTrace:
-		runs, err := obs.ReadTraceJSON(bytes.NewReader(d.data))
+		runs, err := d.runs()
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return err
 		}
 		return obs.WriteChromeTrace(w, runs)
 	}
@@ -128,7 +132,7 @@ func show(w io.Writer, path string) error {
 }
 
 // diff compares two flight dumps, reporting whether they diverge, or two
-// RunTrace dumps; obs.ReadRunSummaries refuses any other document.
+// RunTrace dumps; doc.runs refuses any other document.
 func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
 	a, err := load(pathA)
 	if err != nil {
@@ -151,11 +155,11 @@ func diff(w io.Writer, pathA, pathB string) (diverged bool, err error) {
 		n, err := flight.Diff(w, fa, fb, pathA, pathB)
 		return n > 0, err
 	case a.kind != obs.KindFlightDump && b.kind != obs.KindFlightDump:
-		ra, err := a.summaries()
+		ra, err := a.runs()
 		if err != nil {
 			return false, err
 		}
-		rb, err := b.summaries()
+		rb, err := b.runs()
 		if err != nil {
 			return false, err
 		}

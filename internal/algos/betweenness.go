@@ -258,22 +258,24 @@ func (b *bcNode) finishSource() error {
 }
 
 // State is the source index (len(sources) once done), the sweep state of
-// the current source and the centralities so far. Sigma and the
-// centralities travel as IEEE-754 bit patterns so the restored floats are
-// exact; the dependency accumulator is already fixed-point.
+// the current source and the centralities so far. The source index, the
+// depths, the sweep direction and done follow the allreduced frontier, so
+// every node holds them alike; count is the node's own frontier. Sigma and
+// the centralities travel as IEEE-754 bit patterns so the restored floats
+// are exact; the dependency accumulator is already fixed-point.
 func (b *bcNode) State() ckpt.State {
 	return ckpt.State{
-		ckpt.Enum("src_idx", &b.srcIdx, len(b.sources)+1),
+		ckpt.Enum("src_idx", &b.srcIdx, len(b.sources)+1).Replicated(),
 		ckpt.Slice("dist", b.dist),
 		ckpt.Floats("sigma_bits", b.sigma),
 		ckpt.Slice("delta_fix", b.deltaFix),
 		ckpt.Words("frontier", b.frontier),
 		ckpt.Scalar("count", &b.count),
-		ckpt.Scalar("depth", &b.depth),
-		ckpt.Scalar("max_depth", &b.maxDepth),
-		ckpt.Scalar("backward", &b.backward),
+		ckpt.Scalar("depth", &b.depth).Replicated(),
+		ckpt.Scalar("max_depth", &b.maxDepth).Replicated(),
+		ckpt.Scalar("backward", &b.backward).Replicated(),
 		ckpt.Floats("bc_bits", b.bc),
-		ckpt.Scalar("done", &b.done),
+		ckpt.Scalar("done", &b.done).Replicated(),
 	}
 }
 

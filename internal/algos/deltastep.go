@@ -207,13 +207,14 @@ func (d *deltaNode) EndRound(round int) error {
 
 // State is the distances, the open bucket and its phase, the request
 // sets as ascending local lists (the order Generate scans them in) and the
-// relaxation count.
+// relaxation count. The bucket, the phase and done are decided by
+// collectives, so every node holds them alike.
 func (d *deltaNode) State() ckpt.State {
 	return ckpt.State{
 		ckpt.Slice("dist", d.dist),
-		ckpt.Scalar("cur_bucket", &d.curBucket),
-		ckpt.Enum("phase", &d.phase, phaseHeavy+1),
-		ckpt.Scalar("done", &d.done),
+		ckpt.Scalar("cur_bucket", &d.curBucket).Replicated(),
+		ckpt.Enum("phase", &d.phase, phaseHeavy+1).Replicated(),
+		ckpt.Scalar("done", &d.done).Replicated(),
 		ckpt.Set("light_req", d.lightReq),
 		ckpt.Set("heavy_set", d.heavySet),
 		ckpt.Scalar("relaxed", &d.relaxed),

@@ -228,7 +228,7 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 			return nil, nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
 		insts[i] = inst
-		nodes[i] = &nodeRun{ctx: ctx, algo: inst, ep: m.Endpoint(i), part: part, maxRounds: maxRounds, all: nodes}
+		nodes[i] = &nodeRun{ctx: ctx, algo: inst, ep: m.Endpoint(i), part: part, maxRounds: maxRounds}
 		if c, ok := any(inst).(combining); ok {
 			nodes[i].comb = newCombiner(nodes[i].ep, part, c.pairFold())
 		}
@@ -249,9 +249,13 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 		Injections:      m.Injections(),
 	}
 	if mr := cfg.Obs.MetricsOf(); mr != nil {
+		// Folded from the work ledger, so a resumed run counts the rounds
+		// before its checkpoint too.
 		var combined int64
-		for _, n := range nodes {
-			combined += n.combined
+		for _, row := range m.Ledger() {
+			for _, w := range row {
+				combined += w.Generated - w.Shipped
+			}
 		}
 		mr.Counter("algos.runs").Inc()
 		mr.Counter("algos.rounds").Add(int64(info.Rounds))
@@ -281,14 +285,8 @@ type nodeRun struct {
 	// abort whatever is still staged is dropped with it, never flushed.
 	lane comm.Lane
 	// comb is where the lane hands a combining kernel's pairs (nil for the
-	// others). shipped counts the pairs the node put on the wire this
-	// round: node 0's Close sums it over all, the run's bodies, after the
-	// loop's rendezvous. combined totals the pairs the node folded away
-	// over the run.
-	comb     *combiner
-	shipped  int64
-	combined int64
-	all      []*nodeRun
+	// others).
+	comb *combiner
 
 	// The handler fan-out: the layout that localises delivered pairs (the
 	// concrete type, so Local inlines), locals split into shards of per
@@ -328,18 +326,18 @@ func (n *nodeRun) Plan(round int, _ []int64) (core.Plan, error) {
 // EndRound.
 // The chaos delays stall the generator and the handler before their work,
 // host time only, and both are timed for the straggler detector.
-func (n *nodeRun) Work(round int, _ core.Plan) (core.LevelWork, error) {
+func (n *nodeRun) Work(round int, _ core.Plan) (ckpt.ModuleWork, error) {
 	id, net := n.ctx.ID, n.ctx.Net
 	start := time.Now()
 	if d := net.ChaosDelay(chaos.KindDelayGenerator, id, round); d > 0 {
 		time.Sleep(d)
 	}
-	sent, err := n.generate(round)
+	generated, shipped, err := n.generate(round)
 	if err == nil {
 		err = n.ep.CloseChannel(comm.ChanForward)
 	}
 	if err != nil {
-		return core.LevelWork{}, err
+		return ckpt.ModuleWork{}, err
 	}
 	genNanos := int64(time.Since(start))
 
@@ -353,7 +351,7 @@ recvLoop:
 		ev := n.ep.Recv()
 		switch ev.Type {
 		case comm.EvError:
-			return core.LevelWork{}, ev.Err
+			return ckpt.ModuleWork{}, ev.Err
 		case comm.EvData:
 			recv += int64(len(ev.Batch.Pairs))
 			batches++
@@ -371,55 +369,53 @@ recvLoop:
 		relayed = r.RelayedBytes()
 	}
 	if err := n.algo.EndRound(round); err != nil {
-		return core.LevelWork{}, err
+		return ckpt.ModuleWork{}, err
 	}
-	return core.LevelWork{
-		ModuleWork: ckpt.ModuleWork{
-			Bytes:       [4]int64{sent * comm.PairBytes, recv * comm.PairBytes, 0, relayed},
-			Invocations: batches + 1,
-		},
-		Pairs:        sent,
+	return ckpt.ModuleWork{
+		Bytes:        [4]int64{generated * comm.PairBytes, recv * comm.PairBytes, 0, relayed},
+		Invocations:  batches + 1,
+		Generated:    generated,
+		Shipped:      shipped,
 		GenNanos:     genNanos,
 		HandlerNanos: handlerNanos,
 	}, nil
 }
 
 // generate runs the kernel's Generate through the round lane and returns
-// the pairs it generated. The lane's chunks go to the endpoint, or, for a
-// combined kernel, into the combiner, which then ships its one pair per
-// touched vertex through the same lane.
-func (n *nodeRun) generate(round int) (int64, error) {
+// the pairs it generated and the pairs it shipped. The lane's chunks go to
+// the endpoint, or, for a combined kernel, into the combiner, which then
+// ships its one pair per touched vertex through the same lane.
+func (n *nodeRun) generate(round int) (generated, shipped int64, err error) {
 	var to comm.Endpoint = n.ep
 	if n.comb != nil {
 		to = n.comb
 	}
 	n.lane.Open(to, comm.ChanForward)
-	err := n.algo.Generate(round, &n.lane)
+	err = n.algo.Generate(round, &n.lane)
 	if err == nil {
 		err = n.lane.Flush()
 	}
-	generated := n.lane.Sent
+	generated = n.lane.Sent
 	if err == nil && n.comb != nil {
 		n.lane.Open(n.ep, comm.ChanForward)
 		if err = n.comb.drain(&n.lane); err == nil {
 			err = n.lane.Flush()
 		}
 	}
-	n.shipped = n.lane.Sent
-	n.combined += generated - n.shipped
+	shipped = n.lane.Sent
 	n.lane.Release()
-	return generated, err
+	return generated, shipped, err
 }
 
-// Close counts the pairs the round generated machine-wide as the edges it
-// relaxed, and the pairs it put on the wire as sent.
-func (n *nodeRun) Close(s perf.LevelStats, fold core.LevelWork) (perf.LevelStats, string) {
-	s.FrontierEdges = fold.Pairs
+// Close counts the pairs the round's row generated, which its plan could
+// not know, as the edges it relaxed, and the pairs it shipped as sent.
+func (n *nodeRun) Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.LevelStats, string) {
 	var shipped int64
-	for _, o := range n.all {
-		shipped += o.shipped
+	for _, w := range row {
+		s.FrontierEdges += w.Generated
+		shipped += w.Shipped
 	}
-	return s, fmt.Sprintf("active=%d pairs=%d sent=%d", s.FrontierVertices, fold.Pairs, shipped)
+	return s, fmt.Sprintf("active=%d pairs=%d sent=%d", s.FrontierVertices, s.FrontierEdges, shipped)
 }
 
 // handle localises one delivered batch — p[0] becomes the destination's

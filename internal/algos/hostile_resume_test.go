@@ -373,7 +373,8 @@ func breakField(t *testing.T, kind fieldKind, healthy json.RawMessage, n int64) 
 
 // TestHostileStateRefused breaks every field every kernel's State declares,
 // in node 0's payload or, for BFS's machine-wide fields, the machine
-// record: each hostile checkpoint must be refused with a *ckpt.StateError
+// record, and gives node 0 another valid value of every replicated field:
+// each hostile checkpoint must be refused with a *ckpt.StateError
 // naming the field, before anything is announced, and never panic; the
 // healthy original must still resume afterwards. BFS runs hybrid with hub
 // prefetch, so the machine record carries the hub-visited bitmap.
@@ -419,7 +420,11 @@ func TestHostileStateRefused(t *testing.T) {
 			} else {
 				editState(t, healthy.Nodes[0].Data, func(payload map[string]json.RawMessage) { value = payload[field] })
 			}
-			for what, raw := range breakField(t, kind, value, g.N) {
+			breaks := breakField(t, kind, value, g.N)
+			if slices.Contains(replicatedFields[k.Name], field) {
+				breaks["unlike the other nodes"] = otherValue(t, value)
+			}
+			for what, raw := range breaks {
 				t.Run(k.Name+"/"+field+"/"+what, func(t *testing.T) {
 					c := *healthy
 					c.Nodes = slices.Clone(healthy.Nodes)
@@ -542,4 +547,32 @@ func TestResumeProbesRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// replicatedFields lists the fields each kernel declares replicated: the
+// scalars collectives decide, which every node holds alike. Node 0 holding
+// another valid value once resumed to a wrong answer or a collective
+// mismatch; TestHostileStateRefused gives it one.
+var replicatedFields = map[string][]string{
+	"delta-sssp":  {"cur_bucket", "phase", "done"},
+	"pagerank":    {"iter"},
+	"betweenness": {"src_idx", "depth", "max_depth", "backward", "done"},
+}
+
+// otherValue is another valid value of a bool or non-negative integer
+// field: the bool negated, zero raised to one, anything else lowered by one.
+func otherValue(t *testing.T, raw json.RawMessage) json.RawMessage {
+	t.Helper()
+	var b bool
+	if json.Unmarshal(raw, &b) == nil {
+		return json.RawMessage(fmt.Sprint(!b))
+	}
+	var v int64
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%s is neither a bool nor an integer", raw)
+	}
+	if v == 0 {
+		return json.RawMessage("1")
+	}
+	return json.RawMessage(fmt.Sprint(v - 1))
 }

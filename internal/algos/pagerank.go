@@ -166,11 +166,12 @@ func (p *prNode) EndRound(round int) error {
 	return nil
 }
 
-// State is the iteration and the ranks. The contribution accumulator is
-// zero at every round boundary (EndRound drains it) but is carried for
-// robustness; dangling and n are rebuilt by the constructor.
+// State is the iteration, which every node holds alike, and the ranks.
+// The contribution accumulator is zero at every round boundary (EndRound
+// drains it) but is carried for robustness; dangling and n are rebuilt by
+// the constructor.
 func (p *prNode) State() ckpt.State {
-	return ckpt.State{ckpt.Scalar("iter", &p.iter), ckpt.Floats("rank_bits", p.rank), ckpt.Slice("acc", p.acc)}
+	return ckpt.State{ckpt.Scalar("iter", &p.iter).Replicated(), ckpt.Floats("rank_bits", p.rank), ckpt.Slice("acc", p.acc)}
 }
 
 // ReferencePageRank is the sequential oracle running the identical update,

@@ -421,12 +421,12 @@ func TestAlgosTraceRecorded(t *testing.T) {
 	if err := cfg.Obs.Trace.WriteJSON(&dump); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := obs.ReadRunSummaries(&dump)
+	back, err := obs.ReadTraceJSON(&dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) != 1 || len(sums[0].Levels) != len(rt.Levels) || len(sums[0].Modules) == 0 {
-		t.Fatalf("tracediff summary of the dump is incomplete: %+v", sums)
+	if len(back) != 1 || len(back[0].Levels) != len(rt.Levels) || len(back[0].Spans) != len(rt.Spans) {
+		t.Fatalf("the dump reads back incomplete: %+v", back)
 	}
 }
 

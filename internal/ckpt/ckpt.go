@@ -127,17 +127,33 @@ type MachineState struct {
 	Work [][]ModuleWork `json:"work,omitempty"`
 }
 
-// ModuleWork is one node's deterministic module work of one completed
-// level: the level and its direction (core.Direction), which names the
-// generator; the generator, forward handler, backward handler and relay
-// input bytes; the module invocations (CPE-cluster dispatches); and the
-// sub-1 KB batches the MPE handled itself.
+// ModuleWork is one node's work vector of one completed level, its entry
+// in the work ledger: the level and its direction (core.Direction), which
+// names the generator; the generator, forward handler, backward handler and
+// relay input bytes; the module invocations (CPE-cluster dispatches); the
+// sub-1 KB batches the MPE handled itself; the bytes and messages the node
+// sent; and, for a round kernel, the pairs it generated and the pairs it
+// shipped after its sender-side fold. The host nanoseconds its generator
+// and handler took feed only the straggler detector: no checkpoint holds
+// them.
 type ModuleWork struct {
 	Level        int      `json:"level"`
 	Dir          int      `json:"dir"`
 	Bytes        [4]int64 `json:"bytes"`
 	Invocations  int64    `json:"invocations"`
 	SmallBatches int64    `json:"small_batches"`
+	SentBytes    int64    `json:"sent_bytes"`
+	Messages     int64    `json:"messages"`
+	Generated    int64    `json:"generated,omitempty"`
+	Shipped      int64    `json:"shipped,omitempty"`
+
+	GenNanos     int64 `json:"-"`
+	HandlerNanos int64 `json:"-"`
+}
+
+// Processed is the node's module bytes in all.
+func (w ModuleWork) Processed() int64 {
+	return w.Bytes[0] + w.Bytes[1] + w.Bytes[2] + w.Bytes[3]
 }
 
 // NodeState is one simulated node's serialized state. Data is the node's

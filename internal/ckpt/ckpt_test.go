@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -246,5 +247,26 @@ func TestRenderMentionsIdentity(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStateAgree: payloads that differ only in fields nobody declared
+// replicated agree, whatever their spacing; a replicated field one node
+// holds otherwise, nested in an Object here, is refused with a *StateError
+// naming it and the node.
+func TestStateAgree(t *testing.T) {
+	var round, local int64
+	s := State{Object("algo", State{Scalar("round", &round).Replicated(), Scalar("local", &local)})}
+	payloads := []json.RawMessage{
+		json.RawMessage(`{"algo":{"round":3,"local":1}}`),
+		json.RawMessage("{\"algo\": {\n  \"round\": 3,\n  \"local\": 2\n}}"),
+	}
+	if err := s.Agree(payloads); err != nil {
+		t.Fatalf("payloads alike in every replicated field refused: %v", err)
+	}
+	err := s.Agree(append(payloads, json.RawMessage(`{"algo":{"round":4,"local":1}}`)))
+	var se *StateError
+	if !errors.As(err, &se) || se.Field != "algo.round" || !strings.Contains(se.Reason, "node 2 holds 4") {
+		t.Fatalf("Agree = %v, want a *StateError naming algo.round and node 2", err)
 	}
 }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +27,10 @@ type Field struct {
 	// decode parses raw and checks it against the live value; the returned
 	// load writes it.
 	decode func(raw json.RawMessage) (load func(), err error)
+	// replicated marks a value every node holds alike, and nested is an
+	// Object's State: what Agree compares across payloads.
+	replicated bool
+	nested     State
 }
 
 // StateError refuses a payload a State cannot load: Field names the
@@ -85,6 +90,58 @@ func (s State) Decode(raw []byte) (load func(), err error) {
 			load()
 		}
 	}, nil
+}
+
+// Agree checks that node payloads, each one Decode accepts, hold every
+// replicated field alike, those of nested Objects included: a payload that
+// differs from node 0's is refused with a *StateError naming the field.
+func (s State) Agree(payloads []json.RawMessage) error {
+	nodes := make([]map[string]json.RawMessage, len(payloads))
+	for i, raw := range payloads {
+		if err := json.Unmarshal(raw, &nodes[i]); err != nil {
+			return &StateError{Reason: err.Error()}
+		}
+	}
+	for _, f := range s {
+		values := make([]json.RawMessage, len(nodes))
+		for i, keys := range nodes {
+			values[i] = keys[f.name]
+		}
+		switch {
+		case f.nested != nil:
+			if err := f.nested.Agree(values); err != nil {
+				se := err.(*StateError) // Agree's only kind
+				se.Field = strings.TrimSuffix(f.name+"."+se.Field, ".")
+				return se
+			}
+		case f.replicated:
+			want := compact(values[0])
+			for i, v := range values[1:] {
+				if got := compact(v); got != want {
+					return &StateError{Field: f.name, Reason: fmt.Sprintf("node %d holds %s, node 0 holds %s: every node holds it alike", i+1, got, want)}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// compact is a JSON value without its insignificant spaces: the canonical
+// encoder re-indents a payload it stores.
+func compact(raw json.RawMessage) string {
+	var b bytes.Buffer
+	if json.Compact(&b, raw) != nil {
+		return string(raw)
+	}
+	return b.String()
+}
+
+// Replicated returns f declared as a value every node holds alike (a
+// machine-wide decision such as a round counter): Agree refuses payloads
+// that differ in it.
+func (f Field) Replicated() Field {
+	f.replicated = true
+	return f
 }
 
 // Then returns f with after run once f is loaded: how a kernel rebuilds
@@ -192,7 +249,7 @@ func Enum[T ~int](name string, p *T, n T) Field {
 // Object nests a State under one key: how a driver wraps its kernel's
 // payload.
 func Object(name string, s State) Field {
-	return Field{name: name, value: func() any { return s.Encode() }, decode: func(raw json.RawMessage) (func(), error) { return s.Decode(raw) }}
+	return Field{name: name, value: func() any { return s.Encode() }, decode: func(raw json.RawMessage) (func(), error) { return s.Decode(raw) }, nested: s}
 }
 
 // length checks a list holds n entries (null holds none).

@@ -165,12 +165,14 @@ type Machine struct {
 	stragglers []obs.StragglerFlag
 	flows      []obs.FlowLink
 
-	// Per-node work slots, which node 0 folds in closeLevel, and the work
-	// ledger: every node's deterministic module work of every completed
-	// level, one row per level, kept on every run. Checkpoints carry it,
-	// Finish folds the module metrics from it and trace lays it out.
-	slots []LevelWork
-	work  [][]ckpt.ModuleWork
+	// The work ledger: every node's work vector of every completed level,
+	// one row per level, kept on every run. row is the open level's: node 0
+	// opens it before the level's first collective, each node writes its own
+	// entry between the loop's two rendezvous, and closeLevel folds it and
+	// appends it. Checkpoints carry the ledger, Finish folds the module
+	// metrics from it and trace lays it out.
+	row  []ckpt.ModuleWork
+	work [][]ckpt.ModuleWork
 
 	// The checkpoint latch: nodes stage their boundary captures and the
 	// last one freezes the assembled checkpoint. Partially staged
@@ -372,7 +374,6 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 		return nil, err
 	}
 
-	m.slots = make([]LevelWork, cfg.Nodes)
 	if m.Flight == nil {
 		m.Flight = flightFor(cfg.Obs)
 	}
@@ -464,6 +465,10 @@ func (m *Machine) Endpoint(node int) comm.Endpoint { return m.eps[node] }
 // shared with the ledger: read it after Drive returns.
 func (m *Machine) Levels() []perf.LevelStats { return m.levels }
 
+// Ledger returns the work ledger, one row per completed level, a resumed
+// run's checkpointed rows included: read it after Drive returns.
+func (m *Machine) Ledger() [][]ckpt.ModuleWork { return m.work }
+
 // Injections returns the faults injected so far, deterministically sorted;
 // nil when the run has no injector.
 func (m *Machine) Injections() []chaos.Fault {
@@ -489,13 +494,15 @@ type Body interface {
 	// node 0 writes here. An error tears the run down.
 	Plan(level int, sums []int64) (Plan, error)
 	// Work runs the node's module work once the plan's channels are open
-	// and returns the node's work vector; the loop fills in the level, the
-	// direction, Processed, Sent and Messages. An error tears the run down.
-	Work(level int, p Plan) (LevelWork, error)
+	// and returns the node's work vector, its entry of the level's ledger
+	// row; the loop fills in the level, the direction and the bytes and
+	// messages the node sent. An error tears the run down.
+	Work(level int, p Plan) (ckpt.ModuleWork, error)
 	// Close completes node 0's statistics of the level, which the loop has
-	// filled from the plan and the fold of every node's work vector, and
-	// returns the detail of the level's flight record.
-	Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string)
+	// filled from the plan and the fold of the level's ledger row, and
+	// returns the detail of the level's flight record. row holds every
+	// node's work vector of the level.
+	Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.LevelStats, string)
 	// State declares the node's checkpoint state, bound to its live values:
 	// the machine captures it at every level boundary (Config.CheckpointEvery
 	// > 0) and, on a resume, checks and loads it before the run starts.
@@ -517,30 +524,20 @@ type Plan struct {
 	Edges int64
 }
 
-// LevelWork is one node's work vector of one level: its row of the work
-// ledger (module bytes, invocations and MPE small batches), the module
-// bytes in all (Processed), the bytes and messages it sent and the pairs it
-// sent — plus the host nanoseconds its generator and handler modules took,
-// which only the straggler detector reads and no checkpoint holds.
-type LevelWork struct {
-	ckpt.ModuleWork
-	Processed, Sent, Messages, Pairs int64
-	GenNanos, HandlerNanos           int64
-}
-
 // loop runs one node's levels from m.start until the frontier sums to
 // zero: the level protocol, written once for every kernel. Each level:
 //
-//  1. node 0 opens the level's accounting window and flight record;
+//  1. node 0 opens the level's accounting window, ledger row and flight
+//     record;
 //  2. every node sum-allreduces its statistics, one charged collective,
 //     and the run ends when the frontier, the first sum, is zero;
 //  3. every node plans the level, and node 0 publishes its live event;
 //  4. every node opens the plan's channels and joins a host-only
 //     rendezvous (comm.Network.Sync), so no level traffic reaches an
 //     endpoint that has not opened them;
-//  5. every node works, writes its work vector into its slot and joins a
-//     second rendezvous;
-//  6. node 0 folds the slots and records the level (closeLevel);
+//  5. every node works, writes its work vector into its entry of the row
+//     and joins a second rendezvous;
+//  6. node 0 folds the row and records the level (closeLevel);
 //  7. every node stages its checkpoint capture (stageCheckpoint).
 //
 // Two windows keep the books exact. Node 0 opens the accounting window
@@ -553,6 +550,7 @@ func (m *Machine) loop(node int, b Body) error {
 	for level := m.start; ; level++ {
 		if node == 0 {
 			m.window = net.Counters.Snapshot()
+			m.row = make([]ckpt.ModuleWork, len(m.eps))
 			m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
 		}
 		sums := b.Stats(level)
@@ -587,11 +585,8 @@ func (m *Machine) loop(node int, b Body) error {
 		}
 		msgs1, bytes1 := net.NodeSent(node)
 		w.Level, w.Dir = level, int(p.Dir)
-		w.Sent, w.Messages = bytes1-bytes, msgs1-msgs
-		for _, mb := range w.Bytes {
-			w.Processed += mb
-		}
-		m.slots[node] = w
+		w.SentBytes, w.Messages = bytes1-bytes, msgs1-msgs
+		m.row[node] = w
 		if net.Sync(); net.Aborted() {
 			return ErrAborted
 		}
@@ -608,44 +603,46 @@ func (m *Machine) loop(node int, b Body) error {
 	}
 }
 
-// closeLevel records a completed level on node 0. It folds the nodes' work
-// slots — per-field maxima, the critical path, with Pairs summed — and
-// appends their ledger rows to the work ledger; the body completes the
-// statistics; the machine adds the window's traffic, collects the relay
-// endpoints' flow tallies when tracing, feeds the watchdog, stamps the
-// flight record with the body's detail and, when armed, runs the straggler
-// detector.
-func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
-	var f LevelWork
-	row := make([]ckpt.ModuleWork, len(m.slots))
-	for i, s := range m.slots {
-		f.Processed = max(f.Processed, s.Processed)
-		f.Sent = max(f.Sent, s.Sent)
-		f.Messages = max(f.Messages, s.Messages)
-		f.Invocations = max(f.Invocations, s.Invocations)
-		for mi, mb := range s.Bytes {
-			f.Bytes[mi] = max(f.Bytes[mi], mb)
+// critical folds a level's ledger row over its nodes into the level's
+// critical path: every field's largest value, and the largest node's module
+// bytes in all.
+func critical(row []ckpt.ModuleWork) (crit ckpt.ModuleWork, processed int64) {
+	for _, w := range row {
+		processed = max(processed, w.Processed())
+		crit.SentBytes = max(crit.SentBytes, w.SentBytes)
+		crit.Messages = max(crit.Messages, w.Messages)
+		crit.Invocations = max(crit.Invocations, w.Invocations)
+		for i, b := range w.Bytes {
+			crit.Bytes[i] = max(crit.Bytes[i], b)
 		}
-		f.Pairs += s.Pairs
-		row[i] = s.ModuleWork
 	}
+	return crit, processed
+}
 
+// closeLevel records a completed level on node 0. It folds the level's
+// ledger row into the statistics (critical) and appends it to the work
+// ledger; the body completes the statistics from the row; the machine adds
+// the window's traffic, collects the relay endpoints' flow tallies when
+// tracing, feeds the watchdog, stamps the flight record with the body's
+// detail and, when armed, runs the straggler detector.
+func (m *Machine) closeLevel(level int, frontier int64, p Plan, b Body) {
 	rounds := len(p.Channels) // transport stages x channels opened
 	if m.spec.Cfg.Transport == TransportRelay {
 		rounds *= 2
 	}
+	crit, processed := critical(m.row)
 	s, detail := b.Close(perf.LevelStats{
 		Level: level, Direction: p.Label,
 		FrontierVertices: frontier, FrontierEdges: p.Edges,
-		MaxNodeProcessedBytes: f.Processed, MaxNodeSentBytes: f.Sent,
-		MaxNodeMessages: f.Messages, ModuleInvocations: f.Invocations,
+		MaxNodeProcessedBytes: processed, MaxNodeSentBytes: crit.SentBytes,
+		MaxNodeMessages: crit.Messages, ModuleInvocations: crit.Invocations,
 		Rounds: rounds,
-	}, f)
+	}, m.row)
 	after := m.Net.Counters.Snapshot()
 	s.Net = after.Sub(m.window)
 	m.mu.Lock()
 	m.levels = append(m.levels, s)
-	m.work = append(m.work, row)
+	m.work = append(m.work, m.row)
 	m.lastSnap = after
 	m.mu.Unlock()
 	if m.spec.Cfg.Obs.TraceOf() != nil {
@@ -673,18 +670,18 @@ const stragglerFloorNanos = 200_000
 // a generator straggler delays every peer's handler, so only the per-class
 // comparison blames the slow node instead of its victims (whole-level wall
 // time cannot: every node's level ends with the slowest peer's end
-// markers). Node 0 reads the slots in closeLevel, where none can be
-// rewritten. Host time only: LevelStats are never perturbed.
+// markers). Node 0 reads the level's ledger row in closeLevel, where no
+// entry can be rewritten. Host time only: LevelStats are never perturbed.
 func (m *Machine) detectStragglers(level int) {
 	factor := m.spec.Cfg.StragglerFactor
 	var genSum, handlerSum int64
-	for _, s := range m.slots {
+	for _, s := range m.row {
 		genSum += s.GenNanos
 		handlerSum += s.HandlerNanos
 	}
-	genMean := float64(genSum) / float64(len(m.slots))
-	handlerMean := float64(handlerSum) / float64(len(m.slots))
-	for node, s := range m.slots {
+	genMean := float64(genSum) / float64(len(m.row))
+	handlerMean := float64(handlerSum) / float64(len(m.row))
+	for node, s := range m.row {
 		var host, mean float64
 		if g := float64(s.GenNanos); g > factor*genMean && g > stragglerFloorNanos {
 			host, mean = g, genMean
@@ -849,10 +846,12 @@ func (m *Machine) Drive(bodies func(node int) Body) error {
 
 // restore checks the kernel's machine-wide state and every body's node
 // payload against the resume checkpoint, each through its declared State,
+// then that the payloads hold every replicated field alike (State.Agree),
 // and loads them only once all have passed: a refused resume writes nothing.
 func (m *Machine) restore(bodies []Body) error {
 	c := m.spec.Resume
 	var loads []func()
+	payloads := make([]json.RawMessage, len(bodies))
 	if m.spec.Shared != nil {
 		shared, _ := json.Marshal(map[string]any{"policy": c.Machine.Policy, "hub_visited": c.Machine.HubVisited}) // always marshals
 		load, err := m.spec.Shared().Decode(shared)
@@ -867,6 +866,10 @@ func (m *Machine) restore(bodies []Body) error {
 			return fmt.Errorf("core: node %d checkpoint state: %w", node, err)
 		}
 		loads = append(loads, load)
+		payloads[node] = c.Nodes[node].Data
+	}
+	if err := bodies[0].State().Agree(payloads); err != nil {
+		return fmt.Errorf("core: checkpoint node states: %w", err)
 	}
 	for _, load := range loads {
 		load()

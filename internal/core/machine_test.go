@@ -58,7 +58,7 @@ func (r *ring) Plan(level int, _ []int64) (core.Plan, error) {
 	return core.Plan{Label: "ring", Channels: []comm.Channel{comm.ChanForward}}, nil
 }
 
-func (r *ring) Work(level int, _ core.Plan) (core.LevelWork, error) {
+func (r *ring) Work(level int, _ core.Plan) (ckpt.ModuleWork, error) {
 	ep := r.m.Endpoint(r.node)
 	err := ep.SendMany(comm.ChanForward, []comm.DstRun{{Dst: (r.node + 1) % r.m.Cfg().Nodes, N: 1}},
 		[]comm.Pair{{graph.Vertex(r.state.Token), graph.Vertex(level)}})
@@ -75,11 +75,13 @@ func (r *ring) Work(level int, _ core.Plan) (core.LevelWork, error) {
 		}
 		err = ev.Err
 	}
-	return core.LevelWork{Pairs: 1}, err
+	return ckpt.ModuleWork{Generated: 1}, err
 }
 
-func (r *ring) Close(s perf.LevelStats, fold core.LevelWork) (perf.LevelStats, string) {
-	s.FrontierEdges = fold.Pairs
+func (r *ring) Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.LevelStats, string) {
+	for _, w := range row {
+		s.FrontierEdges += w.Generated
+	}
 	return s, "ring"
 }
 

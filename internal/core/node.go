@@ -164,7 +164,7 @@ var levelChannels = [...][]comm.Channel{
 // closed. It then advances the frontier — next (handler discoveries)
 // merged with genNext (local hub claims) — so a boundary capture sees the
 // frontier entering the next level.
-func (ns *nodeState) Work(level int, p Plan) (LevelWork, error) {
+func (ns *nodeState) Work(level int, p Plan) (ckpt.ModuleWork, error) {
 	ns.resetLevelCounters()
 	ns.genNext.Reset()
 
@@ -198,18 +198,16 @@ func (ns *nodeState) Work(level int, p Plan) (LevelWork, error) {
 		genErr = hErr
 	}
 	if genErr != nil {
-		return LevelWork{}, genErr
+		return ckpt.ModuleWork{}, genErr
 	}
 
 	ns.next.Or(ns.genNext)
 	ns.curr, ns.next = ns.next, ns.curr
 	ns.next.Reset()
-	return LevelWork{
-		ModuleWork: ckpt.ModuleWork{
-			Bytes:        [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
-			Invocations:  ns.genInvocations + ns.hInvocations,
-			SmallBatches: ns.smallBatches,
-		},
+	return ckpt.ModuleWork{
+		Bytes:        [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
+		Invocations:  ns.genInvocations + ns.hInvocations,
+		SmallBatches: ns.smallBatches,
 		GenNanos:     genNanos,
 		HandlerNanos: ns.handlerNanos,
 	}, nil

@@ -321,10 +321,12 @@ func (ns *nodeState) Plan(_ int, sums []int64) (Plan, error) {
 	return Plan{Dir: dir, Label: dir.String(), Channels: levelChannels[dir], Edges: mf}, nil
 }
 
-// Close adds the level's per-module maxima and names its direction (the
-// policy's state, which Plan just set) and frontier in the flight record.
-func (ns *nodeState) Close(s perf.LevelStats, fold LevelWork) (perf.LevelStats, string) {
-	s.ModuleBytes = slices.Clone(fold.Bytes[:])
+// Close adds the level's per-module maxima over the row and names its
+// direction (the policy's state, which Plan just set) and frontier in the
+// flight record.
+func (ns *nodeState) Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.LevelStats, string) {
+	crit, _ := critical(row)
+	s.ModuleBytes = slices.Clone(crit.Bytes[:])
 	return s, fmt.Sprintf("dir=%s frontier=%d edges=%d", ns.policyReplica.State(), s.FrontierVertices, s.FrontierEdges)
 }
 

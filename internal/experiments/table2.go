@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
@@ -42,11 +43,39 @@ const headlineNodes = 40768
 // headlinePerNodeVertices is the paper's per-node problem size at scale 40.
 const headlinePerNodeVertices = float64(int64(1)<<40) / headlineNodes
 
-// headline projects the reproduction's full-machine GTEPS from a
+// lastHeadline is the newest headline projection and what it was made
+// from: table2 and the headline table ask for the same one in a single
+// `swbfs-bench all`, and the second reads the first's instead of repeating
+// the functional run. Options compare with ==, so every codec must be a
+// comparable value (they are all empty structs).
+var lastHeadline struct {
+	sync.Mutex
+	o                 Options
+	nodes, perNodeLog int
+	ran               bool
+	m                 *measurement
+	gteps             float64
+	err               error
+}
+
+// headline returns the headline projection of o and s, measured again
+// only when they differ from the previous call's (see lastHeadline).
+func headline(o Options, s shape) (*measurement, float64, error) {
+	h := &lastHeadline
+	h.Lock()
+	defer h.Unlock()
+	if !h.ran || h.o != o || h.nodes != s.nodes[0] || h.perNodeLog != s.perNodeLogs[0] {
+		h.m, h.gteps, h.err = measureHeadline(o, s)
+		h.o, h.nodes, h.perNodeLog, h.ran = o, s.nodes[0], s.perNodeLogs[0], true
+	}
+	return h.m, h.gteps, h.err
+}
+
+// measureHeadline projects the reproduction's full-machine GTEPS from a
 // functional Relay-CPE measurement on s.nodes[0] nodes at
 // 2^s.perNodeLogs[0] vertices per node, scaling both the node count and
 // the per-node problem size to the paper's scale-40 operating point.
-func headline(o Options, s shape) (*measurement, float64, error) {
+func measureHeadline(o Options, s shape) (*measurement, float64, error) {
 	m, err := measureBFS(o, s.nodes[0], s.perNodeLogs[0], core.TransportRelay, perf.EngineCPE)
 	if err != nil {
 		return nil, 0, fmt.Errorf("headline measurement failed: %w", err)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -16,34 +15,6 @@ import (
 // {"runs": [...]} document served at /traces and written by -trace-out —
 // so a trace captured before a change can be compared against one captured
 // after it.
-
-// LevelSummary is one level (or algorithm round) of a summarized run.
-type LevelSummary struct {
-	Level        int
-	Direction    string
-	WallSeconds  float64
-	Frontier     int64
-	Edges        int64
-	NetworkBytes int64
-	Rounds       int64
-}
-
-// ModuleSummary aggregates one module's work across all nodes of one level.
-type ModuleSummary struct {
-	Module      string
-	Level       int
-	WallSeconds float64 // summed span durations across nodes
-	Bytes       int64
-	Nodes       int
-}
-
-// RunSummary is the digest of one recorded run that a trace diff compares.
-type RunSummary struct {
-	Root         int64
-	TotalSeconds float64
-	Levels       []LevelSummary
-	Modules      []ModuleSummary
-}
 
 // Document kinds Sniff tells apart.
 const (
@@ -76,73 +47,15 @@ func Sniff(data []byte) (string, error) {
 		KindChrome, KindFlightDump, KindCheckpoint, KindRunTrace)
 }
 
-// ReadRunSummaries parses a RunTrace dump into run digests, and rejects
-// every other kind of document (see Sniff).
-func ReadRunSummaries(rd io.Reader) ([]RunSummary, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading trace: %w", err)
-	}
-	kind, err := Sniff(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindRunTrace {
-		return nil, fmt.Errorf("obs: document is a %s, not a RunTrace dump (write one with -trace-out)", kind)
-	}
-	runs, err := ReadTraceJSON(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	return summarizeRuns(runs), nil
-}
-
-// summarizeRuns digests recorded runs: their levels, and their module
-// spans summed over nodes per (level, module).
-func summarizeRuns(runs []RunTrace) []RunSummary {
-	out := make([]RunSummary, 0, len(runs))
-	for _, rt := range runs {
-		rs := RunSummary{Root: rt.Root, TotalSeconds: rt.TotalSeconds}
-		for _, s := range rt.Levels {
-			rs.Levels = append(rs.Levels, LevelSummary{
-				Level:        s.Level,
-				Direction:    s.Direction,
-				WallSeconds:  s.WallSeconds,
-				Frontier:     s.FrontierVertices,
-				Edges:        s.EdgesRelaxed,
-				NetworkBytes: s.NetworkBytes,
-				Rounds:       int64(s.Rounds),
-			})
-		}
-		for _, sp := range rt.Spans {
-			i := slices.IndexFunc(rs.Modules, func(m ModuleSummary) bool {
-				return m.Level == sp.Level && m.Module == sp.Module
-			})
-			if i < 0 {
-				i = len(rs.Modules)
-				rs.Modules = append(rs.Modules, ModuleSummary{Module: sp.Module, Level: sp.Level})
-			}
-			m := &rs.Modules[i]
-			m.WallSeconds += sp.Dur
-			m.Bytes += sp.Bytes
-			m.Nodes++
-		}
-		slices.SortFunc(rs.Modules, func(a, b ModuleSummary) int {
-			return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Module, b.Module))
-		})
-		out = append(out, rs)
-	}
-	return out
-}
-
-// WriteTraceDiff aligns two summarized benchmarks run by run and level by
-// level (by level number) and renders a delta table. Runs are paired by
+// WriteTraceDiff aligns two recorded benchmarks run by run and level by
+// level (by level number) and renders a delta table, module spans summed
+// over nodes per level and module. Runs are paired by
 // their root vertex whenever both sides' root lists are duplicate-free, so
 // traces whose -roots samples landed in a different order still line up;
 // when either side reuses a root, pairing falls back to recording order.
 // labelA/labelB name the two sides in the output header ("before"/"after",
 // file names, ...).
-func WriteTraceDiff(w io.Writer, a, b []RunSummary, labelA, labelB string) {
+func WriteTraceDiff(w io.Writer, a, b []RunTrace, labelA, labelB string) {
 	fmt.Fprintf(w, "trace diff: A=%s (%d runs)  B=%s (%d runs)\n", labelA, len(a), labelB, len(b))
 	if bIdx, ok := rootIndex(a, b); ok {
 		matchedB := make([]bool, len(b))
@@ -183,7 +96,7 @@ func WriteTraceDiff(w io.Writer, a, b []RunSummary, labelA, labelB string) {
 // is well-defined — i.e. neither side ran the same root twice. A duplicate
 // on either side makes "the run with root r" ambiguous, so alignment
 // degrades to positional pairing.
-func rootIndex(a, b []RunSummary) (map[int64]int, bool) {
+func rootIndex(a, b []RunTrace) (map[int64]int, bool) {
 	seenA := make(map[int64]bool, len(a))
 	for i := range a {
 		if seenA[a[i].Root] {
@@ -201,13 +114,13 @@ func rootIndex(a, b []RunSummary) (map[int64]int, bool) {
 	return idx, true
 }
 
-func diffRun(w io.Writer, idx int, a, b RunSummary) {
+func diffRun(w io.Writer, idx int, a, b RunTrace) {
 	fmt.Fprintf(w, "\nrun %d: root %d vs root %d, total %s -> %s (%s)\n",
 		idx, a.Root, b.Root, fmtSeconds(a.TotalSeconds), fmtSeconds(b.TotalSeconds),
 		fmtPct(a.TotalSeconds, b.TotalSeconds))
 	fmt.Fprintln(w, "  lvl dir        wall_A      wall_B      dwall    frontier A->B        edges A->B           net_bytes A->B")
 
-	type pair struct{ a, b *LevelSummary }
+	type pair struct{ a, b *LevelSpan }
 	levels := map[int]*pair{}
 	var order []int
 	get := func(l int) *pair {
@@ -240,63 +153,73 @@ func diffRun(w io.Writer, idx int, a, b RunSummary) {
 				l, p.a.Direction,
 				fmtSeconds(p.a.WallSeconds), fmtSeconds(p.b.WallSeconds),
 				fmtPct(p.a.WallSeconds, p.b.WallSeconds),
-				fmtCounts(p.a.Frontier, p.b.Frontier),
-				fmtCounts(p.a.Edges, p.b.Edges),
+				fmtCounts(p.a.FrontierVertices, p.b.FrontierVertices),
+				fmtCounts(p.a.EdgesRelaxed, p.b.EdgesRelaxed),
 				fmtCounts(p.a.NetworkBytes, p.b.NetworkBytes))
 		}
 	}
-	diffModules(w, a.Modules, b.Modules)
+	diffModules(w, sumModules(a.Spans), sumModules(b.Spans))
 }
 
-func diffModules(w io.Writer, a, b []ModuleSummary) {
+// moduleKey names one module of one level.
+type moduleKey struct {
+	level  int
+	module string
+}
+
+// moduleSum is one module's spans of one level summed over the nodes.
+type moduleSum struct {
+	wall  float64
+	bytes int64
+}
+
+// sumModules sums a run's module spans per level and module.
+func sumModules(spans []ModuleSpan) map[moduleKey]*moduleSum {
+	sums := map[moduleKey]*moduleSum{}
+	for _, sp := range spans {
+		k := moduleKey{sp.Level, sp.Module}
+		if sums[k] == nil {
+			sums[k] = &moduleSum{}
+		}
+		sums[k].wall += sp.Dur
+		sums[k].bytes += sp.Bytes
+	}
+	return sums
+}
+
+func diffModules(w io.Writer, a, b map[moduleKey]*moduleSum) {
 	if len(a) == 0 && len(b) == 0 {
 		return
 	}
-	type key struct {
-		level  int
-		module string
-	}
-	type pair struct{ a, b *ModuleSummary }
-	mods := map[key]*pair{}
-	var order []key
-	get := func(k key) *pair {
-		if p, ok := mods[k]; ok {
-			return p
-		}
-		p := &pair{}
-		mods[k] = p
+	var order []moduleKey
+	for k := range a {
 		order = append(order, k)
-		return p
 	}
-	for i := range a {
-		get(key{a[i].Level, a[i].Module}).a = &a[i]
-	}
-	for i := range b {
-		get(key{b[i].Level, b[i].Module}).b = &b[i]
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].level != order[j].level {
-			return order[i].level < order[j].level
+	for k := range b {
+		if a[k] == nil {
+			order = append(order, k)
 		}
-		return order[i].module < order[j].module
+	}
+	slices.SortFunc(order, func(x, y moduleKey) int {
+		return cmp.Or(cmp.Compare(x.level, y.level), cmp.Compare(x.module, y.module))
 	})
 	fmt.Fprintln(w, "  module deltas:")
 	fmt.Fprintln(w, "  lvl module              wall_A      wall_B      dwall    bytes A->B")
 	for _, k := range order {
-		p := mods[k]
+		pa, pb := a[k], b[k]
 		switch {
-		case p.b == nil:
+		case pb == nil:
 			fmt.Fprintf(w, "  %-3d %-19s %-11s %-11s %-8s only in A\n",
-				k.level, k.module, fmtSeconds(p.a.WallSeconds), "-", "-")
-		case p.a == nil:
+				k.level, k.module, fmtSeconds(pa.wall), "-", "-")
+		case pa == nil:
 			fmt.Fprintf(w, "  %-3d %-19s %-11s %-11s %-8s only in B\n",
-				k.level, k.module, "-", fmtSeconds(p.b.WallSeconds), "-")
+				k.level, k.module, "-", fmtSeconds(pb.wall), "-")
 		default:
 			fmt.Fprintf(w, "  %-3d %-19s %-11s %-11s %-8s %s\n",
 				k.level, k.module,
-				fmtSeconds(p.a.WallSeconds), fmtSeconds(p.b.WallSeconds),
-				fmtPct(p.a.WallSeconds, p.b.WallSeconds),
-				fmtCounts(p.a.Bytes, p.b.Bytes))
+				fmtSeconds(pa.wall), fmtSeconds(pb.wall),
+				fmtPct(pa.wall, pb.wall),
+				fmtCounts(pa.bytes, pb.bytes))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -62,14 +61,14 @@ func dump(t *testing.T, runs []RunTrace) *bytes.Buffer {
 	return &buf
 }
 
-// summaries reads both sides' dumps back.
-func summaries(t *testing.T, aT, bT []RunTrace) (a, b []RunSummary) {
+// readBack writes both sides as dumps and reads them back.
+func readBack(t *testing.T, aT, bT []RunTrace) (a, b []RunTrace) {
 	t.Helper()
-	a, err := ReadRunSummaries(dump(t, aT))
+	a, err := ReadTraceJSON(dump(t, aT))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err = ReadRunSummaries(dump(t, bT)); err != nil {
+	if b, err = ReadTraceJSON(dump(t, bT)); err != nil {
 		t.Fatal(err)
 	}
 	return a, b
@@ -97,8 +96,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // cmd/inspect path for two -trace-out files.
 func TestTraceDiffModulesGolden(t *testing.T) {
 	aT, bT := diffFixtures()
-	a, b := summaries(t, aT, bT)
-	if len(a) != 1 || len(a[0].Modules) != 2 {
+	a, b := readBack(t, aT, bT)
+	if len(a) != 1 || len(sumModules(a[0].Spans)) != 2 {
 		t.Fatalf("side A parsed wrong: %+v", a)
 	}
 	var out bytes.Buffer
@@ -111,9 +110,9 @@ func TestTraceDiffModulesGolden(t *testing.T) {
 func TestTraceDiffRunsGolden(t *testing.T) {
 	aT, bT := diffFixtures()
 	aT[0].Spans, bT[0].Spans = nil, nil
-	a, b := summaries(t, aT, bT)
-	if len(a[0].Modules) != 0 {
-		t.Fatalf("runs dump should carry no module data, got %+v", a[0].Modules)
+	a, b := readBack(t, aT, bT)
+	if len(a[0].Spans) != 0 {
+		t.Fatalf("runs dump should carry no module data, got %+v", a[0].Spans)
 	}
 	var out bytes.Buffer
 	WriteTraceDiff(&out, a, b, "before.json", "after.json")
@@ -124,13 +123,13 @@ func TestTraceDiffRunsGolden(t *testing.T) {
 // two sides recorded the same roots in a different order, and that
 // single-sided roots surface as "only in" lines.
 func TestTraceDiffRootAlignment(t *testing.T) {
-	mk := func(root int64, wall float64) RunSummary {
-		return RunSummary{Root: root, TotalSeconds: wall, Levels: []LevelSummary{
-			{Level: 0, Direction: "topdown", WallSeconds: wall, Frontier: 1, Edges: 10, NetworkBytes: 100},
+	mk := func(root int64, wall float64) RunTrace {
+		return RunTrace{Root: root, TotalSeconds: wall, Levels: []LevelSpan{
+			{Level: 0, Direction: "topdown", WallSeconds: wall, FrontierVertices: 1, EdgesRelaxed: 10, NetworkBytes: 100},
 		}}
 	}
-	a := []RunSummary{mk(7, 10e-6), mk(9, 20e-6), mk(11, 5e-6)}
-	b := []RunSummary{mk(9, 20e-6), mk(7, 10e-6), mk(13, 8e-6)}
+	a := []RunTrace{mk(7, 10e-6), mk(9, 20e-6), mk(11, 5e-6)}
+	b := []RunTrace{mk(9, 20e-6), mk(7, 10e-6), mk(13, 8e-6)}
 
 	var out bytes.Buffer
 	WriteTraceDiff(&out, a, b, "A", "B")
@@ -154,31 +153,16 @@ func TestTraceDiffRootAlignment(t *testing.T) {
 // recording order when a side samples the same root twice — "the run with
 // root r" is ambiguous there.
 func TestTraceDiffDuplicateRootsFallback(t *testing.T) {
-	mk := func(root int64, wall float64) RunSummary {
-		return RunSummary{Root: root, TotalSeconds: wall}
+	mk := func(root int64, wall float64) RunTrace {
+		return RunTrace{Root: root, TotalSeconds: wall}
 	}
-	a := []RunSummary{mk(7, 10e-6), mk(7, 12e-6)}
-	b := []RunSummary{mk(9, 20e-6), mk(7, 10e-6)}
+	a := []RunTrace{mk(7, 10e-6), mk(7, 12e-6)}
+	b := []RunTrace{mk(9, 20e-6), mk(7, 10e-6)}
 
 	var out bytes.Buffer
 	WriteTraceDiff(&out, a, b, "A", "B")
 	if !bytes.Contains(out.Bytes(), []byte("run 0: root 7 vs root 9")) {
 		t.Errorf("duplicate roots should fall back to positional pairing:\n%s", out.String())
-	}
-}
-
-// TestTraceDiffCrossFormat checks a Chrome export is refused as a diff
-// side with an error that names its kind and points at -trace-out: only
-// RunTrace dumps are read back.
-func TestTraceDiffCrossFormat(t *testing.T) {
-	aT, _ := diffFixtures()
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, aT); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadRunSummaries(&chrome)
-	if err == nil || !strings.Contains(err.Error(), KindChrome) || !strings.Contains(err.Error(), "-trace-out") {
-		t.Fatalf("reading a Chrome export: err %v, want one naming %q and -trace-out", err, KindChrome)
 	}
 }
 
@@ -212,25 +196,6 @@ func formatDocs(t *testing.T) []formatDoc {
 		{"not-json", "", []byte("garbage\n")},
 		{"array", "", []byte("[1, 2]")},
 		{"unknown-object", "", []byte(`{"levels": []}`)},
-	}
-}
-
-// TestReadRunSummariesFormats feeds the trace reader every kind of
-// document: a RunTrace dump parses, and everything else — a Chrome export,
-// a flight dump, whose top-level "runs" key once passed for a RunTrace
-// dump, a checkpoint and garbage — is an error, not an empty diff.
-func TestReadRunSummariesFormats(t *testing.T) {
-	for _, doc := range formatDocs(t) {
-		t.Run(doc.name, func(t *testing.T) {
-			runs, err := ReadRunSummaries(bytes.NewReader(doc.data))
-			isTrace := doc.kind == KindRunTrace
-			if isTrace && (err != nil || len(runs) == 0) {
-				t.Fatalf("want run summaries, got %d runs, err %v", len(runs), err)
-			}
-			if !isTrace && err == nil {
-				t.Fatalf("want an error, got %d run summaries", len(runs))
-			}
-		})
 	}
 }
 
