@@ -151,3 +151,44 @@ func TestResumedPageRankCountsCombinedPairs(t *testing.T) {
 		t.Fatalf("resumed from round 4: algos.pairs.combined = %d, the uninterrupted run's %d", got, want)
 	}
 }
+
+const ledgerGolden = "testdata/ledger.golden.json"
+
+// TestLedgerGolden pins every deterministic field of every work ledger
+// entry — module bytes, invocations, MPE small batches, sent bytes and
+// messages, generated and shipped pairs — of a hybrid BFS on relay with and
+// without the small-message MPE path, a top-down BFS on direct, WCC on relay
+// and PageRank on direct, at scale 10 on 8 nodes at width 1. Per-node
+// invocations and MPE batches show nowhere else: the level statistics keep
+// only the row maxima.
+func TestLedgerGolden(t *testing.T) {
+	g := kron(t, 10, 21)
+	wg := &graph.WeightedCSR{CSR: g}
+	root := testutil.FirstConnected(t, g)
+	args := ckptArgs(root)
+	got := map[string][]string{}
+	for _, run := range []struct {
+		name, kernel  string
+		transport     core.Transport
+		hybrid, small bool
+	}{
+		{"bfs-hybrid/relay/mpe", "bfs", core.TransportRelay, true, true},
+		{"bfs-hybrid/relay/no-mpe", "bfs", core.TransportRelay, true, false},
+		{"bfs-topdown/direct", "bfs", core.TransportDirect, false, true},
+		{"wcc/relay", "wcc", core.TransportRelay, false, false},
+		{"pagerank/direct", "pagerank", core.TransportDirect, false, false},
+	} {
+		cfg := machine(8, run.transport)
+		cfg.Workers = 1
+		cfg.DirectionOptimized, cfg.HubPrefetch = run.hybrid, run.hybrid
+		cfg.SmallMessageMPE = run.small
+		c := checkpointEvery(t, cfg, wg, root, run.kernel, args[run.kernel], 1)
+		for _, row := range c.Machine.Work {
+			for node, w := range row {
+				got[run.name] = append(got[run.name], fmt.Sprintf("L%d n%d dir=%d bytes=%v inv=%d small=%d sent=%d msgs=%d gen=%d ship=%d",
+					w.Level, node, w.Dir, w.Bytes, w.Invocations, w.SmallBatches, w.SentBytes, w.Messages, w.Generated, w.Shipped))
+			}
+		}
+	}
+	testutil.Golden(t, ledgerGolden, *updateGolden, got)
+}
