@@ -24,7 +24,6 @@ package algos
 
 import (
 	"fmt"
-	"time"
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
@@ -228,7 +227,7 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 			return nil, nil, fmt.Errorf("algos: node %d: %w", i, err)
 		}
 		insts[i] = inst
-		nodes[i] = &nodeRun{ctx: ctx, algo: inst, ep: m.Endpoint(i), part: part, maxRounds: maxRounds}
+		nodes[i] = &nodeRun{ctx: ctx, algo: inst, m: m, ep: m.Endpoint(i), part: part, maxRounds: maxRounds}
 		if c, ok := any(inst).(combining); ok {
 			nodes[i].comb = newCombiner(nodes[i].ep, part, c.pairFold())
 		}
@@ -275,6 +274,7 @@ func Run[A RoundAlgo](cfg core.Config, g *graph.CSR, opts RunOptions, newNode fu
 type nodeRun struct {
 	ctx       *NodeCtx
 	algo      RoundAlgo
+	m         *core.Machine
 	ep        comm.Endpoint
 	maxRounds int
 
@@ -323,61 +323,33 @@ func (n *nodeRun) Plan(round int, _ []int64) (core.Plan, error) {
 
 // Work runs the round's module work: Generate and flush (see generate),
 // then Handle every delivered batch until the forward channel closes, then
-// EndRound.
-// The chaos delays stall the generator and the handler before their work,
-// host time only, and both are timed for the straggler detector.
+// EndRound. Generate must finish before the handler starts, because Handle
+// changes the state Generate reads. Every delivered batch counts as a
+// CPE-cluster invocation, and so does the generator: a round never takes
+// the MPE small-message path.
 func (n *nodeRun) Work(round int, _ core.Plan) (ckpt.ModuleWork, error) {
-	id, net := n.ctx.ID, n.ctx.Net
-	start := time.Now()
-	if d := net.ChaosDelay(chaos.KindDelayGenerator, id, round); d > 0 {
-		time.Sleep(d)
-	}
-	generated, shipped, err := n.generate(round)
-	if err == nil {
-		err = n.ep.CloseChannel(comm.ChanForward)
-	}
+	var generated, shipped int64
+	err := n.m.Generate(n.ctx.ID, round, func() (err error) {
+		if generated, shipped, err = n.generate(round); err == nil {
+			err = n.ep.CloseChannel(comm.ChanForward)
+		}
+		return err
+	})
 	if err != nil {
 		return ckpt.ModuleWork{}, err
 	}
-	genNanos := int64(time.Since(start))
-
-	start = time.Now()
-	if d := net.ChaosDelay(chaos.KindDelayHandler, id, round); d > 0 {
-		time.Sleep(d)
-	}
-	var recv, batches int64
-recvLoop:
-	for {
-		ev := n.ep.Recv()
-		switch ev.Type {
-		case comm.EvError:
-			return ckpt.ModuleWork{}, ev.Err
-		case comm.EvData:
-			recv += int64(len(ev.Batch.Pairs))
-			batches++
-			n.handle(ev.Batch.Pairs)
-			comm.PutPairs(ev.Batch.Pairs) // no kernel retains the slice
-		case comm.EvChannelClosed:
-			break recvLoop
-		}
-	}
-	handlerNanos := int64(time.Since(start))
-	// This goroutine ran the node's relay duties inside Recv: charge the
-	// bytes it re-batched as the Relay module's input, as BFS does.
-	var relayed int64
-	if r, ok := n.ep.(*comm.RelayEndpoint); ok {
-		relayed = r.RelayedBytes()
+	h, err := n.m.Handle(n.ctx.ID, round, n.handle)
+	if err != nil {
+		return ckpt.ModuleWork{}, err
 	}
 	if err := n.algo.EndRound(round); err != nil {
 		return ckpt.ModuleWork{}, err
 	}
 	return ckpt.ModuleWork{
-		Bytes:        [4]int64{generated * comm.PairBytes, recv * comm.PairBytes, 0, relayed},
-		Invocations:  batches + 1,
-		Generated:    generated,
-		Shipped:      shipped,
-		GenNanos:     genNanos,
-		HandlerNanos: handlerNanos,
+		Bytes:       [4]int64{generated * comm.PairBytes, h.Pairs[comm.ChanForward] * comm.PairBytes, 0, h.Relayed},
+		Invocations: h.Batches + 1,
+		Generated:   generated,
+		Shipped:     shipped,
 	}, nil
 }
 
@@ -424,15 +396,16 @@ func (n *nodeRun) Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.LevelSta
 // pass and the buckets folded concurrently. A vertex's pairs all land in
 // one bucket in batch order, so its fold order equals the serial pair
 // order, and word-aligned shards never share a bitmap word. One bucketing
-// pass keeps the scan work O(pairs), not O(workers x pairs).
-func (n *nodeRun) handle(pairs []comm.Pair) {
+// pass keeps the scan work O(pairs), not O(workers x pairs). A round opens
+// the forward channel only, and no kernel fails a fold or retains pairs.
+func (n *nodeRun) handle(_ comm.Channel, pairs []comm.Pair) error {
 	part := n.part
 	if n.shards <= 1 || len(pairs) < handleFanoutMin {
 		for i := range pairs {
 			pairs[i][0] = graph.Vertex(part.Local(pairs[i][0]))
 		}
 		n.algo.Handle(0, pairs)
-		return
+		return nil
 	}
 	n.buckets = takeShards(n.buckets, n.shards)
 	for _, p := range pairs {
@@ -441,6 +414,7 @@ func (n *nodeRun) handle(pairs []comm.Pair) {
 		n.buckets[l/n.per] = append(n.buckets[l/n.per], p)
 	}
 	applyBuckets(n.buckets, n.algo.Handle)
+	return nil
 }
 
 // gather assembles one global per-vertex array from every node's local

@@ -133,9 +133,8 @@ type MachineState struct {
 // relay input bytes; the module invocations (CPE-cluster dispatches); the
 // sub-1 KB batches the MPE handled itself; the bytes and messages the node
 // sent; and, for a round kernel, the pairs it generated and the pairs it
-// shipped after its sender-side fold. The host nanoseconds its generator
-// and handler took feed only the straggler detector: no checkpoint holds
-// them.
+// shipped after its sender-side fold. Every field is deterministic per
+// configuration and seed: the modules' host times stay on core.Machine.
 type ModuleWork struct {
 	Level        int      `json:"level"`
 	Dir          int      `json:"dir"`
@@ -146,9 +145,6 @@ type ModuleWork struct {
 	Messages     int64    `json:"messages"`
 	Generated    int64    `json:"generated,omitempty"`
 	Shipped      int64    `json:"shipped,omitempty"`
-
-	GenNanos     int64 `json:"-"`
-	HandlerNanos int64 `json:"-"`
 }
 
 // Processed is the node's module bytes in all.

@@ -18,6 +18,7 @@ import (
 	"swbfs/internal/graph"
 	"swbfs/internal/obs"
 	"swbfs/internal/perf"
+	"swbfs/internal/sw"
 )
 
 // KernelBFS names the engine's native kernel in checkpoints and flight
@@ -167,12 +168,17 @@ type Machine struct {
 
 	// The work ledger: every node's work vector of every completed level,
 	// one row per level, kept on every run. row is the open level's: node 0
-	// opens it before the level's first collective, each node writes its own
-	// entry between the loop's two rendezvous, and closeLevel folds it and
-	// appends it. Checkpoints carry the ledger, Finish folds the module
-	// metrics from it and trace lays it out.
+	// opens it once the frontier is known non-empty, before the level's
+	// first rendezvous, each node writes its own entry between the loop's
+	// two rendezvous, and closeLevel folds it and appends it. Checkpoints
+	// carry the ledger, Finish folds the module metrics from it and trace
+	// lays it out.
 	row  []ckpt.ModuleWork
 	work [][]ckpt.ModuleWork
+	// host is every node's generator and handler host nanoseconds of the
+	// open level, written by Generate and Handle and read by the straggler
+	// detector. Host time only: no ledger entry or checkpoint holds it.
+	host [][2]int64
 
 	// The checkpoint latch: nodes stage their boundary captures and the
 	// last one freezes the assembled checkpoint. Partially staged
@@ -400,7 +406,7 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 
 	recycled := prev != nil && prev.clean && resume == nil && prev.config == m.config && prev.Flight == m.Flight
 	if recycled {
-		m.Net, m.eps = prev.Net, prev.eps
+		m.Net, m.eps, m.host = prev.Net, prev.eps, prev.host
 		prev.clean = false // taken over once
 		m.Net.Reset(m.inj)
 	} else {
@@ -418,6 +424,7 @@ func OpenMachine(spec MachineSpec) (*Machine, error) {
 			return nil, err
 		}
 		m.eps = make([]comm.Endpoint, cfg.Nodes)
+		m.host = make([][2]int64, cfg.Nodes)
 	}
 	m.Model = perf.NewModel(m.Net.Topo, cfg.Engine)
 	if resume != nil {
@@ -493,10 +500,11 @@ type Body interface {
 	// hub allgather): the loop's rendezvous before Work publishes what
 	// node 0 writes here. An error tears the run down.
 	Plan(level int, sums []int64) (Plan, error)
-	// Work runs the node's module work once the plan's channels are open
-	// and returns the node's work vector, its entry of the level's ledger
-	// row; the loop fills in the level, the direction and the bytes and
-	// messages the node sent. An error tears the run down.
+	// Work runs the node's module work once the plan's channels are open,
+	// its generator through the machine's Generate and its handler through
+	// Handle, and returns the node's work vector, its entry of the level's
+	// ledger row; the loop fills in the level, the direction and the bytes
+	// and messages the node sent. An error tears the run down.
 	Work(level int, p Plan) (ckpt.ModuleWork, error)
 	// Close completes node 0's statistics of the level, which the loop has
 	// filled from the plan and the fold of the level's ledger row, and
@@ -524,13 +532,84 @@ type Plan struct {
 	Edges int64
 }
 
+// Generate runs node's generator module for the level: the chaos generator
+// stall, then gen, timed together for the straggler detector. A chaos stall
+// is a CPE cluster slow to dispatch: host time only, invisible to the
+// modelled machine.
+func (m *Machine) Generate(node, level int, gen func() error) error {
+	start := time.Now()
+	if d := m.Net.ChaosDelay(chaos.KindDelayGenerator, node, level); d > 0 {
+		time.Sleep(d)
+	}
+	err := gen()
+	m.host[node][0] = int64(time.Since(start))
+	return err
+}
+
+// HandlerBooks is what a node's handler module took in during one level:
+// the pairs delivered per channel, the data batches, those of them under
+// sw.SmallMessageThresholdBytes on the wire, and the bytes the node's relay
+// duties re-batched (0 on a direct endpoint). Each body turns them into its
+// own invocation count.
+type HandlerBooks struct {
+	Pairs   [2]int64
+	Batches int64
+	Small   int64
+	Relayed int64
+}
+
+// Handle runs node's handler module for the level: the chaos handler stall,
+// then the receive loop until the forward channel closes, timed together
+// for the straggler detector. Each data batch goes to dispatch with its
+// channel, and its pairs back to the pool once dispatch returns. The
+// backward channel's close means every probe is answered, so it closes the
+// node's forward channel (the longer data path of Figure 4(b)). The node's
+// relay duties run inside Recv on this goroutine, so the relay module's
+// input is read here. An error aborts the network.
+func (m *Machine) Handle(node, level int, dispatch func(comm.Channel, []comm.Pair) error) (books HandlerBooks, err error) {
+	start := time.Now()
+	defer func() { m.host[node][1] = int64(time.Since(start)) }()
+	if d := m.Net.ChaosDelay(chaos.KindDelayHandler, node, level); d > 0 {
+		time.Sleep(d)
+	}
+	ep := m.eps[node]
+	for {
+		ev := ep.Recv()
+		switch ev.Type {
+		case comm.EvError:
+			err = ev.Err
+		case comm.EvData:
+			books.Pairs[ev.Channel] += int64(len(ev.Batch.Pairs))
+			books.Batches++
+			if ev.Batch.ByteSize() < sw.SmallMessageThresholdBytes {
+				books.Small++
+			}
+			err = dispatch(ev.Channel, ev.Batch.Pairs)
+			comm.PutPairs(ev.Batch.Pairs)
+		case comm.EvChannelClosed:
+			if ev.Channel == comm.ChanBackward {
+				err = ep.CloseChannel(comm.ChanForward)
+				break
+			}
+			if rep, ok := ep.(*comm.RelayEndpoint); ok {
+				books.Relayed = rep.RelayedBytes()
+			}
+			return books, nil
+		}
+		if err != nil {
+			m.Net.Abort()
+			return books, err
+		}
+	}
+}
+
 // loop runs one node's levels from m.start until the frontier sums to
 // zero: the level protocol, written once for every kernel. Each level:
 //
-//  1. node 0 opens the level's accounting window, ledger row and flight
-//     record;
+//  1. node 0 opens the level's accounting window and flight record;
 //  2. every node sum-allreduces its statistics, one charged collective,
-//     and the run ends when the frontier, the first sum, is zero;
+//     and the run ends when the frontier, the first sum, is zero; else
+//     node 0 opens the level's ledger row;
 //  3. every node plans the level, and node 0 publishes its live event;
 //  4. every node opens the plan's channels and joins a host-only
 //     rendezvous (comm.Network.Sync), so no level traffic reaches an
@@ -550,7 +629,6 @@ func (m *Machine) loop(node int, b Body) error {
 	for level := m.start; ; level++ {
 		if node == 0 {
 			m.window = net.Counters.Snapshot()
-			m.row = make([]ckpt.ModuleWork, len(m.eps))
 			m.Flight.Control(obs.FlightRoundOpen, -1, level, "")
 		}
 		sums := b.Stats(level)
@@ -559,6 +637,9 @@ func (m *Machine) loop(node int, b Body) error {
 		}
 		if sums[0] == 0 {
 			return nil
+		}
+		if node == 0 {
+			m.row = make([]ckpt.ModuleWork, len(m.eps))
 		}
 		p, err := b.Plan(level, sums)
 		if err != nil {
@@ -670,23 +751,24 @@ const stragglerFloorNanos = 200_000
 // a generator straggler delays every peer's handler, so only the per-class
 // comparison blames the slow node instead of its victims (whole-level wall
 // time cannot: every node's level ends with the slowest peer's end
-// markers). Node 0 reads the level's ledger row in closeLevel, where no
-// entry can be rewritten. Host time only: LevelStats are never perturbed.
+// markers). Node 0 reads the level's host times in closeLevel, after the
+// loop's second rendezvous, where no node can rewrite them. Host time only:
+// LevelStats are never perturbed.
 func (m *Machine) detectStragglers(level int) {
 	factor := m.spec.Cfg.StragglerFactor
-	var genSum, handlerSum int64
-	for _, s := range m.row {
-		genSum += s.GenNanos
-		handlerSum += s.HandlerNanos
+	var sum [2]int64
+	for _, h := range m.host {
+		sum[0] += h[0]
+		sum[1] += h[1]
 	}
-	genMean := float64(genSum) / float64(len(m.row))
-	handlerMean := float64(handlerSum) / float64(len(m.row))
-	for node, s := range m.row {
+	genMean := float64(sum[0]) / float64(len(m.host))
+	handlerMean := float64(sum[1]) / float64(len(m.host))
+	for node, h := range m.host {
 		var host, mean float64
-		if g := float64(s.GenNanos); g > factor*genMean && g > stragglerFloorNanos {
+		if g := float64(h[0]); g > factor*genMean && g > stragglerFloorNanos {
 			host, mean = g, genMean
 		}
-		if h := float64(s.HandlerNanos); h > factor*handlerMean && h > stragglerFloorNanos && h > host {
+		if h := float64(h[1]); h > factor*handlerMean && h > stragglerFloorNanos && h > host {
 			host, mean = h, handlerMean
 		}
 		if host == 0 {

@@ -3,13 +3,10 @@ package core
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
-	"swbfs/internal/chaos"
 	"swbfs/internal/ckpt"
 	"swbfs/internal/comm"
 	"swbfs/internal/graph"
-	"swbfs/internal/sw"
 )
 
 // nodeState is one simulated compute node of the machine. Its fields split
@@ -72,12 +69,9 @@ type nodeState struct {
 	// separate so the two module goroutines never share a counter.
 	genBytes       atomic.Int64 // generator module input (scanned edges), tallied by its lanes
 	genInvocations int64        // generator CPE-cluster dispatches
-	hFwdBytes      int64        // Forward Handler module input (received pairs)
-	hBwdBytes      int64        // Backward Handler module input (received pairs)
-	relayBytes     int64        // Forward/Backward Relay module input (relay transport)
-	hInvocations   int64        // handler CPE-cluster dispatches (batches >= 1 KB)
-	smallBatches   int64        // sub-1 KB batches fast-pathed on the MPE
-	handlerNanos   int64        // handler host time, for straggler detection
+	// books are the handler module's, ordered before Work reads them by
+	// the handlerErr receive.
+	books HandlerBooks
 }
 
 // newNodeState allocates a node's run-surviving buffers; resetRun makes
@@ -143,16 +137,6 @@ func (ns *nodeState) claim(local int64, u graph.Vertex) bool {
 	}
 }
 
-func (ns *nodeState) resetLevelCounters() {
-	ns.genBytes.Store(0)
-	ns.genInvocations = 0
-	ns.hFwdBytes = 0
-	ns.hBwdBytes = 0
-	ns.relayBytes = 0
-	ns.hInvocations = 0
-	ns.smallBatches = 0
-}
-
 // levelChannels lists the channels a level of each direction opens.
 var levelChannels = [...][]comm.Channel{
 	TopDown:  {comm.ChanForward},
@@ -163,54 +147,44 @@ var levelChannels = [...][]comm.Channel{
 // handler modules concurrently, until the transport reports all channels
 // closed. It then advances the frontier — next (handler discoveries)
 // merged with genNext (local hub claims) — so a boundary capture sees the
-// frontier entering the next level.
+// frontier entering the next level. A handler batch under 1 KB counts as an
+// MPE small batch with SmallMessageMPE, else as a CPE-cluster invocation.
 func (ns *nodeState) Work(level int, p Plan) (ckpt.ModuleWork, error) {
-	ns.resetLevelCounters()
+	ns.genBytes.Store(0)
+	ns.genInvocations = 0
 	ns.genNext.Reset()
-
-	// Each module's host duration feeds straggler detection. The chaos
-	// delays stall the module goroutines before their work, as if a CPE
-	// cluster were slow to dispatch — host time only, invisible to the
-	// modelled machine. The handler's time is ordered before its read below
-	// by the handlerErr receive.
+	m := ns.r.m
 	go func() {
-		start := time.Now()
-		if d := ns.r.net.ChaosDelay(chaos.KindDelayHandler, ns.id, level); d > 0 {
-			time.Sleep(d)
-		}
-		err := ns.handle(p.Dir)
-		ns.handlerNanos = int64(time.Since(start))
+		var err error
+		ns.books, err = m.Handle(ns.id, level, ns.dispatch)
 		ns.handlerErr <- err
 	}()
-
-	genStart := time.Now()
-	if d := ns.r.net.ChaosDelay(chaos.KindDelayGenerator, ns.id, level); d > 0 {
-		time.Sleep(d)
+	err := m.Generate(ns.id, level, func() error {
+		if p.Dir == TopDown {
+			return ns.generate(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan)
+		}
+		return ns.generate(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan)
+	})
+	if hErr := <-ns.handlerErr; err == nil {
+		err = hErr
 	}
-	var genErr error
-	if p.Dir == TopDown {
-		genErr = ns.generate(comm.ChanForward, len(ns.curr.Words()), (*nodeState).forwardScan)
-	} else {
-		genErr = ns.generate(comm.ChanBackward, len(ns.visited.Words()), (*nodeState).backwardScan)
-	}
-	genNanos := int64(time.Since(genStart))
-	if hErr := <-ns.handlerErr; genErr == nil {
-		genErr = hErr
-	}
-	if genErr != nil {
-		return ckpt.ModuleWork{}, genErr
+	if err != nil {
+		return ckpt.ModuleWork{}, err
 	}
 
 	ns.next.Or(ns.genNext)
 	ns.curr, ns.next = ns.next, ns.curr
 	ns.next.Reset()
-	return ckpt.ModuleWork{
-		Bytes:        [4]int64{ns.genBytes.Load(), ns.hFwdBytes, ns.hBwdBytes, ns.relayBytes},
-		Invocations:  ns.genInvocations + ns.hInvocations,
-		SmallBatches: ns.smallBatches,
-		GenNanos:     genNanos,
-		HandlerNanos: ns.handlerNanos,
-	}, nil
+	h := ns.books
+	w := ckpt.ModuleWork{
+		Bytes:       [4]int64{ns.genBytes.Load(), h.Pairs[comm.ChanForward] * comm.PairBytes, h.Pairs[comm.ChanBackward] * comm.PairBytes, h.Relayed},
+		Invocations: ns.genInvocations + h.Batches,
+	}
+	if ns.r.cfg.SmallMessageMPE {
+		w.Invocations -= h.Small
+		w.SmallBatches = h.Small
+	}
+	return w, nil
 }
 
 // generate runs the level's generator module on channel ch: scan covers a
@@ -319,67 +293,16 @@ func (ns *nodeState) backwardScan(l *comm.Lane, lo, hi int64) error {
 	return nil
 }
 
-// handle runs the handler modules: FORWARD_HANDLER updates the parent map
-// and the next frontier; BACKWARD_HANDLER answers frontier probes by
-// forwarding a discovery to the asker's owner. In bottom-up levels the
-// forward channel closes once the backward stream has fully drained,
-// mirroring the longer data path of Figure 4(b).
-func (ns *nodeState) handle(dir Direction) error {
-	r := ns.r
-	for {
-		ev := ns.ep.Recv()
-		switch ev.Type {
-		case comm.EvError:
-			r.net.Abort()
-			return ev.Err
-
-		case comm.EvData:
-			batch := &ev.Batch
-			bytes := batch.ByteSize()
-			pairBytes := int64(len(batch.Pairs)) * comm.PairBytes
-			if ev.Channel == comm.ChanForward {
-				ns.hFwdBytes += pairBytes
-			} else {
-				ns.hBwdBytes += pairBytes
-			}
-			if r.cfg.SmallMessageMPE && bytes < sw.SmallMessageThresholdBytes {
-				ns.smallBatches++
-			} else {
-				ns.hInvocations++
-			}
-			var err error
-			switch ev.Channel {
-			case comm.ChanForward:
-				ns.handleForward(batch.Pairs)
-			case comm.ChanBackward:
-				err = ns.handleBackward(batch.Pairs)
-			}
-			comm.PutPairs(batch.Pairs)
-			batch.Pairs = nil
-			if err != nil {
-				r.net.Abort()
-				return err
-			}
-
-		case comm.EvChannelClosed:
-			switch ev.Channel {
-			case comm.ChanBackward:
-				// All probes answered: this node's forward contributions
-				// are complete.
-				if err := ns.ep.CloseChannel(comm.ChanForward); err != nil {
-					r.net.Abort()
-					return err
-				}
-			case comm.ChanForward:
-				// Level complete on this node; snapshot relay-module work
-				// (this goroutine ran the relay duties inside Recv).
-				if rep, ok := ns.ep.(*comm.RelayEndpoint); ok {
-					ns.relayBytes = rep.RelayedBytes()
-				}
-				return nil
-			}
-		}
+// dispatch hands one delivered batch to its handler module:
+// FORWARD_HANDLER updates the parent map and the next frontier;
+// BACKWARD_HANDLER answers frontier probes by forwarding a discovery to the
+// asker's owner.
+func (ns *nodeState) dispatch(ch comm.Channel, pairs []comm.Pair) error {
+	if ch == comm.ChanForward {
+		ns.handleForward(pairs)
+		return nil
 	}
+	return ns.handleBackward(pairs)
 }
 
 // handlerFanoutPairs is the smallest handler batch worth fanning over the
