@@ -83,21 +83,15 @@ func (k Kind) IsDelay() bool {
 	return k == KindDelayGenerator || k == KindDelayHandler || k == KindDelayRelay
 }
 
-// Wire-kind and channel coordinates of delivery faults. The values mirror
-// the comm package's Kind and Channel enums by name (chaos cannot import
-// comm — comm imports chaos).
-const (
-	WireData     = "data"
-	WireEnd      = "end"
-	WireRelay    = "relay-data"
-	WireRelayEnd = "relay-end"
-
-	ChanForward  = "forward"
-	ChanBackward = "backward"
+// WireNames and ChanNames are the wire-kind and channel coordinates of
+// delivery faults, indexed by Fault.WireKind and Fault.Channel. They are
+// also the comm package's Kind and Channel names, which comm takes from
+// here (chaos cannot import comm — comm imports chaos), and the names the
+// flight recorder stores.
+var (
+	WireNames = [4]string{"data", "end", "relay-data", "relay-end"}
+	ChanNames = [2]string{"forward", "backward"}
 )
-
-var wireNames = [4]string{WireData, WireEnd, WireRelay, WireRelayEnd}
-var chanNames = [2]string{ChanForward, ChanBackward}
 
 // Fault is one scheduled fault.
 type Fault struct {
@@ -128,7 +122,7 @@ func (f Fault) String() string {
 		return fmt.Sprintf("%s@%d:l%d:%d", f.Kind, f.Node, f.Level, f.Steps)
 	}
 	return fmt.Sprintf("%s@%d:l%d:%s/%s:%d",
-		f.Kind, f.Node, f.Level, wireNames[f.WireKind], chanNames[f.Channel], f.Op)
+		f.Kind, f.Node, f.Level, WireNames[f.WireKind], ChanNames[f.Channel], f.Op)
 }
 
 // ParseFault parses one fault spec (the grammar Fault.String emits).
@@ -176,7 +170,7 @@ func ParseFault(s string) (Fault, error) {
 		return f, fmt.Errorf("chaos: fault %q: want wire/chan", s)
 	}
 	found := false
-	for i, name := range wireNames {
+	for i, name := range WireNames {
 		if name == wire {
 			f.WireKind, found = uint8(i), true
 		}
@@ -185,7 +179,7 @@ func ParseFault(s string) (Fault, error) {
 		return f, fmt.Errorf("chaos: fault %q: unknown wire kind %q", s, wire)
 	}
 	found = false
-	for i, name := range chanNames {
+	for i, name := range ChanNames {
 		if name == chn {
 			f.Channel, found = uint8(i), true
 		}

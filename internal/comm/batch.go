@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 
+	"swbfs/internal/chaos"
 	"swbfs/internal/graph"
 )
 
@@ -34,10 +35,11 @@ const (
 )
 
 // channelNames and kindNames are the stable wire names: String returns
-// them, the flight recorder stores them, the chaos grammar parses them.
+// them, the flight recorder stores them, the chaos grammar parses them —
+// one table, chaos's, whose length must match the enum's.
 var (
-	channelNames = [numChannels]string{"forward", "backward"}
-	kindNames    = [numKinds]string{"data", "end", "relay-data", "relay-end"}
+	channelNames [numChannels]string = chaos.ChanNames
+	kindNames    [numKinds]string    = chaos.WireNames
 )
 
 func (c Channel) String() string {

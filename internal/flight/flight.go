@@ -18,13 +18,6 @@ import (
 	"swbfs/internal/obs"
 )
 
-// Wire/channel name tables indexed by the chaos coordinate enums (the
-// chaos package keeps the canonical copies as exported constants).
-var (
-	wireNames = [4]string{chaos.WireData, chaos.WireEnd, chaos.WireRelay, chaos.WireRelayEnd}
-	chanNames = [2]string{chaos.ChanForward, chaos.ChanBackward}
-)
-
 // injections is one run's parsed inject events, the reference the
 // renderer marks anomalies against.
 type injections struct {
@@ -50,7 +43,7 @@ func parseInjections(events []obs.FlightEvent, run int) injections {
 func (inj injections) dupInjected(ev obs.FlightEvent) bool {
 	for _, f := range inj.faults {
 		if f.Kind == chaos.KindDup && f.Node == ev.Peer && f.Level == ev.Level &&
-			wireNames[f.WireKind] == ev.Wire && chanNames[f.Channel] == ev.Channel {
+			chaos.WireNames[f.WireKind] == ev.Wire && chaos.ChanNames[f.Channel] == ev.Channel {
 			return true
 		}
 	}
