@@ -82,10 +82,12 @@ loc:
 docs-check:
 	$(GO) run ./cmd/docscheck .
 
-# chaos sweeps the fault-injection harness (20 seeded random plans plus
-# the targeted fault scenarios) under the race detector. See docs/CHAOS.md.
+# chaos runs every internal/chaos test under the race detector: the
+# fault-injection harness (20 seeded random plans plus the targeted fault
+# scenarios), the module books against their spans, and the injector and
+# fault-grammar unit tests. See docs/CHAOS.md.
 chaos:
-	$(GO) test -race -run TestChaos -v ./internal/chaos/
+	$(GO) test -race -v ./internal/chaos/
 
 # fuzz gives each fuzz target a short budget on top of its committed seed
 # corpus — a smoke pass, not a soak; raise FUZZTIME for a real session.
