@@ -57,15 +57,16 @@ bench-layers:
 # wire and endpoint goldens, core's hub result, module spans and flight
 # dumps, algos' round statistics, module spans and whole-run Chrome export,
 # graph500's SSSP and delta-stepping harmonic-mean GTEPS, obs'
-# chrome-trace and trace-diff renderings, and the text of every quick-size
-# table swbfs-bench prints. A change to the modelled clock runs it, then audits
-# `git diff` of testdata/: only the fields the change predicts may move, and
-# a golden it predicts unchanged must come back byte-identical.
+# chrome-trace and trace-diff renderings, the text of every quick-size
+# table swbfs-bench prints, and the generated tables of EXPERIMENTS.md. A
+# change to the modelled clock runs it, then audits `git diff` of testdata/
+# and EXPERIMENTS.md: only the fields the change predicts may move, and a
+# golden it predicts unchanged must come back byte-identical.
 regen-modelled:
 	$(GO) test -count=1 -run Golden ./internal/comm/ ./internal/core/ ./internal/algos/ -update-golden
 	$(GO) test -count=1 -run TestRunKernels ./internal/graph500/ -update-golden
 	$(GO) test -count=1 -run Golden ./internal/obs/ -update
-	$(GO) test -count=1 -run TestQuickTablesGolden ./internal/experiments/ -update-golden
+	$(GO) test -count=1 -run 'TestQuickTablesGolden|TestExperimentsDocGenerated' ./internal/experiments/ -update-golden
 
 # loc prints non-test Go lines (wc -l, comments and blanks included) per
 # internal/ package, for cmd/ as a whole and, as total, for internal/ and

@@ -283,13 +283,13 @@ func BenchmarkAblationGroupShape(b *testing.B) {
 }
 
 // BenchmarkAblationCompression: the paper's future-work integration
-// (Section 7) — varint-delta message compression on the wire.
+// (Section 7) — adaptive message compression on the wire.
 func BenchmarkAblationCompression(b *testing.B) {
 	for _, compressed := range []bool{false, true} {
 		b.Run(fmt.Sprintf("compression=%v", compressed), func(b *testing.B) {
 			cfg := ablationConfig()
 			if compressed {
-				cfg.Codec = comm.VarintDeltaCodec{}
+				cfg.Codec = comm.AdaptiveCodec{}
 			}
 			benchBFS(b, cfg, 15)
 		})

@@ -49,8 +49,8 @@ type Flags struct {
 func Register() *Flags {
 	f := new(Flags)
 	flag.IntVar(&f.workers, "workers", 0, "host worker goroutines per simulated node, the CPE-cluster stand-in (0 = GOMAXPROCS/nodes, 1 = serial; results are identical for every width)")
-	flag.StringVar(&f.codec, "codec", "", "wire codec for every channel: raw | varint-delta | bitmap | adaptive (empty = raw; see docs/ARCHITECTURE.md)")
-	flag.StringVar(&f.codecBackward, "codec-backward", "", "wire codec override for the backward (bottom-up) channel only: raw | varint-delta | bitmap | adaptive (empty = no override)")
+	flag.StringVar(&f.codec, "codec", "", "wire codec for every channel: raw | adaptive (empty = raw; see docs/ARCHITECTURE.md)")
+	flag.StringVar(&f.codecBackward, "codec-backward", "", "wire codec override for the backward (bottom-up) channel only: raw | adaptive (empty = no override)")
 	flag.StringVar(&f.flightDump, "flight-dump", "", "write the flight-recorder post-mortem of an aborted run to this file (default: <-trace-out>.flight.json when -trace-out is set; render with inspect)")
 	flag.IntVar(&f.checkpointEvery, "checkpoint-every", 0, "write a resumable machine checkpoint every N completed levels (BFS) or rounds (other kernels) of each run (0 = off; see docs/CHAOS.md)")
 	flag.StringVar(&f.checkpoint, "checkpoint", "", "checkpoint file path (default: <-flight-dump>.ckpt.json on abort when -checkpoint-every is set)")

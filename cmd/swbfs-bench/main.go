@@ -10,8 +10,8 @@
 //
 // Every functional BFS is a Graph500 run whose roots are validated.
 // -quick and -full pick each experiment's small or large shape
-// (experiments.Size), and -format csv|json prints machine-readable
-// tables.
+// (experiments.Size), -format csv|json prints machine-readable tables and
+// -format markdown the tables as EXPERIMENTS.md lays them out.
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 		full   = flag.Bool("full", false, "large sweeps (minutes; up to 256 functional nodes)")
 		seed   = flag.Int64("seed", 20160624, "deterministic seed")
 		roots  = flag.Int("roots", 0, "BFS roots per data point (0 = 2)")
-		format = flag.String("format", "text", "output format: text | csv | json")
+		format = flag.String("format", "text", "output format: text | csv | json | markdown")
 	)
 	hostFlags := cli.Register()
 	flag.Parse()
@@ -43,9 +43,10 @@ func main() {
 		args = 0
 	}
 	write := map[string]func(*experiments.Table, io.Writer) error{
-		"text": func(t *experiments.Table, w io.Writer) error { t.Print(w); return nil },
-		"csv":  (*experiments.Table).WriteCSV,
-		"json": (*experiments.Table).WriteJSON,
+		"text":     func(t *experiments.Table, w io.Writer) error { t.Print(w); return nil },
+		"csv":      (*experiments.Table).WriteCSV,
+		"json":     (*experiments.Table).WriteJSON,
+		"markdown": (*experiments.Table).WriteMarkdown,
 	}[*format]
 	name := flag.Arg(0)
 	var artifacts []experiments.Artifact
@@ -110,7 +111,7 @@ func usage() {
 	for _, a := range experiments.All {
 		ids = append(ids, a.ID)
 	}
-	fmt.Fprintf(os.Stderr, "usage: swbfs-bench [-quick|-full] [-seed N] [-roots N] [-format text|csv|json] <%s>\n", strings.Join(append(ids, "all"), "|"))
+	fmt.Fprintf(os.Stderr, "usage: swbfs-bench [-quick|-full] [-seed N] [-roots N] [-format text|csv|json|markdown] <%s>\n", strings.Join(append(ids, "all"), "|"))
 	fmt.Fprintln(os.Stderr, "       swbfs-bench -resume <ckpt.json> [-seed N]")
 	os.Exit(2)
 }

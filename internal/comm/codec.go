@@ -29,45 +29,10 @@ func CodecByName(name string) (PayloadCodec, error) {
 	switch name {
 	case "", "raw":
 		return nil, nil
-	case "varint-delta":
-		return VarintDeltaCodec{}, nil
-	case "bitmap":
-		return BitmapCodec{}, nil
 	case "adaptive":
 		return AdaptiveCodec{}, nil
 	}
-	return nil, fmt.Errorf("comm: unknown codec %q (want raw, varint-delta, bitmap or adaptive)", name)
-}
-
-// VarintDeltaCodec is the classic BFS message compressor (cf. Checconi &
-// Petrini): within one batch all pairs go to the same owner, so
-// destination vertices are dense and clustered — sort by destination,
-// delta-encode destinations, and varint both the deltas and the sources.
-// Its wire stream is the tagged varint-delta layout keyed on column 1 (the
-// destination) on both channels, less the tag byte; AdaptiveCodec emits the
-// same layout behind a format tag with channel-aware keying.
-type VarintDeltaCodec struct{}
-
-// Name implements PayloadCodec.
-func (VarintDeltaCodec) Name() string { return "varint-delta" }
-
-// EncodePayload implements PayloadCodec, appending the untagged stream to
-// dst: the tagged layout's size, less the tag byte, sizes it.
-func (VarintDeltaCodec) EncodePayload(dst []byte, _ Channel, pairs []Pair) ([]byte, WireFormat) {
-	if len(pairs) == 0 {
-		return dst, FormatVarintDelta
-	}
-	s := getScratch(pairs, 1)
-	defer s.release()
-	at := len(dst)
-	dst = grow(dst, sizeOrdered(s.ps, 1).size[FormatVarintDelta]-1)
-	putVarintPairs(dst[at:], s.ps, 1)
-	return dst, FormatVarintDelta
-}
-
-// DecodePayload implements PayloadCodec.
-func (VarintDeltaCodec) DecodePayload(dst []Pair, data []byte) ([]Pair, error) {
-	return decodeVarint(dst, data, 1)
+	return nil, fmt.Errorf("comm: unknown codec %q (want raw or adaptive)", name)
 }
 
 // codecFor returns the codec governing a channel: the backward override

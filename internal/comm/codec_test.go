@@ -21,9 +21,11 @@ func TestRawCodecSize(t *testing.T) {
 	}
 }
 
+// TestVarintDeltaCompressesClusteredDestinations: on the BFS regime —
+// destinations owned by one node are dense multiples, sources arbitrary
+// but small-ish IDs — the adaptive codec picks the varint-delta layout and
+// it pays.
 func TestVarintDeltaCompressesClusteredDestinations(t *testing.T) {
-	// The BFS regime: destinations owned by one node are dense multiples,
-	// sources are arbitrary but small-ish IDs.
 	rng := rand.New(rand.NewSource(1))
 	pairs := make([]Pair, 1000)
 	for i := range pairs {
@@ -33,7 +35,10 @@ func TestVarintDeltaCompressesClusteredDestinations(t *testing.T) {
 		}
 	}
 	raw := int64(len(pairs)) * PairBytes
-	enc, _ := VarintDeltaCodec{}.EncodePayload(nil, ChanForward, pairs)
+	enc, format := AdaptiveCodec{}.EncodePayload(nil, ChanForward, pairs)
+	if format != FormatVarintDelta {
+		t.Fatalf("clustered destinations encoded as %s, want varint-delta", format)
+	}
 	compressed := int64(len(enc))
 	if compressed >= raw {
 		t.Fatalf("varint-delta %d B >= raw %d B", compressed, raw)
@@ -44,13 +49,14 @@ func TestVarintDeltaCompressesClusteredDestinations(t *testing.T) {
 }
 
 func TestVarintDeltaEmpty(t *testing.T) {
-	if enc, _ := (VarintDeltaCodec{}).EncodePayload(nil, ChanForward, nil); len(enc) != 0 {
+	if enc, _ := (AdaptiveCodec{}).EncodePayload(nil, ChanForward, nil); len(enc) != 0 {
 		t.Fatalf("empty payload size = %d", len(enc))
 	}
 }
 
-// Property: the codec size is positive for non-empty payloads and never
-// exceeds a generous bound (10 bytes per varint, two per pair).
+// Property: the varint-delta layout is positive for non-empty payloads and
+// never exceeds a generous bound (the tag byte, then 10 bytes per varint,
+// two per pair).
 func TestVarintDeltaBounds(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) < 2 {
@@ -60,8 +66,8 @@ func TestVarintDeltaBounds(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			pairs = append(pairs, Pair{graph.Vertex(raw[i]), graph.Vertex(raw[i+1])})
 		}
-		enc, _ := VarintDeltaCodec{}.EncodePayload(nil, ChanForward, pairs)
-		return len(enc) > 0 && len(enc) <= len(pairs)*20
+		enc := layouts(ChanForward, pairs)[FormatVarintDelta]
+		return len(enc) > 1 && len(enc) <= 1+len(pairs)*20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -85,7 +91,7 @@ func TestCodecReducesNetworkTraffic(t *testing.T) {
 		return net.Counters.NetworkBytes(), got
 	}
 	rawBytes, rawGot := run(nil)
-	zipBytes, zipGot := run(VarintDeltaCodec{})
+	zipBytes, zipGot := run(AdaptiveCodec{})
 	if zipBytes >= rawBytes {
 		t.Fatalf("compressed traffic %d >= raw %d", zipBytes, rawBytes)
 	}
@@ -99,7 +105,7 @@ func TestCodecReducesNetworkTraffic(t *testing.T) {
 
 // TestCodecConcurrentSafety: the codec path runs under concurrent sends.
 func TestCodecConcurrentSafety(t *testing.T) {
-	net := mustNetwork(t, Config{Nodes: 4, SuperNodeSize: 2, Codec: VarintDeltaCodec{}})
+	net := mustNetwork(t, Config{Nodes: 4, SuperNodeSize: 2, Codec: AdaptiveCodec{}})
 	var wg sync.WaitGroup
 	eps := make([]*DirectEndpoint, 4)
 	for i := range eps {

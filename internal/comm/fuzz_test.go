@@ -2,7 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"testing"
 
 	"swbfs/internal/graph"
@@ -21,20 +21,12 @@ func pairsFromBytes(raw []byte) []Pair {
 	return pairs
 }
 
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][1] != ps[j][1] {
-			return ps[i][1] < ps[j][1]
-		}
-		return ps[i][0] < ps[j][0]
-	})
-}
-
-// FuzzCodecRoundTrip drives every payload codec with arbitrary payloads
-// on both channels: decoding must reproduce the (key, other)-sorted pair
-// multiset with the same length, and decoding arbitrary bytes must never
-// panic — and any stream a codec accepts must re-encode to a normal form of
-// the same length, so retransmitted or duplicated batches decode alike.
+// FuzzCodecRoundTrip drives every tagged layout and the adaptive codec's
+// pick among them with arbitrary payloads on both channels: decoding must
+// reproduce the (key, other)-sorted pair multiset, and decoding arbitrary
+// bytes must never panic — and any stream the codec accepts must re-encode
+// to a normal form of the same length, so retransmitted or duplicated
+// batches decode alike.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{}, false)
 	seed := make([]byte, 64)
@@ -64,44 +56,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		pairs := pairsFromBytes(raw)
 		want := append([]Pair(nil), pairs...)
-		key := keyColumn(ch)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i][key] != want[j][key] {
-				return want[i][key] < want[j][key]
-			}
-			return want[i][1-key] < want[j][1-key]
-		})
-		for _, codec := range []PayloadCodec{VarintDeltaCodec{}, BitmapCodec{}, AdaptiveCodec{}} {
-			enc, _ := codec.EncodePayload(nil, ch, pairs)
+		sortByColumn(want, keyColumn(ch))
+		var codec AdaptiveCodec
+		for layout, enc := range encodings(ch, pairs) {
 			dec, err := codec.DecodePayload(nil, enc)
 			if err != nil {
-				t.Fatalf("%s: decode of own encoding failed: %v", codec.Name(), err)
+				t.Fatalf("%s: decode of own encoding failed: %v", layout, err)
 			}
-			if len(dec) != len(want) {
-				t.Fatalf("%s: decoded %d pairs, want %d", codec.Name(), len(dec), len(want))
+			if !slices.Equal(dec, want) {
+				t.Fatalf("%s: decoded %v, want %v", layout, dec, want)
 			}
-			// The untagged varint stream sorts by (dst, src) regardless of
-			// channel; the tagged formats sort by the channel's key column.
-			expect := want
-			if _, untagged := codec.(VarintDeltaCodec); untagged && key != 1 {
-				expect = append([]Pair(nil), pairs...)
-				sortPairs(expect)
+		}
+		// Arbitrary bytes: rejecting is fine, panicking is not.
+		if dec2, err := codec.DecodePayload(nil, raw); err == nil {
+			enc2, _ := codec.EncodePayload(nil, ch, dec2)
+			dec3, err := codec.DecodePayload(nil, enc2)
+			if err != nil {
+				t.Fatalf("re-decode of normalized stream failed: %v", err)
 			}
-			for i := range expect {
-				if dec[i] != expect[i] {
-					t.Fatalf("%s: pair %d = %v, want %v", codec.Name(), i, dec[i], expect[i])
-				}
-			}
-			// Arbitrary bytes: rejecting is fine, panicking is not.
-			if dec2, err := codec.DecodePayload(nil, raw); err == nil {
-				enc2, _ := codec.EncodePayload(nil, ch, dec2)
-				dec3, err := codec.DecodePayload(nil, enc2)
-				if err != nil {
-					t.Fatalf("%s: re-decode of normalized stream failed: %v", codec.Name(), err)
-				}
-				if len(dec3) != len(dec2) {
-					t.Fatalf("%s: normalization unstable: %d pairs then %d", codec.Name(), len(dec2), len(dec3))
-				}
+			if len(dec3) != len(dec2) {
+				t.Fatalf("normalization unstable: %d pairs then %d", len(dec2), len(dec3))
 			}
 		}
 	})

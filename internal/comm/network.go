@@ -89,12 +89,13 @@ type Config struct {
 	// (DefaultMPIMemoryBudget if zero).
 	MPIMemoryBudget int64
 	// Codec compresses data payloads on the wire (nil = raw, 16 bytes per
-	// pair): batches travel as their encoded bytes and are decoded on
-	// arrival. Delivery is lossless either way.
+	// pair; AdaptiveCodec is the one codec, and tags every payload with
+	// the layout it picked): batches travel as their encoded bytes and are
+	// decoded on arrival. Delivery is lossless either way.
 	Codec PayloadCodec
 	// CodecBackward, when non-nil, overrides Codec on the backward
 	// channel. The bottom-up query waves are the dense traffic where the
-	// bitmap/adaptive layouts win; keeping the forward channel raw also
+	// bitmap layout wins; keeping the forward channel raw also
 	// keeps modelled wire bytes deterministic, because bottom-up forward
 	// replies are emitted in arrival order (see docs/ARCHITECTURE.md,
 	// "Wire encoding").

@@ -96,27 +96,32 @@ type goldenWire struct {
 	SHA256 string
 }
 
-// TestWireBytesMatchGolden pins every encoded byte of the three payload
-// codecs on both channels against a file generated while getScratch still
-// ordered batches with sort.Sort: how a batch is put in (key, other) order
-// and how its buffer is sized and filled are host-side only.
+// TestWireBytesMatchGolden pins every encoded byte of every tagged layout
+// (written directly through appendTagged; see layouts) and of the adaptive
+// codec's pick on both channels, against a file whose adaptive entries were
+// generated while getScratch still ordered batches with sort.Sort: how a
+// batch is put in (key, other) order and how its buffer is sized and
+// filled are host-side only.
 func TestWireBytesMatchGolden(t *testing.T) {
 	if insertionMax != 96 {
 		t.Fatalf("small-batch cutoff is %d: move the -95/-96/-97 families to either side of it", insertionMax)
 	}
 	got := map[string]goldenWire{}
+	record := func(family, layout string, ch Channel, enc []byte, format WireFormat) {
+		sum := sha256.Sum256(enc)
+		got[fmt.Sprintf("%s/%s/%s", family, layout, ch)] = goldenWire{len(enc), format.String(), hex.EncodeToString(sum[:])}
+	}
 	for family, pairs := range goldenFamilies() {
-		for _, codec := range []PayloadCodec{VarintDeltaCodec{}, BitmapCodec{}, AdaptiveCodec{}} {
-			for _, ch := range []Channel{ChanForward, ChanBackward} {
-				input := slices.Clone(pairs)
-				enc, format := codec.EncodePayload(nil, ch, input)
-				if !slices.Equal(input, pairs) {
-					t.Fatalf("%s/%s/%s: EncodePayload modified its input", family, codec.Name(), ch)
-				}
-				sum := sha256.Sum256(enc)
-				got[fmt.Sprintf("%s/%s/%s", family, codec.Name(), ch)] =
-					goldenWire{len(enc), format.String(), hex.EncodeToString(sum[:])}
+		for _, ch := range []Channel{ChanForward, ChanBackward} {
+			for f, enc := range layouts(ch, pairs) {
+				record(family, f.String(), ch, enc, f)
 			}
+			input := slices.Clone(pairs)
+			enc, format := AdaptiveCodec{}.EncodePayload(nil, ch, input)
+			if !slices.Equal(input, pairs) {
+				t.Fatalf("%s/adaptive/%s: EncodePayload modified its input", family, ch)
+			}
+			record(family, "adaptive", ch, enc, format)
 		}
 	}
 

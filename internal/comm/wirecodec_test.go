@@ -1,15 +1,15 @@
 package comm
 
 import (
-	"swbfs/internal/testutil"
-
 	"cmp"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"swbfs/internal/graph"
+	"swbfs/internal/testutil"
 )
 
 // densePairs is the bottom-up regime: every local vertex queries, so the
@@ -43,6 +43,39 @@ func sortByColumn(ps []Pair, key int) {
 	slices.SortFunc(ps, func(a, b Pair) int {
 		return cmp.Or(cmp.Compare(a[key], b[key]), cmp.Compare(a[1-key], b[1-key]))
 	})
+}
+
+// layouts encodes pairs in every tagged layout directly through
+// appendTagged, keyed on the channel's key column as AdaptiveCodec keys
+// it. The bitmap is left out where it would exceed the raw layout, the
+// identity bound: a batch spanning the whole vertex space would need 2^58
+// bitmap words.
+func layouts(ch Channel, pairs []Pair) map[WireFormat][]byte {
+	out := map[WireFormat][]byte{}
+	if len(pairs) == 0 {
+		return out
+	}
+	key := keyColumn(ch)
+	s := getScratch(pairs, key)
+	defer s.release()
+	z := sizeOrdered(s.ps, key)
+	for f := FormatRaw; f < numWireFormats; f++ {
+		if f != FormatBitmap || z.size[FormatBitmap] <= z.size[FormatRaw] {
+			out[f] = appendTagged(nil, f, s.ps, key, z)
+		}
+	}
+	return out
+}
+
+// encodings is layouts keyed by format name, plus the adaptive codec's
+// pick under "adaptive".
+func encodings(ch Channel, pairs []Pair) map[string][]byte {
+	out := map[string][]byte{}
+	for f, enc := range layouts(ch, pairs) {
+		out[f.String()] = enc
+	}
+	out["adaptive"], _ = AdaptiveCodec{}.EncodePayload(nil, ch, pairs)
+	return out
 }
 
 // TestAdaptiveFormatCrossover pins the exact pair counts where the
@@ -81,11 +114,9 @@ func TestAdaptiveFormatCrossover(t *testing.T) {
 }
 
 // TestAdaptivePicksCheapest: for arbitrary payloads the adaptive encoding
-// is never larger than any single format's.
+// is never larger than any single layout's.
 func TestAdaptivePicksCheapest(t *testing.T) {
 	var adaptive AdaptiveCodec
-	var bitmap BitmapCodec
-	var varint VarintDeltaCodec
 	f := func(raw []byte, backward bool) bool {
 		ch := ChanForward
 		if backward {
@@ -93,17 +124,10 @@ func TestAdaptivePicksCheapest(t *testing.T) {
 		}
 		pairs := pairsFromBytes(raw)
 		enc, _ := adaptive.EncodePayload(nil, ch, pairs)
-		size := int64(len(enc))
-		if bEnc, _ := bitmap.EncodePayload(nil, ch, pairs); size > int64(len(bEnc)) {
-			return false
-		}
-		if len(pairs) > 0 && size > taggedRawSize(len(pairs)) {
-			return false
-		}
-		// The untagged varint stream has no tag byte; compare against it
-		// with the tag added.
-		if vEnc, _ := varint.EncodePayload(nil, ch, pairs); len(pairs) > 0 && size > int64(len(vEnc))+1 {
-			return false
+		for _, layout := range layouts(ch, pairs) {
+			if len(enc) > len(layout) {
+				return false
+			}
 		}
 		return true
 	}
@@ -112,9 +136,9 @@ func TestAdaptivePicksCheapest(t *testing.T) {
 	}
 }
 
-// TestTaggedRoundTrip: every payload codec reproduces the (key, other)-
-// sorted pair multiset on both channels, including duplicates and
-// negative vertex IDs.
+// TestTaggedRoundTrip: every tagged layout, and the adaptive codec's pick
+// among them, reproduces the (key, other)-sorted pair multiset on both
+// channels, including duplicates and negative vertex IDs.
 func TestTaggedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dup := make([]Pair, 400)
@@ -130,30 +154,17 @@ func TestTaggedRoundTrip(t *testing.T) {
 		"duplicates": dup,
 		"negative":   neg,
 	}
-	codecs := []PayloadCodec{VarintDeltaCodec{}, BitmapCodec{}, AdaptiveCodec{}}
 	for name, pairs := range payloads {
-		for _, codec := range codecs {
-			for _, ch := range []Channel{ChanForward, ChanBackward} {
-				enc, _ := codec.EncodePayload(nil, ch, pairs)
-				dec, err := codec.DecodePayload(nil, enc)
+		for _, ch := range []Channel{ChanForward, ChanBackward} {
+			want := append([]Pair(nil), pairs...)
+			sortByColumn(want, keyColumn(ch))
+			for layout, enc := range encodings(ch, pairs) {
+				dec, err := AdaptiveCodec{}.DecodePayload(nil, enc)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: decode: %v", name, codec.Name(), ch, err)
+					t.Fatalf("%s/%s/%s: decode: %v", name, layout, ch, err)
 				}
-				want := append([]Pair(nil), pairs...)
-				// The untagged varint stream always sorts by (dst, src);
-				// tagged formats sort by the channel's key column.
-				if _, untagged := codec.(VarintDeltaCodec); untagged {
-					sortByColumn(want, 1)
-				} else {
-					sortByColumn(want, keyColumn(ch))
-				}
-				if len(dec) != len(want) {
-					t.Fatalf("%s/%s/%s: decoded %d pairs, want %d", name, codec.Name(), ch, len(dec), len(want))
-				}
-				for i := range want {
-					if dec[i] != want[i] {
-						t.Fatalf("%s/%s/%s: pair %d = %v, want %v", name, codec.Name(), ch, i, dec[i], want[i])
-					}
+				if !slices.Equal(dec, want) {
+					t.Fatalf("%s/%s/%s: decoded %v, want %v", name, layout, ch, dec, want)
 				}
 			}
 		}
@@ -184,11 +195,12 @@ func TestTaggedDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCodecByName covers the flag/checkpoint name resolution both ways.
+// TestCodecByName covers the flag/checkpoint name resolution both ways:
+// the valid names resolve, and a retired or unknown one is refused with
+// the valid set named.
 func TestCodecByName(t *testing.T) {
 	for name, want := range map[string]string{
-		"": "", "raw": "", "varint-delta": "varint-delta",
-		"bitmap": "bitmap", "adaptive": "adaptive",
+		"": "", "raw": "", "adaptive": "adaptive",
 	} {
 		c, err := CodecByName(name)
 		if err != nil {
@@ -202,8 +214,10 @@ func TestCodecByName(t *testing.T) {
 			t.Fatalf("CodecByName(%q).Name() = %q, want %q", name, got, want)
 		}
 	}
-	if _, err := CodecByName("gzip"); err == nil {
-		t.Fatal("CodecByName accepted an unknown codec")
+	for _, name := range []string{"varint-delta", "bitmap", "gzip"} {
+		if _, err := CodecByName(name); err == nil || !strings.Contains(err.Error(), "want raw or adaptive") {
+			t.Fatalf("CodecByName(%q) = %v, want an error naming the valid set", name, err)
+		}
 	}
 }
 
@@ -288,44 +302,42 @@ func TestWireTrafficReconciles(t *testing.T) {
 	})
 }
 
-// TestCodecTrafficLossless runs the standard exchange under every codec
-// and transport: delivery must be a lossless multiset, and the encoded
-// formats must show up in the per-format counters.
+// TestCodecTrafficLossless runs the standard exchange under the adaptive
+// codec on both transports: delivery must be a lossless multiset, and the
+// encoded formats must show up in the per-format counters.
 func TestCodecTrafficLossless(t *testing.T) {
-	for _, codec := range []PayloadCodec{BitmapCodec{}, AdaptiveCodec{}} {
-		for _, transport := range []string{"direct", "relay"} {
-			t.Run(codec.Name()+"/"+transport, func(t *testing.T) {
-				net := mustNetwork(t, Config{Nodes: 8, SuperNodeSize: 4, BatchBytes: 256, Codec: codec})
-				eps := make([]Endpoint, 8)
-				for i := range eps {
-					if transport == "direct" {
-						eps[i] = NewDirectEndpoint(net, i)
-					} else {
-						shape, err := NewGroupShape(8, 4)
-						if err != nil {
-							t.Fatal(err)
-						}
-						re, err := NewRelayEndpoint(net, i, shape)
-						if err != nil {
-							t.Fatal(err)
-						}
-						eps[i] = re
+	for _, transport := range []string{"direct", "relay"} {
+		t.Run("adaptive/"+transport, func(t *testing.T) {
+			net := mustNetwork(t, Config{Nodes: 8, SuperNodeSize: 4, BatchBytes: 256, Codec: AdaptiveCodec{}})
+			eps := make([]Endpoint, 8)
+			for i := range eps {
+				if transport == "direct" {
+					eps[i] = NewDirectEndpoint(net, i)
+				} else {
+					shape, err := NewGroupShape(8, 4)
+					if err != nil {
+						t.Fatal(err)
 					}
+					re, err := NewRelayEndpoint(net, i, shape)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eps[i] = re
 				}
-				sent, got, err := exchange(t, net, eps, 400, 77)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareExchange(t, sent, got)
-				var msgs int64
-				for _, ct := range net.CodecTraffic() {
-					msgs += ct.Messages
-				}
-				if msgs == 0 {
-					t.Fatal("no payload was codec-encoded")
-				}
-			})
-		}
+			}
+			sent, got, err := exchange(t, net, eps, 400, 77)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareExchange(t, sent, got)
+			var msgs int64
+			for _, ct := range net.CodecTraffic() {
+				msgs += ct.Messages
+			}
+			if msgs == 0 {
+				t.Fatal("no payload was codec-encoded")
+			}
+		})
 	}
 }
 

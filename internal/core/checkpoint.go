@@ -57,16 +57,13 @@ func ConfigFromCheckpoint(mc ckpt.MachineConfig) (Config, error) {
 	default:
 		return Config{}, fmt.Errorf("core: checkpoint names unknown engine %q", mc.Engine)
 	}
-	codec, err := comm.CodecByName(mc.Codec)
-	if err != nil {
-		return Config{}, fmt.Errorf("core: checkpoint names unknown codec %q", mc.Codec)
+	var err error
+	if c.Codec, err = comm.CodecByName(mc.Codec); err != nil {
+		return Config{}, fmt.Errorf("core: checkpoint codec: %w", err)
 	}
-	c.Codec = codec
-	codecBackward, err := comm.CodecByName(mc.CodecBackward)
-	if err != nil {
-		return Config{}, fmt.Errorf("core: checkpoint names unknown backward codec %q", mc.CodecBackward)
+	if c.CodecBackward, err = comm.CodecByName(mc.CodecBackward); err != nil {
+		return Config{}, fmt.Errorf("core: checkpoint backward codec: %w", err)
 	}
-	c.CodecBackward = codecBackward
 	switch mc.Partition {
 	case PartitionRoundRobin.String():
 		c.Partition = PartitionRoundRobin

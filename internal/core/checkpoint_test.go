@@ -343,7 +343,7 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 	case reflect.Struct:
 		setNonZero(t, name, v.Field(0))
 	case reflect.Interface:
-		c := reflect.ValueOf(comm.VarintDeltaCodec{})
+		c := reflect.ValueOf(comm.AdaptiveCodec{})
 		if !c.Type().Implements(v.Type()) {
 			t.Fatalf("field %s: no sample value for interface %s", name, v.Type())
 		}

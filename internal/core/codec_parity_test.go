@@ -23,10 +23,10 @@ func runBFSWith(t *testing.T, cfg Config, g *graph.CSR, root graph.Vertex) *Resu
 }
 
 // TestCodecParityBackwardChannel: a backward-channel codec is the
-// supported deterministic configuration — the completed run must be
-// bit-identical (full Result DeepEqual, modelled stats included) across
-// every codec choice's worker widths, on both transports, and the parent
-// tree and visited set must match the raw run exactly.
+// supported deterministic configuration — the completed run under the
+// adaptive codec must be bit-identical (full Result DeepEqual, modelled
+// stats included) across worker widths, on both transports, and the
+// parent tree and visited set must match the raw run exactly.
 func TestCodecParityBackwardChannel(t *testing.T) {
 	g := kron(t, 11, 6)
 	root := pickBigComponentRoot(t, g)
@@ -40,43 +40,41 @@ func TestCodecParityBackwardChannel(t *testing.T) {
 			rawRes := runBFSWith(t, base, g, root)
 			checkBFSTree(t, g, root, rawRes.Parent)
 
-			for _, codec := range []comm.PayloadCodec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
-				t.Run(codec.Name(), func(t *testing.T) {
-					cfg := base
-					cfg.CodecBackward = codec
+			t.Run("adaptive", func(t *testing.T) {
+				cfg := base
+				cfg.CodecBackward = comm.AdaptiveCodec{}
 
-					w1 := runBFSWith(t, cfg, g, root)
-					cfg.Workers = 4
-					w4 := runBFSWith(t, cfg, g, root)
+				w1 := runBFSWith(t, cfg, g, root)
+				cfg.Workers = 4
+				w4 := runBFSWith(t, cfg, g, root)
 
-					if !reflect.DeepEqual(w1, w4) {
-						t.Fatalf("result differs between worker widths 1 and 4")
+				if !reflect.DeepEqual(w1, w4) {
+					t.Fatalf("result differs between worker widths 1 and 4")
+				}
+				if !reflect.DeepEqual(w1.Parent, rawRes.Parent) {
+					t.Fatal("parent tree differs from the raw run")
+				}
+				if w1.Visited != rawRes.Visited || w1.TraversedEdges != rawRes.TraversedEdges {
+					t.Fatalf("coverage differs from the raw run: visited %d/%d edges %d/%d",
+						w1.Visited, rawRes.Visited, w1.TraversedEdges, rawRes.TraversedEdges)
+				}
+				// The codec reshapes wire bytes but never the traversal:
+				// level count and per-level frontiers must match raw.
+				if len(w1.Levels) != len(rawRes.Levels) {
+					t.Fatalf("level count %d, raw run had %d", len(w1.Levels), len(rawRes.Levels))
+				}
+				for i := range w1.Levels {
+					if w1.Levels[i].FrontierVertices != rawRes.Levels[i].FrontierVertices ||
+						w1.Levels[i].Direction != rawRes.Levels[i].Direction {
+						t.Fatalf("level %d frontier/direction diverged from raw run", i)
 					}
-					if !reflect.DeepEqual(w1.Parent, rawRes.Parent) {
-						t.Fatal("parent tree differs from the raw run")
-					}
-					if w1.Visited != rawRes.Visited || w1.TraversedEdges != rawRes.TraversedEdges {
-						t.Fatalf("coverage differs from the raw run: visited %d/%d edges %d/%d",
-							w1.Visited, rawRes.Visited, w1.TraversedEdges, rawRes.TraversedEdges)
-					}
-					// The codec reshapes wire bytes but never the traversal:
-					// level count and per-level frontiers must match raw.
-					if len(w1.Levels) != len(rawRes.Levels) {
-						t.Fatalf("level count %d, raw run had %d", len(w1.Levels), len(rawRes.Levels))
-					}
-					for i := range w1.Levels {
-						if w1.Levels[i].FrontierVertices != rawRes.Levels[i].FrontierVertices ||
-							w1.Levels[i].Direction != rawRes.Levels[i].Direction {
-							t.Fatalf("level %d frontier/direction diverged from raw run", i)
-						}
-					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
 
-// TestCodecParityAllChannels: with a codec on every channel the forward
+// TestCodecParityAllChannels: with the adaptive codec on every channel the forward
 // batches of bottom-up levels are content-sensitive (reply order), so
 // modelled byte totals may move — but the completed traversal itself
 // (parents, visited set, level structure) must still match the raw run
@@ -92,23 +90,21 @@ func TestCodecParityAllChannels(t *testing.T) {
 			base.Transport = transport
 			rawRes := runBFSWith(t, base, g, root)
 
-			for _, codec := range []comm.PayloadCodec{comm.VarintDeltaCodec{}, comm.BitmapCodec{}, comm.AdaptiveCodec{}} {
-				t.Run(codec.Name(), func(t *testing.T) {
-					cfg := base
-					cfg.Codec = codec
-					res := runBFSWith(t, cfg, g, root)
-					checkBFSTree(t, g, root, res.Parent)
-					if !reflect.DeepEqual(res.Parent, rawRes.Parent) {
-						t.Fatal("parent tree differs from the raw run")
-					}
-					if res.Visited != rawRes.Visited {
-						t.Fatal("visited set differs from the raw run")
-					}
-					if len(res.Levels) != len(rawRes.Levels) {
-						t.Fatalf("level count %d, raw run had %d", len(res.Levels), len(rawRes.Levels))
-					}
-				})
-			}
+			t.Run("adaptive", func(t *testing.T) {
+				cfg := base
+				cfg.Codec = comm.AdaptiveCodec{}
+				res := runBFSWith(t, cfg, g, root)
+				checkBFSTree(t, g, root, res.Parent)
+				if !reflect.DeepEqual(res.Parent, rawRes.Parent) {
+					t.Fatal("parent tree differs from the raw run")
+				}
+				if res.Visited != rawRes.Visited {
+					t.Fatal("visited set differs from the raw run")
+				}
+				if len(res.Levels) != len(rawRes.Levels) {
+					t.Fatalf("level count %d, raw run had %d", len(res.Levels), len(rawRes.Levels))
+				}
+			})
 		})
 	}
 }

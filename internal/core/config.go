@@ -159,16 +159,15 @@ type Config struct {
 
 	// Codec compresses message payloads on the wire (nil = raw 16 bytes
 	// per pair). Message compression is the paper's stated future-work
-	// integration (Section 7); comm.VarintDeltaCodec implements the
-	// classic sorted-delta scheme, comm.BitmapCodec the dense-frontier
-	// bitmap layout and comm.AdaptiveCodec the per-batch density pick.
-	// Codecs run on the real transport path (batches travel encoded and
-	// are decoded on arrival).
+	// integration (Section 7); comm.AdaptiveCodec, the one codec, picks
+	// per batch among the raw, sorted-delta and dense-frontier bitmap
+	// layouts and tags the payload with its choice. Codecs run on the real
+	// transport path (batches travel encoded and are decoded on arrival).
 	Codec comm.PayloadCodec
 
 	// CodecBackward, when non-nil, overrides Codec on the backward
 	// channel only. The bottom-up query waves are the dense traffic where
-	// bitmap/adaptive encoding wins, and a backward-only codec keeps
+	// the bitmap layout wins, and a backward-only codec keeps
 	// modelled wire bytes deterministic (bottom-up forward replies are
 	// arrival-ordered, so content-sensitive sizing of the forward channel
 	// is not reproducible run to run).

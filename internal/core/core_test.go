@@ -526,7 +526,7 @@ func TestCompressionReducesTrafficLosslessly(t *testing.T) {
 	}
 
 	zipped := raw
-	zipped.Codec = comm.VarintDeltaCodec{}
+	zipped.Codec = comm.AdaptiveCodec{}
 	r2, err := NewRunner(zipped, g)
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,6 @@ var hubGoldenCases = []hubGoldenCase{
 	{"relay/hybrid=true", 8, func(*Config) {}, 0},
 	{"relay/hybrid=false", 8, func(c *Config) { c.DirectionOptimized = false }, 0},
 	{"relay/engine=mpe", 8, func(c *Config) { c.Engine = perf.EngineMPE }, 0},
-	{"relay/backward=varint-delta", 8, func(c *Config) { c.CodecBackward = comm.VarintDeltaCodec{} }, 0},
 	{"relay/backward=adaptive", 8, func(c *Config) { c.CodecBackward = comm.AdaptiveCodec{} }, 0},
 	{"relay/nodes=64/super=8", 64, func(c *Config) { c.SuperNodeSize = 8 }, 0},
 	// From root 12 the top-down levels scan edges into visited hubs

@@ -32,7 +32,7 @@ func ablations(o Options, s shape) (*Table, error) {
 		{"no direction optimization", variant(func(c *core.Config) { c.DirectionOptimized = false })},
 		{"no hub prefetch", variant(func(c *core.Config) { c.HubPrefetch = false })},
 		{"no small-message MPE path", variant(func(c *core.Config) { c.SmallMessageMPE = false })},
-		{"varint-delta compression", variant(func(c *core.Config) { c.Codec = comm.VarintDeltaCodec{} })},
+		{"adaptive compression", variant(func(c *core.Config) { c.Codec = comm.AdaptiveCodec{} })},
 		{"block partition", variant(func(c *core.Config) { c.Partition = core.PartitionBlock })},
 		{"degree-balanced partition", variant(func(c *core.Config) { c.Partition = core.PartitionDegreeBalanced })},
 		{"direct transport", variant(func(c *core.Config) { c.Transport = core.TransportDirect })},

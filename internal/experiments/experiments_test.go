@@ -136,6 +136,29 @@ func TestMsgCountTable(t *testing.T) {
 	}
 }
 
+// TestMsgCountMarkdown pins what `swbfs-bench -format markdown msgcount`
+// prints: the layout of EXPERIMENTS.md's tables, on a table with fixed
+// cells.
+func TestMsgCountMarkdown(t *testing.T) {
+	var got strings.Builder
+	if err := msgCount().WriteMarkdown(&got); err != nil {
+		t.Fatal(err)
+	}
+	const want = `| nodes | direct conns | direct MPI mem | group N x M | relay conns | relay MPI mem |
+|---|---|---|---|---|---|
+| 256 | 256 | 25.0 MB | 2 x 128 | 129 | 12.6 MB |
+| 1024 | 1024 | 100.0 MB | 8 x 128 | 135 | 13.2 MB |
+| 4096 | 4096 | 400.0 MB | 32 x 128 | 159 | 15.5 MB |
+| 16384 | 16384 | 1.6 GB | 128 x 128 | 255 | 24.9 MB |
+| 40000 | 40000 | 3.8 GB | 200 x 200 | 399 | 39.0 MB |
+
+note: paper: 40,000 nodes -> ~4 GB direct vs ~40 MB with 200x200 groups
+`
+	if got.String() != want {
+		t.Fatalf("markdown:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
 // tiny is the options of the functional tests: one or two roots, a fixed
 // seed.
 func tiny(roots int, seed int64) Options { return Options{Roots: roots, Seed: seed} }

@@ -120,5 +120,23 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
+// WriteMarkdown emits the table the way EXPERIMENTS.md lays tables out: the
+// header row, a |---| row, then the rows, with each note as a trailing
+// line of its own.
+func (t *Table) WriteMarkdown(w io.Writer) error {
+	var b strings.Builder
+	row := func(cells []string) { b.WriteString("| " + strings.Join(cells, " | ") + " |\n") }
+	row(t.Header)
+	b.WriteString(strings.Repeat("|---", len(t.Header)) + "|\n")
+	for _, r := range t.Rows {
+		row(r)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(&b, "\nnote: %s\n", n)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // gb formats bytes/second as GB/s.
 func gb(bw float64) string { return fmt.Sprintf("%.2f", bw/1e9) }

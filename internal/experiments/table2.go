@@ -46,8 +46,8 @@ const headlinePerNodeVertices = float64(int64(1)<<40) / headlineNodes
 // lastHeadline is the newest headline projection and what it was made
 // from: table2 and the headline table ask for the same one in a single
 // `swbfs-bench all`, and the second reads the first's instead of repeating
-// the functional run. Options compare with ==, so every codec must be a
-// comparable value (they are all empty structs).
+// the functional run. Options compare with ==, so a codec must be a
+// comparable value (AdaptiveCodec is an empty struct).
 var lastHeadline struct {
 	sync.Mutex
 	o                 Options

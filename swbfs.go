@@ -61,25 +61,18 @@ const (
 )
 
 // Codec compresses message payloads on the simulated wire; see
-// VarintDeltaCodec. Message compression is the paper's stated future-work
+// AdaptiveCodec. Message compression is the paper's stated future-work
 // integration (Section 7). A nil Codec is the identity wire format (16
 // bytes per pair).
 type Codec = comm.PayloadCodec
 
-// VarintDeltaCodec sorts destinations, delta-encodes them and varints all
-// vertex IDs — the classic BFS message compressor.
-type VarintDeltaCodec = comm.VarintDeltaCodec
-
-// BitmapCodec encodes the key column as a word-aligned bitmap over the
-// owner's vertex range — the dense-frontier wire format.
-type BitmapCodec = comm.BitmapCodec
-
 // AdaptiveCodec picks the cheapest of raw, varint-delta and bitmap per
-// batch by measuring the exact encoded size of each.
+// batch by measuring the exact encoded size of each, and tags the payload
+// with its choice.
 type AdaptiveCodec = comm.AdaptiveCodec
 
-// CodecByName resolves a codec by its flag/checkpoint name: "", "raw",
-// "varint-delta", "bitmap" or "adaptive".
+// CodecByName resolves a codec by its flag/checkpoint name: "", "raw" or
+// "adaptive".
 func CodecByName(name string) (Codec, error) { return comm.CodecByName(name) }
 
 // Graph500Config configures a full benchmark execution (generation, 64

@@ -141,7 +141,7 @@ func TestPublicAPICompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultMachine(4)
-	cfg.Codec = VarintDeltaCodec{}
+	cfg.Codec = AdaptiveCodec{}
 	m, err := NewMachine(cfg, g)
 	if err != nil {
 		t.Fatal(err)
