@@ -36,17 +36,18 @@ bench:
 
 # bench-layers runs the per-message ledger lines — one delivered End marker,
 # the inbox hand-off, one flight-recorded delivery — next to the send-side
-# lines of both transports, relay stage two and the codec line they sit
-# between, the whole hybrid BFS with hub prefetch at scale 14 across worker
-# widths (BenchmarkBFSLevel: generators, hub tests, handlers, result
-# gather), the round engine's kernels at scale 14 across worker widths
+# lines of both transports, relay stage two, the batch fold a top-down
+# level's seal runs (at a relay quantum and a Direct residual) and the codec
+# line they sit between, the whole hybrid BFS with hub prefetch at scale
+# 14 across worker widths (BenchmarkBFSLevel: generators, hub tests,
+# handlers, result gather), the round engine's kernels at scale 14 across worker widths
 # (WCC to fixpoint, 8 PageRank iterations, a k=4 K-core peel: generators,
 # the driver's handler fan-out, result gather), and the validator's
 # ns/edge on the bfs-hybrid workload's scale-18 graph.
 # Before/after figures of a change to these layers go into its CHANGES.md
 # line.
 bench-layers:
-	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkRelayStageTwo|BenchmarkEncodeAdaptive)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkRelayStageTwo|BenchmarkBatchFold|BenchmarkEncodeAdaptive)$$' \
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 	$(GO) test -run='^$$' -bench='^BenchmarkBFSLevel$$' -benchmem -count=5 ./internal/core/

@@ -7,30 +7,12 @@ import (
 	"swbfs/internal/graph"
 )
 
-// fold is a combined kernel's exact reduction of the pairs bound for one
-// destination vertex: associative, commutative, and such that Handle of the
-// one folded pair leaves the state Handle of every pair would, in any order.
-type fold uint8
-
-const (
-	foldMin fold = iota + 1 // keep the smallest value (WCC labels, SSSP distances)
-	foldSum                 // add as integers (PageRank's fixed-point contributions)
-)
-
-// apply folds v into acc.
-func (f fold) apply(acc, v graph.Vertex) graph.Vertex {
-	if f == foldSum {
-		return acc + v
-	}
-	return min(acc, v)
-}
-
 // combining is implemented by a RoundAlgo whose pairs have an exact fold.
 // Run detects it and gives each node a combiner: the round's pairs are
 // folded per destination vertex at the sender, and one pair per touched
 // vertex goes on the wire.
 type combining interface {
-	pairFold() fold
+	pairFold() comm.Fold
 }
 
 // combiner is one node's sender-side accumulator. It stands in for the
@@ -43,7 +25,7 @@ type combining interface {
 type combiner struct {
 	comm.Endpoint // the node's endpoint; a lane reaches only SendMany
 	part          *graph.RoundRobinPartition
-	fold          fold
+	fold          comm.Fold
 	slabs         []*slab // by destination node; nil until contacted
 }
 
@@ -59,7 +41,7 @@ type slab struct {
 // all zero.
 var slabPool sync.Pool
 
-func newCombiner(ep comm.Endpoint, part *graph.RoundRobinPartition, f fold) *combiner {
+func newCombiner(ep comm.Endpoint, part *graph.RoundRobinPartition, f comm.Fold) *combiner {
 	return &combiner{Endpoint: ep, part: part, fold: f, slabs: make([]*slab, part.Nodes())}
 }
 
@@ -91,7 +73,7 @@ func (c *combiner) SendMany(_ comm.Channel, runs []comm.DstRun, pairs []comm.Pai
 				s.touched[w] |= bit
 				s.vals[l] = p[1]
 			} else {
-				s.vals[l] = c.fold.apply(s.vals[l], p[1])
+				s.vals[l] = c.fold.Apply(s.vals[l], p[1])
 			}
 		}
 		pairs = pairs[r.N:]

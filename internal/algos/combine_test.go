@@ -25,7 +25,7 @@ func (c *captureEndpoint) SendMany(_ comm.Channel, _ []comm.DstRun, pairs []comm
 
 // combined folds pairs, bound for the locals of a single node, through a
 // combiner fed in chunks of the given size, and returns what it ships.
-func combined(t *testing.T, f fold, n int64, pairs []comm.Pair, chunk int) []comm.Pair {
+func combined(t *testing.T, f comm.Fold, n int64, pairs []comm.Pair, chunk int) []comm.Pair {
 	t.Helper()
 	c := newCombiner(nil, graph.NewRoundRobin(n, 1), f)
 	defer c.release()
@@ -97,7 +97,7 @@ func TestCombineMatchesHandle(t *testing.T) {
 			pairs := make([]comm.Pair, rng.Intn(4*n))
 			for i := range pairs {
 				v := graph.Vertex(rng.Int63n(1100) - 50)
-				if f == foldSum {
+				if f == comm.FoldSum {
 					v = graph.Vertex(rng.Uint64()) // the integer sum wraps exactly
 				}
 				pairs[i] = comm.Pair{graph.Vertex(rng.Int63n(n)), v}

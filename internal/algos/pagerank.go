@@ -141,7 +141,7 @@ func (p *prNode) Handle(_ int, pairs []comm.Pair) {
 
 // pairFold declares PageRank's exact fold: Handle adds the fixed-point
 // contributions as integers, so their sum leaves the state they would.
-func (p *prNode) pairFold() fold { return foldSum }
+func (p *prNode) pairFold() comm.Fold { return comm.FoldSum }
 
 func (p *prNode) EndRound(round int) error {
 	// Dangling mass: collect the rank of degree-0 vertices machine-wide

@@ -81,7 +81,7 @@ func (r *relaxNode[V]) Handle(shard int, pairs []comm.Pair) {
 
 // pairFold declares the exact fold: Handle keeps the minimum value, so the
 // smallest of a vertex's values leaves the state all of them would.
-func (r *relaxNode[V]) pairFold() fold { return foldMin }
+func (r *relaxNode[V]) pairFold() comm.Fold { return comm.FoldMin }
 
 func (r *relaxNode[V]) EndRound(round int) error {
 	r.pending = r.activated.drain()

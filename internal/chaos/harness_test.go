@@ -347,73 +347,87 @@ func TestChaosLevelTimeout(t *testing.T) {
 // TestChaosStragglerFlagged: a delayed node is flagged as a straggler on
 // the live event stream, in the run's RunTrace, in the metrics and in the
 // Chrome trace — by the machine's level loop, so for BFS and the round
-// kernels alike.
+// kernels alike. A stalled handler on a relay node is flagged too, not the
+// nodes whose batches it relays: they wait for it, and waiting is not
+// handler time.
 func TestChaosStragglerFlagged(t *testing.T) {
 	wg := ssspGraph(t)
-	plan, err := chaos.ParsePlan("delay-gen@2:l1:40")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		transport core.Transport
+		plan      string
+		node      int
+	}{
+		{core.TransportDirect, "delay-gen@2:l1:40", 2},
+		{core.TransportRelay, "delay-handler@3:l1:100", 3},
 	}
 	for _, kernel := range []string{"bfs", "sssp", "wcc"} {
+		k, err := algos.KernelByName(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(kernel, func(t *testing.T) {
-			k, err := algos.KernelByName(kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := harnessConfig(core.TransportDirect)
-			cfg.Chaos = &plan
-			cfg.StragglerFactor = 2
-			cfg.Obs = obs.New()
-			cfg.Obs.Progress = obs.NewProgressBroker()
-			events, cancel := cfg.Obs.Progress.Subscribe(256)
-			defer cancel()
+			for _, c := range cases {
+				plan, err := chaos.ParsePlan(c.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(c.transport.String(), func(t *testing.T) {
+					cfg := harnessConfig(c.transport)
+					cfg.Chaos = &plan
+					cfg.StragglerFactor = 2
+					cfg.Obs = obs.New()
+					cfg.Obs.Progress = obs.NewProgressBroker()
+					events, cancel := cfg.Obs.Progress.Subscribe(256)
+					defer cancel()
 
-			if _, err := k.Run(cfg, wg, harnessRoot, "", nil); err != nil {
-				t.Fatalf("delayed run aborted: %v", err)
-			}
-
-			found := false
-			for done := false; !done; {
-				select {
-				case ev := <-events:
-					if ev.Kind == obs.EventStraggler && ev.Node == 2 && ev.Level == 1 {
-						found = true
-						if ev.HostSeconds <= ev.MeanHostSeconds {
-							t.Fatalf("straggler event host %.6fs <= mean %.6fs", ev.HostSeconds, ev.MeanHostSeconds)
-						}
-						done = true
+					if _, err := k.Run(cfg, wg, harnessRoot, "", nil); err != nil {
+						t.Fatalf("delayed run aborted: %v", err)
 					}
-				default:
-					done = true
-				}
-			}
-			if !found {
-				t.Fatal("no straggler event for node 2 level 1 on the live stream")
-			}
 
-			runs := cfg.Obs.Trace.Runs()
-			if len(runs) == 0 {
-				t.Fatal("no recorded runs")
-			}
-			var flagged bool
-			for _, sf := range runs[len(runs)-1].Stragglers {
-				if sf.Node == 2 && sf.Level == 1 {
-					flagged = true
-				}
-			}
-			if !flagged {
-				t.Fatalf("recorded stragglers = %+v, want node 2 level 1", runs[len(runs)-1].Stragglers)
-			}
-			if v := cfg.Obs.Metrics.Counter("core.stragglers").Value(); v < 1 {
-				t.Fatalf("core.stragglers = %d, want >= 1", v)
-			}
+					found := false
+					for done := false; !done; {
+						select {
+						case ev := <-events:
+							if ev.Kind == obs.EventStraggler && ev.Node == c.node && ev.Level == 1 {
+								found = true
+								if ev.HostSeconds <= ev.MeanHostSeconds {
+									t.Fatalf("straggler event host %.6fs <= mean %.6fs", ev.HostSeconds, ev.MeanHostSeconds)
+								}
+								done = true
+							}
+						default:
+							done = true
+						}
+					}
+					if !found {
+						t.Fatalf("no straggler event for node %d level 1 on the live stream", c.node)
+					}
 
-			var buf bytes.Buffer
-			if err := obs.WriteChromeTrace(&buf, runs); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(buf.Bytes(), []byte(`"straggler L1"`)) {
-				t.Fatal("Chrome trace has no straggler instant event")
+					runs := cfg.Obs.Trace.Runs()
+					if len(runs) == 0 {
+						t.Fatal("no recorded runs")
+					}
+					var flagged bool
+					for _, sf := range runs[len(runs)-1].Stragglers {
+						if sf.Node == c.node && sf.Level == 1 {
+							flagged = true
+						}
+					}
+					if !flagged {
+						t.Fatalf("recorded stragglers = %+v, want node %d level 1", runs[len(runs)-1].Stragglers, c.node)
+					}
+					if v := cfg.Obs.Metrics.Counter("core.stragglers").Value(); v < 1 {
+						t.Fatalf("core.stragglers = %d, want >= 1", v)
+					}
+
+					var buf bytes.Buffer
+					if err := obs.WriteChromeTrace(&buf, runs); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Contains(buf.Bytes(), []byte(`"straggler L1"`)) {
+						t.Fatal("Chrome trace has no straggler instant event")
+					}
+				})
 			}
 		})
 	}

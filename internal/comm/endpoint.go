@@ -12,8 +12,14 @@ import (
 type Endpoint interface {
 	// Node returns the rank.
 	Node() int
-	// StartLevel opens a BFS level with the given active channels.
+	// StartLevel opens a BFS level with the given active channels, none of
+	// them folding.
 	StartLevel(level int, channels ...Channel)
+	// FoldBatches declares that the level's batches on ch fold: each inner
+	// batch is folded as it is sealed, to one pair per destination vertex
+	// (column 1) whose column 0 is f over the pairs it replaces. Call it
+	// after StartLevel and before the level's first send.
+	FoldBatches(ch Channel, f Fold)
 	// SendMany queues a staged stream: runs[i] says the next runs[i].N
 	// entries of pairs go to runs[i].Dst. The transport batches and
 	// flushes in quanta, and the flush discipline is chunk-invariant: the
@@ -102,6 +108,8 @@ type endpointCore struct {
 	level int
 	open  [numChannels]bool
 	ends  [numChannels]int
+	// folds are the level's declared batch folds (FoldBatches), by channel.
+	folds [numChannels]Fold
 
 	// seenDups tracks chaos-injected duplicate deliveries (by DupID) so
 	// the second copy is discarded before any processing or accounting.
@@ -119,6 +127,8 @@ type endpointCore struct {
 	// mu and ships outside it. The first seal of a call takes it and
 	// shipAll puts it back, so two calls never share it.
 	sealed [numChannels][]Batch
+	// folder is the batch fold's scratch, used under mu.
+	folder batchFold
 }
 
 func newEndpointCore(net *Network, node int, r route, members, closeAfter int) endpointCore {
@@ -148,15 +158,18 @@ func (e *endpointCore) StartLevel(level int, channels ...Channel) {
 		clear(e.pending[ch])
 	}
 	e.mu.Unlock()
-	e.ends, e.open = [numChannels]int{}, [numChannels]bool{}
+	e.ends, e.open, e.folds = [numChannels]int{}, [numChannels]bool{}, [numChannels]Fold{}
 	for _, ch := range channels {
 		e.open[ch] = true
 	}
 }
 
+// FoldBatches implements Endpoint.
+func (e *endpointCore) FoldBatches(ch Channel, f Fold) { e.folds[ch] = f }
+
 // Reset implements Endpoint.
 func (e *endpointCore) Reset() {
-	e.level, e.ends, e.open, e.seenDups = 0, [numChannels]int{}, [numChannels]bool{}, nil
+	e.level, e.ends, e.open, e.folds, e.seenDups = 0, [numChannels]int{}, [numChannels]bool{}, [numChannels]Fold{}, nil
 }
 
 // SendMany implements Endpoint: append each run to its destination's open
@@ -211,16 +224,22 @@ func (e *endpointCore) CloseChannel(ch Channel) error {
 }
 
 // seal appends group g's open batches to out as one quantum — inner
-// batches in ascending destination order, sealed for the wire — and leaves
-// them empty: the payloads go to their receivers.
+// batches in ascending destination order, folded when ch declares a fold,
+// sealed for the wire — and leaves them empty: the payloads go to their
+// receivers. The quantum was cut on the unfolded pairs, so the fold keeps
+// batch boundaries chunk-invariant and runs before any codec.
 func (e *endpointCore) seal(out []Batch, ch Channel, g int) []Batch {
 	if out == nil {
 		out, e.sealed[ch] = e.sealed[ch], nil
 	}
 	at := len(out)
+	f := e.folds[ch]
 	members := e.batches[ch][g*e.members : (g+1)*e.members]
 	for i, pairs := range members {
 		if len(pairs) > 0 {
+			if f != 0 {
+				pairs = e.folder.fold(f, pairs)
+			}
 			out = append(out, Batch{
 				Kind: KindData, Channel: ch, Src: e.node, Dst: g*e.members + i, Level: e.level, Pairs: pairs,
 			})

@@ -88,13 +88,14 @@ func quantumStream(shape GroupShape, q int, seed int64) Stage {
 	return s
 }
 
-// stageQuanta drives one sender through StartLevel, SendMany and
-// CloseChannel and reads what reached the wire, per destination group:
+// stageQuanta drives one sender through StartLevel, FoldBatches (when f is
+// a fold), SendMany and CloseChannel and reads what reached the wire, per
+// destination group:
 // under Direct every data batch is a one-destination quantum; under Relay
 // every stage-one envelope at the group's relay is one, its inner batches
 // the quantum's cuts. It also checks the routing fields and that the
 // end-of-channel marker trails each group's data.
-func stageQuanta(t *testing.T, shape GroupShape, relay bool, q int, calls []Stage) map[int][][]cut {
+func stageQuanta(t *testing.T, shape GroupShape, relay bool, q int, f Fold, calls []Stage) map[int][][]cut {
 	t.Helper()
 	const level = 5
 	net := mustNetwork(t, Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M, BatchBytes: int64(q) * PairBytes})
@@ -110,6 +111,9 @@ func stageQuanta(t *testing.T, shape GroupShape, relay bool, q int, calls []Stag
 		members = shape.M
 	}
 	ep.StartLevel(level, ChanBackward)
+	if f != 0 {
+		ep.FoldBatches(ChanBackward, f)
+	}
 	for _, st := range calls {
 		if err := ep.SendMany(ChanBackward, st.Runs, st.Pairs); err != nil {
 			t.Fatal(err)
@@ -172,7 +176,7 @@ func TestSendQuantaMatchReference(t *testing.T) {
 				want := referenceQuanta(dsts, s.Pairs, members, q)
 				for _, how := range []string{"one-call", "per-pair", "random-splits"} {
 					name := fmt.Sprintf("%dx%d/q=%d/relay=%v/%s", shape.N, shape.M, q, relay, how)
-					got := stageQuanta(t, shape, relay, q, cutStream(s, how, int64(q)))
+					got := stageQuanta(t, shape, relay, q, 0, cutStream(s, how, int64(q)))
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: quanta diverge from the reference\n got %v\nwant %v", name, got, want)
 					}

@@ -118,8 +118,9 @@ type RelayEndpoint struct {
 
 	// relayedBytes counts pair bytes this node shuffled as a relay during
 	// the current level — the input volume of its Forward/Backward Relay
-	// modules (read by the same goroutine that runs Recv).
-	relayedBytes int64
+	// modules — and relayNanos the host time its relay duties took (both
+	// read by the same goroutine that runs Recv).
+	relayedBytes, relayNanos int64
 
 	// flows, when TallyFlows turned it on, tallies the current level's
 	// pair bytes per transport hop, indexed by channel, stage (0: stage-one
@@ -165,7 +166,7 @@ func (e *RelayEndpoint) Reset() {
 // capacity for the next level, run or not: once a level has ended, no
 // shipped batch aliases the lists any more.
 func (e *RelayEndpoint) emptyLevel() {
-	e.relayEnds, e.relayedBytes = [numChannels]int{}, 0
+	e.relayEnds, e.relayedBytes, e.relayNanos = [numChannels]int{}, 0, 0
 	for ch := range e.segments {
 		for col, segs := range e.segments[ch] {
 			clear(segs)
@@ -210,9 +211,10 @@ func (e *RelayEndpoint) AppendFlows(links []obs.FlowLink) []obs.FlowLink {
 	return links
 }
 
-// RelayedBytes reports the pair bytes relayed during the current level.
-// Call it from the handler goroutine after the level completes.
-func (e *RelayEndpoint) RelayedBytes() int64 { return e.relayedBytes }
+// Relayed reports the pair bytes relayed during the current level and the
+// host nanoseconds the node's relay duties took, its scheduled relay stalls
+// included. Call it from the handler goroutine after the level completes.
+func (e *RelayEndpoint) Relayed() (bytes, nanos int64) { return e.relayedBytes, e.relayNanos }
 
 // seal wraps a quantum in one stage-one envelope to the relay of
 // the group in the node's column.
@@ -252,8 +254,10 @@ func (e *RelayEndpoint) end(ch Channel) error {
 // shuffled per destination (the Relay modules) — streamed in quanta on a
 // raw channel, collected as encoded segments on a channel that runs a
 // codec — and the final flush happens when every source in the column has
-// signalled done.
+// signalled done. Its host time is the node's relay time (Relayed).
 func (e *RelayEndpoint) handle(b Batch) error {
+	start := time.Now()
+	defer func() { e.relayNanos += int64(time.Since(start)) }()
 	ch := b.Channel
 	switch b.Kind {
 	case KindRelayData:

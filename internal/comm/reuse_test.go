@@ -255,13 +255,13 @@ func reuseEndpoints(t *testing.T, net *Network, relay bool) []Endpoint {
 // dirties everything a run can — payload codec, retries, a duplicate,
 // relayed bytes, collectives — Network.Reset and Endpoint.Reset must leave
 // every field equal to a freshly built value's, except the fields listed
-// here as machine-scoped (the sealed-batch scratch, the flow tallies that
-// TallyFlows switches). A new field that is neither reset nor listed fails
-// this test.
+// here as machine-scoped (the sealed-batch and batch-fold scratch, the flow
+// tallies that TallyFlows switches). A new field that is neither reset nor
+// listed fails this test.
 func TestReuseResetEqualsFresh(t *testing.T) {
 	machineScoped := map[bool][]string{
-		false: {"net", "route", "sealed"},          // DirectEndpoint
-		true:  {"net", "route", "sealed", "flows"}, // RelayEndpoint
+		false: {"net", "route", "sealed", "folder"},          // DirectEndpoint
+		true:  {"net", "route", "sealed", "folder", "flows"}, // RelayEndpoint
 	}
 	for _, relay := range []bool{false, true} {
 		fr := obs.NewFlightRecorder(0)
@@ -276,6 +276,9 @@ func TestReuseResetEqualsFresh(t *testing.T) {
 		fr.BeginRun(0, "test", 4, "")
 		if _, _, err := exchange(t, used, eps, 400, 7); err != nil {
 			t.Fatal(err)
+		}
+		for _, ep := range eps {
+			ep.FoldBatches(ChanForward, FoldMin) // a level's fold, left declared
 		}
 		var wg sync.WaitGroup
 		for node := 0; node < used.Nodes(); node++ {

@@ -42,6 +42,7 @@ func (s *sink) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
 
 func (*sink) Node() int                  { return 0 }
 func (*sink) StartLevel(int, ...Channel) {}
+func (*sink) FoldBatches(Channel, Fold)  {}
 func (*sink) CloseChannel(Channel) error { return nil }
 func (*sink) Recv() Event                { return Event{} }
 func (*sink) Reset()                     {}

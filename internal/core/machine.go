@@ -526,6 +526,9 @@ type Plan struct {
 	Label string
 	// Channels are the channels the level opens.
 	Channels []comm.Channel
+	// Fold is the fold the level declares for its forward batches
+	// (comm.Endpoint.FoldBatches); zero for none.
+	Fold comm.Fold
 	// Edges are the edges the level relaxes as known before its work: the
 	// live level event carries them and the level's statistics start from
 	// them.
@@ -559,22 +562,30 @@ type HandlerBooks struct {
 }
 
 // Handle runs node's handler module for the level: the chaos handler stall,
-// then the receive loop until the forward channel closes, timed together
-// for the straggler detector. Each data batch goes to dispatch with its
-// channel, and its pairs back to the pool once dispatch returns. The
-// backward channel's close means every probe is answered, so it closes the
-// node's forward channel (the longer data path of Figure 4(b)). The node's
-// relay duties run inside Recv on this goroutine, so the relay module's
-// input is read here. An error aborts the network.
+// then the receive loop until the forward channel closes. Each data batch
+// goes to dispatch with its channel, and its pairs back to the pool once
+// dispatch returns. The backward channel's close means every probe is
+// answered, so it closes the node's forward channel (the longer data path
+// of Figure 4(b)). The node's relay duties run inside Recv on this
+// goroutine, so the relay module's input is read here. An error aborts the
+// network. The straggler detector's handler time is the node's own work:
+// the stall, dispatch, the forward close and its relay duties, never the
+// wait inside Recv — a node that waits on a stalled relay is its victim.
+// Only an armed detector reads it, so only then is each batch timed.
 func (m *Machine) Handle(node, level int, dispatch func(comm.Channel, []comm.Pair) error) (books HandlerBooks, err error) {
 	start := time.Now()
-	defer func() { m.host[node][1] = int64(time.Since(start)) }()
 	if d := m.Net.ChaosDelay(chaos.KindDelayHandler, node, level); d > 0 {
 		time.Sleep(d)
 	}
+	busy, timed := time.Since(start), m.spec.Cfg.StragglerFactor > 0
+	var relayNanos int64
+	defer func() { m.host[node][1] = int64(busy) + relayNanos }()
 	ep := m.eps[node]
 	for {
 		ev := ep.Recv()
+		if timed {
+			start = time.Now()
+		}
 		switch ev.Type {
 		case comm.EvError:
 			err = ev.Err
@@ -592,9 +603,12 @@ func (m *Machine) Handle(node, level int, dispatch func(comm.Channel, []comm.Pai
 				break
 			}
 			if rep, ok := ep.(*comm.RelayEndpoint); ok {
-				books.Relayed = rep.RelayedBytes()
+				books.Relayed, relayNanos = rep.Relayed()
 			}
 			return books, nil
+		}
+		if timed {
+			busy += time.Since(start)
 		}
 		if err != nil {
 			m.Net.Abort()
@@ -611,9 +625,9 @@ func (m *Machine) Handle(node, level int, dispatch func(comm.Channel, []comm.Pai
 //     and the run ends when the frontier, the first sum, is zero; else
 //     node 0 opens the level's ledger row;
 //  3. every node plans the level, and node 0 publishes its live event;
-//  4. every node opens the plan's channels and joins a host-only
-//     rendezvous (comm.Network.Sync), so no level traffic reaches an
-//     endpoint that has not opened them;
+//  4. every node opens the plan's channels, declares the plan's fold and
+//     joins a host-only rendezvous (comm.Network.Sync), so no level traffic
+//     reaches an endpoint that has not opened them;
 //  5. every node works, writes its work vector into its entry of the row
 //     and joins a second rendezvous;
 //  6. node 0 folds the row and records the level (closeLevel);
@@ -655,6 +669,7 @@ func (m *Machine) loop(node int, b Body) error {
 		}
 
 		ep.StartLevel(level, p.Channels...)
+		ep.FoldBatches(comm.ChanForward, p.Fold)
 		if net.Sync(); net.Aborted() {
 			return ErrAborted
 		}

@@ -143,6 +143,13 @@ var levelChannels = [...][]comm.Channel{
 	BottomUp: {comm.ChanForward, comm.ChanBackward},
 }
 
+// levelFold is the fold a level of each direction declares for its forward
+// batches. Top-down pairs fold by FoldMin: claim keeps the smallest parent,
+// so one (min u, v) pair per batch leaves the tree every (u, v) pair would.
+// Bottom-up forward replies go out in arrival order (handleBackward), so
+// what a batch would fold away depends on timing; they declare none.
+var levelFold = [len(levelChannels)]comm.Fold{TopDown: comm.FoldMin}
+
 // Work runs one BFS level's module work on this node: the generator and
 // handler modules concurrently, until the transport reports all channels
 // closed. It then advances the frontier — next (handler discoveries)
@@ -213,7 +220,8 @@ func (ns *nodeState) generate(ch comm.Channel, words int, scan func(*nodeState, 
 }
 
 // forwardScan is FORWARD_GENERATOR (Algorithm 2) over curr's words
-// [lo, hi): ship one (u, v) message per frontier edge to v's owner. The hub
+// [lo, hi): stage one (u, v) message per frontier edge for v's owner; the
+// endpoint folds each sealed batch to one pair per v (levelFold). The hub
 // shortcut skips edges whose endpoint is a hub already known visited — the
 // prefetched bitmap makes that a local test. Scanned edges count as
 // generator input even when the shortcut elides their message.

@@ -318,7 +318,7 @@ func (ns *nodeState) Plan(_ int, sums []int64) (Plan, error) {
 			return Plan{}, err
 		}
 	}
-	return Plan{Dir: dir, Label: dir.String(), Channels: levelChannels[dir], Edges: mf}, nil
+	return Plan{Dir: dir, Label: dir.String(), Channels: levelChannels[dir], Fold: levelFold[dir], Edges: mf}, nil
 }
 
 // Close adds the level's per-module maxima over the row and names its
