@@ -36,7 +36,8 @@ bench:
 
 # bench-layers runs the per-message ledger lines — one delivered End marker,
 # the inbox hand-off, one flight-recorded delivery — next to the send-side
-# lines of both transports, relay stage two, the batch fold a top-down
+# lines of both transports, a busy Direct channel close (63 residual
+# batches carrying their End markers), relay stage two, the batch fold a top-down
 # level's seal runs (at a relay quantum and a Direct residual) and the codec
 # line they sit between, the whole hybrid BFS with hub prefetch at scale
 # 14 across worker widths (BenchmarkBFSLevel: generators, hub tests,
@@ -47,7 +48,7 @@ bench:
 # Before/after figures of a change to these layers go into its CHANGES.md
 # line.
 bench-layers:
-	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkRelaySendManyInterleaved|BenchmarkRelayStageTwo|BenchmarkBatchFold|BenchmarkEncodeAdaptive)$$' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkDeliverEnd|BenchmarkInboxPushPop|BenchmarkDirectSendManyInterleaved|BenchmarkDirectCloseChannel|BenchmarkRelaySendManyInterleaved|BenchmarkRelayStageTwo|BenchmarkBatchFold|BenchmarkEncodeAdaptive)$$' \
 		-benchmem -count=5 ./internal/comm/
 	$(GO) test -run='^$$' -bench='^BenchmarkFlightRecord$$' -benchmem -count=5 ./internal/obs/
 	$(GO) test -run='^$$' -bench='^BenchmarkBFSLevel$$' -benchmem -count=5 ./internal/core/

@@ -30,8 +30,8 @@ func fixtures(t *testing.T) map[string]string {
 		fr := obs.NewFlightRecorder(0)
 		fr.SetStreamNames([]string{"data"}, []string{"forward"})
 		fr.BeginRun(3, "bfs", 2, "direct")
-		fr.Send(0, 1, 0, pairs, 0, 0, 0, "")
-		fr.Recv(1, 0, 0, pairs, 0, 0)
+		fr.Send(0, 1, 0, pairs, 0, 0, 0, obs.NoEnd, "")
+		fr.Recv(1, 0, 0, pairs, 0, 0, obs.NoEnd)
 		return fr.Dump()
 	}
 	var a, b, runs bytes.Buffer

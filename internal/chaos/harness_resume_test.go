@@ -234,7 +234,7 @@ func TestChaosCheckpointCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	kcfg := harnessConfig(core.TransportRelay)
 	kcfg.Obs = obs.New()
-	kcfg.Obs.Flight = obs.NewFlightRecorder(24)
+	kcfg.Obs.Flight = obs.NewFlightRecorder(12)
 	plan1 := chaos.Plan{Faults: []chaos.Fault{kills[first]}}
 	kcfg.Chaos = &plan1
 	kcfg.CheckpointEvery = 1

@@ -312,6 +312,68 @@ func TestChaosDupDelivered(t *testing.T) {
 	}
 }
 
+// TestChaosDupCarriedEnd: a dup scheduled on a sender's first End strikes
+// the data batch that carries it, when there is one: the End still takes
+// its own op, and a sender ships its End-carrying batches before any bare
+// End. The receiver discards the second copy before any accounting, so the
+// End is counted once — a second count would close the channel a peer
+// early — and the run stays bit-identical to the clean one.
+func TestChaosDupCarriedEnd(t *testing.T) {
+	g := harnessGraph(t)
+	for _, transport := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+		t.Run(transport.String(), func(t *testing.T) {
+			cfg := harnessConfig(transport)
+			cfg.Obs = obs.New()
+			cfg.Obs.Flight = obs.NewFlightRecorder(1 << 14)
+			base, _, err := runOnce(t, cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first sender of a forward batch that carries an End.
+			var carrier *obs.FlightEvent
+			events := cfg.Obs.Flight.Dump().Events
+			for i := range events {
+				if ev := &events[i]; ev.Kind == obs.FlightSend && ev.End && ev.Channel == "forward" && ev.Level > 0 {
+					carrier = ev
+					break
+				}
+			}
+			if carrier == nil {
+				t.Fatal("no forward batch carried an End")
+			}
+			endWire := map[string]string{"data": "end", "relay-data": "relay-end"}[carrier.Wire]
+			spec := fmt.Sprintf("dup@%d:l%d:%s/forward:0", carrier.Node, carrier.Level, endWire)
+			plan, err := chaos.ParsePlan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Chaos = &plan
+			cfg.Obs = obs.New()
+			cfg.Obs.Flight = obs.NewFlightRecorder(1 << 14)
+			res, log, err := runOnce(t, cfg, g)
+			if err != nil {
+				t.Fatalf("%s: dup run aborted: %v", spec, err)
+			}
+			if len(log) != 1 || log[0].String() != spec {
+				t.Fatalf("injection log = %v, want %s", log, spec)
+			}
+			var drops []obs.FlightEvent
+			for _, ev := range cfg.Obs.Flight.Dump().Events {
+				if ev.Kind == obs.FlightDupDrop {
+					drops = append(drops, ev)
+				}
+			}
+			if len(drops) != 1 || !drops[0].End || drops[0].Wire != carrier.Wire || drops[0].Peer != carrier.Node {
+				t.Fatalf("%s: dup-drop events %+v, want one of node %d's End-carrying %s batches",
+					spec, drops, carrier.Node, carrier.Wire)
+			}
+			if !reflect.DeepEqual(res.Parent, base.Parent) || !reflect.DeepEqual(res.Levels, base.Levels) {
+				t.Fatalf("%s: the duplicated End-carrying batch perturbed the run", spec)
+			}
+		})
+	}
+}
+
 // TestChaosLevelTimeout: a generator stalled past the watchdog deadline
 // aborts the run with ErrLevelTimeout and a partial-result report of the
 // levels that did complete.

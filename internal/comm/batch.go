@@ -19,6 +19,7 @@ import (
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/graph"
+	"swbfs/internal/obs"
 )
 
 // Channel separates the two independent message streams of a BFS level.
@@ -57,13 +58,15 @@ const (
 	KindData Kind = iota
 	// KindEnd marks that a sender (or relay) has finished a channel for
 	// the level. Termination indicators are exactly the per-pair small
-	// messages the paper calls out as a scaling hazard.
+	// messages the paper calls out as a scaling hazard, so one travels
+	// bare only to a peer that gets no last data batch to carry it
+	// (Batch.End).
 	KindEnd
 	// KindRelayData is a stage-one envelope: inner batches for multiple
 	// destinations within one destination group, sent to the relay node.
 	KindRelayData
 	// KindRelayEnd tells a relay that a source column peer has finished a
-	// channel.
+	// channel; bare only when no last envelope carries it (Batch.End).
 	KindRelayEnd
 	numKinds
 )
@@ -95,6 +98,13 @@ type Batch struct {
 	Dst     int
 	Level   int
 	Pairs   []Pair
+	// End says the batch also carries its sender's end-of-channel marker:
+	// a KindData batch stands for itself followed by a KindEnd, a
+	// KindRelayData envelope for itself followed by a KindRelayEnd. It is
+	// a bit of the fixed header, so it costs no wire bytes, and it is set
+	// on the last batch a sender (or relay) ships to each peer of the
+	// channel, which therefore gets no bare End. No other kind carries it.
+	End bool
 	// Inner holds a relay stage-one envelope's per-destination batches
 	// and, on a channel that runs a codec, a relay stage-two batch's
 	// segments: stage one's encoded inner batches, forwarded as they
@@ -126,6 +136,30 @@ func (b *Batch) ByteSize() int64 {
 		size += b.Inner[i].ByteSize()
 	}
 	return size
+}
+
+// carriedEnd returns the stream of the End marker b carries — KindEnd on a
+// data batch, KindRelayEnd on a relay envelope — or false when it carries
+// none, or is a kind that cannot carry one.
+func (b *Batch) carriedEnd() (Kind, bool) {
+	switch {
+	case !b.End:
+		return 0, false
+	case b.Kind == KindData:
+		return KindEnd, true
+	case b.Kind == KindRelayData:
+		return KindRelayEnd, true
+	}
+	return 0, false
+}
+
+// flightEnd is the carried End's wire code in flight events: obs.NoEnd
+// when there is none.
+func (b *Batch) flightEnd() int {
+	if k, ok := b.carriedEnd(); ok {
+		return int(k)
+	}
+	return obs.NoEnd
 }
 
 // pairPool recycles the payload slices of delivered batches. The BFS hot

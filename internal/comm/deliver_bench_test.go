@@ -108,6 +108,57 @@ func BenchmarkDirectSendManyInterleaved(b *testing.B) {
 	consumers.Wait()
 }
 
+// BenchmarkDirectCloseChannel is a busy level's close on a 64-node Direct
+// machine: node 0 has one pair staged for each of its 63 peers, so
+// CloseChannel seals 63 residual batches, each carrying its End, and sends
+// a bare End only to itself (a loopback). The 64 inboxes are drained raw.
+// ns/close is one level of it (StartLevel, SendMany, CloseChannel),
+// msgs/close the network messages the close sent.
+func BenchmarkDirectCloseChannel(b *testing.B) {
+	const nodes = 64
+	net, err := NewNetwork(Config{Nodes: nodes, SuperNodeSize: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep := NewDirectEndpoint(net, 0)
+	var consumers sync.WaitGroup
+	for _, in := range net.inboxes {
+		consumers.Add(1)
+		go func(in *Inbox) {
+			defer consumers.Done()
+			for {
+				batch, ok := in.Pop()
+				if !ok {
+					return
+				}
+				PutPairs(batch.Pairs)
+			}
+		}(in)
+	}
+	var stage Stage
+	for dst := 1; dst < nodes; dst++ {
+		stage.Add(dst, Pair{graph.Vertex(dst), graph.Vertex(dst)})
+	}
+	msgs0, _ := net.NodeSent(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.StartLevel(i, ChanForward)
+		if err := ep.SendMany(ChanForward, stage.Runs, stage.Pairs); err != nil {
+			b.Fatal(err)
+		}
+		if err := ep.CloseChannel(ChanForward); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	msgs, _ := net.NodeSent(0)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/close")
+	b.ReportMetric(float64(msgs-msgs0)/float64(b.N), "msgs/close")
+	net.Close()
+	consumers.Wait()
+}
+
 // BenchmarkInboxPushPop is the inbox hand-off alone, in the shape of the
 // repo benchmark's comm.inbox probe: two producers, one consumer, empty
 // batches. ns/op is per batch.

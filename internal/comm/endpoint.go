@@ -30,7 +30,8 @@ type Endpoint interface {
 	// exhaustion).
 	SendMany(ch Channel, runs []DstRun, pairs []Pair) error
 	// CloseChannel flushes pending sends on the channel and emits the
-	// end-of-channel markers.
+	// end-of-channel markers: each flushed batch carries its peer's, and a
+	// bare End goes only to a peer that gets no flushed batch.
 	CloseChannel(ch Channel) error
 	// Recv blocks for the next event: a data batch, a channel-closed
 	// notification (once per open channel), or a transport error.
@@ -74,8 +75,9 @@ type route interface {
 	seal(ch Channel, out []Batch, at int) []Batch
 	// ship delivers one sealed batch.
 	ship(b Batch) error
-	// end sends the node's end-of-channel markers.
-	end(ch Channel) error
+	// end sends the node's end-of-channel markers to every peer covered
+	// does not mark: a marked peer's last batch carried its End.
+	end(ch Channel, covered []bool) error
 	// handle consumes a batch of a kind the core does not know, or says
 	// why it breaks the protocol. It takes the batch by value: a pointer
 	// through the interface would move every received batch to the heap.
@@ -84,11 +86,12 @@ type route interface {
 
 // endpointCore is the rank machinery both transports embed: the level and
 // its open channels, the send staging, and the receive half that hands data
-// to the caller and counts End markers. Destinations fall into groups of
-// `members` consecutive nodes. Each destination has an open batch that
-// SendMany appends into, and each group a count of the pairs its open
-// batches hold; when the count reaches Network.QuantumPairs, the group's
-// open batches are one quantum's inner batches and go out as they are.
+// to the caller and counts End markers, those a data batch carries
+// included. Destinations fall into groups of `members` consecutive nodes.
+// Each destination has an open batch that SendMany appends into, and each
+// group a count of the pairs its open batches hold; when the count reaches
+// Network.QuantumPairs, the group's open batches are one quantum's inner
+// batches and go out as they are.
 // Sealing by fixed quantum — rather than "flush whatever is buffered once
 // it crosses the threshold" — makes batch boundaries a pure function of the
 // per-group pair sequence, independent of how senders chunked their
@@ -108,6 +111,10 @@ type endpointCore struct {
 	level int
 	open  [numChannels]bool
 	ends  [numChannels]int
+	// endDue is set once Recv has handed over a data batch that carried an
+	// End on endDueCh: the next Recv counts it before it pops anything.
+	endDue   bool
+	endDueCh Channel
 	// folds are the level's declared batch folds (FoldBatches), by channel.
 	folds [numChannels]Fold
 
@@ -129,6 +136,10 @@ type endpointCore struct {
 	sealed [numChannels][]Batch
 	// folder is the batch fold's scratch, used under mu.
 	folder batchFold
+	// covered is each channel's scratch for the peers CloseChannel's
+	// flushed batches reach, which route.end skips: only the closing
+	// goroutine touches it.
+	covered [numChannels][]bool
 }
 
 func newEndpointCore(net *Network, node int, r route, members, closeAfter int) endpointCore {
@@ -138,12 +149,14 @@ func newEndpointCore(net *Network, node int, r route, members, closeAfter int) e
 	}
 	var batches [numChannels][][]Pair
 	var pending [numChannels][]int
+	var covered [numChannels][]bool
 	for ch := range batches {
 		batches[ch] = make([][]Pair, net.Nodes())
 		pending[ch] = make([]int, net.Nodes()/members)
+		covered[ch] = make([]bool, net.Nodes())
 	}
 	return endpointCore{net: net, node: node, route: r, members: members, closeAfter: closeAfter,
-		groupOf: groupOf, batches: batches, pending: pending}
+		groupOf: groupOf, batches: batches, pending: pending, covered: covered}
 }
 
 func (e *endpointCore) Node() int { return e.node }
@@ -158,7 +171,7 @@ func (e *endpointCore) StartLevel(level int, channels ...Channel) {
 		clear(e.pending[ch])
 	}
 	e.mu.Unlock()
-	e.ends, e.open, e.folds = [numChannels]int{}, [numChannels]bool{}, [numChannels]Fold{}
+	e.ends, e.open, e.folds, e.endDue = [numChannels]int{}, [numChannels]bool{}, [numChannels]Fold{}, false
 	for _, ch := range channels {
 		e.open[ch] = true
 	}
@@ -170,6 +183,7 @@ func (e *endpointCore) FoldBatches(ch Channel, f Fold) { e.folds[ch] = f }
 // Reset implements Endpoint.
 func (e *endpointCore) Reset() {
 	e.level, e.ends, e.open, e.folds, e.seenDups = 0, [numChannels]int{}, [numChannels]bool{}, [numChannels]Fold{}, nil
+	e.endDue = false
 }
 
 // SendMany implements Endpoint: append each run to its destination's open
@@ -207,9 +221,14 @@ func (e *endpointCore) SendMany(ch Channel, runs []DstRun, pairs []Pair) error {
 }
 
 // CloseChannel implements Endpoint: seal every group's partial quantum in
-// ascending group order, then send the End markers.
+// ascending group order, each sealed batch carrying the End for the peer
+// it goes to, then send a bare End to every peer none reached. Every batch
+// boundary stays where the quantum rule put it; only the messages that
+// carried nothing but an End are gone.
 func (e *endpointCore) CloseChannel(ch Channel) error {
 	var residual []Batch
+	covered := e.covered[ch]
+	clear(covered)
 	e.mu.Lock()
 	for g, n := range e.pending[ch] {
 		if n > 0 {
@@ -217,10 +236,14 @@ func (e *endpointCore) CloseChannel(ch Channel) error {
 		}
 	}
 	e.mu.Unlock()
+	for i := range residual {
+		residual[i].End = true
+		covered[residual[i].Dst] = true
+	}
 	if err := e.shipAll(ch, residual); err != nil {
 		return err
 	}
-	return e.route.end(ch)
+	return e.route.end(ch, covered)
 }
 
 // seal appends group g's open batches to out as one quantum — inner
@@ -269,9 +292,17 @@ func (e *endpointCore) shipAll(ch Channel, sealed []Batch) error {
 }
 
 // Recv implements Endpoint: data goes to the caller, End markers close
-// their channel, and every other kind is the transport's to handle.
+// their channel, and every other kind is the transport's to handle. A data
+// batch that carries an End is its data, handed over first, followed by the
+// End, counted on the next call.
 func (e *endpointCore) Recv() Event {
 	for {
+		if e.endDue {
+			e.endDue = false
+			if e.countEnd(e.endDueCh) {
+				return Event{Type: EvChannelClosed, Channel: e.endDueCh}
+			}
+		}
 		b, err := e.next()
 		if err != nil {
 			return Event{Type: EvError, Err: err}
@@ -281,14 +312,13 @@ func (e *endpointCore) Recv() Event {
 			if !e.open[b.Channel] {
 				return Event{Type: EvError, Err: protocolError(e.node, &b, "data on a closed channel")}
 			}
+			e.endDue, e.endDueCh = b.End, b.Channel
 			return Event{Type: EvData, Channel: b.Channel, Batch: b}
 		case KindEnd:
 			if !e.open[b.Channel] {
 				return Event{Type: EvError, Err: protocolError(e.node, &b, "end marker on a closed channel")}
 			}
-			e.ends[b.Channel]++
-			if e.ends[b.Channel] == e.closeAfter {
-				e.open[b.Channel] = false
+			if e.countEnd(b.Channel) {
 				return Event{Type: EvChannelClosed, Channel: b.Channel}
 			}
 		default:
@@ -297,6 +327,17 @@ func (e *endpointCore) Recv() Event {
 			}
 		}
 	}
+}
+
+// countEnd counts one End marker on the open channel ch and reports whether
+// it was the last the channel waits for, which closes it.
+func (e *endpointCore) countEnd(ch Channel) bool {
+	e.ends[ch]++
+	if e.ends[ch] < e.closeAfter {
+		return false
+	}
+	e.open[ch] = false
+	return true
 }
 
 // next pops the node's next live batch of the level: chaos duplicates are
@@ -335,15 +376,23 @@ func (e *endpointCore) next() (Batch, error) {
 		if b.Channel >= numChannels {
 			return b, protocolError(e.node, &b, "unknown "+b.Channel.String())
 		}
+		if b.End {
+			if _, ok := b.carriedEnd(); !ok {
+				return b, protocolError(e.node, &b, "an end flag on a batch that cannot carry one")
+			}
+		}
 		return b, nil
 	}
 }
 
 // DirectEndpoint implements all-pairs messaging: every destination is its
 // own group, every batch goes straight to its destination, and every node
-// exchanges end-of-channel markers with every other node — Theta(P^2)
-// termination messages machine-wide, the baseline behaviour of Figure 11's
-// "Direct" lines.
+// tells every other node when it has finished a channel. The End rides the
+// last data batch to a peer (one aggregated message per peer per level
+// when the pairs fit one quantum); a peer that gets no last batch gets a
+// bare End. Every node still messages every peer in every level — Theta(P)
+// messages per node and Theta(P^2) machine-wide, the baseline behaviour of
+// Figure 11's "Direct" lines.
 type DirectEndpoint struct {
 	endpointCore
 }
@@ -360,10 +409,13 @@ func (e *DirectEndpoint) seal(_ Channel, out []Batch, _ int) []Batch { return ou
 
 func (e *DirectEndpoint) ship(b Batch) error { return e.net.deliver(b) }
 
-// end sends one End marker to every node, including self (a free
-// loopback).
-func (e *DirectEndpoint) end(ch Channel) error {
+// end sends a bare End marker to every node, self included (a free
+// loopback), that no flushed batch carried one to.
+func (e *DirectEndpoint) end(ch Channel, covered []bool) error {
 	for dst := 0; dst < e.net.Nodes(); dst++ {
+		if covered[dst] {
+			continue
+		}
 		err := e.net.deliver(Batch{
 			Kind: KindEnd, Channel: ch, Src: e.node, Dst: dst, Level: e.level,
 		})

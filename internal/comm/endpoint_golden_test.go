@@ -99,6 +99,9 @@ func payloadDigest(b *Batch) string {
 // payload and, for an envelope, each inner batch's route and payload.
 func describeBatch(b *Batch) string {
 	s := fmt.Sprintf("%s/%s %d→%d L%d%s", b.Kind, b.Channel, b.Src, b.Dst, b.Level, payloadDigest(b))
+	if b.End {
+		s += " +end"
+	}
 	if len(b.Inner) > 0 {
 		inner := make([]string, len(b.Inner))
 		for i := range b.Inner {

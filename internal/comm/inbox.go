@@ -77,8 +77,9 @@ func (in *Inbox) Close() {
 }
 
 // reopen empties the quiescent inbox for the next run. What a run left
-// queued (the second copy of a duplicated final End) is dropped, never
-// recycled: it shares its payload with the copy already consumed.
+// queued (the second copy of a duplicated final End, bare or carried by a
+// data batch) is dropped, never recycled: it shares its payload with the
+// copy already consumed.
 func (in *Inbox) reopen() {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -251,7 +251,8 @@ func (n *Network) QuantumPairs() int {
 // void after a peer failure. The abort check runs before the fault
 // injector so post-abort sends never consume fault coordinates.
 //
-// Fault injection: the injector is consulted once per logical delivery. A
+// Fault injection: the injector is consulted once per logical delivery,
+// and once more for the End a batch carries, which is its own op. A
 // transient send failure or wire drop costs one retry (bounded backoff,
 // counted in comm.retries) and then retransmits; failed attempts charge no
 // modelled traffic, so a recovered run's counters match the fault-free
@@ -274,23 +275,36 @@ func (n *Network) deliver(b Batch) error {
 		fault   string
 	)
 	if n.chaos != nil {
-		if f, ok := n.chaos.OnDeliver(b.Src, b.Level, uint8(b.Kind), uint8(b.Channel)); ok {
-			fault = f.String()
+		strike := func(f chaos.Fault) {
+			if fault != "" {
+				fault += ","
+			}
+			fault += f.String()
 			switch f.Kind {
 			case chaos.KindKill:
 				killed = true
 				retries = MaxSendAttempts - 1
 			case chaos.KindSendFail, chaos.KindDrop:
-				retries = 1
+				retries = max(retries, 1)
 			case chaos.KindDup:
 				dup = true
+			}
+		}
+		if f, ok := n.chaos.OnDeliver(b.Src, b.Level, uint8(b.Kind), uint8(b.Channel)); ok {
+			strike(f)
+		}
+		// A carried End is still its sender's next op on the End's own
+		// stream, so a fault scheduled there strikes this delivery.
+		if end, ok := b.carriedEnd(); ok {
+			if f, ok := n.chaos.OnDeliver(b.Src, b.Level, uint8(end), uint8(b.Channel)); ok {
+				strike(f)
 			}
 		}
 	}
 	// The send event is recorded before the kill verdict so a dump shows
 	// the killed node's final, doomed delivery attempt.
 	if err := n.flight.Send(b.Src, b.Dst, b.Level, payloadPairs(&b), retries,
-		uint8(b.Kind), uint8(b.Channel), fault); err != nil {
+		uint8(b.Kind), uint8(b.Channel), b.flightEnd(), fault); err != nil {
 		return protocolError(b.Src, &b, err.Error())
 	}
 	if killed {
@@ -462,12 +476,12 @@ func decodeInto(codec PayloadCodec, pairs []Pair, b *Batch) ([]Pair, error) {
 // flightRecv records a consumed delivery in the flight recorder; endpoints
 // call it once per batch that survives duplicate discarding.
 func (n *Network) flightRecv(node int, b *Batch) error {
-	return n.flight.Recv(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel))
+	return n.flight.Recv(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel), b.flightEnd())
 }
 
 // flightDupDrop records a discarded chaos-duplicate delivery.
 func (n *Network) flightDupDrop(node int, b *Batch) error {
-	return n.flight.DupDrop(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel))
+	return n.flight.DupDrop(node, b.Src, b.Level, payloadPairs(b), uint8(b.Kind), uint8(b.Channel), b.flightEnd())
 }
 
 // ChaosDelay returns the scheduled chaos delay of a module site for

@@ -88,13 +88,38 @@ func quantumStream(shape GroupShape, q int, seed int64) Stage {
 	return s
 }
 
+// popUntilEnd pops box up to the batch that ends a sender's channel for
+// its owner — a bare marker of kind bare, or a batch that carries the End —
+// and returns the batches before a bare marker and the carrying one. It
+// fails the test if a bare marker claims to carry an End.
+func popUntilEnd(t *testing.T, box *Inbox, bare Kind) []Batch {
+	t.Helper()
+	var got []Batch
+	for {
+		b, ok := box.Pop()
+		if !ok {
+			t.Fatal("inbox closed before the End")
+		}
+		if b.Kind == bare {
+			if b.End {
+				t.Fatalf("bare %s batch %+v carries an End", bare, b)
+			}
+			return got
+		}
+		if got = append(got, b); b.End {
+			return got
+		}
+	}
+}
+
 // stageQuanta drives one sender through StartLevel, FoldBatches (when f is
 // a fold), SendMany and CloseChannel and reads what reached the wire, per
 // destination group:
 // under Direct every data batch is a one-destination quantum; under Relay
 // every stage-one envelope at the group's relay is one, its inner batches
 // the quantum's cuts. It also checks the routing fields and that the
-// end-of-channel marker trails each group's data.
+// end-of-channel marker is the last thing each group gets: carried by the
+// group's residual quantum when it has one, bare otherwise.
 func stageQuanta(t *testing.T, shape GroupShape, relay bool, q int, f Fold, calls []Stage) map[int][][]cut {
 	t.Helper()
 	const level = 5
@@ -128,13 +153,13 @@ func stageQuanta(t *testing.T, shape GroupShape, relay bool, q int, f Fold, call
 		if relay {
 			box, final = net.inboxes[shape.Relay(src, g*members)], KindRelayEnd
 		}
-		for {
-			b, _ := box.Pop()
+		batches := popUntilEnd(t, box, final)
+		if box.Len() != 0 {
+			t.Fatalf("group %d: %d batches after the End", g, box.Len())
+		}
+		for _, b := range batches {
 			if b.Src != src || b.Level != level || b.Channel != ChanBackward {
 				t.Fatalf("group %d: misrouted %s batch %+v", g, b.Kind, b)
-			}
-			if b.Kind == final {
-				break
 			}
 			inner := []Batch{b}
 			if relay {
@@ -282,7 +307,7 @@ func TestRelayStageTwoMatchesReference(t *testing.T) {
 				record(ev.Batch)
 			}
 			for dst := 1; dst < shape.M; dst++ {
-				for b, _ := net.inboxes[dst].Pop(); b.Kind != KindEnd; b, _ = net.inboxes[dst].Pop() {
+				for _, b := range popUntilEnd(t, net.inboxes[dst], KindEnd) {
 					record(b)
 				}
 			}
@@ -365,7 +390,7 @@ func TestRelayStageTwoEncodedMatchesReference(t *testing.T) {
 				}
 				got := map[int][]Batch{}
 				for dst := 0; dst < shape.M; dst++ {
-					for b, _ := net.inboxes[dst].Pop(); b.Kind != KindEnd; b, _ = net.inboxes[dst].Pop() {
+					for _, b := range popUntilEnd(t, net.inboxes[dst], KindEnd) {
 						b.Inner = slices.Clone(b.Inner) // the relay reuses its segment lists next level
 						got[dst] = append(got[dst], b)
 					}
@@ -390,7 +415,7 @@ func TestRelayStageTwoEncodedMatchesReference(t *testing.T) {
 				for start, n, i := 0, 0, 0; i < len(segs); i++ {
 					if n += segs[i].EncN; n >= q || i == len(segs)-1 {
 						batches = append(batches, Batch{Kind: KindData, Channel: ChanForward, Src: 0, Dst: dst, Level: level,
-							Inner: segs[start : i+1]})
+							Inner: segs[start : i+1], End: i == len(segs)-1})
 						start, n = i+1, 0
 					}
 				}
@@ -568,7 +593,7 @@ func BenchmarkRelayStageTwo(b *testing.B) {
 						for _, seg := range batch.Inner {
 							putEncBuf(seg.Enc)
 						}
-						if batch.Kind == KindEnd {
+						if batch.Kind == KindEnd || batch.End {
 							drained.Done()
 						}
 					}

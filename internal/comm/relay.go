@@ -75,6 +75,11 @@ func (s GroupShape) MessagesPerNode() int { return s.N + s.M - 1 }
 // (the Forward/Backward Relay modules of Figure 10) and forwards batched
 // messages within its group.
 //
+// End markers ride the last message of each hop: a source's last envelope
+// to a relay carries its relay-end, and once the relay's column is done,
+// its last stage-two batch to each row member carries the End. A bare
+// marker goes only to a peer that gets no last batch to carry it.
+//
 // Stage one ships in fixed quanta (Network.QuantumPairs), so its batch
 // counts depend only on per-group pair totals, not on how senders chunked
 // their calls. Stage two has one rule per channel kind:
@@ -236,12 +241,17 @@ func (e *RelayEndpoint) seal(ch Channel, out []Batch, at int) []Batch {
 // ship delivers one stage-one envelope.
 func (e *RelayEndpoint) ship(b Batch) error { return e.net.deliver(b) }
 
-// end tells every relay in the node's column that this source is done.
-func (e *RelayEndpoint) end(ch Channel) error {
+// end tells each relay of the node's column that no flushed envelope
+// reached that this source has finished the channel.
+func (e *RelayEndpoint) end(ch Channel, covered []bool) error {
 	col := e.shape.Col(e.node)
 	for row := 0; row < e.shape.N; row++ {
+		relay := row*e.shape.M + col
+		if covered[relay] {
+			continue
+		}
 		err := e.net.deliver(Batch{
-			Kind: KindRelayEnd, Channel: ch, Src: e.node, Dst: row*e.shape.M + col, Level: e.level,
+			Kind: KindRelayEnd, Channel: ch, Src: e.node, Dst: relay, Level: e.level,
 		})
 		if err != nil {
 			return err
@@ -254,11 +264,15 @@ func (e *RelayEndpoint) end(ch Channel) error {
 // shuffled per destination (the Relay modules) — streamed in quanta on a
 // raw channel, collected as encoded segments on a channel that runs a
 // codec — and the final flush happens when every source in the column has
-// signalled done. Its host time is the node's relay time (Relayed).
+// signalled done, by a relay-end or by an envelope that carried one. Its
+// host time is the node's relay time (Relayed).
 func (e *RelayEndpoint) handle(b Batch) error {
 	start := time.Now()
 	defer func() { e.relayNanos += int64(time.Since(start)) }()
 	ch := b.Channel
+	if (b.Kind == KindRelayData || b.Kind == KindRelayEnd) && e.relayEnds[ch] == e.shape.N {
+		return protocolError(e.node, &b, "arrived after the relay's column finished the channel")
+	}
 	switch b.Kind {
 	case KindRelayData:
 		if d := e.net.ChaosDelay(chaos.KindDelayRelay, e.node, e.level); d > 0 {
@@ -278,41 +292,43 @@ func (e *RelayEndpoint) handle(b Batch) error {
 				return err
 			}
 		}
+		if b.End {
+			return e.sourceDone(ch)
+		}
 		return nil
 
 	case KindRelayEnd:
-		e.relayEnds[ch]++
-		if e.relayEnds[ch] < e.shape.N {
-			return nil
-		}
-		// Every source in this column is done: flush what is left in
-		// ascending destination order and mark the channel done for the
-		// whole row.
-		row := e.shape.Row(e.node)
-		for col, pairs := range e.relayBatches[ch] {
-			if len(pairs) > 0 {
-				e.relayBatches[ch][col] = nil
-				if err := e.forward(ch, row*e.shape.M+col, pairs, nil); err != nil {
-					return err
-				}
-			}
-		}
-		for col, segs := range e.segments[ch] {
-			if err := e.forwardSegments(ch, row*e.shape.M+col, segs); err != nil {
-				return err
-			}
-		}
-		for col := 0; col < e.shape.M; col++ {
-			err := e.net.deliver(Batch{
-				Kind: KindEnd, Channel: ch, Src: e.node, Dst: row*e.shape.M + col, Level: e.level,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.sourceDone(ch)
 	}
 	return protocolError(e.node, &b, "unknown wire kind")
+}
+
+// sourceDone counts one source of the relay's column finishing ch. Once
+// every source has, it flushes the row in ascending destination order:
+// each member's leftover pairs or encoded segments, the last batch carrying
+// the End, and a bare End to a member with nothing left to receive.
+func (e *RelayEndpoint) sourceDone(ch Channel) error {
+	if e.relayEnds[ch]++; e.relayEnds[ch] < e.shape.N {
+		return nil
+	}
+	row := e.shape.Row(e.node)
+	for col, pairs := range e.relayBatches[ch] {
+		dst := row*e.shape.M + col
+		var err error
+		switch segs := e.segments[ch][col]; {
+		case len(pairs) > 0:
+			e.relayBatches[ch][col] = nil
+			err = e.forward(ch, dst, pairs, nil, true)
+		case len(segs) > 0:
+			err = e.forwardSegments(ch, dst, segs)
+		default:
+			err = e.net.deliver(Batch{Kind: KindEnd, Channel: ch, Src: e.node, Dst: dst, Level: e.level})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stageTwo adds one arriving inner batch's raw pairs to dst's open batch
@@ -336,7 +352,7 @@ func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
 		if len(*open) == q {
 			pairs := *open
 			*open = nil
-			if err := e.forward(ch, dst, pairs, nil); err != nil {
+			if err := e.forward(ch, dst, pairs, nil, false); err != nil {
 				return err
 			}
 		}
@@ -347,13 +363,15 @@ func (e *RelayEndpoint) stageTwo(ch Channel, dst int, buf []Pair) error {
 
 // forwardSegments ships the encoded segments bound for dst this level:
 // ordered by source, arrival order kept within a source, and cut into
-// batches that close once they hold a quantum of pairs or more.
+// batches that close once they hold a quantum of pairs or more. The last
+// batch carries the relay's End.
 func (e *RelayEndpoint) forwardSegments(ch Channel, dst int, segs []Batch) error {
 	slices.SortStableFunc(segs, func(a, b Batch) int { return cmp.Compare(a.Src, b.Src) })
 	q := e.net.QuantumPairs()
 	for start, n, i := 0, 0, 0; i < len(segs); i++ {
-		if n += segs[i].EncN; n >= q || i == len(segs)-1 {
-			if err := e.forward(ch, dst, nil, segs[start:i+1:i+1]); err != nil {
+		last := i == len(segs)-1
+		if n += segs[i].EncN; n >= q || last {
+			if err := e.forward(ch, dst, nil, segs[start:i+1:i+1], last); err != nil {
 				return err
 			}
 			start, n = i+1, 0
@@ -363,9 +381,9 @@ func (e *RelayEndpoint) forwardSegments(ch Channel, dst int, segs []Batch) error
 }
 
 // forward ships one stage-two batch to dst: raw pairs, or encoded segments
-// for the destination to decode.
-func (e *RelayEndpoint) forward(ch Channel, dst int, pairs []Pair, segs []Batch) error {
-	b := Batch{Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: pairs, Inner: segs}
+// for the destination to decode; end says it carries the relay's End.
+func (e *RelayEndpoint) forward(ch Channel, dst int, pairs []Pair, segs []Batch, end bool) error {
+	b := Batch{Kind: KindData, Channel: ch, Src: e.node, Dst: dst, Level: e.level, Pairs: pairs, Inner: segs, End: end}
 	if tally := e.flows[ch][1]; tally != nil {
 		tally[dst] += int64(payloadPairs(&b)) * PairBytes
 	}

@@ -152,6 +152,11 @@ func TestProtocolErrors(t *testing.T) {
 		{"end on a closed channel, relay", true, Batch{Kind: KindEnd, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3}},
 		{"data on a closed channel, direct", false, Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}}},
 		{"data on a closed channel, relay", true, Batch{Kind: KindData, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}}},
+		{"end-carrying data on a closed channel, direct", false, Batch{Kind: KindData, Channel: ChanBackward, Src: 2, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}, End: true}},
+		{"end-carrying data on a closed channel, relay", true, Batch{Kind: KindData, Channel: ChanBackward, Src: 0, Dst: 1, Level: 3, Pairs: []Pair{{1, 2}}, End: true}},
+		{"end flag on an end marker, direct", false, Batch{Kind: KindEnd, Channel: ChanForward, Src: 2, Dst: 1, Level: 3, End: true}},
+		{"end flag on an end marker, relay", true, Batch{Kind: KindEnd, Channel: ChanForward, Src: 0, Dst: 1, Level: 3, End: true}},
+		{"end flag on a relay end", true, Batch{Kind: KindRelayEnd, Channel: ChanForward, Src: 3, Dst: 1, Level: 3, End: true}},
 		{"envelope outside the relay's row", true, Batch{Kind: KindRelayData, Src: 3, Dst: 1, Level: 3,
 			Inner: []Batch{{Kind: KindData, Src: 3, Dst: 2, Level: 3}}}},
 		{"unknown kind, relay", true, Batch{Kind: Kind(7), Src: 3, Dst: 1, Level: 3}},
@@ -199,6 +204,39 @@ func TestProtocolErrors(t *testing.T) {
 				t.Fatal("the flight dump does not show the hostile batch arriving")
 			}
 		})
+	}
+}
+
+// TestRelayRefusesTrafficAfterItsColumn: once every source of a relay's
+// column has finished a channel, an envelope — carrying an End or not — or
+// a relay-end on it breaks the protocol: its pairs would never be
+// forwarded, its End would be counted past the column.
+func TestRelayRefusesTrafficAfterItsColumn(t *testing.T) {
+	shape := GroupShape{N: 2, M: 2} // relay 1's column: sources 1 and 3
+	late := []Batch{
+		{Kind: KindRelayData, Channel: ChanForward, Src: 3, Dst: 1, Level: 3, End: true,
+			Inner: []Batch{{Kind: KindData, Channel: ChanForward, Src: 3, Dst: 0, Level: 3, Pairs: []Pair{{1, 2}}}}},
+		{Kind: KindRelayData, Channel: ChanForward, Src: 3, Dst: 1, Level: 3,
+			Inner: []Batch{{Kind: KindData, Channel: ChanForward, Src: 3, Dst: 0, Level: 3, Pairs: []Pair{{1, 2}}}}},
+		{Kind: KindRelayEnd, Channel: ChanForward, Src: 3, Dst: 1, Level: 3},
+	}
+	for _, hostile := range late {
+		net := mustNetwork(t, Config{Nodes: shape.Nodes(), SuperNodeSize: shape.M})
+		ep, err := NewRelayEndpoint(net, 1, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.StartLevel(3, ChanForward)
+		for _, src := range []int{1, 3} {
+			net.inboxes[1].Push(Batch{Kind: KindRelayEnd, Channel: ChanForward, Src: src, Dst: 1, Level: 3})
+		}
+		net.inboxes[1].Push(hostile)
+		ev := ep.Recv()
+		var pe *ProtocolError
+		if ev.Type != EvError || !errors.As(ev.Err, &pe) || pe.Kind != hostile.Kind || pe.Src != 3 {
+			t.Fatalf("late %s (end=%v): Recv = %+v, want node 1's ProtocolError naming it", hostile.Kind, hostile.End, ev)
+		}
+		net.Close()
 	}
 }
 
@@ -255,13 +293,13 @@ func reuseEndpoints(t *testing.T, net *Network, relay bool) []Endpoint {
 // dirties everything a run can — payload codec, retries, a duplicate,
 // relayed bytes, collectives — Network.Reset and Endpoint.Reset must leave
 // every field equal to a freshly built value's, except the fields listed
-// here as machine-scoped (the sealed-batch and batch-fold scratch, the flow
-// tallies that TallyFlows switches). A new field that is neither reset nor
-// listed fails this test.
+// here as machine-scoped (the sealed-batch, batch-fold and covered-peer
+// scratch, the flow tallies that TallyFlows switches). A new field that is
+// neither reset nor listed fails this test.
 func TestReuseResetEqualsFresh(t *testing.T) {
 	machineScoped := map[bool][]string{
-		false: {"net", "route", "sealed", "folder"},          // DirectEndpoint
-		true:  {"net", "route", "sealed", "folder", "flows"}, // RelayEndpoint
+		false: {"net", "route", "sealed", "folder", "covered"},          // DirectEndpoint
+		true:  {"net", "route", "sealed", "folder", "covered", "flows"}, // RelayEndpoint
 	}
 	for _, relay := range []bool{false, true} {
 		fr := obs.NewFlightRecorder(0)

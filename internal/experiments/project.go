@@ -85,8 +85,9 @@ func projectWork(m *measurement, targetNodes int, workRatio float64) (float64, e
 				t.ModuleBytes[j] = int64(float64(b) * workRatio)
 			}
 		}
-		// Termination markers per channel round; data messages scale with
-		// the per-node problem size.
+		// One End per peer per channel round — carried by the last batch to
+		// the peer or bare — is the fixed part; the full-quantum batches
+		// before it scale with the per-node problem size.
 		channels := int64(1)
 		if s.Direction == core.BottomUp.String() {
 			channels = 2

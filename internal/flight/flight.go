@@ -39,15 +39,30 @@ func parseInjections(events []obs.FlightEvent, run int) injections {
 
 // dupInjected reports whether a dup fault was injected at the sender-side
 // coordinate a dup-drop event observed: the dropper's peer is the struck
-// sender, and wire/channel name the stream.
+// sender, and wire/channel name the stream — the batch's own, or, when it
+// carried an End, the End's.
 func (inj injections) dupInjected(ev obs.FlightEvent) bool {
 	for _, f := range inj.faults {
+		wire := chaos.WireNames[f.WireKind]
 		if f.Kind == chaos.KindDup && f.Node == ev.Peer && f.Level == ev.Level &&
-			chaos.WireNames[f.WireKind] == ev.Wire && chaos.ChanNames[f.Channel] == ev.Channel {
+			(wire == ev.Wire || ev.End && wire == carriedEnd[ev.Wire]) && chaos.ChanNames[f.Channel] == ev.Channel {
 			return true
 		}
 	}
 	return false
+}
+
+// carriedEnd names, by wire kind, the End marker a batch of that kind
+// carries when its event is marked End.
+var carriedEnd = map[string]string{"data": "end", "relay-data": "relay-end"}
+
+// wireOf renders a delivery's wire kind, joined by the End it carries
+// ("data+end").
+func wireOf(ev obs.FlightEvent) string {
+	if ev.End {
+		return ev.Wire + "+" + carriedEnd[ev.Wire]
+	}
+	return ev.Wire
 }
 
 // delayInjected reports whether any delay fault was injected on (node,
@@ -159,10 +174,10 @@ func renderRun(ew *errWriter, events []obs.FlightEvent, run int) {
 			t.sendPairs += int64(ev.Pairs)
 			if ev.Fault != "" {
 				ew.printf("%snode %d: send %s/%s -> %d op %d (%d pairs, %d retries) fault %s [injected]\n",
-					indent, ev.Node, ev.Wire, ev.Channel, ev.Peer, ev.Op, ev.Pairs, ev.Retries, ev.Fault)
+					indent, ev.Node, wireOf(ev), ev.Channel, ev.Peer, ev.Op, ev.Pairs, ev.Retries, ev.Fault)
 			} else if ev.Retries > 0 {
 				ew.printf("%snode %d: send %s/%s -> %d op %d (%d pairs, %d retries) [emergent]\n",
-					indent, ev.Node, ev.Wire, ev.Channel, ev.Peer, ev.Op, ev.Pairs, ev.Retries)
+					indent, ev.Node, wireOf(ev), ev.Channel, ev.Peer, ev.Op, ev.Pairs, ev.Retries)
 			}
 		case obs.FlightRecv:
 			t := note(ev.Node)
@@ -174,7 +189,7 @@ func renderRun(ew *errWriter, events []obs.FlightEvent, run int) {
 				mark = "[injected]"
 			}
 			ew.printf("%snode %d: dup-drop %s/%s <- %d op %d (%d pairs) %s\n",
-				indent, ev.Node, ev.Wire, ev.Channel, ev.Peer, ev.Op, ev.Pairs, mark)
+				indent, ev.Node, wireOf(ev), ev.Channel, ev.Peer, ev.Op, ev.Pairs, mark)
 		case obs.FlightInject:
 			ew.printf("%sinject %s (node %d) [injected]\n", indent, ev.Fault, ev.Node)
 		case obs.FlightStraggler:
@@ -228,7 +243,7 @@ const diffLineCap = 40
 // Diff compares two dumps — typically the same seed and configuration
 // recorded on two builds or machines — and writes the differences:
 // events present on only one side and matched events whose payload
-// (pairs, retries, fault, detail) changed. Lifecycle events whose Detail
+// (carried End, pairs, retries, fault, detail) changed. Lifecycle events whose Detail
 // is inherently host-dependent (straggler flags, watchdog-fire timing)
 // participate like any other; identical seeds with stragglers off diff
 // clean. Returns the number of differing event slots (0 = identical).
@@ -250,9 +265,9 @@ func Diff(w io.Writer, a, b *obs.FlightDump, labelA, labelB string) (int, error)
 			onlyA = append(onlyA, describeKey(k))
 			continue
 		}
-		if ev.Pairs != bv.Pairs || ev.Retries != bv.Retries || ev.Fault != bv.Fault || ev.Detail != bv.Detail {
-			changed = append(changed, fmt.Sprintf("%s: pairs %d vs %d, retries %d vs %d, fault %q vs %q, detail %q vs %q",
-				describeKey(k), ev.Pairs, bv.Pairs, ev.Retries, bv.Retries, ev.Fault, bv.Fault, ev.Detail, bv.Detail))
+		if ev.End != bv.End || ev.Pairs != bv.Pairs || ev.Retries != bv.Retries || ev.Fault != bv.Fault || ev.Detail != bv.Detail {
+			changed = append(changed, fmt.Sprintf("%s: end %v vs %v, pairs %d vs %d, retries %d vs %d, fault %q vs %q, detail %q vs %q",
+				describeKey(k), ev.End, bv.End, ev.Pairs, bv.Pairs, ev.Retries, bv.Retries, ev.Fault, bv.Fault, ev.Detail, bv.Detail))
 		}
 	}
 	for _, ev := range b.Events {

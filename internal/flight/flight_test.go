@@ -13,11 +13,11 @@ func sampleDump() *obs.FlightDump {
 	fr := obs.NewFlightRecorder(0)
 	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
 	fr.BeginRun(17, "bfs", 2, "direct")
-	fr.Send(1, 0, 0, 3, 0, 0, 0, "")
-	fr.Send(0, 1, 0, 5, 1, 0, 0, "")
-	fr.Recv(0, 1, 0, 3, 0, 0)
+	fr.Send(1, 0, 0, 3, 0, 0, 0, obs.NoEnd, "")
+	fr.Send(0, 1, 0, 5, 1, 0, 0, obs.NoEnd, "")
+	fr.Recv(0, 1, 0, 3, 0, 0, obs.NoEnd)
 	fr.Inject(0, 0, "sendfail@0:l0:data/forward:0")
-	fr.DupDrop(1, 0, 0, 5, 0, 0)
+	fr.DupDrop(1, 0, 0, 5, 0, 0, obs.NoEnd)
 	return fr.Dump()
 }
 
@@ -36,6 +36,25 @@ func TestRenderMarks(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRenderMarksCarriedEndDup: a dup scheduled on an End that travelled
+// on a data batch is the injected explanation of that batch's dup-drop.
+func TestRenderMarksCarriedEndDup(t *testing.T) {
+	fr := obs.NewFlightRecorder(0)
+	fr.SetStreamNames([]string{"data", "end"}, []string{"forward", "backward"})
+	fr.BeginRun(17, "bfs", 2, "direct")
+	fr.Send(0, 1, 0, 2, 0, 0, 0, 1, "dup@0:l0:end/forward:0")
+	fr.Inject(0, 0, "dup@0:l0:end/forward:0")
+	fr.Recv(1, 0, 0, 2, 0, 0, 1)
+	fr.DupDrop(1, 0, 0, 2, 0, 0, 1)
+	var buf bytes.Buffer
+	if err := Render(&buf, fr.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "dup-drop data+end/forward <- 0 op 1 (2 pairs) [injected]") {
+		t.Fatalf("the carried End's dup-drop is not marked injected:\n%s", out)
 	}
 }
 

@@ -14,10 +14,10 @@ func BenchmarkFlightRecord(b *testing.B) {
 	fr.BeginRun(0, "bfs", nodes, "direct")
 	record := func(i int) {
 		src, dst := i%nodes, (i/nodes)%nodes
-		if err := fr.Send(src, dst, 0, 0, 0, 1, 0, ""); err != nil {
+		if err := fr.Send(src, dst, 0, 0, 0, 1, 0, NoEnd, ""); err != nil {
 			b.Fatal(err)
 		}
-		if err := fr.Recv(dst, src, 0, 0, 1, 0); err != nil {
+		if err := fr.Recv(dst, src, 0, 0, 1, 0, NoEnd); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,8 +64,11 @@ const mpePerRecordSeconds = 16e-9
 
 // Per-message software cost on the MPE that posts and completes MPI
 // operations. This is the term that makes Theta(P) small messages per node
-// per level (the direct transport's END markers and fragmented data) the
-// scaling killer the paper describes.
+// per level the scaling killer the paper describes: on the direct
+// transport every node messages every peer in every level — its last
+// batch to a peer carries the End marker, a peer with nothing left gets a
+// bare one — so a level costs at least P-1 messages per node however
+// little data it moves.
 const PerMessageOverheadSeconds = 2e-6
 
 // LevelStats is what the functional BFS engine measures for one level on
@@ -93,7 +96,8 @@ type LevelStats struct {
 	// MaxNodeSentBytes is the largest per-node injection volume.
 	MaxNodeSentBytes int64
 	// MaxNodeMessages is the largest per-node count of network messages
-	// sent (data batches + termination markers).
+	// sent: data batches, some carrying a termination marker, plus the
+	// bare markers to peers no data batch reached at channel close.
 	MaxNodeMessages int64
 	// ModuleInvocations is the largest per-node number of module
 	// dispatches (each paying the flag-polling notification latency when

@@ -92,3 +92,39 @@ func ForwardPairs(g *graph.CSR, level []int64, nodes, members, quantum int) [][]
 	}
 	return recv
 }
+
+// DirectMessages is an independent count of a top-down BFS's network
+// messages on the Direct transport. It replays the same generator streams
+// as ForwardPairs and counts, per level and per sending node, what the
+// node sends each peer (loopback excluded) when it has generated n pairs
+// for it: n/quantum full batches, plus the End — carried by the residual
+// batch when n is not a multiple of quantum, bare otherwise. That is
+// n/quantum + 1 messages per peer whatever n is, so a node sends at least
+// nodes-1 messages in every level — hub prefetch off, every level top-down.
+func DirectMessages(g *graph.CSR, level []int64, nodes, quantum int) [][]int64 {
+	depth := int64(-1)
+	for _, l := range level {
+		depth = max(depth, l)
+	}
+	sent := make([][]int64, depth+1)
+	toPeer := make([]int64, nodes)
+	for l := range sent {
+		sent[l] = make([]int64, nodes)
+		for s := 0; s < nodes; s++ {
+			clear(toPeer)
+			for u := int64(s); u < g.N; u += int64(nodes) {
+				if level[u] == int64(l) {
+					for _, v := range g.Neighbors(graph.Vertex(u)) {
+						toPeer[int64(v)%int64(nodes)]++
+					}
+				}
+			}
+			for dst, n := range toPeer {
+				if dst != s {
+					sent[l][s] += n/int64(quantum) + 1
+				}
+			}
+		}
+	}
+	return sent
+}
