@@ -216,11 +216,7 @@ func (s *Session) Exit(what string, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: run from root %d ABORTED: %v\n", s.prog, ae.Root, ae.Cause)
 	fmt.Fprintf(os.Stderr, "%s: partial result: %d completed levels\n", s.prog, len(ae.CompletedLevels))
-	for _, l := range ae.CompletedLevels {
-		fmt.Fprintf(os.Stderr, "    L%-2d %-9s work=%-10d sent=%-10d msgs=%-6d %s\n",
-			l.Level, l.Direction, l.MaxNodeProcessedBytes, l.MaxNodeSentBytes,
-			l.MaxNodeMessages, l.Net.String())
-	}
+	graph500.PrintLevels(os.Stderr, ae.CompletedLevels)
 	if ae.FlightPath != "" {
 		fmt.Fprintf(os.Stderr, "%s: flight-recorder post-mortem written to %s (render with inspect)\n", s.prog, ae.FlightPath)
 	} else if ae.FlightDump != nil {

@@ -192,6 +192,27 @@ func TestChaosResumeSweep(t *testing.T) {
 	}
 }
 
+// overflowCapacity is a flight-ring capacity that every node's ring
+// outgrows before level kill starts: half the smallest per-node count of
+// delivery events in the levels before it in the last run of d, and at
+// least 1.
+func overflowCapacity(d *obs.FlightDump, kill int) int {
+	perNode := map[int]int{}
+	for _, ev := range d.Events {
+		delivery := ev.Kind == obs.FlightSend || ev.Kind == obs.FlightRecv || ev.Kind == obs.FlightDupDrop
+		if delivery && ev.Run == len(d.Runs)-1 && ev.Level >= 0 && ev.Level < kill {
+			perNode[ev.Node]++
+		}
+	}
+	least := 0
+	for _, n := range perNode {
+		if least == 0 || n < least {
+			least = n
+		}
+	}
+	return max(least/2, 1)
+}
+
 // TestChaosCheckpointCrashConsistency is the crash-consistency case: the
 // killed run's flight recorder is so small that its delivery rings
 // overflow, yet the abort-written checkpoint file is complete and
@@ -215,7 +236,8 @@ func TestChaosCheckpointCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills := killSpecsFromDump(t, bcfg.Obs.Flight.Dump())
+	baseDump := bcfg.Obs.Flight.Dump()
+	kills := killSpecsFromDump(t, baseDump)
 	first, last := -1, -1
 	for l := range kills {
 		if l >= 1 && (first == -1 || l < first) {
@@ -229,12 +251,13 @@ func TestChaosCheckpointCrashConsistency(t *testing.T) {
 		t.Fatalf("need two killable levels, got first=%d last=%d", first, last)
 	}
 
-	// Kill at the first boundary, with tiny flight rings: overflow is the
-	// point — the checkpoint must stay complete regardless.
+	// Kill at the first boundary, with flight rings half the size of the
+	// quietest node's traffic before it: overflow is the point — the
+	// checkpoint must stay complete regardless.
 	dir := t.TempDir()
 	kcfg := harnessConfig(core.TransportRelay)
 	kcfg.Obs = obs.New()
-	kcfg.Obs.Flight = obs.NewFlightRecorder(12)
+	kcfg.Obs.Flight = obs.NewFlightRecorder(overflowCapacity(baseDump, first))
 	plan1 := chaos.Plan{Faults: []chaos.Fault{kills[first]}}
 	kcfg.Chaos = &plan1
 	kcfg.CheckpointEvery = 1
@@ -250,7 +273,7 @@ func TestChaosCheckpointCrashConsistency(t *testing.T) {
 		t.Fatalf("kill did not abort: %v", err)
 	}
 	if ae.FlightDump == nil || ae.FlightDump.Dropped == 0 {
-		t.Fatal("delivery rings did not overflow; shrink the recorder capacity")
+		t.Fatal("delivery rings did not overflow")
 	}
 	if ae.CheckpointPath != kcfg.CheckpointPath {
 		t.Fatalf("abort checkpoint at %q, want %q", ae.CheckpointPath, kcfg.CheckpointPath)

@@ -14,10 +14,6 @@ import (
 // message compression (the Section 7 extension) and the partition
 // strategy.
 func ablations(o Options, s shape) (*Table, error) {
-	g, err := o.graph(s.scale)
-	if err != nil {
-		return nil, err
-	}
 	nodes := s.nodes[0]
 	variant := func(change func(*core.Config)) core.Config {
 		cfg := o.machine(nodes)
@@ -46,7 +42,7 @@ func ablations(o Options, s shape) (*Table, error) {
 	}
 	var baseline float64
 	for i, v := range variants {
-		r, err := o.bench(v.cfg, s.scale, g)
+		r, err := o.bench(v.cfg, s.scale)
 		if err != nil {
 			t.AddRow(v.name, "CRASH", "-", "-")
 			continue

@@ -9,6 +9,7 @@ import (
 
 	"swbfs/internal/chaos"
 	"swbfs/internal/core"
+	"swbfs/internal/obs"
 	"swbfs/internal/perf"
 )
 
@@ -421,5 +422,62 @@ func TestHeadlineTiny(t *testing.T) {
 	}
 	if projected[1] != strconv.Itoa(headlineNodes) {
 		t.Fatalf("projection nodes = %s", projected[1])
+	}
+}
+
+// TestEachPointMeasuredOnce builds the artifacts that share machine points
+// — Figures 11 and 12, Table 2 and the headline — with one observer, and
+// holds each build's bfs.runs to the roots of the points no earlier build
+// measured: fig12 reuses fig11's Relay CPE column, the headline Table 2's
+// run. No memoized report keeps its graph.
+func TestEachPointMeasuredOnce(t *testing.T) {
+	o := Options{Size: Quick, Host: core.Host{Obs: obs.New()}}.withDefaults()
+	runs := o.Host.Obs.Metrics.Counter("bfs.runs")
+	type point struct {
+		nodes int
+		curve
+	}
+	measured := map[point]bool{}
+	for _, id := range []string{"fig11", "fig12", "table2", "headline"} {
+		a, _ := artifactByID(id)
+		s := a.sizes[Quick]
+		nodes, curves := s.nodes[:1], []curve{{core.TransportRelay, perf.EngineCPE, s.perNodeLogs[0]}}
+		switch id {
+		case "fig11":
+			nodes, curves = s.nodes, nil
+			for _, tr := range []core.Transport{core.TransportDirect, core.TransportRelay} {
+				for _, en := range []perf.Engine{perf.EngineMPE, perf.EngineCPE} {
+					curves = append(curves, curve{tr, en, s.perNodeLogs[0]})
+				}
+			}
+		case "fig12":
+			nodes, curves = s.nodes, nil
+			for _, l := range s.perNodeLogs {
+				curves = append(curves, curve{core.TransportRelay, perf.EngineCPE, l})
+			}
+		}
+		var fresh int64
+		for _, n := range nodes {
+			for _, c := range curves {
+				if p := (point{n, c}); !measured[p] {
+					measured[p] = true
+					fresh++
+				}
+			}
+		}
+		before := runs.Value()
+		if _, err := a.Build(o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got, want := runs.Value()-before, fresh*int64(o.Roots); got != want {
+			t.Errorf("%s ran %d BFS runs, want %d: %d new points of %d roots", id, got, want, fresh, o.Roots)
+		}
+	}
+	memo.Lock()
+	defer memo.Unlock()
+	for k, run := range memo.runs {
+		if k.o == o && run.r != nil && run.r.Config.Graph != nil {
+			t.Fatalf("memoized report of %d nodes at scale %d keeps its graph", k.cfg.Nodes, k.scale)
+		}
 	}
 }

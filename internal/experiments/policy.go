@@ -16,10 +16,6 @@ var policyAlphas, policyBetas = []float64{2, 14, 100}, []float64{4, 24, 100}
 // reference. The broad flatness around the defaults (and the gap to the
 // baseline) is what makes the heuristic practical.
 func policySweep(o Options, s shape) (*Table, error) {
-	g, err := o.graph(s.scale)
-	if err != nil {
-		return nil, err
-	}
 	nodes := s.nodes[0]
 	t := &Table{
 		ID:     "policy",
@@ -27,7 +23,7 @@ func policySweep(o Options, s shape) (*Table, error) {
 		Header: []string{"alpha", "beta", "GTEPS", "bottom-up levels", "levels"},
 	}
 	row := func(alpha, beta string, cfg core.Config) error {
-		r, err := o.bench(cfg, s.scale, g)
+		r, err := o.bench(cfg, s.scale)
 		if err != nil {
 			return err
 		}

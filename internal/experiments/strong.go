@@ -26,12 +26,6 @@ func strongScaling(o Options, s shape) (*Table, error) {
 		Title:  fmt.Sprintf("Strong scaling, scale-%d Kronecker, Relay CPE", s.scale),
 		Header: []string{"nodes", "GTEPS", "speedup", "efficiency"},
 	}
-	g, err := o.graph(s.scale)
-	if err != nil {
-		t.AddNote("generation failed: %v", err)
-		return t, nil
-	}
-
 	var base float64
 	var baseNodes int
 	for _, nodes := range s.nodes {
@@ -41,7 +35,7 @@ func strongScaling(o Options, s shape) (*Table, error) {
 		}
 		cfg := o.machine(nodes)
 		cfg.Transport, cfg.Engine = core.TransportRelay, perf.EngineCPE
-		r, err := o.bench(cfg, s.scale, g)
+		r, err := o.bench(cfg, s.scale)
 		if err != nil {
 			t.AddRow(fmt.Sprint(nodes), crashCell(err), "-", "-")
 			continue

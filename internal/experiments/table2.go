@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
@@ -43,34 +42,6 @@ const headlineNodes = 40768
 // headlinePerNodeVertices is the paper's per-node problem size at scale 40.
 const headlinePerNodeVertices = float64(int64(1)<<40) / headlineNodes
 
-// lastHeadline is the newest headline projection and what it was made
-// from: table2 and the headline table ask for the same one in a single
-// `swbfs-bench all`, and the second reads the first's instead of repeating
-// the functional run. Options compare with ==, so a codec must be a
-// comparable value (AdaptiveCodec is an empty struct).
-var lastHeadline struct {
-	sync.Mutex
-	o                 Options
-	nodes, perNodeLog int
-	ran               bool
-	m                 *measurement
-	gteps             float64
-	err               error
-}
-
-// headline returns the headline projection of o and s, measured again
-// only when they differ from the previous call's (see lastHeadline).
-func headline(o Options, s shape) (*measurement, float64, error) {
-	h := &lastHeadline
-	h.Lock()
-	defer h.Unlock()
-	if !h.ran || h.o != o || h.nodes != s.nodes[0] || h.perNodeLog != s.perNodeLogs[0] {
-		h.m, h.gteps, h.err = measureHeadline(o, s)
-		h.o, h.nodes, h.perNodeLog, h.ran = o, s.nodes[0], s.perNodeLogs[0], true
-	}
-	return h.m, h.gteps, h.err
-}
-
 // measureHeadline projects the reproduction's full-machine GTEPS from a
 // functional Relay-CPE measurement on s.nodes[0] nodes at
 // 2^s.perNodeLogs[0] vertices per node, scaling both the node count and
@@ -94,7 +65,7 @@ func measureHeadline(o Options, s shape) (*measurement, float64, error) {
 // headlineTable sets the headline's measurement and projection beside the
 // paper's full-machine result.
 func headlineTable(o Options, s shape) (*Table, error) {
-	m, gteps, err := headline(o, s)
+	m, gteps, err := measureHeadline(o, s)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +94,7 @@ func table2(o Options, s shape) (*Table, error) {
 		t.AddRow(r.Authors, fmt.Sprint(r.Year), fmt.Sprint(r.Scale),
 			fmt.Sprintf("%.1f", r.GTEPS), r.Processors, r.Arch, heteroStr(r.Hetero))
 	}
-	_, gteps, err := headline(o, s)
+	_, gteps, err := measureHeadline(o, s)
 	if err != nil {
 		t.AddNote("no reproduction row: %v", err)
 		return t, nil

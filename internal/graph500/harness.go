@@ -36,8 +36,8 @@ type BenchConfig struct {
 	Args string
 	// Scale and EdgeFactor parametrize the Kronecker input. When Graph is
 	// non-nil the benchmark runs on that graph instead: cmd/graph500 -input
-	// passes the one it read, a sweep the one it shares across its
-	// configurations.
+	// passes the one it read, internal/experiments the one it keeps for
+	// every machine point of a (seed, scale).
 	Scale      int
 	EdgeFactor int
 	Graph      *graph.CSR
@@ -310,10 +310,16 @@ func (r *Report) PrintDetail(w io.Writer) {
 		fmt.Fprintf(w, "%-10d %-10d %-10d %-7d %-9d %-10.3f %.3f\n",
 			rr.Root, rr.Visited, rr.TraversedEdges, rr.Levels, rr.BottomUpLevels,
 			rr.Time*1e3, rr.TEPS/1e9)
-		for _, l := range rr.LevelDetail {
-			fmt.Fprintf(w, "    L%-2d %-9s work=%-10d sent=%-10d msgs=%-6d %s\n",
-				l.Level, l.Direction, l.MaxNodeProcessedBytes, l.MaxNodeSentBytes,
-				l.MaxNodeMessages, l.Net.String())
-		}
+		PrintLevels(w, rr.LevelDetail)
+	}
+}
+
+// PrintLevels writes one indented line per level: direction, critical-path
+// work, traffic per link class.
+func PrintLevels(w io.Writer, levels []perf.LevelStats) {
+	for _, l := range levels {
+		fmt.Fprintf(w, "    L%-2d %-9s work=%-10d sent=%-10d msgs=%-6d %s\n",
+			l.Level, l.Direction, l.MaxNodeProcessedBytes, l.MaxNodeSentBytes,
+			l.MaxNodeMessages, l.Net.String())
 	}
 }
