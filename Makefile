@@ -24,11 +24,13 @@ fmt:
 # tests race the sharded generators and handler fan-out for real — for the
 # BFS engine, the kernel fan-outs, the chaos x width parity sweep, the
 # kill-everywhere checkpoint/resume sweep, and the per-message path (swap-drain
-# inbox, recycled machines, flight stream counters, protocol errors). The
-# validator is in the first pass for its chunk counter and pooled scratch.
+# inbox, recycled machines, flight stream counters, protocol errors), and the
+# hub-prefetch runs (odd worker widths included) against the replicated hub
+# state. The validator is in the first pass for its chunk counter and pooled
+# scratch.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/comm/... ./internal/core/... ./internal/algos/... ./internal/graph500/
-	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint|Inbox|Reuse|Flight|Protocol' \
+	GOMAXPROCS=4 $(GO) test -race -run 'Workers|Resume|Checkpoint|Inbox|Reuse|Flight|Protocol|Hub' \
 		./internal/core/ ./internal/algos/ ./internal/chaos/ ./internal/comm/ ./internal/obs/
 
 bench:

@@ -245,8 +245,8 @@ func TestResumeEveryLevelWithTopDownHubSubset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.hubsTopDown >= r.hubsBottomUp {
-				t.Fatalf("top-down budget %d is not below the bottom-up %d", r.hubsTopDown, r.hubsBottomUp)
+			if td, bu := r.hubs.topDown, r.hubs.set.Len(); td >= bu {
+				t.Fatalf("top-down budget %d is not below the bottom-up %d", td, bu)
 			}
 			base, err := r.Run(root)
 			if err != nil {

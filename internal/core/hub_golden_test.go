@@ -69,7 +69,7 @@ var hubGoldenCases = []hubGoldenCase{
 // message and connection counts — against a committed file. The first
 // four cases cover both transports, hybrid and top-down only; the file was
 // generated while HubSet was a map, so the hub test's data structure is
-// host-side only, and forwardScan, backwardScan and localHubWords must see
+// host-side only, and forwardScan, backwardScan and hubs.exchange must see
 // the same slots. The relay variants pin the MPE engine, both backward
 // codecs and a 64-node machine of 8-node super nodes. The last four were
 // added before the hub tests moved onto vertex bitmaps, to pin what that

@@ -36,8 +36,6 @@ type nodeState struct {
 	// generator scans its complement so the probe set never depends on
 	// mid-level claim timing.
 	curr, next, genNext, visited *graph.Bitmap
-	// hubWords is localHubWords' scratch (empty without hub prefetch).
-	hubWords *graph.Bitmap
 
 	ep comm.Endpoint
 	// lanes are the node's send paths, one per channel, each driven by one
@@ -87,7 +85,6 @@ func newNodeState(r *Runner, node int) *nodeState {
 		next:          graph.NewBitmap(sub.NumVertices()),
 		genNext:       graph.NewBitmap(sub.NumVertices()),
 		visited:       graph.NewBitmap(sub.NumVertices()),
-		hubWords:      graph.NewBitmap(int64(r.hubsBottomUp)),
 		policyReplica: new(Policy),
 		handlerErr:    make(chan error, 1),
 	}
@@ -102,7 +99,7 @@ func (ns *nodeState) resetRun(ep comm.Endpoint) {
 	*ns = nodeState{
 		id: ns.id, r: r, sub: ns.sub,
 		parent: ns.parent, curr: ns.curr, next: ns.next, genNext: ns.genNext, visited: ns.visited,
-		hubWords: ns.hubWords, handlerErr: ns.handlerErr,
+		handlerErr:    ns.handlerErr,
 		ep:            ep,
 		workers:       r.cfg.Workers,
 		policyReplica: ns.policyReplica,
@@ -112,7 +109,7 @@ func (ns *nodeState) resetRun(ep comm.Endpoint) {
 	for i := range ns.parent {
 		ns.parent[i] = int64(graph.NoVertex)
 	}
-	for _, bm := range []*graph.Bitmap{ns.curr, ns.next, ns.genNext, ns.visited, ns.hubWords} {
+	for _, bm := range []*graph.Bitmap{ns.curr, ns.next, ns.genNext, ns.visited} {
 		bm.Reset()
 	}
 }
@@ -227,7 +224,7 @@ func (ns *nodeState) generate(ch comm.Channel, words int, scan func(*nodeState, 
 // generator input even when the shortcut elides their message.
 func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
-	seen := r.hubSeen // nil without hub prefetch
+	_, _, seen := r.hubs.bitmaps()
 	words := ns.curr.Words()
 	var scanned int64
 	for wi := lo; wi < hi; wi++ {
@@ -262,10 +259,7 @@ func (ns *nodeState) forwardScan(l *comm.Lane, lo, hi int64) error {
 // the probe traffic depend on message timing.
 func (ns *nodeState) backwardScan(l *comm.Lane, lo, hi int64) error {
 	r := ns.r
-	var isHub, inFrontier *graph.Bitmap // nil without hub prefetch
-	if r.hubs != nil {
-		isHub, inFrontier = r.hubs.Members(), r.hubFrontier
-	}
+	isHub, inFrontier, _ := r.hubs.bitmaps()
 	n := ns.sub.NumVertices()
 	words := ns.visited.Words()
 	var scanned int64

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"swbfs/internal/chaos"
@@ -48,23 +47,8 @@ type Runner struct {
 
 	subs []*graph.LocalSubgraph
 
-	// Hub prefetch state (nil when disabled): hubs are the top-degree
-	// vertices machine-wide, slot i the i-th by degree. hubVisited is the
-	// replicated slot bitmap of hubs discovered so far, grown from the
-	// paper's per-level allgather and stored in checkpoints. The
-	// generators test vertex-indexed bitmaps instead, one bit per scanned
-	// neighbour: hubs.Members(), hubFrontier (hubs in the current
-	// frontier) and hubSeen (top-down-budget hubs already visited), which
-	// node 0 refreshes from the allgather. ownHubs[node] lists each node's
-	// own hubs, so a node builds its allgather words without walking its
-	// frontier.
-	hubs         *graph.HubSet
-	hubsTopDown  int
-	hubsBottomUp int
-	hubVisited   *graph.Bitmap
-	hubFrontier  *graph.Bitmap
-	hubSeen      *graph.Bitmap
-	ownHubs      [][]ownHub
+	// hubs is the hub prefetch (nil when disabled).
+	hubs *hubs
 
 	// Per-run state: the machine the current (or most recent) run executes
 	// on and its network (cached for the per-edge paths). The machine is
@@ -117,6 +101,7 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 		g:      g,
 		part:   part,
 		subs:   make([]*graph.LocalSubgraph, cfg.Nodes),
+		hubs:   newHubs(cfg, g, part),
 		flight: cfg.Obs.FlightOf(),
 	}
 	if r.flight == nil {
@@ -129,49 +114,7 @@ func NewRunner(cfg Config, g *graph.CSR) (*Runner, error) {
 	for node := 0; node < cfg.Nodes; node++ {
 		r.subs[node] = graph.ExtractLocal(g, part, node)
 	}
-
-	if cfg.HubPrefetch {
-		td := cfg.HubsTopDown
-		bu := cfg.HubsBottomUp
-		if td == 0 {
-			td = scaledHubCount(DefaultHubsTopDown, cfg.Nodes, g.N)
-		}
-		if bu == 0 {
-			bu = scaledHubCount(DefaultHubsBottomUp, cfg.Nodes, g.N)
-		}
-		if td > bu {
-			td = bu
-		}
-		r.hubs = graph.NewHubSet(graph.SelectHubs(g, bu), g.N)
-		r.hubsTopDown = td
-		r.hubsBottomUp = r.hubs.Len()
-		r.ownHubs = make([][]ownHub, cfg.Nodes)
-		for slot := 0; slot < r.hubs.Len(); slot++ {
-			v := r.hubs.At(slot)
-			node := part.Owner(v)
-			r.ownHubs[node] = append(r.ownHubs[node], ownHub{local: part.Local(v), slot: slot})
-		}
-	}
 	return r, nil
-}
-
-// ownHub is one hub of a node: its local index there and its slot.
-type ownHub struct {
-	local int64
-	slot  int
-}
-
-// scaledHubCount turns the paper's per-node hub budget into a total, capped
-// so hubs stay a small minority of the graph on scaled-down instances.
-func scaledHubCount(perNode, nodes int, n int64) int {
-	total := int64(perNode) * int64(nodes)
-	if cap := n / 16; total > cap {
-		total = cap
-	}
-	if total < 1 {
-		total = 1
-	}
-	return int(total)
 }
 
 // Config returns the runner's configuration (with defaults applied).
@@ -211,11 +154,6 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	}
 	if r.nodes == nil {
 		// First run: everything below is allocated once and reset per run.
-		if r.hubs != nil {
-			r.hubVisited = graph.NewBitmap(int64(r.hubsBottomUp))
-			r.hubFrontier = graph.NewBitmap(r.g.N)
-			r.hubSeen = graph.NewBitmap(r.g.N)
-		}
 		r.nodes = make([]*nodeState, r.cfg.Nodes)
 		for node := range r.nodes {
 			r.nodes[node] = newNodeState(r, node)
@@ -236,11 +174,7 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 	}()
 	r.m, r.net = m, m.Net
 
-	if r.hubs != nil {
-		r.hubVisited.Reset()
-		r.hubFrontier.Reset()
-		r.hubSeen.Reset()
-	}
+	r.hubs.reset()
 	for node, ns := range r.nodes {
 		ns.resetRun(m.Endpoint(node))
 	}
@@ -260,23 +194,14 @@ func (r *Runner) run(root graph.Vertex, resume *ckpt.Checkpoint) (*Result, error
 }
 
 // shared declares BFS's machine-wide checkpoint state: the direction policy
-// (node 0's replica, restored into every one) and the hub-visited bitmap,
-// from which a restore rebuilds hubSeen; exchangeHubs rebuilds hubFrontier.
+// (node 0's replica, restored into every one) and the hubs' state.
 func (r *Runner) shared() ckpt.State {
 	policy := &r.nodes[0].policyReplica.state
-	s := ckpt.State{ckpt.Enum("policy", policy, BottomUp+1).Then(func() {
+	return append(ckpt.State{ckpt.Enum("policy", policy, BottomUp+1).Then(func() {
 		for _, ns := range r.nodes {
 			ns.policyReplica.state = *policy
 		}
-	})}
-	if r.hubs != nil {
-		s = append(s, ckpt.Words("hub_visited", r.hubVisited).Then(func() {
-			for slot := r.hubVisited.NextSet(0); slot >= 0 && slot < int64(r.hubsTopDown); slot = r.hubVisited.NextSet(slot + 1) {
-				r.hubSeen.Set(int64(r.hubs.At(int(slot))))
-			}
-		}))
-	}
-	return s
+	})}, r.hubs.state()...)
 }
 
 // LastInjections returns the faults actually injected during the most
@@ -320,10 +245,8 @@ func (ns *nodeState) Stats(int) []int64 {
 func (ns *nodeState) Plan(_ int, sums []int64) (Plan, error) {
 	nf, mf, mu := sums[0], sums[1], sums[2]
 	dir := ns.policyReplica.Next(nf, mf, mu, ns.r.g.N)
-	if ns.r.hubs != nil {
-		if err := ns.exchangeHubs(); err != nil {
-			return Plan{}, err
-		}
+	if err := ns.r.hubs.exchange(ns.r.net, ns.id, ns.curr); err != nil {
+		return Plan{}, err
 	}
 	return Plan{Dir: dir, Label: dir.String(), Channels: levelChannels[dir], Fold: levelFold[dir], Edges: mf}, nil
 }
@@ -335,57 +258,6 @@ func (ns *nodeState) Close(s perf.LevelStats, row []ckpt.ModuleWork) (perf.Level
 	crit, _ := critical(row)
 	s.ModuleBytes = slices.Clone(crit.Bytes[:])
 	return s, fmt.Sprintf("dir=%s frontier=%d edges=%d", ns.policyReplica.State(), s.FrontierVertices, s.FrontierEdges)
-}
-
-// exchangeHubs allgathers the hub slots in the current frontier and folds
-// them into the replicated hub state: node 0 rebuilds hubFrontier, adds the
-// slots to hubVisited and the top-down-budget ones to hubSeen, and the
-// level loop's rendezvous before Work publishes all three to every node
-// before module work reads them.
-func (ns *nodeState) exchangeHubs() error {
-	r := ns.r
-	words := ns.localHubWords()
-	result, err := r.net.AllgatherOr(words, true)
-	if err != nil {
-		return err
-	}
-	if r.net.Aborted() {
-		return ErrAborted
-	}
-	if ns.id == 0 {
-		r.hubFrontier.Reset()
-		for wi, w := range result {
-			for ; w != 0; w &= w - 1 {
-				slot := wi<<6 + bits.TrailingZeros64(w)
-				v := int64(r.hubs.At(slot))
-				r.hubFrontier.Set(v)
-				r.hubVisited.Set(int64(slot))
-				if slot < r.hubsTopDown {
-					r.hubSeen.Set(v)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// localHubWords returns the slot bitmap words of this node's own frontier
-// hubs, or nil when it has none (triggering the one-byte empty-flag
-// gather).
-func (ns *nodeState) localHubWords() []uint64 {
-	bm := ns.hubWords
-	bm.Reset()
-	any := false
-	for _, h := range ns.r.ownHubs[ns.id] {
-		if ns.curr.Get(h.local) {
-			bm.Set(int64(h.slot))
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return bm.Words()
 }
 
 // assemble merges per-node results into the global Result: one pass per

@@ -46,6 +46,7 @@ func (o Options) bench(cfg core.Config, scale int) (*graph500.Report, error) {
 		memo.graph = nil // let the old graph go before building the next
 		memo.graph, run.err = graph.BuildKronecker(kron)
 		memo.kron = kron
+		memo.builds++
 	}
 	if run.err == nil {
 		run.r, run.err = graph500.Run(graph500.BenchConfig{
@@ -73,13 +74,15 @@ type benchRun struct {
 	err error
 }
 
-// memo holds every point bench measured in this process, and the graph it
-// built last with what that graph was drawn from.
+// memo holds every point bench measured in this process, the graph it
+// built last with what that graph was drawn from, and how many graphs it
+// has built.
 var memo = struct {
 	sync.Mutex
-	runs  map[benchKey]benchRun
-	kron  graph.KroneckerConfig
-	graph *graph.CSR
+	runs   map[benchKey]benchRun
+	kron   graph.KroneckerConfig
+	graph  *graph.CSR
+	builds int
 }{runs: map[benchKey]benchRun{}}
 
 // measurement is one functional BFS data point: a machine configuration

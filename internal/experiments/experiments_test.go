@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"testing"
@@ -479,5 +480,34 @@ func TestEachPointMeasuredOnce(t *testing.T) {
 		if k.o == o && run.r != nil && run.r.Config.Graph != nil {
 			t.Fatalf("memoized report of %d nodes at scale %d keeps its graph", k.cfg.Nodes, k.scale)
 		}
+	}
+}
+
+// TestGridBuildsEachScaleOnce: quick Figure 12 shares scales between its
+// node counts (2^7 vertices per node on 16 nodes is 2^9 on 4), and measures
+// its points in scale order, so bench builds each scale's graph once though
+// it keeps only the newest. The options are this test's own, so none of
+// its points is memoized, and the cached graph is dropped first.
+func TestGridBuildsEachScaleOnce(t *testing.T) {
+	o := Options{Roots: 1, Size: Quick}.withDefaults()
+	a, _ := artifactByID("fig12")
+	s := a.sizes[Quick]
+	scales := map[int]bool{}
+	for _, nodes := range s.nodes {
+		for _, l := range s.perNodeLogs {
+			scales[l+bits.TrailingZeros(uint(nodes))] = true
+		}
+	}
+	memo.Lock()
+	memo.graph = nil
+	before := memo.builds
+	memo.Unlock()
+	if _, err := a.Build(o); err != nil {
+		t.Fatal(err)
+	}
+	memo.Lock()
+	defer memo.Unlock()
+	if got := memo.builds - before; got != len(scales) {
+		t.Fatalf("quick fig12 built %d graphs for its %d scales", got, len(scales))
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"swbfs/internal/core"
 	"swbfs/internal/perf"
@@ -17,19 +19,33 @@ type curve struct {
 
 // grid adds one row per functional node count of s, every curve measured
 // there, then one row per projected node count, every curve projected from
-// its largest healthy measurement: the layout of Figures 11 and 12.
+// its largest healthy measurement: the layout of Figures 11 and 12. The
+// points are measured in graph-scale order, as bench keeps only its newest
+// graph: in row order, each scale a later row repeats would be built again.
 func grid(t *Table, o Options, s shape, curves []curve) {
-	last := make([]*measurement, len(curves))
-	for _, nodes := range s.nodes {
+	k := len(curves)
+	order := make([]int, len(s.nodes)*k) // point i is node count i/k, curve i%k
+	for i := range order {
+		order[i] = i
+	}
+	scale := func(i int) int { return curves[i%k].perNodeLog + bits.Len(uint(s.nodes[i/k])) }
+	slices.SortStableFunc(order, func(a, b int) int { return scale(a) - scale(b) })
+	ms, errs := make([]*measurement, len(order)), make([]error, len(order))
+	for _, i := range order {
+		c := curves[i%k]
+		ms[i], errs[i] = measureBFS(o, s.nodes[i/k], c.perNodeLog, c.transport, c.engine)
+	}
+
+	last := make([]*measurement, k)
+	for r, nodes := range s.nodes {
 		row := []string{fmt.Sprint(nodes)}
-		for i, c := range curves {
-			m, err := measureBFS(o, nodes, c.perNodeLog, c.transport, c.engine)
-			if err != nil {
-				row = append(row, crashCell(err))
+		for i := r * k; i < (r+1)*k; i++ {
+			if errs[i] != nil {
+				row = append(row, crashCell(errs[i]))
 				continue
 			}
-			last[i] = m
-			row = append(row, fmt.Sprintf("%.3f", m.gteps))
+			last[i%k] = ms[i]
+			row = append(row, fmt.Sprintf("%.3f", ms[i].gteps))
 		}
 		t.AddRow(append(row, "measured")...)
 	}
